@@ -13,7 +13,7 @@ with f'^2 = rad(f) / f^2 for the quartic rad(s) = -lam s^4 + 2C s^2 - lamt.
 Closed forms (doubled-angle normal forms):
 
     lam = +1:  f^2 = (a^2 - C) cos 2t + a b sin 2t + C
-    lam =  0:  f^2 = (a + b t)^2 + lamt t^2 / a^2
+    lam =  0:  f^2 = 2C t^2 + 2ab t + a^2  (= (a + b t)^2 + lamt t^2 / a^2)
     lam = -1:  f^2 = (a^2 + C) cosh 2t + a b sinh 2t - C
 
 The module computes maximal life intervals, one-sided candidate lengths
@@ -58,7 +58,9 @@ def make_case(lam, lam_tilde, a, b):
     a, b = float(a), float(b)
     if not (a > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise DomainError("need a > 0 and finite b")
-    scale = 1.0 + a * a + 1.0 / (a * a) + b * b
+    # snap relative to the terms that enter C, so an absent a^2 or 1/a^2
+    # cannot swamp a small b^2
+    scale = max(1.0, abs(lam) * a * a + abs(lam_tilde) / (a * a) + b * b)
     C = 0.5 * (lam * a * a + lam_tilde / (a * a) + b * b)
     if abs(C) < 1e-12 * scale:
         C = 0.0  # exact borderline families sit at C = 0
@@ -78,8 +80,12 @@ def f_squared(case, t):
     if case.lam == 1.0:
         return (a * a - C) * jr.cos(2.0 * t) + a * b * jr.sin(2.0 * t) + C
     if case.lam == 0.0:
-        lin = a + b * t
-        return lin * lin + case.lam_tilde * t * t / (a * a)
+        # the polynomials whose roots maximal_interval takes: the double
+        # root -a/b for lamt = 0, else the quadratic in the snapped C
+        if case.lam_tilde == 0.0:
+            lin = a + b * t
+            return lin * lin
+        return 2.0 * C * t * t + 2.0 * a * b * t + a * a
     return (a * a + C) * jr.cosh(2.0 * t) + a * b * jr.sinh(2.0 * t) - C
 
 
@@ -147,7 +153,10 @@ def _w_component(case):
         if w_star <= 0.0:
             return 0.0, np.inf
         return (w_star, np.inf) if w_star < 1.0 else (0.0, w_star)
-    roots = sorted(((C - 1.0) / A, (C + 1.0) / A))  # sqrt(disc)/2 = 1
+    # roots (C -+ 1)/A, sqrt(disc)/2 = 1; the smaller-magnitude one comes
+    # from the product of roots D/A, free of the cancellation in C -+ 1
+    big = C + math.copysign(1.0, C)
+    roots = sorted((big / A, D / big))
     w_lo, w_hi = 0.0, np.inf
     for r in roots:
         if 0.0 < r < 1.0:

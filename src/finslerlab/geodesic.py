@@ -47,9 +47,9 @@ class GeodesicResult:
         n = self.xs.shape[1]
         out = np.empty((ts.size, 2 * n))
         back, fwd = self.legs
-        for i, t in enumerate(ts):
-            leg = fwd if t >= 0.0 else back
-            out[i] = leg.sample([t])[0]
+        ahead = ts >= 0.0
+        out[ahead] = fwd.sample(ts[ahead])
+        out[~ahead] = back.sample(ts[~ahead])
         return out[:, :n], out[:, n:]
 
 
@@ -103,18 +103,30 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12,
 # straightness diagnostics for projectively flat charts
 
 
-def _point_segment_distance(p, a, b):
+# temporaries of the backward leg hold about this many floats
+_BLOCK_FLOATS = 1 << 16
+_CHORD_SAMPLES = 200
+
+
+def _point_segment_distances(p, a, b):
+    """Distances from points p to segments [a, b], broadcast over leading axes.
+
+    A zero-length segment measures the distance to its point a.
+    """
     ab = b - a
-    denom = float(ab @ ab)
-    s = 0.0 if denom == 0.0 else np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + s * ab)))
+    denom = np.einsum("...i,...i->...", ab, ab)
+    num = np.einsum("...i,...i->...", p - a, ab)
+    s = np.clip(np.divide(num, denom, out=np.zeros_like(num),
+                          where=denom != 0.0), 0.0, 1.0)
+    return np.linalg.norm(p - (a + s[..., None] * ab), axis=-1)
 
 
 def hausdorff_to_chord(points, anchor, direction):
     """Hausdorff distance between a polyline and its straight chord.
 
     The chord is the segment of the line anchor + s*direction spanned by
-    the projections of the polyline's endpoints.
+    the projections of the polyline's endpoints. The backward leg measures
+    200 chord samples against the polyline, taking segments in blocks.
     """
     pts = np.asarray(points, dtype=float)
     d = np.asarray(direction, dtype=float)
@@ -124,14 +136,16 @@ def hausdorff_to_chord(points, anchor, direction):
     lo, hi = float(np.min(s)), float(np.max(s))
     p_lo, p_hi = a0 + lo * d, a0 + hi * d
 
-    d_fwd = max(_point_segment_distance(p, p_lo, p_hi) for p in pts)
+    d_fwd = float(np.max(_point_segment_distances(pts, p_lo, p_hi)))
 
-    chord_samples = p_lo + np.linspace(0.0, 1.0, 200)[:, None] * (p_hi - p_lo)
-    d_back = 0.0
-    for q in chord_samples:
-        best = min(
-            _point_segment_distance(q, pts[i], pts[i + 1])
-            for i in range(len(pts) - 1)
-        ) if len(pts) > 1 else float(np.linalg.norm(q - pts[0]))
-        d_back = max(d_back, best)
-    return max(d_fwd, d_back)
+    chord_samples = p_lo + np.linspace(0.0, 1.0, _CHORD_SAMPLES)[:, None] \
+        * (p_hi - p_lo)
+    # a single point is the zero-length segment from itself to itself
+    seg_a, seg_b = (pts[:-1], pts[1:]) if len(pts) > 1 else (pts, pts)
+    step = max(1, _BLOCK_FLOATS // (_CHORD_SAMPLES * pts.shape[1]))
+    best = np.full(_CHORD_SAMPLES, np.inf)
+    q = chord_samples[:, None, :]
+    for j in range(0, len(seg_a), step):
+        dist = _point_segment_distances(q, seg_a[j:j + step], seg_b[j:j + step])
+        np.minimum(best, dist.min(axis=1), out=best)
+    return max(d_fwd, float(np.max(best)))

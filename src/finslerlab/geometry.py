@@ -167,6 +167,9 @@ def flag_spread(metric, x, y, flags=20, offset=sampling.DIRECTION_OFFSET):
             vals.append(flag_curvature(metric, x, y, v, data=data))
         except DegenerateFlagError:
             continue
+    if not vals:
+        raise DegenerateFlagError(
+            f"{metric.name}: no flag direction transverse to y (n = {metric.n})")
     return {"values": vals, "min": min(vals), "max": max(vals),
             "spread": max(vals) - min(vals)}
 

@@ -257,7 +257,7 @@ class Jet:
         if c is None:
             return NotImplemented
         if c == 0.0:
-            raise ZeroDivisionError("jet divided by zero scalar")
+            raise JetError("jet divided by zero scalar")
         return Jet(self.ctx, self.coeffs / c)
 
     def __rtruediv__(self, other):

@@ -66,21 +66,29 @@ class OdeResult:
     segments: List[Segment] = field(default_factory=list)
 
     def sample(self, ts):
-        """Dense cubic Hermite evaluation at sorted query times inside the span."""
+        """Dense cubic Hermite evaluation at query times inside the span."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((ts.size, self.us.shape[1]))
-        fwd = self.segments[0].t1 >= self.segments[0].t0 if self.segments else True
-        for i, t in enumerate(ts):
-            seg = self._locate(t, fwd)
-            out[i] = seg.eval(t)
+        for i, k in enumerate(self._locate(ts)):
+            out[i] = self.segments[k].eval(ts[i])
         return out
 
-    def _locate(self, t, fwd):
-        for seg in self.segments:
-            lo, hi = (seg.t0, seg.t1) if fwd else (seg.t1, seg.t0)
-            if lo - 1e-12 <= t <= hi + 1e-12:
-                return seg
-        raise NumericError(f"time {t} outside integrated span")
+    def _locate(self, ts):
+        """Index of the first segment whose span, widened by 1e-12, holds each t.
+
+        Time is read in the direction of integration, where both ends of
+        the segments grow along the list: a binary search over the ends
+        finds the first candidate, and its start decides.
+        """
+        ahead = not self.segments or self.segments[0].t1 >= self.segments[0].t0
+        sgn = 1.0 if ahead else -1.0
+        starts = sgn * np.array([seg.t0 for seg in self.segments])
+        ends = sgn * np.array([seg.t1 for seg in self.segments])
+        idx = np.searchsorted(ends + 1e-12, sgn * ts)
+        for t, k in zip(ts, idx):
+            if k == len(ends) or not starts[k] - 1e-12 <= sgn * t:
+                raise NumericError(f"time {t} outside integrated span")
+        return idx
 
 
 def _try_rhs(rhs, t, u):
@@ -107,7 +115,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
     if span == 0.0:
         return OdeResult(np.array([t]), u[None, :].copy(), "t_limit", t, u, 0, 0)
 
-    k1 = _try_rhs(rhs, t, u)  # initial point must be admissible
+    K = np.empty((7, u.size))  # stage derivatives; row 0 is rhs at (t, u)
+    K[0] = _try_rhs(rhs, t, u)  # initial point must be admissible
     h = min(first_step or 1e-4 * max(span, 1.0), span, max_step)
 
     ts, us, segments = [t], [u.copy()], []
@@ -122,11 +131,9 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
                              n_acc, n_rej, segments)
         hs = direction * h
         try:
-            ks = [k1]
             for i in range(1, 7):
-                ui = u + hs * (np.stack(ks[:i], axis=0).T @ _A[i])
-                ks.append(_try_rhs(rhs, t + _C[i] * hs, ui))
-            K = np.stack(ks, axis=0)
+                ui = u + hs * (K[:i].T @ _A[i])
+                K[i] = _try_rhs(rhs, t + _C[i] * hs, ui)
         except DomainError:
             last_fail_domain = True
             n_rej += 1
@@ -143,8 +150,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
             continue
 
         t_new = t + hs
-        k_new = ks[6]  # FSAL: rhs at (t_new, u5) up to the b-row identity
-        seg = Segment(t, t_new, u.copy(), u5.copy(), k1.copy(), k_new.copy())
+        k_new = K[6].copy()  # FSAL: rhs at (t_new, u5) up to the b-row identity
+        seg = Segment(t, t_new, u.copy(), u5.copy(), K[0].copy(), k_new)
         segments.append(seg)
         ts.append(t_new)
         us.append(u5.copy())
@@ -166,7 +173,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
             return OdeResult(np.array(ts), np.array(us), "boundary", lo, u_b,
                              n_acc, n_rej, segments)
 
-        t, u, k1 = t_new, u5, k_new
+        t, u = t_new, u5
+        K[0] = k_new
         last_fail_domain = False
         h *= min(10.0, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))
 

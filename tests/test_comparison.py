@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finslerlab import comparison as cmp, jets as jr
 from finslerlab.errors import DomainError
@@ -181,6 +181,7 @@ def test_arc_parameter_roundtrip():
 
 @settings(max_examples=60, deadline=None)
 @given(lam=CONSTS, lamt=CONSTS, a=A_VALS, b=B_VALS)
+@example(lam=0.0, lamt=0.0, a=7.0, b=1e-5)  # C = 5e-11 once snapped to 0
 def test_energy_identity_holds_everywhere(lam, lamt, a, b):
     # (d f^2/dt)^2 = 4 (-lam f^4 + 2 C f^2 - lamt) wherever f^2 > 0
     case = cmp.make_case(lam, lamt, a, b)
@@ -197,6 +198,9 @@ def test_energy_identity_holds_everywhere(lam, lamt, a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(lam=CONSTS, lamt=CONSTS, a=A_VALS, b=B_VALS)
+@example(lam=-1.0, lamt=-1.0, a=0.99999, b=0.0)  # C + 1 cancels in the roots
+@example(lam=0.0, lamt=-1.0, a=0.99999, b=0.99999)  # f^2 terms near 2.5e9
+@example(lam=0.0, lamt=0.0, a=1.0, b=1e-7)  # C snaps to 0, f^2 = (a + b t)^2
 def test_interval_endpoints_are_roots_or_infinite(lam, lamt, a, b):
     case = cmp.make_case(lam, lamt, a, b)
     lo, hi = cmp.maximal_interval(case)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finslerlab import _kernels, geodesic as gd, geometry as geo, ode, zoo
 from finslerlab.errors import (DegenerateFlagError, DomainError,
-                               SingularMetricError)
+                               NumericError, SingularMetricError)
 from finslerlab.metric import FinslerMetric, FullSpace, UnitBall, dot
 
 X = np.array([0.5, 0.0])
@@ -75,6 +76,13 @@ def test_flag_spread_is_tiny_for_constant_curvature():
     assert len(rep["values"]) == 12
     assert rep["spread"] < 1e-10
     assert rep["min"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_flag_spread_without_transverse_directions():
+    # at n = 1 every direction is parallel to y: no flag exists
+    with pytest.raises(DegenerateFlagError):
+        geo.flag_spread(zoo.euclidean(1), np.array([0.3]), np.array([1.0]),
+                        flags=4)
 
 
 def test_einstein_residual_and_campaign():
@@ -153,6 +161,95 @@ def test_dense_output_interpolates_the_nodes():
     assert np.max(np.abs(vals - np.sin(ts))) < 1e-6
 
 
+def _scan_locate(res, t):
+    """Reference lookup: the first segment, in order, whose widened span holds t."""
+    fwd = res.segments[0].t1 >= res.segments[0].t0
+    for k, seg in enumerate(res.segments):
+        lo, hi = (seg.t0, seg.t1) if fwd else (seg.t1, seg.t0)
+        if lo - 1e-12 <= t <= hi + 1e-12:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("t1", [3.0, -3.0])
+def test_segment_lookup_matches_a_linear_scan(t1):
+    res = ode.integrate(lambda t, u: np.array([np.cos(t), -u[0]]), 0.0,
+                        np.array([0.0, 1.0]), t1, rtol=1e-6, atol=1e-8)
+    nodes = np.asarray(res.ts)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    queries = np.concatenate([nodes, nodes - 1e-12, nodes + 1e-12,
+                              nodes - 3e-12, nodes + 3e-12, mids])
+    for t in queries:
+        k = _scan_locate(res, t)
+        if k is None:
+            with pytest.raises(NumericError):
+                res._locate(np.array([t]))
+        else:
+            assert res._locate(np.array([t]))[0] == k, t
+    assert list(res._locate(nodes)) == [_scan_locate(res, t) for t in nodes]
+    with pytest.raises(NumericError):
+        res.sample([t1 + np.sign(t1)])
+
+
+def _hausdorff_oracle(points, anchor, direction):
+    """The scalar loop hausdorff_to_chord once was, kept as a reference."""
+
+    def point_segment(p, a, b):
+        ab = b - a
+        denom = float(ab @ ab)
+        s = 0.0 if denom == 0.0 else np.clip(float((p - a) @ ab) / denom,
+                                             0.0, 1.0)
+        return float(np.linalg.norm(p - (a + s * ab)))
+
+    pts = np.asarray(points, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    a0 = np.asarray(anchor, dtype=float)
+    s = (pts - a0) @ d
+    lo, hi = float(np.min(s)), float(np.max(s))
+    p_lo, p_hi = a0 + lo * d, a0 + hi * d
+    d_fwd = max(point_segment(p, p_lo, p_hi) for p in pts)
+    chord_samples = p_lo + np.linspace(0.0, 1.0, 200)[:, None] * (p_hi - p_lo)
+    d_back = 0.0
+    for q in chord_samples:
+        best = min(
+            point_segment(q, pts[i], pts[i + 1]) for i in range(len(pts) - 1)
+        ) if len(pts) > 1 else float(np.linalg.norm(q - pts[0]))
+        d_back = max(d_back, best)
+    return max(d_fwd, d_back)
+
+
+def _polyline(n, nodes, shape, seed):
+    """Polyline, anchor and direction for the Hausdorff comparison."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n)
+    d /= np.linalg.norm(d)
+    a0 = rng.uniform(-1.0, 1.0, n)
+    if shape == "scatter":
+        pts = rng.uniform(-1.0, 1.0, (nodes, n))
+    else:  # a wobbly trace along the line, as a geodesic gives
+        s = np.sort(rng.uniform(-1.0, 1.0, nodes))
+        pts = a0 + s[:, None] * d + 1e-3 * rng.standard_normal((nodes, n))
+    if shape == "repeats":  # zero-length segments
+        pts = pts[np.sort(rng.integers(0, nodes, nodes))]
+    if shape == "flat_chord":  # every node projects to one chord point
+        pts -= np.outer((pts - a0) @ d, d)
+    return pts, a0, d
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 4), nodes=st.integers(1, 500),
+       shape=st.sampled_from(["trace", "scatter", "repeats", "flat_chord"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, nodes=1, shape="trace", seed=0)
+@example(n=3, nodes=40, shape="flat_chord", seed=1)
+@example(n=4, nodes=60, shape="repeats", seed=2)
+def test_hausdorff_matches_the_scalar_loop(n, nodes, shape, seed):
+    pts, a0, d = _polyline(n, nodes, shape, seed)
+    assert gd.hausdorff_to_chord(pts, a0, d) == \
+        pytest.approx(_hausdorff_oracle(pts, a0, d), rel=0.0, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # geodesics
 
@@ -199,3 +296,12 @@ def test_geodesic_sampling_matches_nodes():
     pts, vels = run.sample(np.array([0.0]))
     assert np.allclose(pts[0], XG, atol=1e-9)
     assert vels.shape == (1, 2)
+
+
+def test_geodesic_sampling_matches_per_leg_lookup():
+    run = gd.integrate_geodesic(zoo.klein(), XG, YG, (-0.5, 0.5))
+    back, fwd = run.legs
+    ts = np.array([0.3, -0.2, 0.0, -0.5, 0.5, -0.0, 0.1])
+    pts, vels = run.sample(ts)
+    want = np.array([(fwd if t >= 0.0 else back).sample([t])[0] for t in ts])
+    assert np.array_equal(np.hstack([pts, vels]), want)

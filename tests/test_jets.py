@@ -76,6 +76,13 @@ def test_zero_base_division_rejected():
         _ = 1.0 / v
 
 
+def test_zero_scalar_division_rejected():
+    # the same error as a zero-base jet divisor, not a bare ZeroDivisionError
+    (v,) = jr.variables([2.0], order=2)
+    with pytest.raises(JetError):
+        _ = v / 0.0
+
+
 def test_negative_base_sqrt_and_log_rejected():
     (v,) = jr.variables([-1.0], order=2)
     with pytest.raises(JetError):
