@@ -10,6 +10,7 @@ implementation. All sampling is deterministic.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,7 +22,7 @@ from . import jets as jr
 from . import projective as pj
 from . import sampling
 from . import zoo
-from .errors import DomainError, FDOracleError
+from .errors import FDOracleError
 
 GRID_AB = ((0.3, 0.7, 1.0, 2.0, 5.0), (-2.0, -0.5, 0.0, 0.5, 2.0))
 NINE_PAIRS = tuple((l, lt) for l in (-1, 0, 1) for lt in (-1, 0, 1))
@@ -230,13 +231,7 @@ def criterion_8(count=6):
     passed = True
     worst_rel = 0.0
     for source, body, tol in jobs:
-        if body is None:
-            metric = {"klein": zoo.klein(), "spherical": zoo.spherical(),
-                      "hilbert": zoo.hilbert_ball(),
-                      "funk-plus": zoo.funk_ball(1),
-                      "funk-minus": zoo.funk_ball(-1)}[source]
-        else:
-            metric = zoo.hilbert_general(body)
+        metric = zoo.EVOLUTION_SOURCES[source].metric(2, body)
         dev = 0.0
         for x, y in sampling.state_pairs(metric, count):
             y = y / np.linalg.norm(y)
@@ -299,22 +294,15 @@ def _zoo_for_jets():
 
 
 def _all_indices(n, max_order):
+    """Every multi-index over the 2n chart slots of degree 1..max_order."""
     idxs = []
     for order in range(1, max_order + 1):
-        seen = set()
-        for combo in _combos(2 * n, order):
-            if combo not in seen:
-                seen.add(combo)
-                idx = [0] * (2 * n)
-                for c in combo:
-                    idx[c] += 1
-                idxs.append(idx)
+        for combo in combinations_with_replacement(range(2 * n), order):
+            idx = [0] * (2 * n)
+            for c in combo:
+                idx[c] += 1
+            idxs.append(idx)
     return idxs
-
-
-def _combos(nvars, order):
-    from itertools import combinations_with_replacement
-    return combinations_with_replacement(range(nvars), order)
 
 
 def _moderate_box(metric, shrink=0.5):

@@ -260,12 +260,28 @@ def _inv_f_squared(case, t):
 
 
 def candidate_length(case, t_from, t_to):
-    """int dt / f^2 by adaptive quadrature (absolute target 1e-9)."""
+    """int dt / f^2 by adaptive quadrature (absolute target 1e-9).
+
+    For lam = lamt = 0, f = a + b t and the integral is taken in closed
+    form: quadrature misses the slow tail 1 / (b t)^2 of a small b.
+    """
+    if case.lam == 0.0 and case.lam_tilde == 0.0:
+        return _linear_length(case.a, case.b, t_from, t_to)
     val, err = quad(lambda t: float(_inv_f_squared(case, t)), t_from, t_to,
                     epsabs=1e-11, epsrel=1e-11, limit=400)
     if err > 1e-8 * max(1.0, abs(val)):
         raise NumericError(f"length quadrature error {err:g} too large")
     return val
+
+
+def _linear_length(a, b, t_from, t_to):
+    """int dt / (a + b t)^2 over an interval where a + b t keeps its sign."""
+    if np.isfinite(t_from) and np.isfinite(t_to):
+        return (t_to - t_from) / ((a + b * t_from) * (a + b * t_to))
+    if b == 0.0:
+        return np.inf
+    # -1 / (b (a + b t)) is an antiderivative; it vanishes at infinite ends
+    return (1.0 / (a + b * t_from) - 1.0 / (a + b * t_to)) / b
 
 
 def _cand_side_complete(case, endpoint, forward):
@@ -275,7 +291,9 @@ def _cand_side_complete(case, endpoint, forward):
     if case.lam == 1.0:
         return True  # periodic positive f^2
     if case.lam == 0.0:
-        return case.C == 0.0  # constant or linear f^2 diverges, quadratic does not
+        # constant or linear f^2 diverges, quadratic does not; for lamt = 0,
+        # f^2 = (a + b t)^2 is constant exactly when b = 0 (C may be snapped)
+        return case.b == 0.0 if case.lam_tilde == 0.0 else case.C == 0.0
     p, q = _pq(case)
     edge = _snap(p + q if forward else p - q, abs(p) + abs(q))
     return edge == 0.0  # f^2 bounded (or -> 0) instead of growing like e^{2|t|}

@@ -129,6 +129,8 @@ def hausdorff_to_chord(points, anchor, direction):
     200 chord samples against the polyline, taking segments in blocks.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        raise DomainError("hausdorff_to_chord needs at least one point")
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     a0 = np.asarray(anchor, dtype=float)

@@ -27,17 +27,6 @@ COND_LIMIT = 1e12
 MIN_FLAG_ANGLE = 1e-6
 
 
-def _energy_tensors(metric, x, y, order):
-    """Value and derivative tensors of Q = F^2 up to ``order``."""
-    x = metric.check_point(x)
-    y = metric.check_direction(y)
-    zs = jr.seed_variables(x, y, order)
-    f = metric.F(zs[: metric.n], zs[metric.n :])
-    q = f * f
-    tensors = jr.derivative_tensors(q, order)
-    return x, y, f.value, tensors
-
-
 def _metric_block(metric, tensors):
     n = metric.n
     D2 = tensors[2]
@@ -56,13 +45,15 @@ def _metric_block(metric, tensors):
 def _assemble(metric, x, y, order):
     """Spray data at (x, y) to the requested derivative depth (2, 3 or 4)."""
     n = metric.n
-    x, y, f_val, tensors = _energy_tensors(metric, x, y, order)
+    f = metric.value_jet(x, y, order)  # validates (x, y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    tensors = jr.derivative_tensors(f * f, order)  # of the energy Q = F^2
     D1, D2 = tensors[1], tensors[2]
     g, ginv = _metric_block(metric, tensors)
 
     h = D2[:n, n:].T @ y - D1[:n]
     G = 0.25 * (ginv @ h)
-    out = {"x": x, "y": y, "F": f_val, "g": g, "ginv": ginv, "G": G}
+    out = {"x": x, "y": y, "F": f.value, "g": g, "ginv": ginv, "G": G}
     if order == 2:
         return out
 
@@ -111,8 +102,8 @@ def _assemble(metric, x, y, order):
 
 def fundamental_tensor(metric, x, y):
     """g_ij at (x, y); raises SingularMetricError when not strongly convex."""
-    _, _, _, tensors = _energy_tensors(metric, x, y, 2)
-    g, _ = _metric_block(metric, tensors)
+    f = metric.value_jet(x, y, 2)
+    g, _ = _metric_block(metric, jr.derivative_tensors(f * f, 2))
     return g
 
 
@@ -157,7 +148,11 @@ def flag_curvature(metric, x, y, v, data=None):
 
 def flag_spread(metric, x, y, flags=20, offset=sampling.DIRECTION_OFFSET):
     """Flag curvatures across ``flags`` transverse directions at one (x, y)."""
-    data = curvature_data(metric, x, y)
+    return _spread(metric, x, y, curvature_data(metric, x, y), flags, offset)
+
+
+def _spread(metric, x, y, data, flags, offset=sampling.DIRECTION_OFFSET):
+    """:func:`flag_spread` from the (F, g, R) of one assembly."""
     vals = []
     vs = sampling.directions(3 * flags + 8, metric.n, offset=offset)
     for v in vs:
@@ -179,28 +174,42 @@ def ricci_curvature(metric, x, y):
     return float(np.trace(riemann_curvature(metric, x, y)))
 
 
-def einstein_residual(metric, x, y, lam=None):
-    """|Ric - (n-1) lam F^2| / F^2 at one state."""
+def _einstein_constant(metric, lam):
     if lam is None:
         lam = metric.einstein_constant
     if lam is None:
         raise DomainError(f"{metric.name}: no Einstein constant given or stored")
-    data = _assemble(metric, x, y, 4)
+    return lam
+
+
+def _residual(metric, data, lam):
+    """|Ric - (n-1) lam F^2| / F^2 from one order-4 assembly."""
     f2 = data["F"] ** 2
     ric = float(np.trace(data["R"]))
     return abs(ric - (metric.n - 1) * lam * f2) / f2
 
 
+def einstein_residual(metric, x, y, lam=None):
+    """|Ric - (n-1) lam F^2| / F^2 at one state."""
+    lam = _einstein_constant(metric, lam)
+    return _residual(metric, _assemble(metric, x, y, 4), lam)
+
+
 def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
-    """Max Einstein residual (and optional flag spreads) over Halton samples."""
+    """Max Einstein residual (and optional flag spreads) over Halton samples.
+
+    One order-4 assembly per sample serves its residual and its flags.
+    """
+    lam = _einstein_constant(metric, lam)
     pairs = sampling.state_pairs(metric, count, box=box)
 
     def one(pair):
         x, y = pair
-        res = einstein_residual(metric, x, y, lam=lam)
-        rec = {"x": x.tolist(), "y": y.tolist(), "einstein_residual": res}
+        data = _assemble(metric, x, y, 4)
+        rec = {"x": x.tolist(), "y": y.tolist(),
+               "einstein_residual": _residual(metric, data, lam)}
         if flags:
-            sp = flag_spread(metric, x, y, flags=flags)
+            sp = _spread(metric, x, y, (data["F"], data["g"], data["R"]), flags)
             rec["flag_min"] = sp["min"]
             rec["flag_max"] = sp["max"]
         return rec
@@ -208,7 +217,7 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
     rows = sampling.pmap(one, pairs)
     report = {
         "metric": metric.name,
-        "lambda": metric.einstein_constant if lam is None else lam,
+        "lambda": lam,
         "samples": count,
         "max_einstein_residual": max(r["einstein_residual"] for r in rows),
         "rows": rows,
@@ -228,9 +237,10 @@ def check_minkowski(metric, budget=100, box=None):
     failures = []
     for x, y in pairs:
         try:
-            _, _, f_val, tensors = _energy_tensors(metric, x, y, 2)
+            f = metric.value_jet(x, y, 2)
+            f_val = f.value
             n = metric.n
-            g = 0.5 * tensors[2][n:, n:]
+            g = 0.5 * jr.derivative_tensors(f * f, 2)[2][n:, n:]
             eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
             cond = np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0]
             worst_cond = max(worst_cond, cond)

@@ -611,7 +611,12 @@ def fd_oracle(f, x, y, idx, base_step=None, levels=2):
 
 
 def jet_of(f, x, y, order):
-    """Evaluate a scalar-ring-generic f(x, y) over seeded jets."""
-    n = np.asarray(x).size
+    """Evaluate a scalar-ring-generic f(x, y) over jets seeded at (x, y).
+
+    The package's one derivative path: every jet of a function of the
+    chart variables comes from here, and :func:`derivative_tensors` of the
+    result gives its value and derivative tensors.
+    """
     zs = seed_variables(x, y, order)
+    n = len(zs) // 2
     return f(zs[:n], zs[n:])

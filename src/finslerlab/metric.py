@@ -162,8 +162,7 @@ class FinslerMetric:
         return float(self.F(list(x), list(y)))
 
     def value_jet(self, x, y, order):
-        """F evaluated over seeded jets at a validated (x, y)."""
-        x = self.check_point(x)
-        y = self.check_direction(y)
-        zs = jr.seed_variables(x, y, order)
-        return self.F(zs[: self.n], zs[self.n :])
+        """F over jets seeded at a validated (x, y): the metric's entry to
+        :func:`finslerlab.jets.jet_of`. Square the jet for Q = F^2."""
+        return jr.jet_of(self.F, self.check_point(x), self.check_direction(y),
+                         order)

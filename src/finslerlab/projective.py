@@ -27,22 +27,11 @@ from .geometry import _assemble, riemann_curvature
 DECISION_TOL = 1e-6
 
 
-def _scalar_tensors(metric, x, y, order):
-    """Derivative tensors of the metric's F itself (not the energy)."""
-    x = metric.check_point(x)
-    y = metric.check_direction(y)
-    zs = jr.seed_variables(x, y, order)
-    f = metric.F(zs[: metric.n], zs[metric.n :])
-    return x, y, f, jr.derivative_tensors(f, order)
-
-
 def covariant_derivative(base, f, x, y):
     """Horizontal derivative f_{;k} of a ring-generic scalar f(x, y)."""
     data = _assemble(base, x, y, 3)
     n = base.n
-    zs = jr.seed_variables(data["x"], data["y"], 1)
-    fj = f(zs[:n], zs[n:])
-    T = jr.derivative_tensors(fj, 1)[1]
+    T = jr.derivative_tensors(jr.jet_of(f, data["x"], data["y"], 1), 1)[1]
     return T[:n] - data["N"].T @ T[n:]
 
 
@@ -55,10 +44,9 @@ def rapcsak_residual(base, cand, x, y):
     """
     n = base.n
     data = _assemble(base, x, y, 2)
-    x, y, fj, T = _scalar_tensors(cand, x, y, 2)
-    T1, T2 = T[1], T[2]
+    y = data["y"]
+    f_val, T1, T2 = jr.derivative_tensors(cand.value_jet(x, y, 2), 2)
     res = T2[:n, n:].T @ y - T1[:n] - 2.0 * (T2[n:, n:] @ data["G"])
-    f_val = fj.value
     return {
         "residual": res,
         "norm": float(np.linalg.norm(res)),
@@ -92,10 +80,10 @@ def projective_factor(base, cand, x, y, tol=1e-7, check=True):
     base_data = _assemble(base, x, y, 2)
     cand_data = _assemble(cand, x, y, 2)
     n = base.n
-    x, y, fj, T = _scalar_tensors(cand, x, y, 1)
-    T1 = T[1]
+    y = cand_data["y"]
+    f_val, T1 = jr.derivative_tensors(cand.value_jet(x, y, 1), 1)
     u = float(T1[:n] @ y) - 2.0 * float(base_data["G"] @ T1[n:])
-    P = u / (2.0 * fj.value)
+    P = u / (2.0 * f_val)
     G, Gc = base_data["G"], cand_data["G"]
     scale = max(1.0, float(np.max(np.abs(G))), float(np.max(np.abs(Gc))))
     dev = float(np.max(np.abs(Gc - G - P * y))) / scale
@@ -119,7 +107,6 @@ def xi_and_tau(base, cand, x, y):
 
     j3 = cand.value_jet(x, y, 3)
     ctx2 = jr.get_context(2 * n, 2)
-    zs2 = jr.seed_variables(x, y, 2)
     fx = [jr.jet_partial(j3, k) for k in range(n)]
     fy = [jr.jet_partial(j3, n + m) for m in range(n)]
     G_jets = [
@@ -127,12 +114,16 @@ def xi_and_tau(base, cand, x, y):
                             [data["dG"][:, m], data["d2G"][:, :, m]])
         for m in range(n)
     ]
-    u_jet = fx[0] * zs2[n]
-    for k in range(1, n):
-        u_jet = u_jet + fx[k] * zs2[n + k]
-    for m in range(n):
-        u_jet = u_jet - 2.0 * G_jets[m] * fy[m]
-    P_jet = u_jet / (2.0 * jr.truncate(j3, 2))
+
+    def u(_, ys):  # f_{x^k} y^k - 2 G^m f_{y^m} over the chart ring
+        acc = fx[0] * ys[0]
+        for k in range(1, n):
+            acc = acc + fx[k] * ys[k]
+        for m in range(n):
+            acc = acc - 2.0 * G_jets[m] * fy[m]
+        return acc
+
+    P_jet = jr.jet_of(u, x, y, 2) / (2.0 * jr.truncate(j3, 2))
 
     P0, dP, d2P = jr.derivative_tensors(P_jet, 2)
     Px, Py = dP[:n], dP[n:]
@@ -190,14 +181,13 @@ def funk_condition_residual(cand, mu, x, y, base=None):
     condition at constant mu scores ~0 and violators score order one.
     """
     n = cand.n
-    x, y, fj, T = _scalar_tensors(cand, x, y, 1)
-    T1 = T[1]
+    f_val, T1 = jr.derivative_tensors(cand.value_jet(x, y, 1), 1)
     if base is None:
         f_cov = T1[:n]
     else:
         f_cov = T1[:n] - _assemble(base, x, y, 3)["N"].T @ T1[n:]
-    vec = f_cov - 2.0 * mu * fj.value * T1[n:]
-    return float(np.linalg.norm(vec)) / fj.value**2
+    vec = f_cov - 2.0 * mu * f_val * T1[n:]
+    return float(np.linalg.norm(vec)) / f_val**2
 
 
 def einstein_transfer_residual(base, cand, lam, lam_tilde, x, y):

@@ -29,17 +29,6 @@ def radical_inverse(i, base):
     return inv
 
 
-def halton(count, dim, offset=HALTON_OFFSET):
-    """``count`` points of the ``dim``-dimensional Halton sequence in (0,1)^dim."""
-    if dim > len(_PRIMES):
-        raise NumericError(f"halton supports up to {len(_PRIMES)} dimensions")
-    out = np.empty((count, dim))
-    for r in range(count):
-        for c in range(dim):
-            out[r, c] = radical_inverse(offset + r, _PRIMES[c])
-    return out
-
-
 def points_in_domain(domain, count, box=None, offset=HALTON_OFFSET):
     """First ``count`` Halton points of the box that land inside ``domain``."""
     lo, hi = box if box is not None else domain.sample_box()

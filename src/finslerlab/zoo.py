@@ -323,67 +323,120 @@ def hilbert_general(body):
 # closed-form evolution along straight rays
 
 
-EVOLUTION_SOURCES = ("klein", "spherical", "funk-plus", "funk-minus",
-                     "hilbert", "paraboloid")
+@dataclass(frozen=True)
+class EvolutionSource:
+    """One source of the ray laws, read by every evolution function."""
+
+    metric: Callable  # (n, body) -> the metric sampled along the ray
+    half: float  # the law describes half * F
+    law: Callable  # (x, y, fp, fm) -> (a, b, lam)
+    window: Callable  # (x, y, fp, fm, a) -> (t_lo, t_hi), the life interval
+    funk: bool = False  # law and window read the Funk values (fp, fm)
 
 
-def _require_unit(y):
+def _klein_law(x, y, fp, fm):
+    xx, xy = float(np.dot(x, x)), float(np.dot(x, y))
+    d = 1.0 - xx + xy * xy
+    a = math.sqrt(1.0 - xx) / d**0.25
+    b = -xy / (math.sqrt(1.0 - xx) * d**0.25)
+    return a, b, -1.0
+
+
+def _klein_window(x, y, fp, fm, a):
+    xy, xx = float(np.dot(x, y)), float(np.dot(x, x))
+    root = math.sqrt(xy * xy + 1.0 - xx)
+    return -xy - root, -xy + root
+
+
+def _spherical_law(x, y, fp, fm):
+    xx, xy = float(np.dot(x, x)), float(np.dot(x, y))
+    d = 1.0 + xx - xy * xy
+    a = math.sqrt(1.0 + xx) / d**0.25
+    b = xy / (math.sqrt(1.0 + xx) * d**0.25)
+    return a, b, 1.0
+
+
+def _hilbert_law(x, y, fp, fm):
+    a = math.sqrt(2.0) / math.sqrt(fp + fm)
+    b = (fm - fp) / (math.sqrt(2.0) * math.sqrt(fp + fm))
+    return a, b, -1.0
+
+
+def _paraboloid_law(x, y, fp, fm):
+    if np.linalg.norm(y[:-1]) > 1e-12 or abs(y[-1] - 1.0) > 1e-9:
+        raise DomainError("paraboloid law is for the unit vertical direction")
+    h = x[-1] - float(np.dot(x[:-1], x[:-1]))
+    if h <= 0.0:
+        raise DomainError("point below the paraboloid chart")
+    a = math.sqrt(2.0 * h)
+    return a, 1.0 / a, -1.0
+
+
+def _funk_window(x, y, fp, fm, a):
+    return -1.0 / fm, 1.0 / fp
+
+
+def _funk_source(sign):
+    def law(x, y, fp, fm):
+        a = math.sqrt(2.0 / (fp if sign == 1 else fm))
+        return a, -sign / a, -1.0
+
+    return EvolutionSource(
+        lambda n, body: (funk_ball(sign, n) if body is None
+                         else funk_body_metric(body, sign)),
+        0.5, law, _funk_window, funk=True)
+
+
+# value(t) = half * F along x + t y for klein / spherical / hilbert /
+# paraboloid and for the half metric of the irreversible Funk sources, so
+# every source is normalized to have lam in {-1, +1}
+EVOLUTION_SOURCES = {
+    "klein": EvolutionSource(lambda n, body: klein(n), 1.0, _klein_law,
+                             _klein_window),
+    "spherical": EvolutionSource(lambda n, body: spherical(n), 1.0,
+                                 _spherical_law, lambda *_: (-3.0, 3.0)),
+    "funk-plus": _funk_source(1),
+    "funk-minus": _funk_source(-1),
+    "hilbert": EvolutionSource(
+        lambda n, body: hilbert_ball(n) if body is None else hilbert_general(body),
+        1.0, _hilbert_law, _funk_window, funk=True),
+    "paraboloid": EvolutionSource(
+        lambda n, body: paraboloid_metric(n), 1.0, _paraboloid_law,
+        lambda x, y, fp, fm, a: (-0.5 * a * a, 3.0)),
+}
+
+
+def _funk_values(x, y, body):
+    """Forward and reverse Funk values (fp, fm) of the body, or of the unit
+    ball when ``body`` is None."""
+    if body is None:
+        return funk_ball(1, x.size)(x, y), funk_ball(-1, x.size)(x, y)
+    return (funk_general(body, list(x), list(y), 1),
+            funk_general(body, list(x), list(y), -1))
+
+
+def _ray(source, x, y, body):
+    """The source's table entry, the validated ray and its Funk values."""
+    if source not in EVOLUTION_SOURCES:
+        raise DomainError(f"unknown evolution source {source!r}; "
+                          f"choose one of {tuple(EVOLUTION_SOURCES)}")
+    src = EVOLUTION_SOURCES[source]
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if abs(np.linalg.norm(y) - 1.0) > 1e-9:
         raise DomainError("evolution laws assume a Euclidean-unit direction")
-    return y
+    fp, fm = _funk_values(x, y, body) if src.funk else (None, None)
+    return src, x, y, fp, fm
 
 
 def evolution_coefficients(source, x, y, body=None):
     """Scalars (a, b, lam) of the ray law value(t) = 1/f^2 for the source.
 
-    f(t)^2 = (a + b t)^2 + lam t^2 / a^2, where value is the metric itself
-    for klein / spherical / hilbert / paraboloid and the half metric for
-    the irreversible funk sources (so every source is normalized to have
-    lam in {-1, +1}).
+    f(t)^2 = (a + b t)^2 + lam t^2 / a^2, with value(t) as set by the
+    source's entry in :data:`EVOLUTION_SOURCES`.
     """
-    x = np.asarray(x, dtype=float)
-    if source == "paraboloid":
-        yv = np.asarray(y, dtype=float)
-        if np.linalg.norm(yv[:-1]) > 1e-12 or abs(yv[-1] - 1.0) > 1e-9:
-            raise DomainError("paraboloid law is for the unit vertical direction")
-        h = x[-1] - float(np.dot(x[:-1], x[:-1]))
-        if h <= 0.0:
-            raise DomainError("point below the paraboloid chart")
-        a = math.sqrt(2.0 * h)
-        return a, 1.0 / a, -1.0
-
-    y = _require_unit(y)
-    xx, xy = float(np.dot(x, x)), float(np.dot(x, y))
-
-    if source == "klein":
-        d = 1.0 - xx + xy * xy
-        a = math.sqrt(1.0 - xx) / d**0.25
-        b = -xy / (math.sqrt(1.0 - xx) * d**0.25)
-        return a, b, -1.0
-    if source == "spherical":
-        d = 1.0 + xx - xy * xy
-        a = math.sqrt(1.0 + xx) / d**0.25
-        b = xy / (math.sqrt(1.0 + xx) * d**0.25)
-        return a, b, 1.0
-    if source in ("funk-plus", "funk-minus"):
-        sign = 1 if source == "funk-plus" else -1
-        f = (funk_general(body, list(x), list(y), sign) if body is not None
-             else funk_ball(sign, x.size)(x, y))
-        a = math.sqrt(2.0 / f)
-        return a, -sign / a, -1.0
-    if source == "hilbert":
-        if body is not None:
-            fp = funk_general(body, list(x), list(y), 1)
-            fm = funk_general(body, list(x), list(y), -1)
-        else:
-            fp = funk_ball(1, x.size)(x, y)
-            fm = funk_ball(-1, x.size)(x, y)
-        a = math.sqrt(2.0) / math.sqrt(fp + fm)
-        b = (fm - fp) / (math.sqrt(2.0) * math.sqrt(fp + fm))
-        return a, b, -1.0
-    raise DomainError(f"unknown evolution source {source!r}; "
-                      f"choose one of {EVOLUTION_SOURCES}")
+    src, x, y, fp, fm = _ray(source, x, y, body)
+    return src.law(x, y, fp, fm)
 
 
 def evolution_value(a, b, lam, t):
@@ -397,85 +450,25 @@ def numeric_evolution_coefficients(Ffn, x, y):
     """(a, b) of t -> Ffn(x + t y, y)^(-1/2) by jet differentiation at t = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    zs = jr.seed_variables(x, y, 1)
-    n = x.size
-    fj = Ffn(zs[:n], zs[n:])
-    f0 = fj.value
-    grad_x = np.array([jr.extract_derivative(fj, _unit_idx(2 * n, k)) for k in range(n)])
-    df_dt = float(np.dot(grad_x, y))
+    f0, grad = jr.derivative_tensors(jr.jet_of(Ffn, x, y, 1), 1)
+    df_dt = float(np.dot(grad[: x.size], y))
     a = f0 ** (-0.5)
     b = -0.5 * f0 ** (-1.5) * df_dt
     return a, b
 
 
-def _unit_idx(total, k):
-    idx = [0] * total
-    idx[k] = 1
-    return idx
-
-
-def _default_t_grid(source, x, y, body, a, count=25):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if source == "klein":
-        xy, xx = float(np.dot(x, y)), float(np.dot(x, x))
-        root = math.sqrt(xy * xy + 1.0 - xx)
-        t_lo, t_hi = -xy - root, -xy + root
-    elif source == "spherical":
-        t_lo, t_hi = -3.0, 3.0
-    elif source in ("funk-plus", "funk-minus", "hilbert"):
-        if body is not None:
-            fp = funk_general(body, list(x), list(y), 1)
-            fm = funk_general(body, list(x), list(y), -1)
-        else:
-            fp = funk_ball(1, x.size)(x, y)
-            fm = funk_ball(-1, x.size)(x, y)
-        t_lo, t_hi = -1.0 / fm, 1.0 / fp
-    elif source == "paraboloid":
-        t_lo, t_hi = -0.5 * a * a, 3.0
-    else:
-        raise DomainError(f"unknown evolution source {source!r}")
-    return np.linspace(0.9 * t_lo, 0.9 * t_hi, count)
-
-
 def verify_evolution(source, x, y, t_grid=None, body=None):
     """Max relative gap between the sampled metric along x + t y and the law."""
-    a, b, lam = evolution_coefficients(source, x, y, body=body)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-
-    if source == "klein":
-        metric = klein(n)
-        value = metric.F
-        half = 1.0
-    elif source == "spherical":
-        metric = spherical(n)
-        value = metric.F
-        half = 1.0
-    elif source in ("funk-plus", "funk-minus"):
-        sign = 1 if source == "funk-plus" else -1
-        raw = (funk_body_metric(body, sign) if body is not None
-               else funk_ball(sign, n)).F
-        value = raw
-        half = 0.5
-    elif source == "hilbert":
-        metric = hilbert_general(body) if body is not None else hilbert_ball(n)
-        value = metric.F
-        half = 1.0
-    elif source == "paraboloid":
-        metric = paraboloid_metric(n)
-        value = metric.F
-        half = 1.0
-    else:
-        raise DomainError(f"unknown evolution source {source!r}")
-
+    src, x, y, fp, fm = _ray(source, x, y, body)
+    a, b, lam = src.law(x, y, fp, fm)
     if t_grid is None:
-        t_grid = _default_t_grid(source, x, y, body, a)
+        t_lo, t_hi = src.window(x, y, fp, fm, a)
+        t_grid = np.linspace(0.9 * t_lo, 0.9 * t_hi, 25)
+    value = src.metric(x.size, body).F
     devs = []
     rows = []
     for t in np.asarray(t_grid, dtype=float):
-        actual = half * float(value(list(x + t * y), list(y)))
+        actual = src.half * float(value(list(x + t * y), list(y)))
         pred = evolution_value(a, b, lam, t)
         dev = abs(actual - pred) / max(abs(actual), 1e-300)
         devs.append(dev)
@@ -493,30 +486,39 @@ def verify_evolution(source, x, y, t_grid=None, body=None):
 # ---------------------------------------------------------------------------
 # name-based catalog for the command line
 
+_ELLIPSE_AXES = (2.0, 1.0)
+
+_CATALOG = {
+    "euclidean": lambda dim, eps: euclidean(dim),
+    "klein": lambda dim, eps: klein(dim),
+    "funk-plus": lambda dim, eps: funk_ball(1, dim),
+    "funk-minus": lambda dim, eps: funk_ball(-1, dim),
+    "half-funk-plus": lambda dim, eps: scaled(funk_ball(1, dim), 0.5),
+    "half-funk-minus": lambda dim, eps: scaled(funk_ball(-1, dim), 0.5),
+    "hilbert-ball": lambda dim, eps: hilbert_ball(dim),
+    "spherical": lambda dim, eps: spherical(dim),
+    "bryant": lambda dim, eps: bryant(eps, dim),
+    "paraboloid": lambda dim, eps: paraboloid_metric(dim),
+    # fixed 2-dimensional bodies
+    "funk-ellipse-plus": lambda dim, eps: funk_body_metric(
+        ellipsoid_body(_ELLIPSE_AXES), 1),
+    "funk-ellipse-minus": lambda dim, eps: funk_body_metric(
+        ellipsoid_body(_ELLIPSE_AXES), -1),
+    "hilbert-ellipse": lambda dim, eps: hilbert_general(
+        ellipsoid_body(_ELLIPSE_AXES)),
+    "hilbert-superellipse": lambda dim, eps: hilbert_general(
+        superellipse_body(4, (1.0, 1.0))),
+}
+
+METRIC_NAMES = tuple(_CATALOG)
+
 
 def make_metric(name, dim=2, eps=0.9):
-    table = {
-        "euclidean": lambda: euclidean(dim),
-        "klein": lambda: klein(dim),
-        "funk-plus": lambda: funk_ball(1, dim),
-        "funk-minus": lambda: funk_ball(-1, dim),
-        "half-funk-plus": lambda: scaled(funk_ball(1, dim), 0.5),
-        "half-funk-minus": lambda: scaled(funk_ball(-1, dim), 0.5),
-        "hilbert-ball": lambda: hilbert_ball(dim),
-        "spherical": lambda: spherical(dim),
-        "bryant": lambda: bryant(eps, dim),
-        "paraboloid": lambda: paraboloid_metric(dim),
-        "funk-ellipse-plus": lambda: funk_body_metric(ellipsoid_body((2.0, 1.0)), 1),
-        "funk-ellipse-minus": lambda: funk_body_metric(ellipsoid_body((2.0, 1.0)), -1),
-        "hilbert-ellipse": lambda: hilbert_general(ellipsoid_body((2.0, 1.0))),
-        "hilbert-superellipse": lambda: hilbert_general(superellipse_body(4, (1.0, 1.0))),
-    }
-    if name not in table:
-        raise DomainError(f"unknown metric {name!r}; choose from {sorted(table)}")
-    return table[name]()
-
-
-METRIC_NAMES = ("euclidean", "klein", "funk-plus", "funk-minus",
-                "half-funk-plus", "half-funk-minus", "hilbert-ball",
-                "spherical", "bryant", "paraboloid", "funk-ellipse-plus",
-                "funk-ellipse-minus", "hilbert-ellipse", "hilbert-superellipse")
+    """The catalog metric ``name`` in dimension ``dim``."""
+    if name not in _CATALOG:
+        raise DomainError(f"unknown metric {name!r}; "
+                          f"choose one of: {', '.join(METRIC_NAMES)}")
+    metric = _CATALOG[name](dim, eps)
+    if metric.n != dim:
+        raise DomainError(f"{name} is {metric.n}-dimensional; got dim {dim}")
+    return metric

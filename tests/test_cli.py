@@ -40,6 +40,23 @@ def test_curvature_unknown_metric_is_usage_error(capsys):
     assert "choose one of" in err
 
 
+def test_curvature_bad_dimension_reports_the_cause(capsys):
+    code = run(["curvature", "--metric", "klein", "--dim", "9"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert "dimension 9" in err
+    assert "unknown metric" not in err
+
+
+def test_fixed_2d_metric_refuses_another_dimension(capsys):
+    code = run(["curvature", "--metric", "funk-ellipse-plus", "--dim", "3",
+                "--samples", "2", "--flags", "0"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert "2-dimensional" in err
+    assert "unknown metric" not in err
+
+
 def test_curvature_json_report(tmp_path, capsys):
     out_path = tmp_path / "curv.json"
     code = run(["curvature", "--metric", "funk-plus", "--samples", "5",
@@ -77,13 +94,13 @@ def test_projective_impossible_tolerance_fails(capsys):
 
 
 def test_projective_dimension_mismatch(capsys):
-    # the ellipse bodies are planar no matter what --dim asks for, so a
-    # 3d euclidean base must be rejected before any sampling happens
+    # the ellipse bodies are planar, so --dim 3 is refused for them before
+    # any sampling happens
     code = run(["projective", "--base", "euclidean", "--cand",
                 "hilbert-ellipse", "--dim", "3"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
-    assert "different dimensions" in err
+    assert "hilbert-ellipse is 2-dimensional" in err
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,19 @@ def test_classification_frozen_verdicts():
         0.5 * math.log(5.0 / 3.0), rel=1e-10)
 
 
+def test_tiny_slope_flat_flat_lengths_are_finite():
+    # f = a + b t: 1/f^2 integrates to 1/(a |b|) on the unbounded side,
+    # although C = b^2/2 snaps to 0 for |b| below about 1.4e-6
+    fwd = cmp.classify_completeness(cmp.make_case(0, 0, 1.0, 1e-6))
+    assert not fwd["cand_forward_complete"]
+    assert fwd["cand_forward_length"] == pytest.approx(1e6, rel=1e-12)
+    assert fwd["cand_backward_complete"] and not fwd["bi_complete"]
+    back = cmp.classify_completeness(cmp.make_case(0, 0, 1.0, -1e-6))
+    assert not back["cand_backward_complete"]
+    assert back["cand_backward_length"] == pytest.approx(1e6, rel=1e-12)
+    assert back["cand_forward_complete"] and not back["bi_complete"]
+
+
 def test_grid_completeness_exceptional_cells():
     rows = cmp.grid_completeness(-1, -1)
     bi = sorted((r["a"], r["b"]) for r in rows if r["bi_complete"])

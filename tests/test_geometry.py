@@ -97,6 +97,26 @@ def test_einstein_residual_and_campaign():
                           name="plain"), count=3)
 
 
+def test_einstein_campaign_assembles_once_per_sample(monkeypatch):
+    m, count, flags = zoo.funk_ball(1), 7, 3
+    orders = []
+    assemble = geo._assemble
+
+    def counted(metric, x, y, order):
+        orders.append(order)
+        return assemble(metric, x, y, order)
+
+    monkeypatch.setattr(geo, "_assemble", counted)
+    rep = geo.einstein_campaign(m, count, flags=flags)
+    assert orders.count(4) == count
+    # each row equals the single-state calls on its sample, bit for bit
+    for row in rep["rows"]:
+        x, y = np.array(row["x"]), np.array(row["y"])
+        assert row["einstein_residual"] == geo.einstein_residual(m, x, y)
+        sp = geo.flag_spread(m, x, y, flags=flags)
+        assert (row["flag_min"], row["flag_max"]) == (sp["min"], sp["max"])
+
+
 def test_scaled_metric_scales_the_constant():
     half = zoo.scaled(zoo.funk_ball(1), 0.5)
     v = np.array([-0.35, 0.92])
@@ -305,3 +325,8 @@ def test_geodesic_sampling_matches_per_leg_lookup():
     pts, vels = run.sample(ts)
     want = np.array([(fwd if t >= 0.0 else back).sample([t])[0] for t in ts])
     assert np.array_equal(np.hstack([pts, vels]), want)
+
+
+def test_hausdorff_rejects_an_empty_polyline():
+    with pytest.raises(DomainError):
+        gd.hausdorff_to_chord(np.empty((0, 2)), X, Y)

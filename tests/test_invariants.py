@@ -1,0 +1,82 @@
+"""Property tests: geometric invariants across the catalog, n = 2..4."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from finslerlab import geometry as geo, projective as pj, zoo
+
+FIXED_2D = ("funk-ellipse-plus", "funk-ellipse-minus", "hilbert-ellipse",
+            "hilbert-superellipse")
+
+metric_keys = st.sampled_from(zoo.METRIC_NAMES).flatmap(
+    lambda name: st.tuples(
+        st.just(name), st.just(2) if name in FIXED_2D else st.integers(2, 4)))
+unit_cube = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+raw_direction = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+scales = st.floats(0.05, 20.0)
+
+
+@lru_cache(maxsize=None)
+def _metric(name, n):
+    return zoo.make_metric(name, dim=n)
+
+
+def _state(metric, u, w):
+    """An interior point drawn from the sample box and a unit direction."""
+    n = metric.n
+    lo, hi = (np.asarray(v, dtype=float) for v in metric.domain.sample_box())
+    x = lo + np.asarray(u[:n]) * (hi - lo)
+    center = 0.5 * (lo + hi)
+    while not metric.domain.contains(x):  # the box centre is interior
+        x = center + 0.5 * (x - center)
+    y = np.asarray(w[:n], dtype=float)
+    y[0] += 1.5 if y[0] >= 0.0 else -1.5  # keeps |y| >= 0.5
+    return x, y / np.linalg.norm(y)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) / max(
+        1.0, float(np.max(np.abs(b))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(metric_keys, unit_cube, raw_direction, scales)
+def test_metric_is_positively_homogeneous(key, u, w, c):
+    m = _metric(*key)
+    x, y = _state(m, u, w)
+    assert m(x, c * y) == pytest.approx(c * m(x, y), rel=1e-11)
+
+
+@settings(max_examples=25, deadline=None)
+@given(metric_keys, unit_cube, raw_direction, scales)
+def test_spray_is_homogeneous_of_degree_two(key, u, w, c):
+    m = _metric(*key)
+    x, y = _state(m, u, w)
+    G = geo.spray_coefficients(m, x, y)
+    assert _rel(geo.spray_coefficients(m, x, c * y) / (c * c), G) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(metric_keys, unit_cube, raw_direction)
+def test_riemann_annihilates_y_and_is_g_symmetric(key, u, w):
+    m = _metric(*key)
+    x, y = _state(m, u, w)
+    _, g, R = geo.curvature_data(m, x, y)
+    scale = max(1.0, float(np.max(np.abs(R))))
+    assert float(np.max(np.abs(R @ y))) < 1e-9 * scale
+    gR = g @ R
+    assert _rel(gR, gR.T) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), unit_cube, raw_direction)
+def test_reversing_a_funk_metric_flips_its_projective_factor(n, u, w):
+    euc, plus, minus = (_metric(name, n) for name in
+                        ("euclidean", "funk-plus", "funk-minus"))
+    x, y = _state(plus, u, w)
+    P_minus = pj.projective_factor(euc, minus, x, y)["P"]
+    P_plus = pj.projective_factor(euc, plus, x, -y)["P"]
+    assert P_minus == -P_plus

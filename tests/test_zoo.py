@@ -115,6 +115,14 @@ def test_make_metric_rejects_unknown_names():
         zoo.make_metric("not-a-metric")
 
 
+def test_make_metric_rejects_other_dimensions_for_2d_bodies():
+    for name in ("funk-ellipse-plus", "funk-ellipse-minus", "hilbert-ellipse",
+                 "hilbert-superellipse"):
+        assert zoo.make_metric(name, dim=2).n == 2
+        with pytest.raises(DomainError):
+            zoo.make_metric(name, dim=3)
+
+
 def test_evolution_coefficients_frozen():
     rows = {
         "klein": (0.8660254037844386, -0.5773502691896258, -1.0),
