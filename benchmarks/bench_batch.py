@@ -1,0 +1,157 @@
+"""Batched-jet benchmark: kernel, order-4 assembly, campaigns, criteria, tier-1.
+
+Times, on fixed inputs, the layers that a campaign pushes its states
+through, and writes the median and interquartile range over the
+repetitions to ``BENCH_batch.json`` under a label:
+
+  kernel.<vars>v_o<order>.B<b>   ``_kernels.multiply`` of two random
+                                 jets in <vars> variables at <order>,
+                                 per state, for b = 1 (one state, shape
+                                 ``(n_terms,)``) and stacks of b states;
+                                 ``chunk_states`` is how many states one
+                                 kernel call takes
+  assemble_o4.<metric>.n<n>.B<b> ``geometry._assemble`` at order 4, per
+                                 state, for b = 1 and the batch that
+                                 ``einstein_campaign`` uses for 40 states;
+                                 every (metric, n) of the ``campaign``
+                                 workload's Einstein operations
+  einstein_campaign.<metric>.n<n>  ``einstein_campaign`` with 40 states
+                                 and 8 flags (the ``curvature`` command's
+                                 defaults) on the default sampling box
+  einstein_campaign.all          the sum of those over all (metric, n)
+  projective_campaign, fit_einstein_constants   euclidean -> funk-plus,
+                                 n = 2, at their defaults (40, 25 states)
+  criterion_1, criterion_2       ``acceptance.criterion_k()`` wall time
+  tier1                          the tier-1 suite wall time
+
+Batched rows need a tree whose ``_assemble`` takes ``(B, n)`` stacks;
+on another tree only the one-state rows are written. The file records the
+Python and numpy versions, the kernel backend and the thread settings.
+Run from the repository root:
+
+    python benchmarks/bench_batch.py --label change
+    python benchmarks/bench_batch.py --label parent --tree ../parent
+
+``--tree`` names the checkout whose ``src/`` (and, for the tier-1 row,
+``tests/``) is measured; rows of other labels already in the output file
+are kept.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_geodesic import summarize, tier1, timed  # noqa: E402
+
+REPO = Path(__file__).resolve().parent.parent
+OUT = REPO / "BENCH_batch.json"
+REPS = 7  # per-call rows
+SUITE_REPS = 3  # criterion and tier-1 rows
+STATES, FLAGS = 40, 8  # the curvature command's defaults
+KERNEL_TABLES = ((4, 2), (8, 2), (4, 4), (6, 4), (8, 4))
+KERNEL_BATCHES = (1, 5, 16, 40)
+# the campaign workload's Einstein operations (perfbench/workloads.py)
+EINSTEIN = [(name, n) for n in (2, 3, 4)
+            for name in ("klein", "funk-plus", "funk-minus", "spherical",
+                         "bryant", "paraboloid")]
+EINSTEIN += [(name, 2) for name in ("funk-ellipse-plus", "funk-ellipse-minus",
+                                    "hilbert-ellipse")]
+
+
+def per_state(samples, states):
+    return {k: v / states if k.endswith("_s") else v
+            for k, v in summarize(samples).items()}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--tree", type=Path, default=REPO)
+    args = ap.parse_args(argv)
+    tree = args.tree.resolve()
+    sys.path.insert(0, str(tree / "src"))
+
+    from finslerlab import _kernels, acceptance, geometry as geo, jets as jr
+    from finslerlab import projective as pj, sampling, zoo
+
+    batched = hasattr(geo, "BATCH_BYTES")
+    rng = np.random.default_rng(0)
+    rows = {}
+
+    for n_vars, order in KERNEL_TABLES:
+        ctx = jr.get_context(n_vars, order)
+        tables = (ctx.mul_i, ctx.mul_j, ctx.mul_k, ctx.n_terms)
+        for b in KERNEL_BATCHES if batched else (1,):
+            shape = (ctx.n_terms,) if b == 1 else (b, ctx.n_terms)
+            u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+            row = per_state(timed(lambda: _kernels.multiply(u, v, *tables),
+                                  REPS), b)
+            row["products"] = int(ctx.mul_i.shape[0])
+            row["chunk_states"] = max(1, _kernels.CHUNK_PRODUCTS
+                                      // ctx.mul_i.shape[0]) if batched else 1
+            rows[f"kernel.{n_vars}v_o{order}.B{b}"] = row
+
+    campaign_total = []
+    for name, n in EINSTEIN:
+        m = zoo.make_metric(name, n)
+        X, Y = (np.array(v) for v in zip(*sampling.state_pairs(m, STATES)))
+        sizes = [1]
+        if batched:
+            sizes.append(min(STATES, geo.BATCH_BYTES // (8 * (2 * n) ** 4)))
+        for b in sizes:
+            xs, ys = (X[0], Y[0]) if b == 1 else (X[:b], Y[:b])
+            rows[f"assemble_o4.{name}.n{n}.B{b}"] = per_state(
+                timed(lambda: geo._assemble(m, xs, ys, 4), REPS), b)
+        times = timed(lambda: geo.einstein_campaign(m, STATES, flags=FLAGS),
+                      REPS)
+        rows[f"einstein_campaign.{name}.n{n}"] = summarize(times)
+        campaign_total.append(times)
+    rows["einstein_campaign.all"] = summarize(np.sum(campaign_total, axis=0))
+
+    euc, fp = zoo.euclidean(2), zoo.funk_ball(1, 2)
+    rows["projective_campaign"] = summarize(
+        timed(lambda: pj.projective_campaign(euc, fp), REPS))
+    rows["fit_einstein_constants"] = summarize(
+        timed(lambda: pj.fit_einstein_constants(euc, fp), REPS))
+
+    for k in (1, 2):
+        fn = getattr(acceptance, f"criterion_{k}")
+        times, worst = [], None
+        for _ in range(SUITE_REPS):
+            t0 = time.perf_counter()
+            worst = fn()["worst"]
+            times.append(time.perf_counter() - t0)
+        rows[f"criterion_{k}"] = dict(summarize(times), worst=worst)
+
+    times, info = tier1(tree, SUITE_REPS)
+    rows["tier1"] = dict(summarize(times), **info)
+
+    entry = {
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "backend": _kernels.active_backend(),
+            "have_numba": bool(_kernels.HAVE_NUMBA),
+            "FINSLER_LAB_THREADS": os.environ.get("FINSLER_LAB_THREADS"),
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+        },
+        "rows": rows,
+    }
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    data[args.label] = entry
+    OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    for name, row in rows.items():
+        print(f"{args.label:>8} {name:>40}: {row['median_s'] * 1e3:10.3f} ms "
+              f"(IQR {row['iqr_s'] * 1e3:.3f}, n={row['reps']})")
+
+
+if __name__ == "__main__":
+    main()

@@ -114,6 +114,10 @@ def _merge(args, defaults):
 def _add_common(sub):
     sub.add_argument("--config", help="YAML file with default options")
     sub.add_argument("--out", help="write a JSON (or CSV) report here")
+
+
+def _add_chart(sub):
+    """The options of the subcommands that build a catalog metric."""
     sub.add_argument("--dim", type=int, help="chart dimension (default 2)")
     sub.add_argument("--eps", type=float,
                      help="shape parameter for the one-parameter family")
@@ -280,6 +284,7 @@ def build_parser():
                    help="fail (exit 1) when the residual exceeds this")
     p.add_argument("--box", help="sampling cube LO,HI for all coordinates")
     _add_common(p)
+    _add_chart(p)
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("projective",
@@ -289,6 +294,7 @@ def build_parser():
     p.add_argument("--samples", type=int)
     p.add_argument("--tol", type=float)
     _add_common(p)
+    _add_chart(p)
     p.set_defaults(fn=cmd_projective)
 
     p = sub.add_parser("geodesic", help="integrate one geodesic, write CSV")
@@ -299,6 +305,7 @@ def build_parser():
     p.add_argument("--rtol", type=float)
     p.add_argument("--atol", type=float)
     _add_common(p)
+    _add_chart(p)
     p.set_defaults(fn=cmd_geodesic)
 
     p = sub.add_parser("ode", help="closed forms of one comparison case")

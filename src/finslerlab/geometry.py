@@ -15,6 +15,11 @@ are x, slots n..2n-1 are y.
 Flag curvature of the plane span(y, v):
 
     K = g(R(v), v) / (g(y,y) g(v,v) - g(y,v)^2)
+
+Every assembly takes one state, (x, y) of shape (n,), or a batch, (B, n)
+stacks, and then every entry of its result gains a leading axis B. Products
+with a vector are stacked matmuls (see :func:`_vecmat`), so each row of a
+batch equals the one-state result bit for bit.
 """
 
 import numpy as np
@@ -27,15 +32,48 @@ COND_LIMIT = 1e12
 MIN_FLAG_ANGLE = 1e-6
 
 
+def _vecmat(v, M):
+    """v^T M over the last axes, for one state or a batch."""
+    return (v[..., None, :] @ M)[..., 0, :]
+
+
+def _matvec(M, v):
+    """M v over the last axes, for one state or a batch."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _dot(u, v):
+    """u . v over the last axis, for one state or a batch."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _T(a):
+    """Swap the last two axes."""
+    return a.swapaxes(-1, -2)
+
+
+def _core(a, *perm):
+    """Permute the last len(perm) axes as np.transpose would a lone
+    state's; leading batch axes stay (np.moveaxis costs 25x more)."""
+    lead = a.ndim - len(perm)
+    return a.transpose(*range(lead), *(lead + p for p in perm))
+
+
 def _metric_block(metric, tensors):
     n = metric.n
     D2 = tensors[2]
-    g = 0.5 * D2[n:, n:]
-    g = 0.5 * (g + g.T)
+    g = 0.5 * D2[..., n:, n:]
+    g = 0.5 * (g + _T(g))
     eigs = np.linalg.eigvalsh(g)
-    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > COND_LIMIT:
+    lo, hi = eigs.T[0], eigs.T[-1]
+    bad = (lo <= 0.0) | (hi > COND_LIMIT * lo)
+    if bad if bad.ndim == 0 else bad.any():
+        where = ""
+        if eigs.ndim > 1:
+            i = int(np.argmax(bad))
+            eigs, where = eigs[i], f" at state {i}"
         raise SingularMetricError(
-            f"{metric.name}: fundamental tensor not strongly convex "
+            f"{metric.name}: fundamental tensor not strongly convex{where} "
             f"(eigenvalues {eigs.tolist()})"
         )
     ginv = np.linalg.solve(g, np.eye(n))
@@ -43,7 +81,11 @@ def _metric_block(metric, tensors):
 
 
 def _assemble(metric, x, y, order):
-    """Spray data at (x, y) to the requested derivative depth (2, 3 or 4)."""
+    """Spray data at (x, y) to the requested derivative depth (2, 3 or 4).
+
+    ``x`` and ``y`` are one state, shape ``(n,)``, or a batch, ``(B, n)``;
+    every entry then carries a leading batch axis.
+    """
     n = metric.n
     f = metric.value_jet(x, y, order)  # validates (x, y)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -51,48 +93,49 @@ def _assemble(metric, x, y, order):
     D1, D2 = tensors[1], tensors[2]
     g, ginv = _metric_block(metric, tensors)
 
-    h = D2[:n, n:].T @ y - D1[:n]
-    G = 0.25 * (ginv @ h)
+    h = _vecmat(y, D2[..., :n, n:]) - D1[..., :n]
+    G = 0.25 * _matvec(ginv, h)
     out = {"x": x, "y": y, "F": f.value, "g": g, "ginv": ginv, "G": G}
     if order == 2:
         return out
 
     D3 = tensors[3]
-    dg = 0.5 * np.moveaxis(D3[n:, n:, :], 2, 0)
-    dh = np.einsum("klm,k->ml", D3[:n, n:, :], y)
-    dh[n:, :] += D2[:n, n:]
-    dh -= D2[:n, :].T
-    dginv = -np.einsum("ab,mbc,cd->mad", ginv, dg, ginv)
-    dG = 0.25 * (np.einsum("mab,b->ma", dginv, h) + np.einsum("ab,mb->ma", ginv, dh))
+    dg = 0.5 * _core(D3[..., n:, n:, :], 2, 0, 1)
+    dh = np.einsum("...klm,...k->...ml", D3[..., :n, n:, :], y)
+    dh[..., n:, :] += D2[..., :n, n:]
+    dh -= _T(D2[..., :n, :])
+    dginv = -np.einsum("...ab,...mbc,...cd->...mad", ginv, dg, ginv)
+    dG = 0.25 * (np.einsum("...mab,...b->...ma", dginv, h)
+                 + np.einsum("...ab,...mb->...ma", ginv, dh))
     out["dG"] = dG  # [mu, i] = dG^i/dz^mu over the stacked chart variable
-    out["N"] = dG[n:, :].T
-    out["Gx"] = dG[:n, :].T
+    out["N"] = _T(dG[..., n:, :])
+    out["Gx"] = _T(dG[..., :n, :])
     if order == 3:
         return out
 
     D4 = tensors[4]
-    d2g = 0.5 * np.moveaxis(D4[n:, n:, :, :], [2, 3], [0, 1])
-    d2h = np.einsum("klmn,k->mnl", D4[:n, n:, :, :], y)
-    d2h[:, n:, :] += np.transpose(D3[:n, n:, :], (2, 0, 1))
-    d2h[n:, :, :] += np.transpose(D3[:n, n:, :], (0, 2, 1))
-    d2h -= np.transpose(D3[:n, :, :], (1, 2, 0))
+    d2g = 0.5 * _core(D4[..., n:, n:, :, :], 2, 3, 0, 1)
+    d2h = np.einsum("...klmn,...k->...mnl", D4[..., :n, n:, :, :], y)
+    d2h[..., :, n:, :] += _core(D3[..., :n, n:, :], 2, 0, 1)
+    d2h[..., n:, :, :] += _T(D3[..., :n, n:, :])
+    d2h -= _core(D3[..., :n, :, :], 1, 2, 0)
     d2ginv = -(
-        np.einsum("nab,mbc,cd->mnad", dginv, dg, ginv)
-        + np.einsum("ab,mnbc,cd->mnad", ginv, d2g, ginv)
-        + np.einsum("ab,mbc,ncd->mnad", ginv, dg, dginv)
+        np.einsum("...nab,...mbc,...cd->...mnad", dginv, dg, ginv)
+        + np.einsum("...ab,...mnbc,...cd->...mnad", ginv, d2g, ginv)
+        + np.einsum("...ab,...mbc,...ncd->...mnad", ginv, dg, dginv)
     )
     d2G = 0.25 * (
-        np.einsum("mnab,b->mna", d2ginv, h)
-        + np.einsum("mab,nb->mna", dginv, dh)
-        + np.einsum("nab,mb->mna", dginv, dh)
-        + np.einsum("ab,mnb->mna", ginv, d2h)
+        np.einsum("...mnab,...b->...mna", d2ginv, h)
+        + np.einsum("...mab,...nb->...mna", dginv, dh)
+        + np.einsum("...nab,...mb->...mna", dginv, dh)
+        + np.einsum("...ab,...mnb->...mna", ginv, d2h)
     )
     N = out["N"]
     out["d2G"] = d2G  # [mu, nu, i] = d2G^i/dz^mu dz^nu
-    term_xy = np.einsum("jki,j->ik", d2G[:n, n:, :], y)
-    term_yy = np.einsum("jki,j->ik", d2G[n:, n:, :], G)
+    term_xy = np.einsum("...jki,...j->...ik", d2G[..., :n, n:, :], y)
+    term_yy = np.einsum("...jki,...j->...ik", d2G[..., n:, n:, :], G)
     out["R"] = 2.0 * out["Gx"] - term_xy + 2.0 * term_yy - N @ N
-    out["Gyy"] = np.transpose(d2G[n:, n:, :], (2, 0, 1))  # [i, j, k] = d2G^i/dy^j dy^k
+    out["Gyy"] = _core(d2G[..., n:, n:, :], 2, 0, 1)  # [i, j, k] = d2G^i/dy^j dy^k
     return out
 
 
@@ -126,42 +169,53 @@ def curvature_data(metric, x, y):
     return data["F"], data["g"], data["R"]
 
 
+def _flag_values(g, R, y, V):
+    """Flag curvatures K and sin^2 of the angle to y for every direction
+    (row) of ``V`` at one state or a batch, each of shape ``(..., m)``."""
+    g, R = g[..., None, :, :], R[..., None, :, :]
+    rows, cols = V[:, None, :], V[:, :, None]
+    yg = y[..., None, None, :] @ g
+    gyy = (yg @ y[..., None, :, None])[..., 0, 0]
+    vg = rows @ g
+    gvv = (vg @ cols)[..., 0, 0]
+    gyv = (yg @ cols)[..., 0, 0]
+    denom = gyy * gvv - gyv * gyv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_sq = denom / (gyy * gvv)
+        K = (vg @ (R @ cols))[..., 0, 0] / denom
+    return K, sin_sq
+
+
 def flag_curvature(metric, x, y, v, data=None):
     """Flag curvature of span(y, v); rejects flags nearly parallel to y."""
     if data is None:
         data = curvature_data(metric, x, y)
     f_val, g, R = data
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gyy = float(y @ g @ y)
-    gvv = float(v @ g @ v)
-    gyv = float(y @ g @ v)
-    denom = gyy * gvv - gyv * gyv
-    sin_sq = denom / (gyy * gvv)
-    if sin_sq < MIN_FLAG_ANGLE**2:
+    K, sin_sq = _flag_values(g, R, np.asarray(y, dtype=float),
+                             np.asarray(v, dtype=float)[None, :])
+    if sin_sq[0] < MIN_FLAG_ANGLE**2:
         raise DegenerateFlagError(
-            f"flag direction within {MIN_FLAG_ANGLE} of y (sin^2 = {sin_sq:.3e})"
+            f"flag direction within {MIN_FLAG_ANGLE} of y (sin^2 = {sin_sq[0]:.3e})"
         )
-    Rv = R @ v
-    return float(v @ g @ Rv) / denom
+    return float(K[0])
+
+
+def _flag_directions(n, flags, offset=sampling.DIRECTION_OFFSET):
+    return sampling.directions(3 * flags + 8, n, offset=offset)
 
 
 def flag_spread(metric, x, y, flags=20, offset=sampling.DIRECTION_OFFSET):
     """Flag curvatures across ``flags`` transverse directions at one (x, y)."""
-    return _spread(metric, x, y, curvature_data(metric, x, y), flags, offset)
+    data = _assemble(metric, x, y, 4)
+    K, sin_sq = _flag_values(data["g"], data["R"], data["y"],
+                             _flag_directions(metric.n, flags, offset))
+    return _spread(metric, K, sin_sq, flags)
 
 
-def _spread(metric, x, y, data, flags, offset=sampling.DIRECTION_OFFSET):
-    """:func:`flag_spread` from the (F, g, R) of one assembly."""
-    vals = []
-    vs = sampling.directions(3 * flags + 8, metric.n, offset=offset)
-    for v in vs:
-        if len(vals) == flags:
-            break
-        try:
-            vals.append(flag_curvature(metric, x, y, v, data=data))
-        except DegenerateFlagError:
-            continue
+def _spread(metric, K, sin_sq, flags):
+    """:func:`flag_spread` of one state from its :func:`_flag_values`: the
+    first ``flags`` directions not within MIN_FLAG_ANGLE of y."""
+    vals = K[~(sin_sq < MIN_FLAG_ANGLE**2)][:flags].tolist()
     if not vals:
         raise DegenerateFlagError(
             f"{metric.name}: no flag direction transverse to y (n = {metric.n})")
@@ -183,9 +237,9 @@ def _einstein_constant(metric, lam):
 
 
 def _residual(metric, data, lam):
-    """|Ric - (n-1) lam F^2| / F^2 from one order-4 assembly."""
-    f2 = data["F"] ** 2
-    ric = float(np.trace(data["R"]))
+    """|Ric - (n-1) lam F^2| / F^2 from one order-4 assembly, per state."""
+    f2 = data["F"] * data["F"]
+    ric = np.trace(data["R"], axis1=-2, axis2=-1)
     return abs(ric - (metric.n - 1) * lam * f2) / f2
 
 
@@ -195,26 +249,41 @@ def einstein_residual(metric, x, y, lam=None):
     return _residual(metric, _assemble(metric, x, y, 4), lam)
 
 
+# one order-4 derivative tensor of an Einstein-campaign batch, B (2n)^4
+# floats, stays under this many bytes: all 40 states of a campaign at
+# n <= 3, 16 at n = 4 (as fast per state as 40, with a smaller peak)
+BATCH_BYTES = 512 * 1024
+
+
 def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
     """Max Einstein residual (and optional flag spreads) over Halton samples.
 
-    One order-4 assembly per sample serves its residual and its flags.
+    The samples are assembled at order 4 in batches (see BATCH_BYTES); one
+    assembly serves every sample's residual and flags, and each row equals
+    :func:`einstein_residual` and :func:`flag_spread` at its sample.
     """
     lam = _einstein_constant(metric, lam)
-    pairs = sampling.state_pairs(metric, count, box=box)
-
-    def one(pair):
-        x, y = pair
-        data = _assemble(metric, x, y, 4)
-        rec = {"x": x.tolist(), "y": y.tolist(),
-               "einstein_residual": _residual(metric, data, lam)}
+    if count < 1:
+        raise DomainError(f"einstein_campaign needs count >= 1, got {count}")
+    if flags < 0:
+        raise DomainError(f"einstein_campaign needs flags >= 0, got {flags}")
+    X, Y = (np.array(v) for v in zip(*sampling.state_pairs(metric, count, box=box)))
+    V = _flag_directions(metric.n, flags) if flags else None
+    step = max(1, BATCH_BYTES // (8 * (2 * metric.n) ** 4))
+    rows = []
+    for lo in range(0, count, step):
+        data = _assemble(metric, X[lo:lo + step], Y[lo:lo + step], 4)
+        residuals = _residual(metric, data, lam).tolist()
         if flags:
-            sp = _spread(metric, x, y, (data["F"], data["g"], data["R"]), flags)
-            rec["flag_min"] = sp["min"]
-            rec["flag_max"] = sp["max"]
-        return rec
-
-    rows = sampling.pmap(one, pairs)
+            K, sin_sq = _flag_values(data["g"], data["R"], data["y"], V)
+        for i, (x, y) in enumerate(zip(data["x"], data["y"])):
+            rec = {"x": x.tolist(), "y": y.tolist(),
+                   "einstein_residual": residuals[i]}
+            if flags:
+                sp = _spread(metric, K[i], sin_sq[i], flags)
+                rec["flag_min"] = sp["min"]
+                rec["flag_max"] = sp["max"]
+            rows.append(rec)
     report = {
         "metric": metric.name,
         "lambda": lam,

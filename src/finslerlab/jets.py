@@ -16,6 +16,15 @@ ring is the architectural contract of the package: one metric definition
 serves point evaluation, spray/curvature assembly, and the implicit
 root-finding used for convex-body metrics.
 
+A jet holds one state, ``coeffs`` of shape ``(n_terms,)``, or a batch of
+B states, ``(B, n_terms)``: every operation reads the coefficient axis as
+``coeffs[..., k]``, so one code path serves both, and each row of a batch
+equals the jet of that state alone bit for bit.  A float array of shape
+``(B,)`` acts as one ring scalar per state.  Base values are read and
+written as ``coeffs.T[0]``: a scalar for one state and a view of the B
+base values for a batch (on one state it costs a tenth of
+``coeffs[..., 0] += c``).
+
 An independent finite-difference oracle (:func:`fd_oracle`) cross-checks
 any jet derivative with nested central differences plus two-level
 Richardson extrapolation; it never touches the jet code path.
@@ -153,9 +162,45 @@ def get_context(n_vars, order):
 
 
 def _coerce(value):
+    """A ring scalar as a float, or a float array of batch shape ``(B,)`` as
+    a ``(B, 1)`` column (one scalar per state); None for anything else."""
     if isinstance(value, (int, float, np.integer, np.floating)):
         return float(value)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return value.astype(float)[..., None]
     return None
+
+
+def _add_base(out, c):
+    """``out``, a new coefficient array, with the ring scalar ``c`` added to
+    the base value of each state."""
+    if not isinstance(c, float):
+        out = np.broadcast_to(out, np.broadcast_shapes(out.shape, c.shape)).copy()
+        c = c[..., 0]
+    out.T[0] += c
+    return out
+
+
+def _reject(bad, base, what):
+    """Raise JetError when the base value is ``bad``; on a batch, when any
+    state's is, naming the first such state."""
+    if base.ndim == 0:
+        if bad:
+            raise JetError(f"{what}, got {base}")
+    elif bad.any():
+        i = int(np.argmax(bad))
+        raise JetError(f"{what}, got {base[i]} at state {i}")
+
+
+def _series(base, terms):
+    """``terms(c)`` (the Taylor coefficients of an outer function about the
+    scalar c) for one base value, or per state of a batch as rows of a
+    ``(order + 1, B)`` array; each state runs the same scalar arithmetic
+    (libm's pow, exp, ... and not numpy's vector versions, which round
+    differently)."""
+    if base.ndim == 0:
+        return terms(base)
+    return np.array([terms(c) for c in base]).T
 
 
 class Jet:
@@ -181,13 +226,13 @@ class Jet:
 
     @property
     def value(self):
-        """Base (degree-0) value."""
-        return self.coeffs[0]
+        """Base (degree-0) value: a scalar, or one per state of a batch."""
+        return self.coeffs.T[0]
 
     def __repr__(self):
         return (
             f"Jet(n_vars={self.ctx.n_vars}, order={self.ctx.order}, "
-            f"value={self.coeffs[0]!r})"
+            f"value={self.value!r})"
         )
 
     # -- ring operations ----------------------------------------------------
@@ -209,9 +254,7 @@ class Jet:
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        out = self.coeffs.copy()
-        out[0] += c
-        return Jet(self.ctx, out)
+        return Jet(self.ctx, _add_base(self.coeffs.copy(), c))
 
     __radd__ = __add__
 
@@ -222,17 +265,13 @@ class Jet:
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        out = self.coeffs.copy()
-        out[0] -= c
-        return Jet(self.ctx, out)
+        return Jet(self.ctx, _add_base(self.coeffs.copy(), -c))
 
     def __rsub__(self, other):
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        out = -self.coeffs
-        out[0] += c
-        return Jet(self.ctx, out)
+        return Jet(self.ctx, _add_base(-self.coeffs, c))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -256,7 +295,7 @@ class Jet:
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        if c == 0.0:
+        if np.count_nonzero(c == 0.0):
             raise JetError("jet divided by zero scalar")
         return Jet(self.ctx, self.coeffs / c)
 
@@ -273,7 +312,7 @@ class Jet:
                 return _reciprocal(self._int_pow(-p))
             return self._int_pow(p)
         c = _coerce(p)
-        if c is None:
+        if not isinstance(c, float):
             return NotImplemented
         return power(self, c)
 
@@ -295,20 +334,30 @@ class Jet:
 
 
 def constant(ctx, value):
-    coeffs = np.zeros(ctx.n_terms)
-    coeffs[0] = float(value)
+    """The constant jet ``value``: a scalar, or one per state of a batch."""
+    shape = value.shape if isinstance(value, np.ndarray) else ()
+    coeffs = np.zeros(shape + (ctx.n_terms,))
+    coeffs.T[0] = value
     return Jet(ctx, coeffs)
 
 
+def _points(values):
+    """One point ``(n,)`` (any shape is flattened) or a stack ``(B, n)``."""
+    vals = np.asarray(values, dtype=float)
+    return vals if vals.ndim == 2 else vals.ravel()
+
+
 def variables(values, order):
-    """Seed one jet per entry of ``values``, each with a unit linear coefficient."""
-    vals = np.asarray(values, dtype=float).ravel()
-    ctx = get_context(vals.size, order)
+    """Seed one jet per coordinate of ``values``, each with a unit linear
+    coefficient; a ``(B, n)`` stack seeds batched jets."""
+    vals = _points(values)
+    ctx = get_context(vals.shape[-1], order)
+    shape = vals.shape[:-1] + (ctx.n_terms,)
     out = []
-    for i, v in enumerate(vals):
-        coeffs = np.zeros(ctx.n_terms)
-        coeffs[0] = v
-        coeffs[1 + i] = 1.0  # degree-1 block starts right after the constant
+    for i, v in enumerate(vals.T):
+        coeffs = np.zeros(shape)
+        coeffs.T[0] = v
+        coeffs.T[1 + i] = 1.0  # degree-1 block starts right after the constant
         out.append(Jet(ctx, coeffs))
     return out
 
@@ -318,17 +367,17 @@ def seed_variables(x, y, order):
 
     ``order`` must lie in {1, 2, 3, 4}; the returned list holds the x-jets
     followed by the y-jets, each carrying its own unit first-order
-    coefficient.
+    coefficient. ``(B, n)`` stacks of points and directions seed one batch.
     """
     if order not in (1, 2, 3, 4):
         raise JetError(f"jet order must be one of 1..4, got {order!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise JetError(f"x and y must have equal length, got {x.size} and {y.size}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    x, y = _points(x), _points(y)
+    if x.shape != y.shape:
+        raise JetError(f"x and y must have equal shapes, got {x.shape} and {y.shape}")
+    z = np.concatenate([x, y], axis=-1)
+    if not np.isfinite(z).all():
         raise JetError("seed point contains non-finite entries")
-    return variables(np.concatenate([x, y]), order)
+    return variables(z, order)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +403,29 @@ def extract_derivative(jet, idx):
     if total > ctx.order:
         raise JetError(f"|idx| = {total} exceeds jet order {ctx.order}")
     pos = ctx.index[idx]
-    return jet.coeffs[pos] * ctx.factorials[pos]
+    return jet.coeffs.T[pos] * ctx.factorials[pos]
 
 
 def derivative_tensors(jet, max_order=None):
-    """Dense symmetric derivative tensors [f, Df, D2f, ...] up to max_order."""
+    """Dense symmetric derivative tensors [f, Df, D2f, ...] up to max_order.
+
+    For a batch of B states each entry gains a leading axis: f is ``(B,)``
+    and the order-k tensor ``(B,) + (d,) * k``.
+    """
     ctx = jet.ctx
     if max_order is None:
         max_order = ctx.order
     if max_order > ctx.order:
         raise JetError(f"requested order {max_order} exceeds jet order {ctx.order}")
-    out = [jet.coeffs[0]]
+    out = [jet.value]
     d = ctx.n_vars
+    batch = jet.coeffs.shape[:-1]
     for k in range(1, max_order + 1):
         slot_mono, slot_fact, _ = ctx.tensor_map(k)
-        out.append((jet.coeffs[slot_mono] * slot_fact).reshape((d,) * k))
+        # take() keeps a batch C-ordered (coeffs[..., idx] would not): BLAS
+        # then sees every state's tensor with the strides of a lone state's
+        out.append((jet.coeffs.take(slot_mono, axis=-1) * slot_fact)
+                   .reshape(batch + (d,) * k))
     return out
 
 
@@ -376,20 +433,22 @@ def jet_from_tensors(ctx, value, tensors):
     """Inverse of :func:`derivative_tensors`: build a jet from value + D1..Dk.
 
     ``tensors[k-1]`` must be the symmetric order-k derivative tensor; only
-    one representative entry per monomial is read.
+    one representative entry per monomial is read. A ``(B,)`` value with
+    tensors of leading axis B builds a batch.
     """
     if len(tensors) != ctx.order:
         raise JetError(
             f"need {ctx.order} tensors for an order-{ctx.order} jet, got {len(tensors)}"
         )
-    coeffs = np.zeros(ctx.n_terms)
-    coeffs[0] = float(value)
+    coeffs = constant(ctx, value).coeffs
+    batch = coeffs.shape[:-1]
     for k, tensor in enumerate(tensors, start=1):
         tensor = np.asarray(tensor)
         _, _, repr_slot = ctx.tensor_map(k)
         lo = ctx.degree_start[k]
         hi = ctx.degree_start[k + 1]
-        coeffs[lo:hi] = tensor.reshape(-1)[repr_slot] / ctx.factorials[lo:hi]
+        coeffs[..., lo:hi] = (tensor.reshape(batch + (-1,))[..., repr_slot]
+                              / ctx.factorials[lo:hi])
     return Jet(ctx, coeffs)
 
 
@@ -399,7 +458,7 @@ def jet_partial(jet, i):
     if ctx.order < 2:
         raise JetError("cannot take a jet partial of an order-1 jet")
     lower, src, scale = ctx.partial_map(i)
-    return Jet(lower, jet.coeffs[src] * scale)
+    return Jet(lower, jet.coeffs.take(src, axis=-1) * scale)
 
 
 def truncate(jet, order):
@@ -410,7 +469,7 @@ def truncate(jet, order):
     if order > ctx.order:
         raise JetError(f"cannot truncate order {ctx.order} up to {order}")
     lower = get_context(ctx.n_vars, order)
-    return Jet(lower, jet.coeffs[: lower.n_terms].copy())
+    return Jet(lower, jet.coeffs[..., : lower.n_terms].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +479,26 @@ def truncate(jet, order):
 def _compose(jet, series):
     """g(f) for g given by its Taylor coefficients about f's base value.
 
-    ``series[k]`` = g^(k)(f0)/k!.  Horner evaluation in the nilpotent part
-    f - f0 costs ``order`` table multiplications.
+    ``series[k]`` = g^(k)(f0)/k!, a scalar or one per state of a batch.
+    Horner evaluation in the nilpotent part f - f0 costs ``order`` table
+    multiplications.
     """
     ctx = jet.ctx
     nil = jet.coeffs.copy()
-    nil[0] = 0.0
-    nil_jet = Jet(ctx, nil)
-    acc = constant(ctx, series[ctx.order])
+    nil.T[0] = 0.0
+    acc = constant(ctx, series[ctx.order]).coeffs
     for k in range(ctx.order - 1, -1, -1):
-        acc = acc * nil_jet
-        acc.coeffs[0] += series[k]
-    return acc
+        acc = _kernels.multiply(acc, nil, ctx.mul_i, ctx.mul_j, ctx.mul_k, ctx.n_terms)
+        acc.T[0] += series[k]
+    return Jet(ctx, acc)
 
 
 def _reciprocal(jet):
-    c = jet.coeffs[0]
-    if c == 0.0:
-        raise JetError("division by a jet with zero base value")
-    series = [(-1.0) ** k / c ** (k + 1) for k in range(jet.ctx.order + 1)]
-    return _compose(jet, series)
+    c = jet.value
+    _reject(c == 0.0, c, "division by a jet with zero base value")
+    order = jet.ctx.order
+    return _compose(jet, _series(
+        c, lambda c: [(-1.0) ** k / c ** (k + 1) for k in range(order + 1)]))
 
 
 def sqrt(v):
@@ -451,42 +510,54 @@ def sqrt(v):
 def power(v, p):
     """v**p for real p (positive base required on the jet path)."""
     if isinstance(v, Jet):
-        c = v.coeffs[0]
-        if c <= 0.0:
-            raise JetError(f"power({p}) of a jet requires a positive base, got {c}")
-        series = []
-        binom = 1.0
-        for k in range(v.ctx.order + 1):
-            series.append(binom * c ** (p - k))
-            binom *= (p - k) / (k + 1)
-        return _compose(v, series)
+        c = v.value
+        _reject(c <= 0.0, c, f"power({p}) of a jet requires a positive base")
+        order = v.ctx.order
+
+        def terms(c):
+            series = []
+            binom = 1.0
+            for k in range(order + 1):
+                series.append(binom * c ** (p - k))
+                binom *= (p - k) / (k + 1)
+            return series
+
+        return _compose(v, _series(c, terms))
     return np.power(v, p)
 
 
 def exp(v):
     if isinstance(v, Jet):
-        e = math.exp(v.coeffs[0])
-        series = [e / math.factorial(k) for k in range(v.ctx.order + 1)]
-        return _compose(v, series)
+        order = v.ctx.order
+
+        def terms(c):
+            e = math.exp(c)
+            return [e / math.factorial(k) for k in range(order + 1)]
+
+        return _compose(v, _series(v.value, terms))
     return np.exp(v)
 
 
 def log(v):
     if isinstance(v, Jet):
-        c = v.coeffs[0]
-        if c <= 0.0:
-            raise JetError(f"log of a jet requires a positive base, got {c}")
-        series = [math.log(c)]
-        for k in range(1, v.ctx.order + 1):
-            series.append((-1.0) ** (k + 1) / (k * c**k))
-        return _compose(v, series)
+        c = v.value
+        _reject(c <= 0.0, c, "log of a jet requires a positive base")
+        order = v.ctx.order
+
+        def terms(c):
+            series = [math.log(c)]
+            for k in range(1, order + 1):
+                series.append((-1.0) ** (k + 1) / (k * c**k))
+            return series
+
+        return _compose(v, _series(c, terms))
     return np.log(v)
 
 
 def _cyclic(v, table):
-    c = v.coeffs[0]
-    series = [table[k % 4](c) / math.factorial(k) for k in range(v.ctx.order + 1)]
-    return _compose(v, series)
+    order = v.ctx.order
+    return _compose(v, _series(v.value, lambda c: [
+        table[k % 4](c) / math.factorial(k) for k in range(order + 1)]))
 
 
 def sin(v):
@@ -503,19 +574,13 @@ def cos(v):
 
 def sinh(v):
     if isinstance(v, Jet):
-        c = v.coeffs[0]
-        s, ch = math.sinh(c), math.cosh(c)
-        series = [(s if k % 2 == 0 else ch) / math.factorial(k) for k in range(v.ctx.order + 1)]
-        return _compose(v, series)
+        return _cyclic(v, (math.sinh, math.cosh, math.sinh, math.cosh))
     return np.sinh(v)
 
 
 def cosh(v):
     if isinstance(v, Jet):
-        c = v.coeffs[0]
-        s, ch = math.sinh(c), math.cosh(c)
-        series = [(ch if k % 2 == 0 else s) / math.factorial(k) for k in range(v.ctx.order + 1)]
-        return _compose(v, series)
+        return _cyclic(v, (math.cosh, math.sinh, math.cosh, math.sinh))
     return np.cosh(v)
 
 
@@ -615,7 +680,8 @@ def jet_of(f, x, y, order):
 
     The package's one derivative path: every jet of a function of the
     chart variables comes from here, and :func:`derivative_tensors` of the
-    result gives its value and derivative tensors.
+    result gives its value and derivative tensors. ``(B, n)`` stacks of
+    x and y evaluate f once over batched jets.
     """
     zs = seed_variables(x, y, order)
     n = len(zs) // 2

@@ -163,6 +163,16 @@ class FinslerMetric:
 
     def value_jet(self, x, y, order):
         """F over jets seeded at a validated (x, y): the metric's entry to
-        :func:`finslerlab.jets.jet_of`. Square the jet for Q = F^2."""
-        return jr.jet_of(self.F, self.check_point(x), self.check_direction(y),
-                         order)
+        :func:`finslerlab.jets.jet_of`. Square the jet for Q = F^2.
+
+        ``(B, n)`` stacks of points and directions give one batched jet;
+        every row is validated, and the first bad one fails the batch.
+        """
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim == 2 and y.ndim == 2 and x.shape[0] == y.shape[0]:
+            for xi, yi in zip(x, y):
+                self.check_point(xi)
+                self.check_direction(yi)
+        else:
+            x, y = self.check_point(x), self.check_direction(y)
+        return jr.jet_of(self.F, x, y, order)

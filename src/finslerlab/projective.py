@@ -21,8 +21,8 @@ import numpy as np
 
 from . import jets as jr
 from . import sampling
-from .errors import NotProjectivelyRelatedError
-from .geometry import _assemble, riemann_curvature
+from .errors import DomainError, NotProjectivelyRelatedError
+from .geometry import _assemble, _dot, _matvec, _vecmat, riemann_curvature
 
 DECISION_TOL = 1e-6
 
@@ -40,27 +40,37 @@ def rapcsak_residual(base, cand, x, y):
 
     Returns the raw residual covector and its norm divided by the candidate
     value; zero (to tolerance) exactly when the candidate's geodesics trace
-    the base geodesics.
+    the base geodesics. ``(B, n)`` stacks of x and y give one entry per
+    state.
     """
     n = base.n
     data = _assemble(base, x, y, 2)
     y = data["y"]
     f_val, T1, T2 = jr.derivative_tensors(cand.value_jet(x, y, 2), 2)
-    res = T2[:n, n:].T @ y - T1[:n] - 2.0 * (T2[n:, n:] @ data["G"])
+    res = (_vecmat(y, T2[..., :n, n:]) - T1[..., :n]
+           - 2.0 * _matvec(T2[..., n:, n:], data["G"]))
+    norm = np.sqrt(_dot(res, res))
     return {
         "residual": res,
-        "norm": float(np.linalg.norm(res)),
-        "normalized": float(np.linalg.norm(res)) / f_val,
+        "norm": norm,
+        "normalized": norm / f_val,
         "F_cand": f_val,
     }
 
 
-def projective_campaign(base, cand, count=40, box=None):
-    """Max normalized flatness residual over deterministic samples."""
+def _stacked_pairs(base, cand, count, box):
+    """The joint state pairs of a campaign as (B, n) stacks X, Y."""
+    if count < 1:
+        raise DomainError(f"a campaign needs count >= 1, got {count}")
     pairs = sampling.joint_state_pairs(base, cand, count, box=box)
-    rows = sampling.pmap(
-        lambda p: rapcsak_residual(base, cand, p[0], p[1])["normalized"], pairs
-    )
+    return (np.array(v) for v in zip(*pairs))
+
+
+def projective_campaign(base, cand, count=40, box=None):
+    """Max normalized flatness residual over deterministic samples, all
+    evaluated as one batch."""
+    X, Y = _stacked_pairs(base, cand, count, box)
+    rows = rapcsak_residual(base, cand, X, Y)["normalized"].tolist()
     return {
         "base": base.name,
         "cand": cand.name,
@@ -99,6 +109,7 @@ def xi_and_tau(base, cand, x, y):
 
     P is rebuilt as an order-2 jet in the full chart ring so that its
     horizontal derivative and the y-gradient of Xi come out exactly.
+    ``(B, n)`` stacks of x and y give one entry per state.
     """
     n = base.n
     data = _assemble(base, x, y, 4)
@@ -110,8 +121,8 @@ def xi_and_tau(base, cand, x, y):
     fx = [jr.jet_partial(j3, k) for k in range(n)]
     fy = [jr.jet_partial(j3, n + m) for m in range(n)]
     G_jets = [
-        jr.jet_from_tensors(ctx2, data["G"][m],
-                            [data["dG"][:, m], data["d2G"][:, :, m]])
+        jr.jet_from_tensors(ctx2, data["G"][..., m],
+                            [data["dG"][..., :, m], data["d2G"][..., :, :, m]])
         for m in range(n)
     ]
 
@@ -126,17 +137,18 @@ def xi_and_tau(base, cand, x, y):
     P_jet = jr.jet_of(u, x, y, 2) / (2.0 * jr.truncate(j3, 2))
 
     P0, dP, d2P = jr.derivative_tensors(P_jet, 2)
-    Px, Py = dP[:n], dP[n:]
-    P_cov = Px - N.T @ Py
-    Xi = P0 * P0 - float(P_cov @ y)
+    Px, Py = dP[..., :n], dP[..., n:]
+    P_cov = Px - _vecmat(Py, N)
+    Xi = P0 * P0 - _dot(P_cov, y)
     # d(P_{;m})/dy^k, including the connection's own y-derivative
     dP_cov = (
-        d2P[:n, n:]
-        - np.einsum("jmk,j->mk", Gyy, Py)
-        - np.einsum("jm,jk->mk", N, d2P[n:, n:])
+        d2P[..., :n, n:]
+        - np.einsum("...jmk,...j->...mk", Gyy, Py)
+        - np.einsum("...jm,...jk->...mk", N, d2P[..., n:, n:])
     )
-    dXi = 2.0 * P0 * Py - (dP_cov.T @ y + P_cov)
-    tau = 3.0 * (P_cov - P0 * Py) + dXi
+    p0 = np.asarray(P0)[..., None]
+    dXi = 2.0 * p0 * Py - (_vecmat(y, dP_cov) + P_cov)
+    tau = 3.0 * (P_cov - p0 * Py) + dXi
     return {"P": P0, "P_cov": P_cov, "Xi": Xi, "dXi_dy": dXi, "tau": tau}
 
 
@@ -204,17 +216,21 @@ def fit_einstein_constants(base, cand, count=25, box=None):
     """Least-squares (lam, lam_tilde) from Xi = lam_tilde F_cand^2 - lam F^2.
 
     A diagnostic, not a decision procedure: the fit is meaningful only when
-    the pair is projectively related and both metrics are Einstein.
+    the pair is projectively related and both metrics are Einstein. The
+    samples' Xi come from one batched :func:`xi_and_tau`; a design of rank
+    below 2 (too few, or too alike, samples) raises DomainError.
     """
-    pairs = sampling.joint_state_pairs(base, cand, count, box=box)
+    X, Y = _stacked_pairs(base, cand, count, box)
+    rhs = xi_and_tau(base, cand, X, Y)["Xi"]
     A = np.empty((count, 2))
-    rhs = np.empty(count)
-    for i, (x, y) in enumerate(pairs):
-        info = xi_and_tau(base, cand, x, y)
+    for i, (x, y) in enumerate(zip(X, Y)):
         f = base(x, y)
         ft = cand(x, y)
         A[i] = (ft * ft, -(f * f))
-        rhs[i] = info["Xi"]
+    if np.linalg.matrix_rank(A) < 2:
+        raise DomainError(
+            f"{cand.name} vs {base.name}: {count} samples do not determine "
+            f"two Einstein constants")
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     resid = float(np.max(np.abs(A @ sol - rhs)))
     return {"lambda_tilde": float(sol[0]), "lambda": float(sol[1]),

@@ -274,7 +274,8 @@ def funk_general(body, x, y, sign=1, tol=1e-12):
     Solves phi(x + (sign*y) / F... ) = 0 via the substitution s = 1 / F:
     the positive chord parameter where the ray exits the body. When the
     inputs are jets the float root is polished by Newton steps in the jet
-    ring, which converges at contact order 2^k.
+    ring, which converges at contact order 2^k. On batched jets the float
+    root is found per state and the Newton steps run on the whole batch.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -284,9 +285,14 @@ def funk_general(body, x, y, sign=1, tol=1e-12):
     sy = [sign * v for v in ys]
     jetlike = any(jr.is_jet(v) for v in xs + ys)
 
-    x0 = np.array([v.value if jr.is_jet(v) else float(v) for v in xs])
-    y0 = np.array([v.value if jr.is_jet(v) else float(v) for v in sy])
-    s0 = _chord_scalar_root(body, x0, y0, tol)
+    # (n,), or (B, n) for batched jets
+    x0 = np.array([v.value if jr.is_jet(v) else float(v) for v in xs]).T
+    y0 = np.array([v.value if jr.is_jet(v) else float(v) for v in sy]).T
+    if x0.ndim == 1:
+        s0 = _chord_scalar_root(body, x0, y0, tol)
+    else:
+        s0 = np.array([_chord_scalar_root(body, xb, yb, tol)
+                       for xb, yb in zip(x0, y0)])
 
     if not jetlike:
         return 1.0 / s0

@@ -30,7 +30,7 @@ def on_both_kernels(monkeypatch):
 
             def counted_loop(*args):
                 calls.append(1)
-                loop(*args)
+                return loop(*args)
 
             with monkeypatch.context() as m:
                 m.setattr(_kernels, "_mul_table_numpy", bincount_forbidden)

@@ -1,0 +1,133 @@
+"""Batched jets: every row of a batch equals the one-state result, bit for bit."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from finslerlab import _kernels, geometry as geo, jets as jr, zoo
+from finslerlab.errors import DomainError, JetError, SingularMetricError
+from finslerlab.metric import FinslerMetric, FullSpace
+
+FIXED_2D = ("funk-ellipse-plus", "funk-ellipse-minus", "hilbert-ellipse",
+            "hilbert-superellipse")
+
+metric_keys = st.sampled_from(zoo.METRIC_NAMES).flatmap(
+    lambda name: st.tuples(
+        st.just(name), st.just(2) if name in FIXED_2D else st.integers(2, 4)))
+# 5|6, 13|14 and 25|26 straddle the kernel's chunk of states for order 4 in
+# 8 variables, order 4 in 6 and order 3 in 8; 16|17 the n = 4 campaign batch
+batch_sizes = (st.sampled_from((1, 5, 6, 13, 14, 16, 17, 25, 26, 40))
+               | st.integers(1, 40))
+
+
+@lru_cache(maxsize=None)
+def _metric(name, n):
+    return zoo.make_metric(name, dim=n)
+
+
+def _states(metric, count, seed):
+    """``count`` interior points and unit directions as (count, n) stacks."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (np.asarray(v, dtype=float) for v in metric.domain.sample_box())
+    xs = []
+    while len(xs) < count:
+        x = lo + rng.random(metric.n) * (hi - lo)
+        if metric.domain.contains(x):
+            xs.append(x)
+    ys = rng.standard_normal((count, metric.n))
+    return np.array(xs), ys / np.linalg.norm(ys, axis=1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=metric_keys, count=batch_sizes, order=st.sampled_from((2, 3, 4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_single_states(key, count, order, seed):
+    m = _metric(*key)
+    X, Y = _states(m, count, seed)
+    batch = geo._assemble(m, X, Y, order)
+    for i in range(count):
+        one = geo._assemble(m, X[i], Y[i], order)
+        assert batch.keys() == one.keys()
+        for name, value in one.items():
+            assert np.array_equal(batch[name][i], value), (name, i)
+
+
+def test_einstein_campaign_batches_at_n4_match_single_states(monkeypatch):
+    m, count, flags = zoo.klein(4), 17, 2
+    step = geo.BATCH_BYTES // (8 * 8**4)
+    assert step == 16  # so the 17 states take two batches
+    sizes = []
+    assemble = geo._assemble
+
+    def counted(metric, x, y, order):
+        sizes.append(len(x))
+        return assemble(metric, x, y, order)
+
+    monkeypatch.setattr(geo, "_assemble", counted)
+    rep = geo.einstein_campaign(m, count, flags=flags)
+    assert sizes == [16, 1]
+    monkeypatch.undo()
+    for row in rep["rows"]:
+        x, y = np.array(row["x"]), np.array(row["y"])
+        assert row["einstein_residual"] == geo.einstein_residual(m, x, y)
+        sp = geo.flag_spread(m, x, y, flags=flags)
+        assert (row["flag_min"], row["flag_max"]) == (sp["min"], sp["max"])
+
+
+def test_batched_product_on_both_kernels(on_both_kernels):
+    ctx = jr.get_context(8, 4)  # 5 states per kernel chunk
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((13, ctx.n_terms))
+    b = rng.standard_normal((13, ctx.n_terms))
+
+    def product():
+        return _kernels.multiply(a, b, ctx.mul_i, ctx.mul_j, ctx.mul_k,
+                                 ctx.n_terms)
+
+    via_bincount, via_loop = on_both_kernels(product)
+    assert np.array_equal(via_bincount, via_loop)
+    for i in range(13):
+        one = _kernels.multiply(a[i], b[i], ctx.mul_i, ctx.mul_j, ctx.mul_k,
+                                ctx.n_terms)
+        assert np.array_equal(via_bincount[i], one)
+
+
+def test_ring_ops_on_a_batch_match_single_states():
+    vals = np.array([[0.3, 1.7], [2.0, 0.4], [0.9, 0.9]])
+    scale = np.array([0.5, -2.0, 3.0])
+
+    def expr(u, v, s):
+        w = jr.sqrt(u * u + 1.0) / (2.0 - v) + s * jr.exp(u) - jr.log(v) ** 3
+        return jr.sin(w) * jr.cosh(u) - jr.cos(v) / jr.sinh(v) + (1.0 - w) * s
+
+    batch = expr(*jr.variables(vals, 4), scale).coeffs
+    for i in range(3):
+        one = expr(*jr.variables(vals[i], 4), scale[i]).coeffs
+        assert np.array_equal(batch[i], one)
+
+
+def test_point_outside_the_domain_fails_the_batch():
+    X = np.array([[0.1, 0.2], [0.9, 0.6], [0.0, 0.3]])  # row 1 has |x| > 1
+    Y = np.array([[1.0, 0.0]] * 3)
+    with pytest.raises(DomainError, match=r"\[0.9, 0.6\] outside domain"):
+        geo._assemble(zoo.klein(), X, Y, 2)
+
+
+def test_non_positive_base_under_sqrt_fails_the_batch():
+    (z,) = jr.variables(np.array([[1.0], [-1.0], [2.0]]), 2)
+    with pytest.raises(JetError, match="got -1.0 at state 1"):
+        jr.sqrt(z)
+    with pytest.raises(JetError, match="got 0.0 at state 0"):
+        1.0 / (z - np.array([1.0, 0.0, 0.0]))
+
+
+def test_singular_state_fails_the_batch():
+    quartic = FinslerMetric(
+        2, lambda x, y: (y[0] ** 4 + y[1] ** 4) ** 0.25, FullSpace(2),
+        name="quartic")
+    X = np.zeros((3, 2))
+    Y = np.array([[0.6, 0.8], [1.0, 0.0], [0.8, 0.6]])  # row 1 on an axis
+    with pytest.raises(SingularMetricError, match="at state 1"):
+        geo._assemble(quartic, X, Y, 2)

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from finslerlab import cli
 
@@ -158,6 +159,16 @@ def test_ode_json_report(tmp_path, capsys):
     assert math.isclose(lo, -0.5)
     assert hi == "inf"                          # non-finite values as strings
     assert res["numeric_vs_closed"] < 1e-8
+
+
+def test_chart_options_only_where_a_metric_is_built(capsys):
+    # ode and verify-all build no catalog metric: argparse refuses --dim/--eps
+    for argv in (["ode", "--dim", "7", "--eps", "5", "--a", "1", "--b", "0.5"],
+                 ["verify-all", "--only", "3", "--dim", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_ode_stdout_summary(capsys):

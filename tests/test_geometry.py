@@ -108,13 +108,20 @@ def test_einstein_campaign_assembles_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(geo, "_assemble", counted)
     rep = geo.einstein_campaign(m, count, flags=flags)
-    assert orders.count(4) == count
+    assert orders.count(4) == 1  # one batch holds all 7 samples
     # each row equals the single-state calls on its sample, bit for bit
     for row in rep["rows"]:
         x, y = np.array(row["x"]), np.array(row["y"])
         assert row["einstein_residual"] == geo.einstein_residual(m, x, y)
         sp = geo.flag_spread(m, x, y, flags=flags)
         assert (row["flag_min"], row["flag_max"]) == (sp["min"], sp["max"])
+
+
+def test_einstein_campaign_arguments_fail_with_domain_error():
+    with pytest.raises(DomainError, match="count >= 1"):
+        geo.einstein_campaign(zoo.klein(), 0)
+    with pytest.raises(DomainError, match="flags >= 0"):
+        geo.einstein_campaign(zoo.klein(), 3, flags=-1)
 
 
 def test_scaled_metric_scales_the_constant():

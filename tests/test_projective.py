@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslerlab import jets as jr, projective as pj, zoo
-from finslerlab.errors import NotProjectivelyRelatedError
+from finslerlab.errors import DomainError, NotProjectivelyRelatedError
 from finslerlab.metric import FinslerMetric, FullSpace, dot
 
 X = np.array([0.31, -0.22])
@@ -121,3 +121,15 @@ def test_fit_einstein_constants_recovers_the_pair():
     assert fit["lambda"] == pytest.approx(0.0, abs=1e-12)
     assert fit["lambda_tilde"] == pytest.approx(-0.25, abs=1e-12)
     assert fit["max_residual"] < 1e-12
+
+
+def test_campaign_arguments_fail_with_domain_error():
+    euc, fp = zoo.euclidean(), zoo.funk_ball(1)
+    with pytest.raises(DomainError, match="count >= 1"):
+        pj.projective_campaign(euc, fp, 0)
+    with pytest.raises(DomainError, match="count >= 1"):
+        pj.fit_einstein_constants(euc, fp, 0)
+    # one equation cannot fix two constants: a min-norm solve would report
+    # lambda_tilde = -0.164, lambda = 0.119 instead of -0.25 and 0
+    with pytest.raises(DomainError, match="do not determine"):
+        pj.fit_einstein_constants(euc, fp, 1)
