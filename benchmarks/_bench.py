@@ -1,0 +1,115 @@
+"""Timing and environment helpers shared by the ``bench_*.py`` scripts.
+
+Each script measures one checkout (``--tree``, default this repository)
+and stores its rows under ``--label`` in a ``BENCH_<topic>.json`` file at
+the repository root, keeping the rows of other labels already there.
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+REPS = 7  # per-call rows
+SUITE_REPS = 3  # criterion, verify-all and tier-1 rows
+
+
+def arguments(doc, argv=None):
+    """Parse ``--label`` and ``--tree`` and put the tree's ``src`` first
+    on ``sys.path``; returns (label, tree)."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--tree", type=Path, default=REPO)
+    args = ap.parse_args(argv)
+    tree = args.tree.resolve()
+    sys.path.insert(0, str(tree / "src"))
+    return args.label, tree
+
+
+def summarize(samples):
+    q1, med, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median_s": float(med), "iqr_s": float(q3 - q1),
+            "reps": len(samples)}
+
+
+def timed(fn, reps=REPS):
+    fn()  # warm-up: jet tables, contexts
+    out = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def criteria(ks, reps=SUITE_REPS):
+    """Rows ``criterion_<k>``: wall time and ``worst`` of each criterion."""
+    from finslerlab import acceptance
+
+    rows = {}
+    for k in ks:
+        fn = getattr(acceptance, f"criterion_{k}")
+        times, worst = [], None
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            worst = fn()["worst"]
+            times.append(time.perf_counter() - t0)
+        rows[f"criterion_{k}"] = dict(summarize(times), worst=worst)
+    return rows
+
+
+def _command(tree, argv, reps):
+    """Wall times of a subprocess run in ``tree`` against its ``src``, and
+    the last line of its output with its exit code."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
+                              capture_output=True, text=True)
+        out.append(time.perf_counter() - t0)
+        tail = proc.stdout.strip().splitlines()[-1:]
+    return out, {"summary": tail[0] if tail else "", "exit": proc.returncode}
+
+
+def tier1(tree, reps=SUITE_REPS):
+    """The tier-1 suite (``python -m pytest -q``) in ``tree``."""
+    return _command(tree, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"], reps)
+
+
+def verify_all(tree, reps=SUITE_REPS):
+    """``finslerlab verify-all``, all ten criteria in one process."""
+    return _command(tree, ["-m", "finslerlab.cli", "verify-all"], reps)
+
+
+def environment():
+    from finslerlab import _kernels
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "backend": _kernels.active_backend(),
+        "have_numba": bool(_kernels.HAVE_NUMBA),
+        "FINSLER_LAB_THREADS": os.environ.get("FINSLER_LAB_THREADS"),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+    }
+
+
+def write(out, label, rows, width=16):
+    """Store ``rows`` and the environment under ``label`` in ``out`` and
+    print one line per row."""
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data[label] = {"env": environment(), "rows": rows}
+    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    for name, row in rows.items():
+        print(f"{label:>8} {name:>{width}}: {row['median_s'] * 1e3:10.3f} ms "
+              f"(IQR {row['iqr_s'] * 1e3:.3f}, n={row['reps']})")

@@ -37,23 +37,16 @@ Run from the repository root:
 are kept.
 """
 
-import argparse
-import json
-import os
-import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_geodesic import summarize, tier1, timed  # noqa: E402
+import _bench  # noqa: E402
+from _bench import summarize, timed  # noqa: E402
 
-REPO = Path(__file__).resolve().parent.parent
-OUT = REPO / "BENCH_batch.json"
-REPS = 7  # per-call rows
-SUITE_REPS = 3  # criterion and tier-1 rows
+OUT = _bench.REPO / "BENCH_batch.json"
 STATES, FLAGS = 40, 8  # the curvature command's defaults
 KERNEL_TABLES = ((4, 2), (8, 2), (4, 4), (6, 4), (8, 4))
 KERNEL_BATCHES = (1, 5, 16, 40)
@@ -71,14 +64,9 @@ def per_state(samples, states):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--tree", type=Path, default=REPO)
-    args = ap.parse_args(argv)
-    tree = args.tree.resolve()
-    sys.path.insert(0, str(tree / "src"))
+    label, tree = _bench.arguments(__doc__, argv)
 
-    from finslerlab import _kernels, acceptance, geometry as geo, jets as jr
+    from finslerlab import _kernels, geometry as geo, jets as jr
     from finslerlab import projective as pj, sampling, zoo
 
     batched = hasattr(geo, "BATCH_BYTES")
@@ -91,8 +79,8 @@ def main(argv=None):
         for b in KERNEL_BATCHES if batched else (1,):
             shape = (ctx.n_terms,) if b == 1 else (b, ctx.n_terms)
             u, v = rng.standard_normal(shape), rng.standard_normal(shape)
-            row = per_state(timed(lambda: _kernels.multiply(u, v, *tables),
-                                  REPS), b)
+            row = per_state(timed(lambda: _kernels.multiply(u, v, *tables)),
+                            b)
             row["products"] = int(ctx.mul_i.shape[0])
             row["chunk_states"] = max(1, _kernels.CHUNK_PRODUCTS
                                       // ctx.mul_i.shape[0]) if batched else 1
@@ -108,49 +96,22 @@ def main(argv=None):
         for b in sizes:
             xs, ys = (X[0], Y[0]) if b == 1 else (X[:b], Y[:b])
             rows[f"assemble_o4.{name}.n{n}.B{b}"] = per_state(
-                timed(lambda: geo._assemble(m, xs, ys, 4), REPS), b)
-        times = timed(lambda: geo.einstein_campaign(m, STATES, flags=FLAGS),
-                      REPS)
+                timed(lambda: geo._assemble(m, xs, ys, 4)), b)
+        times = timed(lambda: geo.einstein_campaign(m, STATES, flags=FLAGS))
         rows[f"einstein_campaign.{name}.n{n}"] = summarize(times)
         campaign_total.append(times)
     rows["einstein_campaign.all"] = summarize(np.sum(campaign_total, axis=0))
 
     euc, fp = zoo.euclidean(2), zoo.funk_ball(1, 2)
     rows["projective_campaign"] = summarize(
-        timed(lambda: pj.projective_campaign(euc, fp), REPS))
+        timed(lambda: pj.projective_campaign(euc, fp)))
     rows["fit_einstein_constants"] = summarize(
-        timed(lambda: pj.fit_einstein_constants(euc, fp), REPS))
+        timed(lambda: pj.fit_einstein_constants(euc, fp)))
 
-    for k in (1, 2):
-        fn = getattr(acceptance, f"criterion_{k}")
-        times, worst = [], None
-        for _ in range(SUITE_REPS):
-            t0 = time.perf_counter()
-            worst = fn()["worst"]
-            times.append(time.perf_counter() - t0)
-        rows[f"criterion_{k}"] = dict(summarize(times), worst=worst)
-
-    times, info = tier1(tree, SUITE_REPS)
+    rows.update(_bench.criteria((1, 2)))
+    times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
-
-    entry = {
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "backend": _kernels.active_backend(),
-            "have_numba": bool(_kernels.HAVE_NUMBA),
-            "FINSLER_LAB_THREADS": os.environ.get("FINSLER_LAB_THREADS"),
-            "cpu_count": os.cpu_count(),
-            "machine": platform.machine(),
-        },
-        "rows": rows,
-    }
-    data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    data[args.label] = entry
-    OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    for name, row in rows.items():
-        print(f"{args.label:>8} {name:>40}: {row['median_s'] * 1e3:10.3f} ms "
-              f"(IQR {row['iqr_s'] * 1e3:.3f}, n={row['reps']})")
+    _bench.write(OUT, label, rows, width=40)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,109 @@
+"""ODE-layer benchmark: DP5 geodesic legs, the comparison ODE, criteria, tier-1.
+
+Times, on fixed inputs, the calls that run ``ode.integrate`` and writes
+the median and interquartile range over the repetitions to
+``BENCH_ode.json`` under a label:
+
+  geodesic.klein2_interior       ``integrate_geodesic`` on klein, n = 2,
+                                 from (0.31, -0.22) along (0.62, 0.81)
+                                 over t in [-0.5, 0.5]
+  geodesic.hilbert_ellipse_interior  the same start on the Hilbert metric
+                                 of the 2:1 ellipse
+  geodesic.funk_plus_rim         funk-plus, n = 2, from 0.75 e1 heading
+                                 -(e1 + 0.05 e2) over t in [-0.3, 0.3]:
+                                 the backward leg runs into the rim, as
+                                 perfbench's rim operations do
+  numeric_vs_closed              ``comparison.numeric_vs_closed`` of the
+                                 case (lam, lamt, a, b) = (1, 1, 0.7, 0.5)
+  criterion_2, _6, _9            ``acceptance.criterion_k()`` wall time
+  verify_all                     ``finslerlab verify-all`` in a subprocess
+  tier1                          the tier-1 suite wall time
+
+The geodesic rows run at criterion 2's tolerances (rtol 1e-9, atol
+1e-11). Each ODE row carries the right-hand-side calls (counted in an
+untimed run), the accepted and rejected steps, and, where the tree's
+``OdeResult`` has it, the vetoed steps. Run from the repository root:
+
+    python benchmarks/bench_ode.py --label change
+    python benchmarks/bench_ode.py --label parent --tree ../parent
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import _bench  # noqa: E402
+
+OUT = _bench.REPO / "BENCH_ode.json"
+X0, Y0 = np.array([0.31, -0.22]), np.array([0.62, 0.81])
+
+
+def counting_rhs_calls(ode, call):
+    """``call()`` with every ``ode.integrate`` counting its rhs calls;
+    returns (result, calls, legs)."""
+    integrate, calls, legs = ode.integrate, [0], []
+
+    def counted(rhs, *args, **kwargs):
+        def rhs_counted(t, u):
+            calls[0] += 1
+            return rhs(t, u)
+
+        leg = integrate(rhs_counted, *args, **kwargs)
+        legs.append(leg)
+        return leg
+
+    ode.integrate = counted
+    try:
+        return call(), calls[0], legs
+    finally:
+        ode.integrate = integrate
+
+
+def ode_row(ode, call):
+    _, calls, legs = counting_rhs_calls(ode, call)
+    vetoed = [getattr(leg, "n_vetoed", None) for leg in legs]
+    return dict(
+        _bench.summarize(_bench.timed(call)), rhs_calls=calls,
+        steps_accepted=sum(leg.n_accepted for leg in legs),
+        steps_rejected=sum(leg.n_rejected for leg in legs),
+        steps_vetoed=None if None in vetoed else sum(vetoed),
+        status=[leg.status for leg in legs])
+
+
+def main(argv=None):
+    label, tree = _bench.arguments(__doc__, argv)
+
+    from finslerlab import comparison as cmp
+    from finslerlab import geodesic as gd, ode, zoo
+
+    rim_y = -np.array([1.0, 0.05]) / np.hypot(1.0, 0.05)
+    geodesics = {
+        "klein2_interior": ("klein", X0, Y0, (-0.5, 0.5)),
+        "hilbert_ellipse_interior": ("hilbert-ellipse", X0, Y0, (-0.5, 0.5)),
+        "funk_plus_rim": ("funk-plus", np.array([0.75, 0.0]), rim_y,
+                          (-0.3, 0.3)),
+    }
+    rows = {}
+    for name, (metric, x, y, span) in geodesics.items():
+        m = zoo.make_metric(metric, 2)
+        rows[f"geodesic.{name}"] = ode_row(
+            ode, lambda: gd.integrate_geodesic(m, x, y, span, rtol=1e-9,
+                                               atol=1e-11))
+
+    case = cmp.make_case(1, 1, 0.7, 0.5)
+    rows["numeric_vs_closed"] = dict(
+        ode_row(ode, lambda: cmp.numeric_vs_closed(case)),
+        value=cmp.numeric_vs_closed(case))
+
+    rows.update(_bench.criteria((2, 6, 9)))
+    for name, command in (("verify_all", _bench.verify_all),
+                          ("tier1", _bench.tier1)):
+        times, info = command(tree)
+        rows[name] = dict(_bench.summarize(times), **info)
+    _bench.write(OUT, label, rows, width=34)
+
+
+if __name__ == "__main__":
+    main()

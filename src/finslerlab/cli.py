@@ -198,6 +198,9 @@ def cmd_geodesic(args):
     print(f"status   : backward {run.status_backward}, "
           f"forward {run.status_forward}")
     print(f"nodes    : {len(run.ts)}")
+    for name, leg in zip(("backward", "forward"), run.legs):
+        print(f"{name:<8} : {leg.n_accepted} accepted, {leg.n_rejected} "
+              f"rejected, {leg.n_vetoed} vetoed steps")
     print(f"unit-speed drift : {run.speed_drift:.3e}")
     if opt.out:
         n = metric.n

@@ -5,6 +5,7 @@ directions are rescaled to F(x, v) = 1, so the time parameter is the
 metric arc length and F is conserved along the solution.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -69,6 +70,8 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12,
     x0 = metric.check_point(x0)
     y0 = metric.check_direction(y0)
     t_min, t_max = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise DomainError(f"t_span {t_span} must be finite")
     if not (t_min <= 0.0 <= t_max):
         raise DomainError("t_span must contain 0")
     v0 = y0 / metric(x0, y0) if normalize else y0.astype(float)
@@ -78,7 +81,7 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12,
     guard = lambda u: metric.domain.contains(u[:n])
 
     empty = ode.OdeResult(np.array([0.0]), u0[None, :].copy(), "t_limit",
-                          0.0, u0.copy(), 0, 0)
+                          0.0, u0.copy(), 0, 0, 0)
     back = ode.integrate(rhs, 0.0, u0, t_min, rtol, atol, guard=guard) \
         if t_min < 0.0 else empty
     fwd = ode.integrate(rhs, 0.0, u0, t_max, rtol, atol, guard=guard) \

@@ -22,6 +22,8 @@ with a vector are stacked matmuls (see :func:`_vecmat`), so each row of a
 batch equals the one-state result bit for bit.
 """
 
+import functools
+
 import numpy as np
 
 from . import jets as jr
@@ -200,8 +202,13 @@ def flag_curvature(metric, x, y, v, data=None):
     return float(K[0])
 
 
+@functools.lru_cache(maxsize=64)
 def _flag_directions(n, flags, offset=sampling.DIRECTION_OFFSET):
-    return sampling.directions(3 * flags + 8, n, offset=offset)
+    """The candidate flag directions, drawn once per (n, flags, offset);
+    read-only, since every caller shares the cached array."""
+    V = sampling.directions(3 * flags + 8, n, offset=offset)
+    V.setflags(write=False)
+    return V
 
 
 def flag_spread(metric, x, y, flags=20, offset=sampling.DIRECTION_OFFSET):

@@ -337,3 +337,11 @@ def test_geodesic_sampling_matches_per_leg_lookup():
 def test_hausdorff_rejects_an_empty_polyline():
     with pytest.raises(DomainError):
         gd.hausdorff_to_chord(np.empty((0, 2)), X, Y)
+
+
+def test_flag_directions_are_drawn_once_and_shared_read_only():
+    V = geo._flag_directions(3, 20)
+    assert geo._flag_directions(3, 20) is V
+    assert np.array_equal(V, geo.sampling.directions(68, 3))
+    with pytest.raises(ValueError):
+        V[0, 0] = 0.0
