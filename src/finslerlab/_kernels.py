@@ -33,20 +33,35 @@ except ImportError:  # pragma: no cover - exercised only on numba-free installs
 
 
 # Both kernels return the ``size`` slots of the product, each slot the sum
-# of its table entries taken in table order.
+# of its table entries taken in table order. ``a`` and ``b`` are one state,
+# ``(n_terms,)``, or a C-contiguous stack of ``rows`` states,
+# ``(rows, n_terms)``: ``mul_i`` and ``mul_j`` index a state's coefficients
+# and ``mul_k`` holds the target slots of all rows in turn, row r's shifted
+# by r * n_terms, so ``size`` is rows * n_terms.
 
 
 @njit(cache=True, nogil=True)
 def _mul_table_njit(a, b, mul_i, mul_j, mul_k, size):  # pragma: no cover - compiled
     out = np.zeros(size)
-    for t in range(mul_i.shape[0]):
-        out[mul_k[t]] += a[mul_i[t]] * b[mul_j[t]]
+    per_row = mul_i.shape[0]
+    rows = mul_k.shape[0] // per_row
+    width = size // rows
+    fa = a.ravel()
+    fb = b.ravel()
+    for r in range(rows):
+        base = r * width
+        for t in range(per_row):
+            out[mul_k[r * per_row + t]] += fa[base + mul_i[t]] * fb[base + mul_j[t]]
     return out
 
 
 def _mul_table_numpy(a, b, mul_i, mul_j, mul_k, size):
-    # bincount accumulates duplicate target slots correctly
-    return np.bincount(mul_k, weights=a[mul_i] * b[mul_j], minlength=size)
+    if a.ndim == 1:
+        weights = a[mul_i] * b[mul_j]
+    else:  # the (rows, len(mul_i)) products, read row by row
+        weights = (a.take(mul_i, axis=1) * b.take(mul_j, axis=1)).ravel()
+    # bincount accumulates duplicate target slots correctly, in input order
+    return np.bincount(mul_k, weights=weights, minlength=size)
 
 
 def _pick_backend():
@@ -82,39 +97,37 @@ def set_backend(name):
     return previous
 
 
-# products per kernel call on a batch, so that the flat tables and the
-# per-product temporaries of one call stay in the CPU cache (kernel rows of
+# products per kernel call on a batch, so that a chunk's target index and
+# per-product temporaries stay in the CPU cache (kernel rows of
 # BENCH_batch.json)
 CHUNK_PRODUCTS = 24576
 
-_flat_cache = {}
+_targets_cache = {}
 
 
-def _flat_tables(mul_i, mul_j, mul_k, n_terms, states):
-    """The table repeated for ``rows`` stacked states, row r shifted by
+def _flat_targets(mul_k, n_terms, states):
+    """``mul_k`` repeated for ``rows`` stacked states, row r shifted by
     r * n_terms, with ``rows`` = min(states, one chunk); a prefix of
-    r * len(mul_i) entries serves r states. Kept per table, grown on demand."""
-    rows = max(1, min(states, CHUNK_PRODUCTS // mul_i.shape[0]))
-    key = (id(mul_i), id(mul_j), id(mul_k), n_terms)
-    hit = _flat_cache.get(key)
-    if (hit is None or hit[0] is not mul_i or hit[1] is not mul_j
-            or hit[2] is not mul_k or hit[3] < rows):
+    r * len(mul_k) entries serves r states. Kept per table, grown on demand."""
+    rows = max(1, min(states, CHUNK_PRODUCTS // mul_k.shape[0]))
+    hit = _targets_cache.get(id(mul_k))
+    if hit is None or hit[0] is not mul_k or hit[1] < rows:
         shift = n_terms * np.arange(rows, dtype=np.int64)[:, None]
-        flat = tuple((t[None, :] + shift).ravel() for t in (mul_i, mul_j, mul_k))
-        hit = (mul_i, mul_j, mul_k, rows, flat)
-        _flat_cache[key] = hit
-    return rows, hit[4]
+        hit = (mul_k, rows, (mul_k[None, :] + shift).ravel())
+        _targets_cache[id(mul_k)] = hit
+    return rows, hit[2]
 
 
 def multiply(a, b, mul_i, mul_j, mul_k, n_terms):
     """Coefficient array of the truncated product of two jets.
 
     ``a`` and ``b`` hold one state, shape ``(n_terms,)``, or a batch,
-    shape ``(B, n_terms)``. A batch is flattened into chunks of
-    ``CHUNK_PRODUCTS // len(mul_i)`` states and each chunk runs the kernel
-    once on the shifted table; every state's products still land in its own
-    slots in table order, so each row equals the one-state product bit for
-    bit.
+    shape ``(B, n_terms)``. The table may be any part of a context's table
+    kept in table order (see ``JetContext.product_table``). A batch runs
+    the kernel once per chunk of ``CHUNK_PRODUCTS // len(mul_i)`` states
+    with the shifted target index; every state's products still land in
+    its own slots in table order, so each row equals the one-state product
+    bit for bit.
     """
     kernel = _mul_table_njit if _ACTIVE == "numba" else _mul_table_numpy
     if a.ndim == 1 and b.ndim == 1:
@@ -124,14 +137,12 @@ def multiply(a, b, mul_i, mul_j, mul_k, n_terms):
     shape = a.shape
     a = np.ascontiguousarray(a).reshape(-1, n_terms)
     b = np.ascontiguousarray(b).reshape(-1, n_terms)
-    rows, (flat_i, flat_j, flat_k) = _flat_tables(mul_i, mul_j, mul_k, n_terms,
-                                                  a.shape[0])
-    per_state = mul_i.shape[0]
+    rows, flat_k = _flat_targets(mul_k, n_terms, a.shape[0])
+    per_state = mul_k.shape[0]
     out = np.empty(a.shape)
     for lo in range(0, a.shape[0], rows):
         hi = min(lo + rows, a.shape[0])
-        used = (hi - lo) * per_state
-        out[lo:hi] = kernel(a[lo:hi].reshape(-1), b[lo:hi].reshape(-1),
-                            flat_i[:used], flat_j[:used], flat_k[:used],
+        out[lo:hi] = kernel(a[lo:hi], b[lo:hi], mul_i, mul_j,
+                            flat_k[:(hi - lo) * per_state],
                             (hi - lo) * n_terms).reshape(hi - lo, n_terms)
     return out.reshape(shape)

@@ -459,6 +459,10 @@ def arc_param_roundtrip(case, t):
     if abs(t) >= min(t_crit, edge):
         raise DomainError("t beyond the first monotone segment")
     fb = float(f_value(case, t))
+    if case.lam == 0.0 and case.lam_tilde == 0.0:
+        # rad(s) = (b s)^2 and f = a + b t: the integral is |f - a| / |b|, in
+        # closed form as in candidate_length (a snapped C would zero rad)
+        return abs(abs(fb - case.a) / abs(case.b) - abs(t))
 
     def integrand(s):
         r = radicand(case, s)

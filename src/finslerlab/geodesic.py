@@ -17,12 +17,12 @@ from .geometry import spray_coefficients
 
 
 def geodesic_rhs(metric):
+    """u' for u = (x, v); a stage outside the chart domain raises
+    DomainError in :func:`spray_coefficients`, which vetoes it."""
     n = metric.n
 
     def rhs(t, u):
         x, v = u[:n], u[n:]
-        if not metric.domain.contains(x):
-            raise DomainError("left chart domain")
         G = spray_coefficients(metric, x, v)
         return np.concatenate([v, -2.0 * G])
 

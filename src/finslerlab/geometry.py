@@ -86,11 +86,12 @@ def _assemble(metric, x, y, order):
     """Spray data at (x, y) to the requested derivative depth (2, 3 or 4).
 
     ``x`` and ``y`` are one state, shape ``(n,)``, or a batch, ``(B, n)``;
-    every entry then carries a leading batch axis.
+    every entry then carries a leading batch axis. The public entries
+    validate (x, y) with ``metric.check_state`` before they get here.
     """
     n = metric.n
-    f = metric.value_jet(x, y, order)  # validates (x, y)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    f = jr.jet_of(metric.F, x, y, order)
     tensors = jr.derivative_tensors(f * f, order)  # of the energy Q = F^2
     D1, D2 = tensors[1], tensors[2]
     g, ginv = _metric_block(metric, tensors)
@@ -153,20 +154,26 @@ def fundamental_tensor(metric, x, y):
 
 
 def spray_coefficients(metric, x, y):
+    """G^i at (x, y); a point outside the domain raises DomainError before
+    any jet is seeded (the geodesic flow's veto)."""
+    x, y = metric.check_state(x, y)
     return _assemble(metric, x, y, 2)["G"]
 
 
 def nonlinear_connection(metric, x, y):
+    x, y = metric.check_state(x, y)
     return _assemble(metric, x, y, 3)["N"]
 
 
 def riemann_curvature(metric, x, y):
     """Mixed curvature tensor R^i_k at (x, y)."""
+    x, y = metric.check_state(x, y)
     return _assemble(metric, x, y, 4)["R"]
 
 
 def curvature_data(metric, x, y):
     """(F, g, R) at (x, y), sharing one jet evaluation."""
+    x, y = metric.check_state(x, y)
     data = _assemble(metric, x, y, 4)
     return data["F"], data["g"], data["R"]
 
@@ -195,7 +202,7 @@ def flag_curvature(metric, x, y, v, data=None):
     f_val, g, R = data
     K, sin_sq = _flag_values(g, R, np.asarray(y, dtype=float),
                              np.asarray(v, dtype=float)[None, :])
-    if sin_sq[0] < MIN_FLAG_ANGLE**2:
+    if not sin_sq[0] >= MIN_FLAG_ANGLE**2:  # a zero v makes it nan
         raise DegenerateFlagError(
             f"flag direction within {MIN_FLAG_ANGLE} of y (sin^2 = {sin_sq[0]:.3e})"
         )
@@ -213,6 +220,7 @@ def _flag_directions(n, flags, offset=sampling.DIRECTION_OFFSET):
 
 def flag_spread(metric, x, y, flags=20, offset=sampling.DIRECTION_OFFSET):
     """Flag curvatures across ``flags`` transverse directions at one (x, y)."""
+    x, y = metric.check_state(x, y)
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"],
                              _flag_directions(metric.n, flags, offset))
@@ -222,7 +230,7 @@ def flag_spread(metric, x, y, flags=20, offset=sampling.DIRECTION_OFFSET):
 def _spread(metric, K, sin_sq, flags):
     """:func:`flag_spread` of one state from its :func:`_flag_values`: the
     first ``flags`` directions not within MIN_FLAG_ANGLE of y."""
-    vals = K[~(sin_sq < MIN_FLAG_ANGLE**2)][:flags].tolist()
+    vals = K[sin_sq >= MIN_FLAG_ANGLE**2][:flags].tolist()
     if not vals:
         raise DegenerateFlagError(
             f"{metric.name}: no flag direction transverse to y (n = {metric.n})")
@@ -253,6 +261,7 @@ def _residual(metric, data, lam):
 def einstein_residual(metric, x, y, lam=None):
     """|Ric - (n-1) lam F^2| / F^2 at one state."""
     lam = _einstein_constant(metric, lam)
+    x, y = metric.check_state(x, y)
     return _residual(metric, _assemble(metric, x, y, 4), lam)
 
 
@@ -274,7 +283,8 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
         raise DomainError(f"einstein_campaign needs count >= 1, got {count}")
     if flags < 0:
         raise DomainError(f"einstein_campaign needs flags >= 0, got {flags}")
-    X, Y = (np.array(v) for v in zip(*sampling.state_pairs(metric, count, box=box)))
+    X, Y = metric.check_state(
+        *(np.array(v) for v in zip(*sampling.state_pairs(metric, count, box=box))))
     V = _flag_directions(metric.n, flags) if flags else None
     step = max(1, BATCH_BYTES // (8 * (2 * metric.n) ** 4))
     rows = []

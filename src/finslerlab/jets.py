@@ -25,6 +25,17 @@ written as ``coeffs.T[0]``: a scalar for one state and a view of the B
 base values for a batch (on one state it costs a tenth of
 ``coeffs[..., 0] += c``).
 
+Every jet also carries ``hi``, its degree span: an upper bound on the
+degree of its nonzero coefficients (0 for a constant, 1 for a seeded
+variable, the larger span for a sum, the sum of the spans, capped at the
+order, for a product, and the order for anything composed). A product
+runs the part of the multiplication table whose factors can be nonzero,
+and Horner's rule in :func:`_compose` only the part that reaches the
+result. Each skipped entry multiplies an exact zero, so every coefficient
+sums the same nonzero products in the same order as over the full table:
+the result is the same bit for bit (for finite coefficients, where
+0 * x = 0).
+
 An independent finite-difference oracle (:func:`fd_oracle`) cross-checks
 any jet derivative with nested central differences plus two-level
 Richardson extrapolation; it never touches the jet code path.
@@ -52,6 +63,11 @@ class JetContext:
     the degrees fit), the multi-index factorials used to convert
     coefficients to derivatives, and scatter maps used to reshape
     coefficient data into dense symmetric derivative tensors.
+
+    ``products[ha][hb]`` is the sub-table for a product of jets of degree
+    spans ha and hb and ``horner[k]`` the one for Horner step k of
+    :func:`_compose`; both are built on first use (see
+    :meth:`product_table` and :meth:`horner_tables`) and keep table order.
     """
 
     def __init__(self, n_vars, order):
@@ -96,9 +112,44 @@ class JetContext:
         self.mul_i = np.array(mi, dtype=np.int64)
         self.mul_j = np.array(mj, dtype=np.int64)
         self.mul_k = np.array(mk, dtype=np.int64)
+        self.products = [[None] * (order + 1) for _ in range(order + 1)]
+        self.horner = None
 
         self._tensor_maps = {}
         self._partial_maps = {}
+
+    # -- degree-aware sub-tables -------------------------------------------
+
+    def _sub_table(self, keep):
+        """The table entries where ``keep`` holds, in table order."""
+        if keep.all():
+            return self.mul_i, self.mul_j, self.mul_k
+        return self.mul_i[keep], self.mul_j[keep], self.mul_k[keep]
+
+    def product_table(self, ha, hb):
+        """``(mul_i, mul_j, mul_k, hi)`` for a product of jets of degree spans
+        ha and hb: the entries whose factors can both be nonzero, and the
+        product's span."""
+        da, db = self.degrees[self.mul_i], self.degrees[self.mul_j]
+        table = self._sub_table((da <= ha) & (db <= hb)) + (min(self.order, ha + hb),)
+        self.products[ha][hb] = table
+        return table
+
+    def horner_tables(self):
+        """``(mul_i, mul_j, mul_k)`` per Horner step k of :func:`_compose`.
+
+        Step k multiplies the accumulator by the nilpotent part, which has
+        no degree-0 term, and raises every degree by at least one in each
+        of the k steps after it: only its degrees <= order - k reach the
+        result. So step k reads the accumulator up to degree order - k - 1,
+        the nilpotent part from degree 1, and writes degrees <= order - k.
+        """
+        da, db = self.degrees[self.mul_i], self.degrees[self.mul_j]
+        self.horner = [
+            self._sub_table((da < self.order - k) & (db >= 1)
+                            & (da + db <= self.order - k))
+            for k in range(self.order)]
+        return self.horner
 
     # -- derivative-tensor scatter ---------------------------------------
 
@@ -203,16 +254,24 @@ def _series(base, terms):
     return np.array([terms(c) for c in base]).T
 
 
-class Jet:
-    """Truncated Taylor expansion of a scalar expression."""
+_MIXED_CONTEXTS = "jets from different contexts cannot be combined"
 
-    __slots__ = ("ctx", "coeffs")
+
+class Jet:
+    """Truncated Taylor expansion of a scalar expression.
+
+    ``hi`` bounds the degree of its nonzero coefficients (see the module
+    docstring); every coefficient above it is exactly zero.
+    """
+
+    __slots__ = ("ctx", "coeffs", "hi")
     # keep numpy from hijacking scalar-op dispatch so float64 * Jet works
     __array_ufunc__ = None
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, coeffs, hi):
         self.ctx = ctx
         self.coeffs = coeffs
+        self.hi = hi
 
     # -- introspection -----------------------------------------------------
 
@@ -237,67 +296,68 @@ class Jet:
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_ctx(self, other):
-        if other.ctx is not self.ctx:
-            raise JetError("jets from different contexts cannot be combined")
-
     def __neg__(self):
-        return Jet(self.ctx, -self.coeffs)
+        return Jet(self.ctx, -self.coeffs, self.hi)
 
     def __pos__(self):
         return self
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            self._check_ctx(other)
-            return Jet(self.ctx, self.coeffs + other.coeffs)
+            if other.ctx is not self.ctx:
+                raise JetError(_MIXED_CONTEXTS)
+            ha, hb = self.hi, other.hi
+            return Jet(self.ctx, self.coeffs + other.coeffs, ha if ha >= hb else hb)
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.ctx, _add_base(self.coeffs.copy(), c))
+        return Jet(self.ctx, _add_base(self.coeffs.copy(), c), self.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            self._check_ctx(other)
-            return Jet(self.ctx, self.coeffs - other.coeffs)
+            if other.ctx is not self.ctx:
+                raise JetError(_MIXED_CONTEXTS)
+            ha, hb = self.hi, other.hi
+            return Jet(self.ctx, self.coeffs - other.coeffs, ha if ha >= hb else hb)
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.ctx, _add_base(self.coeffs.copy(), -c))
+        return Jet(self.ctx, _add_base(self.coeffs.copy(), -c), self.hi)
 
     def __rsub__(self, other):
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.ctx, _add_base(-self.coeffs, c))
+        return Jet(self.ctx, _add_base(-self.coeffs, c), self.hi)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            self._check_ctx(other)
             ctx = self.ctx
-            out = _kernels.multiply(
-                self.coeffs, other.coeffs, ctx.mul_i, ctx.mul_j, ctx.mul_k, ctx.n_terms
-            )
-            return Jet(ctx, out)
+            if other.ctx is not ctx:
+                raise JetError(_MIXED_CONTEXTS)
+            mul_i, mul_j, mul_k, hi = (ctx.products[self.hi][other.hi]
+                                       or ctx.product_table(self.hi, other.hi))
+            out = _kernels.multiply(self.coeffs, other.coeffs, mul_i, mul_j, mul_k,
+                                    ctx.n_terms)
+            return Jet(ctx, out, hi)
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.ctx, self.coeffs * c)
+        return Jet(self.ctx, self.coeffs * c, self.hi)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            self._check_ctx(other)
             return self * _reciprocal(other)
         c = _coerce(other)
         if c is None:
             return NotImplemented
         if np.count_nonzero(c == 0.0):
             raise JetError("jet divided by zero scalar")
-        return Jet(self.ctx, self.coeffs / c)
+        return Jet(self.ctx, self.coeffs / c, self.hi)
 
     def __rtruediv__(self, other):
         c = _coerce(other)
@@ -338,7 +398,7 @@ def constant(ctx, value):
     shape = value.shape if isinstance(value, np.ndarray) else ()
     coeffs = np.zeros(shape + (ctx.n_terms,))
     coeffs.T[0] = value
-    return Jet(ctx, coeffs)
+    return Jet(ctx, coeffs, 0)
 
 
 def _points(values):
@@ -358,7 +418,7 @@ def variables(values, order):
         coeffs = np.zeros(shape)
         coeffs.T[0] = v
         coeffs.T[1 + i] = 1.0  # degree-1 block starts right after the constant
-        out.append(Jet(ctx, coeffs))
+        out.append(Jet(ctx, coeffs, 1))
     return out
 
 
@@ -449,7 +509,7 @@ def jet_from_tensors(ctx, value, tensors):
         hi = ctx.degree_start[k + 1]
         coeffs[..., lo:hi] = (tensor.reshape(batch + (-1,))[..., repr_slot]
                               / ctx.factorials[lo:hi])
-    return Jet(ctx, coeffs)
+    return Jet(ctx, coeffs, ctx.order)
 
 
 def jet_partial(jet, i):
@@ -458,7 +518,7 @@ def jet_partial(jet, i):
     if ctx.order < 2:
         raise JetError("cannot take a jet partial of an order-1 jet")
     lower, src, scale = ctx.partial_map(i)
-    return Jet(lower, jet.coeffs.take(src, axis=-1) * scale)
+    return Jet(lower, jet.coeffs.take(src, axis=-1) * scale, lower.order)
 
 
 def truncate(jet, order):
@@ -469,7 +529,7 @@ def truncate(jet, order):
     if order > ctx.order:
         raise JetError(f"cannot truncate order {ctx.order} up to {order}")
     lower = get_context(ctx.n_vars, order)
-    return Jet(lower, jet.coeffs[..., : lower.n_terms].copy())
+    return Jet(lower, jet.coeffs[..., : lower.n_terms].copy(), min(jet.hi, order))
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +541,18 @@ def _compose(jet, series):
 
     ``series[k]`` = g^(k)(f0)/k!, a scalar or one per state of a batch.
     Horner evaluation in the nilpotent part f - f0 costs ``order`` table
-    multiplications.
+    multiplications, step k over ``ctx.horner[k]``.
     """
     ctx = jet.ctx
     nil = jet.coeffs.copy()
     nil.T[0] = 0.0
     acc = constant(ctx, series[ctx.order]).coeffs
+    steps = ctx.horner or ctx.horner_tables()
     for k in range(ctx.order - 1, -1, -1):
-        acc = _kernels.multiply(acc, nil, ctx.mul_i, ctx.mul_j, ctx.mul_k, ctx.n_terms)
+        mul_i, mul_j, mul_k = steps[k]
+        acc = _kernels.multiply(acc, nil, mul_i, mul_j, mul_k, ctx.n_terms)
         acc.T[0] += series[k]
-    return Jet(ctx, acc)
+    return Jet(ctx, acc, ctx.order)
 
 
 def _reciprocal(jet):

@@ -161,18 +161,26 @@ class FinslerMetric:
         y = self.check_direction(y)
         return float(self.F(list(x), list(y)))
 
-    def value_jet(self, x, y, order):
-        """F over jets seeded at a validated (x, y): the metric's entry to
-        :func:`finslerlab.jets.jet_of`. Square the jet for Q = F^2.
+    def check_state(self, x, y):
+        """(x, y) validated, as float arrays.
 
-        ``(B, n)`` stacks of points and directions give one batched jet;
-        every row is validated, and the first bad one fails the batch.
+        ``(B, n)`` stacks of points and directions are validated row by
+        row, and the first bad row fails the batch.
         """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.ndim == 2 and y.ndim == 2 and x.shape[0] == y.shape[0]:
             for xi, yi in zip(x, y):
                 self.check_point(xi)
                 self.check_direction(yi)
-        else:
-            x, y = self.check_point(x), self.check_direction(y)
+            return x, y
+        return self.check_point(x), self.check_direction(y)
+
+    def value_jet(self, x, y, order):
+        """F over jets seeded at a validated (x, y): the metric's entry to
+        :func:`finslerlab.jets.jet_of`. Square the jet for Q = F^2.
+
+        ``(B, n)`` stacks of points and directions give one batched jet;
+        see :meth:`check_state`.
+        """
+        x, y = self.check_state(x, y)
         return jr.jet_of(self.F, x, y, order)

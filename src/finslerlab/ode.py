@@ -140,8 +140,10 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
     """Integrate u' = rhs(t, u) from t0 to t1 (either direction).
 
     ``rhs`` may raise DomainError or return non-finite values to veto a
-    stage; the step is then halved. A step the controller wants below
-    MIN_STEP ends the run ("boundary" after a veto, else "blow_up").
+    stage; the step is then halved. The step after a rejected one may
+    shrink but not grow (Hairer, Norsett & Wanner, II.4). A step the
+    controller wants below MIN_STEP ends the run ("boundary" after a
+    veto, else "blow_up").
     ``guard(u)`` (optional) returns False outside the admissible region;
     a crossing inside an accepted step is bisected on the dense output to
     MIN_STEP in t and the run ends with status "boundary".
@@ -170,6 +172,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
     ts, us, segments = [t], [u], []
     n_acc = n_rej = n_vet = 0
     last_fail_domain = False
+    grow_max = 10.0  # 1 right after a rejected step
     d = u.size
 
     while direction * (t1 - t) > 0 and n_acc + n_rej < MAX_STEPS:
@@ -192,6 +195,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
             last_fail_domain = True
             n_vet += 1
             n_rej += 1
+            grow_max = 1.0
             h *= 0.5
             continue
         u5 = u + hs * (K.T @ _B5)
@@ -201,6 +205,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
         if err > 1.0:
             last_fail_domain = False
             n_rej += 1
+            grow_max = 1.0
             h *= max(0.2, 0.9 * err ** (-0.2))
             continue
 
@@ -231,7 +236,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
         t, u = t_new, u5
         K[0] = k_new
         last_fail_domain = False
-        h *= min(10.0, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))
+        h *= min(grow_max, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))
+        grow_max = 10.0
 
     if n_acc + n_rej >= MAX_STEPS:
         raise NumericError("step budget exhausted")

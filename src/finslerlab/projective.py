@@ -29,6 +29,7 @@ DECISION_TOL = 1e-6
 
 def covariant_derivative(base, f, x, y):
     """Horizontal derivative f_{;k} of a ring-generic scalar f(x, y)."""
+    x, y = base.check_state(x, y)
     data = _assemble(base, x, y, 3)
     n = base.n
     T = jr.derivative_tensors(jr.jet_of(f, data["x"], data["y"], 1), 1)[1]
@@ -44,8 +45,8 @@ def rapcsak_residual(base, cand, x, y):
     state.
     """
     n = base.n
+    x, y = base.check_state(x, y)
     data = _assemble(base, x, y, 2)
-    y = data["y"]
     f_val, T1, T2 = jr.derivative_tensors(cand.value_jet(x, y, 2), 2)
     res = (_vecmat(y, T2[..., :n, n:]) - T1[..., :n]
            - 2.0 * _matvec(T2[..., n:, n:], data["G"]))
@@ -87,11 +88,12 @@ def projective_factor(base, cand, x, y, tol=1e-7, check=True):
     spray scale) exceeds ``tol`` and ``check`` is set, raises
     NotProjectivelyRelatedError.
     """
+    x, y = base.check_state(x, y)
+    cand.check_state(x, y)
     base_data = _assemble(base, x, y, 2)
     cand_data = _assemble(cand, x, y, 2)
     n = base.n
-    y = cand_data["y"]
-    f_val, T1 = jr.derivative_tensors(cand.value_jet(x, y, 1), 1)
+    f_val, T1 = jr.derivative_tensors(jr.jet_of(cand.F, x, y, 1), 1)
     u = float(T1[:n] @ y) - 2.0 * float(base_data["G"] @ T1[n:])
     P = u / (2.0 * f_val)
     G, Gc = base_data["G"], cand_data["G"]
@@ -112,8 +114,8 @@ def xi_and_tau(base, cand, x, y):
     ``(B, n)`` stacks of x and y give one entry per state.
     """
     n = base.n
+    x, y = base.check_state(x, y)
     data = _assemble(base, x, y, 4)
-    x, y = data["x"], data["y"]
     N, Gyy = data["N"], data["Gyy"]
 
     j3 = cand.value_jet(x, y, 3)
@@ -197,6 +199,7 @@ def funk_condition_residual(cand, mu, x, y, base=None):
     if base is None:
         f_cov = T1[:n]
     else:
+        x, y = base.check_state(x, y)
         f_cov = T1[:n] - _assemble(base, x, y, 3)["N"].T @ T1[n:]
     vec = f_cov - 2.0 * mu * f_val * T1[n:]
     return float(np.linalg.norm(vec)) / f_val**2

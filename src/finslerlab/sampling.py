@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -52,6 +52,9 @@ def points_in_domain(domain, count, box=None, offset=HALTON_OFFSET):
 
 def directions(count, n, offset=DIRECTION_OFFSET):
     """Euclidean-unit directions, rejection-sampled away from the cube center."""
+    if n < 1 or count < 0:
+        raise DomainError(f"directions needs n >= 1 and count >= 0, "
+                          f"got n = {n}, count = {count}")
     dirs = []
     i = offset
     while len(dirs) < count:

@@ -112,7 +112,7 @@ def test_point_outside_the_domain_fails_the_batch():
     X = np.array([[0.1, 0.2], [0.9, 0.6], [0.0, 0.3]])  # row 1 has |x| > 1
     Y = np.array([[1.0, 0.0]] * 3)
     with pytest.raises(DomainError, match=r"\[0.9, 0.6\] outside domain"):
-        geo._assemble(zoo.klein(), X, Y, 2)
+        geo.spray_coefficients(zoo.klein(), X, Y)
 
 
 def test_non_positive_base_under_sqrt_fails_the_batch():

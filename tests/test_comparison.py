@@ -188,6 +188,14 @@ def test_arc_parameter_roundtrip():
         cmp.arc_param_roundtrip(cmp.make_case(-1, -1, 1.0, 0.0), 0.5)
 
 
+def test_arc_roundtrip_of_a_tiny_slope_at_zero_constants():
+    # C = b^2 / 2 snaps to 0, which zeroes rad(s) = 2 C s^2 outright
+    case = cmp.make_case(0, 0, 2.87, -4.2e-7)
+    assert case.C == 0.0
+    assert cmp.arc_param_roundtrip(case, 1.0) <= 1e-7
+    assert cmp.arc_param_roundtrip(case, -1.0) <= 1e-7
+
+
 # ---------------------------------------------------------------------------
 # properties
 

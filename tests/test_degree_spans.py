@@ -1,0 +1,168 @@
+"""Degree spans: products and Horner steps over sub-tables, bit for bit.
+
+Every jet carries ``hi``, a bound on the degree of its nonzero
+coefficients, and a product runs only the table entries whose factors can
+be nonzero. The reference here is a context whose every product and
+Horner step runs the full table: the results must agree in every bit.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from finslerlab import _kernels, jets as jr
+
+
+class FullTableContext(jr.JetContext):
+    """A context whose products and Horner steps all run the full table."""
+
+    def product_table(self, ha, hb):
+        table = (self.mul_i, self.mul_j, self.mul_k, min(self.order, ha + hb))
+        self.products[ha][hb] = table
+        return table
+
+    def horner_tables(self):
+        self.horner = [(self.mul_i, self.mul_j, self.mul_k)] * self.order
+        return self.horner
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+
+def above(ctx, hi):
+    """The coefficient slots of degree above ``hi``."""
+    return slice(ctx.degree_start[min(hi, ctx.order) + 1], None)
+
+
+orders = st.integers(1, 4)
+n_vars = st.integers(1, 8)
+batches = st.one_of(st.none(), st.integers(1, 40))  # None: one state
+
+
+def _coeffs(ctx, hi, batch, rng):
+    shape = (ctx.n_terms,) if batch is None else (batch, ctx.n_terms)
+    c = rng.standard_normal(shape)
+    c[..., above(ctx, hi)] = 0.0
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=orders, n=n_vars, batch=batches, seed=st.integers(0, 2**32 - 1))
+def test_sub_table_product_equals_full_table_product(order, n, batch, seed):
+    ctx = jr.get_context(n, order)
+    rng = np.random.default_rng(seed)
+    for ha in range(order + 1):
+        for hb in range(order + 1):
+            a = _coeffs(ctx, ha, batch, rng)
+            b = _coeffs(ctx, hb, batch, rng)
+            mul_i, mul_j, mul_k, hi = ctx.product_table(ha, hb)
+            assert hi == min(order, ha + hb)
+            sub = _kernels.multiply(a, b, mul_i, mul_j, mul_k, ctx.n_terms)
+            full = _kernels.multiply(a, b, ctx.mul_i, ctx.mul_j, ctx.mul_k,
+                                     ctx.n_terms)
+            assert same_bits(sub, full), (ha, hb)
+            assert not sub[..., above(ctx, hi)].any()
+
+
+def test_sub_table_sizes_at_order_four_in_eight_variables():
+    ctx = jr.get_context(8, 4)
+    assert len(ctx.mul_i) == 4845
+    assert len(ctx.product_table(1, 1)[0]) == 81
+    assert len(ctx.product_table(2, 2)[0]) == 2025
+    assert ctx.product_table(4, 4)[0] is ctx.mul_i
+    assert sum(len(step[0]) for step in ctx.horner_tables()) == 5270
+
+
+def _both(order, n, batch, seed):
+    """Seeded variables in a real context and in a full-table one."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 1.5, (n,) if batch is None else (batch, n))
+    zs = jr.variables(vals, order)
+    ref = FullTableContext(n, order)
+    return zs, [jr.Jet(ref, z.coeffs.copy(), z.hi) for z in zs], rng
+
+
+FUNCTIONS = {
+    "sqrt": jr.sqrt,
+    "reciprocal": lambda v: 1.0 / v,
+    "exp": jr.exp,
+    "log": jr.log,
+    "sin": jr.sin,
+    "cube": lambda v: v**3,
+    "fifth": lambda v: v**5,
+    "inverse_square": lambda v: v**-2,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=orders, n=n_vars, batch=batches, seed=st.integers(0, 2**32 - 1),
+       name=st.sampled_from(sorted(FUNCTIONS)), arg=st.integers(0, 2))
+def test_compose_equals_full_table_horner(order, n, batch, seed, name, arg):
+    zs, refs, _ = _both(order, n, batch, seed)
+
+    def argument(vs):  # degree spans 1, 2 and the order
+        if arg == 0:
+            return vs[0]
+        if arg == 1:
+            return vs[0] * vs[-1] + 0.5
+        return jr.sqrt(vs[0] + vs[-1])
+
+    fn = FUNCTIONS[name]
+    out, ref = fn(argument(zs)), fn(argument(refs))
+    assert same_bits(out.coeffs, ref.coeffs)
+
+
+def _random_tree(vs, rng, steps):
+    """Every intermediate of a random expression over ``vs``."""
+    pool = list(vs) + [jr.constant(vs[0].ctx, 1.25)]
+    for _ in range(steps):
+        a, b = (pool[i] for i in rng.integers(0, len(pool), 2))
+        op = rng.integers(0, 9)
+        if op == 0:
+            r = a + b
+        elif op == 1:
+            r = a - b
+        elif op in (2, 3):
+            r = a * b
+        elif op == 4:
+            r = 0.75 * a - 2.0
+        elif op == 5:
+            r = -a / 3.0
+        elif op == 6:
+            r = a**2
+        elif op == 7:
+            r = jr.exp(0.1 * a)
+        else:
+            r = 1.0 / (a * a + 1.0)
+        if np.abs(r.coeffs).max() < 1e100:  # repeated squares overflow
+            pool.append(r)
+    return pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=orders, n=n_vars, batch=batches, seed=st.integers(0, 2**32 - 1))
+def test_coefficients_above_the_span_are_zero(order, n, batch, seed):
+    zs, refs, rng = _both(order, n, batch, seed)
+    tree_seed = int(rng.integers(2**32))
+    jets = _random_tree(zs, np.random.default_rng(tree_seed), 12)
+    full = _random_tree(refs, np.random.default_rng(tree_seed), 12)
+    for jet, ref in zip(jets, full):
+        assert 0 <= jet.hi <= order
+        assert not jet.coeffs[..., above(jet.ctx, jet.hi)].any()
+        assert same_bits(jet.coeffs, ref.coeffs)
+
+
+def test_spans_of_the_constructors():
+    ctx = jr.get_context(3, 4)
+    x, y, z = jr.variables([0.3, 0.5, 0.7], 4)
+    assert jr.constant(ctx, 2.0).hi == 0
+    assert (x.hi, (x + 1.0).hi, (2.0 * x).hi, (-x).hi) == (1, 1, 1, 1)
+    assert (x * y).hi == 2 and (x * y * z).hi == 3
+    assert (x * y * z * x * y).hi == 4
+    assert (x * y + z).hi == 2
+    assert jr.sqrt(x).hi == 4 and (1.0 / x).hi == 4
+    assert jr.truncate(x * y, 1).hi == 1

@@ -1,5 +1,7 @@
 """Spray, curvature, and geodesic machinery on the closed-form catalog."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -69,6 +71,12 @@ def test_flag_curvature_constants():
 def test_flag_rejects_degenerate_span():
     with pytest.raises(DegenerateFlagError):
         geo.flag_curvature(zoo.klein(), XG, YG, 2.5 * YG)
+
+
+def test_flag_rejects_a_zero_direction():
+    # g(v, v) = 0 makes sin^2 of the angle 0 / 0
+    with pytest.raises(DegenerateFlagError):
+        geo.flag_curvature(zoo.klein(), XG, YG, np.zeros(2))
 
 
 def test_flag_spread_is_tiny_for_constant_curvature():
@@ -345,3 +353,18 @@ def test_flag_directions_are_drawn_once_and_shared_read_only():
     assert np.array_equal(V, geo.sampling.directions(68, 3))
     with pytest.raises(ValueError):
         V[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("count, n", [(3, 0), (3, -1), (-1, 2)])
+def test_directions_refuses_an_empty_space_or_a_negative_count(count, n):
+    def stalled(signum, frame):
+        raise AssertionError("directions() did not return")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(5)
+    try:
+        with pytest.raises(DomainError):
+            geo.sampling.directions(count, n)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -57,6 +57,39 @@ def test_funk_rim_leg_stops_at_the_step_floor():
     assert 0 < back.n_vetoed <= back.n_rejected
 
 
+def test_rim_leg_ending_by_veto_does_not_grow_after_rejections():
+    # the chart refuses the stages before the guard sees a crossing; a step
+    # that may grow 10x right after a veto is vetoed again, most of the time
+    m = zoo.make_metric("funk-ellipse-plus", dim=2)
+    run = gd.integrate_geodesic(m, XG, YG, (-30.0, 1.0), rtol=1e-8,
+                                atol=1e-10)
+    back = run.legs[0]
+    assert run.status_backward == "boundary"
+    assert 0 < back.n_vetoed <= back.n_rejected <= 50
+
+
+def test_vetoed_stages_never_seed_a_jet(monkeypatch):
+    from finslerlab import geometry as geo, jets as jr
+
+    calls = {"assemble": 0, "seed": 0}
+    assemble, seed = geo._assemble, jr.seed_variables
+
+    def counted_assemble(*args):
+        calls["assemble"] += 1
+        return assemble(*args)
+
+    def counted_seed(*args):
+        calls["seed"] += 1
+        return seed(*args)
+
+    monkeypatch.setattr(geo, "_assemble", counted_assemble)
+    monkeypatch.setattr(jr, "seed_variables", counted_seed)
+    run = gd.integrate_geodesic(zoo.funk_ball(1), XG, YG, (-30.0, 1.0),
+                                rtol=1e-8, atol=1e-10)
+    assert run.legs[0].n_vetoed > 0
+    assert calls["assemble"] == calls["seed"] > 0
+
+
 def test_span_below_the_step_floor_is_still_stepped():
     res = ode.integrate(lambda t, u: -u, 0.0, np.array([1.0]), 5e-13)
     assert res.status == "t_limit"
