@@ -97,8 +97,6 @@ def environment():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "backend": _kernels.active_backend(),
-        "have_numba": bool(_kernels.HAVE_NUMBA),
-        "FINSLER_LAB_THREADS": os.environ.get("FINSLER_LAB_THREADS"),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
     }

@@ -26,8 +26,8 @@ repetitions to ``BENCH_batch.json`` under a label:
 
 Batched rows need a tree whose ``_assemble`` takes ``(B, n)`` stacks;
 on another tree only the one-state rows are written. The file records the
-Python and numpy versions, the kernel backend and the thread settings.
-Run from the repository root:
+Python and numpy versions and the kernel backend. Run from the repository
+root:
 
     python benchmarks/bench_batch.py --label change
     python benchmarks/bench_batch.py --label parent --tree ../parent

@@ -16,8 +16,7 @@ repetitions to ``BENCH_geodesic.json`` under a label:
 
 Each row also carries counts that say what the timed call did (nodes,
 accepted and rejected steps), and the file records the Python and numpy
-versions, the kernel backend and the thread settings. Run from the
-repository root:
+versions and the kernel backend. Run from the repository root:
 
     python benchmarks/bench_geodesic.py --label change
     python benchmarks/bench_geodesic.py --label parent --tree ../parent

@@ -1,58 +1,28 @@
-"""Hot kernels for truncated-polynomial (jet) coefficient arithmetic.
+"""The jet multiply kernel: truncated-polynomial coefficient products.
 
-Two interchangeable backends compute the same convolution:
-
-* ``numba``  -- @njit compiled loop over the precomputed multiplication
-  table (default when numba imports cleanly).
-* ``numpy``  -- pure-numpy fallback built on np.bincount.
-
-Selection: environment variable ``FINSLER_LAB_BACKEND`` set to ``numba`` or
-``numpy``; anything else (or unset) picks numba when available.  Benchmarks
-live in benchmarks/bench_kernels.py.
+One pure-numpy kernel, built on np.bincount, computes a product from a
+context's multiplication table (see ``JetContext.product_table``).
+``multiply`` runs it on one state or on a chunked stack of states.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-free installs
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # signature-compatible no-op decorator
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# perfbench records these two names; the package has one numpy kernel and
+# no numba kernel
+HAVE_NUMBA = False
 
 
-# Both kernels return the ``size`` slots of the product, each slot the sum
+def active_backend():
+    """The kernel's name, always ``"numpy"`` (recorded by perfbench)."""
+    return "numpy"
+
+
+# The kernel returns the ``size`` slots of the product, each slot the sum
 # of its table entries taken in table order. ``a`` and ``b`` are one state,
 # ``(n_terms,)``, or a C-contiguous stack of ``rows`` states,
 # ``(rows, n_terms)``: ``mul_i`` and ``mul_j`` index a state's coefficients
 # and ``mul_k`` holds the target slots of all rows in turn, row r's shifted
 # by r * n_terms, so ``size`` is rows * n_terms.
-
-
-@njit(cache=True, nogil=True)
-def _mul_table_njit(a, b, mul_i, mul_j, mul_k, size):  # pragma: no cover - compiled
-    out = np.zeros(size)
-    per_row = mul_i.shape[0]
-    rows = mul_k.shape[0] // per_row
-    width = size // rows
-    fa = a.ravel()
-    fb = b.ravel()
-    for r in range(rows):
-        base = r * width
-        for t in range(per_row):
-            out[mul_k[r * per_row + t]] += fa[base + mul_i[t]] * fb[base + mul_j[t]]
-    return out
 
 
 def _mul_table_numpy(a, b, mul_i, mul_j, mul_k, size):
@@ -62,39 +32,6 @@ def _mul_table_numpy(a, b, mul_i, mul_j, mul_k, size):
         weights = (a.take(mul_i, axis=1) * b.take(mul_j, axis=1)).ravel()
     # bincount accumulates duplicate target slots correctly, in input order
     return np.bincount(mul_k, weights=weights, minlength=size)
-
-
-def _pick_backend():
-    env = os.environ.get("FINSLER_LAB_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                "FINSLER_LAB_BACKEND=numba requested but numba is not importable"
-            )
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_ACTIVE = _pick_backend()
-
-
-def active_backend():
-    return _ACTIVE
-
-
-def set_backend(name):
-    """Programmatic backend switch (used by benchmarks and equivalence tests)."""
-    global _ACTIVE
-    name = name.strip().lower()
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    previous = _ACTIVE
-    _ACTIVE = name
-    return previous
 
 
 # products per kernel call on a batch, so that a chunk's target index and
@@ -129,9 +66,8 @@ def multiply(a, b, mul_i, mul_j, mul_k, n_terms):
     its own slots in table order, so each row equals the one-state product
     bit for bit.
     """
-    kernel = _mul_table_njit if _ACTIVE == "numba" else _mul_table_numpy
     if a.ndim == 1 and b.ndim == 1:
-        return kernel(a, b, mul_i, mul_j, mul_k, n_terms)
+        return _mul_table_numpy(a, b, mul_i, mul_j, mul_k, n_terms)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     shape = a.shape
@@ -142,7 +78,7 @@ def multiply(a, b, mul_i, mul_j, mul_k, n_terms):
     out = np.empty(a.shape)
     for lo in range(0, a.shape[0], rows):
         hi = min(lo + rows, a.shape[0])
-        out[lo:hi] = kernel(a[lo:hi], b[lo:hi], mul_i, mul_j,
-                            flat_k[:(hi - lo) * per_state],
-                            (hi - lo) * n_terms).reshape(hi - lo, n_terms)
+        out[lo:hi] = _mul_table_numpy(
+            a[lo:hi], b[lo:hi], mul_i, mul_j, flat_k[:(hi - lo) * per_state],
+            (hi - lo) * n_terms).reshape(hi - lo, n_terms)
     return out.reshape(shape)

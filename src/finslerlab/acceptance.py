@@ -44,7 +44,9 @@ def _ellipse():
 
 
 def criterion_1(samples=50, flags=20):
-    """Constant flag curvature of the Einstein catalog."""
+    """Constant flag curvature of the Einstein catalog: per metric, one
+    ``einstein_campaign`` with flags, judged by each sample's extreme flag
+    curvatures against the metric's Einstein constant."""
     metrics = [
         zoo.klein(), zoo.funk_ball(1), zoo.funk_ball(-1),
         zoo.scaled(zoo.funk_ball(1), 0.5), zoo.scaled(zoo.funk_ball(-1), 0.5),
@@ -55,15 +57,10 @@ def criterion_1(samples=50, flags=20):
     details = {}
     worst = 0.0
     for m in metrics:
-        lam = m.einstein_constant
-        pairs = sampling.state_pairs(m, samples)
-
-        def one(pair, m=m, lam=lam):
-            x, y = pair
-            sp = geo.flag_spread(m, x, y, flags=flags)
-            return max(abs(v - lam) for v in sp["values"])
-
-        res = max(sampling.pmap(one, pairs))
+        rep = geo.einstein_campaign(m, count=samples, flags=flags)
+        lam = rep["lambda"]
+        res = max(max(abs(r["flag_max"] - lam), abs(r["flag_min"] - lam))
+                  for r in rep["rows"])
         details[m.name] = res
         worst = max(worst, res)
     return _record(1, "constant flag curvature across the catalog",
@@ -399,13 +396,3 @@ def fd_riemann(metric, x, y, hx=1e-5, hy=1e-5):
 ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_5, criterion_6, criterion_7, criterion_8,
                 criterion_9, criterion_10)
-
-
-def run_all(progress=None):
-    records = []
-    for fn in ALL_CRITERIA:
-        rec = fn()
-        records.append(rec)
-        if progress is not None:
-            progress(rec)
-    return records

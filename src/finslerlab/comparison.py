@@ -75,7 +75,12 @@ def _snap(v, scale):
 
 
 def f_squared(case, t):
-    """Closed-form f^2; accepts floats, numpy arrays, or jets."""
+    """Closed-form f^2; accepts floats, numpy arrays, sequences, or jets."""
+    if isinstance(t, (list, tuple)):  # a sequence of times reads as an array
+        try:
+            t = np.asarray(t, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"f_squared needs real times: {exc}") from None
     a, b, C = case.a, case.b, case.C
     if case.lam == 1.0:
         return (a * a - C) * jr.cos(2.0 * t) + a * b * jr.sin(2.0 * t) + C
@@ -444,10 +449,12 @@ def numeric_vs_closed(case, t_span=None, rtol=1e-12, atol=1e-14):
 def arc_param_roundtrip(case, t):
     """Defect of int_a^{f(t)} s ds / sqrt(rad(s)) = |t| on a monotone leg.
 
-    ``t`` must stay strictly inside the first forward (or backward)
-    monotone segment of f.
+    ``t`` must be finite and stay strictly inside the first forward (or
+    backward) monotone segment of f; otherwise DomainError.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"arc_param_roundtrip needs a finite t, got {t}")
     if t == 0.0:
         return 0.0
     if is_stationary(case):

@@ -135,7 +135,12 @@ def hausdorff_to_chord(points, anchor, direction):
     if pts.size == 0:
         raise DomainError("hausdorff_to_chord needs at least one point")
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(d)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise DomainError(f"hausdorff_to_chord needs a nonzero direction of "
+                          f"finite length, got {d.tolist()}")
+    d = d / norm
     a0 = np.asarray(anchor, dtype=float)
     s = (pts - a0) @ d
     lo, hi = float(np.min(s)), float(np.max(s))

@@ -1,12 +1,9 @@
-"""Deterministic low-discrepancy sampling and a thread-pool map helper.
+"""Deterministic low-discrepancy sampling.
 
 All sampling is Halton-based with a fixed index offset so every run of the
 library sees exactly the same points, which keeps test campaigns and CLI
 reports reproducible bit for bit.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -102,20 +99,7 @@ def joint_state_pairs(metric_a, metric_b, count, box=None):
     return list(zip(xs, ys))
 
 
-def thread_count():
-    raw = os.environ.get("FINSLER_LAB_THREADS", "")
-    try:
-        t = int(raw)
-    except ValueError:
-        t = 1
-    return max(1, t)
-
-
+# perfbench counts and patches this name; nothing in the package calls it
 def pmap(fn, items):
-    """Order-preserving map over ``items``, threaded when FINSLER_LAB_THREADS > 1."""
-    items = list(items)
-    t = thread_count()
-    if t <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        return list(ex.map(fn, items))
+    """Order-preserving serial map: ``[fn(it) for it in items]``."""
+    return [fn(it) for it in items]

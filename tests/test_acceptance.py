@@ -5,6 +5,12 @@ with its pinned tolerance and prints a single PASS/FAIL summary line
 (visible under ``pytest -s`` and in the failure report otherwise).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import finslerlab
 from finslerlab import acceptance as acc
 
 
@@ -83,3 +89,19 @@ def test_run_all_aggregates_every_criterion():
     assert len(acc.ALL_CRITERIA) == 10
     names = [fn.__name__ for fn in acc.ALL_CRITERIA]
     assert names == [f"criterion_{k}" for k in range(1, 11)]
+
+
+def test_the_former_backend_and_thread_variables_change_nothing():
+    # the package has one numpy kernel and runs serially; it reads no
+    # environment variable, so neither setting is an error or a switch
+    src = str(Path(finslerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, FINSLER_LAB_BACKEND="numba",
+               FINSLER_LAB_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("from finslerlab import acceptance; "
+            "print(repr(acceptance.criterion_1()['worst']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == acc.criterion_1()["worst"]

@@ -76,22 +76,18 @@ def test_einstein_campaign_batches_at_n4_match_single_states(monkeypatch):
         assert (row["flag_min"], row["flag_max"]) == (sp["min"], sp["max"])
 
 
-def test_batched_product_on_both_kernels(on_both_kernels):
+def test_batched_product_rows_equal_single_states_across_chunks():
     ctx = jr.get_context(8, 4)  # 5 states per kernel chunk
+    assert _kernels.CHUNK_PRODUCTS // len(ctx.mul_i) == 5
     rng = np.random.default_rng(3)
     a = rng.standard_normal((13, ctx.n_terms))
     b = rng.standard_normal((13, ctx.n_terms))
-
-    def product():
-        return _kernels.multiply(a, b, ctx.mul_i, ctx.mul_j, ctx.mul_k,
-                                 ctx.n_terms)
-
-    via_bincount, via_loop = on_both_kernels(product)
-    assert np.array_equal(via_bincount, via_loop)
+    batch = _kernels.multiply(a, b, ctx.mul_i, ctx.mul_j, ctx.mul_k,
+                              ctx.n_terms)
     for i in range(13):
         one = _kernels.multiply(a[i], b[i], ctx.mul_i, ctx.mul_j, ctx.mul_k,
                                 ctx.n_terms)
-        assert np.array_equal(via_bincount[i], one)
+        assert np.array_equal(batch[i], one)
 
 
 def test_ring_ops_on_a_batch_match_single_states():

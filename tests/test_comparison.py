@@ -188,6 +188,24 @@ def test_arc_parameter_roundtrip():
         cmp.arc_param_roundtrip(cmp.make_case(-1, -1, 1.0, 0.0), 0.5)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_arc_parameter_roundtrip_rejects_a_non_finite_time(t):
+    with pytest.raises(DomainError, match="finite t"):
+        cmp.arc_param_roundtrip(cmp.make_case(-1, -1, 0.5, 1.5), t)
+
+
+@pytest.mark.parametrize("lam, lamt", [(l, lt) for l in (-1, 0, 1)
+                                       for lt in (-1, 0, 1)])
+def test_f_squared_reads_a_sequence_as_an_array(lam, lamt):
+    case = cmp.make_case(lam, lamt, 1.7, -0.6)
+    ts = [0.1, 0.2, -0.05]
+    want = cmp.f_squared(case, np.array(ts))
+    assert np.array_equal(cmp.f_squared(case, ts), want)
+    assert np.array_equal(cmp.f_squared(case, tuple(ts)), want)
+    with pytest.raises(DomainError, match="real times"):
+        cmp.f_squared(case, ["soon"])
+
+
 def test_arc_roundtrip_of_a_tiny_slope_at_zero_constants():
     # C = b^2 / 2 snaps to 0, which zeroes rad(s) = 2 C s^2 outright
     case = cmp.make_case(0, 0, 2.87, -4.2e-7)

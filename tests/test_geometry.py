@@ -1,12 +1,13 @@
 """Spray, curvature, and geodesic machinery on the closed-form catalog."""
 
 import signal
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finslerlab import _kernels, geodesic as gd, geometry as geo, ode, zoo
+from finslerlab import geodesic as gd, geometry as geo, ode, zoo
 from finslerlab.errors import (DegenerateFlagError, DomainError,
                                NumericError, SingularMetricError)
 from finslerlab.metric import FinslerMetric, FullSpace, UnitBall, dot
@@ -152,17 +153,6 @@ def test_check_minkowski_verdicts():
     assert geo.check_minkowski(zoo.euclidean(), budget=15)["passed"]
     rep = geo.check_minkowski(zoo.klein(), budget=15)
     assert rep["passed"] and rep["min_eig"] > 0.0
-
-
-def test_backend_equivalence_on_curvature(on_both_kernels):
-    # bincount kernel vs the table loop (compiled with numba, else interpreted)
-    R_np, R_loop = on_both_kernels(
-        lambda: geo.riemann_curvature(zoo.funk_ball(1), XG, YG))
-    assert np.allclose(R_np, R_loop, rtol=1e-13, atol=1e-13)
-    if not _kernels.HAVE_NUMBA:
-        # an unavailable backend is refused, never silently swapped for numpy
-        with pytest.raises(RuntimeError):
-            _kernels.set_backend("numba")
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +335,16 @@ def test_geodesic_sampling_matches_per_leg_lookup():
 def test_hausdorff_rejects_an_empty_polyline():
     with pytest.raises(DomainError):
         gd.hausdorff_to_chord(np.empty((0, 2)), X, Y)
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (np.nan, 1.0),
+                                       (np.inf, 0.0), (1e200, 1e200)])
+def test_hausdorff_rejects_a_zero_or_non_finite_direction(direction):
+    pts = np.array([[0.0, 0.0], [0.5, 0.1], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(DomainError, match="direction"):
+            gd.hausdorff_to_chord(pts, (0.0, 0.0), direction)
 
 
 def test_flag_directions_are_drawn_once_and_shared_read_only():

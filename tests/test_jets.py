@@ -1,4 +1,4 @@
-"""Jet arithmetic: exactness, chain rule, FD cross-checks, backend parity."""
+"""Jet arithmetic: exactness, chain rule, FD cross-checks."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab import _kernels, jets as jr
+from finslerlab import jets as jr
 from finslerlab.errors import FDOracleError, JetError
 
 
@@ -306,21 +306,3 @@ def test_truncate():
     t2 = jr.truncate(expr, 2)
     assert t2.order == 2
     assert np.allclose(t2.coeffs, expr.coeffs[: t2.ctx.n_terms])
-
-
-# ---------------------------------------------------------------------------
-# backend parity
-
-
-def test_numpy_backend_matches_numba(on_both_kernels):
-    zs = jr.seed_variables([0.3, -0.2], [0.8, 0.6], order=4)
-    expr_fn = lambda: jr.sqrt(zs[2] * zs[2] + zs[3] * zs[3] + 0.2 * zs[0] * zs[3]) * (
-        1.0 + zs[1] * zs[2]
-    )
-    via_numpy, via_loop = on_both_kernels(lambda: expr_fn().coeffs)
-    assert np.allclose(via_loop, via_numpy, atol=0.0, rtol=0.0)
-
-
-def test_backend_selector_validation():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
