@@ -90,12 +90,21 @@ def verify_all(tree, reps=SUITE_REPS):
     return _command(tree, ["-m", "finslerlab.cli", "verify-all"], reps)
 
 
+def _linalg_libraries():
+    """numpy's BLAS and LAPACK builds: the matmul timings and their rounding
+    depend on them."""
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    return {lib: f"{deps[lib].get('name')} {deps[lib].get('version')}"
+            for lib in ("blas", "lapack") if lib in deps}
+
+
 def environment():
     from finslerlab import _kernels
 
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        **_linalg_libraries(),
         "backend": _kernels.active_backend(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),

@@ -15,6 +15,9 @@ repetitions to ``BENCH_batch.json`` under a label:
                                  ``einstein_campaign`` uses for 40 states;
                                  every (metric, n) of the ``campaign``
                                  workload's Einstein operations
+  state_pairs.<metric>.n<n>      ``sampling.state_pairs`` of 40 states
+                                 on the default sampling box, for the
+                                 same (metric, n)
   einstein_campaign.<metric>.n<n>  ``einstein_campaign`` with 40 states
                                  and 8 flags (the ``curvature`` command's
                                  defaults) on the default sampling box
@@ -26,7 +29,8 @@ repetitions to ``BENCH_batch.json`` under a label:
 
 Batched rows need a tree whose ``_assemble`` takes ``(B, n)`` stacks;
 on another tree only the one-state rows are written. The file records the
-Python and numpy versions and the kernel backend. Run from the repository
+Python and numpy versions, numpy's BLAS and LAPACK libraries and the
+kernel backend. Run from the repository
 root:
 
     python benchmarks/bench_batch.py --label change
@@ -97,6 +101,8 @@ def main(argv=None):
             xs, ys = (X[0], Y[0]) if b == 1 else (X[:b], Y[:b])
             rows[f"assemble_o4.{name}.n{n}.B{b}"] = per_state(
                 timed(lambda: geo._assemble(m, xs, ys, 4)), b)
+        rows[f"state_pairs.{name}.n{n}"] = summarize(
+            timed(lambda: sampling.state_pairs(m, STATES)))
         times = timed(lambda: geo.einstein_campaign(m, STATES, flags=FLAGS))
         rows[f"einstein_campaign.{name}.n{n}"] = summarize(times)
         campaign_total.append(times)

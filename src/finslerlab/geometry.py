@@ -12,6 +12,13 @@ are x, slots n..2n-1 are y.
     R^i_k  = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k
              + 2 G^j d2G^i/dy^j dy^k - N^i_j N^j_k
 
+The chart derivatives of g^{-1} are stacked matmuls through
+M_mu = g^{-1} dg/dz^mu, exact algebra that rounds better than contracting
+three factors at once:
+
+    d(g^{-1})/dz^mu         = -M_mu g^{-1}
+    d2(g^{-1})/dz^mu dz^nu  = (M_mu M_nu + M_nu M_mu - g^{-1} d2g/dz^mu dz^nu) g^{-1}
+
 Flag curvature of the plane span(y, v):
 
     K = g(R(v), v) / (g(y,y) g(v,v) - g(y,v)^2)
@@ -107,7 +114,9 @@ def _assemble(metric, x, y, order):
     dh = np.einsum("...klm,...k->...ml", D3[..., :n, n:, :], y)
     dh[..., n:, :] += D2[..., :n, n:]
     dh -= _T(D2[..., :n, :])
-    dginv = -np.einsum("...ab,...mbc,...cd->...mad", ginv, dg, ginv)
+    gi = ginv[..., None, :, :]  # broadcasts over the chart slot mu
+    M = gi @ dg  # [mu] = g^-1 dg/dz^mu
+    dginv = -(M @ gi)
     dG = 0.25 * (np.einsum("...mab,...b->...ma", dginv, h)
                  + np.einsum("...ab,...mb->...ma", ginv, dh))
     out["dG"] = dG  # [mu, i] = dG^i/dz^mu over the stacked chart variable
@@ -122,11 +131,9 @@ def _assemble(metric, x, y, order):
     d2h[..., :, n:, :] += _core(D3[..., :n, n:, :], 2, 0, 1)
     d2h[..., n:, :, :] += _T(D3[..., :n, n:, :])
     d2h -= _core(D3[..., :n, :, :], 1, 2, 0)
-    d2ginv = -(
-        np.einsum("...nab,...mbc,...cd->...mnad", dginv, dg, ginv)
-        + np.einsum("...ab,...mnbc,...cd->...mnad", ginv, d2g, ginv)
-        + np.einsum("...ab,...mbc,...ncd->...mnad", ginv, dg, dginv)
-    )
+    MM = M[..., :, None, :, :] @ M[..., None, :, :, :]  # [mu, nu] = M_mu M_nu
+    gi = gi[..., None, :, :]
+    d2ginv = (MM + _core(MM, 1, 0, 2, 3) - gi @ d2g) @ gi
     d2G = 0.25 * (
         np.einsum("...mnab,...b->...mna", d2ginv, h)
         + np.einsum("...mab,...nb->...mna", dginv, dh)
@@ -135,6 +142,7 @@ def _assemble(metric, x, y, order):
     )
     N = out["N"]
     out["d2G"] = d2G  # [mu, nu, i] = d2G^i/dz^mu dz^nu
+    out["d2ginv"] = d2ginv  # [mu, nu] = d2(g^-1)/dz^mu dz^nu
     term_xy = np.einsum("...jki,...j->...ik", d2G[..., :n, n:, :], y)
     term_yy = np.einsum("...jki,...j->...ik", d2G[..., n:, n:, :], G)
     out["R"] = 2.0 * out["Gx"] - term_xy + 2.0 * term_yy - N @ N
@@ -220,6 +228,7 @@ def _flag_directions(n, flags, offset=sampling.DIRECTION_OFFSET):
 
 def flag_spread(metric, x, y, flags=20, offset=sampling.DIRECTION_OFFSET):
     """Flag curvatures across ``flags`` transverse directions at one (x, y)."""
+    flags = sampling.check_count(flags, 1, "flags")
     x, y = metric.check_state(x, y)
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"],
@@ -279,10 +288,8 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
     :func:`einstein_residual` and :func:`flag_spread` at its sample.
     """
     lam = _einstein_constant(metric, lam)
-    if count < 1:
-        raise DomainError(f"einstein_campaign needs count >= 1, got {count}")
-    if flags < 0:
-        raise DomainError(f"einstein_campaign needs flags >= 0, got {flags}")
+    count = sampling.check_count(count, 1)
+    flags = sampling.check_count(flags, 0, "flags")
     X, Y = metric.check_state(
         *(np.array(v) for v in zip(*sampling.state_pairs(metric, count, box=box))))
     V = _flag_directions(metric.n, flags) if flags else None

@@ -61,8 +61,7 @@ def rapcsak_residual(base, cand, x, y):
 
 def _stacked_pairs(base, cand, count, box):
     """The joint state pairs of a campaign as (B, n) stacks X, Y."""
-    if count < 1:
-        raise DomainError(f"a campaign needs count >= 1, got {count}")
+    count = sampling.check_count(count, 1)
     pairs = sampling.joint_state_pairs(base, cand, count, box=box)
     return (np.array(v) for v in zip(*pairs))
 

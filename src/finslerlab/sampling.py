@@ -3,7 +3,18 @@
 All sampling is Halton-based with a fixed index offset so every run of the
 library sees exactly the same points, which keeps test campaigns and CLI
 reports reproducible bit for bit.
+
+The Halton unit-cube rows of each (dim, offset) are drawn once, into a
+read-only table that grows in blocks on demand; every entry equals
+:func:`radical_inverse` at its index bit for bit. Points are mapped into
+their box a block of rows at a time, then rejection-tested one by one in
+index order, so a table-backed draw accepts the same points as a scalar
+loop would and gives up after the same number of candidates. The unit
+directions of each (count, n, offset) are drawn once too.
 """
+
+import functools
+import operator
 
 import numpy as np
 
@@ -14,6 +25,11 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 HALTON_OFFSET = 20  # skip the early, badly equidistributed prefix
 DIRECTION_OFFSET = 101  # decorrelate direction draws from point draws
 MIN_RAW_DIRECTION = 0.3
+_BLOCK = 256  # Halton rows mapped and tested per step; the least growth
+
+# (dim, offset) -> read-only Halton rows, row k at index offset + k; a
+# growth only appends rows, so every entry ever handed out stays valid
+_TABLES = {}
 
 
 def radical_inverse(i, base):
@@ -26,46 +42,120 @@ def radical_inverse(i, base):
     return inv
 
 
+def _radical_inverses(i, base):
+    """:func:`radical_inverse` of every entry of the index array ``i``, in
+    the same operation order, so each entry equals the scalar value (0 for
+    an index below 1)."""
+    i = np.maximum(i, 0)
+    inv = np.zeros(i.shape)
+    f = 1.0 / base
+    while i.any():
+        inv += f * (i % base)
+        i //= base
+        f /= base
+    return inv
+
+
+def _halton_rows(dim, offset, stop):
+    """The Halton table of (dim, offset), grown to at least ``stop`` rows."""
+    if not 1 <= dim <= len(_PRIMES):
+        raise DomainError(f"Halton sampling needs 1..{len(_PRIMES)} "
+                          f"coordinates, got {dim}")
+    table = _TABLES.get((dim, offset))
+    have = 0 if table is None else len(table)
+    if have < stop:
+        size = max(stop, 2 * have, _BLOCK)
+        idx = np.arange(offset + have, offset + size, dtype=np.int64)
+        new = np.stack([_radical_inverses(idx, _PRIMES[c])
+                        for c in range(dim)], axis=1)
+        table = new if table is None else np.concatenate([table, new])
+        table.setflags(write=False)
+        _TABLES[dim, offset] = table
+    return table
+
+
+def _blocks(dim, offset):
+    """Halton rows of (dim, offset) in index order, a block at a time."""
+    start = 0
+    while True:
+        yield _halton_rows(dim, offset, start + _BLOCK)[start:start + _BLOCK]
+        start += _BLOCK
+
+
+def check_count(count, least=0, what="count"):
+    """``count`` as an int; DomainError unless it is an integer >= ``least``."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise DomainError(f"needs an integer {what}, got {count!r}") from None
+    if count < least:
+        raise DomainError(f"needs {what} >= {least}, got {count}")
+    return count
+
+
+def _box(box, n=None):
+    """(lo, hi) of a sampling box as float vectors of one length, which
+    must be ``n`` when given."""
+    lo, hi = (np.asarray(v, dtype=float) for v in box)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise DomainError(f"a sampling box needs two corners of one length, "
+                          f"got shapes {lo.shape} and {hi.shape}")
+    if n is not None and lo.size != n:
+        raise DomainError(f"a sampling box of {lo.size} coordinates for a "
+                          f"{n}-dimensional metric")
+    return lo, hi
+
+
 def points_in_domain(domain, count, box=None, offset=HALTON_OFFSET):
     """First ``count`` Halton points of the box that land inside ``domain``."""
-    lo, hi = box if box is not None else domain.sample_box()
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    dim = lo.size
+    count = check_count(count)
+    lo, hi = _box(box if box is not None else domain.sample_box())
+    limit = 1000 * count + 1000
+    blocks = _blocks(lo.size, offset)
     pts = []
-    i = offset
     tried = 0
     while len(pts) < count:
-        u = np.array([radical_inverse(i, _PRIMES[c]) for c in range(dim)])
-        x = lo + u * (hi - lo)
-        if domain.contains(x):
-            pts.append(x)
-        i += 1
-        tried += 1
-        if tried > 1000 * count + 1000:
-            raise NumericError("domain rejection rate too high for sampling box")
+        for x in lo + next(blocks) * (hi - lo):
+            if domain.contains(x):
+                pts.append(x)
+            tried += 1
+            if tried > limit:
+                raise NumericError("domain rejection rate too high for sampling box")
+            if len(pts) == count:
+                break
     return np.array(pts)
 
 
-def directions(count, n, offset=DIRECTION_OFFSET):
-    """Euclidean-unit directions, rejection-sampled away from the cube center."""
-    if n < 1 or count < 0:
-        raise DomainError(f"directions needs n >= 1 and count >= 0, "
-                          f"got n = {n}, count = {count}")
+@functools.lru_cache(maxsize=64)
+def _directions(count, n, offset):
+    blocks = _blocks(n, offset)
     dirs = []
-    i = offset
     while len(dirs) < count:
-        u = np.array([radical_inverse(i, _PRIMES[c]) for c in range(n)])
-        v = 2.0 * u - 1.0
-        r = np.linalg.norm(v)
-        if r >= MIN_RAW_DIRECTION:
-            dirs.append(v / r)
-        i += 1
-    return np.array(dirs)
+        for v in 2.0 * next(blocks) - 1.0:
+            r = np.linalg.norm(v)
+            if r >= MIN_RAW_DIRECTION:
+                dirs.append(v / r)
+                if len(dirs) == count:
+                    break
+    V = np.array(dirs)
+    V.setflags(write=False)
+    return V
+
+
+def directions(count, n, offset=DIRECTION_OFFSET):
+    """Euclidean-unit directions, rejection-sampled away from the cube center.
+
+    Drawn once per (count, n, offset); each call returns a writable copy.
+    """
+    count = check_count(count)
+    n = check_count(n, 1, "n")
+    return _directions(count, n, offset).copy()
 
 
 def state_pairs(metric, count, box=None):
     """Deterministic (point, unit direction) pairs inside the metric's domain."""
+    if box is not None:
+        box = _box(box, metric.n)
     xs = points_in_domain(metric.domain, count, box=box)
     ys = directions(count, metric.n)
     return list(zip(xs, ys))
@@ -83,6 +173,9 @@ class _JointDomain:
 
 def joint_state_pairs(metric_a, metric_b, count, box=None):
     """State pairs landing inside both metrics' domains (boxes intersected)."""
+    if metric_a.n != metric_b.n:
+        raise DomainError(f"{metric_a.name} is {metric_a.n}-dimensional and "
+                          f"{metric_b.name} {metric_b.n}-dimensional")
     if box is None:
         lo_a, hi_a = metric_a.domain.sample_box()
         lo_b, hi_b = metric_b.domain.sample_box()
@@ -93,6 +186,7 @@ def joint_state_pairs(metric_a, metric_b, count, box=None):
         if np.any(lo >= hi):
             raise NumericError("metric domains have no common sampling box")
         box = (lo, hi)
+    box = _box(box, metric_a.n)
     joint = _JointDomain(metric_a.domain, metric_b.domain)
     xs = points_in_domain(joint, count, box=box)
     ys = directions(count, metric_a.n)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finslerlab import geodesic as gd, geometry as geo, ode, zoo
+from finslerlab import geodesic as gd, geometry as geo, jets as jr, ode, zoo
 from finslerlab.errors import (DegenerateFlagError, DomainError,
                                NumericError, SingularMetricError)
 from finslerlab.metric import FinslerMetric, FullSpace, UnitBall, dot
@@ -92,6 +92,49 @@ def test_flag_spread_without_transverse_directions():
     with pytest.raises(DegenerateFlagError):
         geo.flag_spread(zoo.euclidean(1), np.array([0.3]), np.array([1.0]),
                         flags=4)
+
+
+@pytest.mark.parametrize("flags", [-1, 0, 1.5, "3"])
+def test_flag_spread_refuses_a_flag_count_that_is_no_positive_integer(flags):
+    with pytest.raises(DomainError, match="flags"):
+        geo.flag_spread(zoo.spherical(), XG, YG, flags=flags)
+
+
+def test_einstein_campaign_flag_count_must_be_an_integer():
+    with pytest.raises(DomainError, match="flags"):
+        geo.einstein_campaign(zoo.klein(), 3, flags=1.5)
+    rep = geo.einstein_campaign(zoo.klein(), 3, flags=0)  # 0: no flags
+    assert "flag_min" not in rep and "flag_min" not in rep["rows"][0]
+
+
+def _catalog_keys():
+    fixed_2d = ("funk-ellipse-plus", "funk-ellipse-minus", "hilbert-ellipse",
+                "hilbert-superellipse")
+    return [(name, n) for name in zoo.METRIC_NAMES
+            for n in ((2,) if name in fixed_2d else (2, 3, 4))]
+
+
+@pytest.mark.parametrize("key", _catalog_keys(),
+                         ids=lambda key: f"{key[0]}-{key[1]}")
+def test_second_inverse_metric_derivative_matches_three_einsums(key):
+    # the three-operand einsum formula the stacked matmuls replaced
+    m = zoo.make_metric(*key)
+    n = m.n
+    X, Y = (np.array(v) for v in zip(*geo.sampling.state_pairs(m, 6)))
+    data = geo._assemble(m, X, Y, 4)
+    f = jr.jet_of(m.F, X, Y, 4)
+    D3, D4 = jr.derivative_tensors(f * f, 4)[3:]
+    dg = 0.5 * geo._core(D3[..., n:, n:, :], 2, 0, 1)
+    d2g = 0.5 * geo._core(D4[..., n:, n:, :, :], 2, 3, 0, 1)
+    ginv = data["ginv"]
+    dginv = -np.einsum("...ab,...mbc,...cd->...mad", ginv, dg, ginv)
+    oracle = -(
+        np.einsum("...nab,...mbc,...cd->...mnad", dginv, dg, ginv)
+        + np.einsum("...ab,...mnbc,...cd->...mnad", ginv, d2g, ginv)
+        + np.einsum("...ab,...mbc,...ncd->...mnad", ginv, dg, dginv)
+    )
+    for got, want in zip(data["d2ginv"], oracle):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_einstein_residual_and_campaign():
