@@ -352,45 +352,27 @@ def criterion_10(samples=100, fd_curvature_samples=6):
                     "note": "worst is the largest deviation/tolerance ratio"})
 
 
-def fd_riemann(metric, x, y, hx=1e-5, hy=1e-5):
-    """Curvature assembled from finite differences of the spray."""
+def fd_riemann(metric, x, y):
+    """Curvature assembled from finite differences of the spray,
+    R = 2 G_x - y^j G_{x^j y} + 2 G^j G_{y^j y} - N N, each derivative one
+    :func:`jets.fd_derivative` over the stacked variable (x, y)."""
     n = metric.n
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    G = lambda xx, yy: geo.spray_coefficients(metric, xx, yy)
+    z = np.concatenate([np.asarray(x, dtype=float), y])
+    G = lambda zz: geo.spray_coefficients(metric, zz[:n], zz[n:])
 
-    def dx(k):
-        e = np.zeros(n); e[k] = hx
-        return (G(x + e, y) - G(x - e, y)) / (2 * hx)
+    def dG(*slots):  # [i, ...]: derivative of G^i over the slots of z
+        idx = np.zeros(2 * n, dtype=int)
+        for s in slots:
+            idx[s] += 1
+        return jr.fd_derivative(G, z, idx)
 
-    def dy(k):
-        e = np.zeros(n); e[k] = hy
-        return (G(x, y + e) - G(x, y - e)) / (2 * hy)
-
-    def dxdy(j, k):
-        ex = np.zeros(n); ex[j] = hx
-        ey = np.zeros(n); ey[k] = hy
-        return (G(x + ex, y + ey) - G(x + ex, y - ey)
-                - G(x - ex, y + ey) + G(x - ex, y - ey)) / (4 * hx * hy)
-
-    def dydy(j, k):
-        ej = np.zeros(n); ej[j] = hy
-        ek = np.zeros(n); ek[k] = hy
-        if j == k:
-            return (G(x, y + ej) - 2 * G(x, y) + G(x, y - ej)) / (hy * hy)
-        return (G(x, y + ej + ek) - G(x, y + ej - ek)
-                - G(x, y - ej + ek) + G(x, y - ej - ek)) / (4 * hy * hy)
-
-    G0 = G(x, y)
-    N = np.stack([dy(k) for k in range(n)], axis=1)
-    Gx = np.stack([dx(k) for k in range(n)], axis=1)
-    term_xy = np.zeros((n, n))
-    term_yy = np.zeros((n, n))
-    for k in range(n):
-        for j in range(n):
-            term_xy[:, k] += y[j] * dxdy(j, k)
-            term_yy[:, k] += G0[j] * dydy(j, k)
-    return 2.0 * Gx - term_xy + 2.0 * term_yy - N @ N
+    Gx = np.stack([dG(k) for k in range(n)], axis=1)
+    N = np.stack([dG(n + k) for k in range(n)], axis=1)
+    Gxy = np.array([[dG(j, n + k) for k in range(n)] for j in range(n)])
+    Gyy = np.array([[dG(n + j, n + k) for k in range(n)] for j in range(n)])
+    return (2.0 * Gx - np.einsum("j,jki->ik", y, Gxy)
+            + 2.0 * np.einsum("j,jki->ik", G(z), Gyy) - N @ N)
 
 
 ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,

@@ -19,7 +19,7 @@ Closed forms (doubled-angle normal forms):
 The module computes maximal life intervals, one-sided candidate lengths
 int dt / f^2, completeness flags, membership in the exceptional borderline
 families, and cross-checks everything against direct numeric integration
-and the quadrature inversion int_a^f s ds / sqrt(rad(s)) = +- t.
+and the inversion int_a^f s ds / sqrt(rad(s)) = +- t, in closed form.
 """
 
 import math
@@ -380,7 +380,7 @@ def grid_completeness(lam, lam_tilde, a_grid=DEFAULT_A_GRID, b_grid=DEFAULT_B_GR
 
 
 # ---------------------------------------------------------------------------
-# cross-checks: jets, numeric integration, quadrature inversion
+# cross-checks: jets, numeric integration, closed-form inversion
 
 
 def ode_residual(case, ts):
@@ -416,9 +416,6 @@ def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
     u0 = np.array([case.a, case.b])
     legs = []
     for target in t_span:
-        if target == 0.0:
-            legs.append(None)
-            continue
         res = ode.integrate(rhs, 0.0, u0, target, rtol=rtol, atol=atol,
                             guard=guard, speed_limit=np.inf)
         status = res.status
@@ -437,10 +434,7 @@ def numeric_vs_closed(case, t_span=None, rtol=1e-12, atol=1e-14):
     if t_span is None:
         t_span = _default_span(case, 1.2)
     worst = 0.0
-    for leg in numeric_integrate(case, t_span, rtol, atol):
-        if leg is None:
-            continue
-        res, _ = leg
+    for res, _ in numeric_integrate(case, t_span, rtol, atol):
         exact = np.sqrt(f_squared(case, res.ts))
         worst = max(worst, float(np.max(np.abs(res.us[:, 0] - exact))))
     return worst
@@ -470,19 +464,34 @@ def arc_param_roundtrip(case, t):
         # rad(s) = (b s)^2 and f = a + b t: the integral is |f - a| / |b|, in
         # closed form as in candidate_length (a snapped C would zero rad)
         return abs(abs(fb - case.a) / abs(case.b) - abs(t))
+    return abs(abs(_arc_time(case, fb)) - abs(t))
 
-    def integrand(s):
-        r = radicand(case, s)
-        if r <= 0.0:  # roundoff flip right at a turning value; measure zero
-            return 0.0
-        return s / math.sqrt(r)
 
-    lo, hi = (case.a, fb) if fb >= case.a else (fb, case.a)
-    # full_output squelches the endpoint-singularity roundoff warning;
-    # the error estimate is still checked below
-    out = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=400,
-               full_output=1)
-    val, err = out[0], out[1]
-    if err > 1e-8:
-        raise NumericError(f"inversion quadrature error {err:g}")
-    return abs(val - abs(t))
+def _arc_time(case, f):
+    """int_a^f s ds / sqrt(rad(s)) in closed form.
+
+    With u = s^2 it is half of int du / sqrt(P(u)) from a^2 to f^2, for
+    P(u) = -lam u^2 + 2 C u - lamt, and sqrt(P(a^2)) = a |b| exactly.
+    P(f^2) is taken as P(a^2) plus its difference, which does not cancel
+    next to a turning value.
+    """
+    C = case.C
+    u0, u1 = case.a * case.a, f * f
+    r0 = case.a * abs(case.b)
+    r1 = math.sqrt(max(0.0, r0 * r0
+                       + (u1 - u0) * (2.0 * C - case.lam * (u0 + u1))))
+    if u1 == u0:  # f(t) rounds to a; at b = 0 both roots vanish too
+        return 0.0
+    if case.lam == 0.0:  # (sqrt(P1) - sqrt(P0)) / (2 C), rationalized
+        return (u1 - u0) / (r1 + r0)
+    if case.lam == 1.0:  # P = (C^2 - lamt) - (u - C)^2: an arcsine
+        return 0.5 * (math.atan2(u1 - C, r1) - math.atan2(u0 - C, r0))
+    # P = v^2 - D for v = u + C: the antiderivative is log(v + sqrt(P))
+    # for v >= 0 and -log(sqrt(P) - v) for v < 0; across a sign change
+    # (D < 0) they differ by log(-D) = log(r0^2 - v0^2), so the sign of v
+    # at f alone picks the form
+    v0, v1 = u0 + C, u1 + C
+    num, den = (r0 - v0, r1 - v1) if v1 < 0.0 else (v1 + r1, v0 + r0)
+    if not (num > 0.0 and den > 0.0):
+        return math.inf  # an end at a double root of P (D = 0)
+    return 0.5 * math.log(num / den)

@@ -57,8 +57,7 @@ class GeodesicResult:
 RIM_TOL = 1e-6
 
 
-def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12,
-                       normalize=True):
+def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     """Run the geodesic through (x0, y0) over t_span = (t_min <= 0 <= t_max).
 
     Each leg stops early with status "boundary" (chart exit) or "blow_up"
@@ -74,18 +73,14 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12,
         raise DomainError(f"t_span {t_span} must be finite")
     if not (t_min <= 0.0 <= t_max):
         raise DomainError("t_span must contain 0")
-    v0 = y0 / metric(x0, y0) if normalize else y0.astype(float)
+    v0 = y0 / metric(x0, y0)
     u0 = np.concatenate([x0, v0])
     n = metric.n
     rhs = geodesic_rhs(metric)
     guard = lambda u: metric.domain.contains(u[:n])
 
-    empty = ode.OdeResult(np.array([0.0]), u0[None, :].copy(), "t_limit",
-                          0.0, u0.copy(), 0, 0, 0)
-    back = ode.integrate(rhs, 0.0, u0, t_min, rtol, atol, guard=guard) \
-        if t_min < 0.0 else empty
-    fwd = ode.integrate(rhs, 0.0, u0, t_max, rtol, atol, guard=guard) \
-        if t_max > 0.0 else empty
+    back = ode.integrate(rhs, 0.0, u0, t_min, rtol, atol, guard=guard)
+    fwd = ode.integrate(rhs, 0.0, u0, t_max, rtol, atol, guard=guard)
 
     def status(leg):
         if leg.status == "blow_up" and \

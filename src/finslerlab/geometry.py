@@ -218,21 +218,21 @@ def flag_curvature(metric, x, y, v, data=None):
 
 
 @functools.lru_cache(maxsize=64)
-def _flag_directions(n, flags, offset=sampling.DIRECTION_OFFSET):
-    """The candidate flag directions, drawn once per (n, flags, offset);
-    read-only, since every caller shares the cached array."""
-    V = sampling.directions(3 * flags + 8, n, offset=offset)
+def _flag_directions(n, flags):
+    """The candidate flag directions, drawn once per (n, flags); read-only,
+    since every caller shares the cached array."""
+    V = sampling.directions(3 * flags + 8, n)
     V.setflags(write=False)
     return V
 
 
-def flag_spread(metric, x, y, flags=20, offset=sampling.DIRECTION_OFFSET):
+def flag_spread(metric, x, y, flags=20):
     """Flag curvatures across ``flags`` transverse directions at one (x, y)."""
     flags = sampling.check_count(flags, 1, "flags")
     x, y = metric.check_state(x, y)
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"],
-                             _flag_directions(metric.n, flags, offset))
+                             _flag_directions(metric.n, flags))
     return _spread(metric, K, sin_sq, flags)
 
 
@@ -245,11 +245,6 @@ def _spread(metric, K, sin_sq, flags):
             f"{metric.name}: no flag direction transverse to y (n = {metric.n})")
     return {"values": vals, "min": min(vals), "max": max(vals),
             "spread": max(vals) - min(vals)}
-
-
-def ricci_curvature(metric, x, y):
-    """Ricci scalar: trace of R^i_k."""
-    return float(np.trace(riemann_curvature(metric, x, y)))
 
 
 def _einstein_constant(metric, lam):

@@ -12,8 +12,8 @@ extension (same book, II.6), the one scipy's ``RK45`` uses.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,24 +54,21 @@ SPEED_LIMIT = 1e8
 MAX_STEPS = 200_000
 
 
-@dataclass
-class Segment:
-    """One accepted step; ``Q = K.T @ _P`` holds its dense-output polynomial."""
-    t0: float
-    t1: float
-    u0: np.ndarray
-    Q: np.ndarray
-
-    def eval(self, t):
-        dt = self.t1 - self.t0
-        if dt == 0.0:
-            return self.u0.copy()
-        th = (t - self.t0) / dt
-        return self.u0 + dt * (self.Q @ np.array([th, th**2, th**3, th**4]))
+def _dense(u0, h, Q, th):
+    """Dormand-Prince's continuous extension at fractions ``th`` of steps
+    of length ``h`` from ``u0``: one step, or a stack of them."""
+    p = np.stack([th, th**2, th**3, th**4], axis=-1)
+    return u0 + np.asarray(h)[..., None] * (Q @ p[..., None])[..., 0]
 
 
 @dataclass
 class OdeResult:
+    """Nodes ``ts``/``us`` and, per accepted step k from ``ts[k]``, its
+    signed length ``hs[k]`` and dense-output polynomial ``Qs[k] = K.T @ _P``.
+
+    A boundary leg ends at the guard crossing: ``ts[-1]`` lies inside its
+    last step, and the span ends there.
+    """
     ts: np.ndarray
     us: np.ndarray
     status: str  # "t_limit" | "boundary" | "blow_up"
@@ -80,32 +77,31 @@ class OdeResult:
     n_accepted: int
     n_rejected: int
     n_vetoed: int  # rejected steps whose stage rhs vetoed or made non-finite
-    segments: List[Segment] = field(default_factory=list)
+    hs: np.ndarray
+    Qs: np.ndarray
 
     def sample(self, ts):
-        """Dense-output evaluation at query times inside the span."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((ts.size, self.us.shape[1]))
-        for i, k in enumerate(self._locate(ts)):
-            out[i] = self.segments[k].eval(ts[i])
+        """Dense output at query times inside the span; a node returns its
+        row of ``us`` exactly."""
+        t = np.atleast_1d(np.asarray(ts, dtype=float))
+        k = self._locate(t)
+        out = self.us[k]
+        inner = k < len(self.hs)  # the last node starts no step
+        k = k[inner]
+        out[inner] = _dense(self.us[k], self.hs[k], self.Qs[k],
+                            (t[inner] - self.ts[k]) / self.hs[k])
         return out
 
-    def _locate(self, ts):
-        """Index of the first segment whose span, widened by 1e-12, holds each t.
-
-        Time is read in the direction of integration, where both ends of
-        the segments grow along the list: a binary search over the ends
-        finds the first candidate, and its start decides.
-        """
-        ahead = not self.segments or self.segments[0].t1 >= self.segments[0].t0
-        sgn = 1.0 if ahead else -1.0
-        starts = sgn * np.array([seg.t0 for seg in self.segments])
-        ends = sgn * np.array([seg.t1 for seg in self.segments])
-        idx = np.searchsorted(ends + 1e-12, sgn * ts)
-        for t, k in zip(ts, idx):
-            if k == len(ends) or not starts[k] - 1e-12 <= sgn * t:
-                raise NumericError(f"time {t} outside integrated span")
-        return idx
+    def _locate(self, t):
+        """Index of the last node at or before each t, read in the direction
+        of integration; NumericError for a t outside the span widened by
+        1e-12 (a t that far past the last node reads as that node)."""
+        sgn = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
+        nodes, s = sgn * self.ts, sgn * t
+        outside = ~((nodes[0] - 1e-12 <= s) & (s <= nodes[-1] + 1e-12))
+        if outside.any():
+            raise NumericError(f"time {t[outside][0]} outside integrated span")
+        return np.maximum(np.searchsorted(nodes, s, side="right") - 1, 0)
 
 
 def _rms(v):
@@ -134,9 +130,8 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2)
 
 
-def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
-              guard: Optional[Callable] = None, first_step=None,
-              speed_limit=SPEED_LIMIT):
+def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
+              guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT):
     """Integrate u' = rhs(t, u) from t0 to t1 (either direction).
 
     ``rhs`` may raise DomainError or return non-finite values to veto a
@@ -152,35 +147,32 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
     t1 = float(t1)
     if not (math.isfinite(t) and math.isfinite(t1)):
         raise DomainError(f"integration span ({t0}, {t1}) must be finite")
-    if not max_step >= MIN_STEP:
-        raise DomainError(f"max_step {max_step} is below the step floor "
-                          f"{MIN_STEP}")
     u = np.asarray(u0, dtype=float).copy()
+    d = u.size
+    ts, us, dts, Qs = [t], [u], [], []
+    n_acc = n_rej = n_vet = 0
+
+    def result(status, t_end, u_end):
+        return OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
+                         n_acc, n_rej, n_vet, np.array(dts),
+                         np.array(Qs).reshape(-1, d, 4))
+
     direction = 1.0 if t1 >= t else -1.0
     span = abs(t1 - t)
     if span == 0.0:
-        return OdeResult(np.array([t]), u[None, :].copy(), "t_limit", t, u,
-                         0, 0, 0)
+        return result("t_limit", t, u)
 
-    K = np.empty((7, u.size))  # stage derivatives; row 0 is rhs at (t, u)
+    K = np.empty((7, d))  # stage derivatives; row 0 is rhs at (t, u)
     K[0] = rhs(t, u)  # initial point must be admissible
     if not np.isfinite(K[0]).all():
         raise DomainError("non-finite derivative at the initial point")
-    h = first_step or _starting_step(rhs, t, u, K[0], direction, span,
-                                     rtol, atol)
-
-    ts, us, segments = [t], [u], []
-    n_acc = n_rej = n_vet = 0
+    h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
     last_fail_domain = False
     grow_max = 10.0  # 1 right after a rejected step
-    d = u.size
 
     while direction * (t1 - t) > 0 and n_acc + n_rej < MAX_STEPS:
-        h = min(h, max_step)
         if h < MIN_STEP:
-            status = "boundary" if last_fail_domain else "blow_up"
-            return OdeResult(np.array(ts), np.array(us), status, t, u,
-                             n_acc, n_rej, n_vet, segments)
+            return result("boundary" if last_fail_domain else "blow_up", t, u)
         rest = abs(t1 - t)
         last = h >= rest  # a remainder below the floor is still stepped
         if last:
@@ -210,28 +202,27 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
             continue
 
         t_new = t1 if last else t + hs
-        seg = Segment(t, t_new, u, K.T @ _P)
-        segments.append(seg)
+        dt, Q = t_new - t, K.T @ _P
+        dts.append(dt)
+        Qs.append(Q)
         ts.append(t_new)
         us.append(u5)
         n_acc += 1
 
         k_new = K[6]  # FSAL: rhs at (t_new, u5) up to the b-row identity
         if math.sqrt(k_new.dot(k_new)) > speed_limit:
-            return OdeResult(np.array(ts), np.array(us), "blow_up", t_new, u5,
-                             n_acc, n_rej, n_vet, segments)
+            return result("blow_up", t_new, u5)
         if guard is not None and not guard(u5):
             lo, hi = t, t_new
             while abs(hi - lo) > MIN_STEP:
                 mid = 0.5 * (lo + hi)
-                if guard(seg.eval(mid)):
+                if guard(_dense(u, dt, Q, (mid - t) / dt)):
                     lo = mid
                 else:
                     hi = mid
-            u_b = seg.eval(lo)
+            u_b = _dense(u, dt, Q, (lo - t) / dt)
             ts[-1], us[-1] = lo, u_b
-            return OdeResult(np.array(ts), np.array(us), "boundary", lo, u_b,
-                             n_acc, n_rej, n_vet, segments)
+            return result("boundary", lo, u_b)
 
         t, u = t_new, u5
         K[0] = k_new
@@ -241,5 +232,4 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, max_step=np.inf,
 
     if n_acc + n_rej >= MAX_STEPS:
         raise NumericError("step budget exhausted")
-    return OdeResult(np.array(ts), np.array(us), "t_limit", t, u,
-                     n_acc, n_rej, n_vet, segments)
+    return result("t_limit", t, u)

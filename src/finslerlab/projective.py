@@ -25,6 +25,7 @@ from .errors import DomainError, NotProjectivelyRelatedError
 from .geometry import _assemble, _dot, _matvec, _vecmat, riemann_curvature
 
 DECISION_TOL = 1e-6
+FACTOR_TOL = 1e-7  # spray deviation that refutes G_cand = G + P y
 
 
 def covariant_derivative(base, f, x, y):
@@ -80,12 +81,11 @@ def projective_campaign(base, cand, count=40, box=None):
     }
 
 
-def projective_factor(base, cand, x, y, tol=1e-7, check=True):
+def projective_factor(base, cand, x, y):
     """Projective factor P at (x, y), with a spray-level consistency check.
 
     Verifies G_cand = G_base + P y; when the deviation (relative to the
-    spray scale) exceeds ``tol`` and ``check`` is set, raises
-    NotProjectivelyRelatedError.
+    spray scale) exceeds FACTOR_TOL, raises NotProjectivelyRelatedError.
     """
     x, y = base.check_state(x, y)
     cand.check_state(x, y)
@@ -98,9 +98,10 @@ def projective_factor(base, cand, x, y, tol=1e-7, check=True):
     G, Gc = base_data["G"], cand_data["G"]
     scale = max(1.0, float(np.max(np.abs(G))), float(np.max(np.abs(Gc))))
     dev = float(np.max(np.abs(Gc - G - P * y))) / scale
-    if check and dev > tol:
+    if dev > FACTOR_TOL:
         raise NotProjectivelyRelatedError(
-            f"{cand.name} vs {base.name}: spray deviation {dev:.3e} > {tol:g}"
+            f"{cand.name} vs {base.name}: spray deviation {dev:.3e} > "
+            f"{FACTOR_TOL:g}"
         )
     return {"P": P, "deviation": dev, "G_base": G, "G_cand": Gc}
 

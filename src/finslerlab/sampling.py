@@ -10,7 +10,7 @@ read-only table that grows in blocks on demand; every entry equals
 their box a block of rows at a time, then rejection-tested one by one in
 index order, so a table-backed draw accepts the same points as a scalar
 loop would and gives up after the same number of candidates. The unit
-directions of each (count, n, offset) are drawn once too.
+directions of each (count, n) are drawn once too.
 """
 
 import functools
@@ -96,7 +96,11 @@ def check_count(count, least=0, what="count"):
 def _box(box, n=None):
     """(lo, hi) of a sampling box as float vectors of one length, which
     must be ``n`` when given."""
-    lo, hi = (np.asarray(v, dtype=float) for v in box)
+    corners = [np.asarray(v, dtype=float) for v in box]
+    if len(corners) != 2:
+        raise DomainError(f"a sampling box needs two corners, got "
+                          f"{len(corners)}")
+    lo, hi = corners
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise DomainError(f"a sampling box needs two corners of one length, "
                           f"got shapes {lo.shape} and {hi.shape}")
@@ -106,12 +110,12 @@ def _box(box, n=None):
     return lo, hi
 
 
-def points_in_domain(domain, count, box=None, offset=HALTON_OFFSET):
+def points_in_domain(domain, count, box=None):
     """First ``count`` Halton points of the box that land inside ``domain``."""
     count = check_count(count)
     lo, hi = _box(box if box is not None else domain.sample_box())
     limit = 1000 * count + 1000
-    blocks = _blocks(lo.size, offset)
+    blocks = _blocks(lo.size, HALTON_OFFSET)
     pts = []
     tried = 0
     while len(pts) < count:
@@ -127,8 +131,8 @@ def points_in_domain(domain, count, box=None, offset=HALTON_OFFSET):
 
 
 @functools.lru_cache(maxsize=64)
-def _directions(count, n, offset):
-    blocks = _blocks(n, offset)
+def _directions(count, n):
+    blocks = _blocks(n, DIRECTION_OFFSET)
     dirs = []
     while len(dirs) < count:
         for v in 2.0 * next(blocks) - 1.0:
@@ -142,14 +146,14 @@ def _directions(count, n, offset):
     return V
 
 
-def directions(count, n, offset=DIRECTION_OFFSET):
+def directions(count, n):
     """Euclidean-unit directions, rejection-sampled away from the cube center.
 
-    Drawn once per (count, n, offset); each call returns a writable copy.
+    Drawn once per (count, n); each call returns a writable copy.
     """
     count = check_count(count)
     n = check_count(n, 1, "n")
-    return _directions(count, n, offset).copy()
+    return _directions(count, n).copy()
 
 
 def state_pairs(metric, count, box=None):

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.integrate import quad
 
 from finslerlab import comparison as cmp, jets as jr
 from finslerlab.errors import DomainError
@@ -206,6 +207,20 @@ def test_f_squared_reads_a_sequence_as_an_array(lam, lamt):
         cmp.f_squared(case, ["soon"])
 
 
+def test_arc_time_to_a_double_root_of_the_radicand_diverges():
+    # the asymptote family approaches f^2 = -C = 1, a double root of P, as
+    # t -> inf; by t = 10 f^2 rounds to it, and no finite time is left
+    case = cmp.make_case(-1, -1, 0.5, 1.5)
+    assert float(cmp.f_squared(case, 10.0)) == 1.0
+    assert cmp.arc_param_roundtrip(case, 10.0) == math.inf
+
+
+def test_arc_roundtrip_of_a_leg_that_rounds_to_its_start():
+    # b = 0 puts a^2 at a root of P; f^2 = 1 + 1e-20 rounds to a^2 = 1
+    case = cmp.make_case(0, 1, 1.0, 0.0)
+    assert cmp.arc_param_roundtrip(case, 1e-10) == 1e-10
+
+
 def test_arc_roundtrip_of_a_tiny_slope_at_zero_constants():
     # C = b^2 / 2 snaps to 0, which zeroes rad(s) = 2 C s^2 outright
     case = cmp.make_case(0, 0, 2.87, -4.2e-7)
@@ -216,6 +231,49 @@ def test_arc_roundtrip_of_a_tiny_slope_at_zero_constants():
 
 # ---------------------------------------------------------------------------
 # properties
+
+
+def _quad_arc_time(case, f):
+    """|int_a^f s ds / sqrt(rad(s))| by adaptive quadrature."""
+    def integrand(s):
+        r = cmp.radicand(case, s)
+        return s / math.sqrt(r) if r > 0.0 else 0.0
+
+    val, err = quad(integrand, *sorted((case.a, f)), epsabs=1e-13,
+                    epsrel=1e-13, limit=400)
+    assert err < 1e-10
+    return val
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=CONSTS, lamt=CONSTS, a=st.floats(0.2, 3.0),
+       b=st.floats(0.1, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       frac=st.floats(0.05, 0.95))
+# lam = lamt = -1 with a < 1: v = f^2 + C changes sign along the leg, up
+# (b > 0) and down (b < 0)
+@example(lam=-1.0, lamt=-1.0, a=0.8, b=0.5, sign=1.0, frac=0.9)
+@example(lam=-1.0, lamt=-1.0, a=1.0, b=0.3, sign=-1.0, frac=0.9)
+def test_closed_form_arc_time_matches_quadrature(lam, lamt, a, b, sign, frac):
+    case = cmp.make_case(lam, lamt, a, sign * b)
+    t = frac * min(cmp.first_critical_time(case),
+                   cmp.maximal_interval(case)[1], 2.0)
+    f = float(cmp.f_value(case, t))
+    want = _quad_arc_time(case, f)
+    assert abs(abs(cmp._arc_time(case, f)) - want) <= 1e-10 * max(1.0, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=CONSTS, lamt=CONSTS, a=st.floats(0.2, 3.0),
+       b=st.floats(1e-6, 2e-3), sign=st.sampled_from([-1.0, 1.0]))
+def test_arc_roundtrip_at_a_small_slope(lam, lamt, a, b, sign):
+    # a^2 sits next to a turning value of P; far below |b| = 1e-6 the
+    # round trip t -> f(t) -> t itself loses digits like eps / |b|, since
+    # f' is of order b along the leg
+    case = cmp.make_case(lam, lamt, a, sign * b)
+    t = 0.5 * min(cmp.first_critical_time(case),
+                  cmp.maximal_interval(case)[1], 2.0)
+    assume(np.isfinite(t) and t > 1e-12)
+    assert cmp.arc_param_roundtrip(case, t) <= 1e-7
 
 
 @settings(max_examples=60, deadline=None)

@@ -230,13 +230,13 @@ def test_dense_output_interpolates_the_nodes():
 
 
 def _scan_locate(res, t):
-    """Reference lookup: the first segment, in order, whose widened span holds t."""
-    fwd = res.segments[0].t1 >= res.segments[0].t0
-    for k, seg in enumerate(res.segments):
-        lo, hi = (seg.t0, seg.t1) if fwd else (seg.t1, seg.t0)
-        if lo - 1e-12 <= t <= hi + 1e-12:
-            return k
-    return None
+    """Reference lookup: the last node, in order, at or before t in the
+    direction of integration, when t lies in the span widened by 1e-12."""
+    sgn = 1.0 if res.ts[-1] >= res.ts[0] else -1.0
+    if not sgn * res.ts[0] - 1e-12 <= sgn * t <= sgn * res.ts[-1] + 1e-12:
+        return None
+    at_or_before = [k for k, tk in enumerate(res.ts) if sgn * tk <= sgn * t]
+    return at_or_before[-1] if at_or_before else 0
 
 
 @pytest.mark.parametrize("t1", [3.0, -3.0])

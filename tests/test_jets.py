@@ -247,6 +247,28 @@ def test_fd_oracle_flags_nonsmooth_point():
         jr.fd_oracle(f, [0.0], [0.0], (0, 2))
 
 
+def _sample_vector(z):
+    return np.array([_sample_expr(z[:2], z[2:]), z[0] * z[3] ** 3,
+                     math.cos(z[1] - z[2])])
+
+
+@pytest.mark.parametrize("idx", [(1, 0, 0, 0), (0, 0, 1, 1), (2, 0, 0, 0),
+                                 (0, 1, 2, 0), (1, 1, 1, 1)])
+def test_fd_derivative_of_a_vector_stacks_the_scalar_calls(idx):
+    z = np.array([0.3, -0.4, 0.9, 0.55])
+    got = jr.fd_derivative(_sample_vector, z, idx)
+    want = [jr.fd_derivative(lambda zz, i=i: float(_sample_vector(zz)[i]),
+                             z, idx) for i in range(3)]
+    assert got.shape == (3,)
+    assert np.array_equal(got, want)
+
+
+def test_fd_derivative_of_a_vector_flags_a_nonsmooth_entry():
+    f = lambda z: np.array([z[0] ** 2, abs(z[1])])
+    with pytest.raises(FDOracleError):
+        jr.fd_derivative(f, [0.3, 0.0], (0, 2))
+
+
 # ---------------------------------------------------------------------------
 # homogeneity transported to the jet level
 

@@ -8,7 +8,7 @@ import pytest
 
 from finslerlab import cli, ode, zoo
 from finslerlab import geodesic as gd
-from finslerlab.errors import DomainError
+from finslerlab.errors import DomainError, NumericError
 
 XG = np.array([0.31, -0.22])
 YG = np.array([0.62, 0.81])
@@ -27,10 +27,31 @@ def test_dense_output_is_fourth_order_between_the_nodes():
 def test_dense_output_passes_through_both_ends_of_each_step():
     res = ode.integrate(lambda t, u: np.array([np.cos(t), -u[0]]), 0.0,
                         np.array([0.0, 1.0]), 3.0, rtol=1e-6, atol=1e-8)
-    for k, seg in enumerate(res.segments):
-        assert np.array_equal(seg.eval(seg.t0), res.us[k])
-        assert np.allclose(seg.eval(seg.t1), res.us[k + 1], rtol=0,
-                           atol=1e-14)
+    assert np.array_equal(res.sample(res.ts), res.us)
+    # each step's polynomial reaches the next node to rounding
+    ends = ode._dense(res.us[:-1], res.hs, res.Qs, np.ones(len(res.hs)))
+    assert np.allclose(ends, res.us[1:], rtol=0, atol=1e-14)
+
+
+def test_sampling_matches_a_per_step_loop():
+    res = ode.integrate(lambda t, u: np.array([np.cos(t), -u[0]]), 0.0,
+                        np.array([0.0, 1.0]), -3.0, rtol=1e-6, atol=1e-8)
+    ths = np.linspace(0.0, 1.0, 7)[1:-1]
+    ts = [res.ts[k] + th * h for k, h in enumerate(res.hs) for th in ths]
+    want = [res.us[k] + h * (res.Qs[k] @ [th, th**2, th**3, th**4])
+            for k, h in enumerate(res.hs) for th in ths]
+    assert np.allclose(res.sample(ts), want, rtol=1e-14, atol=1e-15)
+
+
+def test_a_boundary_leg_is_sampled_up_to_its_crossing():
+    res = ode.integrate(_cos, 0.0, np.array([0.0]), 3.0,
+                        guard=lambda u: u[0] < 0.5)
+    assert res.status == "boundary"
+    assert res.ts[-2] + res.hs[-1] > res.t_end  # inside the last step
+    assert np.array_equal(res.sample([res.t_end]), res.us[-1:])
+    assert res.sample(res.ts[-2:]).shape == (2, 1)
+    with pytest.raises(NumericError):
+        res.sample([res.t_end + 1e-9])
 
 
 def test_guard_crossing_is_placed_on_the_dense_output():
@@ -110,12 +131,6 @@ def test_non_finite_stages_are_counted_as_vetoes():
 def test_non_finite_span_is_refused_at_once(t0, t1):
     with pytest.raises(DomainError):
         ode.integrate(lambda t, u: -u, t0, np.array([1.0]), t1)
-
-
-def test_max_step_below_the_floor_is_refused():
-    with pytest.raises(DomainError):
-        ode.integrate(lambda t, u: -u, 0.0, np.array([1.0]), 1.0,
-                      max_step=1e-13)
 
 
 @pytest.mark.parametrize("span", [(-np.inf, 1.0), (-1.0, np.inf),

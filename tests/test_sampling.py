@@ -156,6 +156,11 @@ def test_directions_are_writable_copies_of_one_draw():
     pytest.param(lambda: sampling.points_in_domain(
         UnitBall(2), 3, box=([0.0, 0.0], [0.1, 0.1, 0.1])),
         id="corners-of-two-lengths"),
+    pytest.param(lambda: sampling.points_in_domain(
+        UnitBall(2), 3, box=([0, 0], [1, 1], [2, 2])), id="three-corners"),
+    pytest.param(lambda: sampling.state_pairs(
+        zoo.klein(2), 3, box=([0, 0], [1, 1], [2, 2])),
+        id="state-pairs-three-corners"),
     pytest.param(lambda: sampling.state_pairs(
         zoo.klein(2), 3, box=([0, 0, 0], [0.1, 0.1, 0.1])),
         id="box-of-the-wrong-dimension"),
