@@ -15,6 +15,10 @@ the median and interquartile range over the repetitions to
                                  perfbench's rim operations do
   numeric_vs_closed              ``comparison.numeric_vs_closed`` of the
                                  case (lam, lamt, a, b) = (1, 1, 0.7, 0.5)
+  comparison_step                ``comparison.numeric_integrate`` of the same
+                                 case over its default span (two legs, about
+                                 2300 accepted steps), with the median time
+                                 per accepted step in microseconds
   criterion_2, _6, _9            ``acceptance.criterion_k()`` wall time
   verify_all                     ``finslerlab verify-all`` in a subprocess
   tier1                          the tier-1 suite wall time
@@ -96,6 +100,9 @@ def main(argv=None):
     rows["numeric_vs_closed"] = dict(
         ode_row(ode, lambda: cmp.numeric_vs_closed(case)),
         value=cmp.numeric_vs_closed(case))
+    row = ode_row(ode, lambda: cmp.numeric_integrate(case))
+    rows["comparison_step"] = dict(
+        row, us_per_accepted_step=row["median_s"] / row["steps_accepted"] * 1e6)
 
     rows.update(_bench.criteria((2, 6, 9)))
     for name, command in (("verify_all", _bench.verify_all),

@@ -404,11 +404,17 @@ def _default_span(case, reach):
 def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
     """Integrate the ODE directly; stops with status "collapse" at f <= 1e-9."""
 
+    lam, lamt = case.lam, case.lam_tilde
+
     def rhs(t, u):
-        f, df = u
+        f, df = u.tolist()
         if f <= F_FLOOR:
             raise DomainError("f collapsed")
-        return np.array([df, -case.lam * f + case.lam_tilde / f**3])
+        try:
+            pole = lamt / f**3
+        except OverflowError:  # a float f**3 past the range reads as inf
+            pole = lamt / math.inf
+        return np.array([df, -lam * f + pole])
 
     guard = lambda u: u[0] > F_FLOOR
     if t_span is None:

@@ -12,18 +12,32 @@ from typing import List
 import numpy as np
 
 from . import ode
-from .errors import DomainError
+from .errors import (DegenerateDirectionError, DomainError,
+                     SingularMetricError)
 from .geometry import spray_coefficients
+
+RIM_TOL = 1e-6
 
 
 def geodesic_rhs(metric):
     """u' for u = (x, v); a stage outside the chart domain raises
-    DomainError in :func:`spray_coefficients`, which vetoes it."""
+    DomainError in :func:`spray_coefficients`, which vetoes it.
+
+    Within RIM_TOL of the rim a unit-speed geodesic's v decays toward
+    zero and g may turn singular, so a stage there that raises
+    DegenerateDirectionError or SingularMetricError is vetoed as well.
+    Deeper inside the chart both errors still raise.
+    """
     n = metric.n
 
     def rhs(t, u):
         x, v = u[:n], u[n:]
-        G = spray_coefficients(metric, x, v)
+        try:
+            G = spray_coefficients(metric, x, v)
+        except (DegenerateDirectionError, SingularMetricError) as exc:
+            if metric.domain.signed(x) <= -RIM_TOL:
+                raise
+            raise DomainError(f"stage at the rim: {exc}") from exc
         return np.concatenate([v, -2.0 * G])
 
     return rhs
@@ -52,9 +66,6 @@ class GeodesicResult:
         out[ahead] = fwd.sample(ts[ahead])
         out[~ahead] = back.sample(ts[~ahead])
         return out[:, :n], out[:, n:]
-
-
-RIM_TOL = 1e-6
 
 
 def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):

@@ -64,7 +64,8 @@ def _dense(u0, h, Q, th):
 @dataclass
 class OdeResult:
     """Nodes ``ts``/``us`` and, per accepted step k from ``ts[k]``, its
-    signed length ``hs[k]`` and dense-output polynomial ``Qs[k] = K.T @ _P``.
+    signed length ``hs[k]`` and dense-output polynomial ``Qs[k] = K.T @ _P``,
+    formed for all steps at once when the run ends.
 
     A boundary leg ends at the guard crossing: ``ts[-1]`` lies inside its
     last step, and the span ends there.
@@ -108,6 +109,11 @@ def _rms(v):
     return math.sqrt(v.dot(v) / v.size)
 
 
+def _all_finite(v):
+    """True when no entry of the 1-D array ``v`` is inf or nan."""
+    return all(map(math.isfinite, v.tolist()))
+
+
 def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     """Hairer-Norsett-Wanner starting step from one probe evaluation.
 
@@ -119,10 +125,11 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     h0 = min(h0, span)
     fallback = 1e-4 * max(span, 1.0)
     try:
-        f1 = rhs(t + direction * h0, u + direction * h0 * f0)
+        f1 = np.asarray(rhs(t + direction * h0, u + direction * h0 * f0),
+                        dtype=float)
     except DomainError:
         return fallback
-    if not np.isfinite(f1).all():
+    if not _all_finite(f1):
         return fallback
     d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
@@ -149,13 +156,13 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         raise DomainError(f"integration span ({t0}, {t1}) must be finite")
     u = np.asarray(u0, dtype=float).copy()
     d = u.size
-    ts, us, dts, Qs = [t], [u], [], []
+    ts, us, dts, stages = [t], [u], [], []  # stages: each accepted step's K
     n_acc = n_rej = n_vet = 0
 
     def result(status, t_end, u_end):
+        Qs = np.array(stages).reshape(-1, 7, d).transpose(0, 2, 1) @ _P
         return OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
-                         n_acc, n_rej, n_vet, np.array(dts),
-                         np.array(Qs).reshape(-1, d, 4))
+                         n_acc, n_rej, n_vet, np.array(dts), Qs)
 
     direction = 1.0 if t1 >= t else -1.0
     span = abs(t1 - t)
@@ -163,10 +170,12 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         return result("t_limit", t, u)
 
     K = np.empty((7, d))  # stage derivatives; row 0 is rhs at (t, u)
+    KT = K.T  # ndarray.dot on it: @ costs more per call on tiny operands
     K[0] = rhs(t, u)  # initial point must be admissible
-    if not np.isfinite(K[0]).all():
+    if not _all_finite(K[0]):
         raise DomainError("non-finite derivative at the initial point")
     h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
+    abs_u = np.abs(u)
     last_fail_domain = False
     grow_max = 10.0  # 1 right after a rejected step
 
@@ -180,8 +189,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         hs = direction * h
         try:
             for i in range(1, 7):
-                K[i] = rhs(t + _C[i] * hs, u + hs * (K[:i].T @ _A[i]))
-                if not np.isfinite(K[i]).all():
+                K[i] = rhs(t + _C[i] * hs, u + hs * KT[:, :i].dot(_A[i]))
+                if not _all_finite(K[i]):
                     raise DomainError("non-finite derivative")
         except DomainError:
             last_fail_domain = True
@@ -190,9 +199,10 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             grow_max = 1.0
             h *= 0.5
             continue
-        u5 = u + hs * (K.T @ _B5)
-        u4 = u + hs * (K.T @ _B4)
-        q = (u5 - u4) / (atol + rtol * np.maximum(np.abs(u), np.abs(u5)))
+        u5 = u + hs * KT.dot(_B5)
+        u4 = u + hs * KT.dot(_B4)
+        abs_u5 = np.abs(u5)
+        q = (u5 - u4) / (atol + rtol * np.maximum(abs_u, abs_u5))
         err = math.sqrt((q * q).sum() / d)
         if err > 1.0:
             last_fail_domain = False
@@ -202,9 +212,9 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             continue
 
         t_new = t1 if last else t + hs
-        dt, Q = t_new - t, K.T @ _P
+        dt = t_new - t
         dts.append(dt)
-        Qs.append(Q)
+        stages.append(K.copy())
         ts.append(t_new)
         us.append(u5)
         n_acc += 1
@@ -213,6 +223,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         if math.sqrt(k_new.dot(k_new)) > speed_limit:
             return result("blow_up", t_new, u5)
         if guard is not None and not guard(u5):
+            Q = KT @ _P
             lo, hi = t, t_new
             while abs(hi - lo) > MIN_STEP:
                 mid = 0.5 * (lo + hi)
@@ -224,7 +235,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             ts[-1], us[-1] = lo, u_b
             return result("boundary", lo, u_b)
 
-        t, u = t_new, u5
+        t, u, abs_u = t_new, u5, abs_u5
         K[0] = k_new
         last_fail_domain = False
         h *= min(grow_max, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))

@@ -1,5 +1,6 @@
 """The DP5 integrator: starting step, step floor, dense output, spans."""
 
+import dataclasses
 import math
 import re
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 from finslerlab import cli, ode, zoo
+from finslerlab import comparison as cmp
 from finslerlab import geodesic as gd
-from finslerlab.errors import DomainError, NumericError
+from finslerlab.acceptance import NINE_PAIRS
+from finslerlab.errors import (DegenerateDirectionError, DomainError,
+                               NumericError, SingularMetricError)
 
 XG = np.array([0.31, -0.22])
 YG = np.array([0.62, 0.81])
@@ -150,3 +154,259 @@ def test_cli_geodesic_reports_the_steps_of_each_leg(capsys):
                            r"rejected, \d+ vetoed) steps$", out, re.M))
     assert set(legs) == {"backward", "forward"}
     assert not legs["backward"].endswith(" 0 vetoed")
+
+
+# ---------------------------------------------------------------------------
+# the former DP5 loop, kept as a bit-for-bit oracle: it checks every stage
+# with np.isfinite, forms each step's K.T @ P as it accepts it, and takes
+# |u| afresh on every step
+
+
+def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol):
+    scale = atol + rtol * np.abs(u)
+    d0, d1 = ode._rms(u / scale), ode._rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    fallback = 1e-4 * max(span, 1.0)
+    try:
+        f1 = rhs(t + direction * h0, u + direction * h0 * f0)
+    except DomainError:
+        return fallback
+    if not np.isfinite(f1).all():
+        return fallback
+    d2 = ode._rms((f1 - f0) / scale) / h0
+    if max(d1, d2) <= 1e-15:
+        return max(1e-6, 1e-3 * h0)
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2)
+
+
+def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
+                      speed_limit=ode.SPEED_LIMIT):
+    t, t1 = float(t0), float(t1)
+    u = np.asarray(u0, dtype=float).copy()
+    d = u.size
+    ts, us, dts, Qs = [t], [u], [], []
+    n_acc = n_rej = n_vet = 0
+
+    def result(status, t_end, u_end):
+        return ode.OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
+                             n_acc, n_rej, n_vet, np.array(dts),
+                             np.array(Qs).reshape(-1, d, 4))
+
+    direction = 1.0 if t1 >= t else -1.0
+    span = abs(t1 - t)
+    if span == 0.0:
+        return result("t_limit", t, u)
+    K = np.empty((7, d))
+    K[0] = rhs(t, u)
+    if not np.isfinite(K[0]).all():
+        raise DomainError("non-finite derivative at the initial point")
+    h = _oracle_starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
+    last_fail_domain = False
+    grow_max = 10.0
+    while direction * (t1 - t) > 0 and n_acc + n_rej < ode.MAX_STEPS:
+        if h < ode.MIN_STEP:
+            return result("boundary" if last_fail_domain else "blow_up", t, u)
+        rest = abs(t1 - t)
+        last = h >= rest
+        if last:
+            h = rest
+        hs = direction * h
+        try:
+            for i in range(1, 7):
+                K[i] = rhs(t + ode._C[i] * hs, u + hs * (K[:i].T @ ode._A[i]))
+                if not np.isfinite(K[i]).all():
+                    raise DomainError("non-finite derivative")
+        except DomainError:
+            last_fail_domain = True
+            n_vet += 1
+            n_rej += 1
+            grow_max = 1.0
+            h *= 0.5
+            continue
+        u5 = u + hs * (K.T @ ode._B5)
+        u4 = u + hs * (K.T @ ode._B4)
+        q = (u5 - u4) / (atol + rtol * np.maximum(np.abs(u), np.abs(u5)))
+        err = math.sqrt((q * q).sum() / d)
+        if err > 1.0:
+            last_fail_domain = False
+            n_rej += 1
+            grow_max = 1.0
+            h *= max(0.2, 0.9 * err ** (-0.2))
+            continue
+        t_new = t1 if last else t + hs
+        dt, Q = t_new - t, K.T @ ode._P
+        dts.append(dt)
+        Qs.append(Q)
+        ts.append(t_new)
+        us.append(u5)
+        n_acc += 1
+        k_new = K[6]
+        if math.sqrt(k_new.dot(k_new)) > speed_limit:
+            return result("blow_up", t_new, u5)
+        if guard is not None and not guard(u5):
+            lo, hi = t, t_new
+            while abs(hi - lo) > ode.MIN_STEP:
+                mid = 0.5 * (lo + hi)
+                if guard(ode._dense(u, dt, Q, (mid - t) / dt)):
+                    lo = mid
+                else:
+                    hi = mid
+            u_b = ode._dense(u, dt, Q, (lo - t) / dt)
+            ts[-1], us[-1] = lo, u_b
+            return result("boundary", lo, u_b)
+        t, u = t_new, u5
+        K[0] = k_new
+        last_fail_domain = False
+        h *= min(grow_max, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))
+        grow_max = 10.0
+    if n_acc + n_rej >= ode.MAX_STEPS:
+        raise NumericError("step budget exhausted")
+    return result("t_limit", t, u)
+
+
+def _oracle_comparison_rhs(case):
+    """The comparison right-hand side on numpy scalars."""
+    def rhs(t, u):
+        f, df = u
+        if f <= cmp.F_FLOOR:
+            raise DomainError("f collapsed")
+        return np.array([df, -case.lam * f + case.lam_tilde / f**3])
+
+    return rhs
+
+
+def _assert_bit_identical(got, want):
+    for field in dataclasses.fields(ode.OdeResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def test_comparison_legs_match_the_former_loop_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for lam, lamt in NINE_PAIRS:
+        case = cmp.make_case(lam, lamt, rng.uniform(0.3, 2.0),
+                             rng.uniform(-1.5, 1.5))
+        span = cmp._default_span(case, 1.2)
+        rhs = _oracle_comparison_rhs(case)
+        for (res, _), target in zip(cmp.numeric_integrate(case, span), span):
+            want = _oracle_integrate(rhs, 0.0, np.array([case.a, case.b]),
+                                     target, 1e-12, 1e-14,
+                                     guard=lambda u: u[0] > cmp.F_FLOOR,
+                                     speed_limit=np.inf)
+            _assert_bit_identical(res, want)
+
+
+def test_geodesic_legs_match_the_former_loop_bit_for_bit():
+    # an interior klein run, and a funk_ball(1) run whose backward leg is
+    # vetoed at the rim until it ends at the step floor
+    for metric, span in ((zoo.klein(), (-0.3, 0.3)),
+                         (zoo.funk_ball(1), (-30.0, 0.2))):
+        run = gd.integrate_geodesic(metric, XG, YG, span, rtol=1e-8,
+                                    atol=1e-10)
+        rhs = gd.geodesic_rhs(metric)
+        guard = lambda u: metric.domain.contains(u[:2])
+        u0 = np.concatenate([XG, YG / metric(XG, YG)])
+        for leg, target in zip(run.legs, span):
+            want = _oracle_integrate(rhs, 0.0, u0, target, 1e-8, 1e-10,
+                                     guard=guard)
+            _assert_bit_identical(leg, want)
+    assert run.legs[0].n_vetoed > 0
+
+
+def test_a_guard_crossing_matches_the_former_loop_bit_for_bit():
+    rhs = lambda t, u: np.array([np.cos(t), -u[0]])
+    guard = lambda u: abs(u[0]) < 0.5
+    for t1 in (3.0, -3.0):
+        u0 = np.array([0.0, math.copysign(1.0, t1)])
+        res = ode.integrate(rhs, 0.0, u0, t1, rtol=1e-9, atol=1e-11,
+                            guard=guard)
+        assert res.status == "boundary"
+        _assert_bit_identical(res, _oracle_integrate(
+            rhs, 0.0, u0, t1, 1e-9, 1e-11, guard=guard))
+
+
+# ---------------------------------------------------------------------------
+# one finiteness test at the initial point, the starting-step probe and
+# every stage
+
+
+def _poisoned(call, j, value, d=3):
+    """u' = -u whose rhs call number ``call`` (0: the initial point, 1: the
+    probe, 2-7: the stages of the first step) has ``value`` in entry j."""
+    calls = [0]
+
+    def rhs(t, u):
+        out = -u
+        if calls[0] == call:
+            out[j] = value
+        calls[0] += 1
+        return out
+
+    return ode.integrate(rhs, 0.0, np.ones(d), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_entry_is_refused_everywhere(bad):
+    with np.errstate(all="raise"):  # the check itself makes no fp warning
+        for j in range(3):
+            with pytest.raises(DomainError, match="initial point"):
+                _poisoned(0, j, bad)
+            assert _poisoned(1, j, bad).n_vetoed == 0  # probe: not a step
+            for stage in range(1, 7):
+                res = _poisoned(1 + stage, j, bad)
+                assert res.status == "t_limit"
+                assert res.n_vetoed == 1 <= res.n_rejected
+
+
+def test_a_huge_finite_entry_is_not_vetoed():
+    # the step's error norm overflows to inf, which rejects it
+    with np.errstate(over="ignore"):
+        for j in range(3):
+            assert _poisoned(1, j, 1e300).n_vetoed == 0
+            for stage in range(1, 7):
+                res = _poisoned(1 + stage, j, 1e300)
+                assert res.status == "t_limit"
+                assert res.n_vetoed == 0 < res.n_rejected
+
+
+# ---------------------------------------------------------------------------
+# unit-speed geodesics that decay against the rim
+
+
+@pytest.mark.parametrize("name, span", [("klein", (0.0, 15.0)),
+                                        ("funk-plus", (0.0, 30.0)),
+                                        ("funk-minus", (-30.0, 0.0))])
+def test_a_leg_whose_speed_decays_at_the_rim_ends_at_the_boundary(name, span):
+    m = zoo.make_metric(name, dim=2)
+    run = gd.integrate_geodesic(m, np.array([0.3, -0.2]),
+                                np.array([0.6, 0.8]), span)
+    leg = run.legs[0] if span[0] < 0 else run.legs[1]
+    status = run.status_backward if span[0] < 0 else run.status_forward
+    assert status == leg.status == "boundary"
+    assert -1e-9 < m.domain.signed(leg.u_end[:2]) < 0.0
+    assert leg.n_vetoed > 0
+    assert len(run.ts) == leg.n_accepted + 1
+    assert np.array_equal(leg.us[-1], leg.u_end)
+
+
+def test_degenerate_stages_are_vetoed_only_at_the_rim():
+    rhs = gd.geodesic_rhs(zoo.klein())
+    near = 1.0 - 0.5 * gd.RIM_TOL
+    with pytest.raises(DomainError, match="rim"):
+        rhs(0.0, np.array([near, 0.0, 0.0, 0.0]))
+    with pytest.raises(DegenerateDirectionError):
+        rhs(0.0, np.array([0.5, 0.0, 0.0, 0.0]))
+
+
+def test_an_interior_singular_metric_still_raises():
+    # the chord along the axis meets the superellipse where its curvature
+    # vanishes, so g is singular at this interior state
+    m = zoo.make_metric("hilbert-superellipse", dim=2)
+    with pytest.raises(SingularMetricError):
+        gd.integrate_geodesic(m, np.array([-0.7, 0.0]), np.array([1.0, 0.0]),
+                              (-1.0, 1.0))
