@@ -24,6 +24,9 @@ repetitions to ``BENCH_batch.json`` under a label:
   einstein_campaign.all          the sum of those over all (metric, n)
   projective_campaign, fit_einstein_constants   euclidean -> funk-plus,
                                  n = 2, at their defaults (40, 25 states)
+  xi_and_tau.n<n>                ``projective.xi_and_tau`` euclidean ->
+                                 funk-plus on a batch of 25 joint states
+                                 (the fit's default), per state, n = 2..4
   criterion_1, criterion_2       ``acceptance.criterion_k()`` wall time
   tier1                          the tier-1 suite wall time
 
@@ -52,6 +55,7 @@ from _bench import summarize, timed  # noqa: E402
 
 OUT = _bench.REPO / "BENCH_batch.json"
 STATES, FLAGS = 40, 8  # the curvature command's defaults
+FIT_STATES = 25  # fit_einstein_constants's default
 KERNEL_TABLES = ((4, 2), (8, 2), (4, 4), (6, 4), (8, 4))
 KERNEL_BATCHES = (1, 5, 16, 40)
 # the campaign workload's Einstein operations (perfbench/workloads.py)
@@ -113,6 +117,12 @@ def main(argv=None):
         timed(lambda: pj.projective_campaign(euc, fp)))
     rows["fit_einstein_constants"] = summarize(
         timed(lambda: pj.fit_einstein_constants(euc, fp)))
+    for n in (2, 3, 4):
+        euc_n, fp_n = zoo.euclidean(n), zoo.funk_ball(1, n)
+        X, Y = (np.array(v) for v in zip(*sampling.joint_state_pairs(
+            euc_n, fp_n, FIT_STATES)))
+        rows[f"xi_and_tau.n{n}"] = per_state(
+            timed(lambda: pj.xi_and_tau(euc_n, fp_n, X, Y)), FIT_STATES)
 
     rows.update(_bench.criteria((1, 2)))
     times, info = _bench.tier1(tree)

@@ -58,6 +58,13 @@ def make_case(lam, lam_tilde, a, b):
     a, b = float(a), float(b)
     if not (a > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise DomainError("need a > 0 and finite b")
+    # C and the turning-point identity need a^2 > 0 and a^4, (a b)^2, b^2
+    # and lamt / a^2 finite
+    a2, ab = a * a, a * b
+    if not (a2 > 0.0
+            and math.isfinite(a2 * a2 + ab * ab + b * b + abs(lam_tilde) / a2)):
+        raise DomainError(f"a = {a:g}, b = {b:g} put a^4, (a b)^2, b^2 or "
+                          f"1/a^2 outside the float range")
     # snap relative to the terms that enter C, so an absent a^2 or 1/a^2
     # cannot swamp a small b^2
     scale = max(1.0, abs(lam) * a * a + abs(lam_tilde) / (a * a) + b * b)

@@ -116,7 +116,6 @@ class JetContext:
         self.horner = None
 
         self._tensor_maps = {}
-        self._partial_maps = {}
 
     # -- degree-aware sub-tables -------------------------------------------
 
@@ -154,11 +153,10 @@ class JetContext:
     # -- derivative-tensor scatter ---------------------------------------
 
     def tensor_map(self, k):
-        """Maps for degree-k coefficients <-> dense d^k derivative tensor.
+        """Map from degree-k coefficients to the dense d^k derivative tensor.
 
-        Returns (slot_mono, slot_fact, repr_slot): for each flat slot of the
-        (n_vars,)*k tensor the monomial position and its alpha!, plus one
-        representative flat slot per degree-k monomial.
+        Returns (slot_mono, slot_fact): for each flat slot of the
+        (n_vars,)*k tensor the monomial position and its alpha!.
         """
         if k in self._tensor_maps:
             return self._tensor_maps[k]
@@ -168,9 +166,6 @@ class JetContext:
         size = d**k
         slot_mono = np.empty(size, dtype=np.int64)
         slot_fact = np.empty(size)
-        lo = self.degree_start[k]
-        hi = self.degree_start[k + 1]
-        repr_slot = np.full(hi - lo, -1, dtype=np.int64)
         for flat, combo in enumerate(itertools.product(range(d), repeat=k)):
             e = [0] * d
             for i in combo:
@@ -178,29 +173,8 @@ class JetContext:
             pos = self.index[tuple(e)]
             slot_mono[flat] = pos
             slot_fact[flat] = self.factorials[pos]
-            if repr_slot[pos - lo] < 0:
-                repr_slot[pos - lo] = flat
-        self._tensor_maps[k] = (slot_mono, slot_fact, repr_slot)
+        self._tensor_maps[k] = (slot_mono, slot_fact)
         return self._tensor_maps[k]
-
-    def partial_map(self, i):
-        """Shift map realizing d/dz_i as an (order-1)-jet of the derivative."""
-        if i in self._partial_maps:
-            return self._partial_maps[i]
-        if not 0 <= i < self.n_vars:
-            raise JetError(f"variable index {i} outside 0..{self.n_vars - 1}")
-        lower = get_context(self.n_vars, self.order - 1) if self.order > 1 else None
-        count = lower.n_terms if lower is not None else 1
-        src = np.empty(count, dtype=np.int64)
-        scale = np.empty(count)
-        target = lower.monomials if lower is not None else [(0,) * self.n_vars]
-        for q, mono in enumerate(target):
-            shifted = list(mono)
-            shifted[i] += 1
-            src[q] = self.index[tuple(shifted)]
-            scale[q] = shifted[i]
-        self._partial_maps[i] = (lower, src, scale)
-        return self._partial_maps[i]
 
 
 @lru_cache(maxsize=None)
@@ -481,55 +455,12 @@ def derivative_tensors(jet, max_order=None):
     d = ctx.n_vars
     batch = jet.coeffs.shape[:-1]
     for k in range(1, max_order + 1):
-        slot_mono, slot_fact, _ = ctx.tensor_map(k)
+        slot_mono, slot_fact = ctx.tensor_map(k)
         # take() keeps a batch C-ordered (coeffs[..., idx] would not): BLAS
         # then sees every state's tensor with the strides of a lone state's
         out.append((jet.coeffs.take(slot_mono, axis=-1) * slot_fact)
                    .reshape(batch + (d,) * k))
     return out
-
-
-def jet_from_tensors(ctx, value, tensors):
-    """Inverse of :func:`derivative_tensors`: build a jet from value + D1..Dk.
-
-    ``tensors[k-1]`` must be the symmetric order-k derivative tensor; only
-    one representative entry per monomial is read. A ``(B,)`` value with
-    tensors of leading axis B builds a batch.
-    """
-    if len(tensors) != ctx.order:
-        raise JetError(
-            f"need {ctx.order} tensors for an order-{ctx.order} jet, got {len(tensors)}"
-        )
-    coeffs = constant(ctx, value).coeffs
-    batch = coeffs.shape[:-1]
-    for k, tensor in enumerate(tensors, start=1):
-        tensor = np.asarray(tensor)
-        _, _, repr_slot = ctx.tensor_map(k)
-        lo = ctx.degree_start[k]
-        hi = ctx.degree_start[k + 1]
-        coeffs[..., lo:hi] = (tensor.reshape(batch + (-1,))[..., repr_slot]
-                              / ctx.factorials[lo:hi])
-    return Jet(ctx, coeffs, ctx.order)
-
-
-def jet_partial(jet, i):
-    """The derivative d jet/dz_i as a jet one order lower."""
-    ctx = jet.ctx
-    if ctx.order < 2:
-        raise JetError("cannot take a jet partial of an order-1 jet")
-    lower, src, scale = ctx.partial_map(i)
-    return Jet(lower, jet.coeffs.take(src, axis=-1) * scale, lower.order)
-
-
-def truncate(jet, order):
-    """The same expansion truncated to a lower order."""
-    ctx = jet.ctx
-    if order == ctx.order:
-        return jet
-    if order > ctx.order:
-        raise JetError(f"cannot truncate order {ctx.order} up to {order}")
-    lower = get_context(ctx.n_vars, order)
-    return Jet(lower, jet.coeffs[..., : lower.n_terms].copy(), min(jet.hi, order))
 
 
 # ---------------------------------------------------------------------------

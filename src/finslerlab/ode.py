@@ -117,13 +117,16 @@ def _all_finite(v):
 def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     """Hairer-Norsett-Wanner starting step from one probe evaluation.
 
-    A vetoed or non-finite probe falls back to ``1e-4 * max(span, 1)``.
+    A vetoed or non-finite probe falls back to ``1e-4 * max(span, 1)``, and
+    so does a probe step of zero (``f0 / scale`` overflowed).
     """
     scale = atol + rtol * np.abs(u)
     d0, d1 = _rms(u / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     fallback = 1e-4 * max(span, 1.0)
+    if not h0 > 0.0:
+        return fallback
     try:
         f1 = np.asarray(rhs(t + direction * h0, u + direction * h0 * f0),
                         dtype=float)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finslerlab import _kernels, geometry as geo, jets as jr, zoo
+from finslerlab import _kernels, geometry as geo, jets as jr, projective as pj, zoo
 from finslerlab.errors import DomainError, JetError, SingularMetricError
 from finslerlab.metric import FinslerMetric, FullSpace
 
@@ -49,6 +49,20 @@ def test_batch_rows_equal_single_states(key, count, order, seed):
     batch = geo._assemble(m, X, Y, order)
     for i in range(count):
         one = geo._assemble(m, X[i], Y[i], order)
+        assert batch.keys() == one.keys()
+        for name, value in one.items():
+            assert np.array_equal(batch[name][i], value), (name, i)
+
+
+@pytest.mark.parametrize("base, cand, n", [
+    ("euclidean", "funk-plus", 2), ("spherical", "klein", 3),
+    ("bryant", "paraboloid", 4), ("spherical", "hilbert-ellipse", 2)])
+def test_xi_and_tau_rows_equal_single_states(base, cand, n):
+    base, cand = _metric(base, n), _metric(cand, n)
+    X, Y = _states(cand, 7, 11)  # each base is defined on all of R^n
+    batch = pj.xi_and_tau(base, cand, X, Y)
+    for i in range(len(X)):
+        one = pj.xi_and_tau(base, cand, X[i], Y[i])
         assert batch.keys() == one.keys()
         for name, value in one.items():
             assert np.array_equal(batch[name][i], value), (name, i)

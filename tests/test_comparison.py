@@ -26,6 +26,16 @@ def test_make_case_validation():
         cmp.make_case(1, 1, 1.0, np.inf)
 
 
+@pytest.mark.parametrize("lam, lamt, a, b", [
+    (1, 1, 1e100, 0.0), (1, 1, 1.0, 1e200),  # a^4, (a b)^2 overflow
+    (1, 1, 1e-200, 0.0), (0, -1, 1e-170, 1.0),  # a^2 underflows to 0
+    (-1, -1, 1e-160, 0.0),  # lamt / a^2 overflows
+])
+def test_make_case_refuses_terms_outside_the_float_range(lam, lamt, a, b):
+    with pytest.raises(DomainError, match="outside the float range"):
+        cmp.make_case(lam, lamt, a, b)
+
+
 def test_conserved_quantity_snaps_to_zero_on_borderlines():
     case = cmp.make_case(0, -1, 1.0, 1.0)  # C = (0 - 1 + 1)/2
     assert case.C == 0.0

@@ -165,4 +165,3 @@ def test_spans_of_the_constructors():
     assert (x * y * z * x * y).hi == 4
     assert (x * y + z).hi == 2
     assert jr.sqrt(x).hi == 4 and (1.0 / x).hi == 4
-    assert jr.truncate(x * y, 1).hi == 1

@@ -294,7 +294,7 @@ def test_euler_scaling_of_homogeneous_expression():
 
 
 # ---------------------------------------------------------------------------
-# tensors, partials, truncation
+# derivative tensors
 
 
 def test_derivative_tensors_and_inverse_roundtrip():
@@ -306,25 +306,8 @@ def test_derivative_tensors_and_inverse_roundtrip():
     assert np.allclose(d2, d2.T)
     assert np.allclose(d3, np.transpose(d3, (1, 0, 2)))
     assert np.allclose(d3, np.transpose(d3, (0, 2, 1)))
-    back = jr.jet_from_tensors(expr.ctx, tensors[0], tensors[1:])
-    assert np.allclose(back.coeffs, expr.coeffs, atol=1e-15)
-
-
-def test_jet_partial_matches_tensor_entries():
-    zs = jr.seed_variables([0.1, 0.2], [0.5, -0.3], order=3)
-    expr = jr.exp(0.2 * zs[0]) * jr.sqrt(zs[2] * zs[2] + zs[3] * zs[3])
-    tensors = jr.derivative_tensors(expr)
-    for i in range(4):
-        p = jr.jet_partial(expr, i)
-        assert p.order == 2
-        assert p.value == pytest.approx(tensors[1][i], rel=1e-13)
-        grad = jr.derivative_tensors(p)[1]
-        assert np.allclose(grad, tensors[2][i], atol=1e-13)
-
-
-def test_truncate():
-    zs = jr.seed_variables([0.1], [0.9], order=4)
-    expr = jr.exp(zs[0] * zs[1])
-    t2 = jr.truncate(expr, 2)
-    assert t2.order == 2
-    assert np.allclose(t2.coeffs, expr.coeffs[: t2.ctx.n_terms])
+    # every slot reads back the partial of its multi-index, bit for bit
+    for k in range(1, 5):
+        for slot in itertools.product(range(4), repeat=k):
+            idx = np.bincount(slot, minlength=4)
+            assert tensors[k][slot] == jr.extract_derivative(expr, idx)

@@ -374,6 +374,16 @@ def test_a_huge_finite_entry_is_not_vetoed():
                 assert res.n_vetoed == 0 < res.n_rejected
 
 
+def test_an_overflowing_initial_slope_takes_the_fallback_step():
+    # f0 / scale overflows, so the starting step's probe step would be 0
+    with np.errstate(over="ignore"):
+        res = ode.integrate(lambda t, u: np.array([1e300, -u[1]]), 0.0,
+                            np.array([1.0, 1.0]), 1.0)
+    assert res.status == "blow_up"
+    assert res.n_accepted == 1
+    assert res.hs.tolist() == [1e-4]
+
+
 # ---------------------------------------------------------------------------
 # unit-speed geodesics that decay against the rim
 

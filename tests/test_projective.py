@@ -1,9 +1,12 @@
 """Projective relatedness: residuals, factors, and the transport law."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finslerlab import jets as jr, projective as pj, zoo
+from finslerlab import geometry as geo, jets as jr, projective as pj, zoo
 from finslerlab.errors import DomainError, NotProjectivelyRelatedError
 from finslerlab.metric import FinslerMetric, FullSpace, dot
 
@@ -99,6 +102,75 @@ def test_curvature_transform_curved_base():
     # scalar identity: Xi = lamt F~^2 - lam F^2 for this einstein pair
     pred = zoo.spherical()(X, Y) ** 2 + zoo.klein()(X, Y) ** 2
     assert chk["Xi"] == pytest.approx(pred, rel=1e-12)
+
+
+@pytest.mark.parametrize("base", [zoo.klein(), zoo.funk_ball(1), zoo.spherical()],
+                         ids=lambda m: m.name)
+def test_curvature_transform_flat_candidate(base):
+    # R_cand and R_pred are both rounding noise here; |R_base| is order one
+    chk = pj.curvature_transform_check(base, zoo.euclidean(), X, Y)
+    assert np.max(np.abs(chk["R_pred"])) < 1e-14
+    assert chk["defect"] < 1e-12
+    assert chk["ricci_defect"] < 1e-12
+
+
+FIXED_2D = ("funk-ellipse-plus", "funk-ellipse-minus", "hilbert-ellipse",
+            "hilbert-superellipse")
+
+
+@lru_cache(maxsize=None)
+def _metric(name, n):
+    return zoo.make_metric(name, dim=n)
+
+
+def _joint_states(base, cand, count, seed):
+    """``count`` points inside both domains and both sample boxes (as
+    :func:`sampling.joint_state_pairs` draws them) and unit directions."""
+    rng = np.random.default_rng(seed)
+    (lo_b, hi_b), (lo_c, hi_c) = base.domain.sample_box(), cand.domain.sample_box()
+    lo, hi = np.maximum(lo_b, lo_c), np.minimum(hi_b, hi_c)
+    xs = []
+    while len(xs) < count:
+        x = lo + rng.random(base.n) * (hi - lo)
+        if base.domain.contains(x) and cand.domain.contains(x):
+            xs.append(x)
+    ys = rng.standard_normal((count, base.n))
+    return np.array(xs), ys / np.linalg.norm(ys, axis=1, keepdims=True)
+
+
+def _pairs(n):
+    names = st.sampled_from([m for m in zoo.METRIC_NAMES
+                             if n == 2 or m not in FIXED_2D])
+    return st.tuples(names, names, st.just(n))
+
+
+# every catalog metric is projectively flat and Einstein, so every pair of
+# them is projectively related with Xi = lamt F~^2 - lam F^2
+catalog_pairs = st.integers(2, 4).flatmap(_pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=catalog_pairs | st.sampled_from(
+           [("klein", "euclidean", 3), ("spherical", "euclidean", 4),
+            ("hilbert-ellipse", "euclidean", 2)]),
+       count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_batched_transport_scalars_satisfy_both_identities(pair, count, seed):
+    base, cand = _metric(pair[0], pair[2]), _metric(pair[1], pair[2])
+    X, Y = _joint_states(base, cand, count, seed)
+    info = pj.xi_and_tau(base, cand, X, Y)
+    Xi = info["Xi"]
+    # R_cand = R + Xi Id + y (x) tau, relative to the largest term
+    terms = (geo.riemann_curvature(cand, X, Y), info["R_base"],
+             Xi[:, None, None] * np.eye(base.n), Y[:, :, None] * info["tau"][:, None, :])
+    pred = terms[1] + terms[2] + terms[3]
+    scale = np.max([np.max(np.abs(t), axis=(1, 2)) for t in terms], axis=0)
+    assert np.all(np.max(np.abs(terms[0] - pred), axis=(1, 2)) <= 1e-10 * scale)
+    # Xi = lamt F~^2 - lam F^2
+    f2 = np.array([base(x, y) ** 2 for x, y in zip(X, Y)])
+    ft2 = np.array([cand(x, y) ** 2 for x, y in zip(X, Y)])
+    lam, lamt = base.einstein_constant, cand.einstein_constant
+    xi_scale = np.maximum.reduce([abs(lamt) * ft2, abs(lam) * f2, np.abs(Xi)])
+    assert np.all(np.abs(Xi - (lamt * ft2 - lam * f2)) <= 1e-10 * xi_scale)
 
 
 def test_funk_condition_residual_decides():
