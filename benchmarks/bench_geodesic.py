@@ -1,9 +1,15 @@
-"""Geodesic-layer benchmark: chord check, DP5 stepper, criteria 2 and 6, tier-1.
+"""Geodesic-layer benchmark: sprays, chord check, DP5 stepper, criteria 2 and 6, tier-1.
 
 Times, on fixed inputs, the layers that a geodesic run and the comparison
 ODE pass through, and writes the median and interquartile range over the
 repetitions to ``BENCH_geodesic.json`` under a label:
 
+  spray_<metric>    one-state ``geometry.spray_coefficients`` (an order-2
+                    assembly, one per DP5 stage of a geodesic) for klein
+                    (n = 2), bryant (n = 3) and hilbert-ellipse (n = 2);
+                    the row times 200 calls and ``us_per_call`` is one
+  compose_sqrt_o2/4 ``jets.sqrt`` of a one-state jet in 4 variables at
+                    orders 2 and 4, one ``jets._compose``; 2000 calls
   hausdorff_415     ``geodesic.hausdorff_to_chord`` on criterion 2's
                     415-node funk-minus trace (second state pair)
   ode_comparison    ``comparison.numeric_integrate`` over t in [0, 8]: one
@@ -34,15 +40,40 @@ import _bench  # noqa: E402
 
 OUT = _bench.REPO / "BENCH_geodesic.json"
 
+# one-state spray inputs: (catalog name, n, x, y)
+SPRAYS = (("klein", 2, [0.3, -0.2], [0.6, 0.8]),
+          ("bryant", 3, [0.3, -0.2, 0.1], [0.6, 0.8, -0.2]),
+          ("hilbert-ellipse", 2, [0.3, -0.2], [0.6, 0.8]))
+
+
+def per_call(fn, calls):
+    """Row of ``calls`` back-to-back calls of ``fn``: the loop's median and
+    IQR, and its median divided by ``calls`` in microseconds."""
+    row = _bench.summarize(_bench.timed(lambda: [fn() for _ in range(calls)]))
+    return dict(row, calls=calls, us_per_call=row["median_s"] / calls * 1e6)
+
 
 def main(argv=None):
     label, tree = _bench.arguments(__doc__, argv)
 
+    import numpy as np
+
     from finslerlab import comparison as cmp
-    from finslerlab import geodesic as gd, sampling, zoo
+    from finslerlab import geodesic as gd, geometry as geo, jets as jr
+    from finslerlab import sampling, zoo
 
     summarize, timed = _bench.summarize, _bench.timed
     rows = {}
+    for name, n, x0, y0 in SPRAYS:
+        metric = zoo.make_metric(name, n)
+        x0, y0 = np.array(x0), np.array(y0)
+        rows[f"spray_{name}"] = per_call(
+            lambda: geo.spray_coefficients(metric, x0, y0), 200)
+    for order in (2, 4):
+        z = jr.variables([0.3, 0.5, 0.7, 0.9], order)
+        arg = z[0] * z[1] + z[2] + z[3]
+        rows[f"compose_sqrt_o{order}"] = per_call(lambda: jr.sqrt(arg), 2000)
+
     m = zoo.funk_ball(-1)
     x, y = sampling.state_pairs(m, 4)[1]  # criterion 2's second pair
     integrate = lambda: gd.integrate_geodesic(m, x, y, (-1.0, 1.0),
@@ -68,7 +99,7 @@ def main(argv=None):
     rows.update(_bench.criteria((2, 6)))
     times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
-    _bench.write(OUT, label, rows)
+    _bench.write(OUT, label, rows, width=22)
 
 
 if __name__ == "__main__":

@@ -457,7 +457,10 @@ def arc_param_roundtrip(case, t):
     """Defect of int_a^{f(t)} s ds / sqrt(rad(s)) = |t| on a monotone leg.
 
     ``t`` must be finite and stay strictly inside the first forward (or
-    backward) monotone segment of f; otherwise DomainError.
+    backward) monotone segment of f; otherwise DomainError. So must a t at
+    which f(t) rounds to f(0) while b != 0: the leg has no measurable motion
+    to invert (b = 1e-200, say). At b = 0, a turning value of f, such a t
+    reads the defect |t|.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -473,6 +476,8 @@ def arc_param_roundtrip(case, t):
     if abs(t) >= min(t_crit, edge):
         raise DomainError("t beyond the first monotone segment")
     fb = float(f_value(case, t))
+    if case.b != 0.0 and fb == float(f_value(case, 0.0)):
+        raise DomainError("f(t) rounds to f(0): no measurable motion to invert")
     if case.lam == 0.0 and case.lam_tilde == 0.0:
         # rad(s) = (b s)^2 and f = a + b t: the integral is |f - a| / |b|, in
         # closed form as in candidate_length (a snapped C would zero rad)

@@ -85,7 +85,8 @@ def _metric_block(metric, tensors):
             f"{metric.name}: fundamental tensor not strongly convex{where} "
             f"(eigenvalues {eigs.tolist()})"
         )
-    ginv = np.linalg.solve(g, np.eye(n))
+    # inv runs LAPACK's gesv against the identity, as solve(g, eye(n)) does
+    ginv = np.linalg.inv(g)
     return g, ginv
 
 

@@ -114,6 +114,10 @@ class JetContext:
         self.mul_k = np.array(mk, dtype=np.int64)
         self.products = [[None] * (order + 1) for _ in range(order + 1)]
         self.horner = None
+        # row i: the coefficients of the seeded variable z_i at z = 0
+        self._units = np.zeros((n_vars, self.n_terms))
+        self._units[:, 1:n_vars + 1] = np.eye(n_vars)
+        self._units.setflags(write=False)
 
         self._tensor_maps = {}
 
@@ -142,6 +146,7 @@ class JetContext:
         of the k steps after it: only its degrees <= order - k reach the
         result. So step k reads the accumulator up to degree order - k - 1,
         the nilpotent part from degree 1, and writes degrees <= order - k.
+        :func:`_compose` runs the first, step order - 1, as a scalar product.
         """
         da, db = self.degrees[self.mul_i], self.degrees[self.mul_j]
         self.horner = [
@@ -383,17 +388,19 @@ def _points(values):
 
 def variables(values, order):
     """Seed one jet per coordinate of ``values``, each with a unit linear
-    coefficient; a ``(B, n)`` stack seeds batched jets."""
+    coefficient; a ``(B, n)`` stack seeds batched jets.
+
+    The jets are rows of one coefficient block, ``(n, n_terms)`` or
+    ``(n, B, n_terms)``; they may share it because no ring operation
+    writes into an operand.
+    """
     vals = _points(values)
     ctx = get_context(vals.shape[-1], order)
-    shape = vals.shape[:-1] + (ctx.n_terms,)
-    out = []
-    for i, v in enumerate(vals.T):
-        coeffs = np.zeros(shape)
-        coeffs.T[0] = v
-        coeffs.T[1 + i] = 1.0  # degree-1 block starts right after the constant
-        out.append(Jet(ctx, coeffs, 1))
-    return out
+    units = ctx._units
+    block = (units.copy() if vals.ndim == 1
+             else np.repeat(units[:, None], vals.shape[0], axis=1))
+    block.T[0] = vals
+    return [Jet(ctx, coeffs, 1) for coeffs in block]
 
 
 def seed_variables(x, y, order):
@@ -471,15 +478,22 @@ def _compose(jet, series):
     """g(f) for g given by its Taylor coefficients about f's base value.
 
     ``series[k]`` = g^(k)(f0)/k!, a scalar or one per state of a batch.
-    Horner evaluation in the nilpotent part f - f0 costs ``order`` table
-    multiplications, step k over ``ctx.horner[k]``.
+    Horner evaluation in the nilpotent part f - f0 costs ``order - 1``
+    table multiplications, step k over ``ctx.horner[k]``, after a first
+    step that is a scalar product. At order 1 that product is the result,
+    and a zero coefficient may carry the sign of its factors (-0.0).
     """
     ctx = jet.ctx
     nil = jet.coeffs.copy()
     nil.T[0] = 0.0
-    acc = constant(ctx, series[ctx.order]).coeffs
+    # step order - 1 multiplies the constant series[order] by the degree-1
+    # part, one table entry per slot: a scalar product gives the same
+    # products (and leaves higher degrees that no later step reads)
+    top = series[ctx.order]
+    acc = nil * (top if nil.ndim == 1 else top[:, None])
+    acc.T[0] += series[ctx.order - 1]
     steps = ctx.horner or ctx.horner_tables()
-    for k in range(ctx.order - 1, -1, -1):
+    for k in range(ctx.order - 2, -1, -1):
         mul_i, mul_j, mul_k = steps[k]
         acc = _kernels.multiply(acc, nil, mul_i, mul_j, mul_k, ctx.n_terms)
         acc.T[0] += series[k]

@@ -6,6 +6,7 @@ ring of :mod:`finslerlab.jets` so the same definition evaluates on floats
 and on jets.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,6 +29,14 @@ def dot(u, v):
 
 def norm_sq(u):
     return dot(u, u)
+
+
+def _norm(v):
+    """Euclidean norm of a float array, as ``np.linalg.norm`` computes it
+    (the square root of ``v.dot(v)`` over the flattened entries) at a
+    fraction of its fixed cost."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +78,7 @@ class UnitBall(Domain):
     n: int
 
     def signed(self, x):
-        return float(np.linalg.norm(x)) - 1.0
+        return _norm(np.asarray(x, dtype=float)) - 1.0
 
     def sample_box(self):
         # corners stay interior: |x| <= 0.8 over the whole box
@@ -151,7 +160,7 @@ class FinslerMetric:
             raise DomainError(
                 f"{self.name}: direction has size {y.size}, expected {self.n}"
             )
-        if np.linalg.norm(y) <= MIN_DIRECTION_NORM:
+        if _norm(y) <= MIN_DIRECTION_NORM:
             raise DegenerateDirectionError(f"{self.name}: |y| below {MIN_DIRECTION_NORM}")
         return y
 

@@ -109,19 +109,23 @@ def _rms(v):
     return math.sqrt(v.dot(v) / v.size)
 
 
-def _all_finite(v):
-    """True when no entry of the 1-D array ``v`` is inf or nan."""
-    return all(map(math.isfinite, v.tolist()))
+def _finite_entries(v):
+    """The entries of the 1-D array ``v`` as Python floats, or None when one
+    of them is inf or nan."""
+    row = v.tolist()
+    return row if all(map(math.isfinite, row)) else None
 
 
 def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     """Hairer-Norsett-Wanner starting step from one probe evaluation.
 
     A vetoed or non-finite probe falls back to ``1e-4 * max(span, 1)``, and
-    so does a probe step of zero (``f0 / scale`` overflowed).
+    so does a probe step of zero (``f0 / scale`` overflowed). An overflow
+    in these norms reads as inf and raises no numpy warning.
     """
     scale = atol + rtol * np.abs(u)
-    d0, d1 = _rms(u / scale), _rms(f0 / scale)
+    with np.errstate(over="ignore"):
+        d0, d1 = _rms(u / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     fallback = 1e-4 * max(span, 1.0)
@@ -132,9 +136,10 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
                         dtype=float)
     except DomainError:
         return fallback
-    if not _all_finite(f1):
+    if _finite_entries(f1) is None:
         return fallback
-    d2 = _rms((f1 - f0) / scale) / h0
+    with np.errstate(over="ignore"):
+        d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         return max(1e-6, 1e-3 * h0)
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2)
@@ -175,7 +180,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     K = np.empty((7, d))  # stage derivatives; row 0 is rhs at (t, u)
     KT = K.T  # ndarray.dot on it: @ costs more per call on tiny operands
     K[0] = rhs(t, u)  # initial point must be admissible
-    if not _all_finite(K[0]):
+    if _finite_entries(K[0]) is None:
         raise DomainError("non-finite derivative at the initial point")
     h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
     abs_u = np.abs(u)
@@ -193,7 +198,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         try:
             for i in range(1, 7):
                 K[i] = rhs(t + _C[i] * hs, u + hs * KT[:, :i].dot(_A[i]))
-                if not _all_finite(K[i]):
+                k_row = _finite_entries(K[i])
+                if k_row is None:
                     raise DomainError("non-finite derivative")
         except DomainError:
             last_fail_domain = True
@@ -222,8 +228,9 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         us.append(u5)
         n_acc += 1
 
-        k_new = K[6]  # FSAL: rhs at (t_new, u5) up to the b-row identity
-        if math.sqrt(k_new.dot(k_new)) > speed_limit:
+        # the speed from the floats of the finiteness check: hypot cannot
+        # overflow as k_new.dot(k_new) would for entries near 1e300
+        if math.hypot(*k_row) > speed_limit:
             return result("blow_up", t_new, u5)
         if guard is not None and not guard(u5):
             Q = KT @ _P
@@ -239,7 +246,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             return result("boundary", lo, u_b)
 
         t, u, abs_u = t_new, u5, abs_u5
-        K[0] = k_new
+        K[0] = K[6]  # FSAL: rhs at (t_new, u5) up to the b-row identity
         last_fail_domain = False
         h *= min(grow_max, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))
         grow_max = 10.0

@@ -54,6 +54,23 @@ def test_batch_rows_equal_single_states(key, count, order, seed):
             assert np.array_equal(batch[name][i], value), (name, i)
 
 
+@settings(max_examples=30, deadline=None)
+@given(key=metric_keys, count=st.sampled_from((None, 1, 5, 40)),
+       seed=st.integers(0, 2**32 - 1))
+def test_metric_block_inverse_equals_a_solve_against_the_identity(key, count,
+                                                                    seed):
+    # count None: one state
+    m = _metric(*key)
+    X, Y = _states(m, count or 1, seed)
+    if count is None:
+        X, Y = X[0], Y[0]
+    f = jr.jet_of(m.F, X, Y, 2)
+    g, ginv = geo._metric_block(m, jr.derivative_tensors(f * f, 2))
+    want = np.linalg.solve(g, np.eye(m.n))
+    assert ginv.shape == want.shape
+    assert ginv.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("base, cand, n", [
     ("euclidean", "funk-plus", 2), ("spherical", "klein", 3),
     ("bryant", "paraboloid", 4), ("spherical", "hilbert-ellipse", 2)])

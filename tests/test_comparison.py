@@ -231,6 +231,17 @@ def test_arc_roundtrip_of_a_leg_that_rounds_to_its_start():
     assert cmp.arc_param_roundtrip(case, 1e-10) == 1e-10
 
 
+def test_arc_roundtrip_refuses_a_leg_without_measurable_motion():
+    # b^2 underflows, and f(t) rounds to f(0) = a all along [0, 1]: the
+    # inversion would read a defect of |t| = 1
+    case = cmp.make_case(-1, -1, 1.0, 1e-200)
+    assert not cmp.is_stationary(case)
+    assert float(cmp.f_value(case, 1.0)) == float(cmp.f_value(case, 0.0))
+    for t in (1.0, -1.0, 1e-3):
+        with pytest.raises(DomainError, match="no measurable motion"):
+            cmp.arc_param_roundtrip(case, t)
+
+
 def test_arc_roundtrip_of_a_tiny_slope_at_zero_constants():
     # C = b^2 / 2 snaps to 0, which zeroes rad(s) = 2 C s^2 outright
     case = cmp.make_case(0, 0, 2.87, -4.2e-7)

@@ -165,3 +165,102 @@ def test_spans_of_the_constructors():
     assert (x * y * z * x * y).hi == 4
     assert (x * y + z).hi == 2
     assert jr.sqrt(x).hi == 4 and (1.0 / x).hi == 4
+
+
+# ---------------------------------------------------------------------------
+# fixed-cost cuts: shared seed blocks and Horner's first step
+
+
+RING_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "add_scalar": lambda a, b: 2.0 + a,
+    "rsub_scalar": lambda a, b: 2.0 - a,
+    "sub_scalar": lambda a, b: a - 0.5,
+    "mul_scalar": lambda a, b: 3.0 * a,
+    "div_scalar": lambda a, b: a / 3.0,
+    "rdiv_scalar": lambda a, b: 3.0 / a,
+    "neg": lambda a, b: -a,
+    "int_pow": lambda a, b: a**3,
+    "neg_pow": lambda a, b: a**-2,
+    "real_pow": lambda a, b: a**0.75,
+    "sqrt": lambda a, b: jr.sqrt(a),
+    "exp": lambda a, b: jr.exp(a),
+    "log": lambda a, b: jr.log(a),
+    "sin": lambda a, b: jr.sin(a),
+    "cos": lambda a, b: jr.cos(a),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=orders, n=n_vars, batch=batches, seed=st.integers(0, 2**32 - 1))
+def test_no_ring_operation_writes_into_an_operand(order, n, batch, seed):
+    # the seeded variables are rows of one block, so a write into any of
+    # them would reach every other coordinate jet
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 1.5, (n,) if batch is None else (batch, n))
+    zs = jr.variables(vals, order)
+    pool = zs + [zs[0] * zs[-1] + 0.5, jr.sqrt(zs[0] + zs[-1]),
+                 jr.constant(zs[0].ctx, 1.25)]
+    if batch is not None:
+        pool.append(zs[0] + rng.uniform(0.5, 1.5, batch))  # array scalar
+    before = [p.coeffs.copy() for p in pool]
+    for a in pool:
+        for b in pool:
+            for op in RING_OPS.values():
+                op(a, b)
+    for p, want in zip(pool, before):
+        assert same_bits(p.coeffs, want)
+
+
+def _former_compose(jet, series):
+    """The former Horner loop: ``order`` full-table products, the first of
+    the constant series[order] by the nilpotent part."""
+    ctx = jet.ctx
+    nil = jet.coeffs.copy()
+    nil.T[0] = 0.0
+    acc = jr.constant(ctx, series[ctx.order]).coeffs
+    for k in range(ctx.order - 1, -1, -1):
+        acc = _kernels.multiply(acc, nil, ctx.mul_i, ctx.mul_j, ctx.mul_k,
+                                ctx.n_terms)
+        acc.T[0] += series[k]
+    return acc
+
+
+COMPOSED = {
+    "sqrt": jr.sqrt,
+    "reciprocal": lambda v: 1.0 / v,
+    "power": lambda v: jr.power(v, -1.5),
+    "exp": jr.exp,
+    "log": jr.log,
+    "sin": jr.sin,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=orders, n=n_vars, batch=batches, seed=st.integers(0, 2**32 - 1),
+       name=st.sampled_from(sorted(COMPOSED)), arg=st.integers(0, 2))
+def test_compose_equals_the_former_full_horner_loop(order, n, batch, seed,
+                                                     name, arg):
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 1.5, (n,) if batch is None else (batch, n))
+    zs = jr.variables(vals, order)
+    operand = (zs[0], zs[0] * zs[-1] + 0.5, jr.sqrt(zs[0] + zs[-1]))[arg]
+    calls = []
+    compose = jr._compose
+    jr._compose = lambda jet, series: calls.append(
+        (jet, series)) or compose(jet, series)
+    try:
+        out = COMPOSED[name](operand).coeffs
+    finally:
+        jr._compose = compose
+    jet, series = calls[-1]
+    want = _former_compose(jet, series)
+    if order == 1:
+        # the scalar product is the result, and its zeros may carry a sign
+        # that the former table sum (0.0 + p) dropped
+        assert np.array_equal(out, want)
+        out = out + 0.0
+    assert same_bits(out, want)

@@ -384,6 +384,17 @@ def test_an_overflowing_initial_slope_takes_the_fallback_step():
     assert res.hs.tolist() == [1e-4]
 
 
+def test_an_overflowing_slope_raises_no_numpy_warning():
+    # f0 / scale in the starting step and |k|^2 at the speed check of the
+    # accepted step both overflow; a caller that raises on every numpy
+    # warning still gets the blow_up
+    with np.errstate(all="raise"):
+        res = ode.integrate(lambda t, u: np.array([1e300, -u[1]]), 0.0,
+                            np.array([1.0, 1.0]), 1.0)
+    assert (res.status, res.n_accepted) == ("blow_up", 1)
+    assert res.hs.tolist() == [1e-4]
+
+
 # ---------------------------------------------------------------------------
 # unit-speed geodesics that decay against the rim
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from finslerlab import zoo
+from finslerlab import jets as jr, zoo
 from finslerlab.errors import DomainError
+from finslerlab.metric import dot
 
 X = np.array([0.5, 0.0])
 Y = np.array([1.0, 0.0])
@@ -168,3 +169,79 @@ def test_numeric_evolution_coefficients_agree():
         lambda xx, yy: 0.5 * fp.F(xx, yy), x, y)
     assert an == pytest.approx(a, rel=1e-12)
     assert bn == pytest.approx(b, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the jet Newton polish of convex-body metrics
+
+
+def _funk_jet(body, xs, ys, sign, steps):
+    """funk_general on one state's jets with a fixed number of Newton steps."""
+    sy = [sign * v for v in ys]
+    s = zoo._chord_scalar_root(body, np.array([v.value for v in xs]),
+                               np.array([v.value for v in sy]), 1e-12)
+    for _ in range(steps):
+        z = [xi + s * vi for xi, vi in zip(xs, sy)]
+        s = s - body.phi(z) / dot(body.grad(z), sy)
+    return 1.0 / s
+
+
+_ELLIPSE = zoo.ellipsoid_body((2.0, 1.0))
+_SUPERELLIPSE = zoo.superellipse_body(4, (1.0, 1.0))
+POLISHED = {  # catalog name: (body, Funk signs; two signs make Hilbert)
+    "funk-ellipse-plus": (_ELLIPSE, (1,)),
+    "funk-ellipse-minus": (_ELLIPSE, (-1,)),
+    "hilbert-ellipse": (_ELLIPSE, (1, -1)),
+    "hilbert-superellipse": (_SUPERELLIPSE, (1, -1)),
+}
+
+
+def _reference_jet(name, x, y, order, steps):
+    body, signs = POLISHED[name]
+
+    def F(xs, ys):
+        vals = [_funk_jet(body, xs, ys, sign, steps) for sign in signs]
+        return vals[0] if len(vals) == 1 else 0.5 * (vals[0] + vals[1])
+
+    return jr.jet_of(F, x, y, order)
+
+
+def _polish_states(body, count=6, seed=5):
+    """Interior states of the sample box, and states within 2e-3 of the rim
+    (boundary points pulled in by 5e-4 of their length)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = body.interior().sample_box()
+    xs = [lo + rng.random(2) * (hi - lo) for _ in range(count)]
+    for theta in rng.uniform(0.0, 2.0 * math.pi, count):
+        c, s = math.cos(theta), math.sin(theta)
+        if body is _ELLIPSE:
+            p = np.array([2.0 * c, s])
+        else:  # x^4 + y^4 = c^2 + s^2 = 1
+            p = np.array([math.copysign(abs(c) ** 0.5, c),
+                          math.copysign(abs(s) ** 0.5, s)])
+        xs.append((1.0 - 5e-4) * p)
+    ys = rng.standard_normal((2 * count, 2))
+    return [(x, y) for x, y in zip(xs, ys) if body.phi(list(x)) < 0.0]
+
+
+@pytest.mark.parametrize("name", sorted(POLISHED))
+@pytest.mark.parametrize("order", [1, 2])
+def test_two_newton_steps_reach_full_precision_at_orders_one_and_two(name,
+                                                                     order):
+    m = zoo.make_metric(name)
+    states = _polish_states(POLISHED[name][0])
+    assert len(states) == 12
+    for x, y in states:
+        got = jr.jet_of(m.F, x, y, order).coeffs
+        want = _reference_jet(name, x, y, order, 6).coeffs
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(POLISHED))
+@pytest.mark.parametrize("order", [3, 4])
+def test_orders_three_and_four_keep_three_newton_steps(name, order):
+    m = zoo.make_metric(name)
+    for x, y in _polish_states(POLISHED[name][0], count=3):
+        got = jr.jet_of(m.F, x, y, order).coeffs
+        want = _reference_jet(name, x, y, order, 3).coeffs
+        assert got.tobytes() == want.tobytes()
