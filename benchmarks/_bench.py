@@ -49,6 +49,13 @@ def timed(fn, reps=REPS):
     return out
 
 
+def per_call(fn, calls):
+    """Row of ``calls`` back-to-back calls of ``fn``: the loop's median and
+    IQR, and its median divided by ``calls`` in microseconds."""
+    row = summarize(timed(lambda: [fn() for _ in range(calls)]))
+    return dict(row, calls=calls, us_per_call=row["median_s"] / calls * 1e6)
+
+
 def criteria(ks, reps=SUITE_REPS):
     """Rows ``criterion_<k>``: wall time and ``worst`` of each criterion."""
     from finslerlab import acceptance
@@ -77,6 +84,23 @@ def _command(tree, argv, reps):
         out.append(time.perf_counter() - t0)
         tail = proc.stdout.strip().splitlines()[-1:]
     return out, {"summary": tail[0] if tail else "", "exit": proc.returncode}
+
+
+def fresh_import(tree, module, reps=SUITE_REPS):
+    """Wall times of ``python -c "import <module>"`` in fresh processes
+    against ``tree``'s ``src``, and the median of their peak resident
+    memory in MB, as each process reads it before it exits."""
+    code = (f"import resource, {module}; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    times, rss_kb = [], []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
+                              capture_output=True, text=True, check=True)
+        times.append(time.perf_counter() - t0)
+        rss_kb.append(int(proc.stdout.split()[-1]))
+    return times, {"peak_rss_mb": float(np.median(rss_kb)) / 1024.0}
 
 
 def tier1(tree, reps=SUITE_REPS):

@@ -10,12 +10,13 @@ repetitions to ``BENCH_geodesic.json`` under a label:
                     the row times 200 calls and ``us_per_call`` is one
   compose_sqrt_o2/4 ``jets.sqrt`` of a one-state jet in 4 variables at
                     orders 2 and 4, one ``jets._compose``; 2000 calls
-  hausdorff_415     ``geodesic.hausdorff_to_chord`` on criterion 2's
-                    415-node funk-minus trace (second state pair)
+  hausdorff_funk_minus  ``geodesic.hausdorff_to_chord`` on the funk-minus
+                    trace of criterion 2's second state pair over t in
+                    [-1, 1] (90 nodes at a7e543d; the row records ``nodes``)
   ode_comparison    ``comparison.numeric_integrate`` over t in [0, 8]: one
                     ``ode.integrate`` of the 2-d comparison ODE, case
                     (lam, lamt, a, b) = (1, 1, 0.7, 0.5)
-  geodesic          one ``integrate_geodesic`` of that funk-minus trace
+  geodesic_funk_minus   one ``integrate_geodesic`` of that funk-minus trace
   criterion_2       ``acceptance.criterion_2()`` wall time
   criterion_6       ``acceptance.criterion_6()`` wall time
   tier1             the tier-1 suite (``python -m pytest -q``) wall time
@@ -46,13 +47,6 @@ SPRAYS = (("klein", 2, [0.3, -0.2], [0.6, 0.8]),
           ("hilbert-ellipse", 2, [0.3, -0.2], [0.6, 0.8]))
 
 
-def per_call(fn, calls):
-    """Row of ``calls`` back-to-back calls of ``fn``: the loop's median and
-    IQR, and its median divided by ``calls`` in microseconds."""
-    row = _bench.summarize(_bench.timed(lambda: [fn() for _ in range(calls)]))
-    return dict(row, calls=calls, us_per_call=row["median_s"] / calls * 1e6)
-
-
 def main(argv=None):
     label, tree = _bench.arguments(__doc__, argv)
 
@@ -62,7 +56,7 @@ def main(argv=None):
     from finslerlab import geodesic as gd, geometry as geo, jets as jr
     from finslerlab import sampling, zoo
 
-    summarize, timed = _bench.summarize, _bench.timed
+    summarize, timed, per_call = _bench.summarize, _bench.timed, _bench.per_call
     rows = {}
     for name, n, x0, y0 in SPRAYS:
         metric = zoo.make_metric(name, n)
@@ -79,7 +73,7 @@ def main(argv=None):
     integrate = lambda: gd.integrate_geodesic(m, x, y, (-1.0, 1.0),
                                               rtol=1e-9, atol=1e-11)
     run = integrate()
-    rows["hausdorff_415"] = dict(
+    rows["hausdorff_funk_minus"] = dict(
         summarize(timed(lambda: gd.hausdorff_to_chord(run.xs, x, y))),
         nodes=len(run.xs), value=gd.hausdorff_to_chord(run.xs, x, y))
 
@@ -91,7 +85,7 @@ def main(argv=None):
         steps_accepted=res.n_accepted, steps_rejected=res.n_rejected)
 
     back, fwd = run.legs
-    rows["geodesic"] = dict(
+    rows["geodesic_funk_minus"] = dict(
         summarize(timed(integrate)), nodes=len(run.xs),
         steps_accepted=back.n_accepted + fwd.n_accepted,
         steps_rejected=back.n_rejected + fwd.n_rejected)

@@ -1,8 +1,9 @@
-"""ODE-layer benchmark: DP5 geodesic legs, the comparison ODE, criteria, tier-1.
+"""ODE-layer benchmark: DP5 legs, the comparison case, criteria, tier-1.
 
-Times, on fixed inputs, the calls that run ``ode.integrate`` and writes
-the median and interquartile range over the repetitions to
-``BENCH_ode.json`` under a label:
+Times, on fixed inputs, the calls that run ``ode.integrate`` and the
+closed forms of the comparison case, and writes the median and
+interquartile range over the repetitions to ``BENCH_ode.json`` under a
+label:
 
   geodesic.klein2_interior       ``integrate_geodesic`` on klein, n = 2,
                                  from (0.31, -0.22) along (0.62, 0.81)
@@ -19,7 +20,23 @@ the median and interquartile range over the repetitions to
                                  case over its default span (two legs, about
                                  2300 accepted steps), with the median time
                                  per accepted step in microseconds
-  criterion_2, _6, _9            ``acceptance.criterion_k()`` wall time
+  candidate_length.tail          ``comparison.candidate_length`` of the
+                                 case (-1, -1, 2.0, 0.0) over [0, inf];
+                                 the row times 2000 calls and
+                                 ``us_per_call`` is one
+  candidate_length.pi_window     the same of the case (1, 1, 0.7, 0.5) over
+                                 [0.3, 0.3 + pi]
+  classify_completeness          ``comparison.classify_completeness`` of
+                                 (a, b) = (0.7, 0.5) for each of the nine
+                                 (lam, lamt) pairs; 50 passes, and
+                                 ``us_per_case`` is one case
+  ode_residual                   ``comparison.ode_residual`` of the case
+                                 (1, 1, 0.7, 0.5) on 9 times in [-2.4, 2.4];
+                                 500 calls
+  import_comparison              a fresh ``python -c "import
+                                 finslerlab.comparison"``: wall time and
+                                 ``peak_rss_mb``
+  criterion_2, _6, _7, _9        ``acceptance.criterion_k()`` wall time
   verify_all                     ``finslerlab verify-all`` in a subprocess
   tier1                          the tier-1 suite wall time
 
@@ -104,7 +121,28 @@ def main(argv=None):
     rows["comparison_step"] = dict(
         row, us_per_accepted_step=row["median_s"] / row["steps_accepted"] * 1e6)
 
-    rows.update(_bench.criteria((2, 6, 9)))
+    tail = cmp.make_case(-1, -1, 2.0, 0.0)
+    rows["candidate_length.tail"] = dict(
+        _bench.per_call(lambda: cmp.candidate_length(tail, 0.0, np.inf), 2000),
+        value=cmp.candidate_length(tail, 0.0, np.inf))
+    window = (0.3, 0.3 + np.pi)
+    rows["candidate_length.pi_window"] = dict(
+        _bench.per_call(lambda: cmp.candidate_length(case, *window), 2000),
+        value=cmp.candidate_length(case, *window))
+    nine = [cmp.make_case(lam, lamt, 0.7, 0.5)
+            for lam in (-1, 0, 1) for lamt in (-1, 0, 1)]
+    row = _bench.per_call(
+        lambda: [cmp.classify_completeness(c) for c in nine], 50)
+    rows["classify_completeness"] = dict(
+        row, us_per_case=row["us_per_call"] / len(nine))
+    ts = np.linspace(-2.4, 2.4, 9)
+    rows["ode_residual"] = dict(
+        _bench.per_call(lambda: cmp.ode_residual(case, ts), 500),
+        value=cmp.ode_residual(case, ts))
+    times, info = _bench.fresh_import(tree, "finslerlab.comparison")
+    rows["import_comparison"] = dict(_bench.summarize(times), **info)
+
+    rows.update(_bench.criteria((2, 6, 7, 9)))
     for name, command in (("verify_all", _bench.verify_all),
                           ("tier1", _bench.tier1)):
         times, info = command(tree)

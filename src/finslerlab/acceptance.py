@@ -13,7 +13,6 @@ import math
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import comparison as cmp
 from . import geodesic as gd
@@ -189,6 +188,10 @@ def criterion_6():
 
 def criterion_7():
     """Quantized candidate lengths: pi windows, pi totals, pi lines."""
+    # the one quadrature left in the package: imported here, so that the
+    # library and the CLI start without scipy.integrate
+    from scipy.integrate import quad
+
     worst_win = 0.0
     for a, b in ((0.3, -2.0), (0.7, 0.5), (1.0, 0.0), (2.0, 2.0), (5.0, -0.5)):
         case = cmp.make_case(1, 1, a, b)

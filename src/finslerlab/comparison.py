@@ -16,17 +16,17 @@ Closed forms (doubled-angle normal forms):
     lam =  0:  f^2 = 2C t^2 + 2ab t + a^2  (= (a + b t)^2 + lamt t^2 / a^2)
     lam = -1:  f^2 = (a^2 + C) cosh 2t + a b sinh 2t - C
 
-The module computes maximal life intervals, one-sided candidate lengths
-int dt / f^2, completeness flags, membership in the exceptional borderline
-families, and cross-checks everything against direct numeric integration
-and the inversion int_a^f s ds / sqrt(rad(s)) = +- t, in closed form.
+The module computes maximal life intervals, candidate lengths int dt / f^2
+in closed form, completeness flags, membership in the exceptional
+borderline families, and cross-checks everything against direct numeric
+integration and the inversion int_a^f s ds / sqrt(rad(s)) = +- t, in
+closed form.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import jets as jr
 from . import ode
@@ -259,41 +259,100 @@ def first_critical_time(case):
 # lengths and completeness
 
 
-def _inv_f_squared(case, t):
-    """1 / f^2 as a quadrature integrand, overflow-safe at t -> +-inf."""
-    if case.lam == -1.0:
-        # exp form avoids inf - inf from cosh/sinh at large |t|
-        p, q = _pq(case)
-        with np.errstate(over="ignore"):
-            f2 = 0.5 * ((p + q) * np.exp(2.0 * t) + (p - q) * np.exp(-2.0 * t)) \
-                - case.C
-            return np.where(np.isfinite(f2), 1.0 / f2, 0.0)
-    return 1.0 / f_squared(case, t)
-
-
 def candidate_length(case, t_from, t_to):
-    """int dt / f^2 by adaptive quadrature (absolute target 1e-9).
+    """int dt / f^2 over the window from t_from to t_to, in closed form.
 
-    For lam = lamt = 0, f = a + b t and the integral is taken in closed
-    form: quadrature misses the slow tail 1 / (b t)^2 of a small b.
+    The window must lie in the closure of the maximal interval, else
+    DomainError (so does a NaN end). A window that reaches a finite end
+    of the interval, where 1/f^2 has a non-integrable pole, or an
+    infinite end on a side where the length diverges, returns inf; a
+    window with t_from > t_to returns the negated length.
     """
-    if case.lam == 0.0 and case.lam_tilde == 0.0:
-        return _linear_length(case.a, case.b, t_from, t_to)
-    val, err = quad(lambda t: float(_inv_f_squared(case, t)), t_from, t_to,
-                    epsabs=1e-11, epsrel=1e-11, limit=400)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise NumericError(f"length quadrature error {err:g} too large")
-    return val
-
-
-def _linear_length(a, b, t_from, t_to):
-    """int dt / (a + b t)^2 over an interval where a + b t keeps its sign."""
-    if np.isfinite(t_from) and np.isfinite(t_to):
-        return (t_to - t_from) / ((a + b * t_from) * (a + b * t_to))
-    if b == 0.0:
+    t0, t1 = float(t_from), float(t_to)
+    if math.isnan(t0) or math.isnan(t1):
+        raise DomainError(f"candidate_length needs real ends, got ({t0}, {t1})")
+    if t0 > t1:
+        return -candidate_length(case, t1, t0)
+    t_lo, t_hi = maximal_interval(case)
+    if t0 < t_lo or t1 > t_hi:
+        raise DomainError(f"window ({t0}, {t1}) leaves the life interval "
+                          f"({t_lo}, {t_hi})")
+    if t0 == t1:
+        return 0.0
+    if (t1 == t_hi and _cand_side_complete(case, t_hi, True)) or \
+            (t0 == t_lo and _cand_side_complete(case, t_lo, False)):
         return np.inf
-    # -1 / (b (a + b t)) is an antiderivative; it vanishes at infinite ends
-    return (1.0 / (a + b * t_from) - 1.0 / (a + b * t_to)) / b
+    return _window_length(case, t0, t1)
+
+
+def _form(lam, t):
+    """The linear forms (al, be) -> al c + be s at tau = tan t, t or tanh t
+    (lam = 1, 0, -1), for homogeneous coordinates (c, s) of tau: tau = +-inf
+    is the point (0, +-1). For lam = -1, (c, s) = 2 e^{-|t|} (cosh t, sinh t)
+    = (1, sg) + e (1, -sg) with e = e^{-2|t|} and sg the sign of t, finite
+    at t = +-inf; the form keeps that split, so its e-term survives when
+    al + sg be cancels."""
+    if lam == 1.0:
+        c, s = math.cos(t), math.sin(t)
+        return lambda al, be: al * c + be * s
+    sg = math.copysign(1.0, t)
+    if lam == 0.0:
+        if math.isfinite(t):
+            return lambda al, be: al + be * t
+        return lambda al, be: be * sg
+    e = math.exp(-2.0 * abs(t))
+    return lambda al, be: (al + sg * be) + e * (al - sg * be)
+
+
+def _wedge(lam, t0, t1):
+    """W = c0 s1 - s0 c1 of the coordinates of ``_form`` at t0 < t1, taken
+    without cancellation."""
+    if lam == 1.0:
+        return math.sin(t1 - t0)
+    if lam == 0.0:
+        if math.isfinite(t1 - t0):
+            return t1 - t0
+        return 1.0 if math.isfinite(t0) or math.isfinite(t1) else 0.0
+    near = 0.0 if t0 <= 0.0 <= t1 else min(abs(t0), abs(t1))
+    return -2.0 * math.expm1(-2.0 * (t1 - t0)) * math.exp(-2.0 * near)
+
+
+def _window_length(case, t0, t1):
+    """int dt / f^2 for t0 < t1 inside the life interval (an infinite end
+    where the length converges).
+
+    tau = tan t, t, tanh t for lam = 1, 0, -1 turns every f^2 into the one
+    quadratic of lam = 0: dt / f^2 = dtau / Q(tau), Q = a^2 + 2 a b tau +
+    2 C0 tau^2 with C0 = (lamt / a^2 + b^2) / 2, and 2 C0 Q = z^2 + lamt
+    for z = 2 C0 tau + a b (Gradshteyn & Ryzhik, ch. 2). Each branch
+    is the difference of an antiderivative between the ends, written in
+    homogeneous coordinates (so tau = +-inf is a point like any other) and
+    through W, so that ends far out do not cancel. A denominator that
+    rounds to zero or below sits at a root of Q: the length is inf.
+    """
+    a, b, lt = case.a, case.b, case.lam_tilde
+    half_turns = 0
+    if case.lam == 1.0 and lt == 1.0:  # each half-turn of t adds pi
+        half_turns = math.floor((t1 - t0) / math.pi)
+        t1 -= half_turns * math.pi
+    at0, at1 = _form(case.lam, t0), _form(case.lam, t1)
+    W = _wedge(case.lam, t0, t1)
+    if lt == 0.0:  # Q = (a + b tau)^2: dtau / ((a + b tau0)(a + b tau1))
+        den = at0(a, b) * at1(a, b)
+        return W / den if den > 0.0 else math.inf
+    ab = a * b
+    C0 = case.C if case.lam == 0.0 else 0.5 * (lt / (a * a) + b * b)
+    if lt == 1.0:  # atan z1 - atan z0: the angle from (c0, z0) to (c1, z1)
+        z0, z1 = at0(ab, 2.0 * C0), at1(ab, 2.0 * C0)
+        return half_turns * math.pi + math.atan2(
+            max(0.0, 2.0 * C0 * W), at0(1.0, 0.0) * at1(1.0, 0.0) + z0 * z1)
+    # lamt = -1: Q = (tau - rho)(2 C0 tau + ab + sg), exact also at C0 = 0,
+    # and (sg / 2) log|(tau - rho) / (2 C0 tau + ab + sg)| its antiderivative
+    sg = 1.0 if ab >= 0.0 else -1.0
+    rho = -a * a / (ab + sg)
+    near, far = (at0, at1) if sg > 0.0 else (at1, at0)
+    den = near(-rho, 1.0) * far(ab + sg, 2.0 * C0)
+    return 0.5 * math.log1p(2.0 * W / den) if den > 0.0 else math.inf
 
 
 def _cand_side_complete(case, endpoint, forward):
@@ -325,8 +384,8 @@ def length_classification(case):
         "base_backward_complete": base_back,
         "cand_forward_complete": cand_fwd,
         "cand_backward_complete": cand_back,
-        "cand_forward_length": np.inf if cand_fwd else candidate_length(case, 0.0, t_hi),
-        "cand_backward_length": np.inf if cand_back else candidate_length(case, t_lo, 0.0),
+        "cand_forward_length": np.inf if cand_fwd else _window_length(case, 0.0, t_hi),
+        "cand_backward_length": np.inf if cand_back else _window_length(case, t_lo, 0.0),
     }
     return out
 
@@ -391,14 +450,18 @@ def grid_completeness(lam, lam_tilde, a_grid=DEFAULT_A_GRID, b_grid=DEFAULT_B_GR
 
 
 def ode_residual(case, ts):
-    """Max |f'' + lam f - lamt / f^3| of the closed form, via 1-d jets."""
+    """Max |f'' + lam f - lamt / f^3| of the closed form, via 1-d jets.
+
+    All times are seeded as one batch; the residual is then taken per
+    time on Python floats.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not ts.size:
+        return 0.0
+    f = jr.sqrt(f_squared(case, jr.variables(ts[:, None], 2)[0]))
     worst = 0.0
-    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
-        tj = jr.variables([t], 2)[0]
-        f = jr.sqrt(f_squared(case, tj))
-        fpp = jr.extract_derivative(f, [2])
-        res = abs(fpp + case.lam * f.value - case.lam_tilde / f.value**3)
-        worst = max(worst, res)
+    for fpp, fv in zip(jr.extract_derivative(f, [2]).tolist(), f.value.tolist()):
+        worst = max(worst, abs(fpp + case.lam * fv - case.lam_tilde / fv**3))
     return worst
 
 
@@ -421,7 +484,7 @@ def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
             pole = lamt / f**3
         except OverflowError:  # a float f**3 past the range reads as inf
             pole = lamt / math.inf
-        return np.array([df, -lam * f + pole])
+        return [df, -lam * f + pole]
 
     guard = lambda u: u[0] > F_FLOOR
     if t_span is None:

@@ -109,10 +109,11 @@ def _rms(v):
     return math.sqrt(v.dot(v) / v.size)
 
 
-def _finite_entries(v):
-    """The entries of the 1-D array ``v`` as Python floats, or None when one
-    of them is inf or nan."""
-    row = v.tolist()
+def _finite_entries(row):
+    """``row`` (a list of floats, or a 1-D array, read by ``tolist``) as a
+    list of Python floats, or None when one of them is inf or nan."""
+    if isinstance(row, np.ndarray):
+        row = row.tolist()
     return row if all(map(math.isfinite, row)) else None
 
 
@@ -149,7 +150,9 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
               guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT):
     """Integrate u' = rhs(t, u) from t0 to t1 (either direction).
 
-    ``rhs`` may raise DomainError or return non-finite values to veto a
+    ``rhs`` returns u' as a 1-D array or as a list of floats; a list is
+    checked for finiteness as it is and stored without a ``tolist`` pass.
+    It may raise DomainError or return non-finite values to veto a
     stage; the step is then halved. The step after a rejected one may
     shrink but not grow (Hairer, Norsett & Wanner, II.4). A step the
     controller wants below MIN_STEP ends the run ("boundary" after a
@@ -179,6 +182,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
 
     K = np.empty((7, d))  # stage derivatives; row 0 is rhs at (t, u)
     KT = K.T  # ndarray.dot on it: @ costs more per call on tiny operands
+    # stage i reads the rows before it: views of K, built once per call
+    stage_rows = [(i, _C[i], KT[:, :i], _A[i]) for i in range(1, 7)]
     K[0] = rhs(t, u)  # initial point must be admissible
     if _finite_entries(K[0]) is None:
         raise DomainError("non-finite derivative at the initial point")
@@ -196,11 +201,12 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             h = rest
         hs = direction * h
         try:
-            for i in range(1, 7):
-                K[i] = rhs(t + _C[i] * hs, u + hs * KT[:, :i].dot(_A[i]))
-                k_row = _finite_entries(K[i])
+            for i, c, KTi, Ai in stage_rows:
+                row = rhs(t + c * hs, u + hs * KTi.dot(Ai))
+                k_row = _finite_entries(row)
                 if k_row is None:
                     raise DomainError("non-finite derivative")
+                K[i] = row
         except DomainError:
             last_fail_domain = True
             n_vet += 1

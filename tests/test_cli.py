@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finslerlab
 from finslerlab import cli
 
 
@@ -223,3 +228,16 @@ def test_verify_all_subset(tmp_path, capsys):
     recs = report["results"]
     assert [r["criterion"] for r in recs] == [3, 4]
     assert all(r["passed"] is True for r in recs)
+
+
+def test_the_library_and_the_cli_start_without_scipy_integrate():
+    # quadrature serves criterion 7 alone, which imports it when it runs
+    code = ("import sys, finslerlab, finslerlab.comparison, finslerlab.geodesic,"
+            " finslerlab.projective, finslerlab.cli;"
+            " print('scipy.integrate' in sys.modules)")
+    src = str(Path(finslerlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -345,3 +345,157 @@ def test_critical_time_is_a_zero_of_f_prime(lam, lamt, a, b):
     g = cmp.f_squared(case, tj)  # (f^2)' = 2 f f' vanishes with f'
     scale = max(1.0, abs(g.coeffs[0]))
     assert abs(jr.extract_derivative(g, [1])) <= 1e-7 * scale
+
+
+# ---------------------------------------------------------------------------
+# closed-form candidate lengths against quadrature
+
+
+def _quad_length(case, t0, t1):
+    """int dt / f^2 by adaptive quadrature of f_squared; an f^2 past the
+    float range (cosh 2t overflows far out) reads as 1/f^2 = 0.
+
+    For lam = -1, f_squared sums terms of size cosh 2t, so where f^2 decays
+    (f = a e^{-t}, say) it keeps only about eps cosh 2t / f^2 of relative
+    accuracy: windows are drawn from |t| <= 3, where that stays below 1e-11.
+    """
+    def integrand(t):
+        v = float(cmp.f_squared(case, t))
+        return 1.0 / v if math.isfinite(v) else 0.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, _ = quad(integrand, t0, t1, epsabs=1e-13, epsrel=1e-13, limit=400)
+    return val
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=CONSTS, lamt=CONSTS, a=A_VALS,
+       b=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]),
+       kind=st.sampled_from(["window", "forward", "backward"]),
+       u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99))
+def test_closed_form_lengths_match_quadrature(lam, lamt, a, b, sign, kind,
+                                              u, v):
+    case = cmp.make_case(lam, lamt, a, sign * b)
+    t_lo, t_hi = cmp.maximal_interval(case)
+    lo, hi = max(t_lo, -3.0), min(t_hi, 3.0)
+    t0, t1 = sorted((lo + u * (hi - lo), lo + v * (hi - lo)))
+    if kind == "forward":
+        assume(not cmp._cand_side_complete(case, t_hi, True))
+        t1 = t_hi
+    elif kind == "backward":
+        assume(not cmp._cand_side_complete(case, t_lo, False))
+        t0 = t_lo
+    want = _quad_length(case, t0, t1)
+    assert abs(cmp.candidate_length(case, t0, t1) - want) <= \
+        1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("lam, lamt", [(l, lt) for l in (-1, 0, 1)
+                                       for lt in (-1, 0, 1)])
+def test_grid_lengths_match_quadrature(lam, lamt):
+    for r in cmp.grid_completeness(lam, lamt):
+        case = cmp.make_case(lam, lamt, r["a"], r["b"])
+        for key, window in (("cand_forward_length", (0.0, r["t_hi"])),
+                            ("cand_backward_length", (r["t_lo"], 0.0))):
+            if np.isfinite(r[key]):
+                want = _quad_length(case, *window)
+                assert abs(r[key] - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("lam, lamt, a, b", [
+    (-1, -1, 2.0, 0.0), (-1, -1, 0.5, 1.5), (-1, -1, 1.3, -0.4),
+    (-1, 0, 1.0, -1.0), (-1, 0, 4.7, 4.7), (-1, 0, 1.3, 0.4),
+    (-1, 1, 1.3, 0.4), (0, 1, 2.0, -0.6), (0, -1, 1.0, 3.0), (0, 0, 1.0, 0.5),
+])
+def test_candidate_length_keeps_its_digits_far_out(lam, lamt, a, b):
+    # both ends of a window far out sit near the same limit of the
+    # antiderivative; the reference is quadrature at 60 digits
+    mp = pytest.importorskip("mpmath")
+    case = cmp.make_case(lam, lamt, a, b)
+    t_lo, t_hi = cmp.maximal_interval(case)
+    windows = [w for w in ((5.6, 5.8), (-5.8, -5.6), (20.0, 20.5),
+                           (-20.5, -20.0)) if t_lo < w[0] and w[1] < t_hi]
+    assert windows
+    with mp.workdps(60):
+        A, B = mp.mpf(a), mp.mpf(b)
+        C = (lam * A * A + lamt / (A * A) + B * B) / 2
+        f2 = {0: lambda t: 2 * C * t * t + 2 * A * B * t + A * A,
+              -1: lambda t: (A * A + C) * mp.cosh(2 * t)
+              + A * B * mp.sinh(2 * t) - C}[lam]
+        for t0, t1 in windows:
+            want = mp.quad(lambda t: 1 / f2(t), [t0, t1])
+            got = cmp.candidate_length(case, t0, t1)
+            assert abs(got - want) <= 1e-13 * want, (t0, t1)
+
+
+@pytest.mark.parametrize("case, window", [
+    ((0, -1, 1.0, 0.3), (0.0, np.inf)),  # f^2 < 0 beyond t = 1.4286
+    ((1, -1, 1.0, 0.5), (0.0, 3.0)),
+    ((-1, -1, 0.5, 1.5), (-1.0, 0.0)),  # t_lo = -0.1438
+    ((0, 1, 2.0, -0.6), (math.nan, 0.0)),
+    ((0, 1, 2.0, -0.6), (0.0, math.nan)),
+])
+def test_candidate_length_refuses_a_window_outside_the_life_interval(case,
+                                                                    window):
+    with pytest.raises(DomainError):
+        cmp.candidate_length(cmp.make_case(*case), *window)
+
+
+def test_candidate_length_diverges_at_an_end_of_the_interval():
+    # finite ends: the pole of 1/f^2 there is not integrable
+    for args in ((0, -1, 1.0, 0.3), (1, -1, 1.0, 0.5), (-1, -1, 0.5, 1.5),
+                 (0, 0, 1.0, -2.0), (1, 0, 1.0, 0.5)):
+        case = cmp.make_case(*args)
+        t_lo, t_hi = cmp.maximal_interval(case)
+        ends = [e for e in (t_lo, t_hi) if np.isfinite(e)]
+        assert ends, args
+        for end in ends:
+            assert cmp.candidate_length(case, min(end, 0.0),
+                                        max(end, 0.0)) == np.inf
+    # infinite ends on a side whose length diverges: periodic f^2, the
+    # asymptote plateau, a constant ratio, and linear f^2
+    assert cmp.candidate_length(cmp.make_case(1, 1, 0.7, 0.5),
+                                0.0, np.inf) == np.inf
+    assert cmp.candidate_length(cmp.make_case(-1, -1, 0.5, 1.5),
+                                0.0, np.inf) == np.inf
+    assert cmp.candidate_length(cmp.make_case(0, 0, 2.0, 0.0),
+                                -np.inf, 0.0) == np.inf
+    assert cmp.candidate_length(cmp.make_case(0, -1, 1.0, 1.0),
+                                0.0, np.inf) == np.inf
+
+
+def test_candidate_length_of_a_reversed_window_is_negated():
+    case = cmp.make_case(-1, -1, 2.0, 0.0)
+    assert cmp.candidate_length(case, np.inf, 0.0) == \
+        -cmp.candidate_length(case, 0.0, np.inf)
+    assert cmp.candidate_length(case, 1.0, -0.5) == \
+        -cmp.candidate_length(case, -0.5, 1.0)
+    edge = cmp.make_case(0, -1, 1.0, 0.3)
+    assert cmp.candidate_length(edge, cmp.maximal_interval(edge)[1],
+                                0.0) == -np.inf
+
+
+def _former_ode_residual(case, ts):
+    """The per-time jet loop ode_residual ran before it seeded one batch."""
+    worst = 0.0
+    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
+        tj = jr.variables([t], 2)[0]
+        f = jr.sqrt(cmp.f_squared(case, tj))
+        fpp = jr.extract_derivative(f, [2])
+        res = abs(fpp + case.lam * f.value - case.lam_tilde / f.value**3)
+        worst = max(worst, res)
+    return worst
+
+
+def test_ode_residual_matches_the_former_loop_bit_for_bit():
+    from finslerlab.acceptance import GRID_AB, NINE_PAIRS
+
+    for lam, lamt in NINE_PAIRS:
+        for a in GRID_AB[0]:
+            for b in GRID_AB[1]:
+                case = cmp.make_case(lam, lamt, a, b)
+                t_lo, t_hi = cmp.maximal_interval(case)
+                ts = np.linspace(max(t_lo, -3.0) * 0.8,
+                                 min(t_hi, 3.0) * 0.8, 9)
+                assert cmp.ode_residual(case, ts) == \
+                    _former_ode_residual(case, ts), (lam, lamt, a, b)

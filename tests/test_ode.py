@@ -335,9 +335,10 @@ def test_a_guard_crossing_matches_the_former_loop_bit_for_bit():
 # every stage
 
 
-def _poisoned(call, j, value, d=3):
+def _poisoned(call, j, value, d=3, as_list=False):
     """u' = -u whose rhs call number ``call`` (0: the initial point, 1: the
-    probe, 2-7: the stages of the first step) has ``value`` in entry j."""
+    probe, 2-7: the stages of the first step) has ``value`` in entry j;
+    the rows are lists of floats with ``as_list``."""
     calls = [0]
 
     def rhs(t, u):
@@ -345,7 +346,7 @@ def _poisoned(call, j, value, d=3):
         if calls[0] == call:
             out[j] = value
         calls[0] += 1
-        return out
+        return out.tolist() if as_list else out
 
     return ode.integrate(rhs, 0.0, np.ones(d), 1.0)
 
@@ -361,6 +362,46 @@ def test_a_non_finite_entry_is_refused_everywhere(bad):
                 res = _poisoned(1 + stage, j, bad)
                 assert res.status == "t_limit"
                 assert res.n_vetoed == 1 <= res.n_rejected
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_entry_of_a_list_row_is_vetoed(bad):
+    with np.errstate(all="raise"):
+        for j in range(3):
+            with pytest.raises(DomainError, match="initial point"):
+                _poisoned(0, j, bad, as_list=True)
+            for stage in range(1, 7):
+                res = _poisoned(1 + stage, j, bad, as_list=True)
+                assert res.status == "t_limit"
+                assert res.n_vetoed == 1 <= res.n_rejected
+
+
+def _collapsing_rhs(as_array):
+    """f'' = -f - 1 / f^3 (lam = 1, lamt = -1) on Python floats: from
+    (1, 0), f collapses at t = pi / 4; stages with f <= 0.5 are vetoed."""
+    def rhs(t, u):
+        f, df = u.tolist()
+        if f <= 0.5:
+            raise DomainError("f below the floor")
+        row = [df, -f - 1.0 / f**3]
+        return np.array(row) if as_array else row
+
+    return rhs
+
+
+@pytest.mark.parametrize("t1, guard, status", [
+    (2.0, None, "boundary"),  # vetoed stages end the leg at the floor
+    (-2.0, lambda u: u[0] > 0.6, "boundary"),  # a guard crossing
+    (0.5, None, "t_limit"),
+])
+def test_a_list_row_gives_the_result_of_an_array_row(t1, guard, status):
+    got, want = (ode.integrate(_collapsing_rhs(as_array), 0.0,
+                               np.array([1.0, 0.0]), t1, rtol=1e-12,
+                               atol=1e-14, guard=guard, speed_limit=np.inf)
+                 for as_array in (False, True))
+    assert got.status == status
+    assert (got.n_vetoed > 0) == (status == "boundary" and guard is None)
+    _assert_bit_identical(got, want)
 
 
 def test_a_huge_finite_entry_is_not_vetoed():
