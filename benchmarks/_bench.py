@@ -2,7 +2,9 @@
 
 Each script measures one checkout (``--tree``, default this repository)
 and stores its rows under ``--label`` in a ``BENCH_<topic>.json`` file at
-the repository root, keeping the rows of other labels already there.
+the repository root, keeping the rows of other labels already there. Every
+write also appends the label, the checkout's commit and the rows' medians
+to the file's ``history`` list, so the figures of earlier labels stay.
 """
 
 import argparse
@@ -135,11 +137,28 @@ def environment():
     }
 
 
-def write(out, label, rows, width=16):
-    """Store ``rows`` and the environment under ``label`` in ``out`` and
-    print one line per row."""
+def commit(tree):
+    """The short commit of the checkout ``tree``, marked ``-dirty`` when its
+    tracked files differ from it; None outside a git checkout."""
+    git = ["git", "-C", str(tree)]
+    head = subprocess.run([*git, "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    if head.returncode:
+        return None
+    dirty = subprocess.run([*git, "status", "--porcelain", "--untracked-files=no"],
+                           capture_output=True, text=True).stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def write(out, label, rows, tree=REPO, width=16):
+    """Store ``rows`` and the environment under ``label`` in ``out``, append
+    the label, ``tree``'s commit and the rows' medians to its ``history``,
+    and print one line per row."""
     data = json.loads(out.read_text()) if out.exists() else {}
     data[label] = {"env": environment(), "rows": rows}
+    data.setdefault("history", []).append({
+        "label": label, "commit": commit(tree),
+        "median_s": {name: row["median_s"] for name, row in rows.items()}})
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     for name, row in rows.items():
         print(f"{label:>8} {name:>{width}}: {row['median_s'] * 1e3:10.3f} ms "

@@ -127,7 +127,7 @@ def main(argv=None):
     rows.update(_bench.criteria((1, 2)))
     times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
-    _bench.write(OUT, label, rows, width=40)
+    _bench.write(OUT, label, rows, tree, width=40)
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ def main(argv=None):
     rows.update(_bench.criteria((2, 6)))
     times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
-    _bench.write(OUT, label, rows, width=22)
+    _bench.write(OUT, label, rows, tree, width=22)
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ def main(argv=None):
     rows["verify_all"] = dict(summarize(times), **info)
     times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
-    _bench.write(OUT, label, rows, width=40)
+    _bench.write(OUT, label, rows, tree, width=40)
 
 
 if __name__ == "__main__":

@@ -147,7 +147,7 @@ def main(argv=None):
                           ("tier1", _bench.tier1)):
         times, info = command(tree)
         rows[name] = dict(_bench.summarize(times), **info)
-    _bench.write(OUT, label, rows, width=34)
+    _bench.write(OUT, label, rows, tree, width=34)
 
 
 if __name__ == "__main__":

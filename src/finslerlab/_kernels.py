@@ -62,19 +62,24 @@ def multiply(a, b, mul_i, mul_j, mul_k, n_terms):
     shape ``(B, n_terms)``. The table may be any part of a context's table
     kept in table order (see ``JetContext.product_table``). A batch runs
     the kernel once per chunk of ``CHUNK_PRODUCTS // len(mul_i)`` states
-    with the shifted target index; every state's products still land in
-    its own slots in table order, so each row equals the one-state product
-    bit for bit.
+    (once in all, when one chunk holds it) with the shifted target index;
+    every state's products still land in its own slots in table order, so
+    each row equals the one-state product bit for bit.
     """
     if a.ndim == 1 and b.ndim == 1:
         return _mul_table_numpy(a, b, mul_i, mul_j, mul_k, n_terms)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     shape = a.shape
+    states = a.size // n_terms
+    rows, flat_k = _flat_targets(mul_k, n_terms, states)
+    per_state = mul_k.shape[0]
+    if rows >= states:  # one chunk holds the batch: one kernel call
+        return _mul_table_numpy(
+            a.reshape(states, n_terms), b.reshape(states, n_terms), mul_i, mul_j,
+            flat_k[:states * per_state], states * n_terms).reshape(shape)
     a = np.ascontiguousarray(a).reshape(-1, n_terms)
     b = np.ascontiguousarray(b).reshape(-1, n_terms)
-    rows, flat_k = _flat_targets(mul_k, n_terms, a.shape[0])
-    per_state = mul_k.shape[0]
     out = np.empty(a.shape)
     for lo in range(0, a.shape[0], rows):
         hi = min(lo + rows, a.shape[0])

@@ -19,6 +19,12 @@ three factors at once:
     d(g^{-1})/dz^mu         = -M_mu g^{-1}
     d2(g^{-1})/dz^mu dz^nu  = (M_mu M_nu + M_nu M_mu - g^{-1} d2g/dz^mu dz^nu) g^{-1}
 
+The order-4 assembly keeps only the y-columns of the second spray
+derivatives, d2G[mu, nu, i] = d2G^i/dz^mu dy^nu: the curvature reads no
+other, and so no Q partial with more than two x-derivatives, and its
+jets drop the monomials of x-degree 3 and above (see
+:meth:`finslerlab.jets.JetContext.x_truncated`).
+
 Flag curvature of the plane span(y, v):
 
     K = g(R(v), v) / (g(y,y) g(v,v) - g(y,v)^2)
@@ -99,7 +105,10 @@ def _assemble(metric, x, y, order):
     """
     n = metric.n
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    f = jr.jet_of(metric.F, x, y, order)
+    # no entry below reads a Q partial with more than two x-derivatives,
+    # so the jets drop the monomials of x-degree 3 and above (their
+    # tensor slots read NaN)
+    f = jr.jet_of(metric.F, x, y, order, x_degree=2)
     tensors = jr.derivative_tensors(f * f, order)  # of the energy Q = F^2
     D1, D2 = tensors[1], tensors[2]
     g, ginv = _metric_block(metric, tensors)
@@ -126,28 +135,30 @@ def _assemble(metric, x, y, order):
     if order == 3:
         return out
 
+    # only the y-columns of d2G (nu over y): its x-x block would read
+    # D3[x, x, x] and D4[x, y, x, x], which the truncated jets drop
     D4 = tensors[4]
     d2g = 0.5 * _core(D4[..., n:, n:, :, :], 2, 3, 0, 1)
-    d2h = np.einsum("...klmn,...k->...mnl", D4[..., :n, n:, :, :], y)
-    d2h[..., :, n:, :] += _core(D3[..., :n, n:, :], 2, 0, 1)
-    d2h[..., n:, :, :] += _T(D3[..., :n, n:, :])
-    d2h -= _core(D3[..., :n, :, :], 1, 2, 0)
+    d2h = np.einsum("...klmn,...k->...mnl", D4[..., :n, n:, :, n:], y)
+    d2h += _core(D3[..., :n, n:, :], 2, 0, 1)
+    d2h[..., n:, :, :] += _T(D3[..., :n, n:, n:])
+    d2h -= _core(D3[..., :n, :, n:], 1, 2, 0)
     MM = M[..., :, None, :, :] @ M[..., None, :, :, :]  # [mu, nu] = M_mu M_nu
     gi = gi[..., None, :, :]
     d2ginv = (MM + _core(MM, 1, 0, 2, 3) - gi @ d2g) @ gi
     d2G = 0.25 * (
-        np.einsum("...mnab,...b->...mna", d2ginv, h)
-        + np.einsum("...mab,...nb->...mna", dginv, dh)
-        + np.einsum("...nab,...mb->...mna", dginv, dh)
+        np.einsum("...mnab,...b->...mna", d2ginv[..., n:, :, :], h)
+        + np.einsum("...mab,...nb->...mna", dginv, dh[..., n:, :])
+        + np.einsum("...nab,...mb->...mna", dginv[..., n:, :, :], dh)
         + np.einsum("...ab,...mnb->...mna", ginv, d2h)
     )
     N = out["N"]
-    out["d2G"] = d2G  # [mu, nu, i] = d2G^i/dz^mu dz^nu
+    out["d2G"] = d2G  # [mu, nu, i] = d2G^i/dz^mu dy^nu
     out["d2ginv"] = d2ginv  # [mu, nu] = d2(g^-1)/dz^mu dz^nu
-    term_xy = np.einsum("...jki,...j->...ik", d2G[..., :n, n:, :], y)
-    term_yy = np.einsum("...jki,...j->...ik", d2G[..., n:, n:, :], G)
+    term_xy = np.einsum("...jki,...j->...ik", d2G[..., :n, :, :], y)
+    term_yy = np.einsum("...jki,...j->...ik", d2G[..., n:, :, :], G)
     out["R"] = 2.0 * out["Gx"] - term_xy + 2.0 * term_yy - N @ N
-    out["Gyy"] = _core(d2G[..., n:, n:, :], 2, 0, 1)  # [i, j, k] = d2G^i/dy^j dy^k
+    out["Gyy"] = _core(d2G[..., n:, :, :], 2, 0, 1)  # [i, j, k] = d2G^i/dy^j dy^k
     return out
 
 

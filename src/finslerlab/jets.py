@@ -36,11 +36,26 @@ sums the same nonzero products in the same order as over the full table:
 the result is the same bit for bit (for finite coefficients, where
 0 * x = 0).
 
+A context may also run modulo x-degree: :meth:`JetContext.x_truncated`
+keeps only the monomials whose degree in the x variables (the first half
+of the seeded (x, y)) is at most a cap, and the table entries whose
+target survives. Those dropped monomials form an ideal (a product has the
+x-degrees of its factors summed), so a kept target's entries are exactly
+the full table's, in the same order, and every kept coefficient is the
+same bit for bit: the jets compute F in the quotient ring. Curvature
+needs cap 2. The order-4 assembly of :mod:`finslerlab.geometry` reads Q =
+F^2 partials with at most two x-derivatives: the spray G already holds
+one (Q_x and Q_{xy} y), and the Riemann tensor differentiates G once
+more in x, while every further derivative is in y. A dropped partial
+reads as NaN in :func:`derivative_tensors`, never as a silent 0, and
+:func:`extract_derivative` refuses it.
+
 An independent finite-difference oracle (:func:`fd_oracle`) cross-checks
 any jet derivative with nested central differences plus two-level
 Richardson extrapolation; it never touches the jet code path.
 """
 
+import copy
 import itertools
 import math
 from functools import lru_cache
@@ -68,7 +83,11 @@ class JetContext:
     spans ha and hb and ``horner[k]`` the one for Horner step k of
     :func:`_compose`; both are built on first use (see
     :meth:`product_table` and :meth:`horner_tables`) and keep table order.
+    ``x_degree`` is the cap of a context from :meth:`x_truncated`, and
+    None for the full one.
     """
+
+    x_degree = None
 
     def __init__(self, n_vars, order):
         if n_vars < 1:
@@ -146,14 +165,56 @@ class JetContext:
         of the k steps after it: only its degrees <= order - k reach the
         result. So step k reads the accumulator up to degree order - k - 1,
         the nilpotent part from degree 1, and writes degrees <= order - k.
-        :func:`_compose` runs the first, step order - 1, as a scalar product.
+        :func:`_compose` runs the first, step order - 1, as a scalar product,
+        so it has no table here.
         """
         da, db = self.degrees[self.mul_i], self.degrees[self.mul_j]
         self.horner = [
             self._sub_table((da < self.order - k) & (db >= 1)
                             & (da + db <= self.order - k))
-            for k in range(self.order)]
+            for k in range(self.order - 1)]
         return self.horner
+
+    # -- x-degree truncation ------------------------------------------------
+
+    def x_truncated(self, cap):
+        """This context modulo the monomials of x-degree above ``cap``.
+
+        The x variables are the first half of the seeded (x, y). The
+        derived context keeps the monomials and the table entries whose
+        target survives, in table order (see the module docstring), and is
+        this context itself when nothing is dropped, as at order <= cap.
+        """
+        if self.n_vars % 2:
+            raise JetError(f"x-degree needs seeded (x, y), got {self.n_vars} variables")
+        if cap < 1:
+            raise JetError(f"x-degree cap must be >= 1, got {cap}")
+        half = self.n_vars // 2
+        kept = np.array([sum(m[:half]) <= cap for m in self.monomials])
+        if kept.all():
+            return self
+        pos = np.flatnonzero(kept)
+        new = np.full(self.n_terms, -1, dtype=np.int64)
+        new[pos] = np.arange(pos.size)
+        rows = kept[self.mul_k]
+
+        # a copy, not a new build: only __init__ builds the full tables
+        ctx = copy.copy(self)
+        ctx.x_degree = cap
+        ctx.monomials = [self.monomials[p] for p in pos]
+        ctx.n_terms = pos.size
+        ctx.degree_start = np.searchsorted(pos, self.degree_start).tolist()
+        ctx.index = {m: p for p, m in enumerate(ctx.monomials)}
+        ctx.degrees = self.degrees[pos]
+        ctx.factorials = self.factorials[pos]
+        ctx.mul_i, ctx.mul_j, ctx.mul_k = (
+            new[t[rows]] for t in (self.mul_i, self.mul_j, self.mul_k))
+        ctx.products = [[None] * (self.order + 1) for _ in range(self.order + 1)]
+        ctx.horner = None
+        ctx._units = self._units[:, pos]
+        ctx._units.setflags(write=False)
+        ctx._tensor_maps = {}
+        return ctx
 
     # -- derivative-tensor scatter ---------------------------------------
 
@@ -161,7 +222,9 @@ class JetContext:
         """Map from degree-k coefficients to the dense d^k derivative tensor.
 
         Returns (slot_mono, slot_fact): for each flat slot of the
-        (n_vars,)*k tensor the monomial position and its alpha!.
+        (n_vars,)*k tensor the monomial position and its alpha!. A slot
+        whose monomial an x-truncated context drops reads the base value
+        with a NaN factor.
         """
         if k in self._tensor_maps:
             return self._tensor_maps[k]
@@ -175,16 +238,25 @@ class JetContext:
             e = [0] * d
             for i in combo:
                 e[i] += 1
-            pos = self.index[tuple(e)]
-            slot_mono[flat] = pos
-            slot_fact[flat] = self.factorials[pos]
+            pos = self.index.get(tuple(e))
+            slot_mono[flat] = 0 if pos is None else pos
+            slot_fact[flat] = np.nan if pos is None else self.factorials[pos]
         self._tensor_maps[k] = (slot_mono, slot_fact)
         return self._tensor_maps[k]
 
 
 @lru_cache(maxsize=None)
-def get_context(n_vars, order):
-    return JetContext(n_vars, order)
+def _context(n_vars, order, x_degree):
+    if x_degree is None:
+        return JetContext(n_vars, order)
+    return _context(n_vars, order, None).x_truncated(x_degree)
+
+
+def get_context(n_vars, order, *, x_degree=None):
+    """The shared context of jets in ``n_vars`` variables to ``order``,
+    modulo x-degree above ``x_degree`` when it is given (see
+    :meth:`JetContext.x_truncated`)."""
+    return _context(n_vars, order, x_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +458,17 @@ def _points(values):
     return vals if vals.ndim == 2 else vals.ravel()
 
 
-def variables(values, order):
+def variables(values, order, *, x_degree=None):
     """Seed one jet per coordinate of ``values``, each with a unit linear
-    coefficient; a ``(B, n)`` stack seeds batched jets.
+    coefficient; a ``(B, n)`` stack seeds batched jets. ``x_degree``
+    selects the context (see :func:`get_context`).
 
     The jets are rows of one coefficient block, ``(n, n_terms)`` or
     ``(n, B, n_terms)``; they may share it because no ring operation
     writes into an operand.
     """
     vals = _points(values)
-    ctx = get_context(vals.shape[-1], order)
+    ctx = get_context(vals.shape[-1], order, x_degree=x_degree)
     units = ctx._units
     block = (units.copy() if vals.ndim == 1
              else np.repeat(units[:, None], vals.shape[0], axis=1))
@@ -403,12 +476,14 @@ def variables(values, order):
     return [Jet(ctx, coeffs, 1) for coeffs in block]
 
 
-def seed_variables(x, y, order):
+def seed_variables(x, y, order, *, x_degree=None):
     """Seed the 2n coordinate jets for a tangent-space point (x, y).
 
     ``order`` must lie in {1, 2, 3, 4}; the returned list holds the x-jets
     followed by the y-jets, each carrying its own unit first-order
     coefficient. ``(B, n)`` stacks of points and directions seed one batch.
+    ``x_degree`` drops the monomials of higher degree in x (see
+    :meth:`JetContext.x_truncated`).
     """
     if order not in (1, 2, 3, 4):
         raise JetError(f"jet order must be one of 1..4, got {order!r}")
@@ -418,7 +493,7 @@ def seed_variables(x, y, order):
     z = np.concatenate([x, y], axis=-1)
     if not np.isfinite(z).all():
         raise JetError("seed point contains non-finite entries")
-    return variables(z, order)
+    return variables(z, order, x_degree=x_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +518,10 @@ def extract_derivative(jet, idx):
     total = sum(idx)
     if total > ctx.order:
         raise JetError(f"|idx| = {total} exceeds jet order {ctx.order}")
-    pos = ctx.index[idx]
+    pos = ctx.index.get(idx)
+    if pos is None:
+        raise JetError(f"multi-index {idx} has x-degree above {ctx.x_degree}, "
+                       "which this jet's context drops")
     return jet.coeffs.T[pos] * ctx.factorials[pos]
 
 
@@ -673,14 +751,15 @@ def fd_oracle(f, x, y, idx):
     return fd_derivative(fz, np.concatenate([x, y]), idx)
 
 
-def jet_of(f, x, y, order):
+def jet_of(f, x, y, order, *, x_degree=None):
     """Evaluate a scalar-ring-generic f(x, y) over jets seeded at (x, y).
 
     The package's one derivative path: every jet of a function of the
     chart variables comes from here, and :func:`derivative_tensors` of the
     result gives its value and derivative tensors. ``(B, n)`` stacks of
-    x and y evaluate f once over batched jets.
+    x and y evaluate f once over batched jets. ``x_degree`` computes f
+    modulo x-degree above it (see :meth:`JetContext.x_truncated`).
     """
-    zs = seed_variables(x, y, order)
+    zs = seed_variables(x, y, order, x_degree=x_degree)
     n = len(zs) // 2
     return f(zs[:n], zs[n:])

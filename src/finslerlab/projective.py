@@ -120,7 +120,10 @@ def xi_and_tau(base, cand, x, y):
     x, y = base.check_state(x, y)
     data = _assemble(base, x, y, 4)
     G, dG, N, Gyy = data["G"], data["dG"], data["N"], data["Gyy"]
-    f, T1, T2, T3 = jr.derivative_tensors(cand.value_jet(x, y, 3), 3)
+    # d2u reads T3 with at most two x-derivatives, as _assemble its D4
+    x, y = cand.check_state(x, y)
+    f, T1, T2, T3 = jr.derivative_tensors(
+        jr.jet_of(cand.F, x, y, 3, x_degree=2), 3)
     fx, fy = T1[..., :n], T1[..., n:]
 
     u = _dot(fx, y) - 2.0 * _dot(G, fy)
@@ -130,7 +133,7 @@ def xi_and_tau(base, cand, x, y):
     # d2u[mu, k] = d2u/dz^mu dy^k
     d2u = (np.einsum("...jmk,...j->...mk", T3[..., :n, :, n:], y)
            + _T(T2[..., :n, :])
-           - 2.0 * (_matvec(data["d2G"][..., :, n:, :], fy[..., None, :])
+           - 2.0 * (_matvec(data["d2G"], fy[..., None, :])
                     + dG @ T2[..., n:, n:]
                     + _T(dG[..., n:, :] @ T2[..., n:, :])
                     + np.einsum("...jmk,...j->...mk", T3[..., n:, :, n:], G)))

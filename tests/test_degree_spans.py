@@ -4,12 +4,18 @@ Every jet carries ``hi``, a bound on the degree of its nonzero
 coefficients, and a product runs only the table entries whose factors can
 be nonzero. The reference here is a context whose every product and
 Horner step runs the full table: the results must agree in every bit.
+
+The last section holds jets modulo x-degree above 2 to the same standard:
+every coefficient they keep equals the full context's in every bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from finslerlab import _kernels, jets as jr
+from finslerlab import _kernels, geometry as geo, jets as jr
+from finslerlab import projective as pj, sampling, zoo
+from finslerlab.errors import JetError
 
 
 class FullTableContext(jr.JetContext):
@@ -21,7 +27,7 @@ class FullTableContext(jr.JetContext):
         return table
 
     def horner_tables(self):
-        self.horner = [(self.mul_i, self.mul_j, self.mul_k)] * self.order
+        self.horner = [(self.mul_i, self.mul_j, self.mul_k)] * (self.order - 1)
         return self.horner
 
 
@@ -74,7 +80,8 @@ def test_sub_table_sizes_at_order_four_in_eight_variables():
     assert len(ctx.product_table(1, 1)[0]) == 81
     assert len(ctx.product_table(2, 2)[0]) == 2025
     assert ctx.product_table(4, 4)[0] is ctx.mul_i
-    assert sum(len(step[0]) for step in ctx.horner_tables()) == 5270
+    # steps 0..order - 2: step order - 1 is a scalar product, with no table
+    assert sum(len(step[0]) for step in ctx.horner_tables()) == 5262
 
 
 def _both(order, n, batch, seed):
@@ -264,3 +271,158 @@ def test_compose_equals_the_former_full_horner_loop(order, n, batch, seed,
         assert np.array_equal(out, want)
         out = out + 0.0
     assert same_bits(out, want)
+
+
+# ---------------------------------------------------------------------------
+# jets modulo x-degree above 2
+
+
+def _kept(ctx, cut):
+    """The positions in ``ctx`` of the monomials that ``cut`` keeps."""
+    return [ctx.index[m] for m in cut.monomials]
+
+
+def _x_degrees(n, k):
+    """The x-degree of every slot of an order-k tensor in (x, y) of size n
+    each."""
+    return sum((axis < n).astype(int) for axis in np.indices((2 * n,) * k))
+
+
+def test_truncated_table_sizes():
+    assert len(jr.get_context(8, 4, x_degree=2).mul_i) == 3435
+    assert len(jr.get_context(6, 4, x_degree=2).mul_i) == 1302
+    assert len(jr.get_context(4, 4, x_degree=2).mul_i) == 360
+    for d in (2, 4, 6, 8):  # order 2 drops nothing
+        assert jr.get_context(d, 2, x_degree=2) is jr.get_context(d, 2)
+    assert jr.get_context(8, 4, x_degree=2) is jr.get_context(8, 4, x_degree=2)
+    with pytest.raises(JetError, match="x-degree"):
+        jr.get_context(3, 4).x_truncated(2)
+    with pytest.raises(JetError, match="cap"):
+        jr.get_context(4, 4).x_truncated(0)
+
+
+TREE_OPS = (
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a * b,
+    lambda a, b: 0.75 * a - 2.0,
+    lambda a, b: -a / 3.0,
+    lambda a, b: a**2,
+    lambda a, b: jr.exp(0.1 * a),
+    lambda a, b: 1.0 / (a * a + 1.0),
+    lambda a, b: jr.sqrt(a * a + b * b + 1.0),
+)
+
+
+def _lockstep_trees(seedings, rng, steps):
+    """One random expression over each list of seeded variables, all by the
+    same operations; a result joins while the first list's stays finite."""
+    pools = [list(vs) + [jr.constant(vs[0].ctx, 1.25)] for vs in seedings]
+    for _ in range(steps):
+        i, j = rng.integers(0, len(pools[0]), 2)
+        op = TREE_OPS[rng.integers(0, len(TREE_OPS))]
+        out = [op(p[i], p[j]) for p in pools]
+        if np.abs(out[0].coeffs).max() < 1e100:  # repeated squares overflow
+            for p, r in zip(pools, out):
+                p.append(r)
+    return pools
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=orders, half=st.integers(1, 4), batch=batches,
+       seed=st.integers(0, 2**32 - 1))
+def test_truncated_ring_keeps_every_coefficient_bit_for_bit(order, half, batch,
+                                                            seed):
+    # against the full context, and against a truncated full-table one
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 1.5, (2 * half,) if batch is None
+                       else (batch, 2 * half))
+    full = jr.variables(vals, order)
+    cut = jr.variables(vals, order, x_degree=2)
+    ref = FullTableContext(2 * half, order).x_truncated(2)
+    refs = [jr.Jet(ref, z.coeffs.copy(), z.hi) for z in cut]
+    keep = _kept(full[0].ctx, cut[0].ctx)
+    trees = _lockstep_trees((full, cut, refs), rng, 12)
+    for f, c, r in zip(*trees):
+        assert same_bits(f.coeffs[..., keep], c.coeffs)
+        assert same_bits(c.coeffs, r.coeffs)
+        assert c.hi == f.hi
+
+
+# the catalog without its fixed 2-dimensional bodies, whose F takes roots
+CLOSED_FORM = [name for name in zoo.METRIC_NAMES
+               if name not in ("funk-ellipse-plus", "funk-ellipse-minus",
+                               "hilbert-ellipse", "hilbert-superellipse")]
+
+
+def _states(m, count=5):
+    return (np.array(v) for v in zip(*sampling.state_pairs(m, count)))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_truncated_metric_jets_equal_the_full_ones(name, n, order):
+    m = zoo.make_metric(name, n)
+    X, Y = _states(m)
+    for x, y in ((X[0], Y[0]), (X, Y)):
+        full = jr.jet_of(m.F, x, y, order)
+        cut = jr.jet_of(m.F, x, y, order, x_degree=2)
+        keep = _kept(full.ctx, cut.ctx)
+        assert len(keep) < full.ctx.n_terms
+        for f, c in ((full, cut), (full * full, cut * cut)):
+            assert same_bits(f.coeffs[..., keep], c.coeffs)
+            tensors = zip(jr.derivative_tensors(f), jr.derivative_tensors(c))
+            for k, (tf, tc) in enumerate(tensors):
+                if k < 3:
+                    assert same_bits(tf, tc)
+                    continue
+                dropped = np.broadcast_to(_x_degrees(n, k) > 2, tc.shape)
+                assert np.isnan(tc[dropped]).all()
+                assert same_bits(tf[~dropped], tc[~dropped])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_assembly_and_transport_read_no_dropped_partial(name, n):
+    m = zoo.make_metric(name, n)
+    base = zoo.make_metric("euclidean", n)
+    X, Y = _states(m)
+    for x, y in ((X[0], Y[0]), (X, Y)):
+        for order in (3, 4):
+            for key, value in geo._assemble(m, x, y, order).items():
+                assert not np.isnan(value).any(), (order, key)
+    pairs = sampling.joint_state_pairs(base, m, 5)
+    X, Y = (np.array(v) for v in zip(*pairs))
+    for x, y in ((X[0], Y[0]), (X, Y)):
+        for key, value in pj.xi_and_tau(base, m, x, y).items():
+            assert not np.isnan(value).any(), key
+
+
+def test_second_spray_derivative_is_the_y_derivative_of_the_first():
+    # d2G[mu, nu, i] = d2G^i/dz^mu dy^nu, against differences of dG
+    m = zoo.bryant(0.7, 3)
+    x, y = (np.array(v) for v in sampling.state_pairs(m, 3)[1])
+    n = m.n
+    d2G = geo._assemble(m, x, y, 4)["d2G"]
+    assert d2G.shape == (2 * n, n, n)
+    z = np.concatenate([x, y])
+
+    def dG(z):
+        return geo._assemble(m, z[:n], z[n:], 3)["dG"].ravel()
+
+    for nu in range(n):
+        idx = np.zeros(2 * n, dtype=int)
+        idx[n + nu] = 1
+        fd = jr.fd_derivative(dG, z, idx).reshape(2 * n, n)
+        assert np.max(np.abs(d2G[:, nu, :] - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+def test_a_dropped_partial_cannot_be_extracted():
+    cut = jr.jet_of(zoo.klein().F, [0.1, 0.2], [0.5, -0.3], 4, x_degree=2)
+    assert jr.extract_derivative(cut, (2, 0, 1, 0)) == jr.extract_derivative(
+        jr.jet_of(zoo.klein().F, [0.1, 0.2], [0.5, -0.3], 4), (2, 0, 1, 0))
+    with pytest.raises(JetError, match="x-degree above 2"):
+        jr.extract_derivative(cut, (2, 1, 0, 0))
+    with pytest.raises(JetError, match="different contexts"):
+        cut + jr.jet_of(zoo.klein().F, [0.1, 0.2], [0.5, -0.3], 4)

@@ -103,9 +103,9 @@ def test_vetoed_stages_never_seed_a_jet(monkeypatch):
         calls["assemble"] += 1
         return assemble(*args)
 
-    def counted_seed(*args):
+    def counted_seed(*args, **kwargs):
         calls["seed"] += 1
-        return seed(*args)
+        return seed(*args, **kwargs)
 
     monkeypatch.setattr(geo, "_assemble", counted_assemble)
     monkeypatch.setattr(jr, "seed_variables", counted_seed)
