@@ -30,6 +30,15 @@ label:
                                  (a, b) = (0.7, 0.5) for each of the nine
                                  (lam, lamt) pairs; 50 passes, and
                                  ``us_per_case`` is one case
+  classify_completeness.L_T      the same for the one pair (lam, lamt) =
+                                 (L, T); 500 calls
+  maximal_interval,              ``comparison.maximal_interval`` and
+  first_critical_time            ``comparison.first_critical_time`` of the
+                                 nine cases; 500 passes, ``us_per_case``
+  f_squared.float, .array, .jet  ``comparison.f_squared`` of the case
+                                 (-1, 0, 1.0, 1.0) at t = -5.25, on the 9
+                                 times of ``ode_residual`` and on their
+                                 order-2 jet batch; 2000 calls
   ode_residual                   ``comparison.ode_residual`` of the case
                                  (1, 1, 0.7, 0.5) on 9 times in [-2.4, 2.4];
                                  500 calls
@@ -97,7 +106,7 @@ def main(argv=None):
     label, tree = _bench.arguments(__doc__, argv)
 
     from finslerlab import comparison as cmp
-    from finslerlab import geodesic as gd, ode, zoo
+    from finslerlab import geodesic as gd, jets as jr, ode, zoo
 
     rim_y = -np.array([1.0, 0.05]) / np.hypot(1.0, 0.05)
     geodesics = {
@@ -135,7 +144,19 @@ def main(argv=None):
         lambda: [cmp.classify_completeness(c) for c in nine], 50)
     rows["classify_completeness"] = dict(
         row, us_per_case=row["us_per_call"] / len(nine))
+    for c in nine:
+        rows[f"classify_completeness.{c.lam:g}_{c.lam_tilde:g}"] = \
+            _bench.per_call(lambda c=c: cmp.classify_completeness(c), 500)
+    for name in ("maximal_interval", "first_critical_time"):
+        fn = getattr(cmp, name)
+        row = _bench.per_call(lambda: [fn(c) for c in nine], 500)
+        rows[name] = dict(row, us_per_case=row["us_per_call"] / len(nine))
     ts = np.linspace(-2.4, 2.4, 9)
+    exp_family = cmp.make_case(-1, 0, 1.0, 1.0)
+    for name, t in (("float", -5.25), ("array", ts),
+                    ("jet", jr.variables(ts[:, None], 2)[0])):
+        rows[f"f_squared.{name}"] = _bench.per_call(
+            lambda t=t: cmp.f_squared(exp_family, t), 2000)
     rows["ode_residual"] = dict(
         _bench.per_call(lambda: cmp.ode_residual(case, ts), 500),
         value=cmp.ode_residual(case, ts))

@@ -313,15 +313,19 @@ def _moderate_box(metric, shrink=0.5):
     return mid - shrink * half, mid + shrink * half
 
 
+FD_SKIP_LIMIT = 0.01  # share of a metric's checks the FD oracle may refuse
+
+
 def criterion_10(samples=100, fd_curvature_samples=6):
-    """Jet derivatives against the finite-difference oracle."""
+    """Jet derivatives against the finite-difference oracle; a check the
+    oracle refuses is counted per metric in ``fd_skipped``."""
     worst = 0.0
-    details = {}
+    details, skipped = {}, {}
     for m in _zoo_for_jets():
         idxs = _all_indices(m.n, 3)
         pairs = sampling.state_pairs(m, samples, box=_moderate_box(m))
-        dev = 0.0
-        fn = lambda X, Y, m=m: m.F(list(X), list(Y))
+        dev, skips = 0.0, 0
+        fn = lambda X, Y, m=m: m.F(X.tolist(), Y.tolist())
         for i, (x, y) in enumerate(pairs):
             jet = m.value_jet(x, y, 3)
             tensors = jr.derivative_tensors(jet, 3)
@@ -332,11 +336,13 @@ def criterion_10(samples=100, fd_curvature_samples=6):
                 try:
                     fv = jr.fd_oracle(fn, x, y, idx)
                 except FDOracleError:
+                    skips += 1
                     continue
                 # deviations are judged against the order-k tensor scale
                 scale = max(abs(jv), abs(fv), 1e-3 * norms[sum(idx)], 1e-9)
                 dev = max(dev, abs(jv - fv) / scale)
         details[m.name] = dev
+        skipped[m.name] = skips
         worst = max(worst, dev)
 
     worst_R = 0.0
@@ -348,11 +354,13 @@ def criterion_10(samples=100, fd_curvature_samples=6):
             scale = max(1.0, float(np.max(np.abs(R_jet))))
             worst_R = max(worst_R, float(np.max(np.abs(R_jet - R_fd))) / scale)
     ratio = max(worst / 1e-6, worst_R / 1e-4)
+    few_skips = max(skipped.values()) <= FD_SKIP_LIMIT * 3 * samples
     return _record(10, "jet calculus against the finite-difference oracle",
                    ratio, 1.0,
                    {"derivative_dev": worst, "curvature_fd_dev": worst_R,
-                    "per_metric": details,
-                    "note": "worst is the largest deviation/tolerance ratio"})
+                    "per_metric": details, "fd_skipped": skipped,
+                    "note": "worst is the largest deviation/tolerance ratio"},
+                   passed=ratio <= 1.0 and few_skips)
 
 
 def fd_riemann(metric, x, y):

@@ -10,11 +10,17 @@ reduce everything to the invariant
 
 with f'^2 = rad(f) / f^2 for the quartic rad(s) = -lam s^4 + 2C s^2 - lamt.
 
-Closed forms (doubled-angle normal forms):
+It is an Ermakov-Pinney equation (E. Pinney, Proc. AMS 1 (1950) 681): with
+the solutions (c, s) = (cos t, sin t), (1, t) or (cosh t, sinh t) of
+u'' + lam u = 0 (lam = 1, 0, -1), so that c' = -lam s and s' = c,
 
-    lam = +1:  f^2 = (a^2 - C) cos 2t + a b sin 2t + C
-    lam =  0:  f^2 = 2C t^2 + 2ab t + a^2  (= (a + b t)^2 + lamt t^2 / a^2)
-    lam = -1:  f^2 = (a^2 + C) cosh 2t + a b sinh 2t - C
+    f^2 = Q(c, s) = (a c + b s)^2 + (lamt / a^2) s^2
+
+for all nine (lam, lamt) pairs: a binary quadratic form of discriminant
+-lamt, definite for lamt = 1, the square of a c + b s for lamt = 0 and the
+product of a c + (b -+ 1/a) s for lamt = -1. The life interval ends at the
+zeros of these factors, the critical times are the zeros of the binary
+quadratic (f^2)' / 2, and int dt / f^2 is dtau / Q(1, tau), tau = s / c.
 
 The module computes maximal life intervals, candidate lengths int dt / f^2
 in closed form, completeness flags, membership in the exceptional
@@ -77,28 +83,98 @@ def make_case(lam, lam_tilde, a, b):
     return Case(lam, lam_tilde, a, b, C)
 
 
-def _snap(v, scale):
-    return 0.0 if abs(v) < 1e-12 * max(1.0, scale) else v
+# ---------------------------------------------------------------------------
+# the binary quadratic form
+
+
+def _form(lam, t, scaled=False):
+    """The linear forms (al, be) -> al c + be s at t: a float (on ``math``),
+    an array or a jet (on the ring functions of ``jets``).
+
+    (c, s) are homogeneous coordinates of tau = tan t, t, tanh t (lam = 1,
+    0, -1): tau = +-inf is the point (0, +-1), and for lam = -1, (c, s) =
+    2 e^{-|t|} (cosh t, sinh t) = (1, sg) + e (1, -sg) with e = e^{-2|t|}
+    and sg the sign of t (per base value of a jet), finite at t = +-inf.
+    ``scaled`` gives the solutions themselves: (1, e) becomes (e^{|t|},
+    e^{-|t|}) / 2. The form keeps the split, so its small term survives
+    when al + sg be cancels."""
+    fn = math if isinstance(t, float) else jr
+    if lam == 1.0:
+        c, s = fn.cos(t), fn.sin(t)
+        return lambda al, be: al * c + be * s
+    if fn is math:
+        sg = math.copysign(1.0, t)
+        if lam == 0.0 and not math.isfinite(t):
+            return lambda al, be: be * sg
+    else:
+        sg = np.copysign(1.0, t.value if jr.is_jet(t) else t)
+    if lam == 0.0:
+        return lambda al, be: al + be * t
+    if scaled:
+        big, small = 0.5 * fn.exp(sg * t), 0.5 * fn.exp(-sg * t)
+        return lambda al, be: (al + sg * be) * big + (al - sg * be) * small
+    e = fn.exp(-2.0 * abs(t)) if fn is math else fn.exp(-2.0 * (sg * t))
+    return lambda al, be: (al + sg * be) + e * (al - sg * be)
+
+
+def _factors(case):
+    """The s-coefficients beta of the real linear factors a c + beta s of
+    Q: none for lamt = 1, b (a double factor) for lamt = 0, b -+ 1/a for
+    lamt = -1."""
+    return {1.0: (), 0.0: (case.b,),
+            -1.0: (case.b - 1.0 / case.a, case.b + 1.0 / case.a)}[case.lam_tilde]
+
+
+def _edge(case, beta, sg):
+    """The factor a c + beta s at t = sg inf (lam = 0 or -1), the point
+    (0, sg) or (1, sg) of ``_form``, read as 0 within rounding of its terms."""
+    end = _form(case.lam, sg * math.inf)
+    v = end(case.a, beta)
+    size = end(case.a, sg * (abs(case.b) + abs(case.lam_tilde) / case.a))
+    return 0.0 if abs(v) < 1e-12 * size else v
+
+
+def _time(lam, gamma, delta):
+    """The time t at which (c, s) is a multiple of (gamma, delta): the one
+    in [0, pi] for lam = 1, where the point recurs every pi; None where no
+    finite time reaches it (gamma = 0 for lam = 0, |delta| >= |gamma| for
+    lam = -1). For lam = -1 it is atanh(delta / gamma), as a log1p that
+    keeps its digits next to the ends."""
+    if lam == 1.0:
+        if math.copysign(1.0, delta) < 0.0:
+            gamma, delta = -gamma, -delta
+        return math.atan2(delta, gamma)
+    if lam == 0.0:
+        return delta / gamma if gamma != 0.0 else None
+    if abs(delta) >= abs(gamma):
+        return None
+    return 0.5 * math.log1p(2.0 * delta / (gamma - delta))
+
+
+def _roots(p, q, n):
+    """The zeros (gamma, delta) of p c^2 + q c s + n s^2 on the projective
+    line: tau = s / c solves n tau^2 + q tau + p = 0, and the roots are
+    taken as w / n and p / w, free of cancellation."""
+    disc = q * q - 4.0 * p * n
+    if disc < 0.0:
+        return ()
+    w = -0.5 * (q + math.copysign(math.sqrt(disc), q))
+    return ((n, w), (w, p))
 
 
 def f_squared(case, t):
     """Closed-form f^2; accepts floats, numpy arrays, sequences, or jets."""
-    if isinstance(t, (list, tuple)):  # a sequence of times reads as an array
-        try:
+    if not jr.is_jet(t):
+        try:  # a number or a sequence of times reads as an array
             t = np.asarray(t, dtype=float)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"f_squared needs real times: {exc}") from None
-    a, b, C = case.a, case.b, case.C
-    if case.lam == 1.0:
-        return (a * a - C) * jr.cos(2.0 * t) + a * b * jr.sin(2.0 * t) + C
-    if case.lam == 0.0:
-        # the polynomials whose roots maximal_interval takes: the double
-        # root -a/b for lamt = 0, else the quadratic in the snapped C
-        if case.lam_tilde == 0.0:
-            lin = a + b * t
-            return lin * lin
-        return 2.0 * C * t * t + 2.0 * a * b * t + a * a
-    return (a * a + C) * jr.cosh(2.0 * t) + a * b * jr.sinh(2.0 * t) - C
+    form, a = _form(case.lam, t, scaled=True), case.a
+    if case.lam_tilde == 1.0:
+        lin, s = form(a, case.b), form(0.0, 1.0) / a
+        return lin * lin + s * s
+    lin = [form(a, beta) for beta in _factors(case)]
+    return lin[0] * lin[-1]
 
 
 def f_value(case, t):
@@ -113,7 +189,8 @@ def radicand(case, s):
 
 
 def evolution_law(case, t):
-    """Candidate value along the geodesic in the doubled-angle normal form."""
+    """Candidate value along the geodesic in the doubled-angle normal form,
+    written independently of ``f_squared``, which it is checked against."""
     a, b, lt = case.a, case.b, case.lam_tilde
     s1 = a * a + lt / (a * a) + b * b
     s2 = a * a - lt / (a * a) - b * b
@@ -131,88 +208,26 @@ def normal_form_defect(case, ts):
 
 
 # ---------------------------------------------------------------------------
-# maximal interval
-
-
-def _pq(case):
-    """Snapped hyperbolic-form coefficients f^2 = p cosh 2t + q sinh 2t - C."""
-    a, b, C = case.a, case.b, case.C
-    p = _snap(a * a + C, a * a + abs(C))
-    q = _snap(a * b, abs(a * b) + 1.0)
-    return p, q
-
-
-def _w_component(case):
-    """For lam = -1: the w = e^{2t} component where f^2 > 0, around w = 1.
-
-    f^2 = N(w) / (2w) with N(w) = (p+q) w^2 - 2C w + (p-q), N(1) = 2a^2 > 0,
-    and the discriminant of N is exactly -4 lam_tilde.
-    """
-    C = case.C
-    p, q = _pq(case)
-    A, D = p + q, p - q
-    if case.lam_tilde == 1.0:
-        return 0.0, np.inf  # no real roots, N > 0 throughout
-    if A == 0.0:
-        if C == 0.0:
-            return 0.0, np.inf  # N = D = 2a^2, constant
-        w_star = D / (2.0 * C)
-        if C > 0.0:  # N decreasing: positive below the root (root > 1)
-            return 0.0, w_star
-        return (0.0, np.inf) if w_star <= 0.0 else (w_star, np.inf)
-    if case.lam_tilde == 0.0:
-        w_star = C / A  # double root of N
-        if w_star <= 0.0:
-            return 0.0, np.inf
-        return (w_star, np.inf) if w_star < 1.0 else (0.0, w_star)
-    # roots (C -+ 1)/A, sqrt(disc)/2 = 1; the smaller-magnitude one comes
-    # from the product of roots D/A, free of the cancellation in C -+ 1
-    big = C + math.copysign(1.0, C)
-    roots = sorted((big / A, D / big))
-    w_lo, w_hi = 0.0, np.inf
-    for r in roots:
-        if 0.0 < r < 1.0:
-            w_lo = max(w_lo, r)
-        elif r > 1.0:
-            w_hi = min(w_hi, r)
-    return w_lo, w_hi
+# maximal interval and critical times
 
 
 def maximal_interval(case):
-    """(t_lo, t_hi): the maximal interval around 0 with f^2 > 0."""
-    a, b, C = case.a, case.b, case.C
-    if case.lam == 1.0:
-        if case.lam_tilde == 1.0:
-            return -np.inf, np.inf  # f^2 >= C - sqrt(C^2-1) > 0
-        A = math.hypot(a * a - C, a * b)
-        phi = math.atan2(a * a - C, a * b)
-        s = max(-1.0, min(1.0, -C / A))
-        u0 = math.asin(s)
-        k = math.floor((phi - u0) / (2.0 * math.pi))
-        if not (phi < math.pi - u0 + 2.0 * math.pi * k):
-            k += 1
-        return (u0 + 2.0 * math.pi * k - phi) / 2.0, \
-               (math.pi - u0 + 2.0 * math.pi * k - phi) / 2.0
-
-    if case.lam == 0.0:
-        if case.lam_tilde == 1.0:
-            return -np.inf, np.inf  # positive-definite quadratic
-        if case.lam_tilde == 0.0:
-            if b == 0.0:
-                return -np.inf, np.inf
-            t_star = -a / b  # f = a + b t, double zero
-            return (t_star, np.inf) if b > 0.0 else (-np.inf, t_star)
-        if C == 0.0:  # linear f^2 = 2ab t + a^2 with ab = +-1
-            t_star = -a / (2.0 * b)
-            return (t_star, np.inf) if b > 0.0 else (-np.inf, t_star)
-        r1, r2 = sorted(((-a * b - 1.0) / (2.0 * C), (-a * b + 1.0) / (2.0 * C)))
-        if r1 < 0.0 < r2:
-            return r1, r2
-        return (r2, np.inf) if r2 <= 0.0 else (-np.inf, r1)
-
-    w_lo, w_hi = _w_component(case)
-    t_lo = -np.inf if w_lo <= 0.0 else 0.5 * math.log(w_lo)
-    t_hi = np.inf if not np.isfinite(w_hi) else 0.5 * math.log(w_hi)
+    """(t_lo, t_hi): the maximal interval around 0 with f^2 > 0, between
+    the zeros of the linear factors of Q nearest to 0 on either side. For
+    lam = 0 and -1 a factor (a > 0 at t = 0) has a zero on a side only
+    where its edge is negative."""
+    t_lo, t_hi = -math.inf, math.inf
+    for beta in _factors(case):
+        for sg in (1.0, -1.0):
+            if case.lam != 1.0 and not _edge(case, beta, sg) < 0.0:
+                continue
+            # the zero (-beta, a), forward in time on the side sg (time
+            # reversal flips the sign of s)
+            t = _time(case.lam, -beta, sg * case.a)
+            if sg > 0.0:
+                t_hi = min(t_hi, t)
+            else:
+                t_lo = max(t_lo, -t)
     return t_lo, t_hi
 
 
@@ -225,34 +240,23 @@ def is_stationary(case):
 def first_critical_time(case):
     """Smallest t > 0 with f'(t) = 0, or inf when f is forward-monotone.
 
-    A stationary point of the closed form beyond the life interval does
-    not count: f collapses first, so the forward branch stays monotone.
+    For Q = A c^2 + 2 B c s + D s^2 the derivative is (f^2)' = 2 R(c, s)
+    with R = B c^2 + (D - lam A) c s - lam B s^2, whose zeros are read back
+    as times; D = 2C - lam A takes the snapped invariant. A stationary
+    point of the closed form beyond the life interval does not count: f
+    collapses first, so the forward branch stays monotone.
     """
-    a, b, C = case.a, case.b, case.C
     if is_stationary(case):
-        return np.inf
-    if case.lam == 1.0:
-        phi = math.atan2(a * a - C, a * b)
-        k = math.ceil((phi - math.pi / 2.0) / math.pi)
-        u = math.pi / 2.0 + k * math.pi
-        if u <= phi + 1e-15:
-            u += math.pi
-        t = (u - phi) / 2.0
-    elif case.lam == 0.0:
-        if C == 0.0:
-            return np.inf
-        t = -a * b / (2.0 * C)
-        if t <= 1e-15:
-            return np.inf
-    else:
-        p, q = a * a + C, a * b
-        if p == 0.0 or abs(q / p) >= 1.0:
-            return np.inf
-        t = 0.5 * math.atanh(-q / p)
-        if t <= 1e-15:
-            return np.inf
-    t_hi = maximal_interval(case)[1]
-    return t if t < t_hi else np.inf
+        return math.inf
+    lam, A, B = case.lam, case.a * case.a, case.a * case.b
+    t_first = math.inf
+    for gamma, delta in _roots(B, 2.0 * case.C - 2.0 * lam * A, -lam * B):
+        t = _time(lam, gamma, delta)
+        if lam == 1.0 and t <= 1e-15:
+            t += math.pi
+        if t is not None and 1e-15 < t < t_first:
+            t_first = t
+    return t_first if t_first < maximal_interval(case)[1] else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +287,6 @@ def candidate_length(case, t_from, t_to):
             (t0 == t_lo and _cand_side_complete(case, t_lo, False)):
         return np.inf
     return _window_length(case, t0, t1)
-
-
-def _form(lam, t):
-    """The linear forms (al, be) -> al c + be s at tau = tan t, t or tanh t
-    (lam = 1, 0, -1), for homogeneous coordinates (c, s) of tau: tau = +-inf
-    is the point (0, +-1). For lam = -1, (c, s) = 2 e^{-|t|} (cosh t, sinh t)
-    = (1, sg) + e (1, -sg) with e = e^{-2|t|} and sg the sign of t, finite
-    at t = +-inf; the form keeps that split, so its e-term survives when
-    al + sg be cancels."""
-    if lam == 1.0:
-        c, s = math.cos(t), math.sin(t)
-        return lambda al, be: al * c + be * s
-    sg = math.copysign(1.0, t)
-    if lam == 0.0:
-        if math.isfinite(t):
-            return lambda al, be: al + be * t
-        return lambda al, be: be * sg
-    e = math.exp(-2.0 * abs(t))
-    return lambda al, be: (al + sg * be) + e * (al - sg * be)
 
 
 def _wedge(lam, t0, t1):
@@ -361,13 +346,11 @@ def _cand_side_complete(case, endpoint, forward):
         return True  # f^2 -> 0 at finite ends; 1/f^2 has a non-integrable pole
     if case.lam == 1.0:
         return True  # periodic positive f^2
-    if case.lam == 0.0:
-        # constant or linear f^2 diverges, quadratic does not; for lamt = 0,
-        # f^2 = (a + b t)^2 is constant exactly when b = 0 (C may be snapped)
-        return case.b == 0.0 if case.lam_tilde == 0.0 else case.C == 0.0
-    p, q = _pq(case)
-    edge = _snap(p + q if forward else p - q, abs(p) + abs(q))
-    return edge == 0.0  # f^2 bounded (or -> 0) instead of growing like e^{2|t|}
+    # Q at the end point, (0, +-1) for lam = 0 and (1, +-1) for lam = -1,
+    # vanishes: f^2 is constant or linear in t, or bounded, instead of
+    # growing like t^2 or e^{2|t|}
+    sg = 1.0 if forward else -1.0
+    return any(_edge(case, beta, sg) == 0.0 for beta in _factors(case))
 
 
 def length_classification(case):
@@ -377,7 +360,7 @@ def length_classification(case):
     base_back = not np.isfinite(t_lo)
     cand_fwd = _cand_side_complete(case, t_hi, True)
     cand_back = _cand_side_complete(case, t_lo, False)
-    out = {
+    return {
         "t_lo": t_lo,
         "t_hi": t_hi,
         "base_forward_complete": base_fwd,
@@ -387,7 +370,6 @@ def length_classification(case):
         "cand_forward_length": np.inf if cand_fwd else _window_length(case, 0.0, t_hi),
         "cand_backward_length": np.inf if cand_back else _window_length(case, t_lo, 0.0),
     }
-    return out
 
 
 def families(case):

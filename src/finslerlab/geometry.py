@@ -41,7 +41,8 @@ import numpy as np
 
 from . import jets as jr
 from . import sampling
-from .errors import DegenerateFlagError, DomainError, SingularMetricError
+from .errors import (DegenerateFlagError, DomainError, FinslerError,
+                     SingularMetricError)
 
 COND_LIMIT = 1e12
 MIN_FLAG_ANGLE = 1e-6
@@ -307,8 +308,8 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
         residuals = _residual(metric, data, lam).tolist()
         if flags:
             K, sin_sq = _flag_values(data["g"], data["R"], data["y"], V)
-        for i, (x, y) in enumerate(zip(data["x"], data["y"])):
-            rec = {"x": x.tolist(), "y": y.tolist(),
+        for i, (x, y) in enumerate(zip(data["x"].tolist(), data["y"].tolist())):
+            rec = {"x": x, "y": y,
                    "einstein_residual": residuals[i]}
             if flags:
                 sp = _spread(metric, K[i], sin_sq[i], flags)
@@ -330,7 +331,8 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
 
 
 def check_minkowski(metric, budget=100, box=None):
-    """Sampled strong-convexity audit of the fundamental tensor."""
+    """Sampled strong-convexity audit of the fundamental tensor; a sample
+    that raises a ``FinslerError`` is a failure, recorded by class."""
     pairs = sampling.state_pairs(metric, budget, box=box)
     worst_cond = 0.0
     min_eig = np.inf
@@ -349,8 +351,9 @@ def check_minkowski(metric, budget=100, box=None):
                 failures.append({"x": x.tolist(), "y": y.tolist(),
                                  "F": f_val, "min_eig": float(eigs[0]),
                                  "cond": float(cond)})
-        except Exception as exc:  # noqa: BLE001 - audit must survive bad samples
-            failures.append({"x": x.tolist(), "y": y.tolist(), "error": str(exc)})
+        except FinslerError as exc:  # a bad sample; any other error is a bug
+            failures.append({"x": x.tolist(), "y": y.tolist(),
+                             "error": str(exc), "error_class": type(exc).__name__})
     return {
         "metric": metric.name,
         "samples": budget,

@@ -302,7 +302,7 @@ def _series(base, terms):
     differently)."""
     if base.ndim == 0:
         return terms(base)
-    return np.array([terms(c) for c in base]).T
+    return np.array([terms(c) for c in base.tolist()]).T
 
 
 _MIXED_CONTEXTS = "jets from different contexts cannot be combined"

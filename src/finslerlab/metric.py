@@ -96,7 +96,7 @@ class ConvexInterior(Domain):
     shrink: float = 0.7
 
     def signed(self, x):
-        return float(self.phi(list(np.asarray(x, dtype=float))))
+        return float(self.phi(np.asarray(x, dtype=float).tolist()))
 
     def sample_box(self):
         center = 0.5 * (self.bbox_lo + self.bbox_hi)
@@ -168,7 +168,7 @@ class FinslerMetric:
         """Validated float evaluation."""
         x = self.check_point(x)
         y = self.check_direction(y)
-        return float(self.F(list(x), list(y)))
+        return float(self.F(x.tolist(), y.tolist()))
 
     def check_state(self, x, y):
         """(x, y) validated, as float arrays.

@@ -85,6 +85,20 @@ def test_criterion_10_jet_oracle_and_fd_curvature():
     assert det["curvature_fd_dev"] <= 1e-4
 
 
+def test_criterion_10_fails_when_the_oracle_refuses_its_checks(monkeypatch):
+    from finslerlab import jets
+    from finslerlab.errors import FDOracleError
+
+    def refuse(f, x, y, idx):
+        raise FDOracleError("Richardson extrapolation diverges")
+
+    monkeypatch.setattr(jets, "fd_oracle", refuse)
+    rec = acc.criterion_10(samples=2, fd_curvature_samples=1)
+    assert rec["worst"] <= 1.0  # no check was left to deviate
+    assert not rec["passed"]
+    assert set(rec["details"]["fd_skipped"].values()) == {6}
+
+
 def test_run_all_aggregates_every_criterion():
     assert len(acc.ALL_CRITERIA) == 10
     names = [fn.__name__ for fn in acc.ALL_CRITERIA]

@@ -219,10 +219,11 @@ def test_f_squared_reads_a_sequence_as_an_array(lam, lamt):
 
 def test_arc_time_to_a_double_root_of_the_radicand_diverges():
     # the asymptote family approaches f^2 = -C = 1, a double root of P, as
-    # t -> inf; by t = 10 f^2 rounds to it, and no finite time is left
+    # t -> inf; f^2 = 1 - 0.75 e^{-2t} rounds to it by t = 20, and no
+    # finite time is left
     case = cmp.make_case(-1, -1, 0.5, 1.5)
-    assert float(cmp.f_squared(case, 10.0)) == 1.0
-    assert cmp.arc_param_roundtrip(case, 10.0) == math.inf
+    assert float(cmp.f_squared(case, 20.0)) == 1.0
+    assert cmp.arc_param_roundtrip(case, 20.0) == math.inf
 
 
 def test_arc_roundtrip_of_a_leg_that_rounds_to_its_start():
@@ -353,11 +354,11 @@ def test_critical_time_is_a_zero_of_f_prime(lam, lamt, a, b):
 
 def _quad_length(case, t0, t1):
     """int dt / f^2 by adaptive quadrature of f_squared; an f^2 past the
-    float range (cosh 2t overflows far out) reads as 1/f^2 = 0.
+    float range (e^{|t|} overflows far out) reads as 1/f^2 = 0.
 
-    For lam = -1, f_squared sums terms of size cosh 2t, so where f^2 decays
-    (f = a e^{-t}, say) it keeps only about eps cosh 2t / f^2 of relative
-    accuracy: windows are drawn from |t| <= 3, where that stays below 1e-11.
+    For lam = -1, f_squared keeps the e^{|t|} and e^{-|t|} parts of each
+    linear factor apart, so it keeps its relative digits where f^2 decays
+    (f = a e^{-t}, say), and windows are drawn from |t| <= 6.
     """
     def integrand(t):
         v = float(cmp.f_squared(case, t))
@@ -377,7 +378,7 @@ def test_closed_form_lengths_match_quadrature(lam, lamt, a, b, sign, kind,
                                               u, v):
     case = cmp.make_case(lam, lamt, a, sign * b)
     t_lo, t_hi = cmp.maximal_interval(case)
-    lo, hi = max(t_lo, -3.0), min(t_hi, 3.0)
+    lo, hi = max(t_lo, -6.0), min(t_hi, 6.0)
     t0, t1 = sorted((lo + u * (hi - lo), lo + v * (hi - lo)))
     if kind == "forward":
         assume(not cmp._cand_side_complete(case, t_hi, True))
@@ -426,6 +427,48 @@ def test_candidate_length_keeps_its_digits_far_out(lam, lamt, a, b):
             want = mp.quad(lambda t: 1 / f2(t), [t0, t1])
             got = cmp.candidate_length(case, t0, t1)
             assert abs(got - want) <= 1e-13 * want, (t0, t1)
+
+
+def _mp_f_squared(mp, lam, lamt, a, b, t):
+    """(a c + b s)^2 + (lamt / a^2) s^2 at the float inputs, to 60 digits."""
+    with mp.workdps(60):
+        a, b, t = mp.mpf(a), mp.mpf(b), mp.mpf(t)
+        c, s = {1: (mp.cos(t), mp.sin(t)), 0: (1, t),
+                -1: (mp.cosh(t), mp.sinh(t))}[lam]
+        return (a * c + b * s) ** 2 + lamt / (a * a) * s * s
+
+
+def _values(case, t):
+    """f_squared at the time t as a float and as the value of a jet."""
+    return (float(cmp.f_squared(case, t)),
+            float(cmp.f_squared(case, jr.variables([t], 1)[0]).value))
+
+
+def test_f_squared_keeps_its_digits_where_the_exp_family_decays():
+    # f = e^t: f^2 = e^{2t} is 2.8e-5 at t = -5.25, where cosh 2t and
+    # sinh 2t are 1.8e4
+    mp = pytest.importorskip("mpmath")
+    want = _mp_f_squared(mp, -1, 0, 1.0, 1.0, -5.25)
+    for got in _values(cmp.make_case(-1, 0, 1.0, 1.0), -5.25):
+        assert abs(got - want) <= 1e-15 * want
+
+
+def test_f_squared_matches_mpmath_on_random_states():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    pairs = [(l, lt) for l in (-1, 0, 1) for lt in (-1, 0, 1)]
+    worst = 0.0
+    for i in range(2007):
+        lam, lamt = pairs[i % 9]
+        case = cmp.make_case(lam, lamt, rng.uniform(0.1, 5.0),
+                             rng.uniform(-5.0, 5.0))
+        t_lo, t_hi = cmp.maximal_interval(case)
+        lo, hi = max(t_lo, -6.0), min(t_hi, 6.0)
+        t = float(lo + rng.uniform() * (hi - lo))
+        want = _mp_f_squared(mp, lam, lamt, case.a, case.b, t)
+        for got in _values(case, t):
+            worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 5e-12
 
 
 @pytest.mark.parametrize("case, window", [

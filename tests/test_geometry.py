@@ -198,6 +198,23 @@ def test_check_minkowski_verdicts():
     assert rep["passed"] and rep["min_eig"] > 0.0
 
 
+def test_check_minkowski_records_finsler_errors_and_passes_others_on():
+    def refused(x, y):
+        raise NumericError("no value here")
+
+    rep = geo.check_minkowski(
+        FinslerMetric(2, refused, FullSpace(2), name="refused"), budget=3)
+    assert not rep["passed"]
+    assert [f["error_class"] for f in rep["failures"]] == ["NumericError"] * 3
+
+    def broken(x, y):
+        raise KeyError("a bug in F, not a bad sample")
+
+    with pytest.raises(KeyError):
+        geo.check_minkowski(
+            FinslerMetric(2, broken, FullSpace(2), name="broken"), budget=3)
+
+
 # ---------------------------------------------------------------------------
 # integrator
 
