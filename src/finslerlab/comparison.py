@@ -121,16 +121,19 @@ def _factors(case):
     """The s-coefficients beta of the real linear factors a c + beta s of
     Q: none for lamt = 1, b (a double factor) for lamt = 0, b -+ 1/a for
     lamt = -1."""
-    return {1.0: (), 0.0: (case.b,),
-            -1.0: (case.b - 1.0 / case.a, case.b + 1.0 / case.a)}[case.lam_tilde]
+    if case.lam_tilde == 1.0:
+        return ()
+    if case.lam_tilde == 0.0:
+        return (case.b,)
+    return (case.b - 1.0 / case.a, case.b + 1.0 / case.a)
 
 
 def _edge(case, beta, sg):
     """The factor a c + beta s at t = sg inf (lam = 0 or -1), the point
     (0, sg) or (1, sg) of ``_form``, read as 0 within rounding of its terms."""
-    end = _form(case.lam, sg * math.inf)
-    v = end(case.a, beta)
-    size = end(case.a, sg * (abs(case.b) + abs(case.lam_tilde) / case.a))
+    al = case.a if case.lam == -1.0 else 0.0
+    v = al + sg * beta
+    size = al + abs(case.b) + abs(case.lam_tilde) / case.a
     return 0.0 if abs(v) < 1e-12 * size else v
 
 
@@ -164,7 +167,9 @@ def _roots(p, q, n):
 
 def f_squared(case, t):
     """Closed-form f^2; accepts floats, numpy arrays, sequences, or jets."""
-    if not jr.is_jet(t):
+    if isinstance(t, float) and abs(t) < 700.0:
+        pass  # on ``math``; an overflowing or non-finite t takes numpy's inf
+    elif not jr.is_jet(t):
         try:  # a number or a sequence of times reads as an array
             t = np.asarray(t, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -237,6 +242,26 @@ def is_stationary(case):
         abs(case.lam * case.a**4 - case.lam_tilde) < 1e-12 * max(1.0, case.a**4)
 
 
+def _slope_coeffs(case):
+    """(p, q, n) of R = (f^2)' / 2 = p c^2 + q c s + n s^2."""
+    lam, A, B = case.lam, case.a * case.a, case.a * case.b
+    return B, 2.0 * case.C - 2.0 * lam * A, -lam * B
+
+
+def _half_slope(case, t):
+    """|R| at the float t: the product of the linear factors w c - n s and
+    p c - w s of R over w (see ``_roots``), taken with the solutions
+    themselves, so it keeps its digits where f^2 levels off."""
+    p, q, n = _slope_coeffs(case)
+    form = _form(case.lam, t, scaled=True)
+    roots = _roots(p, q, n)
+    if not roots or roots[0][1] == 0.0:  # no real factors, or w = 0
+        c, s = form(1.0, 0.0), form(0.0, 1.0)
+        return abs(p * c * c + q * c * s + n * s * s)
+    w = roots[0][1]
+    return abs(form(w, -n) * form(p, -w) / w)
+
+
 def first_critical_time(case):
     """Smallest t > 0 with f'(t) = 0, or inf when f is forward-monotone.
 
@@ -248,15 +273,17 @@ def first_critical_time(case):
     """
     if is_stationary(case):
         return math.inf
-    lam, A, B = case.lam, case.a * case.a, case.a * case.b
+    lam = case.lam
     t_first = math.inf
-    for gamma, delta in _roots(B, 2.0 * case.C - 2.0 * lam * A, -lam * B):
+    for gamma, delta in _roots(*_slope_coeffs(case)):
         t = _time(lam, gamma, delta)
         if lam == 1.0 and t <= 1e-15:
             t += math.pi
         if t is not None and 1e-15 < t < t_first:
             t_first = t
-    return t_first if t_first < maximal_interval(case)[1] else math.inf
+    if t_first < math.inf and t_first < maximal_interval(case)[1]:
+        return t_first
+    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -527,22 +554,25 @@ def arc_param_roundtrip(case, t):
         # rad(s) = (b s)^2 and f = a + b t: the integral is |f - a| / |b|, in
         # closed form as in candidate_length (a snapped C would zero rad)
         return abs(abs(fb - case.a) / abs(case.b) - abs(t))
-    return abs(abs(_arc_time(case, fb)) - abs(t))
+    return abs(abs(_arc_time(case, fb, _half_slope(case, t))) - abs(t))
 
 
-def _arc_time(case, f):
+def _arc_time(case, f, r1=None):
     """int_a^f s ds / sqrt(rad(s)) in closed form.
 
     With u = s^2 it is half of int du / sqrt(P(u)) from a^2 to f^2, for
     P(u) = -lam u^2 + 2 C u - lamt, and sqrt(P(a^2)) = a |b| exactly.
-    P(f^2) is taken as P(a^2) plus its difference, which does not cancel
-    next to a turning value.
+    Along the solution, sqrt(P(f^2)) = |(f^2)'| / 2, which ``r1`` gives
+    where the time of f is known (``_half_slope``); else P(f^2) is taken
+    as P(a^2) plus its difference, which does not cancel next to a
+    turning value, but does next to a double root of P.
     """
     C = case.C
     u0, u1 = case.a * case.a, f * f
     r0 = case.a * abs(case.b)
-    r1 = math.sqrt(max(0.0, r0 * r0
-                       + (u1 - u0) * (2.0 * C - case.lam * (u0 + u1))))
+    if r1 is None:
+        r1 = math.sqrt(max(0.0, r0 * r0
+                           + (u1 - u0) * (2.0 * C - case.lam * (u0 + u1))))
     if u1 == u0:  # f(t) rounds to a; at b = 0 both roots vanish too
         return 0.0
     if case.lam == 0.0:  # (sqrt(P1) - sqrt(P0)) / (2 C), rationalized
