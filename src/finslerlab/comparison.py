@@ -121,11 +121,8 @@ def _factors(case):
     """The s-coefficients beta of the real linear factors a c + beta s of
     Q: none for lamt = 1, b (a double factor) for lamt = 0, b -+ 1/a for
     lamt = -1."""
-    if case.lam_tilde == 1.0:
-        return ()
-    if case.lam_tilde == 0.0:
-        return (case.b,)
-    return (case.b - 1.0 / case.a, case.b + 1.0 / case.a)
+    return {1.0: (), 0.0: (case.b,),
+            -1.0: (case.b - 1.0 / case.a, case.b + 1.0 / case.a)}[case.lam_tilde]
 
 
 def _edge(case, beta, sg):
@@ -167,10 +164,10 @@ def _roots(p, q, n):
 
 def f_squared(case, t):
     """Closed-form f^2; accepts floats, numpy arrays, sequences, or jets."""
-    if isinstance(t, float) and abs(t) < 700.0:
-        pass  # on ``math``; an overflowing or non-finite t takes numpy's inf
-    elif not jr.is_jet(t):
-        try:  # a number or a sequence of times reads as an array
+    # a float runs on ``math``; one past exp's range, any other number or
+    # a sequence of times reads as an array
+    if not (isinstance(t, float) and abs(t) < 700.0 or jr.is_jet(t)):
+        try:
             t = np.asarray(t, dtype=float)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"f_squared needs real times: {exc}") from None
@@ -253,13 +250,12 @@ def _half_slope(case, t):
     p c - w s of R over w (see ``_roots``), taken with the solutions
     themselves, so it keeps its digits where f^2 levels off."""
     p, q, n = _slope_coeffs(case)
-    form = _form(case.lam, t, scaled=True)
-    roots = _roots(p, q, n)
-    if not roots or roots[0][1] == 0.0:  # no real factors, or w = 0
-        c, s = form(1.0, 0.0), form(0.0, 1.0)
-        return abs(p * c * c + q * c * s + n * s * s)
-    w = roots[0][1]
-    return abs(form(w, -n) * form(p, -w) / w)
+    form, roots = _form(case.lam, t, scaled=True), _roots(p, q, n)
+    w = roots[0][1] if roots else 0.0
+    if w != 0.0:
+        return abs(form(w, -n) * form(p, -w) / w)
+    c, s = form(1.0, 0.0), form(0.0, 1.0)  # no real factors, or w = 0
+    return abs(p * c * c + q * c * s + n * s * s)
 
 
 def first_critical_time(case):
