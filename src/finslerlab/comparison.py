@@ -120,9 +120,33 @@ def _form(lam, t, scaled=False):
 def _factors(case):
     """The s-coefficients beta of the real linear factors a c + beta s of
     Q: none for lamt = 1, b (a double factor) for lamt = 0, b -+ 1/a for
-    lamt = -1."""
-    return {1.0: (), 0.0: (case.b,),
-            -1.0: (case.b - 1.0 / case.a, case.b + 1.0 / case.a)}[case.lam_tilde]
+    lamt = -1. For lam = 0 they are taken as (ab -+ 1) / a, which keeps
+    its digits next to ab = +-1, where the life interval ends at -a / beta
+    and b -+ 1/a cancels."""
+    a, b = case.a, case.b
+    if case.lam_tilde != -1.0:
+        return {1.0: (), 0.0: (b,)}[case.lam_tilde]
+    if case.lam == 0.0:
+        return (_ab_plus(a, b, -1.0) / a, _ab_plus(a, b, 1.0) / a)
+    return (b - 1.0 / a, b + 1.0 / a)
+
+
+def _split(x):
+    """Dekker's split of x into halves of 26 bits each: x = hi + lo."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _ab_plus(a, b, one):
+    """a b + one (one = -+1) rounded once: a b = p + e exactly by Dekker's
+    two-product (Python 3.11 has no ``math.fma``), and p + one is exact
+    where the two cancel (Sterbenz). ``make_case``'s range keeps the
+    splits finite."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return (p + one) + e
 
 
 def _edge(case, beta, sg):

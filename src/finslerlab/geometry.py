@@ -139,23 +139,25 @@ def _assemble(metric, x, y, order):
     # only the y-columns of d2G (nu over y): its x-x block would read
     # D3[x, x, x] and D4[x, y, x, x], which the truncated jets drop
     D4 = tensors[4]
-    d2g = 0.5 * _core(D4[..., n:, n:, :, :], 2, 3, 0, 1)
+    d2g = 0.5 * _core(D4[..., n:, n:, :, n:], 2, 3, 0, 1)  # nu over y
     d2h = np.einsum("...klmn,...k->...mnl", D4[..., :n, n:, :, n:], y)
     d2h += _core(D3[..., :n, n:, :], 2, 0, 1)
     d2h[..., n:, :, :] += _T(D3[..., :n, n:, n:])
     d2h -= _core(D3[..., :n, :, n:], 1, 2, 0)
     MM = M[..., :, None, :, :] @ M[..., None, :, :, :]  # [mu, nu] = M_mu M_nu
     gi = gi[..., None, :, :]
-    d2ginv = (MM + _core(MM, 1, 0, 2, 3) - gi @ d2g) @ gi
+    # only the half nu over y, which is all that d2G reads
+    d2ginv = (MM[..., :, n:, :, :] + _core(MM[..., n:, :, :, :], 1, 0, 2, 3)
+              - gi @ d2g) @ gi
     d2G = 0.25 * (
-        np.einsum("...mnab,...b->...mna", d2ginv[..., n:, :, :], h)
+        np.einsum("...mnab,...b->...mna", d2ginv, h)
         + np.einsum("...mab,...nb->...mna", dginv, dh[..., n:, :])
         + np.einsum("...nab,...mb->...mna", dginv[..., n:, :, :], dh)
         + np.einsum("...ab,...mnb->...mna", ginv, d2h)
     )
     N = out["N"]
     out["d2G"] = d2G  # [mu, nu, i] = d2G^i/dz^mu dy^nu
-    out["d2ginv"] = d2ginv  # [mu, nu] = d2(g^-1)/dz^mu dz^nu
+    out["d2ginv"] = d2ginv  # [mu, nu] = d2(g^-1)/dz^mu dy^nu
     term_xy = np.einsum("...jki,...j->...ik", d2G[..., :n, :, :], y)
     term_yy = np.einsum("...jki,...j->...ik", d2G[..., n:, :, :], G)
     out["R"] = 2.0 * out["Gx"] - term_xy + 2.0 * term_yy - N @ N

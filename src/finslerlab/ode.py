@@ -9,6 +9,26 @@ clean boundary localization instead of NaN-poisoned step control.
 The starting step follows Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.4, and the dense output is the method's own 4th-order continuous
 extension (same book, II.6), the one scipy's ``RK45`` uses.
+
+A step keeps the stage sums K[:i].T @ a_i as BLAS calls (``ndarray.dot``
+on views of one K.T): a sum on Python floats would not give their bits,
+since OpenBLAS's gemv rounds its sums its own way. The rest of the error
+test runs on Python floats:
+
+- u5 is the sixth stage's argument. ``_A[6]`` is ``_B5`` without its zero
+  last entry, and the 6-term product rounds as the 7-term one does (a
+  test pins this on the BLAS at hand).
+- u4 = u + h K.T @ b4 and q = (u5 - u4) / (atol + rtol max(|u|, |u5|))
+  are formed per component, and the sum of q^2 follows numpy's own order
+  (``_sum_of_squares``), so the error norm has the bits of the array
+  form. |u5| is kept as the next step's |u|.
+- A component whose u5 and u4 agree exactly adds 0 to the norm, one with
+  a zero scale under a nonzero difference adds inf, and a nan norm
+  rejects the step as a norm above 1 does.
+
+So a stage makes four numpy calls (the stage sum, its scaling, the add
+to u and the store into K) and an accepted step four more (the u4 sum,
+two ``tolist`` and the copy of K), 28 in all.
 """
 
 import math
@@ -109,6 +129,32 @@ def _rms(v):
     return math.sqrt(v.dot(v) / v.size)
 
 
+def _sum_of_squares(q):
+    """The sum of the squares of the floats ``q``, in the order of numpy's
+    ``(q * q).sum()``: left to right below 8 terms; from 8 on, eight
+    running sums over the blocks of 8, combined pairwise, and then the
+    terms past the last whole block. Above 128 terms numpy halves the
+    run at a multiple of 8 and adds the two halves' sums."""
+    n = len(q)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_of_squares(q[:half]) + _sum_of_squares(q[half:])
+    if n < 8:
+        s = 0.0
+        for x in q:
+            s += x * x
+        return s
+    r = [x * x for x in q[:8]]
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        for j, x in enumerate(q[i:i + 8]):
+            r[j] += x * x
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in q[whole:]:
+        s += x * x
+    return s
+
+
 def _finite_entries(row):
     """``row`` (a list of floats, or a 1-D array, read by ``tolist``) as a
     list of Python floats, or None when one of them is inf or nan."""
@@ -121,11 +167,12 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     """Hairer-Norsett-Wanner starting step from one probe evaluation.
 
     A vetoed or non-finite probe falls back to ``1e-4 * max(span, 1)``, and
-    so does a probe step of zero (``f0 / scale`` overflowed). An overflow
-    in these norms reads as inf and raises no numpy warning.
+    so does a probe step of zero (``f0 / scale`` overflowed) or nan (a zero
+    scale over a zero entry). An overflow in these norms reads as inf, a
+    0 / 0 as nan, and neither raises a numpy warning.
     """
     scale = atol + rtol * np.abs(u)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         d0, d1 = _rms(u / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
@@ -139,7 +186,7 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
         return fallback
     if _finite_entries(f1) is None:
         return fallback
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         return max(1e-6, 1e-3 * h0)
@@ -152,6 +199,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
 
     ``rhs`` returns u' as a 1-D array or as a list of floats; a list is
     checked for finiteness as it is and stored without a ``tolist`` pass.
+    It reads u and does not write into it: the sixth stage's u is the
+    step's u5.
     It may raise DomainError or return non-finite values to veto a
     stage; the step is then halved. The step after a rejected one may
     shrink but not grow (Hairer, Norsett & Wanner, II.4). A step the
@@ -188,7 +237,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     if _finite_entries(K[0]) is None:
         raise DomainError("non-finite derivative at the initial point")
     h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
-    abs_u = np.abs(u)
+    w = u.tolist()  # u and |u| on Python floats, for the error norm
+    abs_w = [abs(x) for x in w]
     last_fail_domain = False
     grow_max = 10.0  # 1 right after a rejected step
 
@@ -202,7 +252,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         hs = direction * h
         try:
             for i, c, KTi, Ai in stage_rows:
-                row = rhs(t + c * hs, u + hs * KTi.dot(Ai))
+                arg = u + hs * KTi.dot(Ai)
+                row = rhs(t + c * hs, arg)
                 k_row = _finite_entries(row)
                 if k_row is None:
                     raise DomainError("non-finite derivative")
@@ -214,12 +265,19 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             grow_max = 1.0
             h *= 0.5
             continue
-        u5 = u + hs * KT.dot(_B5)
-        u4 = u + hs * KT.dot(_B4)
-        abs_u5 = np.abs(u5)
-        q = (u5 - u4) / (atol + rtol * np.maximum(abs_u, abs_u5))
-        err = math.sqrt((q * q).sum() / d)
-        if err > 1.0:
+        u5, w5 = arg, arg.tolist()  # the sixth stage's argument
+        abs_w5, q = [], []
+        for y, a, x, v in zip(w, abs_w, w5, KT.dot(_B4).tolist()):
+            b = abs(x)
+            abs_w5.append(b)
+            diff = x - (y + hs * v)  # u5 - u4
+            if diff == 0.0:
+                q.append(0.0)
+            else:
+                scale = atol + rtol * (a if a >= b else b)
+                q.append(diff / scale if scale else math.inf)
+        err = math.sqrt(_sum_of_squares(q) / d)
+        if not err <= 1.0:  # a nan err is rejected, and shrinks h by 0.2
             last_fail_domain = False
             n_rej += 1
             grow_max = 1.0
@@ -251,7 +309,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             ts[-1], us[-1] = lo, u_b
             return result("boundary", lo, u_b)
 
-        t, u, abs_u = t_new, u5, abs_u5
+        t, u, w, abs_w = t_new, u5, w5, abs_w5
         K[0] = K[6]  # FSAL: rhs at (t_new, u5) up to the b-row identity
         last_fail_domain = False
         h *= min(grow_max, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))

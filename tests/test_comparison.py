@@ -473,6 +473,28 @@ def test_f_squared_matches_mpmath_on_random_states():
     assert worst <= 5e-13  # 1.2e-13 measured
 
 
+@pytest.mark.parametrize("ab", [1.0, -1.0])
+def test_linear_factor_ends_keep_their_digits_next_to_ab_one(ab):
+    # lam = 0, lamt = -1: the ends are -a / (b -+ 1/a) = -a^2 / (ab -+ 1),
+    # and b -+ 1/a cancels next to ab = +-1
+    mp = pytest.importorskip("mpmath")
+    states = [(0.7, 1.4285714275714285)] if ab > 0 else []
+    states += [(a, (ab + sg * k * 1e-9) / a) for a in (0.3, 0.7, 1.9, 3.7)
+               for sg in (1.0, -1.0) for k in (1, 3, 10, 100)]
+    for a, b in states:
+        with mp.workdps(60):
+            A, B = mp.mpf(a), mp.mpf(b)
+            roots = [-A / (B - 1 / A), -A / (B + 1 / A)]
+            want_hi = min([r for r in roots if r > 0], default=math.inf)
+            want_lo = max([r for r in roots if r < 0], default=-math.inf)
+        got_lo, got_hi = cmp.maximal_interval(cmp.make_case(0, -1, a, b))
+        for got, want in ((got_lo, want_lo), (got_hi, want_hi)):
+            if math.isinf(want):
+                assert got == want, (a, b)
+            else:
+                assert abs(got - want) <= 1e-15 * abs(want), (a, b)
+
+
 @pytest.mark.parametrize("case, window", [
     ((0, -1, 1.0, 0.3), (0.0, np.inf)),  # f^2 < 0 beyond t = 1.4286
     ((1, -1, 1.0, 0.5), (0.0, 3.0)),

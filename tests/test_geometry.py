@@ -133,7 +133,7 @@ def test_second_inverse_metric_derivative_matches_three_einsums(key):
         + np.einsum("...ab,...mnbc,...cd->...mnad", ginv, d2g, ginv)
         + np.einsum("...ab,...mbc,...ncd->...mnad", ginv, dg, dginv)
     )
-    for got, want in zip(data["d2ginv"], oracle):
+    for got, want in zip(data["d2ginv"], oracle[..., :, n:, :, :]):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -330,6 +330,100 @@ def test_a_guard_crossing_matches_the_former_loop_bit_for_bit():
             rhs, 0.0, u0, t1, 1e-9, 1e-11, guard=guard))
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_wide_geodesic_legs_match_the_former_loop_bit_for_bit(n):
+    # d = 2n = 8 and 16: the error norm's sum of squares takes numpy's
+    # blocked branch, which the 2-d and 4-d legs above never reach
+    metric = zoo.klein(n)
+    x = np.linspace(-0.3, 0.25, n)
+    y = np.cos(np.arange(n) + 0.5)
+    y /= np.linalg.norm(y)
+    span = (-0.2, 0.2)
+    run = gd.integrate_geodesic(metric, x, y, span, rtol=1e-8, atol=1e-10)
+    rhs = gd.geodesic_rhs(metric)
+    guard = lambda u: metric.domain.contains(u[:n])
+    u0 = np.concatenate([x, y / metric(x, y)])
+    for leg, target in zip(run.legs, span):
+        assert leg.us.shape[1] == 2 * n and leg.n_accepted > 0
+        _assert_bit_identical(leg, _oracle_integrate(
+            rhs, 0.0, u0, target, 1e-8, 1e-10, guard=guard))
+
+
+# ---------------------------------------------------------------------------
+# the error norm on Python floats
+
+
+def test_sum_of_squares_follows_numpys_order():
+    rng = np.random.default_rng(18)
+    specials = [0.0, -0.0, 1.0, 1e300, -1e300, 1e-300, np.inf, -np.inf,
+                np.nan]
+    with np.errstate(all="ignore"):
+        for d in [*range(1, 17), 129, 300]:  # above 128, numpy halves
+            for k in range(400):
+                q = (rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 8, d)
+                     if k % 2 else rng.choice(specials, d))
+                want = (q * q).sum()
+                got = np.float64(ode._sum_of_squares(q.tolist()))
+                assert got.tobytes() == want.tobytes(), q
+
+
+def test_the_sixth_stage_argument_is_u5():
+    # u5 is taken from the sixth stage's argument, u + hs K[:6].T @ _A[6],
+    # in place of u + hs K.T @ _B5
+    assert ode._B5[6] == 0.0 and ode._A[6].tolist() == ode._B5[:6].tolist()
+    rng = np.random.default_rng(6)
+    for d in range(1, 17):
+        K = np.empty((7, d))
+        KT = K.T  # the integrator's layout
+        for _ in range(300):
+            K[:] = rng.standard_normal((7, d)) * 10.0 ** rng.uniform(-4, 4,
+                                                                     (7, d))
+            got, want = KT[:, :6].dot(ode._A[6]), KT.dot(ode._B5)
+            assert got.tobytes() == want.tobytes(), (
+                "numpy's BLAS rounds a 6-term gemv and the 7-term gemv "
+                "with a zero last weight differently, so the sixth "
+                f"stage's argument is not u5 bit for bit (d = {d})")
+
+
+def test_a_component_held_at_zero_keeps_the_error_norm_finite():
+    # with atol = 0 the zero component's scale is 0 and its u5 - u4 is 0:
+    # it adds 0 to the error norm, where 0 / 0 made it nan and accepted
+    # every step with a 10x growth
+    with np.errstate(all="raise"):
+        res = ode.integrate(lambda t, u: np.array([0.0 * u[0], -u[1]]), 0.0,
+                            np.array([0.0, 1.0]), 1.0, atol=0.0)
+    assert res.status == "t_limit"
+    assert res.u_end[0] == 0.0
+    assert abs(res.u_end[1] - math.exp(-1.0)) <= 1e-8
+
+
+def test_a_zero_scale_under_a_nonzero_difference_rejects_the_step():
+    # u' = 0 from u = 0 with atol = 0, except at the sixth stage of the
+    # first step, which _B5 weighs 0 and _B4 1/40: u5 = 0, u4 != 0
+    calls = [0]
+
+    def rhs(t, u):
+        calls[0] += 1  # 1: the initial point; the probe is skipped
+        return np.array([1.0 if calls[0] == 7 else 0.0])
+
+    with np.errstate(all="raise"):
+        res = ode.integrate(rhs, 0.0, np.array([0.0]), 1.0, atol=0.0)
+    assert res.status == "t_limit"
+    assert (res.n_rejected, res.n_vetoed) == (1, 0)
+    assert not res.us.any()
+
+
+def test_an_overflowing_step_is_rejected_and_not_stored():
+    # u5 and u4 overflow to inf, so u5 - u4 and the error norm are nan:
+    # the step is rejected, where a nan err used to accept an inf node
+    # (the dense output of slopes of 1e308 overflows as well)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = ode.integrate(lambda t, u: np.array([1e308]), 0.0,
+                            np.array([1.7e308]), 1.0, speed_limit=np.inf)
+    assert res.status == "blow_up"
+    assert np.isfinite(res.us).all() and res.n_rejected > 0
+
+
 # ---------------------------------------------------------------------------
 # one finiteness test at the initial point, the starting-step probe and
 # every stage
