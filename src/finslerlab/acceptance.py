@@ -10,7 +10,6 @@ implementation. All sampling is deterministic.
 """
 
 import math
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -293,18 +292,6 @@ def _zoo_for_jets():
             zoo.bryant(1.0), zoo.paraboloid_metric(2)]
 
 
-def _all_indices(n, max_order):
-    """Every multi-index over the 2n chart slots of degree 1..max_order."""
-    idxs = []
-    for order in range(1, max_order + 1):
-        for combo in combinations_with_replacement(range(2 * n), order):
-            idx = [0] * (2 * n)
-            for c in combo:
-                idx[c] += 1
-            idxs.append(idx)
-    return idxs
-
-
 def _moderate_box(metric, shrink=0.5):
     """Sample box shrunk toward its center; keeps FD stencils well scaled."""
     lo, hi = metric.domain.sample_box()
@@ -323,7 +310,7 @@ def criterion_10(samples=100, fd_curvature_samples=6):
     worst, few_skips = 0.0, True
     details, skipped = {}, {}
     for m in _zoo_for_jets():
-        idxs = _all_indices(m.n, 3)
+        idxs = jr.get_context(2 * m.n, 3).monomials[1:]  # degrees 1..3
         pairs = sampling.state_pairs(m, samples, box=_moderate_box(m))
         dev, skips, checks = 0.0, 0, 0
         fn = lambda X, Y, m=m: m.F(X.tolist(), Y.tolist())

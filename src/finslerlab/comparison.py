@@ -400,25 +400,6 @@ def _cand_side_complete(case, endpoint, forward):
     return any(_edge(case, beta, sg) == 0.0 for beta in _factors(case))
 
 
-def length_classification(case):
-    """Interval, one-sided completeness flags, and finite candidate lengths."""
-    t_lo, t_hi = maximal_interval(case)
-    base_fwd = not np.isfinite(t_hi)
-    base_back = not np.isfinite(t_lo)
-    cand_fwd = _cand_side_complete(case, t_hi, True)
-    cand_back = _cand_side_complete(case, t_lo, False)
-    return {
-        "t_lo": t_lo,
-        "t_hi": t_hi,
-        "base_forward_complete": base_fwd,
-        "base_backward_complete": base_back,
-        "cand_forward_complete": cand_fwd,
-        "cand_backward_complete": cand_back,
-        "cand_forward_length": np.inf if cand_fwd else _window_length(case, 0.0, t_hi),
-        "cand_backward_length": np.inf if cand_back else _window_length(case, t_lo, 0.0),
-    }
-
-
 def families(case):
     """Exceptional borderline families the initial data belongs to."""
     a, b = case.a, case.b
@@ -453,13 +434,25 @@ def families(case):
 
 
 def classify_completeness(case):
-    out = length_classification(case)
-    out["families"] = families(case)
-    out["bi_complete"] = (
-        out["base_forward_complete"] and out["base_backward_complete"]
-        and out["cand_forward_complete"] and out["cand_backward_complete"]
-    )
-    return out
+    """Interval, one-sided completeness flags, finite candidate lengths,
+    families and bi-completeness."""
+    t_lo, t_hi = maximal_interval(case)
+    base_fwd = not np.isfinite(t_hi)
+    base_back = not np.isfinite(t_lo)
+    cand_fwd = _cand_side_complete(case, t_hi, True)
+    cand_back = _cand_side_complete(case, t_lo, False)
+    return {
+        "t_lo": t_lo,
+        "t_hi": t_hi,
+        "base_forward_complete": base_fwd,
+        "base_backward_complete": base_back,
+        "cand_forward_complete": cand_fwd,
+        "cand_backward_complete": cand_back,
+        "cand_forward_length": np.inf if cand_fwd else _window_length(case, 0.0, t_hi),
+        "cand_backward_length": np.inf if cand_back else _window_length(case, t_lo, 0.0),
+        "families": families(case),
+        "bi_complete": base_fwd and base_back and cand_fwd and cand_back,
+    }
 
 
 def grid_completeness(lam, lam_tilde, a_grid=DEFAULT_A_GRID, b_grid=DEFAULT_B_GRID):
@@ -515,14 +508,13 @@ def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
             pole = lamt / math.inf
         return [df, -lam * f + pole]
 
-    guard = lambda u: u[0] > F_FLOOR
     if t_span is None:
         t_span = _default_span(case, 8.0)
     u0 = np.array([case.a, case.b])
     legs = []
     for target in t_span:
         res = ode.integrate(rhs, 0.0, u0, target, rtol=rtol, atol=atol,
-                            guard=guard, speed_limit=np.inf)
+                            speed_limit=np.inf)
         status = res.status
         if status != "t_limit" and res.u_end[0] <= 1e-3 * max(1.0, case.a):
             status = "collapse"  # stalled against the f -> 0 pole

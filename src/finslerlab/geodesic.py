@@ -71,9 +71,10 @@ class GeodesicResult:
 def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     """Run the geodesic through (x0, y0) over t_span = (t_min <= 0 <= t_max).
 
-    Each leg stops early with status "boundary" (chart exit) or "blow_up"
-    (speed explosion away from the rim); otherwise "t_limit".  A step
-    collapse at a point within RIM_TOL of the chart rim counts as a
+    Each leg stops early with status "boundary" (chart exit, where the
+    stage veto ends it: a step's sixth stage runs the rhs at its new state)
+    or "blow_up" (speed explosion away from the rim); otherwise "t_limit".
+    A step collapse at a point within RIM_TOL of the chart rim counts as a
     boundary exit: metrics singular on the rim stall the integrator there
     before any stage can land outside.
     """
@@ -88,10 +89,9 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     u0 = np.concatenate([x0, v0])
     n = metric.n
     rhs = geodesic_rhs(metric)
-    guard = lambda u: metric.domain.contains(u[:n])
 
-    back = ode.integrate(rhs, 0.0, u0, t_min, rtol, atol, guard=guard)
-    fwd = ode.integrate(rhs, 0.0, u0, t_max, rtol, atol, guard=guard)
+    back = ode.integrate(rhs, 0.0, u0, t_min, rtol, atol)
+    fwd = ode.integrate(rhs, 0.0, u0, t_max, rtol, atol)
 
     def status(leg):
         if leg.status == "blow_up" and \

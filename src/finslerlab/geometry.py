@@ -35,8 +35,6 @@ with a vector are stacked matmuls (see :func:`_vecmat`), so each row of a
 batch equals the one-state result bit for bit.
 """
 
-import functools
-
 import numpy as np
 
 from . import jets as jr
@@ -218,11 +216,9 @@ def _flag_values(g, R, y, V):
     return K, sin_sq
 
 
-def flag_curvature(metric, x, y, v, data=None):
+def flag_curvature(metric, x, y, v):
     """Flag curvature of span(y, v); rejects flags nearly parallel to y."""
-    if data is None:
-        data = curvature_data(metric, x, y)
-    f_val, g, R = data
+    _, g, R = curvature_data(metric, x, y)
     K, sin_sq = _flag_values(g, R, np.asarray(y, dtype=float),
                              np.asarray(v, dtype=float)[None, :])
     if not sin_sq[0] >= MIN_FLAG_ANGLE**2:  # a zero v makes it nan
@@ -232,13 +228,10 @@ def flag_curvature(metric, x, y, v, data=None):
     return float(K[0])
 
 
-@functools.lru_cache(maxsize=64)
 def _flag_directions(n, flags):
-    """The candidate flag directions, drawn once per (n, flags); read-only,
-    since every caller shares the cached array."""
-    V = sampling.directions(3 * flags + 8, n)
-    V.setflags(write=False)
-    return V
+    """The candidate flag directions: sampling's cached read-only array,
+    drawn once per (n, flags) and shared by every caller."""
+    return sampling._directions(3 * flags + 8, n)
 
 
 def flag_spread(metric, x, y, flags=20):

@@ -138,7 +138,6 @@ class FinslerMetric:
     F: Callable
     domain: Domain
     name: str
-    reversible: bool = False
     einstein_constant: Optional[float] = None
     meta: dict = field(default_factory=dict)
 

@@ -49,7 +49,7 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B5 = np.append(_A[6], 0.0)
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 # continuous extension: u(t0 + th*h) = u0 + h * (K.T @ _P) @ (th, th^2, th^3, th^4)
@@ -130,27 +130,14 @@ def _rms(v):
 
 
 def _sum_of_squares(q):
-    """The sum of the squares of the floats ``q``, in the order of numpy's
-    ``(q * q).sum()``: left to right below 8 terms; from 8 on, eight
-    running sums over the blocks of 8, combined pairwise, and then the
-    terms past the last whole block. Above 128 terms numpy halves the
-    run at a multiple of 8 and adds the two halves' sums."""
-    n = len(q)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum_of_squares(q[:half]) + _sum_of_squares(q[half:])
-    if n < 8:
-        s = 0.0
-        for x in q:
-            s += x * x
-        return s
-    r = [x * x for x in q[:8]]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        for j, x in enumerate(q[i:i + 8]):
-            r[j] += x * x
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in q[whole:]:
+    """The sum of the squares of the floats ``q``, with the bits of numpy's
+    ``(q * q).sum()``: numpy adds fewer than 8 terms left to right, and
+    from 8 on it runs its own pairwise order, so those go to numpy."""
+    if len(q) >= 8:
+        v = np.array(q)
+        return float((v * v).sum())
+    s = 0.0
+    for x in q:
         s += x * x
     return s
 
@@ -168,12 +155,12 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
 
     A vetoed or non-finite probe falls back to ``1e-4 * max(span, 1)``, and
     so does a probe step of zero (``f0 / scale`` overflowed) or nan (a zero
-    scale over a zero entry). An overflow in these norms reads as inf, a
-    0 / 0 as nan, and neither raises a numpy warning.
+    scale over a zero entry). Under :func:`integrate`'s error state an
+    overflow or a division by a zero scale in these norms reads as inf and
+    a 0 / 0 as nan.
     """
     scale = atol + rtol * np.abs(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d0, d1 = _rms(u / scale), _rms(f0 / scale)
+    d0, d1 = _rms(u / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     fallback = 1e-4 * max(span, 1.0)
@@ -186,13 +173,13 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
         return fallback
     if _finite_entries(f1) is None:
         return fallback
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         return max(1e-6, 1e-3 * h0)
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
               guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT):
     """Integrate u' = rhs(t, u) from t0 to t1 (either direction).
@@ -209,6 +196,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     ``guard(u)`` (optional) returns False outside the admissible region;
     a crossing inside an accepted step is bisected on the dense output to
     MIN_STEP in t and the run ends with status "boundary".
+    The run, the rhs included, ignores numpy's divide, overflow and
+    invalid warnings, so an overflowing stage reads inf and is vetoed.
     """
     t = float(t0)
     t1 = float(t1)

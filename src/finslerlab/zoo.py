@@ -9,7 +9,8 @@ jet ring.
 
 The module also knows the closed-form evolution of each projectively flat
 family along straight rays t -> x + t*y, reduced to the two scalars (a, b)
-with value(t) = 1 / f(t)^2, f(t)^2 = (a + b*t)^2 + lam * t^2 / a^2.
+with value(t) = 1 / f(t)^2, f(t)^2 = (a + b*t)^2 + lam * t^2 / a^2, which
+is ``comparison.f_squared`` of the flat-base case (0, lam, a, b).
 """
 
 import math
@@ -18,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import comparison as cmp
 from . import jets as jr
 from .errors import DomainError, NumericError
 from .metric import (
@@ -39,7 +41,7 @@ def euclidean(n=2):
     def F(x, y):
         return jr.sqrt(norm_sq(y))
 
-    return FinslerMetric(n, F, FullSpace(n), "euclidean", reversible=True,
+    return FinslerMetric(n, F, FullSpace(n), "euclidean",
                          einstein_constant=0.0)
 
 
@@ -50,8 +52,7 @@ def klein(n=2):
         xx, yy, xy = norm_sq(x), norm_sq(y), dot(x, y)
         return jr.sqrt(yy - (xx * yy - xy * xy)) / (1.0 - xx)
 
-    return FinslerMetric(n, F, UnitBall(n), "klein", reversible=True,
-                         einstein_constant=-1.0)
+    return FinslerMetric(n, F, UnitBall(n), "klein", einstein_constant=-1.0)
 
 
 def funk_ball(sign=1, n=2):
@@ -64,8 +65,7 @@ def funk_ball(sign=1, n=2):
         return (jr.sqrt(yy - (xx * yy - xy * xy)) + sign * xy) / (1.0 - xx)
 
     tag = "funk-plus" if sign == 1 else "funk-minus"
-    return FinslerMetric(n, F, UnitBall(n), tag, reversible=False,
-                         einstein_constant=-0.25)
+    return FinslerMetric(n, F, UnitBall(n), tag, einstein_constant=-0.25)
 
 
 def hilbert_ball(n=2):
@@ -78,7 +78,7 @@ def hilbert_ball(n=2):
         fm = (root - xy) / (1.0 - xx)
         return 0.5 * (fp + fm)
 
-    return FinslerMetric(n, F, UnitBall(n), "hilbert-ball", reversible=True,
+    return FinslerMetric(n, F, UnitBall(n), "hilbert-ball",
                          einstein_constant=-1.0)
 
 
@@ -89,7 +89,7 @@ def spherical(n=2):
         xx, yy, xy = norm_sq(x), norm_sq(y), dot(x, y)
         return jr.sqrt(yy + (xx * yy - xy * xy)) / (1.0 + xx)
 
-    return FinslerMetric(n, F, FullSpace(n), "spherical", reversible=True,
+    return FinslerMetric(n, F, FullSpace(n), "spherical",
                          einstein_constant=1.0)
 
 
@@ -114,7 +114,7 @@ def bryant(eps, n=2):
         return val
 
     return FinslerMetric(n, F, FullSpace(n), f"bryant-{eps:g}",
-                         reversible=(eps == 1.0), einstein_constant=1.0,
+                         einstein_constant=1.0,
                          meta={"eps": eps})
 
 
@@ -133,7 +133,7 @@ def paraboloid_metric(n=2):
         return jr.sqrt(u * u + 4.0 * h * norm_sq(yb)) / (2.0 * h)
 
     return FinslerMetric(n, F, ParaboloidInterior(n), "paraboloid",
-                         reversible=False, einstein_constant=-1.0)
+                         einstein_constant=-1.0)
 
 
 def scaled(metric, factor, name=None):
@@ -148,7 +148,7 @@ def scaled(metric, factor, name=None):
 
     return FinslerMetric(metric.n, F, metric.domain,
                          name or f"{metric.name}-x{factor:g}",
-                         reversible=metric.reversible, einstein_constant=lam,
+                         einstein_constant=lam,
                          meta=dict(metric.meta, scale=factor, base=metric.name))
 
 
@@ -326,7 +326,7 @@ def funk_body_metric(body, sign=1):
 
     tag = "funk-plus" if sign == 1 else "funk-minus"
     return FinslerMetric(body.dim, F, body.interior(), f"{tag}-{body.name}",
-                         reversible=False, einstein_constant=-0.25,
+                         einstein_constant=-0.25,
                          meta={"body": body.name, "sign": sign})
 
 
@@ -335,7 +335,7 @@ def hilbert_general(body):
         return 0.5 * (funk_general(body, x, y, 1) + funk_general(body, x, y, -1))
 
     return FinslerMetric(body.dim, F, body.interior(), f"hilbert-{body.name}",
-                         reversible=True, einstein_constant=-1.0,
+                         einstein_constant=-1.0,
                          meta={"body": body.name})
 
 
@@ -459,13 +459,6 @@ def evolution_coefficients(source, x, y, body=None):
     return src.law(x, y, fp, fm)
 
 
-def evolution_value(a, b, lam, t):
-    f2 = (a + b * t) ** 2 + lam * t * t / (a * a)
-    if f2 <= 0.0:
-        raise DomainError("ray parameter outside the life interval of the law")
-    return 1.0 / f2
-
-
 def numeric_evolution_coefficients(Ffn, x, y):
     """(a, b) of t -> Ffn(x + t y, y)^(-1/2) by jet differentiation at t = 0."""
     x = np.asarray(x, dtype=float)
@@ -478,9 +471,11 @@ def numeric_evolution_coefficients(Ffn, x, y):
 
 
 def verify_evolution(source, x, y, t_grid=None, body=None):
-    """Max relative gap between the sampled metric along x + t y and the law."""
+    """Max relative gap between the sampled metric along x + t y and the law,
+    predicted as 1 / f^2 of the flat-base case (0, lam, a, b)."""
     src, x, y, fp, fm = _ray(source, x, y, body)
     a, b, lam = src.law(x, y, fp, fm)
+    case = cmp.make_case(0.0, lam, a, b)
     if t_grid is None:
         t_lo, t_hi = src.window(x, y, fp, fm, a)
         t_grid = np.linspace(0.9 * t_lo, 0.9 * t_hi, 25)
@@ -489,7 +484,10 @@ def verify_evolution(source, x, y, t_grid=None, body=None):
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         actual = src.half * float(value(list(x + t * y), list(y)))
-        pred = evolution_value(a, b, lam, t)
+        f2 = cmp.f_squared(case, t)
+        if f2 <= 0.0:
+            raise DomainError("ray parameter outside the life interval of the law")
+        pred = 1.0 / f2
         dev = abs(actual - pred) / max(abs(actual), 1e-300)
         devs.append(dev)
         rows.append((float(t), actual, pred, dev))

@@ -8,10 +8,12 @@ with its pinned tolerance and prints a single PASS/FAIL summary line
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import finslerlab
 from finslerlab import acceptance as acc
+from finslerlab import jets as jr
 
 
 def _check(fn):
@@ -119,3 +121,21 @@ def test_the_former_backend_and_thread_variables_change_nothing():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) == acc.criterion_1()["worst"]
+
+
+def test_criterion_10_checks_every_index_of_degree_one_to_three():
+    # criterion 10 reads its multi-indices over the 2n chart slots from the
+    # jet context: degree by degree, each degree in the order of
+    # combinations_with_replacement
+    counts = []
+    for n in (1, 2, 3, 4):
+        idxs = jr.get_context(2 * n, 3).monomials[1:]
+        graded = []
+        for order in (1, 2, 3):
+            for combo in combinations_with_replacement(range(2 * n), order):
+                graded.append(tuple(combo.count(s) for s in range(2 * n)))
+        assert idxs == graded
+        counts.append(len(idxs))
+    assert counts == [9, 34, 83, 164]
+    idxs = jr.get_context(4, 3).monomials[1:]
+    assert (idxs[0], idxs[-1]) == ((1, 0, 0, 0), (0, 0, 0, 3))

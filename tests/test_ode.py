@@ -330,6 +330,35 @@ def test_a_guard_crossing_matches_the_former_loop_bit_for_bit():
             rhs, 0.0, u0, t1, 1e-9, 1e-11, guard=guard))
 
 
+def test_the_stage_veto_leaves_the_former_guards_nothing_to_reject(
+        monkeypatch):
+    # the sixth stage runs the rhs at u5, so a state the guard would reject
+    # is vetoed first: a funk rim leg and two collapse legs run without
+    # their former guards as they run with them
+    legs, integrate = [], ode.integrate
+
+    def recording(rhs, *args, **kwargs):
+        res = integrate(rhs, *args, **kwargs)
+        legs.append((rhs, args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(ode, "integrate", recording)
+    funk = zoo.funk_ball(1)
+    run = gd.integrate_geodesic(funk, XG, YG, (-30.0, 1.0), rtol=1e-8,
+                                atol=1e-10)
+    in_chart = lambda u: funk.domain.contains(u[:2])
+    cases = [(leg, in_chart) for leg in legs]
+    legs.clear()
+    collapse = cmp.numeric_integrate(cmp.make_case(1, -1, 1.0, 0.0),
+                                     t_span=(-2.0, 2.0))
+    cases += [(leg, lambda u: u[0] > cmp.F_FLOOR) for leg in legs]
+    assert run.status_backward == "boundary"
+    assert [status for _, status in collapse] == ["collapse", "collapse"]
+    for (rhs, args, kwargs, res), guard in cases:
+        _assert_bit_identical(res, integrate(rhs, *args, guard=guard,
+                                             **kwargs))
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_wide_geodesic_legs_match_the_former_loop_bit_for_bit(n):
     # d = 2n = 8 and 16: the error norm's sum of squares takes numpy's
@@ -422,6 +451,30 @@ def test_an_overflowing_step_is_rejected_and_not_stored():
                             np.array([1.7e308]), 1.0, speed_limit=np.inf)
     assert res.status == "blow_up"
     assert np.isfinite(res.us).all() and res.n_rejected > 0
+
+
+def test_an_overflow_under_raising_errstate_returns_the_blow_up():
+    # the stage sums of slopes of 1e308 overflow; integrate ignores numpy's
+    # overflow and invalid warnings itself, so a caller that raises on
+    # every warning gets the result a caller that ignores them gets
+    with np.errstate(all="raise"):
+        res = ode.integrate(lambda t, u: np.array([1e308]), 0,
+                            [1.7e308], 1, speed_limit=np.inf)
+    assert res.status == "blow_up"
+    assert res.t_end == 0.09769313486015462
+    assert res.u_end.tolist() == [1.7976931348601546e+308]
+    assert (res.n_accepted, res.n_rejected, res.n_vetoed) == (30, 30, 0)
+
+
+def test_a_zero_scale_under_raising_errstate_takes_the_fallback_step():
+    # atol = 0 and u = 0 give the starting step a zero scale: f0 / scale
+    # divides by zero and reads inf, so the first step is the fallback
+    with np.errstate(all="raise"):
+        res = ode.integrate(lambda t, u: np.array([1.0]), 0.0,
+                            np.array([0.0]), 1.0, atol=0.0)
+    assert (res.status, res.n_accepted, res.n_rejected) == ("t_limit", 5, 0)
+    assert res.hs[0] == 1e-4
+    assert res.u_end[0] == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
