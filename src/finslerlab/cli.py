@@ -219,8 +219,12 @@ def cmd_ode(args):
                          float(opt.a), float(opt.b))
     lo, hi = cmp.maximal_interval(case)
     cls = cmp.classify_completeness(case)
-    dev = cmp.numeric_vs_closed(
+    dev, legs = cmp.numeric_vs_closed_legs(
         case, t_span=None if opt.tspan is None else _pair(opt.tspan))
+    legs = [{"leg": name, "status": status, "t_end": res.t_end,
+             "accepted": res.n_accepted, "rejected": res.n_rejected,
+             "vetoed": res.n_vetoed}
+            for name, (res, status) in zip(("backward", "forward"), legs)]
     print(f"case          : lam={case.lam:g} lamt={case.lam_tilde:g} "
           f"a={case.a:g} b={case.b:g}")
     print(f"invariant C   : {case.C:.12g}")
@@ -234,10 +238,14 @@ def cmd_ode(args):
           f"forward {'complete' if cls['cand_forward_complete'] else 'incomplete'}")
     print(f"bi-complete   : {'yes' if cls['bi_complete'] else 'no'}")
     print(f"numeric vs closed form : {dev:.3e}")
+    for leg in legs:
+        print(f"{leg['leg']:<14}: {leg['status']} at t = {leg['t_end']:g}, "
+              f"{leg['accepted']} accepted, {leg['rejected']} rejected, "
+              f"{leg['vetoed']} vetoed steps")
     if opt.out:
         results = dict(cls)
         results.update({"C": case.C, "interval": [lo, hi],
-                        "numeric_vs_closed": dev})
+                        "numeric_vs_closed": dev, "legs": legs})
         _write_json(opt.out, "ode", vars(opt), results)
     return EXIT_OK
 

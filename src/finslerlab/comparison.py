@@ -493,9 +493,9 @@ def _default_span(case, reach):
             min(t_hi * 0.95, reach) if np.isfinite(t_hi) else reach)
 
 
-def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
-    """Integrate the ODE directly; stops with status "collapse" at f <= 1e-9."""
-
+def comparison_rhs(case):
+    """The right-hand side (f, f') -> (f', -lam f + lamt / f^3) for
+    ``ode.integrate``, on Python floats; a stage at f <= F_FLOOR is vetoed."""
     lam, lamt = case.lam, case.lam_tilde
 
     def rhs(t, u):
@@ -508,13 +508,20 @@ def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
             pole = lamt / math.inf
         return [df, -lam * f + pole]
 
+    return rhs
+
+
+def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
+    """Integrate the ODE directly with DOP853, one ``ode.integrate`` leg per
+    end of ``t_span``; a leg that stalls against the f -> 0 pole ends with
+    status "collapse"."""
     if t_span is None:
         t_span = _default_span(case, 8.0)
-    u0 = np.array([case.a, case.b])
+    rhs, u0 = comparison_rhs(case), np.array([case.a, case.b])
     legs = []
     for target in t_span:
         res = ode.integrate(rhs, 0.0, u0, target, rtol=rtol, atol=atol,
-                            speed_limit=np.inf)
+                            speed_limit=np.inf, method=ode.DOP853)
         status = res.status
         if status != "t_limit" and res.u_end[0] <= 1e-3 * max(1.0, case.a):
             status = "collapse"  # stalled against the f -> 0 pole
@@ -528,13 +535,19 @@ def numeric_vs_closed(case, t_span=None, rtol=1e-12, atol=1e-14):
     The default window keeps |t| <= 1.2 so the hyperbolic solutions stay
     O(10) and the comparison is meaningful in absolute terms.
     """
+    return numeric_vs_closed_legs(case, t_span, rtol, atol)[0]
+
+
+def numeric_vs_closed_legs(case, t_span=None, rtol=1e-12, atol=1e-14):
+    """``numeric_vs_closed`` and the ``numeric_integrate`` legs it read."""
     if t_span is None:
         t_span = _default_span(case, 1.2)
+    legs = numeric_integrate(case, t_span, rtol, atol)
     worst = 0.0
-    for res, _ in numeric_integrate(case, t_span, rtol, atol):
+    for res, _ in legs:
         exact = np.sqrt(f_squared(case, res.ts))
         worst = max(worst, float(np.max(np.abs(res.us[:, 0] - exact))))
-    return worst
+    return worst, legs
 
 
 def arc_param_roundtrip(case, t):

@@ -1,4 +1,5 @@
-"""Adaptive Dormand-Prince 5(4) integration with dense output.
+"""Adaptive embedded Runge-Kutta integration with dense output: one loop,
+two methods.
 
 Hand-rolled rather than delegated: the right-hand sides here raise
 DomainError inside chart boundaries, and the controller treats a failed
@@ -6,38 +7,108 @@ stage as a rejected step, halving until either the step fits inside the
 domain or the step floor is reached. That turns hard chart exits into
 clean boundary localization instead of NaN-poisoned step control.
 
-The starting step follows Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.4, and the dense output is the method's own 4th-order continuous
-extension (same book, II.6), the one scipy's ``RK45`` uses.
+A method is a :class:`Tableau` record, and :func:`integrate`'s one loop
+reads it:
+
+- ``DP5``, Dormand-Prince 5(4), with its own 4th-order continuous
+  extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.6),
+  the one scipy's ``RK45`` uses. Geodesics use it.
+- ``DOP853``, Hairer's 8th-order method with its 5th- and 3rd-order error
+  estimates and 7th-order dense output (same book, II.5 and II.6; the
+  constants of his ``dop853.f``). The comparison ODE uses it: at rtol
+  1e-12 it takes about a seventh of DP5's steps.
+
+In both the last stage runs the rhs at the step's new state, whose weight
+row is the last row of ``A``: that state is the last stage's argument, its
+stage is vetoed like the others, and FSAL copies it into row 0. The
+starting step follows the same book, II.4.
 
 A step keeps the stage sums K[:i].T @ a_i as BLAS calls (``ndarray.dot``
 on views of one K.T): a sum on Python floats would not give their bits,
 since OpenBLAS's gemv rounds its sums its own way. The rest of the error
-test runs on Python floats:
+test runs on Python floats, with the bits of the array form:
 
-- u5 is the sixth stage's argument. ``_A[6]`` is ``_B5`` without its zero
-  last entry, and the 6-term product rounds as the 7-term one does (a
-  test pins this on the BLAS at hand).
-- u4 = u + h K.T @ b4 and q = (u5 - u4) / (atol + rtol max(|u|, |u5|))
-  are formed per component, and the sum of q^2 follows numpy's own order
-  (``_sum_of_squares``), so the error norm has the bits of the array
-  form. |u5| is kept as the next step's |u|.
-- A component whose u5 and u4 agree exactly adds 0 to the norm, one with
-  a zero scale under a nonzero difference adds inf, and a nan norm
-  rejects the step as a norm above 1 does.
+- DP5 forms u4 = u + h K.T @ b4 and q = (u5 - u4) / (atol + rtol
+  max(|u|, |u5|)) per component, and its error is the rms of q. ``_A[6]``
+  is ``_B5`` without its zero last entry, and the 6-term product rounds as
+  the 7-term one does (a test pins this on the BLAS at hand).
+- DOP853 scales e5 = K.T @ E5 and e3 = K.T @ E3 the same way, and its
+  error is |h| n5 / sqrt(d (n5 + n3 / 100)) for the sums n5 and n3 of
+  their squares (Hairer's ``ERR``).
+- Sums of squares follow numpy's own order (``_sum_of_squares``), and |u5|
+  is kept as the next step's |u|. A zero entry adds 0, a nonzero one over
+  a zero scale adds inf, and a nan error rejects the step as an error
+  above 1 does.
 
-So a stage makes four numpy calls (the stage sum, its scaling, the add
-to u and the store into K) and an accepted step four more (the u4 sum,
-two ``tolist`` and the copy of K), 28 in all.
+So a stage makes four numpy calls (the stage sum, its scaling, the add to
+u and the store into K), an error row two (its sum and ``tolist``), and an
+accepted step two more (the new state's ``tolist`` and the copy of K): 28
+for DP5's six stages and one row, 54 for DOP853's twelve stages and two.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericError
+
+
+def _embedded_error(hs, e, w, abs_w, w5, rtol, atol):
+    """DP5's error: the rms of (u5 - u4) / scale, with u4 = u + hs K.T @ b4
+    from the row sums ``e[0]``; and the |u5| it read."""
+    abs_w5, q = [], []
+    for y, a, x, v in zip(w, abs_w, w5, e[0]):
+        b = abs(x)
+        abs_w5.append(b)
+        diff = x - (y + hs * v)  # u5 - u4
+        if diff == 0.0:
+            q.append(0.0)
+        else:
+            scale = atol + rtol * (a if a >= b else b)
+            q.append(diff / scale if scale else math.inf)
+    return math.sqrt(_sum_of_squares(q) / len(q)), abs_w5
+
+
+def _e5e3_error(hs, e, w, abs_w, w8, rtol, atol):
+    """DOP853's error from the row sums e5 and e3 (``e``); and the |u8| it
+    read."""
+    abs_w8, q5, q3 = [], [], []
+    for a, x, p, r in zip(abs_w, w8, *e):
+        b = abs(x)
+        abs_w8.append(b)
+        scale = atol + rtol * (a if a >= b else b)
+        for q, v in ((q5, p), (q3, r)):
+            q.append(0.0 if v == 0.0 else v / scale if scale else math.inf)
+    n5, n3 = _sum_of_squares(q5), _sum_of_squares(q3)
+    den = n5 + 0.01 * n3
+    return (abs(hs) * n5 / math.sqrt(den * len(q5)) if den else 0.0), abs_w8
+
+
+@dataclass(frozen=True, eq=False)
+class Tableau:
+    """An embedded explicit Runge-Kutta pair with dense output.
+
+    Stage i runs the rhs at (t + c[i] h, u + h K[:i].T @ A[i]); the last
+    has c = 1, and its row of ``A`` is the weight row of the new state.
+    ``error_norm(h, e, w, |w|, w_new, rtol, atol)`` reads the sums e =
+    K.T @ r of the ``error`` rows r (with u, |u| and the new state on
+    Python floats) and returns the error and |w_new|; the controller scales
+    steps by 0.9 err^-exponent. The dense output is u(t0 + th h) = u0 +
+    h (K.T @ P) @ (th, th^2, ..., th^m), where K gains the rows of the
+    stages (``c_dense``, ``A_dense``) that ``P`` reads beyond the step's.
+    """
+    c: tuple
+    A: list
+    error: tuple
+    error_norm: Callable
+    exponent: float
+    P: np.ndarray
+    c_dense: tuple = ()
+    A_dense: tuple = ()
+
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
@@ -67,6 +138,107 @@ _P = np.array([
      -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
+DP5 = Tableau(_C, _A, (_B4,), _embedded_error, 0.2, _P)
+
+
+# DOP853: the constants of Hairer's dop853.f, each the double nearest its
+# 30 published digits. Stage i's row weighs stages 0..i-1 ({stage: a}); the
+# twelfth row is the weight row b of the new state, stages 13-15 are the
+# dense output's own, and E3 is b - bhh.
+def _row(i, entries):
+    a = np.zeros(i)
+    a[list(entries)] = list(entries.values())
+    return a
+
+
+_C8 = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+       0.2816496580927726, 1 / 3, 0.25, 0.3076923076923077,
+       0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0)
+_A8 = [np.array([])] + [_row(i, a) for i, a in enumerate([
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386,
+     4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+     5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+], 1)]
+_E5 = _row(13, {0: 0.01312004499419488, 5: -1.2251564463762044,
+                6: -0.4957589496572502, 7: 1.6643771824549864,
+                8: -0.35032884874997366, 9: 0.3341791187130175,
+                10: 0.08192320648511571, 11: -0.022355307863886294})
+_E3 = np.append(_A8[12], 0.0) - _row(13, {0: 0.2440944881889764,
+                                          8: 0.7338466882816118,
+                                          11: 0.022058823529411766})
+_C8_DENSE = (0.1, 0.2, 0.7777777777777778)
+_A8_DENSE = tuple(_row(i, a) for i, a in enumerate([
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776,
+     6: 0.053541988307438566, 7: -0.05492374857139099,
+     10: -0.00010834732869724932, 11: 0.0003825710908356584,
+     12: -0.00034046500868740456, 13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+     13: 2.9475147891527724, 14: -9.15095847217987},
+], 13))
+_D8 = np.array([_row(16, d) for d in [
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+     13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+     13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+     13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+]])
+
+
+def _hairer_dense(b, D):
+    """Hairer's dense output (``CONTD8``) in the form of ``_P``.
+
+    u0 + th (F0 + th1 (F1 + th (F2 + th1 (F3 + ... + th F6)))), th1 = 1 - th,
+    with F0 = h K.T @ b, F1 = h K[0] - F0, F2 = 2 F0 - h (K[0] + K[12]) and
+    F3..F6 = h D @ K, expanded in powers of th: row j of the result weighs
+    K[j]."""
+    s, m = D.shape[1], 3 + len(D)  # the stages read, the degree in th
+    b, unit = np.pad(b, (0, s - len(b))), np.eye(s)
+    P, mult = np.zeros((s, m)), [0.0, 1.0]  # F0's factor th, by powers
+    for k, g in enumerate([b, unit[0] - b, 2 * b - unit[0] - unit[12], *D]):
+        P += np.outer(g, np.pad(mult, (0, m + 1 - len(mult)))[1:])
+        mult = np.convolve(mult, [1.0, -1.0] if k % 2 == 0 else [0.0, 1.0])
+    return P
+
+
+DOP853 = Tableau(_C8, _A8, (_E5, _E3), _e5e3_error, 1 / 8,
+                 _hairer_dense(_A8[12], _D8), _C8_DENSE, _A8_DENSE)
+
 # Step floor, and the resolution of the guard bisection: a shorter step
 # cannot place the end of a leg any better than the bisection does.
 MIN_STEP = 1e-12
@@ -75,17 +247,39 @@ MAX_STEPS = 200_000
 
 
 def _dense(u0, h, Q, th):
-    """Dormand-Prince's continuous extension at fractions ``th`` of steps
-    of length ``h`` from ``u0``: one step, or a stack of them."""
-    p = np.stack([th, th**2, th**3, th**4], axis=-1)
+    """A method's dense output at fractions ``th`` of steps of length ``h``
+    from ``u0``, for the polynomials ``Q`` of one step or a stack of them."""
+    p = np.stack([th**j for j in range(1, Q.shape[-1] + 1)], axis=-1)
     return u0 + np.asarray(h)[..., None] * (Q @ p[..., None])[..., 0]
+
+
+def _dense_polynomials(method, rhs, ts, us, hs, Ks):
+    """Per step k, from ``ts[k]``, ``us[k]`` and length ``hs[k]``, the
+    polynomial K.T @ P of ``method``'s dense output: K is the step's stages
+    ``Ks[k]`` and the further stages P reads, one rhs call each. A vetoed
+    or non-finite one raises DomainError."""
+    if method.c_dense:
+        n, s, d = Ks.shape
+        Ks = np.concatenate([Ks, np.empty((n, len(method.c_dense), d))], 1)
+        for K, t, u, h in zip(Ks, ts, us, hs):
+            KT = K.T
+            for i, c, a in zip(range(s, len(K)), method.c_dense,
+                               method.A_dense):
+                row = rhs(t + c * h, u + h * KT[:, :i].dot(a))
+                if _finite_entries(row) is None:
+                    raise DomainError("non-finite dense-output stage")
+                K[i] = row
+    return Ks.transpose(0, 2, 1) @ method.P
 
 
 @dataclass
 class OdeResult:
     """Nodes ``ts``/``us`` and, per accepted step k from ``ts[k]``, its
-    signed length ``hs[k]`` and dense-output polynomial ``Qs[k] = K.T @ _P``,
-    formed for all steps at once when the run ends.
+    signed length ``hs[k]`` and dense-output polynomial ``Qs[k] = K.T @ P``
+    (see :class:`Tableau`). DP5 forms them for all steps at once when the
+    run ends. DOP853's need three more stages per step: ``Qs`` is None
+    until the first ``sample`` forms them, so a leg never sampled pays
+    nothing for its dense output.
 
     A boundary leg ends at the guard crossing: ``ts[-1]`` lies inside its
     last step, and the span ends there.
@@ -99,11 +293,15 @@ class OdeResult:
     n_rejected: int
     n_vetoed: int  # rejected steps whose stage rhs vetoed or made non-finite
     hs: np.ndarray
-    Qs: np.ndarray
+    Qs: Optional[np.ndarray]
+    _form_Qs = None  # not a field: set by integrate where Qs waits for sample
 
     def sample(self, ts):
         """Dense output at query times inside the span; a node returns its
-        row of ``us`` exactly."""
+        row of ``us`` exactly. The first call on a DOP853 leg runs the rhs
+        at its dense-output stages: DomainError if one is vetoed."""
+        if self.Qs is None:
+            self.Qs, self._form_Qs = self._form_Qs(), None
         t = np.atleast_1d(np.asarray(ts, dtype=float))
         k = self._locate(t)
         out = self.us[k]
@@ -150,7 +348,7 @@ def _finite_entries(row):
     return row if all(map(math.isfinite, row)) else None
 
 
-def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
+def _starting_step(rhs, t, u, f0, direction, span, rtol, atol, exponent):
     """Hairer-Norsett-Wanner starting step from one probe evaluation.
 
     A vetoed or non-finite probe falls back to ``1e-4 * max(span, 1)``, and
@@ -176,18 +374,21 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         return max(1e-6, 1e-3 * h0)
-    return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2)
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** exponent)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
-              guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT):
-    """Integrate u' = rhs(t, u) from t0 to t1 (either direction).
+              guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT,
+              method: Tableau = DP5):
+    """Integrate u' = rhs(t, u) from t0 to t1 (either direction) with
+    ``method`` (``DP5`` or ``DOP853``).
 
     ``rhs`` returns u' as a 1-D array or as a list of floats; a list is
     checked for finiteness as it is and stored without a ``tolist`` pass.
-    It reads u and does not write into it: the sixth stage's u is the
-    step's u5.
+    It reads u and does not write into it: the last stage's u is the
+    step's new state. A DOP853 result keeps ``rhs`` for the dense output's
+    stages, which its first ``sample`` runs.
     It may raise DomainError or return non-finite values to veto a
     stage; the step is then halved. The step after a rejected one may
     shrink but not grow (Hairer, Norsett & Wanner, II.4). A step the
@@ -204,28 +405,34 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     if not (math.isfinite(t) and math.isfinite(t1)):
         raise DomainError(f"integration span ({t0}, {t1}) must be finite")
     u = np.asarray(u0, dtype=float).copy()
-    d = u.size
+    d, s = u.size, len(method.c)
     ts, us, dts, stages = [t], [u], [], []  # stages: each accepted step's K
     n_acc = n_rej = n_vet = 0
 
     def result(status, t_end, u_end):
-        Qs = np.array(stages).reshape(-1, 7, d).transpose(0, 2, 1) @ _P
-        return OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
-                         n_acc, n_rej, n_vet, np.array(dts), Qs)
+        res = OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
+                        n_acc, n_rej, n_vet, np.array(dts), None)
+        res._form_Qs = partial(_dense_polynomials, method, rhs, res.ts, res.us,
+                               res.hs, np.array(stages).reshape(-1, s, d))
+        if not method.c_dense:
+            res.Qs, res._form_Qs = res._form_Qs(), None
+        return res
 
     direction = 1.0 if t1 >= t else -1.0
     span = abs(t1 - t)
     if span == 0.0:
         return result("t_limit", t, u)
 
-    K = np.empty((7, d))  # stage derivatives; row 0 is rhs at (t, u)
+    K = np.empty((s, d))  # stage derivatives; row 0 is rhs at (t, u)
     KT = K.T  # ndarray.dot on it: @ costs more per call on tiny operands
     # stage i reads the rows before it: views of K, built once per call
-    stage_rows = [(i, _C[i], KT[:, :i], _A[i]) for i in range(1, 7)]
+    stage_rows = [(i, method.c[i], KT[:, :i], method.A[i])
+                  for i in range(1, s)]
     K[0] = rhs(t, u)  # initial point must be admissible
     if _finite_entries(K[0]) is None:
         raise DomainError("non-finite derivative at the initial point")
-    h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
+    h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol,
+                       method.exponent)
     w = u.tolist()  # u and |u| on Python floats, for the error norm
     abs_w = [abs(x) for x in w]
     last_fail_domain = False
@@ -254,23 +461,15 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             grow_max = 1.0
             h *= 0.5
             continue
-        u5, w5 = arg, arg.tolist()  # the sixth stage's argument
-        abs_w5, q = [], []
-        for y, a, x, v in zip(w, abs_w, w5, KT.dot(_B4).tolist()):
-            b = abs(x)
-            abs_w5.append(b)
-            diff = x - (y + hs * v)  # u5 - u4
-            if diff == 0.0:
-                q.append(0.0)
-            else:
-                scale = atol + rtol * (a if a >= b else b)
-                q.append(diff / scale if scale else math.inf)
-        err = math.sqrt(_sum_of_squares(q) / d)
+        u_new, w_new = arg, arg.tolist()  # the last stage's argument
+        err, abs_w_new = method.error_norm(
+            hs, [KT.dot(r).tolist() for r in method.error], w, abs_w, w_new,
+            rtol, atol)
         if not err <= 1.0:  # a nan err is rejected, and shrinks h by 0.2
             last_fail_domain = False
             n_rej += 1
             grow_max = 1.0
-            h *= max(0.2, 0.9 * err ** (-0.2))
+            h *= max(0.2, 0.9 * err ** -method.exponent)
             continue
 
         t_new = t1 if last else t + hs
@@ -278,15 +477,15 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         dts.append(dt)
         stages.append(K.copy())
         ts.append(t_new)
-        us.append(u5)
+        us.append(u_new)
         n_acc += 1
 
         # the speed from the floats of the finiteness check: hypot cannot
         # overflow as k_new.dot(k_new) would for entries near 1e300
         if math.hypot(*k_row) > speed_limit:
-            return result("blow_up", t_new, u5)
-        if guard is not None and not guard(u5):
-            Q = KT @ _P
+            return result("blow_up", t_new, u_new)
+        if guard is not None and not guard(u_new):
+            Q = _dense_polynomials(method, rhs, [t], [u], [dt], K[None])[0]
             lo, hi = t, t_new
             while abs(hi - lo) > MIN_STEP:
                 mid = 0.5 * (lo + hi)
@@ -298,10 +497,11 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             ts[-1], us[-1] = lo, u_b
             return result("boundary", lo, u_b)
 
-        t, u, w, abs_w = t_new, u5, w5, abs_w5
-        K[0] = K[6]  # FSAL: rhs at (t_new, u5) up to the b-row identity
+        t, u, w, abs_w = t_new, u_new, w_new, abs_w_new
+        K[0] = K[-1]  # FSAL: rhs at (t_new, u_new) up to the b-row identity
         last_fail_domain = False
-        h *= min(grow_max, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))
+        h *= min(grow_max, max(0.2, 0.9 * err ** -method.exponent
+                               if err > 0 else 10.0))
         grow_max = 10.0
 
     if n_acc + n_rej >= MAX_STEPS:

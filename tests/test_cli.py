@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import finslerlab
-from finslerlab import cli
+from finslerlab import cli, ode
 
 
 def run(argv):
@@ -164,6 +165,35 @@ def test_ode_json_report(tmp_path, capsys):
     assert math.isclose(lo, -0.5)
     assert hi == "inf"                          # non-finite values as strings
     assert res["numeric_vs_closed"] < 1e-8
+
+
+def test_ode_reports_the_steps_of_each_leg(tmp_path, capsys, monkeypatch):
+    # the legs of the one integration that numeric vs closed form reads
+    runs, integrate = [], ode.integrate
+
+    def recording(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(ode, "integrate", recording)
+    out_path = tmp_path / "ode.json"
+    code = run(["ode", "--lambda", "0", "--lambdat=-1", "--a", "1", "--b",
+                "1", "--tspan=-1,3", "--out", str(out_path)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    printed = re.findall(r"^(backward|forward) +: (\w+) at t = \S+, (\d+) "
+                         r"accepted, (\d+) rejected, (\d+) vetoed steps$",
+                         out, re.M)
+    with open(out_path) as fh:
+        legs = json.load(fh)["results"]["legs"]
+    assert [(leg["leg"], leg["status"], str(leg["accepted"]),
+             str(leg["rejected"]), str(leg["vetoed"]))
+            for leg in legs] == printed
+    assert [leg["status"] for leg in legs] == ["collapse", "t_limit"]
+    assert legs[1]["t_end"] == 3.0
+    assert [(leg["accepted"], leg["rejected"], leg["vetoed"])
+            for leg in legs] == [(res.n_accepted, res.n_rejected,
+                                  res.n_vetoed) for res in runs]
 
 
 def test_chart_options_only_where_a_metric_is_built(capsys):

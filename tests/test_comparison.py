@@ -199,6 +199,31 @@ def test_arc_parameter_roundtrip():
         cmp.arc_param_roundtrip(cmp.make_case(-1, -1, 1.0, 0.0), 0.5)
 
 
+def test_the_arc_round_trip_meets_criterion_6_down_to_tiny_slopes():
+    # the nine pairs x 25 values of a in [0.3, 5] x +-36 values of |b| from
+    # 1e-8 to 0.1, at criterion 6's time: every call keeps the round trip
+    # within criterion 6's 1e-7 or raises DomainError, and only at
+    # |b| <= 1e-7, where f(t) rounds too close to f(0) to be inverted
+    from finslerlab.acceptance import NINE_PAIRS
+
+    slopes = np.geomspace(1e-8, 0.1, 36)
+    returned = 0
+    for lam, lamt in NINE_PAIRS:
+        for a in np.linspace(0.3, 5.0, 25):
+            for b in np.concatenate([-slopes, slopes]):
+                case = cmp.make_case(lam, lamt, a, b)
+                t_hi = cmp.maximal_interval(case)[1]
+                t = 0.5 * min(cmp.first_critical_time(case), t_hi, 2.0)
+                try:
+                    defect = cmp.arc_param_roundtrip(case, t)
+                except DomainError:
+                    assert abs(b) <= 1e-7, (lam, lamt, a, b)
+                    continue
+                assert defect <= 1e-7, (lam, lamt, a, b, defect)
+                returned += 1
+    assert returned > 15_000
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_arc_parameter_roundtrip_rejects_a_non_finite_time(t):
     with pytest.raises(DomainError, match="finite t"):

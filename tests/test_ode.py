@@ -1,4 +1,5 @@
-"""The DP5 integrator: starting step, step floor, dense output, spans."""
+"""The DP5 and DOP853 integrators: starting step, step floor, dense output,
+spans."""
 
 import dataclasses
 import math
@@ -162,7 +163,8 @@ def test_cli_geodesic_reports_the_steps_of_each_leg(capsys):
 # |u| afresh on every step
 
 
-def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol):
+def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol,
+                          exponent=0.2):
     scale = atol + rtol * np.abs(u)
     d0, d1 = ode._rms(u / scale), ode._rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -177,7 +179,7 @@ def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     d2 = ode._rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         return max(1e-6, 1e-3 * h0)
-    return min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.2)
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** exponent)
 
 
 def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
@@ -287,14 +289,17 @@ def _assert_bit_identical(got, want):
 
 
 def test_comparison_legs_match_the_former_loop_bit_for_bit():
+    # DP5 on the comparison rhs: d = 2, no speed limit and list-valued rows
     rng = np.random.default_rng(6)
     for lam, lamt in NINE_PAIRS:
         case = cmp.make_case(lam, lamt, rng.uniform(0.3, 2.0),
                              rng.uniform(-1.5, 1.5))
-        span = cmp._default_span(case, 1.2)
-        rhs = _oracle_comparison_rhs(case)
-        for (res, _), target in zip(cmp.numeric_integrate(case, span), span):
-            want = _oracle_integrate(rhs, 0.0, np.array([case.a, case.b]),
+        u0 = np.array([case.a, case.b])
+        for target in cmp._default_span(case, 1.2):
+            res = ode.integrate(cmp.comparison_rhs(case), 0.0, u0, target,
+                                1e-12, 1e-14, speed_limit=np.inf,
+                                method=ode.DP5)
+            want = _oracle_integrate(_oracle_comparison_rhs(case), 0.0, u0,
                                      target, 1e-12, 1e-14,
                                      guard=lambda u: u[0] > cmp.F_FLOOR,
                                      speed_limit=np.inf)
@@ -351,6 +356,7 @@ def test_the_stage_veto_leaves_the_former_guards_nothing_to_reject(
     legs.clear()
     collapse = cmp.numeric_integrate(cmp.make_case(1, -1, 1.0, 0.0),
                                      t_span=(-2.0, 2.0))
+    assert len(legs) == 2  # both collapse legs ran through ode.integrate
     cases += [(leg, lambda u: u[0] > cmp.F_FLOOR) for leg in legs]
     assert run.status_backward == "boundary"
     assert [status for _, status in collapse] == ["collapse", "collapse"]
@@ -376,6 +382,172 @@ def test_wide_geodesic_legs_match_the_former_loop_bit_for_bit(n):
         assert leg.us.shape[1] == 2 * n and leg.n_accepted > 0
         _assert_bit_identical(leg, _oracle_integrate(
             rhs, 0.0, u0, target, 1e-8, 1e-10, guard=guard))
+
+
+# ---------------------------------------------------------------------------
+# DOP853: Hairer's tableau, and a plain-numpy loop kept as a bit-for-bit
+# oracle: scipy's error norm on arrays, the controller, veto, floor and
+# speed limit of the DP5 oracle, and each step's dense-output stages and
+# K.T @ P formed as it accepts it
+
+
+def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, speed_limit=np.inf):
+    m = ode.DOP853
+    E5, E3 = m.error
+    t, t1 = float(t0), float(t1)
+    u = np.asarray(u0, dtype=float).copy()
+    d = u.size
+    ts, us, dts, Qs = [t], [u], [], []
+    n_acc = n_rej = n_vet = 0
+
+    def result(status, t_end, u_end):
+        return ode.OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
+                             n_acc, n_rej, n_vet, np.array(dts),
+                             np.array(Qs).reshape(-1, d, 7))
+
+    direction = 1.0 if t1 >= t else -1.0
+    span = abs(t1 - t)
+    if span == 0.0:
+        return result("t_limit", t, u)
+    K = np.empty((16, d))
+    K[0] = rhs(t, u)
+    h = _oracle_starting_step(rhs, t, u, K[0], direction, span, rtol, atol,
+                              exponent=1 / 8)
+    last_fail_domain = False
+    grow_max = 10.0
+    while direction * (t1 - t) > 0 and n_acc + n_rej < ode.MAX_STEPS:
+        if h < ode.MIN_STEP:
+            return result("boundary" if last_fail_domain else "blow_up", t, u)
+        rest = abs(t1 - t)
+        last = h >= rest
+        if last:
+            h = rest
+        hs = direction * h
+        try:
+            for i in range(1, 13):
+                K[i] = rhs(t + m.c[i] * hs, u + hs * (K[:i].T @ m.A[i]))
+                if not np.isfinite(K[i]).all():
+                    raise DomainError("non-finite derivative")
+        except DomainError:
+            last_fail_domain = True
+            n_vet += 1
+            n_rej += 1
+            grow_max = 1.0
+            h *= 0.5
+            continue
+        u8 = u + hs * (K[:12].T @ m.A[12])
+        scale = atol + rtol * np.maximum(np.abs(u), np.abs(u8))
+        e5, e3 = (K[:13].T @ E5) / scale, (K[:13].T @ E3) / scale
+        n5, n3 = (e5 * e5).sum(), (e3 * e3).sum()
+        err = (0.0 if n5 == 0.0 and n3 == 0.0 else
+               float(abs(hs) * n5 / np.sqrt((n5 + 0.01 * n3) * d)))
+        if not err <= 1.0:
+            last_fail_domain = False
+            n_rej += 1
+            grow_max = 1.0
+            h *= max(0.2, 0.9 * err ** (-1 / 8))
+            continue
+        t_new = t1 if last else t + hs
+        dt = t_new - t
+        for i, c, a in zip(range(13, 16), m.c_dense, m.A_dense):
+            K[i] = rhs(t + c * dt, u + dt * (K[:i].T @ a))
+        dts.append(dt)
+        Qs.append(K.T @ m.P)
+        ts.append(t_new)
+        us.append(u8)
+        n_acc += 1
+        if math.sqrt(K[12].dot(K[12])) > speed_limit:
+            return result("blow_up", t_new, u8)
+        t, u = t_new, u8
+        K[0] = K[12]
+        last_fail_domain = False
+        h *= min(grow_max, max(0.2, 0.9 * err ** (-1 / 8) if err > 0 else 10.0))
+        grow_max = 10.0
+    if n_acc + n_rej >= ode.MAX_STEPS:
+        raise NumericError("step budget exhausted")
+    return result("t_limit", t, u)
+
+
+def test_the_dop853_record_is_hairers_tableau():
+    # scipy's module is a copy of Hairer's coefficients; the library itself
+    # never imports it
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    m = ode.DOP853
+    same = lambda a, b: np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert same(m.c, ref.C[:13]) and same(m.c_dense, ref.C[13:])
+    assert len(m.A) == 13 and same(m.A[12], ref.B)
+    for i in range(1, 16):
+        row = m.A[i] if i < 13 else m.A_dense[i - 13]
+        assert same(row, ref.A[i, :i]), i
+    assert same(m.error[0], ref.E5) and same(m.error[1], ref.E3)
+    assert same(ode._D8, ref.D)
+    # P is Hairer's nested interpolant written in powers of th
+    rng = np.random.default_rng(853)
+    ths = np.linspace(0.0, 1.0, 9)
+    for h in (0.08, -0.5):
+        K, u0 = rng.standard_normal((16, 3)), rng.standard_normal(3)
+        du = h * K[:12].T @ ref.B
+        F = np.vstack([du, h * K[0] - du, 2 * du - h * (K[0] + K[12]),
+                       h * ref.D @ K])
+        want = Dop853DenseOutput(0.0, h, u0, F)(ths * h).T
+        got = [ode._dense(u0, h, K.T @ m.P, th) for th in ths]
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_dop853_comparison_legs_match_a_numpy_loop_bit_for_bit():
+    rng = np.random.default_rng(853)
+    cases = [(cmp.make_case(lam, lamt, rng.uniform(0.3, 2.0),
+                            rng.uniform(-1.5, 1.5)), None)
+             for lam, lamt in NINE_PAIRS]
+    cases.append((cmp.make_case(1, -1, 1.0, 0.0), (-2.0, 2.0)))  # collapse
+    for case, span in cases:
+        legs = cmp.numeric_integrate(case, span)
+        rhs = _oracle_comparison_rhs(case)
+        for (res, _), target in zip(legs, span or cmp._default_span(case, 8.0)):
+            assert res.Qs is None
+            res.sample(res.ts)  # forms Qs
+            _assert_bit_identical(res, _oracle_integrate8(
+                rhs, 0.0, [case.a, case.b], target, 1e-12, 1e-14))
+    assert [status for _, status in legs] == ["collapse", "collapse"]
+
+
+def test_dop853_dense_output_is_formed_at_the_first_sample():
+    rng = np.random.default_rng(7)
+    for lam, lamt in NINE_PAIRS:
+        case = cmp.make_case(lam, lamt, rng.uniform(0.3, 2.0),
+                             rng.uniform(-1.5, 1.5))
+        for target in cmp._default_span(case, 1.2):
+            calls, rhs = [0], cmp.comparison_rhs(case)
+
+            def counted(t, u):
+                calls[0] += 1
+                return rhs(t, u)
+
+            res = ode.integrate(counted, 0.0, [case.a, case.b], target,
+                                1e-12, 1e-14, speed_limit=np.inf,
+                                method=ode.DOP853)
+            assert (res.status, res.n_vetoed) == ("t_limit", 0)
+            # the initial point, the probe and twelve stages a step: no
+            # dense-output stage ran
+            assert calls[0] == 2 + 12 * (res.n_accepted + res.n_rejected)
+            assert res.Qs is None
+            mid = res.ts[:-1] + 0.5 * res.hs
+            exact = np.sqrt(cmp.f_squared(case, mid))
+            assert np.max(np.abs(res.sample(mid)[:, 0] - exact)) <= 1e-10
+            assert calls[0] == 2 + 12 * (res.n_accepted + res.n_rejected) \
+                + 3 * res.n_accepted
+            assert res.Qs.shape == (res.n_accepted, 2, 7)
+            assert np.array_equal(res.sample(res.ts), res.us)
+
+
+def test_a_dop853_guard_crossing_is_placed_on_the_dense_output():
+    res = ode.integrate(_cos, 0.0, np.array([0.0]), 3.0,
+                        guard=lambda u: u[0] < 0.5, method=ode.DOP853)
+    assert res.status == "boundary"
+    assert abs(res.t_end - math.pi / 6) < 1e-9
+    assert np.array_equal(res.sample([res.t_end]), res.us[-1:])
 
 
 # ---------------------------------------------------------------------------
