@@ -59,18 +59,15 @@ def per_call(fn, calls):
 
 
 def criteria(ks, reps=SUITE_REPS):
-    """Rows ``criterion_<k>``: wall time and ``worst`` of each criterion."""
+    """Rows ``criterion_<k>``: wall time and ``worst`` of each criterion,
+    timed after a warm-up call that pays its one-time imports."""
     from finslerlab import acceptance
 
     rows = {}
     for k in ks:
-        fn = getattr(acceptance, f"criterion_{k}")
-        times, worst = [], None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            worst = fn()["worst"]
-            times.append(time.perf_counter() - t0)
-        rows[f"criterion_{k}"] = dict(summarize(times), worst=worst)
+        fn, worst = getattr(acceptance, f"criterion_{k}"), []
+        times = timed(lambda: worst.append(fn()["worst"]), reps)
+        rows[f"criterion_{k}"] = dict(summarize(times), worst=worst[-1])
     return rows
 
 

@@ -24,6 +24,7 @@ from .errors import FDOracleError
 
 GRID_AB = ((0.3, 0.7, 1.0, 2.0, 5.0), (-2.0, -0.5, 0.0, 0.5, 2.0))
 NINE_PAIRS = tuple((l, lt) for l in (-1, 0, 1) for lt in (-1, 0, 1))
+STATES = 25  # sampled states per metric in criteria 3, 4 and 5
 
 
 def _record(k, name, worst, tol, details=None, passed=None):
@@ -41,7 +42,7 @@ def _ellipse():
 # ---------------------------------------------------------------------------
 
 
-def criterion_1(samples=50, flags=20):
+def criterion_1():
     """Constant flag curvature of the Einstein catalog: per metric, one
     ``einstein_campaign`` with flags, judged by each sample's extreme flag
     curvatures against the metric's Einstein constant."""
@@ -55,7 +56,7 @@ def criterion_1(samples=50, flags=20):
     details = {}
     worst = 0.0
     for m in metrics:
-        rep = geo.einstein_campaign(m, count=samples, flags=flags)
+        rep = geo.einstein_campaign(m, count=50, flags=20)
         lam = rep["lambda"]
         res = max(max(abs(r["flag_max"] - lam), abs(r["flag_min"] - lam))
                   for r in rep["rows"])
@@ -65,7 +66,7 @@ def criterion_1(samples=50, flags=20):
                    worst, tol, details)
 
 
-def criterion_2(samples=40, geodesics=4):
+def criterion_2():
     """Projective flatness: flatness residual and straight geodesic traces."""
     metrics = [zoo.klein(), zoo.funk_ball(1), zoo.funk_ball(-1),
                zoo.hilbert_ball(), zoo.spherical(),
@@ -75,10 +76,10 @@ def criterion_2(samples=40, geodesics=4):
     details = {}
     worst = 0.0
     for m in metrics:
-        rap = pj.projective_campaign(euc, m, count=samples)
+        rap = pj.projective_campaign(euc, m, count=40)
         res = rap["max_normalized_residual"]
         haus = 0.0
-        for x, y in sampling.state_pairs(m, geodesics):
+        for x, y in sampling.state_pairs(m, 4):
             run = gd.integrate_geodesic(m, x, y, (-1.0, 1.0),
                                         rtol=1e-9, atol=1e-11)
             haus = max(haus, gd.hausdorff_to_chord(run.xs, x, y))
@@ -88,7 +89,7 @@ def criterion_2(samples=40, geodesics=4):
                    worst, tol, details)
 
 
-def criterion_3(samples=25):
+def criterion_3():
     """Eikonal-type characterization of Funk metrics, ball and ellipse."""
     tol = 1e-8
     details = {}
@@ -101,19 +102,19 @@ def criterion_3(samples=25):
     ]
     for tag, m, mu in cases:
         vals = [pj.funk_condition_residual(m, mu, x, y)
-                for x, y in sampling.state_pairs(m, samples)]
+                for x, y in sampling.state_pairs(m, STATES)]
         details[tag] = max(vals)
         worst = max(worst, details[tag])
     kl = zoo.klein()
     control = min(pj.funk_condition_residual(kl, 0.5, x, y)
-                  for x, y in sampling.state_pairs(kl, samples))
+                  for x, y in sampling.state_pairs(kl, STATES))
     details["klein_control_min"] = control
     passed = worst <= tol and control > 0.01
     return _record(3, "Funk eikonal condition at mu = +-1/2",
                    worst, tol, details, passed=passed)
 
 
-def criterion_4(samples=25):
+def criterion_4():
     """Closed-form projective factors and their curvature scalars."""
     euc = zoo.euclidean()
     fp, fm, hb = zoo.funk_ball(1), zoo.funk_ball(-1), zoo.hilbert_ball()
@@ -121,7 +122,7 @@ def criterion_4(samples=25):
     worst = 0.0
     details = {"P_plus": 0.0, "P_minus": 0.0, "P_hilbert": 0.0,
                "Xi_plus": 0.0, "Xi_minus": 0.0, "Xi_hilbert": 0.0}
-    for x, y in sampling.state_pairs(fp, samples):
+    for x, y in sampling.state_pairs(fp, STATES):
         vp, vm = fp(x, y), fm(x, y)
         fh = 0.5 * (vp + vm)
         rows = [
@@ -141,7 +142,7 @@ def criterion_4(samples=25):
                    worst, tol, details)
 
 
-def criterion_5(samples=25):
+def criterion_5():
     """Curvature transport identity, matrix and traced forms."""
     euc = zoo.euclidean()
     tol = 1e-6
@@ -149,7 +150,7 @@ def criterion_5(samples=25):
     worst = 0.0
     for cand in (zoo.funk_ball(1), zoo.funk_ball(-1), zoo.klein()):
         dm = dr = 0.0
-        for x, y in sampling.state_pairs(cand, samples):
+        for x, y in sampling.state_pairs(cand, STATES):
             chk = pj.curvature_transform_check(euc, cand, x, y)
             dm = max(dm, chk["defect"])
             dr = max(dr, chk["ricci_defect"])
@@ -216,7 +217,7 @@ def criterion_7():
                     "note": "worst is the largest deviation/tolerance ratio"})
 
 
-def criterion_8(count=6):
+def criterion_8():
     """Closed-form ray evolution laws across the catalog."""
     ell = _ellipse()
     jobs = [
@@ -232,7 +233,7 @@ def criterion_8(count=6):
     for source, body, tol in jobs:
         metric = zoo.EVOLUTION_SOURCES[source].metric(2, body)
         dev = 0.0
-        for x, y in sampling.state_pairs(metric, count):
+        for x, y in sampling.state_pairs(metric, 6):
             y = y / np.linalg.norm(y)
             dev = max(dev, zoo.verify_evolution(source, x, y,
                                                 body=body)["max_rel_dev"])
@@ -245,7 +246,7 @@ def criterion_8(count=6):
                    worst_rel, 1.0, details, passed=passed)
 
 
-def criterion_9(states=5):
+def criterion_9():
     """Completeness taxonomy of the (a, b) grids and the Funk borderline."""
     rows = cmp.grid_completeness(-1, -1)
     bi = sorted((r["a"], r["b"]) for r in rows if r["bi_complete"])
@@ -263,7 +264,7 @@ def criterion_9(states=5):
     hb = zoo.hilbert_ball()
     fp, fm = zoo.funk_ball(1), zoo.funk_ball(-1)
     worst = 0.0
-    for x, y in sampling.state_pairs(hb, states):
+    for x, y in sampling.state_pairs(hb, 5):
         run = gd.integrate_geodesic(hb, x, y, (-0.8, 1.6))
         for funk, sign in ((fp, 1), (fm, -1)):
             a0 = math.sqrt(2.0 / funk(x, y / hb(x, y)))
@@ -292,12 +293,12 @@ def _zoo_for_jets():
             zoo.bryant(1.0), zoo.paraboloid_metric(2)]
 
 
-def _moderate_box(metric, shrink=0.5):
-    """Sample box shrunk toward its center; keeps FD stencils well scaled."""
+def _moderate_box(metric):
+    """Sample box halved about its center; keeps FD stencils well scaled."""
     lo, hi = metric.domain.sample_box()
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid - shrink * half, mid + shrink * half
+    return mid - 0.5 * half, mid + 0.5 * half
 
 
 FD_SKIP_LIMIT = 0.01  # share of a metric's checks the FD oracle may refuse

@@ -9,8 +9,10 @@ ode         closed-form analysis of one comparison-ODE case
 verify-all  run the acceptance campaigns, one summary line per criterion
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage error,
-3 numerical failure.  ``--config file.yaml`` supplies defaults for any
-long option of the invoked subcommand; explicit flags win.
+3 numerical failure. Options are declared once, typed and defaulted, in
+:func:`build_parser`. ``--config file.yaml`` keys them by long name
+(``lambda: -1``) and each entry parses as the flag ``--key=value``: a
+wrong type is a usage error, explicit flags win, other keys are ignored.
 """
 
 import argparse
@@ -73,6 +75,8 @@ def _to_plain(obj):
 
 
 def _write_json(path, command, params, results):
+    params = {k: v for k, v in params.items()  # the options of vars(args)
+              if k not in ("command", "config", "fn")}
     report = {"command": command, "created": _timestamp(),
               "params": _to_plain(params), "results": _to_plain(results)}
     with open(path, "w") as fh:
@@ -90,25 +94,20 @@ def _write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# option merging: YAML config < explicit flags
+# options: YAML config < explicit flags
 
 
-def _merge(args, defaults):
-    """Fill Namespace holes from the config file, then from ``defaults``."""
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
+def _config_flags(path):
+    """The entries of the YAML mapping at ``path`` as ``--key=value`` flags;
+    a null entry is left out."""
+    try:
+        with open(path) as fh:
             loaded = yaml.safe_load(fh) or {}
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a mapping of options")
-        cfg = {str(k).replace("-", "_"): v for k, v in loaded.items()}
-    merged = {}
-    for key, default in defaults.items():
-        val = getattr(args, key, None)
-        if val is None:
-            val = cfg.get(key, default)
-        merged[key] = val
-    return argparse.Namespace(**merged)
+    except yaml.YAMLError as exc:
+        raise UsageError(f"config file {path}: {exc}")
+    if not isinstance(loaded, dict):
+        raise UsageError("config file must hold a mapping of options")
+    return [f"--{k}={v}" for k, v in loaded.items() if v is not None]
 
 
 def _add_common(sub):
@@ -118,8 +117,9 @@ def _add_common(sub):
 
 def _add_chart(sub):
     """The options of the subcommands that build a catalog metric."""
-    sub.add_argument("--dim", type=int, help="chart dimension (default 2)")
-    sub.add_argument("--eps", type=float,
+    sub.add_argument("--dim", type=int, default=2,
+                     help="chart dimension (default 2)")
+    sub.add_argument("--eps", type=float, default=0.9,
                      help="shape parameter for the one-parameter family")
 
 
@@ -128,17 +128,13 @@ def _add_chart(sub):
 
 
 def cmd_curvature(args):
-    opt = _merge(args, {"metric": "klein", "samples": 40, "flags": 8,
-                        "lam": None, "tol": None, "box": None,
-                        "dim": 2, "eps": 0.9, "out": None})
-    metric = zoo.make_metric(opt.metric, opt.dim, opt.eps)
+    metric = zoo.make_metric(args.metric, args.dim, args.eps)
     box = None
-    if opt.box is not None:
-        lo, hi = _pair(opt.box)
+    if args.box is not None:
+        lo, hi = _pair(args.box)
         box = (np.full(metric.n, lo), np.full(metric.n, hi))
-    report = geo.einstein_campaign(metric, count=int(opt.samples),
-                                   lam=opt.lam, box=box,
-                                   flags=int(opt.flags))
+    report = geo.einstein_campaign(metric, count=args.samples, lam=args.lam,
+                                   box=box, flags=args.flags)
     print(f"metric            : {metric.name} (n = {metric.n})")
     print(f"einstein constant : {report['lambda']}")
     print(f"samples           : {report['samples']}")
@@ -147,52 +143,45 @@ def cmd_curvature(args):
         print(f"flag curvature range : [{report['flag_min']:.12f}, "
               f"{report['flag_max']:.12f}]")
         print(f"max flag spread      : {report['max_flag_spread']:.3e}")
-    if opt.out:
-        _write_json(opt.out, "curvature", vars(opt), report)
-    if opt.tol is not None and report["max_einstein_residual"] > float(opt.tol):
-        print(f"FAIL residual exceeds tol {float(opt.tol):g}")
+    if args.out:
+        _write_json(args.out, "curvature", vars(args), report)
+    if args.tol is not None and report["max_einstein_residual"] > args.tol:
+        print(f"FAIL residual exceeds tol {args.tol:g}")
         return EXIT_CHECK
     return EXIT_OK
 
 
 def cmd_projective(args):
-    opt = _merge(args, {"base": "euclidean", "cand": "funk-plus",
-                        "samples": 30, "tol": pj.DECISION_TOL,
-                        "dim": 2, "eps": 0.9, "out": None})
-    base = zoo.make_metric(opt.base, opt.dim, opt.eps)
-    cand = zoo.make_metric(opt.cand, opt.dim, opt.eps)
-    report = pj.projective_campaign(base, cand, count=int(opt.samples))
+    base = zoo.make_metric(args.base, args.dim, args.eps)
+    cand = zoo.make_metric(args.cand, args.dim, args.eps)
+    report = pj.projective_campaign(base, cand, count=args.samples)
     res = report["max_normalized_residual"]
-    related = res <= float(opt.tol)
+    related = res <= args.tol
     print(f"base      : {base.name}")
     print(f"candidate : {cand.name}")
     print(f"samples   : {report['samples']}")
     print(f"max normalized geodesic-coincidence residual : {res:.3e}")
-    print(f"projectively related (tol {float(opt.tol):g}) : "
+    print(f"projectively related (tol {args.tol:g}) : "
           f"{'yes' if related else 'no'}")
     if related:
         x, y = sampling.joint_state_pairs(base, cand, 1)[0]
         fac = pj.projective_factor(base, cand, x, y)
         print(f"projective factor at ({', '.join('%.3f' % c for c in x)}; "
               f"{', '.join('%.3f' % c for c in y)}) : {fac['P']:.12f}")
-    if opt.out:
+    if args.out:
         report = dict(report)
         report["related"] = related
-        _write_json(opt.out, "projective", vars(opt), report)
+        _write_json(args.out, "projective", vars(args), report)
     return EXIT_OK if related else EXIT_CHECK
 
 
 def cmd_geodesic(args):
-    opt = _merge(args, {"metric": "klein", "x0": None, "y0": None,
-                        "tspan": "-1,1", "rtol": 1e-10, "atol": 1e-12,
-                        "dim": 2, "eps": 0.9, "out": None})
-    metric = zoo.make_metric(opt.metric, opt.dim, opt.eps)
-    if opt.x0 is None or opt.y0 is None:
+    metric = zoo.make_metric(args.metric, args.dim, args.eps)
+    if args.x0 is None or args.y0 is None:
         raise UsageError("geodesic needs --x0 and --y0")
-    x0, y0 = _vec(opt.x0), _vec(opt.y0)
-    t0, t1 = _pair(opt.tspan)
-    run = gd.integrate_geodesic(metric, x0, y0, (t0, t1),
-                                rtol=float(opt.rtol), atol=float(opt.atol))
+    x0, y0 = _vec(args.x0), _vec(args.y0)
+    run = gd.integrate_geodesic(metric, x0, y0, _pair(args.tspan),
+                                rtol=args.rtol, atol=args.atol)
     print(f"metric   : {metric.name} (n = {metric.n})")
     print(f"t span   : [{run.t_span[0]:g}, {run.t_span[1]:g}]")
     print(f"status   : backward {run.status_backward}, "
@@ -202,25 +191,22 @@ def cmd_geodesic(args):
         print(f"{name:<8} : {leg.n_accepted} accepted, {leg.n_rejected} "
               f"rejected, {leg.n_vetoed} vetoed steps")
     print(f"unit-speed drift : {run.speed_drift:.3e}")
-    if opt.out:
+    if args.out:
         n = metric.n
         header = (["t"] + [f"x{i+1}" for i in range(n)]
                   + [f"v{i+1}" for i in range(n)] + ["F"])
         rows = [[t, *x, *v, s] for t, x, v, s in
                 zip(run.ts, run.xs, run.vs, run.speeds)]
-        _write_csv(opt.out, header, rows)
+        _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
 def cmd_ode(args):
-    opt = _merge(args, {"lam": -1.0, "lamt": -1.0, "a": 1.0, "b": 0.0,
-                        "tspan": None, "out": None})
-    case = cmp.make_case(float(opt.lam), float(opt.lamt),
-                         float(opt.a), float(opt.b))
+    case = cmp.make_case(args.lam, args.lamt, args.a, args.b)
     lo, hi = cmp.maximal_interval(case)
     cls = cmp.classify_completeness(case)
     dev, legs = cmp.numeric_vs_closed_legs(
-        case, t_span=None if opt.tspan is None else _pair(opt.tspan))
+        case, t_span=None if args.tspan is None else _pair(args.tspan))
     legs = [{"leg": name, "status": status, "t_end": res.t_end,
              "accepted": res.n_accepted, "rejected": res.n_rejected,
              "vetoed": res.n_vetoed}
@@ -242,25 +228,31 @@ def cmd_ode(args):
         print(f"{leg['leg']:<14}: {leg['status']} at t = {leg['t_end']:g}, "
               f"{leg['accepted']} accepted, {leg['rejected']} rejected, "
               f"{leg['vetoed']} vetoed steps")
-    if opt.out:
+    if args.out:
         results = dict(cls)
         results.update({"C": case.C, "interval": [lo, hi],
                         "numeric_vs_closed": dev, "legs": legs})
-        _write_json(opt.out, "ode", vars(opt), results)
+        _write_json(args.out, "ode", vars(args), results)
     return EXIT_OK
 
 
+def _criteria(only):
+    """The criteria that ``--only`` names, all of them when it is empty;
+    UsageError for an entry that names none."""
+    numbered = {fn.__name__.rsplit("_", 1)[1]: fn
+                for fn in acceptance.ALL_CRITERIA}
+    wanted = [e.strip() for e in only.split(",")] if only else numbered
+    for key in wanted:
+        if key not in numbered:
+            raise UsageError(f"--only: no criterion {key!r} "
+                             f"(choose from 1-{len(numbered)})")
+    return [fn for key, fn in numbered.items() if key in wanted]
+
+
 def cmd_verify_all(args):
-    opt = _merge(args, {"only": None, "out": None})
-    wanted = None
-    if opt.only:
-        wanted = {int(p) for p in str(opt.only).split(",")}
     records = []
     failed = 0
-    for fn in acceptance.ALL_CRITERIA:
-        k = int(fn.__name__.rsplit("_", 1)[1])
-        if wanted is not None and k not in wanted:
-            continue
+    for fn in _criteria(args.only):
         rec = fn()
         records.append(rec)
         mark = "PASS" if rec["passed"] else "FAIL"
@@ -270,8 +262,8 @@ def cmd_verify_all(args):
         sys.stdout.flush()
         failed += 0 if rec["passed"] else 1
     print(f"{len(records) - failed}/{len(records)} criteria passed")
-    if opt.out:
-        _write_json(opt.out, "verify-all", {"only": opt.only}, records)
+    if args.out:
+        _write_json(args.out, "verify-all", {"only": args.only}, records)
     return EXIT_OK if failed == 0 else EXIT_CHECK
 
 
@@ -286,9 +278,9 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curvature", help="Einstein / flag-curvature campaign")
-    p.add_argument("--metric")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--flags", type=int)
+    p.add_argument("--metric", default="klein")
+    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--flags", type=int, default=8)
     p.add_argument("--lambda", dest="lam", type=float,
                    help="expected Einstein constant (default: catalog value)")
     p.add_argument("--tol", type=float,
@@ -300,30 +292,31 @@ def build_parser():
 
     p = sub.add_parser("projective",
                        help="decide pointwise projective relatedness")
-    p.add_argument("--base")
-    p.add_argument("--cand")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--base", default="euclidean")
+    p.add_argument("--cand", default="funk-plus")
+    p.add_argument("--samples", type=int, default=30)
+    p.add_argument("--tol", type=float, default=pj.DECISION_TOL)
     _add_common(p)
     _add_chart(p)
     p.set_defaults(fn=cmd_projective)
 
     p = sub.add_parser("geodesic", help="integrate one geodesic, write CSV")
-    p.add_argument("--metric")
+    p.add_argument("--metric", default="klein")
     p.add_argument("--x0", help="initial point, comma separated")
     p.add_argument("--y0", help="initial direction, comma separated")
-    p.add_argument("--tspan", help="T0,T1 with T0 <= 0 <= T1")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
+    p.add_argument("--tspan", default="-1,1",
+                   help="T0,T1 with T0 <= 0 <= T1")
+    p.add_argument("--rtol", type=float, default=1e-10)
+    p.add_argument("--atol", type=float, default=1e-12)
     _add_common(p)
     _add_chart(p)
     p.set_defaults(fn=cmd_geodesic)
 
     p = sub.add_parser("ode", help="closed forms of one comparison case")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--lambdat", dest="lamt", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
+    p.add_argument("--lambda", dest="lam", type=float, default=-1.0)
+    p.add_argument("--lambdat", dest="lamt", type=float, default=-1.0)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--tspan")
     _add_common(p)
     p.set_defaults(fn=cmd_ode)
@@ -338,8 +331,13 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
     try:
+        if args.config:  # its entries as flags before the explicit ones
+            cut = argv.index(args.command) + 1
+            args, _ = ap.parse_known_args(
+                argv[:cut] + _config_flags(args.config) + argv[cut:])
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -350,7 +348,7 @@ def main(argv=None):
     except FinslerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a config or report path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

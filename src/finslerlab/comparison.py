@@ -455,11 +455,11 @@ def classify_completeness(case):
     }
 
 
-def grid_completeness(lam, lam_tilde, a_grid=DEFAULT_A_GRID, b_grid=DEFAULT_B_GRID):
+def grid_completeness(lam, lam_tilde):
     """Exhaustive classification over the (a, b) grid for one constant pair."""
     rows = []
-    for a in a_grid:
-        for b in b_grid:
+    for a in DEFAULT_A_GRID:
+        for b in DEFAULT_B_GRID:
             case = make_case(lam, lam_tilde, a, b)
             rec = classify_completeness(case)
             rec["a"], rec["b"] = float(a), float(b)
@@ -511,16 +511,16 @@ def comparison_rhs(case):
     return rhs
 
 
-def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
-    """Integrate the ODE directly with DOP853, one ``ode.integrate`` leg per
-    end of ``t_span``; a leg that stalls against the f -> 0 pole ends with
-    status "collapse"."""
+def numeric_integrate(case, t_span=None):
+    """Integrate the ODE directly with DOP853 at rtol 1e-12 and atol 1e-14,
+    one ``ode.integrate`` leg per end of ``t_span``; a leg that stalls
+    against the f -> 0 pole ends with status "collapse"."""
     if t_span is None:
         t_span = _default_span(case, 8.0)
     rhs, u0 = comparison_rhs(case), np.array([case.a, case.b])
     legs = []
     for target in t_span:
-        res = ode.integrate(rhs, 0.0, u0, target, rtol=rtol, atol=atol,
+        res = ode.integrate(rhs, 0.0, u0, target, rtol=1e-12, atol=1e-14,
                             speed_limit=np.inf, method=ode.DOP853)
         status = res.status
         if status != "t_limit" and res.u_end[0] <= 1e-3 * max(1.0, case.a):
@@ -529,20 +529,20 @@ def numeric_integrate(case, t_span=None, rtol=1e-12, atol=1e-14):
     return legs
 
 
-def numeric_vs_closed(case, t_span=None, rtol=1e-12, atol=1e-14):
+def numeric_vs_closed(case, t_span=None):
     """Max |numeric f - closed-form f| over the integration nodes.
 
     The default window keeps |t| <= 1.2 so the hyperbolic solutions stay
     O(10) and the comparison is meaningful in absolute terms.
     """
-    return numeric_vs_closed_legs(case, t_span, rtol, atol)[0]
+    return numeric_vs_closed_legs(case, t_span)[0]
 
 
-def numeric_vs_closed_legs(case, t_span=None, rtol=1e-12, atol=1e-14):
+def numeric_vs_closed_legs(case, t_span=None):
     """``numeric_vs_closed`` and the ``numeric_integrate`` legs it read."""
     if t_span is None:
         t_span = _default_span(case, 1.2)
-    legs = numeric_integrate(case, t_span, rtol, atol)
+    legs = numeric_integrate(case, t_span)
     worst = 0.0
     for res, _ in legs:
         exact = np.sqrt(f_squared(case, res.ts))

@@ -73,14 +73,19 @@ def _core(a, *perm):
     return a.transpose(*range(lead), *(lead + p for p in perm))
 
 
-def _metric_block(metric, tensors):
-    n = metric.n
-    D2 = tensors[2]
+def _convexity(D2, n):
+    """g = D2_yy / 2 symmetrized, for the Hessian ``D2`` of F^2 over (x, y);
+    its ascending eigenvalues; and the verdict, True where g is not strongly
+    convex (least eigenvalue <= 0, or condition above COND_LIMIT)."""
     g = 0.5 * D2[..., n:, n:]
     g = 0.5 * (g + _T(g))
     eigs = np.linalg.eigvalsh(g)
     lo, hi = eigs.T[0], eigs.T[-1]
-    bad = (lo <= 0.0) | (hi > COND_LIMIT * lo)
+    return g, eigs, (lo <= 0.0) | (hi > COND_LIMIT * lo)
+
+
+def _metric_block(metric, tensors):
+    g, eigs, bad = _convexity(tensors[2], metric.n)
     if bad if bad.ndim == 0 else bad.any():
         where = ""
         if eigs.ndim > 1:
@@ -325,10 +330,10 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
     return report
 
 
-def check_minkowski(metric, budget=100, box=None):
+def check_minkowski(metric, budget=100):
     """Sampled strong-convexity audit of the fundamental tensor; a sample
     that raises a ``FinslerError`` is a failure, recorded by class."""
-    pairs = sampling.state_pairs(metric, budget, box=box)
+    pairs = sampling.state_pairs(metric, budget)
     worst_cond = 0.0
     min_eig = np.inf
     failures = []
@@ -336,13 +341,12 @@ def check_minkowski(metric, budget=100, box=None):
         try:
             f = metric.value_jet(x, y, 2)
             f_val = f.value
-            n = metric.n
-            g = 0.5 * jr.derivative_tensors(f * f, 2)[2][n:, n:]
-            eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+            _, eigs, bad = _convexity(jr.derivative_tensors(f * f, 2)[2],
+                                      metric.n)
             cond = np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0]
             worst_cond = max(worst_cond, cond)
             min_eig = min(min_eig, eigs[0])
-            if f_val <= 0.0 or eigs[0] <= 0.0 or cond > COND_LIMIT:
+            if f_val <= 0.0 or bad:
                 failures.append({"x": x.tolist(), "y": y.tolist(),
                                  "F": f_val, "min_eig": float(eigs[0]),
                                  "cond": float(cond)})

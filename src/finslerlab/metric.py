@@ -60,7 +60,6 @@ class Domain:
 @dataclass(frozen=True)
 class FullSpace(Domain):
     n: int
-    box_halfwidth: float = 1.5
 
     def signed(self, x):
         return -1.0
@@ -69,8 +68,7 @@ class FullSpace(Domain):
         return True
 
     def sample_box(self):
-        h = self.box_halfwidth
-        return -h * np.ones(self.n), h * np.ones(self.n)
+        return -1.5 * np.ones(self.n), 1.5 * np.ones(self.n)
 
 
 @dataclass(frozen=True)
@@ -88,12 +86,12 @@ class UnitBall(Domain):
 
 @dataclass(frozen=True)
 class ConvexInterior(Domain):
-    """Interior of a smooth convex body given by a level function phi < 0."""
+    """Interior of a smooth convex body given by a level function phi < 0;
+    its sample box is the bounding box shrunk to 0.7 about its center."""
 
     phi: Callable
     bbox_lo: np.ndarray
     bbox_hi: np.ndarray
-    shrink: float = 0.7
 
     def signed(self, x):
         return float(self.phi(np.asarray(x, dtype=float).tolist()))
@@ -101,7 +99,7 @@ class ConvexInterior(Domain):
     def sample_box(self):
         center = 0.5 * (self.bbox_lo + self.bbox_hi)
         half = 0.5 * (self.bbox_hi - self.bbox_lo)
-        return center - self.shrink * half, center + self.shrink * half
+        return center - 0.7 * half, center + 0.7 * half
 
 
 @dataclass(frozen=True)

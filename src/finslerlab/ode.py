@@ -18,6 +18,9 @@ reads it:
   constants of his ``dop853.f``). The comparison ODE uses it: at rtol
   1e-12 it takes about a seventh of DP5's steps.
 
+Both build the dense output's matrix P by Hairer's one nested rule
+(``CONTD5``, ``CONTD8``): see ``_hairer_dense``.
+
 In both the last stage runs the rhs at the step's new state, whose weight
 row is the last row of ``A``: that state is the last stage's argument, its
 stage is vetoed like the others, and FSAL copies it into row 0. The
@@ -98,7 +101,8 @@ class Tableau:
     Python floats) and returns the error and |w_new|; the controller scales
     steps by 0.9 err^-exponent. The dense output is u(t0 + th h) = u0 +
     h (K.T @ P) @ (th, th^2, ..., th^m), where K gains the rows of the
-    stages (``c_dense``, ``A_dense``) that ``P`` reads beyond the step's.
+    stages (``c_dense``, ``A_dense``) that ``P`` reads beyond the step's;
+    both records build ``P`` with ``_hairer_dense``.
     """
     c: tuple
     A: list
@@ -108,6 +112,31 @@ class Tableau:
     P: np.ndarray
     c_dense: tuple = ()
     A_dense: tuple = ()
+
+
+def _row(i, entries):
+    """A weight row over stages 0..i-1 from its nonzero ``{stage: a}``."""
+    a = np.zeros(i)
+    a[list(entries)] = list(entries.values())
+    return a
+
+
+def _hairer_dense(b, D):
+    """Hairer's dense output (``CONTD5``, ``CONTD8``) in the form of
+    :class:`Tableau`'s ``P``, for the weight row ``b`` of the new state,
+    whose own stage is K[len(b)], and the rows ``D``.
+
+    u0 + th (F0 + th1 (F1 + th (F2 + th1 (F3 + ... + th F6)))), th1 = 1 - th,
+    with F0 = h K.T @ b, F1 = h K[0] - F0, F2 = 2 F0 - h (K[0] + K[len(b)])
+    and F3.. = h D @ K (one row for DP5, four for DOP853), expanded in
+    powers of th: row j of the result weighs K[j]."""
+    s, m = D.shape[1], 3 + len(D)  # the stages read, the degree in th
+    b, (e0, e_new) = np.pad(b, (0, s - len(b))), np.eye(s)[[0, len(b)]]
+    P, mult = np.zeros((s, m)), [0.0, 1.0]  # F0's factor th, by powers
+    for k, g in enumerate([b, e0 - b, 2 * b - e0 - e_new, *D]):
+        P += np.outer(g, np.pad(mult, (0, m + 1 - len(mult)))[1:])
+        mult = np.convolve(mult, [1.0, -1.0] if k % 2 == 0 else [0.0, 1.0])
+    return P
 
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -123,20 +152,12 @@ _A = [
 _B5 = np.append(_A[6], 0.0)
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
-# continuous extension: u(t0 + th*h) = u0 + h * (K.T @ _P) @ (th, th^2, th^3, th^4)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# the d row of Hairer's CONTD5, the 4th-order continuous extension
+_D5 = np.array([_row(7, {
+    0: -12715105075 / 11282082432, 2: 87487479700 / 32700410799,
+    3: -10690763975 / 1880347072, 4: 701980252875 / 199316789632,
+    5: -1453857185 / 822651844, 6: 69997945 / 29380423})])
+_P = _hairer_dense(_A[6], _D5)
 
 DP5 = Tableau(_C, _A, (_B4,), _embedded_error, 0.2, _P)
 
@@ -145,12 +166,6 @@ DP5 = Tableau(_C, _A, (_B4,), _embedded_error, 0.2, _P)
 # 30 published digits. Stage i's row weighs stages 0..i-1 ({stage: a}); the
 # twelfth row is the weight row b of the new state, stages 13-15 are the
 # dense output's own, and E3 is b - bhh.
-def _row(i, entries):
-    a = np.zeros(i)
-    a[list(entries)] = list(entries.values())
-    return a
-
-
 _C8 = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
        0.2816496580927726, 1 / 3, 0.25, 0.3076923076923077,
        0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0)
@@ -218,23 +233,6 @@ _D8 = np.array([_row(16, d) for d in [
      10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
      13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
 ]])
-
-
-def _hairer_dense(b, D):
-    """Hairer's dense output (``CONTD8``) in the form of ``_P``.
-
-    u0 + th (F0 + th1 (F1 + th (F2 + th1 (F3 + ... + th F6)))), th1 = 1 - th,
-    with F0 = h K.T @ b, F1 = h K[0] - F0, F2 = 2 F0 - h (K[0] + K[12]) and
-    F3..F6 = h D @ K, expanded in powers of th: row j of the result weighs
-    K[j]."""
-    s, m = D.shape[1], 3 + len(D)  # the stages read, the degree in th
-    b, unit = np.pad(b, (0, s - len(b))), np.eye(s)
-    P, mult = np.zeros((s, m)), [0.0, 1.0]  # F0's factor th, by powers
-    for k, g in enumerate([b, unit[0] - b, 2 * b - unit[0] - unit[12], *D]):
-        P += np.outer(g, np.pad(mult, (0, m + 1 - len(mult)))[1:])
-        mult = np.convolve(mult, [1.0, -1.0] if k % 2 == 0 else [0.0, 1.0])
-    return P
-
 
 DOP853 = Tableau(_C8, _A8, (_E5, _E3), _e5e3_error, 1 / 8,
                  _hairer_dense(_A8[12], _D8), _C8_DENSE, _A8_DENSE)

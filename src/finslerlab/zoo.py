@@ -33,6 +33,8 @@ from .metric import (
     norm_sq,
 )
 
+CHORD_TOL = 1e-12  # the tol of funk_general's float chord roots
+
 # ---------------------------------------------------------------------------
 # closed-form constructors
 
@@ -136,7 +138,7 @@ def paraboloid_metric(n=2):
                          einstein_constant=-1.0)
 
 
-def scaled(metric, factor, name=None):
+def scaled(metric, factor):
     """The metric factor * F; Einstein constant rescales by 1/factor^2."""
     if factor <= 0.0:
         raise DomainError("scale factor must be positive")
@@ -147,7 +149,7 @@ def scaled(metric, factor, name=None):
         return c * inner(x, y)
 
     return FinslerMetric(metric.n, F, metric.domain,
-                         name or f"{metric.name}-x{factor:g}",
+                         f"{metric.name}-x{factor:g}",
                          einstein_constant=lam,
                          meta=dict(metric.meta, scale=factor, base=metric.name))
 
@@ -167,21 +169,19 @@ class ConvexBody:
     bbox_lo: np.ndarray
     bbox_hi: np.ndarray
 
-    def interior(self, shrink=0.7):
-        return ConvexInterior(self.phi, self.bbox_lo, self.bbox_hi, shrink)
+    def interior(self):
+        return ConvexInterior(self.phi, self.bbox_lo, self.bbox_hi)
 
 
-def ball_body(n=2, radius=1.0):
-    r2 = radius * radius
-
+def ball_body(n=2):
     def phi(x):
-        return norm_sq(x) - r2
+        return norm_sq(x) - 1.0
 
     def grad(x):
         return [2.0 * v for v in x]
 
-    e = radius * np.ones(n)
-    return ConvexBody(f"ball-{radius:g}", n, phi, grad, -e, e)
+    e = np.ones(n)
+    return ConvexBody("ball-1", n, phi, grad, -e, e)
 
 
 def ellipsoid_body(semi_axes):
@@ -278,7 +278,7 @@ def _chord_scalar_root(body, x, y, tol):
     raise NumericError(f"{body.name}: chord root did not converge")
 
 
-def funk_general(body, x, y, sign=1, tol=1e-12):
+def funk_general(body, x, y, sign=1):
     """Funk metric of an arbitrary convex body, float or jet arguments.
 
     Solves phi(x + (sign*y) / F... ) = 0 via the substitution s = 1 / F:
@@ -302,9 +302,9 @@ def funk_general(body, x, y, sign=1, tol=1e-12):
     x0 = np.array([v.value if jr.is_jet(v) else float(v) for v in xs]).T
     y0 = np.array([v.value if jr.is_jet(v) else float(v) for v in sy]).T
     if x0.ndim == 1:
-        s0 = _chord_scalar_root(body, x0, y0, tol)
+        s0 = _chord_scalar_root(body, x0, y0, CHORD_TOL)
     else:
-        s0 = np.array([_chord_scalar_root(body, xb, yb, tol)
+        s0 = np.array([_chord_scalar_root(body, xb, yb, CHORD_TOL)
                        for xb, yb in zip(x0, y0)])
 
     if not jetlike:
@@ -470,19 +470,18 @@ def numeric_evolution_coefficients(Ffn, x, y):
     return a, b
 
 
-def verify_evolution(source, x, y, t_grid=None, body=None):
+def verify_evolution(source, x, y, body=None):
     """Max relative gap between the sampled metric along x + t y and the law,
-    predicted as 1 / f^2 of the flat-base case (0, lam, a, b)."""
+    predicted as 1 / f^2 of the flat-base case (0, lam, a, b), at 25 times
+    spanning 0.9 of the law's window."""
     src, x, y, fp, fm = _ray(source, x, y, body)
     a, b, lam = src.law(x, y, fp, fm)
     case = cmp.make_case(0.0, lam, a, b)
-    if t_grid is None:
-        t_lo, t_hi = src.window(x, y, fp, fm, a)
-        t_grid = np.linspace(0.9 * t_lo, 0.9 * t_hi, 25)
+    t_lo, t_hi = src.window(x, y, fp, fm, a)
     value = src.metric(x.size, body).F
     devs = []
     rows = []
-    for t in np.asarray(t_grid, dtype=float):
+    for t in np.linspace(0.9 * t_lo, 0.9 * t_hi, 25):
         actual = src.half * float(value(list(x + t * y), list(y)))
         f2 = cmp.f_squared(case, t)
         if f2 <= 0.0:

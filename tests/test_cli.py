@@ -241,6 +241,53 @@ def test_missing_config_file(capsys):
     assert code == cli.EXIT_USAGE
 
 
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
+    # typed by argparse as the flag would be: its message and exit code 2
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("samples: abc\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["curvature", "--config", str(cfg)])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --samples: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
+    # malformed YAML, then a directory in place of the file
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("samples: [5\n")
+    code = run(["curvature", "--config", str(cfg)])
+    assert code == cli.EXIT_USAGE
+    assert "config file" in capsys.readouterr().err
+    assert run(["curvature", "--config", str(tmp_path)]) == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_keys_that_are_not_options_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("samples: 2\nflags: 0\ncolour: red\nx0: 1,0\n")
+    out_path = tmp_path / "curv.json"
+    code = run(["curvature", "--config", str(cfg), "--out", str(out_path)])
+    assert code == cli.EXIT_OK
+    params = json.loads(out_path.read_text())["params"]
+    assert (params["samples"], params["flags"]) == (2, 0)
+    assert "colour" not in params and "x0" not in params
+
+
+def test_reports_record_the_options_of_the_run(tmp_path, capsys):
+    curv, ode_out = tmp_path / "curv.json", tmp_path / "ode.json"
+    assert run(["curvature", "--samples", "2", "--flags", "0",
+                "--out", str(curv)]) == cli.EXIT_OK
+    assert run(["ode", "--b", "0.5", "--out", str(ode_out)]) == cli.EXIT_OK
+    assert json.loads(curv.read_text())["params"] == {
+        "metric": "klein", "samples": 2, "flags": 0, "lam": None,
+        "tol": None, "box": None, "dim": 2, "eps": 0.9, "out": str(curv)}
+    assert json.loads(ode_out.read_text())["params"] == {
+        "lam": -1.0, "lamt": -1.0, "a": 1.0, "b": 0.5, "tspan": None,
+        "out": str(ode_out)}
+
+
 # ---------------------------------------------------------------------------
 # verify-all (restricted to the two fastest criteria)
 
@@ -258,6 +305,15 @@ def test_verify_all_subset(tmp_path, capsys):
     recs = report["results"]
     assert [r["criterion"] for r in recs] == [3, 4]
     assert all(r["passed"] is True for r in recs)
+
+
+def test_verify_all_only_refuses_entries_that_name_no_criterion(capsys):
+    for only, entry in (("1,x", "'x'"), ("11", "'11'")):
+        code = run(["verify-all", "--only", only])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert f"no criterion {entry}" in err
+        assert "criterion" not in out  # refused before any criterion runs
 
 
 def test_the_library_and_the_cli_start_without_scipy_integrate():

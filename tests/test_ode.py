@@ -496,6 +496,21 @@ def test_the_dop853_record_is_hairers_tableau():
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_the_dp5_record_is_scipys_rk45():
+    # scipy writes RK45's P out by hand; DP5 forms it from Hairer's CONTD5
+    # by DOP853's rule, which rounds 3 of the 28 entries one place apart
+    from scipy.integrate._ivp.rk import RK45
+
+    m = ode.DP5
+    same = lambda a, b: np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert same(m.c[:6], RK45.C) and same(m.A[6], RK45.B)
+    for i in range(1, 6):
+        assert same(m.A[i], RK45.A[i, :i]), i
+    assert m.P is ode._P and ode._P.shape == RK45.P.shape
+    assert same(ode._D5[0], RK45.P[:, 3])
+    assert np.all(np.abs(ode._P - RK45.P) <= np.spacing(np.abs(RK45.P)))
+
+
 def test_dop853_comparison_legs_match_a_numpy_loop_bit_for_bit():
     rng = np.random.default_rng(853)
     cases = [(cmp.make_case(lam, lamt, rng.uniform(0.3, 2.0),
