@@ -1,4 +1,4 @@
-"""Geodesic-layer benchmark: sprays, chord check, DP5 stepper, criteria 2 and 6, tier-1.
+"""Geodesic-layer benchmark: sprays, chord check, DP5 stepper, rim legs, criteria 2 and 6, tier-1.
 
 Times, on fixed inputs, the layers that a geodesic run and the comparison
 ODE pass through, and writes the median and interquartile range over the
@@ -17,6 +17,12 @@ repetitions to ``BENCH_geodesic.json`` under a label:
                     ``ode.integrate`` of the 2-d comparison ODE, case
                     (lam, lamt, a, b) = (1, 1, 0.7, 0.5)
   geodesic_funk_minus   one ``integrate_geodesic`` of that funk-minus trace
+  rim_<metric>      the leg that runs out to the rim, one ``ode.integrate``
+                    as ``integrate_geodesic`` runs it, for each of the four
+                    rim starts of perfbench's seed-7 geodesic pool
+                    (funk-ellipse-plus/-minus, funk-plus/-minus at rtol
+                    1e-9): its rhs calls, accepted, rejected and vetoed
+                    steps, status and end gap to the rim (-domain.signed)
   criterion_2       ``acceptance.criterion_2()`` wall time
   criterion_6       ``acceptance.criterion_6()`` wall time
   tier1             the tier-1 suite (``python -m pytest -q``) wall time
@@ -90,10 +96,50 @@ def main(argv=None):
         steps_accepted=back.n_accepted + fwd.n_accepted,
         steps_rejected=back.n_rejected + fwd.n_rejected)
 
+    rows.update(rim_legs(tree))
     rows.update(_bench.criteria((2, 6)))
     times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
     _bench.write(OUT, label, rows, tree, width=22)
+
+
+def rim_legs(tree):
+    """Rows ``rim_<metric>`` for the rim starts of perfbench's seed-7
+    geodesic pool, drawn by the tree's own ``perfbench/workloads.py``."""
+    import numpy as np
+
+    sys.path.insert(0, str(tree / "perfbench"))
+    import workloads as wl
+    from finslerlab import geodesic as gd, ode
+
+    metrics = wl.catalog("geodesic")
+    rows = {}
+    for spec in wl.make_pool("geodesic", np.random.default_rng(7), metrics):
+        if spec["start"] != "rim":
+            continue
+        m = metrics[(spec["metric"], spec["n"])]
+        x, y = np.array(spec["x"]), np.array(spec["y"])
+        u0 = np.concatenate([x, y / m(x, y)])
+        # the Funk-plus backward and Funk-minus forward legs reach the rim
+        target = spec["span"][1 if "minus" in spec["metric"] else 0]
+        rhs, calls = gd.geodesic_rhs(m), [0]
+
+        def counted(t, u):
+            calls[0] += 1
+            return rhs(t, u)
+
+        def leg(f):
+            return ode.integrate(f, 0.0, u0, target, wl.GEODESIC_RTOL,
+                                 wl.GEODESIC_ATOL)
+
+        res = leg(counted)
+        rows[f"rim_{spec['metric']}"] = dict(
+            _bench.summarize(_bench.timed(lambda: leg(rhs))),
+            status=res.status, rhs_calls=calls[0],
+            steps_accepted=res.n_accepted, steps_rejected=res.n_rejected,
+            steps_vetoed=res.n_vetoed,
+            rim_gap=-m.domain.signed(res.u_end[:spec["n"]]))
+    return rows
 
 
 if __name__ == "__main__":

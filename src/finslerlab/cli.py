@@ -143,6 +143,7 @@ def cmd_curvature(args):
         print(f"flag curvature range : [{report['flag_min']:.12f}, "
               f"{report['flag_max']:.12f}]")
         print(f"max flag spread      : {report['max_flag_spread']:.3e}")
+        print(f"flags dropped        : {report['flags_dropped']}")
     if args.out:
         _write_json(args.out, "curvature", vars(args), report)
     if args.tol is not None and report["max_einstein_residual"] > args.tol:
@@ -190,6 +191,9 @@ def cmd_geodesic(args):
     for name, leg in zip(("backward", "forward"), run.legs):
         print(f"{name:<8} : {leg.n_accepted} accepted, {leg.n_rejected} "
               f"rejected, {leg.n_vetoed} vetoed steps")
+    # -signed: the distance to the rim on the unit ball, -phi on a body
+    gaps = [-metric.domain.signed(leg.u_end[:metric.n]) for leg in run.legs]
+    print(f"rim gap  : backward {gaps[0]:.3e}, forward {gaps[1]:.3e}")
     print(f"unit-speed drift : {run.speed_drift:.3e}")
     if args.out:
         n = metric.n

@@ -107,7 +107,7 @@ def _form(lam, t, scaled=False):
         if lam == 0.0 and not math.isfinite(t):
             return lambda al, be: be * sg
     else:
-        sg = np.copysign(1.0, t.value if jr.is_jet(t) else t)
+        sg = np.copysign(1.0, jr.base_value(t))
     if lam == 0.0:
         return lambda al, be: al + be * t
     if scaled:

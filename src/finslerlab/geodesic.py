@@ -72,7 +72,9 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     """Run the geodesic through (x0, y0) over t_span = (t_min <= 0 <= t_max).
 
     Each leg stops early with status "boundary" (chart exit, where the
-    stage veto ends it: a step's sixth stage runs the rhs at its new state)
+    stage veto ends it: a step's sixth stage runs the rhs at its new state,
+    and a vetoed step just past the last vetoed stage ends the leg within
+    about MIN_STEP |v| of the rim, as on the Funk-ball and ellipse rims)
     or "blow_up" (speed explosion away from the rim); otherwise "t_limit".
     A step collapse at a point within RIM_TOL of the chart rim counts as a
     boundary exit: metrics singular on the rim stall the integrator there

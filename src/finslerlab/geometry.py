@@ -240,7 +240,9 @@ def _flag_directions(n, flags):
 
 
 def flag_spread(metric, x, y, flags=20):
-    """Flag curvatures across ``flags`` transverse directions at one (x, y)."""
+    """Flag curvatures across ``flags`` transverse directions at one (x, y);
+    ``dropped`` counts the candidate directions within MIN_FLAG_ANGLE of
+    y."""
     flags = sampling.check_count(flags, 1, "flags")
     x, y = metric.check_state(x, y)
     data = _assemble(metric, x, y, 4)
@@ -252,12 +254,14 @@ def flag_spread(metric, x, y, flags=20):
 def _spread(metric, K, sin_sq, flags):
     """:func:`flag_spread` of one state from its :func:`_flag_values`: the
     first ``flags`` directions not within MIN_FLAG_ANGLE of y."""
-    vals = K[sin_sq >= MIN_FLAG_ANGLE**2][:flags].tolist()
+    transverse = sin_sq >= MIN_FLAG_ANGLE**2  # a nan sin^2 is dropped
+    vals = K[transverse][:flags].tolist()
     if not vals:
         raise DegenerateFlagError(
             f"{metric.name}: no flag direction transverse to y (n = {metric.n})")
     return {"values": vals, "min": min(vals), "max": max(vals),
-            "spread": max(vals) - min(vals)}
+            "spread": max(vals) - min(vals),
+            "dropped": transverse.size - int(np.count_nonzero(transverse))}
 
 
 def _einstein_constant(metric, lam):
@@ -293,7 +297,8 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
 
     The samples are assembled at order 4 in batches (see BATCH_BYTES); one
     assembly serves every sample's residual and flags, and each row equals
-    :func:`einstein_residual` and :func:`flag_spread` at its sample.
+    :func:`einstein_residual` and :func:`flag_spread` at its sample. With
+    flags, ``flags_dropped`` totals the samples' dropped directions.
     """
     lam = _einstein_constant(metric, lam)
     count = sampling.check_count(count, 1)
@@ -302,7 +307,7 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
         *(np.array(v) for v in zip(*sampling.state_pairs(metric, count, box=box))))
     V = _flag_directions(metric.n, flags) if flags else None
     step = max(1, BATCH_BYTES // (8 * (2 * metric.n) ** 4))
-    rows = []
+    rows, dropped = [], 0
     for lo in range(0, count, step):
         data = _assemble(metric, X[lo:lo + step], Y[lo:lo + step], 4)
         residuals = _residual(metric, data, lam).tolist()
@@ -315,6 +320,7 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
                 sp = _spread(metric, K[i], sin_sq[i], flags)
                 rec["flag_min"] = sp["min"]
                 rec["flag_max"] = sp["max"]
+                dropped += sp["dropped"]
             rows.append(rec)
     report = {
         "metric": metric.name,
@@ -327,6 +333,7 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
         report["flag_min"] = min(r["flag_min"] for r in rows)
         report["flag_max"] = max(r["flag_max"] for r in rows)
         report["max_flag_spread"] = max(r["flag_max"] - r["flag_min"] for r in rows)
+        report["flags_dropped"] = dropped
     return report
 
 

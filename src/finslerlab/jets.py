@@ -23,7 +23,9 @@ equals the jet of that state alone bit for bit.  A float array of shape
 ``(B,)`` acts as one ring scalar per state.  Base values are read and
 written as ``coeffs.T[0]``: a scalar for one state and a view of the B
 base values for a batch (on one state it costs a tenth of
-``coeffs[..., 0] += c``).
+``coeffs[..., 0] += c``). A branch on base values goes through
+:func:`where`, which picks per state, so each row of a batch takes the
+branch its state takes alone.
 
 Every jet also carries ``hi``, its degree span: an upper bound on the
 degree of its nonzero coefficients (0 for a constant, 1 for a seeded
@@ -671,6 +673,29 @@ def cosh(v):
 
 def is_jet(v):
     return isinstance(v, Jet)
+
+
+def base_value(v):
+    """The base value of a ring scalar: a jet's ``value``, else ``v``."""
+    return v.value if isinstance(v, Jet) else v
+
+
+def where(cond, a, b):
+    """The ring scalar ``a`` at the states where ``cond`` holds and ``b`` at
+    the others. A single bool returns one of the two as it is; a ``(B,)``
+    array of bools picks per state, among the rows of batched jets (a float
+    operand acts as a constant jet) or among float arrays."""
+    if np.ndim(cond) == 0:
+        return a if cond else b
+    jets = [v for v in (a, b) if isinstance(v, Jet)]
+    if not jets:
+        return np.where(cond, a, b)
+    ctx = jets[0].ctx
+    if any(v.ctx is not ctx for v in jets):
+        raise JetError(_MIXED_CONTEXTS)
+    a, b = (v if isinstance(v, Jet) else constant(ctx, v) for v in (a, b))
+    return Jet(ctx, np.where(np.asarray(cond)[:, None], a.coeffs, b.coeffs),
+               max(a.hi, b.hi))
 
 
 # ---------------------------------------------------------------------------

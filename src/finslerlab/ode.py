@@ -3,9 +3,11 @@ two methods.
 
 Hand-rolled rather than delegated: the right-hand sides here raise
 DomainError inside chart boundaries, and the controller treats a failed
-stage as a rejected step, halving until either the step fits inside the
-domain or the step floor is reached. That turns hard chart exits into
-clean boundary localization instead of NaN-poisoned step control.
+stage as a rejected step. The vetoed stage's time brackets the exit:
+later steps span at most ``BRACKET_THETA`` of the time left to it, until
+a step at the floor probes past it and a veto there ends the leg. That
+turns hard chart exits into clean boundary localization instead of
+NaN-poisoned step control.
 
 A method is a :class:`Tableau` record, and :func:`integrate`'s one loop
 reads it:
@@ -240,6 +242,9 @@ DOP853 = Tableau(_C8, _A8, (_E5, _E3), _e5e3_error, 1 / 8,
 # Step floor, and the resolution of the guard bisection: a shorter step
 # cannot place the end of a leg any better than the bisection does.
 MIN_STEP = 1e-12
+# after a veto a step spans at most this share of the time to the vetoed
+# stage (see integrate)
+BRACKET_THETA = 0.9
 SPEED_LIMIT = 1e8
 MAX_STEPS = 200_000
 
@@ -388,10 +393,13 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     step's new state. A DOP853 result keeps ``rhs`` for the dense output's
     stages, which its first ``sample`` runs.
     It may raise DomainError or return non-finite values to veto a
-    stage; the step is then halved. The step after a rejected one may
+    stage. The vetoed stage's time t + c_i h is then the earliest time
+    known to be bad: each later attempt spans at most BRACKET_THETA of the
+    time left to it. Once that share is below MIN_STEP, the bound is
+    dropped and one step of MIN_STEP / BRACKET_THETA probes past it; a
+    veto there ends the run "boundary". The step after a rejected one may
     shrink but not grow (Hairer, Norsett & Wanner, II.4). A step the
-    controller wants below MIN_STEP ends the run ("boundary" after a
-    veto, else "blow_up").
+    controller wants below MIN_STEP ends the run "blow_up".
     ``guard(u)`` (optional) returns False outside the admissible region;
     a crossing inside an accepted step is bisected on the dense output to
     MIN_STEP in t and the run ends with status "boundary".
@@ -406,6 +414,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     d, s = u.size, len(method.c)
     ts, us, dts, stages = [t], [u], [], []  # stages: each accepted step's K
     n_acc = n_rej = n_vet = 0
+    t_bad = None  # the time of the last vetoed stage, while it bounds steps
 
     def result(status, t_end, u_end):
         res = OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
@@ -433,12 +442,18 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
                        method.exponent)
     w = u.tolist()  # u and |u| on Python floats, for the error norm
     abs_w = [abs(x) for x in w]
-    last_fail_domain = False
     grow_max = 10.0  # 1 right after a rejected step
 
     while direction * (t1 - t) > 0 and n_acc + n_rej < MAX_STEPS:
+        probe = False
+        if t_bad is not None:
+            gap = direction * (t_bad - t)
+            if BRACKET_THETA * gap >= MIN_STEP:
+                h = min(h, BRACKET_THETA * gap)
+            else:  # one step past the bracket: a veto there ends the leg
+                h, t_bad, probe = MIN_STEP / BRACKET_THETA, None, True
         if h < MIN_STEP:
-            return result("boundary" if last_fail_domain else "blow_up", t, u)
+            return result("blow_up", t, u)
         rest = abs(t1 - t)
         last = h >= rest  # a remainder below the floor is still stepped
         if last:
@@ -453,18 +468,18 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
                     raise DomainError("non-finite derivative")
                 K[i] = row
         except DomainError:
-            last_fail_domain = True
             n_vet += 1
             n_rej += 1
+            if probe:
+                return result("boundary", t, u)
             grow_max = 1.0
-            h *= 0.5
+            t_bad = t + c * hs  # c: the vetoed stage's
             continue
         u_new, w_new = arg, arg.tolist()  # the last stage's argument
         err, abs_w_new = method.error_norm(
             hs, [KT.dot(r).tolist() for r in method.error], w, abs_w, w_new,
             rtol, atol)
         if not err <= 1.0:  # a nan err is rejected, and shrinks h by 0.2
-            last_fail_domain = False
             n_rej += 1
             grow_max = 1.0
             h *= max(0.2, 0.9 * err ** -method.exponent)
@@ -497,7 +512,6 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
 
         t, u, w, abs_w = t_new, u_new, w_new, abs_w_new
         K[0] = K[-1]  # FSAL: rhs at (t_new, u_new) up to the b-row identity
-        last_fail_domain = False
         h *= min(grow_max, max(0.2, 0.9 * err ** -method.exponent
                                if err > 0 else 10.0))
         grow_max = 10.0

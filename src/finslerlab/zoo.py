@@ -64,7 +64,14 @@ def funk_ball(sign=1, n=2):
 
     def F(x, y):
         xx, yy, xy = norm_sq(x), norm_sq(y), dot(x, y)
-        return (jr.sqrt(yy - (xx * yy - xy * xy)) + sign * xy) / (1.0 - xx)
+        root, sxy = jr.sqrt(yy - (xx * yy - xy * xy)), sign * xy
+        # root + sxy loses more than a bit where sxy < -root / 2: on a leg
+        # that runs out to the rim both terms near |y| cancel to about
+        # 1 - xx, and 7 digits go at 1e-10 from it. There F takes the
+        # conjugate form, since (root + sxy) (root - sxy) = yy (1 - xx)
+        steep = jr.base_value(sxy) < -0.5 * jr.base_value(root)
+        return (jr.where(steep, yy, root + sxy)
+                / jr.where(steep, root - sxy, 1.0 - xx))
 
     tag = "funk-plus" if sign == 1 else "funk-minus"
     return FinslerMetric(n, F, UnitBall(n), tag, einstein_constant=-0.25)
@@ -252,14 +259,24 @@ def _chord_scalar_root(body, x, y, tol):
     diam = _norm(body.bbox_hi - body.bbox_lo)
     hi = (diam + 1e-3) / max(_norm(y), 1e-300)
     for _ in range(80):
-        if psi(hi) > 0.0:
+        p_hi = psi(hi)
+        if p_hi > 0.0:
             break
         hi *= 2.0
     else:
         raise NumericError(f"{body.name}: chord never exits the body")
 
-    lo, s = 0.0, hi
-    f_s = psi(s)
+    # Newton starts at the positive root of the quadratic through psi(0),
+    # psi'(0) and psi(hi), in the form that does not cancel (p0 < 0): the
+    # root itself for an ellipsoid. Where the quadratic is not convex or
+    # its root leaves (0, hi), it starts at hi.
+    d0 = dpsi(0.0)
+    c = (p_hi - p0 - d0 * hi) / (hi * hi)
+    den = d0 + math.sqrt(d0 * d0 - 4.0 * c * p0) if c > 0.0 else 0.0
+    s = -2.0 * p0 / den if den > 0.0 else hi
+    if not 0.0 < s < hi:
+        s = hi
+    lo, f_s = 0.0, psi(s)
     for _ in range(200):
         if abs(f_s) <= tol * scale:
             return s
@@ -299,8 +316,8 @@ def funk_general(body, x, y, sign=1):
     jetlike = any(jr.is_jet(v) for v in xs + ys)
 
     # (n,), or (B, n) for batched jets
-    x0 = np.array([v.value if jr.is_jet(v) else float(v) for v in xs]).T
-    y0 = np.array([v.value if jr.is_jet(v) else float(v) for v in sy]).T
+    x0 = np.array([jr.base_value(v) for v in xs], dtype=float).T
+    y0 = np.array([jr.base_value(v) for v in sy], dtype=float).T
     if x0.ndim == 1:
         s0 = _chord_scalar_root(body, x0, y0, CHORD_TOL)
     else:

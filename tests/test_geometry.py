@@ -94,6 +94,20 @@ def test_flag_spread_without_transverse_directions():
                         flags=4)
 
 
+def test_flag_spread_counts_the_directions_it_drops():
+    # a state whose y is the first candidate direction drops that one; the
+    # campaign's samples draw their y from the same stream, so sample i
+    # drops candidate i while i < 3 flags + 8
+    m, flags, x = zoo.klein(3), 4, np.array([0.31, -0.22, 0.1])
+    V = geo._flag_directions(m.n, flags)
+    assert geo.flag_spread(m, x, V[0], flags=flags)["dropped"] == 1
+    assert geo.flag_spread(m, x, -V[0], flags=flags)["dropped"] == 1
+    rep = geo.einstein_campaign(m, 30, flags=flags)
+    total = sum(geo.flag_spread(m, np.array(r["x"]), np.array(r["y"]),
+                                flags=flags)["dropped"] for r in rep["rows"])
+    assert rep["flags_dropped"] == total == 20
+
+
 @pytest.mark.parametrize("flags", [-1, 0, 1.5, "3"])
 def test_flag_spread_refuses_a_flag_count_that_is_no_positive_integer(flags):
     with pytest.raises(DomainError, match="flags"):

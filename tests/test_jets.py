@@ -311,3 +311,23 @@ def test_derivative_tensors_and_inverse_roundtrip():
         for slot in itertools.product(range(4), repeat=k):
             idx = np.bincount(slot, minlength=4)
             assert tensors[k][slot] == jr.extract_derivative(expr, idx)
+
+
+def test_where_picks_per_state():
+    one = jr.variables([0.5, 2.0], 2)
+    assert jr.where(True, one[0], one[1]) is one[0]
+    assert jr.where(np.False_, one[0], 3.0) == 3.0
+    # a batch of three states: rows of a, of b, and a float as a constant
+    z = jr.variables(np.array([[0.5, 2.0], [1.5, -1.0], [0.25, 4.0]]), 2)
+    a, b = z[0] * z[1], jr.sqrt(z[0])
+    cond = np.array([True, False, True])
+    got = jr.where(cond, a, b)
+    assert got.hi == max(a.hi, b.hi)
+    for i, pick in enumerate((a, b, a)):
+        assert np.array_equal(got.coeffs[i], pick.coeffs[i])
+    const = jr.where(cond, 7.0, b)
+    assert np.array_equal(const.coeffs[1], b.coeffs[1])
+    assert const.coeffs[0].tolist() == [7.0] + [0.0] * (z[0].ctx.n_terms - 1)
+    assert jr.where(cond, np.ones(3), np.zeros(3)).tolist() == [1.0, 0.0, 1.0]
+    with pytest.raises(JetError, match="contexts"):
+        jr.where(cond, a, jr.variables(np.ones((3, 2)), 3)[0])

@@ -11,7 +11,7 @@ import pytest
 from finslerlab import cli, ode, zoo
 from finslerlab import comparison as cmp
 from finslerlab import geodesic as gd
-from finslerlab.acceptance import NINE_PAIRS
+from finslerlab.acceptance import GRID_AB, NINE_PAIRS
 from finslerlab.errors import (DegenerateDirectionError, DomainError,
                                NumericError, SingularMetricError)
 
@@ -157,10 +157,24 @@ def test_cli_geodesic_reports_the_steps_of_each_leg(capsys):
     assert not legs["backward"].endswith(" 0 vetoed")
 
 
+def test_cli_geodesic_reports_the_rim_gap_of_each_leg(capsys):
+    code = cli.main(["geodesic", "--metric", "funk-plus", "--x0", "0.31,-0.22",
+                     "--y0", "0.62,0.81", "--tspan=-30,1", "--rtol", "1e-8",
+                     "--atol", "1e-10"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    back, fwd = map(float, re.search(
+        r"^rim gap  : backward (\S+), forward (\S+)$", out, re.M).groups())
+    assert 0.0 < back < 4 * ode.MIN_STEP  # |v| is about 1.85 at the rim
+    assert fwd > 0.1
+
+
 # ---------------------------------------------------------------------------
 # the former DP5 loop, kept as a bit-for-bit oracle: it checks every stage
 # with np.isfinite, forms each step's K.T @ P as it accepts it, and takes
-# |u| afresh on every step
+# |u| afresh on every step. After a veto it bounds each step by 0.9 of the
+# time left to the vetoed stage, and once that is below the floor it tries
+# one step of MIN_STEP / 0.9 past it, whose veto ends the leg
 
 
 def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol,
@@ -204,11 +218,16 @@ def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
     if not np.isfinite(K[0]).all():
         raise DomainError("non-finite derivative at the initial point")
     h = _oracle_starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
-    last_fail_domain = False
+    bad = None  # the time of the last vetoed stage
     grow_max = 10.0
     while direction * (t1 - t) > 0 and n_acc + n_rej < ode.MAX_STEPS:
+        probing = bad is not None and 0.9 * abs(bad - t) < ode.MIN_STEP
+        if probing:
+            h, bad = ode.MIN_STEP / 0.9, None
+        elif bad is not None:
+            h = min(h, 0.9 * abs(bad - t))
         if h < ode.MIN_STEP:
-            return result("boundary" if last_fail_domain else "blow_up", t, u)
+            return result("blow_up", t, u)
         rest = abs(t1 - t)
         last = h >= rest
         if last:
@@ -220,18 +239,18 @@ def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
                 if not np.isfinite(K[i]).all():
                     raise DomainError("non-finite derivative")
         except DomainError:
-            last_fail_domain = True
             n_vet += 1
             n_rej += 1
+            if probing:
+                return result("boundary", t, u)
+            bad = t + ode._C[i] * hs
             grow_max = 1.0
-            h *= 0.5
             continue
         u5 = u + hs * (K.T @ ode._B5)
         u4 = u + hs * (K.T @ ode._B4)
         q = (u5 - u4) / (atol + rtol * np.maximum(np.abs(u), np.abs(u5)))
         err = math.sqrt((q * q).sum() / d)
         if err > 1.0:
-            last_fail_domain = False
             n_rej += 1
             grow_max = 1.0
             h *= max(0.2, 0.9 * err ** (-0.2))
@@ -259,7 +278,6 @@ def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
             return result("boundary", lo, u_b)
         t, u = t_new, u5
         K[0] = k_new
-        last_fail_domain = False
         h *= min(grow_max, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))
         grow_max = 10.0
     if n_acc + n_rej >= ode.MAX_STEPS:
@@ -308,7 +326,7 @@ def test_comparison_legs_match_the_former_loop_bit_for_bit():
 
 def test_geodesic_legs_match_the_former_loop_bit_for_bit():
     # an interior klein run, and a funk_ball(1) run whose backward leg is
-    # vetoed at the rim until it ends at the step floor
+    # vetoed at the rim until a step past its last veto is vetoed too
     for metric, span in ((zoo.klein(), (-0.3, 0.3)),
                          (zoo.funk_ball(1), (-30.0, 0.2))):
         run = gd.integrate_geodesic(metric, XG, YG, span, rtol=1e-8,
@@ -413,11 +431,16 @@ def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, speed_limit=np.inf):
     K[0] = rhs(t, u)
     h = _oracle_starting_step(rhs, t, u, K[0], direction, span, rtol, atol,
                               exponent=1 / 8)
-    last_fail_domain = False
+    bad = None  # the time of the last vetoed stage
     grow_max = 10.0
     while direction * (t1 - t) > 0 and n_acc + n_rej < ode.MAX_STEPS:
+        probing = bad is not None and 0.9 * abs(bad - t) < ode.MIN_STEP
+        if probing:
+            h, bad = ode.MIN_STEP / 0.9, None
+        elif bad is not None:
+            h = min(h, 0.9 * abs(bad - t))
         if h < ode.MIN_STEP:
-            return result("boundary" if last_fail_domain else "blow_up", t, u)
+            return result("blow_up", t, u)
         rest = abs(t1 - t)
         last = h >= rest
         if last:
@@ -429,11 +452,12 @@ def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, speed_limit=np.inf):
                 if not np.isfinite(K[i]).all():
                     raise DomainError("non-finite derivative")
         except DomainError:
-            last_fail_domain = True
             n_vet += 1
             n_rej += 1
+            if probing:
+                return result("boundary", t, u)
+            bad = t + m.c[i] * hs
             grow_max = 1.0
-            h *= 0.5
             continue
         u8 = u + hs * (K[:12].T @ m.A[12])
         scale = atol + rtol * np.maximum(np.abs(u), np.abs(u8))
@@ -442,7 +466,6 @@ def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, speed_limit=np.inf):
         err = (0.0 if n5 == 0.0 and n3 == 0.0 else
                float(abs(hs) * n5 / np.sqrt((n5 + 0.01 * n3) * d)))
         if not err <= 1.0:
-            last_fail_domain = False
             n_rej += 1
             grow_max = 1.0
             h *= max(0.2, 0.9 * err ** (-1 / 8))
@@ -460,7 +483,6 @@ def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, speed_limit=np.inf):
             return result("blow_up", t_new, u8)
         t, u = t_new, u8
         K[0] = K[12]
-        last_fail_domain = False
         h *= min(grow_max, max(0.2, 0.9 * err ** (-1 / 8) if err > 0 else 10.0))
         grow_max = 10.0
     if n_acc + n_rej >= ode.MAX_STEPS:
@@ -788,6 +810,68 @@ def test_a_leg_whose_speed_decays_at_the_rim_ends_at_the_boundary(name, span):
     assert leg.n_vetoed > 0
     assert len(run.ts) == leg.n_accepted + 1
     assert np.array_equal(leg.us[-1], leg.u_end)
+
+
+# ---------------------------------------------------------------------------
+# the end game after a veto: steps bounded by the vetoed stage's time, and
+# one step past it at the floor
+
+
+def test_a_funk_rim_leg_ends_by_a_veto_just_past_its_bracket():
+    # the backward leg of test_geodesic_legs_match_the_former_loop_bit_for_bit;
+    # halving after each veto took 496 rhs calls there and stopped 2.5e-11
+    # from the rim
+    m = zoo.funk_ball(1)
+    rhs, calls = gd.geodesic_rhs(m), [0]
+
+    def counted(t, u):
+        calls[0] += 1
+        return rhs(t, u)
+
+    res = ode.integrate(counted, 0.0, np.concatenate([XG, YG / m(XG, YG)]),
+                        -30.0, 1e-8, 1e-10)
+    assert res.status == "boundary"
+    assert res.n_vetoed > 0
+    speed = np.linalg.norm(res.u_end[2:])
+    assert 0.0 < -m.domain.signed(res.u_end[:2]) <= 2 * ode.MIN_STEP * speed
+    assert calls[0] == 174 < 496 / 2
+
+
+def test_a_stage_that_overshoots_a_path_inside_is_no_boundary():
+    # u runs on the unit circle; long steps put stages outside |u| < 1.001
+    # while the path stays on it, so each bracket is passed by a probe
+    def rhs(t, u):
+        if u.dot(u) >= 1.001**2:
+            raise DomainError("outside the disc")
+        return np.array([-u[1], u[0]])
+
+    res = ode.integrate(rhs, 0.0, np.array([1.0, 0.0]), 10.0, rtol=1e-6,
+                        atol=1e-8)
+    assert res.status == "t_limit"
+    assert res.n_vetoed > 0
+    assert np.min(np.abs(res.hs)) < 2 * ode.MIN_STEP  # a probe was accepted
+    assert np.allclose(res.u_end, [math.cos(10.0), math.sin(10.0)], rtol=0,
+                       atol=1e-5)
+
+
+def test_the_collapse_legs_of_criterion_6_still_read_collapse():
+    # every grid case of criterion 6 with a finite end of life, run 0.5
+    # past it: the leg stalls against the f -> 0 pole, by vetoes or not
+    statuses, vetoed = [], 0
+    for lam, lamt in NINE_PAIRS:
+        for a in GRID_AB[0]:
+            for b in GRID_AB[1]:
+                case = cmp.make_case(lam, lamt, a, b)
+                ends = cmp.maximal_interval(case)
+                span = [e + math.copysign(0.5, e) if math.isfinite(e)
+                        else 0.0 for e in ends]  # 0: an empty leg
+                for (res, status), end in zip(
+                        cmp.numeric_integrate(case, span), ends):
+                    if math.isfinite(end):
+                        statuses.append(status)
+                        vetoed += res.n_vetoed > 0
+    assert statuses == ["collapse"] * 190
+    assert vetoed == 78
 
 
 def test_degenerate_stages_are_vetoed_only_at_the_rim():

@@ -74,6 +74,46 @@ def test_domain_rejection():
         pb(np.array([1.0, 0.5]), Y)  # below the paraboloid graph
 
 
+def _funk_ball_mp(mp, sign, x, y):
+    """The Funk ball's F at the exact binary values of x and y, at 50
+    digits, in the plain form."""
+    with mp.workdps(50):
+        xm, ym = [mp.mpf(v) for v in x], [mp.mpf(v) for v in y]
+        xx, yy = mp.fsum(v * v for v in xm), mp.fsum(v * v for v in ym)
+        xy = mp.fsum(a * b for a, b in zip(xm, ym))
+        return (mp.sqrt(yy - (xx * yy - xy * xy)) + sign * xy) / (1 - xx)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_funk_ball_keeps_its_digits_on_legs_that_reach_the_rim(sign):
+    mp = pytest.importorskip("mpmath")
+    f = zoo.funk_ball(sign)
+    e, side = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+    # the states of a leg that runs out to the rim, sign x.y < 0: there the
+    # plain form's numerator cancels to about 1 - |x|^2
+    steep = [((1.0 - gap) * e, -sign * (e + tilt * side))
+             for gap in (1e-6, 1e-8, 1e-10) for tilt in (0.0, 0.05)]
+    inner = [(0.5 * e, sign * (e + 0.3 * side)),
+             (np.array([0.2, -0.3]), np.array([0.6, 0.8]))]
+    want = [_funk_ball_mp(mp, sign, x, y) for x, y in steep + inner]
+
+    def rel(got, exact):
+        return float(abs((got - exact) / exact))
+
+    x, y = steep[5]  # 1e-10 from the rim: the plain form loses 7 digits
+    xx, yy, xy = dot(x, x), dot(y, y), dot(x, y)
+    plain = (math.sqrt(yy - (xx * yy - xy * xy)) + sign * xy) / (1.0 - xx)
+    assert rel(plain, want[5]) > 1e-8
+    floats = [f.F(x.tolist(), y.tolist()) for x, y in steep + inner]
+    ones = [jr.jet_of(f.F, x, y, 2).value for x, y in steep + inner]
+    X, Y = (np.array(v) for v in zip(*steep + inner))
+    batch = jr.jet_of(f.F, X, Y, 2).value
+    for k, exact in enumerate(want):
+        for got in (floats[k], ones[k], batch[k]):
+            assert rel(got, exact) <= 1e-13, (k, got)
+    assert batch.tolist() == [float(v) for v in ones]
+
+
 def test_funk_general_matches_closed_form_on_the_ball():
     body = zoo.ball_body(2)
     fp = zoo.funk_ball(1)
@@ -91,6 +131,25 @@ def test_funk_general_ellipse_frozen_algebraic_value():
                            sign=1)
     assert got == pytest.approx((5.0 * math.sqrt(43.0) - 3.0) / 41.0,
                                 rel=1e-14)
+
+
+def test_the_ellipse_chord_root_starts_at_its_root():
+    # psi is the quadratic through psi(0), psi'(0) and psi(hi), so Newton
+    # starts at the root: psi runs at 0, at hi and at the start only
+    ell = zoo.ellipsoid_body((2.0, 1.0))
+    calls = []
+
+    def phi(z):
+        calls.append(z)
+        return ell.phi(z)
+
+    body = zoo.ConvexBody(ell.name, 2, phi, ell.grad, ell.bbox_lo,
+                          ell.bbox_hi)
+    s = zoo._chord_scalar_root(body, np.array([0.6, -0.3]),
+                               np.array([0.8, 0.6]), zoo.CHORD_TOL)
+    assert len(calls) == 3
+    assert s == pytest.approx(41.0 / (5.0 * math.sqrt(43.0) - 3.0),
+                              rel=1e-15)
 
 
 def test_funk_general_scales_like_a_finsler_metric():
