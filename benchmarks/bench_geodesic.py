@@ -1,11 +1,11 @@
-"""Geodesic-layer benchmark: sprays, chord check, DP5 stepper, rim legs, criteria 2 and 6, tier-1.
+"""Geodesic-layer benchmark: sprays, chord check, DOP853 stepper, rim legs, criteria 2 and 6, tier-1.
 
 Times, on fixed inputs, the layers that a geodesic run and the comparison
 ODE pass through, and writes the median and interquartile range over the
 repetitions to ``BENCH_geodesic.json`` under a label:
 
   spray_<metric>    one-state ``geometry.spray_coefficients`` (an order-2
-                    assembly, one per DP5 stage of a geodesic) for klein
+                    assembly, one per RK stage of a geodesic) for klein
                     (n = 2), bryant (n = 3) and hilbert-ellipse (n = 2);
                     the row times 200 calls and ``us_per_call`` is one
   compose_sqrt_o2/4 ``jets.sqrt`` of a one-state jet in 4 variables at

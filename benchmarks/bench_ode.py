@@ -1,4 +1,4 @@
-"""ODE-layer benchmark: DP5 legs, the comparison case, criteria, tier-1.
+"""ODE-layer benchmark: geodesic legs, the comparison case, criteria, tier-1.
 
 Times, on fixed inputs, the calls that run ``ode.integrate`` and the
 closed forms of the comparison case, and writes the median and

@@ -521,7 +521,7 @@ def numeric_integrate(case, t_span=None):
     legs = []
     for target in t_span:
         res = ode.integrate(rhs, 0.0, u0, target, rtol=1e-12, atol=1e-14,
-                            speed_limit=np.inf, method=ode.DOP853)
+                            speed_limit=np.inf)
         status = res.status
         if status != "t_limit" and res.u_end[0] <= 1e-3 * max(1.0, case.a):
             status = "collapse"  # stalled against the f -> 0 pole

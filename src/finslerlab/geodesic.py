@@ -45,7 +45,6 @@ def geodesic_rhs(metric):
 
 @dataclass
 class GeodesicResult:
-    metric_name: str
     ts: np.ndarray
     xs: np.ndarray
     vs: np.ndarray
@@ -72,13 +71,11 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     """Run the geodesic through (x0, y0) over t_span = (t_min <= 0 <= t_max).
 
     Each leg stops early with status "boundary" (chart exit, where the
-    stage veto ends it: a step's sixth stage runs the rhs at its new state,
-    and a vetoed step just past the last vetoed stage ends the leg within
-    about MIN_STEP |v| of the rim, as on the Funk-ball and ellipse rims)
-    or "blow_up" (speed explosion away from the rim); otherwise "t_limit".
-    A step collapse at a point within RIM_TOL of the chart rim counts as a
-    boundary exit: metrics singular on the rim stall the integrator there
-    before any stage can land outside.
+    stage veto ends it: a step's twelfth stage runs the rhs at its new
+    state, and a vetoed step just past the last vetoed stage ends the leg
+    within about MIN_STEP |v| of the rim, as on the Funk-ball and ellipse
+    rims) or "blow_up" (speed explosion or step collapse); otherwise
+    "t_limit".
     """
     x0 = metric.check_point(x0)
     y0 = metric.check_direction(y0)
@@ -95,19 +92,13 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     back = ode.integrate(rhs, 0.0, u0, t_min, rtol, atol)
     fwd = ode.integrate(rhs, 0.0, u0, t_max, rtol, atol)
 
-    def status(leg):
-        if leg.status == "blow_up" and \
-                metric.domain.signed(leg.u_end[:n]) > -RIM_TOL:
-            return "boundary"
-        return leg.status
-
     ts = np.concatenate([back.ts[::-1], fwd.ts[1:]])
     us = np.concatenate([back.us[::-1], fwd.us[1:]])
     xs, vs = us[:, :n], us[:, n:]
     speeds = np.array([metric(x, v) for x, v in zip(xs, vs)])
     drift = float(np.max(np.abs(speeds - speeds[0])))
-    return GeodesicResult(metric.name, ts, xs, vs, status(fwd), status(back),
-                          (t_min, t_max), speeds, drift, [back, fwd])
+    return GeodesicResult(ts, xs, vs, fwd.status, back.status, (t_min, t_max),
+                          speeds, drift, [back, fwd])
 
 
 # ---------------------------------------------------------------------------

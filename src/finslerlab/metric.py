@@ -7,7 +7,7 @@ and on jets.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,7 +137,6 @@ class FinslerMetric:
     domain: Domain
     name: str
     einstein_constant: Optional[float] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIM:

@@ -1,5 +1,5 @@
-"""Adaptive embedded Runge-Kutta integration with dense output: one loop,
-two methods.
+"""Adaptive embedded Runge-Kutta integration with dense output: Hairer's
+DOP853.
 
 Hand-rolled rather than delegated: the right-hand sides here raise
 DomainError inside chart boundaries, and the controller treats a failed
@@ -9,46 +9,35 @@ a step at the floor probes past it and a veto there ends the leg. That
 turns hard chart exits into clean boundary localization instead of
 NaN-poisoned step control.
 
-A method is a :class:`Tableau` record, and :func:`integrate`'s one loop
-reads it:
+The method is DOP853, Hairer's 8th-order method with its 5th- and
+3rd-order error estimates and 7th-order dense output (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.5 and II.6; the constants of his
+``dop853.f``). Geodesics and the comparison ODE both run it: at their
+rtol of 1e-9 to 1e-12 it takes far fewer stages than a 5th-order pair.
+The dense output's matrix P follows Hairer's nested rule (``CONTD8``):
+see ``_hairer_dense``.
 
-- ``DP5``, Dormand-Prince 5(4), with its own 4th-order continuous
-  extension (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.6),
-  the one scipy's ``RK45`` uses. Geodesics use it.
-- ``DOP853``, Hairer's 8th-order method with its 5th- and 3rd-order error
-  estimates and 7th-order dense output (same book, II.5 and II.6; the
-  constants of his ``dop853.f``). The comparison ODE uses it: at rtol
-  1e-12 it takes about a seventh of DP5's steps.
-
-Both build the dense output's matrix P by Hairer's one nested rule
-(``CONTD5``, ``CONTD8``): see ``_hairer_dense``.
-
-In both the last stage runs the rhs at the step's new state, whose weight
-row is the last row of ``A``: that state is the last stage's argument, its
-stage is vetoed like the others, and FSAL copies it into row 0. The
-starting step follows the same book, II.4.
+Stage i runs the rhs at (t + c_i h, u + h K[:i].T @ a_i). The twelfth
+stage runs it at the step's new state u8, whose weight row is the last
+row of ``_A8``: that state is the twelfth stage's argument, its stage is
+vetoed like the others, and FSAL copies it into row 0. The starting step
+follows the same book, II.4.
 
 A step keeps the stage sums K[:i].T @ a_i as BLAS calls (``ndarray.dot``
 on views of one K.T): a sum on Python floats would not give their bits,
 since OpenBLAS's gemv rounds its sums its own way. The rest of the error
-test runs on Python floats, with the bits of the array form:
-
-- DP5 forms u4 = u + h K.T @ b4 and q = (u5 - u4) / (atol + rtol
-  max(|u|, |u5|)) per component, and its error is the rms of q. ``_A[6]``
-  is ``_B5`` without its zero last entry, and the 6-term product rounds as
-  the 7-term one does (a test pins this on the BLAS at hand).
-- DOP853 scales e5 = K.T @ E5 and e3 = K.T @ E3 the same way, and its
-  error is |h| n5 / sqrt(d (n5 + n3 / 100)) for the sums n5 and n3 of
-  their squares (Hairer's ``ERR``).
-- Sums of squares follow numpy's own order (``_sum_of_squares``), and |u5|
-  is kept as the next step's |u|. A zero entry adds 0, a nonzero one over
-  a zero scale adds inf, and a nan error rejects the step as an error
-  above 1 does.
+test runs on Python floats, with the bits of the array form. It scales
+e5 = K.T @ E5 and e3 = K.T @ E3 by atol + rtol max(|u|, |u8|) per
+component, and its error is |h| n5 / sqrt(d (n5 + n3 / 100)) for the sums
+n5 and n3 of their squares (Hairer's ``ERR``). Sums of squares follow
+numpy's own order (``_sum_of_squares``), and |u8| is kept as the next
+step's |u|. A zero entry adds 0, a nonzero one over a zero scale adds
+inf, and a nan error rejects the step as an error above 1 does.
 
 So a stage makes four numpy calls (the stage sum, its scaling, the add to
 u and the store into K), an error row two (its sum and ``tolist``), and an
-accepted step two more (the new state's ``tolist`` and the copy of K): 28
-for DP5's six stages and one row, 54 for DOP853's twelve stages and two.
+accepted step two more (the new state's ``tolist`` and the copy of K): 54
+for the twelve stages and two error rows.
 """
 
 import math
@@ -61,27 +50,11 @@ import numpy as np
 from .errors import DomainError, NumericError
 
 
-def _embedded_error(hs, e, w, abs_w, w5, rtol, atol):
-    """DP5's error: the rms of (u5 - u4) / scale, with u4 = u + hs K.T @ b4
-    from the row sums ``e[0]``; and the |u5| it read."""
-    abs_w5, q = [], []
-    for y, a, x, v in zip(w, abs_w, w5, e[0]):
-        b = abs(x)
-        abs_w5.append(b)
-        diff = x - (y + hs * v)  # u5 - u4
-        if diff == 0.0:
-            q.append(0.0)
-        else:
-            scale = atol + rtol * (a if a >= b else b)
-            q.append(diff / scale if scale else math.inf)
-    return math.sqrt(_sum_of_squares(q) / len(q)), abs_w5
-
-
-def _e5e3_error(hs, e, w, abs_w, w8, rtol, atol):
-    """DOP853's error from the row sums e5 and e3 (``e``); and the |u8| it
-    read."""
+def _e5e3_error(hs, e5, e3, abs_w, w8, rtol, atol):
+    """DOP853's error from the row sums ``e5`` and ``e3``, with |u| and the
+    new state on Python floats; and the |u8| it read."""
     abs_w8, q5, q3 = [], [], []
-    for a, x, p, r in zip(abs_w, w8, *e):
+    for a, x, p, r in zip(abs_w, w8, e5, e3):
         b = abs(x)
         abs_w8.append(b)
         scale = atol + rtol * (a if a >= b else b)
@@ -92,30 +65,6 @@ def _e5e3_error(hs, e, w, abs_w, w8, rtol, atol):
     return (abs(hs) * n5 / math.sqrt(den * len(q5)) if den else 0.0), abs_w8
 
 
-@dataclass(frozen=True, eq=False)
-class Tableau:
-    """An embedded explicit Runge-Kutta pair with dense output.
-
-    Stage i runs the rhs at (t + c[i] h, u + h K[:i].T @ A[i]); the last
-    has c = 1, and its row of ``A`` is the weight row of the new state.
-    ``error_norm(h, e, w, |w|, w_new, rtol, atol)`` reads the sums e =
-    K.T @ r of the ``error`` rows r (with u, |u| and the new state on
-    Python floats) and returns the error and |w_new|; the controller scales
-    steps by 0.9 err^-exponent. The dense output is u(t0 + th h) = u0 +
-    h (K.T @ P) @ (th, th^2, ..., th^m), where K gains the rows of the
-    stages (``c_dense``, ``A_dense``) that ``P`` reads beyond the step's;
-    both records build ``P`` with ``_hairer_dense``.
-    """
-    c: tuple
-    A: list
-    error: tuple
-    error_norm: Callable
-    exponent: float
-    P: np.ndarray
-    c_dense: tuple = ()
-    A_dense: tuple = ()
-
-
 def _row(i, entries):
     """A weight row over stages 0..i-1 from its nonzero ``{stage: a}``."""
     a = np.zeros(i)
@@ -124,14 +73,15 @@ def _row(i, entries):
 
 
 def _hairer_dense(b, D):
-    """Hairer's dense output (``CONTD5``, ``CONTD8``) in the form of
-    :class:`Tableau`'s ``P``, for the weight row ``b`` of the new state,
-    whose own stage is K[len(b)], and the rows ``D``.
+    """Hairer's dense output (``CONTD8``) as the matrix ``P`` of
+    u(t0 + th h) = u0 + h (K.T @ P) @ (th, th^2, ..., th^m), for the weight
+    row ``b`` of the new state, whose own stage is K[len(b)], and the rows
+    ``D``.
 
     u0 + th (F0 + th1 (F1 + th (F2 + th1 (F3 + ... + th F6)))), th1 = 1 - th,
     with F0 = h K.T @ b, F1 = h K[0] - F0, F2 = 2 F0 - h (K[0] + K[len(b)])
-    and F3.. = h D @ K (one row for DP5, four for DOP853), expanded in
-    powers of th: row j of the result weighs K[j]."""
+    and F3.. = h D @ K, expanded in powers of th: row j of the result
+    weighs K[j]."""
     s, m = D.shape[1], 3 + len(D)  # the stages read, the degree in th
     b, (e0, e_new) = np.pad(b, (0, s - len(b))), np.eye(s)[[0, len(b)]]
     P, mult = np.zeros((s, m)), [0.0, 1.0]  # F0's factor th, by powers
@@ -139,29 +89,6 @@ def _hairer_dense(b, D):
         P += np.outer(g, np.pad(mult, (0, m + 1 - len(mult)))[1:])
         mult = np.convolve(mult, [1.0, -1.0] if k % 2 == 0 else [0.0, 1.0])
     return P
-
-
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.append(_A[6], 0.0)
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-# the d row of Hairer's CONTD5, the 4th-order continuous extension
-_D5 = np.array([_row(7, {
-    0: -12715105075 / 11282082432, 2: 87487479700 / 32700410799,
-    3: -10690763975 / 1880347072, 4: 701980252875 / 199316789632,
-    5: -1453857185 / 822651844, 6: 69997945 / 29380423})])
-_P = _hairer_dense(_A[6], _D5)
-
-DP5 = Tableau(_C, _A, (_B4,), _embedded_error, 0.2, _P)
 
 
 # DOP853: the constants of Hairer's dop853.f, each the double nearest its
@@ -236,8 +163,9 @@ _D8 = np.array([_row(16, d) for d in [
      13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
 ]])
 
-DOP853 = Tableau(_C8, _A8, (_E5, _E3), _e5e3_error, 1 / 8,
-                 _hairer_dense(_A8[12], _D8), _C8_DENSE, _A8_DENSE)
+_P8 = _hairer_dense(_A8[12], _D8)
+# the controller scales steps by 0.9 err^-_EXPONENT
+_EXPONENT = 1 / 8
 
 # Step floor, and the resolution of the guard bisection: a shorter step
 # cannot place the end of a leg any better than the bisection does.
@@ -250,39 +178,37 @@ MAX_STEPS = 200_000
 
 
 def _dense(u0, h, Q, th):
-    """A method's dense output at fractions ``th`` of steps of length ``h``
+    """The dense output at fractions ``th`` of steps of length ``h``
     from ``u0``, for the polynomials ``Q`` of one step or a stack of them."""
     p = np.stack([th**j for j in range(1, Q.shape[-1] + 1)], axis=-1)
     return u0 + np.asarray(h)[..., None] * (Q @ p[..., None])[..., 0]
 
 
-def _dense_polynomials(method, rhs, ts, us, hs, Ks):
+def _dense_polynomials(rhs, ts, us, hs, Ks):
     """Per step k, from ``ts[k]``, ``us[k]`` and length ``hs[k]``, the
-    polynomial K.T @ P of ``method``'s dense output: K is the step's stages
-    ``Ks[k]`` and the further stages P reads, one rhs call each. A vetoed
-    or non-finite one raises DomainError."""
-    if method.c_dense:
-        n, s, d = Ks.shape
-        Ks = np.concatenate([Ks, np.empty((n, len(method.c_dense), d))], 1)
-        for K, t, u, h in zip(Ks, ts, us, hs):
-            KT = K.T
-            for i, c, a in zip(range(s, len(K)), method.c_dense,
-                               method.A_dense):
-                row = rhs(t + c * h, u + h * KT[:, :i].dot(a))
-                if _finite_entries(row) is None:
-                    raise DomainError("non-finite dense-output stage")
-                K[i] = row
-    return Ks.transpose(0, 2, 1) @ method.P
+    polynomial K.T @ P of the dense output: K is the step's stages
+    ``Ks[k]`` and the three further stages P reads, one rhs call each. A
+    vetoed or non-finite one raises DomainError."""
+    n, s, d = Ks.shape
+    Ks = np.concatenate([Ks, np.empty((n, len(_C8_DENSE), d))], 1)
+    for K, t, u, h in zip(Ks, ts, us, hs):
+        KT = K.T
+        for i, c, a in zip(range(s, len(K)), _C8_DENSE, _A8_DENSE):
+            row = rhs(t + c * h, u + h * KT[:, :i].dot(a))
+            if _finite_entries(row) is None:
+                raise DomainError("non-finite dense-output stage")
+            K[i] = row
+    return Ks.transpose(0, 2, 1) @ _P8
 
 
 @dataclass
 class OdeResult:
     """Nodes ``ts``/``us`` and, per accepted step k from ``ts[k]``, its
-    signed length ``hs[k]`` and dense-output polynomial ``Qs[k] = K.T @ P``
-    (see :class:`Tableau`). DP5 forms them for all steps at once when the
-    run ends. DOP853's need three more stages per step: ``Qs`` is None
-    until the first ``sample`` forms them, so a leg never sampled pays
-    nothing for its dense output.
+    signed length ``hs[k]`` and dense-output polynomial ``Qs[k] = K.T @ P``:
+    u(ts[k] + th hs[k]) = us[k] + hs[k] Qs[k] @ (th, th^2, ..., th^7). The
+    polynomials need three more stages per step: ``Qs`` is None until the
+    first ``sample`` forms them, so a leg never sampled pays nothing for
+    its dense output.
 
     A boundary leg ends at the guard crossing: ``ts[-1]`` lies inside its
     last step, and the span ends there.
@@ -297,12 +223,12 @@ class OdeResult:
     n_vetoed: int  # rejected steps whose stage rhs vetoed or made non-finite
     hs: np.ndarray
     Qs: Optional[np.ndarray]
-    _form_Qs = None  # not a field: set by integrate where Qs waits for sample
+    _form_Qs = None  # not a field: set by integrate, run by the first sample
 
     def sample(self, ts):
         """Dense output at query times inside the span; a node returns its
-        row of ``us`` exactly. The first call on a DOP853 leg runs the rhs
-        at its dense-output stages: DomainError if one is vetoed."""
+        row of ``us`` exactly. The first call runs the rhs at the
+        dense-output stages: DomainError if one is vetoed."""
         if self.Qs is None:
             self.Qs, self._form_Qs = self._form_Qs(), None
         t = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -351,7 +277,7 @@ def _finite_entries(row):
     return row if all(map(math.isfinite, row)) else None
 
 
-def _starting_step(rhs, t, u, f0, direction, span, rtol, atol, exponent):
+def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     """Hairer-Norsett-Wanner starting step from one probe evaluation.
 
     A vetoed or non-finite probe falls back to ``1e-4 * max(span, 1)``, and
@@ -377,20 +303,19 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol, exponent):
     d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         return max(1e-6, 1e-3 * h0)
-    return min(100.0 * h0, (0.01 / max(d1, d2)) ** exponent)
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** _EXPONENT)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
-              guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT,
-              method: Tableau = DP5):
+              guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT):
     """Integrate u' = rhs(t, u) from t0 to t1 (either direction) with
-    ``method`` (``DP5`` or ``DOP853``).
+    DOP853.
 
     ``rhs`` returns u' as a 1-D array or as a list of floats; a list is
     checked for finiteness as it is and stored without a ``tolist`` pass.
-    It reads u and does not write into it: the last stage's u is the
-    step's new state. A DOP853 result keeps ``rhs`` for the dense output's
+    It reads u and does not write into it: the twelfth stage's u is the
+    step's new state. The result keeps ``rhs`` for the dense output's
     stages, which its first ``sample`` runs.
     It may raise DomainError or return non-finite values to veto a
     stage. The vetoed stage's time t + c_i h is then the earliest time
@@ -403,15 +328,15 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     ``guard(u)`` (optional) returns False outside the admissible region;
     a crossing inside an accepted step is bisected on the dense output to
     MIN_STEP in t and the run ends with status "boundary".
-    The run, the rhs included, ignores numpy's divide, overflow and
-    invalid warnings, so an overflowing stage reads inf and is vetoed.
+    The run, the rhs included, ignores numpy's floating-point warnings, so
+    an overflowing stage reads inf and is vetoed, and an underflow reads 0.
     """
     t = float(t0)
     t1 = float(t1)
     if not (math.isfinite(t) and math.isfinite(t1)):
         raise DomainError(f"integration span ({t0}, {t1}) must be finite")
     u = np.asarray(u0, dtype=float).copy()
-    d, s = u.size, len(method.c)
+    d, s = u.size, len(_C8)
     ts, us, dts, stages = [t], [u], [], []  # stages: each accepted step's K
     n_acc = n_rej = n_vet = 0
     t_bad = None  # the time of the last vetoed stage, while it bounds steps
@@ -419,10 +344,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     def result(status, t_end, u_end):
         res = OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
                         n_acc, n_rej, n_vet, np.array(dts), None)
-        res._form_Qs = partial(_dense_polynomials, method, rhs, res.ts, res.us,
-                               res.hs, np.array(stages).reshape(-1, s, d))
-        if not method.c_dense:
-            res.Qs, res._form_Qs = res._form_Qs(), None
+        res._form_Qs = partial(_dense_polynomials, rhs, res.ts, res.us, res.hs,
+                               np.array(stages).reshape(-1, s, d))
         return res
 
     direction = 1.0 if t1 >= t else -1.0
@@ -433,15 +356,12 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     K = np.empty((s, d))  # stage derivatives; row 0 is rhs at (t, u)
     KT = K.T  # ndarray.dot on it: @ costs more per call on tiny operands
     # stage i reads the rows before it: views of K, built once per call
-    stage_rows = [(i, method.c[i], KT[:, :i], method.A[i])
-                  for i in range(1, s)]
+    stage_rows = [(i, _C8[i], KT[:, :i], _A8[i]) for i in range(1, s)]
     K[0] = rhs(t, u)  # initial point must be admissible
     if _finite_entries(K[0]) is None:
         raise DomainError("non-finite derivative at the initial point")
-    h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol,
-                       method.exponent)
-    w = u.tolist()  # u and |u| on Python floats, for the error norm
-    abs_w = [abs(x) for x in w]
+    h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
+    abs_w = [abs(x) for x in u.tolist()]  # |u| on Python floats
     grow_max = 10.0  # 1 right after a rejected step
 
     while direction * (t1 - t) > 0 and n_acc + n_rej < MAX_STEPS:
@@ -475,14 +395,14 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             grow_max = 1.0
             t_bad = t + c * hs  # c: the vetoed stage's
             continue
-        u_new, w_new = arg, arg.tolist()  # the last stage's argument
-        err, abs_w_new = method.error_norm(
-            hs, [KT.dot(r).tolist() for r in method.error], w, abs_w, w_new,
-            rtol, atol)
+        u_new = arg  # the twelfth stage's argument
+        err, abs_w_new = _e5e3_error(hs, KT.dot(_E5).tolist(),
+                                     KT.dot(_E3).tolist(), abs_w,
+                                     arg.tolist(), rtol, atol)
         if not err <= 1.0:  # a nan err is rejected, and shrinks h by 0.2
             n_rej += 1
             grow_max = 1.0
-            h *= max(0.2, 0.9 * err ** -method.exponent)
+            h *= max(0.2, 0.9 * err ** -_EXPONENT)
             continue
 
         t_new = t1 if last else t + hs
@@ -498,7 +418,7 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         if math.hypot(*k_row) > speed_limit:
             return result("blow_up", t_new, u_new)
         if guard is not None and not guard(u_new):
-            Q = _dense_polynomials(method, rhs, [t], [u], [dt], K[None])[0]
+            Q = _dense_polynomials(rhs, [t], [u], [dt], K[None])[0]
             lo, hi = t, t_new
             while abs(hi - lo) > MIN_STEP:
                 mid = 0.5 * (lo + hi)
@@ -510,9 +430,9 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             ts[-1], us[-1] = lo, u_b
             return result("boundary", lo, u_b)
 
-        t, u, w, abs_w = t_new, u_new, w_new, abs_w_new
+        t, u, abs_w = t_new, u_new, abs_w_new
         K[0] = K[-1]  # FSAL: rhs at (t_new, u_new) up to the b-row identity
-        h *= min(grow_max, max(0.2, 0.9 * err ** -method.exponent
+        h *= min(grow_max, max(0.2, 0.9 * err ** -_EXPONENT
                                if err > 0 else 10.0))
         grow_max = 10.0
 

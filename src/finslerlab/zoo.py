@@ -123,8 +123,7 @@ def bryant(eps, n=2):
         return val
 
     return FinslerMetric(n, F, FullSpace(n), f"bryant-{eps:g}",
-                         einstein_constant=1.0,
-                         meta={"eps": eps})
+                         einstein_constant=1.0)
 
 
 def paraboloid_metric(n=2):
@@ -157,8 +156,7 @@ def scaled(metric, factor):
 
     return FinslerMetric(metric.n, F, metric.domain,
                          f"{metric.name}-x{factor:g}",
-                         einstein_constant=lam,
-                         meta=dict(metric.meta, scale=factor, base=metric.name))
+                         einstein_constant=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,10 @@ def _chord_scalar_root(body, x, y, tol):
     scale = max(1.0, abs(p0))
 
     diam = _norm(body.bbox_hi - body.bbox_lo)
-    hi = (diam + 1e-3) / max(_norm(y), 1e-300)
+    ny = _norm(y)
+    if ny < 1e-150:  # y.dot(y) underflows: take |y| without squaring
+        ny = math.hypot(*ys)
+    hi = (diam + 1e-3) / max(ny, 1e-300)
     for _ in range(80):
         p_hi = psi(hi)
         if p_hi > 0.0:
@@ -343,8 +344,7 @@ def funk_body_metric(body, sign=1):
 
     tag = "funk-plus" if sign == 1 else "funk-minus"
     return FinslerMetric(body.dim, F, body.interior(), f"{tag}-{body.name}",
-                         einstein_constant=-0.25,
-                         meta={"body": body.name, "sign": sign})
+                         einstein_constant=-0.25)
 
 
 def hilbert_general(body):
@@ -352,8 +352,7 @@ def hilbert_general(body):
         return 0.5 * (funk_general(body, x, y, 1) + funk_general(body, x, y, -1))
 
     return FinslerMetric(body.dim, F, body.interior(), f"hilbert-{body.name}",
-                         einstein_constant=-1.0,
-                         meta={"body": body.name})
+                         einstein_constant=-1.0)
 
 
 # ---------------------------------------------------------------------------

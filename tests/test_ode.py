@@ -1,9 +1,9 @@
-"""The DP5 and DOP853 integrators: starting step, step floor, dense output,
-spans."""
+"""The DOP853 integrator: starting step, step floor, dense output, spans."""
 
 import dataclasses
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,12 +30,25 @@ def test_dense_output_is_fourth_order_between_the_nodes():
 
 
 def test_dense_output_passes_through_both_ends_of_each_step():
-    res = ode.integrate(lambda t, u: np.array([np.cos(t), -u[0]]), 0.0,
-                        np.array([0.0, 1.0]), 3.0, rtol=1e-6, atol=1e-8)
+    k_max = [0.0]  # the largest |K| entry of any stage
+
+    def rhs(t, u):
+        row = np.array([np.cos(t), -u[0]])
+        k_max[0] = max(k_max[0], np.abs(row).max())
+        return row
+
+    res = ode.integrate(rhs, 0.0, np.array([0.0, 1.0]), 3.0, rtol=1e-6,
+                        atol=1e-8)
     assert np.array_equal(res.sample(res.ts), res.us)
-    # each step's polynomial reaches the next node to rounding
+    # each step's polynomial reaches the next node to rounding. P's rows
+    # sum to b, and the reach u0 + h (K.T @ P) @ 1 rounds K.T @ P (16
+    # products), its 7 terms and the add to u0: at most 32 eps (|hK| |P|
+    # + |u|), where |hK| |P| is at most |h| k_max times the sum of |P|
     ends = ode._dense(res.us[:-1], res.hs, res.Qs, np.ones(len(res.hs)))
-    assert np.allclose(ends, res.us[1:], rtol=0, atol=1e-14)
+    eps = np.finfo(float).eps
+    bound = 32 * eps * (np.abs(res.hs)[:, None] * k_max[0]
+                        * np.abs(ode._P8).sum() + np.abs(res.us[1:]))
+    assert np.all(np.abs(ends - res.us[1:]) <= bound)
 
 
 def test_sampling_matches_a_per_step_loop():
@@ -43,9 +56,11 @@ def test_sampling_matches_a_per_step_loop():
                         np.array([0.0, 1.0]), -3.0, rtol=1e-6, atol=1e-8)
     ths = np.linspace(0.0, 1.0, 7)[1:-1]
     ts = [res.ts[k] + th * h for k, h in enumerate(res.hs) for th in ths]
-    want = [res.us[k] + h * (res.Qs[k] @ [th, th**2, th**3, th**4])
+    got = res.sample(ts)  # forms Qs
+    want = [res.us[k] + h * (res.Qs[k] @ [th, th**2, th**3, th**4, th**5,
+                                          th**6, th**7])
             for k, h in enumerate(res.hs) for th in ths]
-    assert np.allclose(res.sample(ts), want, rtol=1e-14, atol=1e-15)
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
 def test_a_boundary_leg_is_sampled_up_to_its_crossing():
@@ -170,15 +185,16 @@ def test_cli_geodesic_reports_the_rim_gap_of_each_leg(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the former DP5 loop, kept as a bit-for-bit oracle: it checks every stage
-# with np.isfinite, forms each step's K.T @ P as it accepts it, and takes
-# |u| afresh on every step. After a veto it bounds each step by 0.9 of the
-# time left to the vetoed stage, and once that is below the floor it tries
-# one step of MIN_STEP / 0.9 past it, whose veto ends the leg
+# the DOP853 loop on plain numpy, kept as a bit-for-bit oracle: it checks
+# every stage with np.isfinite, forms each step's dense-output stages and
+# K.T @ P as it accepts it, scales the error sums on arrays as scipy does,
+# and takes |u| afresh on every step. After a veto it bounds each step by
+# 0.9 of the time left to the vetoed stage, and once that is below the
+# floor it tries one step of MIN_STEP / 0.9 past it, whose veto ends the
+# leg. A guard crossing is bisected on the step's dense output
 
 
-def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol,
-                          exponent=0.2):
+def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol):
     scale = atol + rtol * np.abs(u)
     d0, d1 = ode._rms(u / scale), ode._rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -193,11 +209,13 @@ def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol,
     d2 = ode._rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         return max(1e-6, 1e-3 * h0)
-    return min(100.0 * h0, (0.01 / max(d1, d2)) ** exponent)
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** (1 / 8))
 
 
-def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
-                      speed_limit=ode.SPEED_LIMIT):
+def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, guard=None,
+                       speed_limit=np.inf):
+    c = ode._C8 + ode._C8_DENSE  # stages 0-12, then the dense output's 13-15
+    A = ode._A8 + list(ode._A8_DENSE)
     t, t1 = float(t0), float(t1)
     u = np.asarray(u0, dtype=float).copy()
     d = u.size
@@ -207,13 +225,13 @@ def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
     def result(status, t_end, u_end):
         return ode.OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
                              n_acc, n_rej, n_vet, np.array(dts),
-                             np.array(Qs).reshape(-1, d, 4))
+                             np.array(Qs).reshape(-1, d, 7))
 
     direction = 1.0 if t1 >= t else -1.0
     span = abs(t1 - t)
     if span == 0.0:
         return result("t_limit", t, u)
-    K = np.empty((7, d))
+    K = np.empty((16, d))
     K[0] = rhs(t, u)
     if not np.isfinite(K[0]).all():
         raise DomainError("non-finite derivative at the initial point")
@@ -234,8 +252,8 @@ def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
             h = rest
         hs = direction * h
         try:
-            for i in range(1, 7):
-                K[i] = rhs(t + ode._C[i] * hs, u + hs * (K[:i].T @ ode._A[i]))
+            for i in range(1, 13):
+                K[i] = rhs(t + c[i] * hs, u + hs * (K[:i].T @ A[i]))
                 if not np.isfinite(K[i]).all():
                     raise DomainError("non-finite derivative")
         except DomainError:
@@ -243,29 +261,34 @@ def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
             n_rej += 1
             if probing:
                 return result("boundary", t, u)
-            bad = t + ode._C[i] * hs
+            bad = t + c[i] * hs
             grow_max = 1.0
             continue
-        u5 = u + hs * (K.T @ ode._B5)
-        u4 = u + hs * (K.T @ ode._B4)
-        q = (u5 - u4) / (atol + rtol * np.maximum(np.abs(u), np.abs(u5)))
-        err = math.sqrt((q * q).sum() / d)
-        if err > 1.0:
+        u8 = u + hs * (K[:12].T @ A[12])
+        scale = atol + rtol * np.maximum(np.abs(u), np.abs(u8))
+        e5 = (K[:13].T @ ode._E5) / scale
+        e3 = (K[:13].T @ ode._E3) / scale
+        n5, n3 = (e5 * e5).sum(), (e3 * e3).sum()
+        err = (0.0 if n5 == 0.0 and n3 == 0.0 else
+               float(abs(hs) * n5 / np.sqrt((n5 + 0.01 * n3) * d)))
+        if not err <= 1.0:
             n_rej += 1
             grow_max = 1.0
-            h *= max(0.2, 0.9 * err ** (-0.2))
+            h *= max(0.2, 0.9 * err ** (-1 / 8))
             continue
         t_new = t1 if last else t + hs
-        dt, Q = t_new - t, K.T @ ode._P
+        dt = t_new - t
+        for i in range(13, 16):
+            K[i] = rhs(t + c[i] * dt, u + dt * (K[:i].T @ A[i]))
+        Q = K.T @ ode._P8
         dts.append(dt)
         Qs.append(Q)
         ts.append(t_new)
-        us.append(u5)
+        us.append(u8)
         n_acc += 1
-        k_new = K[6]
-        if math.sqrt(k_new.dot(k_new)) > speed_limit:
-            return result("blow_up", t_new, u5)
-        if guard is not None and not guard(u5):
+        if math.sqrt(K[12].dot(K[12])) > speed_limit:
+            return result("blow_up", t_new, u8)
+        if guard is not None and not guard(u8):
             lo, hi = t, t_new
             while abs(hi - lo) > ode.MIN_STEP:
                 mid = 0.5 * (lo + hi)
@@ -276,9 +299,9 @@ def _oracle_integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12, guard=None,
             u_b = ode._dense(u, dt, Q, (lo - t) / dt)
             ts[-1], us[-1] = lo, u_b
             return result("boundary", lo, u_b)
-        t, u = t_new, u5
-        K[0] = k_new
-        h *= min(grow_max, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 10.0))
+        t, u = t_new, u8
+        K[0] = K[12]
+        h *= min(grow_max, max(0.2, 0.9 * err ** (-1 / 8) if err > 0 else 10.0))
         grow_max = 10.0
     if n_acc + n_rej >= ode.MAX_STEPS:
         raise NumericError("step budget exhausted")
@@ -306,24 +329,6 @@ def _assert_bit_identical(got, want):
             assert type(a) is type(b) and a == b, field.name
 
 
-def test_comparison_legs_match_the_former_loop_bit_for_bit():
-    # DP5 on the comparison rhs: d = 2, no speed limit and list-valued rows
-    rng = np.random.default_rng(6)
-    for lam, lamt in NINE_PAIRS:
-        case = cmp.make_case(lam, lamt, rng.uniform(0.3, 2.0),
-                             rng.uniform(-1.5, 1.5))
-        u0 = np.array([case.a, case.b])
-        for target in cmp._default_span(case, 1.2):
-            res = ode.integrate(cmp.comparison_rhs(case), 0.0, u0, target,
-                                1e-12, 1e-14, speed_limit=np.inf,
-                                method=ode.DP5)
-            want = _oracle_integrate(_oracle_comparison_rhs(case), 0.0, u0,
-                                     target, 1e-12, 1e-14,
-                                     guard=lambda u: u[0] > cmp.F_FLOOR,
-                                     speed_limit=np.inf)
-            _assert_bit_identical(res, want)
-
-
 def test_geodesic_legs_match_the_former_loop_bit_for_bit():
     # an interior klein run, and a funk_ball(1) run whose backward leg is
     # vetoed at the rim until a step past its last veto is vetoed too
@@ -335,8 +340,9 @@ def test_geodesic_legs_match_the_former_loop_bit_for_bit():
         guard = lambda u: metric.domain.contains(u[:2])
         u0 = np.concatenate([XG, YG / metric(XG, YG)])
         for leg, target in zip(run.legs, span):
-            want = _oracle_integrate(rhs, 0.0, u0, target, 1e-8, 1e-10,
-                                     guard=guard)
+            leg.sample(leg.ts)  # forms Qs
+            want = _oracle_integrate8(rhs, 0.0, u0, target, 1e-8, 1e-10,
+                                      guard=guard, speed_limit=ode.SPEED_LIMIT)
             _assert_bit_identical(leg, want)
     assert run.legs[0].n_vetoed > 0
 
@@ -349,13 +355,15 @@ def test_a_guard_crossing_matches_the_former_loop_bit_for_bit():
         res = ode.integrate(rhs, 0.0, u0, t1, rtol=1e-9, atol=1e-11,
                             guard=guard)
         assert res.status == "boundary"
-        _assert_bit_identical(res, _oracle_integrate(
-            rhs, 0.0, u0, t1, 1e-9, 1e-11, guard=guard))
+        res.sample(res.ts)  # forms Qs
+        _assert_bit_identical(res, _oracle_integrate8(
+            rhs, 0.0, u0, t1, 1e-9, 1e-11, guard=guard,
+            speed_limit=ode.SPEED_LIMIT))
 
 
 def test_the_stage_veto_leaves_the_former_guards_nothing_to_reject(
         monkeypatch):
-    # the sixth stage runs the rhs at u5, so a state the guard would reject
+    # the twelfth stage runs the rhs at u8, so a state the guard would reject
     # is vetoed first: a funk rim leg and two collapse legs run without
     # their former guards as they run with them
     legs, integrate = [], ode.integrate
@@ -398,96 +406,10 @@ def test_wide_geodesic_legs_match_the_former_loop_bit_for_bit(n):
     u0 = np.concatenate([x, y / metric(x, y)])
     for leg, target in zip(run.legs, span):
         assert leg.us.shape[1] == 2 * n and leg.n_accepted > 0
-        _assert_bit_identical(leg, _oracle_integrate(
-            rhs, 0.0, u0, target, 1e-8, 1e-10, guard=guard))
-
-
-# ---------------------------------------------------------------------------
-# DOP853: Hairer's tableau, and a plain-numpy loop kept as a bit-for-bit
-# oracle: scipy's error norm on arrays, the controller, veto, floor and
-# speed limit of the DP5 oracle, and each step's dense-output stages and
-# K.T @ P formed as it accepts it
-
-
-def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, speed_limit=np.inf):
-    m = ode.DOP853
-    E5, E3 = m.error
-    t, t1 = float(t0), float(t1)
-    u = np.asarray(u0, dtype=float).copy()
-    d = u.size
-    ts, us, dts, Qs = [t], [u], [], []
-    n_acc = n_rej = n_vet = 0
-
-    def result(status, t_end, u_end):
-        return ode.OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
-                             n_acc, n_rej, n_vet, np.array(dts),
-                             np.array(Qs).reshape(-1, d, 7))
-
-    direction = 1.0 if t1 >= t else -1.0
-    span = abs(t1 - t)
-    if span == 0.0:
-        return result("t_limit", t, u)
-    K = np.empty((16, d))
-    K[0] = rhs(t, u)
-    h = _oracle_starting_step(rhs, t, u, K[0], direction, span, rtol, atol,
-                              exponent=1 / 8)
-    bad = None  # the time of the last vetoed stage
-    grow_max = 10.0
-    while direction * (t1 - t) > 0 and n_acc + n_rej < ode.MAX_STEPS:
-        probing = bad is not None and 0.9 * abs(bad - t) < ode.MIN_STEP
-        if probing:
-            h, bad = ode.MIN_STEP / 0.9, None
-        elif bad is not None:
-            h = min(h, 0.9 * abs(bad - t))
-        if h < ode.MIN_STEP:
-            return result("blow_up", t, u)
-        rest = abs(t1 - t)
-        last = h >= rest
-        if last:
-            h = rest
-        hs = direction * h
-        try:
-            for i in range(1, 13):
-                K[i] = rhs(t + m.c[i] * hs, u + hs * (K[:i].T @ m.A[i]))
-                if not np.isfinite(K[i]).all():
-                    raise DomainError("non-finite derivative")
-        except DomainError:
-            n_vet += 1
-            n_rej += 1
-            if probing:
-                return result("boundary", t, u)
-            bad = t + m.c[i] * hs
-            grow_max = 1.0
-            continue
-        u8 = u + hs * (K[:12].T @ m.A[12])
-        scale = atol + rtol * np.maximum(np.abs(u), np.abs(u8))
-        e5, e3 = (K[:13].T @ E5) / scale, (K[:13].T @ E3) / scale
-        n5, n3 = (e5 * e5).sum(), (e3 * e3).sum()
-        err = (0.0 if n5 == 0.0 and n3 == 0.0 else
-               float(abs(hs) * n5 / np.sqrt((n5 + 0.01 * n3) * d)))
-        if not err <= 1.0:
-            n_rej += 1
-            grow_max = 1.0
-            h *= max(0.2, 0.9 * err ** (-1 / 8))
-            continue
-        t_new = t1 if last else t + hs
-        dt = t_new - t
-        for i, c, a in zip(range(13, 16), m.c_dense, m.A_dense):
-            K[i] = rhs(t + c * dt, u + dt * (K[:i].T @ a))
-        dts.append(dt)
-        Qs.append(K.T @ m.P)
-        ts.append(t_new)
-        us.append(u8)
-        n_acc += 1
-        if math.sqrt(K[12].dot(K[12])) > speed_limit:
-            return result("blow_up", t_new, u8)
-        t, u = t_new, u8
-        K[0] = K[12]
-        h *= min(grow_max, max(0.2, 0.9 * err ** (-1 / 8) if err > 0 else 10.0))
-        grow_max = 10.0
-    if n_acc + n_rej >= ode.MAX_STEPS:
-        raise NumericError("step budget exhausted")
-    return result("t_limit", t, u)
+        leg.sample(leg.ts)  # forms Qs
+        _assert_bit_identical(leg, _oracle_integrate8(
+            rhs, 0.0, u0, target, 1e-8, 1e-10, guard=guard,
+            speed_limit=ode.SPEED_LIMIT))
 
 
 def test_the_dop853_record_is_hairers_tableau():
@@ -496,14 +418,13 @@ def test_the_dop853_record_is_hairers_tableau():
     from scipy.integrate._ivp import dop853_coefficients as ref
     from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-    m = ode.DOP853
     same = lambda a, b: np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    assert same(m.c, ref.C[:13]) and same(m.c_dense, ref.C[13:])
-    assert len(m.A) == 13 and same(m.A[12], ref.B)
+    assert same(ode._C8, ref.C[:13]) and same(ode._C8_DENSE, ref.C[13:])
+    assert len(ode._A8) == 13 and same(ode._A8[12], ref.B)
     for i in range(1, 16):
-        row = m.A[i] if i < 13 else m.A_dense[i - 13]
+        row = ode._A8[i] if i < 13 else ode._A8_DENSE[i - 13]
         assert same(row, ref.A[i, :i]), i
-    assert same(m.error[0], ref.E5) and same(m.error[1], ref.E3)
+    assert same(ode._E5, ref.E5) and same(ode._E3, ref.E3)
     assert same(ode._D8, ref.D)
     # P is Hairer's nested interpolant written in powers of th
     rng = np.random.default_rng(853)
@@ -514,23 +435,8 @@ def test_the_dop853_record_is_hairers_tableau():
         F = np.vstack([du, h * K[0] - du, 2 * du - h * (K[0] + K[12]),
                        h * ref.D @ K])
         want = Dop853DenseOutput(0.0, h, u0, F)(ths * h).T
-        got = [ode._dense(u0, h, K.T @ m.P, th) for th in ths]
+        got = [ode._dense(u0, h, K.T @ ode._P8, th) for th in ths]
         assert np.allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_the_dp5_record_is_scipys_rk45():
-    # scipy writes RK45's P out by hand; DP5 forms it from Hairer's CONTD5
-    # by DOP853's rule, which rounds 3 of the 28 entries one place apart
-    from scipy.integrate._ivp.rk import RK45
-
-    m = ode.DP5
-    same = lambda a, b: np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    assert same(m.c[:6], RK45.C) and same(m.A[6], RK45.B)
-    for i in range(1, 6):
-        assert same(m.A[i], RK45.A[i, :i]), i
-    assert m.P is ode._P and ode._P.shape == RK45.P.shape
-    assert same(ode._D5[0], RK45.P[:, 3])
-    assert np.all(np.abs(ode._P - RK45.P) <= np.spacing(np.abs(RK45.P)))
 
 
 def test_dop853_comparison_legs_match_a_numpy_loop_bit_for_bit():
@@ -563,8 +469,7 @@ def test_dop853_dense_output_is_formed_at_the_first_sample():
                 return rhs(t, u)
 
             res = ode.integrate(counted, 0.0, [case.a, case.b], target,
-                                1e-12, 1e-14, speed_limit=np.inf,
-                                method=ode.DOP853)
+                                1e-12, 1e-14, speed_limit=np.inf)
             assert (res.status, res.n_vetoed) == ("t_limit", 0)
             # the initial point, the probe and twelve stages a step: no
             # dense-output stage ran
@@ -581,7 +486,7 @@ def test_dop853_dense_output_is_formed_at_the_first_sample():
 
 def test_a_dop853_guard_crossing_is_placed_on_the_dense_output():
     res = ode.integrate(_cos, 0.0, np.array([0.0]), 3.0,
-                        guard=lambda u: u[0] < 0.5, method=ode.DOP853)
+                        guard=lambda u: u[0] < 0.5)
     assert res.status == "boundary"
     assert abs(res.t_end - math.pi / 6) < 1e-9
     assert np.array_equal(res.sample([res.t_end]), res.us[-1:])
@@ -605,28 +510,11 @@ def test_sum_of_squares_follows_numpys_order():
                 assert got.tobytes() == want.tobytes(), q
 
 
-def test_the_sixth_stage_argument_is_u5():
-    # u5 is taken from the sixth stage's argument, u + hs K[:6].T @ _A[6],
-    # in place of u + hs K.T @ _B5
-    assert ode._B5[6] == 0.0 and ode._A[6].tolist() == ode._B5[:6].tolist()
-    rng = np.random.default_rng(6)
-    for d in range(1, 17):
-        K = np.empty((7, d))
-        KT = K.T  # the integrator's layout
-        for _ in range(300):
-            K[:] = rng.standard_normal((7, d)) * 10.0 ** rng.uniform(-4, 4,
-                                                                     (7, d))
-            got, want = KT[:, :6].dot(ode._A[6]), KT.dot(ode._B5)
-            assert got.tobytes() == want.tobytes(), (
-                "numpy's BLAS rounds a 6-term gemv and the 7-term gemv "
-                "with a zero last weight differently, so the sixth "
-                f"stage's argument is not u5 bit for bit (d = {d})")
-
-
 def test_a_component_held_at_zero_keeps_the_error_norm_finite():
-    # with atol = 0 the zero component's scale is 0 and its u5 - u4 is 0:
-    # it adds 0 to the error norm, where 0 / 0 made it nan and accepted
-    # every step with a 10x growth
+    # with atol = 0 the zero component's scale is 0, and every stage of it
+    # is 0, so its sums e5 = K.T @ E5 and e3 = K.T @ E3 are exactly 0
+    # whatever E5 and E3 weigh: it adds 0 to the error norm, where 0 / 0
+    # made it nan and accepted every step with a 10x growth
     with np.errstate(all="raise"):
         res = ode.integrate(lambda t, u: np.array([0.0 * u[0], -u[1]]), 0.0,
                             np.array([0.0, 1.0]), 1.0, atol=0.0)
@@ -636,13 +524,15 @@ def test_a_component_held_at_zero_keeps_the_error_norm_finite():
 
 
 def test_a_zero_scale_under_a_nonzero_difference_rejects_the_step():
-    # u' = 0 from u = 0 with atol = 0, except at the sixth stage of the
-    # first step, which _B5 weighs 0 and _B4 1/40: u5 = 0, u4 != 0
+    # u' = 0 from u = 0 with atol = 0, except at stage 5 of the first step
+    # (h = 1e-4), which reads 5e-324: b weighs it 4.45 and E5 -1.23, so
+    # u8 = h (4.45 * 5e-324) underflows to 0 while e5 = -5e-324 does not.
+    # The zero scale makes e5's term inf and the error inf / inf = nan
     calls = [0]
 
     def rhs(t, u):
         calls[0] += 1  # 1: the initial point; the probe is skipped
-        return np.array([1.0 if calls[0] == 7 else 0.0])
+        return np.array([5e-324 if calls[0] == 6 else 0.0])
 
     with np.errstate(all="raise"):
         res = ode.integrate(rhs, 0.0, np.array([0.0]), 1.0, atol=0.0)
@@ -652,9 +542,10 @@ def test_a_zero_scale_under_a_nonzero_difference_rejects_the_step():
 
 
 def test_an_overflowing_step_is_rejected_and_not_stored():
-    # u5 and u4 overflow to inf, so u5 - u4 and the error norm are nan:
-    # the step is rejected, where a nan err used to accept an inf node
-    # (the dense output of slopes of 1e308 overflows as well)
+    # b weighs stage 5 by 4.45 and stage 7 by -5.80, and E3 = b - bhh
+    # weighs them alike, so slopes of 1e308 make inf and -inf terms: u8, e3
+    # and the error norm are nan, and every step is rejected, where a nan
+    # err used to accept an inf node, until the floor ends the leg
     with np.errstate(over="ignore", invalid="ignore"):
         res = ode.integrate(lambda t, u: np.array([1e308]), 0.0,
                             np.array([1.7e308]), 1.0, speed_limit=np.inf)
@@ -666,24 +557,30 @@ def test_an_overflow_under_raising_errstate_returns_the_blow_up():
     # the stage sums of slopes of 1e308 overflow; integrate ignores numpy's
     # overflow and invalid warnings itself, so a caller that raises on
     # every warning gets the result a caller that ignores them gets
+    run = partial(ode.integrate, lambda t, u: np.array([1e308]), 0,
+                  [1.7e308], 1, speed_limit=np.inf)
     with np.errstate(all="raise"):
-        res = ode.integrate(lambda t, u: np.array([1e308]), 0,
-                            [1.7e308], 1, speed_limit=np.inf)
+        res = run()
     assert res.status == "blow_up"
-    assert res.t_end == 0.09769313486015462
-    assert res.u_end.tolist() == [1.7976931348601546e+308]
-    assert (res.n_accepted, res.n_rejected, res.n_vetoed) == (30, 30, 0)
+    assert res.t_end == 0.0
+    assert res.u_end.tolist() == [1.7e+308]
+    assert (res.n_accepted, res.n_rejected, res.n_vetoed) == (0, 16, 0)
+    with np.errstate(all="ignore"):
+        _assert_bit_identical(res, run())
 
 
 def test_a_zero_scale_under_raising_errstate_takes_the_fallback_step():
     # atol = 0 and u = 0 give the starting step a zero scale: f0 / scale
     # divides by zero and reads inf, so the first step is the fallback
+    run = partial(ode.integrate, lambda t, u: np.array([1.0]), 0.0,
+                  np.array([0.0]), 1.0, atol=0.0)
     with np.errstate(all="raise"):
-        res = ode.integrate(lambda t, u: np.array([1.0]), 0.0,
-                            np.array([0.0]), 1.0, atol=0.0)
-    assert (res.status, res.n_accepted, res.n_rejected) == ("t_limit", 5, 0)
+        res = run()
+    assert (res.status, res.n_accepted, res.n_rejected) == ("t_limit", 7, 0)
     assert res.hs[0] == 1e-4
     assert res.u_end[0] == pytest.approx(1.0, abs=1e-15)
+    with np.errstate(all="ignore"):
+        _assert_bit_identical(res, run())
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +590,7 @@ def test_a_zero_scale_under_raising_errstate_takes_the_fallback_step():
 
 def _poisoned(call, j, value, d=3, as_list=False):
     """u' = -u whose rhs call number ``call`` (0: the initial point, 1: the
-    probe, 2-7: the stages of the first step) has ``value`` in entry j;
+    probe, 2-13: the stages of the first step) has ``value`` in entry j;
     the rows are lists of floats with ``as_list``."""
     calls = [0]
 
@@ -819,22 +716,27 @@ def test_a_leg_whose_speed_decays_at_the_rim_ends_at_the_boundary(name, span):
 
 def test_a_funk_rim_leg_ends_by_a_veto_just_past_its_bracket():
     # the backward leg of test_geodesic_legs_match_the_former_loop_bit_for_bit;
-    # halving after each veto took 496 rhs calls there and stopped 2.5e-11
-    # from the rim
+    # halving after each veto took 527 rhs calls there
     m = zoo.funk_ball(1)
-    rhs, calls = gd.geodesic_rhs(m), [0]
+    rhs, calls = gd.geodesic_rhs(m), [0, 0]  # integrate's, the oracle's
 
-    def counted(t, u):
-        calls[0] += 1
-        return rhs(t, u)
+    def counted(k):
+        def run(t, u):
+            calls[k] += 1
+            return rhs(t, u)
+        return run
 
-    res = ode.integrate(counted, 0.0, np.concatenate([XG, YG / m(XG, YG)]),
-                        -30.0, 1e-8, 1e-10)
+    u0 = np.concatenate([XG, YG / m(XG, YG)])
+    res = ode.integrate(counted(0), 0.0, u0, -30.0, 1e-8, 1e-10)
     assert res.status == "boundary"
     assert res.n_vetoed > 0
     speed = np.linalg.norm(res.u_end[2:])
     assert 0.0 < -m.domain.signed(res.u_end[:2]) <= 2 * ode.MIN_STEP * speed
-    assert calls[0] == 174 < 496 / 2
+    assert calls[0] == 296 < 527
+    res.sample(res.ts)  # three dense-output stages per accepted step
+    _oracle_integrate8(counted(1), 0.0, u0, -30.0, 1e-8, 1e-10,
+                       speed_limit=ode.SPEED_LIMIT)
+    assert calls[0] == calls[1] == 296 + 3 * res.n_accepted
 
 
 def test_a_stage_that_overshoots_a_path_inside_is_no_boundary():

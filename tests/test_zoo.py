@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finslerlab import jets as jr, zoo
-from finslerlab.errors import DomainError
+from finslerlab.errors import DomainError, FinslerError
 from finslerlab.metric import dot
 
 X = np.array([0.5, 0.0])
@@ -159,6 +159,22 @@ def test_funk_general_scales_like_a_finsler_metric():
     v1 = zoo.funk_general(ell, x, y, sign=1)
     v3 = zoo.funk_general(ell, x, 3.0 * y, sign=1)
     assert v3 == pytest.approx(3.0 * v1, rel=1e-13)
+
+
+@pytest.mark.parametrize("body", [zoo.ellipsoid_body((2.0, 1.0)),
+                                  zoo.superellipse_body(4)],
+                         ids=lambda b: b.name)
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_funk_general_at_a_tiny_direction_is_homogeneous_or_refused(body,
+                                                                    scale):
+    # below about 1e-154, y.dot(y) underflows to 0
+    x, y = np.array([0.31, -0.22]), np.array([0.62, 0.81])
+    want = scale * zoo.funk_general(body, x, y)
+    try:
+        got = zoo.funk_general(body, x, scale * y)
+    except FinslerError:
+        return
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_superellipse_catalog_entry():
