@@ -316,8 +316,8 @@ def criterion_10(samples=100, fd_curvature_samples=6):
         dev, skips, checks = 0.0, 0, 0
         fn = lambda X, Y, m=m: m.F(X.tolist(), Y.tolist())
         for i, (x, y) in enumerate(pairs):
-            jet = m.value_jet(x, y, 3)
-            tensors = jr.derivative_tensors(jet, 3)
+            jet = jr.jet_of(m.F, *m.check_state(x, y), 3)
+            tensors = jr.derivative_tensors(jet)
             norms = [max(1e-9, float(np.max(np.abs(t)))) for t in tensors]
             for j in range(3):
                 idx = idxs[(3 * i + j) % len(idxs)]

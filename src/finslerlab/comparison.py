@@ -56,12 +56,29 @@ class Case:
     C: float
 
 
+def _real(value, what):
+    """float(value); DomainError when it does not read as a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a real number, got {value!r}") from None
+
+
+def _times(t, what):
+    """``t`` as a float array; DomainError when it does not read as real
+    times."""
+    try:
+        return np.asarray(t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} needs real times: {exc}") from None
+
+
 def make_case(lam, lam_tilde, a, b):
     """Validated case with the conserved invariant C (snapped near zero)."""
-    lam, lam_tilde = float(lam), float(lam_tilde)
+    lam, lam_tilde = _real(lam, "lam"), _real(lam_tilde, "lam_tilde")
     if lam not in ALLOWED_CONSTANTS or lam_tilde not in ALLOWED_CONSTANTS:
         raise DomainError("normalized Einstein constants must be -1, 0 or +1")
-    a, b = float(a), float(b)
+    a, b = _real(a, "a"), _real(b, "b")
     if not (a > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise DomainError("need a > 0 and finite b")
     # C and the turning-point identity need a^2 > 0 and a^4, (a b)^2, b^2
@@ -191,10 +208,7 @@ def f_squared(case, t):
     # a float runs on ``math``; one past exp's range, any other number or
     # a sequence of times reads as an array
     if not (isinstance(t, float) and abs(t) < 700.0 or jr.is_jet(t)):
-        try:
-            t = np.asarray(t, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"f_squared needs real times: {exc}") from None
+        t = _times(t, "f_squared")
     form, a = _form(case.lam, t, scaled=True), case.a
     if case.lam_tilde == 1.0:
         lin, s = form(a, case.b), form(0.0, 1.0) / a
@@ -319,7 +333,7 @@ def candidate_length(case, t_from, t_to):
     infinite end on a side where the length diverges, returns inf; a
     window with t_from > t_to returns the negated length.
     """
-    t0, t1 = float(t_from), float(t_to)
+    t0, t1 = _real(t_from, "t_from"), _real(t_to, "t_to")
     if math.isnan(t0) or math.isnan(t1):
         raise DomainError(f"candidate_length needs real ends, got ({t0}, {t1})")
     if t0 > t1:
@@ -477,7 +491,7 @@ def ode_residual(case, ts):
     All times are seeded as one batch; the residual is then taken per
     time on Python floats.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.atleast_1d(_times(ts, "ode_residual"))
     if not ts.size:
         return 0.0
     f = jr.sqrt(f_squared(case, jr.variables(ts[:, None], 2)[0]))
@@ -559,7 +573,7 @@ def arc_param_roundtrip(case, t):
     to invert (b = 1e-200, say). At b = 0, a turning value of f, such a t
     reads the defect |t|.
     """
-    t = float(t)
+    t = _real(t, "t")
     if not math.isfinite(t):
         raise DomainError(f"arc_param_roundtrip needs a finite t, got {t}")
     if t == 0.0:

@@ -79,7 +79,10 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     """
     x0 = metric.check_point(x0)
     y0 = metric.check_direction(y0)
-    t_min, t_max = float(t_span[0]), float(t_span[1])
+    try:
+        t_min, t_max = float(t_span[0]), float(t_span[1])
+    except (IndexError, KeyError, TypeError, ValueError):
+        raise DomainError(f"t_span {t_span!r} must hold two real times") from None
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise DomainError(f"t_span {t_span} must be finite")
     if not (t_min <= 0.0 <= t_max):
@@ -134,13 +137,17 @@ def hausdorff_to_chord(points, anchor, direction):
     if pts.size == 0:
         raise DomainError("hausdorff_to_chord needs at least one point")
     d = np.asarray(direction, dtype=float)
+    a0 = np.asarray(anchor, dtype=float)
+    if d.shape != pts.shape[-1:] or a0.size not in (1, d.size):
+        raise DomainError(f"hausdorff_to_chord: points of shape {pts.shape} "
+                          f"against an anchor of shape {a0.shape} and a "
+                          f"direction of shape {d.shape}")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(d)
     if not (math.isfinite(norm) and norm > 0.0):
         raise DomainError(f"hausdorff_to_chord needs a nonzero direction of "
                           f"finite length, got {d.tolist()}")
     d = d / norm
-    a0 = np.asarray(anchor, dtype=float)
     s = (pts - a0) @ d
     lo, hi = float(np.min(s)), float(np.max(s))
     p_lo, p_hi = a0 + lo * d, a0 + hi * d

@@ -1,7 +1,9 @@
 """Sprays, connections and curvatures of a Finsler metric via jets.
 
-One order-4 jet of the energy Q = F^2 at (x, y) carries every partial
-derivative this module needs; the spray, the nonlinear connection and the
+Everything is assembled from one jet of the energy Q = F^2 at (x, y), at
+one of two depths. An order-2 jet gives g and the spray G: the fundamental
+tensor and the geodesic flow read no more. An order-4 jet carries every
+partial derivative this module needs; the nonlinear connection and the
 Berwald-form Riemann tensor are then assembled with dense linear algebra.
 Index convention for the stacked chart variable z = (x, y): slots 0..n-1
 are x, slots n..2n-1 are y.
@@ -101,7 +103,9 @@ def _metric_block(metric, tensors):
 
 
 def _assemble(metric, x, y, order):
-    """Spray data at (x, y) to the requested derivative depth (2, 3 or 4).
+    """Spray data at (x, y) at one of two derivative depths: 2 gives F, g,
+    g^-1 and the spray G; 4 adds the spray's derivatives (dG, N, Gx, the
+    y-columns of d2G, Gyy), d2(g^-1) and the curvature R.
 
     ``x`` and ``y`` are one state, shape ``(n,)``, or a batch, ``(B, n)``;
     every entry then carries a leading batch axis. The public entries
@@ -113,7 +117,7 @@ def _assemble(metric, x, y, order):
     # so the jets drop the monomials of x-degree 3 and above (their
     # tensor slots read NaN)
     f = jr.jet_of(metric.F, x, y, order, x_degree=2)
-    tensors = jr.derivative_tensors(f * f, order)  # of the energy Q = F^2
+    tensors = jr.derivative_tensors(f * f)  # of the energy Q = F^2
     D1, D2 = tensors[1], tensors[2]
     g, ginv = _metric_block(metric, tensors)
 
@@ -136,8 +140,6 @@ def _assemble(metric, x, y, order):
     out["dG"] = dG  # [mu, i] = dG^i/dz^mu over the stacked chart variable
     out["N"] = _T(dG[..., n:, :])
     out["Gx"] = _T(dG[..., :n, :])
-    if order == 3:
-        return out
 
     # only the y-columns of d2G (nu over y): its x-x block would read
     # D3[x, x, x] and D4[x, y, x, x], which the truncated jets drop
@@ -174,9 +176,8 @@ def _assemble(metric, x, y, order):
 
 def fundamental_tensor(metric, x, y):
     """g_ij at (x, y); raises SingularMetricError when not strongly convex."""
-    f = metric.value_jet(x, y, 2)
-    g, _ = _metric_block(metric, jr.derivative_tensors(f * f, 2))
-    return g
+    x, y = metric.check_state(x, y)
+    return _assemble(metric, x, y, 2)["g"]
 
 
 def spray_coefficients(metric, x, y):
@@ -184,11 +185,6 @@ def spray_coefficients(metric, x, y):
     any jet is seeded (the geodesic flow's veto)."""
     x, y = metric.check_state(x, y)
     return _assemble(metric, x, y, 2)["G"]
-
-
-def nonlinear_connection(metric, x, y):
-    x, y = metric.check_state(x, y)
-    return _assemble(metric, x, y, 3)["N"]
 
 
 def riemann_curvature(metric, x, y):
@@ -223,9 +219,13 @@ def _flag_values(g, R, y, V):
 
 def flag_curvature(metric, x, y, v):
     """Flag curvature of span(y, v); rejects flags nearly parallel to y."""
+    v = np.asarray(v, dtype=float)
+    if v.size != metric.n:
+        raise DomainError(f"{metric.name}: flag direction has size {v.size}, "
+                          f"expected {metric.n}")
     _, g, R = curvature_data(metric, x, y)
     K, sin_sq = _flag_values(g, R, np.asarray(y, dtype=float),
-                             np.asarray(v, dtype=float)[None, :])
+                             v.reshape(1, -1))
     if not sin_sq[0] >= MIN_FLAG_ANGLE**2:  # a zero v makes it nan
         raise DegenerateFlagError(
             f"flag direction within {MIN_FLAG_ANGLE} of y (sin^2 = {sin_sq[0]:.3e})"
@@ -346,9 +346,9 @@ def check_minkowski(metric, budget=100):
     failures = []
     for x, y in pairs:
         try:
-            f = metric.value_jet(x, y, 2)
+            f = jr.jet_of(metric.F, *metric.check_state(x, y), 2)
             f_val = f.value
-            _, eigs, bad = _convexity(jr.derivative_tensors(f * f, 2)[2],
+            _, eigs, bad = _convexity(jr.derivative_tensors(f * f)[2],
                                       metric.n)
             cond = np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0]
             worst_cond = max(worst_cond, cond)

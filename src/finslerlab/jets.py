@@ -527,21 +527,18 @@ def extract_derivative(jet, idx):
     return jet.coeffs.T[pos] * ctx.factorials[pos]
 
 
-def derivative_tensors(jet, max_order=None):
-    """Dense symmetric derivative tensors [f, Df, D2f, ...] up to max_order.
+def derivative_tensors(jet):
+    """Dense symmetric derivative tensors [f, Df, D2f, ...] up to the
+    jet's order.
 
     For a batch of B states each entry gains a leading axis: f is ``(B,)``
     and the order-k tensor ``(B,) + (d,) * k``.
     """
     ctx = jet.ctx
-    if max_order is None:
-        max_order = ctx.order
-    if max_order > ctx.order:
-        raise JetError(f"requested order {max_order} exceeds jet order {ctx.order}")
     out = [jet.value]
     d = ctx.n_vars
     batch = jet.coeffs.shape[:-1]
-    for k in range(1, max_order + 1):
+    for k in range(1, ctx.order + 1):
         slot_mono, slot_fact = ctx.tensor_map(k)
         # take() keeps a batch C-ordered (coeffs[..., idx] would not): BLAS
         # then sees every state's tensor with the strides of a lone state's

@@ -12,7 +12,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import jets as jr
 from .errors import DegenerateDirectionError, DomainError
 
 MAX_DIM = 8
@@ -179,13 +178,3 @@ class FinslerMetric:
                 self.check_direction(yi)
             return x, y
         return self.check_point(x), self.check_direction(y)
-
-    def value_jet(self, x, y, order):
-        """F over jets seeded at a validated (x, y): the metric's entry to
-        :func:`finslerlab.jets.jet_of`. Square the jet for Q = F^2.
-
-        ``(B, n)`` stacks of points and directions give one batched jet;
-        see :meth:`check_state`.
-        """
-        x, y = self.check_state(x, y)
-        return jr.jet_of(self.F, x, y, order)

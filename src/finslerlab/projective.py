@@ -28,15 +28,6 @@ DECISION_TOL = 1e-6
 FACTOR_TOL = 1e-7  # spray deviation that refutes G_cand = G + P y
 
 
-def covariant_derivative(base, f, x, y):
-    """Horizontal derivative f_{;k} of a ring-generic scalar f(x, y)."""
-    x, y = base.check_state(x, y)
-    data = _assemble(base, x, y, 3)
-    n = base.n
-    T = jr.derivative_tensors(jr.jet_of(f, data["x"], data["y"], 1), 1)[1]
-    return T[:n] - data["N"].T @ T[n:]
-
-
 def rapcsak_residual(base, cand, x, y):
     """Projective-relatedness defect of the candidate against the base spray.
 
@@ -48,7 +39,8 @@ def rapcsak_residual(base, cand, x, y):
     n = base.n
     x, y = base.check_state(x, y)
     data = _assemble(base, x, y, 2)
-    f_val, T1, T2 = jr.derivative_tensors(cand.value_jet(x, y, 2), 2)
+    f_val, T1, T2 = jr.derivative_tensors(
+        jr.jet_of(cand.F, *cand.check_state(x, y), 2))
     res = (_vecmat(y, T2[..., :n, n:]) - T1[..., :n]
            - 2.0 * _matvec(T2[..., n:, n:], data["G"]))
     norm = np.sqrt(_dot(res, res))
@@ -92,7 +84,7 @@ def projective_factor(base, cand, x, y):
     base_data = _assemble(base, x, y, 2)
     cand_data = _assemble(cand, x, y, 2)
     n = base.n
-    f_val, T1 = jr.derivative_tensors(jr.jet_of(cand.F, x, y, 1), 1)
+    f_val, T1 = jr.derivative_tensors(jr.jet_of(cand.F, x, y, 1))
     u = float(T1[:n] @ y) - 2.0 * float(base_data["G"] @ T1[n:])
     P = u / (2.0 * f_val)
     G, Gc = base_data["G"], cand_data["G"]
@@ -123,7 +115,7 @@ def xi_and_tau(base, cand, x, y):
     # d2u reads T3 with at most two x-derivatives, as _assemble its D4
     x, y = cand.check_state(x, y)
     f, T1, T2, T3 = jr.derivative_tensors(
-        jr.jet_of(cand.F, x, y, 3, x_degree=2), 3)
+        jr.jet_of(cand.F, x, y, 3, x_degree=2))
     fx, fy = T1[..., :n], T1[..., n:]
 
     u = _dot(fx, y) - 2.0 * _dot(G, fy)
@@ -203,19 +195,10 @@ def funk_condition_residual(cand, mu, x, y):
     constant mu scores ~0 and violators score order one.
     """
     n = cand.n
-    f_val, T1 = jr.derivative_tensors(cand.value_jet(x, y, 1), 1)
+    f_val, T1 = jr.derivative_tensors(
+        jr.jet_of(cand.F, *cand.check_state(x, y), 1))
     vec = T1[:n] - 2.0 * mu * f_val * T1[n:]
     return float(np.linalg.norm(vec)) / f_val**2
-
-
-def einstein_transfer_residual(base, cand, lam, lam_tilde, x, y):
-    """Defect of Xi = lam_tilde * F_cand^2 - lam * F_base^2 at one state."""
-    info = xi_and_tau(base, cand, x, y)
-    f = base(x, y)
-    ft = cand(x, y)
-    pred = lam_tilde * ft * ft - lam * f * f
-    scale = max(1e-300, abs(lam_tilde) * ft * ft + abs(lam) * f * f, abs(info["Xi"]))
-    return abs(info["Xi"] - pred) / scale
 
 
 def fit_einstein_constants(base, cand, count=25, box=None):

@@ -14,7 +14,7 @@ is ``comparison.f_squared`` of the flat-base case (0, lam, a, b).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -78,17 +78,13 @@ def funk_ball(sign=1, n=2):
 
 
 def hilbert_ball(n=2):
-    """Arithmetic symmetrization of the two ball Funk metrics."""
+    """Hilbert metric of the unit ball, the mean of its two Funk metrics.
 
-    def F(x, y):
-        xx, yy, xy = norm_sq(x), norm_sq(y), dot(x, y)
-        root = jr.sqrt(yy - (xx * yy - xy * xy))
-        fp = (root + xy) / (1.0 - xx)
-        fm = (root - xy) / (1.0 - xx)
-        return 0.5 * (fp + fm)
-
-    return FinslerMetric(n, F, UnitBall(n), "hilbert-ball",
-                         einstein_constant=-1.0)
+    The Funk terms (root +- xy) / (1 - xx) average to root / (1 - xx), the
+    Klein F (Papadopoulos and Troyanov, Handbook of Hilbert Geometry,
+    ch. 1), so the metric is Klein's under its own name.
+    """
+    return replace(klein(n), name="hilbert-ball")
 
 
 def spherical(n=2):
@@ -479,7 +475,7 @@ def numeric_evolution_coefficients(Ffn, x, y):
     """(a, b) of t -> Ffn(x + t y, y)^(-1/2) by jet differentiation at t = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    f0, grad = jr.derivative_tensors(jr.jet_of(Ffn, x, y, 1), 1)
+    f0, grad = jr.derivative_tensors(jr.jet_of(Ffn, x, y, 1))
     df_dt = float(np.dot(grad[: x.size], y))
     a = f0 ** (-0.5)
     b = -0.5 * f0 ** (-1.5) * df_dt

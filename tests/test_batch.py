@@ -41,7 +41,7 @@ def _states(metric, count, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(key=metric_keys, count=batch_sizes, order=st.sampled_from((2, 3, 4)),
+@given(key=metric_keys, count=batch_sizes, order=st.sampled_from((2, 4)),
        seed=st.integers(0, 2**32 - 1))
 def test_batch_rows_equal_single_states(key, count, order, seed):
     m = _metric(*key)
@@ -65,7 +65,7 @@ def test_metric_block_inverse_equals_a_solve_against_the_identity(key, count,
     if count is None:
         X, Y = X[0], Y[0]
     f = jr.jet_of(m.F, X, Y, 2)
-    g, ginv = geo._metric_block(m, jr.derivative_tensors(f * f, 2))
+    g, ginv = geo._metric_block(m, jr.derivative_tensors(f * f))
     want = np.linalg.solve(g, np.eye(m.n))
     assert ginv.shape == want.shape
     assert ginv.tobytes() == want.tobytes()

@@ -389,7 +389,7 @@ def test_assembly_and_transport_read_no_dropped_partial(name, n):
     base = zoo.make_metric("euclidean", n)
     X, Y = _states(m)
     for x, y in ((X[0], Y[0]), (X, Y)):
-        for order in (3, 4):
+        for order in (2, 4):
             for key, value in geo._assemble(m, x, y, order).items():
                 assert not np.isnan(value).any(), (order, key)
     pairs = sampling.joint_state_pairs(base, m, 5)
@@ -409,7 +409,7 @@ def test_second_spray_derivative_is_the_y_derivative_of_the_first():
     z = np.concatenate([x, y])
 
     def dG(z):
-        return geo._assemble(m, z[:n], z[n:], 3)["dG"].ravel()
+        return geo._assemble(m, z[:n], z[n:], 4)["dG"].ravel()
 
     for nu in range(n):
         idx = np.zeros(2 * n, dtype=int)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finslerlab import geodesic as gd, geometry as geo, jets as jr, ode, zoo
+from finslerlab import (comparison as cmp, geodesic as gd, geometry as geo,
+                        jets as jr, ode, zoo)
 from finslerlab.errors import (DegenerateFlagError, DomainError,
                                NumericError, SingularMetricError)
 from finslerlab.metric import FinslerMetric, FullSpace, UnitBall, dot
@@ -34,9 +35,9 @@ def test_spray_closed_forms_on_the_ball():
                            atol=1e-12)
 
 
-def test_nonlinear_connection_differentiates_the_spray():
+def test_assembled_connection_differentiates_the_spray():
     fp = zoo.funk_ball(1)
-    N = geo.nonlinear_connection(fp, XG, YG)
+    N = geo._assemble(fp, XG, YG, 4)["N"]
     h = 1e-6
     for k in range(2):
         e = np.zeros(2)
@@ -137,7 +138,7 @@ def test_second_inverse_metric_derivative_matches_three_einsums(key):
     X, Y = (np.array(v) for v in zip(*geo.sampling.state_pairs(m, 6)))
     data = geo._assemble(m, X, Y, 4)
     f = jr.jet_of(m.F, X, Y, 4)
-    D3, D4 = jr.derivative_tensors(f * f, 4)[3:]
+    D3, D4 = jr.derivative_tensors(f * f)[3:]
     dg = 0.5 * geo._core(D3[..., n:, n:, :], 2, 0, 1)
     d2g = 0.5 * geo._core(D4[..., n:, n:, :, :], 2, 3, 0, 1)
     ginv = data["ginv"]
@@ -291,14 +292,20 @@ def test_segment_lookup_matches_a_linear_scan(t1):
 
 
 def _hausdorff_oracle(points, anchor, direction):
-    """The scalar loop hausdorff_to_chord once was, kept as a reference."""
+    """The loop hausdorff_to_chord once was, kept as a reference: each chord
+    sample is measured against every segment at once, with the loop's own
+    projection."""
 
     def point_segment(p, a, b):
+        # distances from p to [a, b] over the rows of p, or of a and b
         ab = b - a
-        denom = float(ab @ ab)
-        s = 0.0 if denom == 0.0 else np.clip(float((p - a) @ ab) / denom,
-                                             0.0, 1.0)
-        return float(np.linalg.norm(p - (a + s * ab)))
+        denom = (ab * ab).sum(axis=-1)
+        num = ((p - a) * ab).sum(axis=-1)
+        degenerate = denom == 0.0
+        s = np.where(degenerate, 0.0, np.clip(
+            num / np.where(degenerate, 1.0, denom), 0.0, 1.0))
+        gap = p - (a + s[..., None] * ab)
+        return np.sqrt((gap * gap).sum(axis=-1))
 
     pts = np.asarray(points, dtype=float)
     d = np.asarray(direction, dtype=float)
@@ -307,13 +314,12 @@ def _hausdorff_oracle(points, anchor, direction):
     s = (pts - a0) @ d
     lo, hi = float(np.min(s)), float(np.max(s))
     p_lo, p_hi = a0 + lo * d, a0 + hi * d
-    d_fwd = max(point_segment(p, p_lo, p_hi) for p in pts)
+    d_fwd = float(np.max(point_segment(pts, p_lo, p_hi)))
     chord_samples = p_lo + np.linspace(0.0, 1.0, 200)[:, None] * (p_hi - p_lo)
     d_back = 0.0
     for q in chord_samples:
-        best = min(
-            point_segment(q, pts[i], pts[i + 1]) for i in range(len(pts) - 1)
-        ) if len(pts) > 1 else float(np.linalg.norm(q - pts[0]))
+        best = float(np.min(point_segment(q, pts[:-1], pts[1:]))) \
+            if len(pts) > 1 else float(np.linalg.norm(q - pts[0]))
         d_back = max(d_back, best)
     return max(d_fwd, d_back)
 
@@ -419,6 +425,36 @@ def test_hausdorff_rejects_a_zero_or_non_finite_direction(direction):
         warnings.simplefilter("error")  # no RuntimeWarning on the way
         with pytest.raises(DomainError, match="direction"):
             gd.hausdorff_to_chord(pts, (0.0, 0.0), direction)
+
+
+_CASE = cmp.make_case(-1, -1, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: gd.integrate_geodesic(zoo.klein(), XG, YG, (0.0,)),
+                 id="t-span-of-one-time"),
+    pytest.param(lambda: gd.integrate_geodesic(zoo.klein(), XG, YG, 1.0),
+                 id="t-span-a-number"),
+    pytest.param(lambda: gd.integrate_geodesic(zoo.klein(), XG, YG, ("a", 1)),
+                 id="t-span-a-string"),
+    pytest.param(lambda: gd.hausdorff_to_chord(np.zeros((3, 2)), [0, 0, 0],
+                                               [1, 0, 0]),
+                 id="hausdorff-chord-of-another-dimension"),
+    pytest.param(lambda: geo.flag_curvature(zoo.klein(), XG, YG, np.ones(3)),
+                 id="flag-of-another-dimension"),
+    pytest.param(lambda: cmp.make_case(-1, -1, 1.0, "x"), id="case-string-b"),
+    pytest.param(lambda: cmp.make_case(-1, None, 1.0, 0.0),
+                 id="case-none-lam-tilde"),
+    pytest.param(lambda: cmp.candidate_length(_CASE, "a", 1.0),
+                 id="length-string-end"),
+    pytest.param(lambda: cmp.arc_param_roundtrip(_CASE, "a"),
+                 id="roundtrip-string-time"),
+    pytest.param(lambda: cmp.ode_residual(_CASE, ["a"]),
+                 id="residual-string-time"),
+])
+def test_malformed_public_inputs_fail_with_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_flag_directions_are_drawn_once_and_shared_read_only():

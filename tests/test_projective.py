@@ -66,23 +66,13 @@ def test_projective_factor_rejects_unrelated_pairs():
         pj.projective_factor(zoo.euclidean(), _warped(), X, Y)
 
 
-def test_covariant_derivative_reduces_to_x_derivative_for_flat_base():
-    # the euclidean connection vanishes, so f_{;k} = f_{x^k}
-    fp = zoo.funk_ball(1)
-    got = pj.covariant_derivative(zoo.euclidean(), fp.F, X, Y)
-    jet = fp.value_jet(X, Y, 1)
-    fx = np.array([jr.extract_derivative(jet, [1, 0, 0, 0]),
-                   jr.extract_derivative(jet, [0, 1, 0, 0])])
-    assert np.allclose(got, fx, atol=1e-12)
-
-
 def test_xi_and_tau_funk_closed_forms():
     euc, fp = zoo.euclidean(), zoo.funk_ball(1)
     info = pj.xi_and_tau(euc, fp, X, Y)
     f = fp(X, Y)
     assert info["P"] == pytest.approx(0.5 * f, rel=1e-12)
     assert info["Xi"] == pytest.approx(-0.25 * f * f, rel=1e-11)
-    jet = fp.value_jet(X, Y, 1)
+    jet = jr.jet_of(fp.F, X, Y, 1)
     fy = np.array([jr.extract_derivative(jet, [0, 0, 1, 0]),
                    jr.extract_derivative(jet, [0, 0, 0, 1])])
     assert np.allclose(info["tau"], 0.25 * f * fy, atol=1e-10)
@@ -182,9 +172,12 @@ def test_funk_condition_residual_decides():
 
 
 def test_einstein_transfer_residual():
-    res = pj.einstein_transfer_residual(zoo.klein(), zoo.spherical(),
-                                        -1.0, 1.0, X, Y)
-    assert res < 1e-12
+    # klein -> spherical: Xi = lam_tilde F~^2 - lam F^2 with (lam, lam_tilde)
+    # = (-1, 1), at one state
+    kl, sp = zoo.klein(), zoo.spherical()
+    xi = pj.xi_and_tau(kl, sp, X, Y)["Xi"]
+    f, ft = kl(X, Y), sp(X, Y)
+    assert xi == pytest.approx(ft * ft + f * f, rel=1e-12)
 
 
 def test_fit_einstein_constants_recovers_the_pair():
