@@ -3,11 +3,14 @@
 Each script measures one checkout (``--tree``, default this repository)
 and stores its rows under ``--label`` in a ``BENCH_<topic>.json`` file at
 the repository root, keeping the rows of other labels already there. Every
-write also appends the label, the checkout's commit and the rows' medians
-to the file's ``history`` list, so the figures of earlier labels stay.
+write also appends the label, the checkout's commit, a SHA-256 of its
+package sources and the rows' medians to the file's ``history`` list, so
+the figures of earlier labels stay, and each names the code it measured
+even where the checkout is no git repository.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -147,14 +150,24 @@ def commit(tree):
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
+def source_sha256(tree):
+    """SHA-256 over the name and bytes of each ``src/finslerlab/*.py`` of the
+    checkout ``tree``, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "finslerlab").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def write(out, label, rows, tree=REPO, width=16):
     """Store ``rows`` and the environment under ``label`` in ``out``, append
-    the label, ``tree``'s commit and the rows' medians to its ``history``,
-    and print one line per row."""
+    the label, ``tree``'s commit and source hash and the rows' medians to
+    its ``history``, and print one line per row."""
     data = json.loads(out.read_text()) if out.exists() else {}
     data[label] = {"env": environment(), "rows": rows}
     data.setdefault("history", []).append({
         "label": label, "commit": commit(tree),
+        "source_sha256": source_sha256(tree),
         "median_s": {name: row["median_s"] for name, row in rows.items()}})
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     for name, row in rows.items():

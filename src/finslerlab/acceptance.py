@@ -357,9 +357,8 @@ def fd_riemann(metric, x, y):
     """Curvature assembled from finite differences of the spray,
     R = 2 G_x - y^j G_{x^j y} + 2 G^j G_{y^j y} - N N, each derivative one
     :func:`jets.fd_derivative` over the stacked variable (x, y)."""
-    n = metric.n
-    y = np.asarray(y, dtype=float)
-    z = np.concatenate([np.asarray(x, dtype=float), y])
+    n, (x, y) = metric.n, metric.check_state(x, y)
+    z = np.concatenate([x, y])
     G = lambda zz: geo.spray_coefficients(metric, zz[:n], zz[n:])
 
     def dG(*slots):  # [i, ...]: derivative of G^i over the slots of z

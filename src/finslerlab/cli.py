@@ -30,7 +30,7 @@ from . import geometry as geo
 from . import projective as pj
 from . import sampling
 from . import zoo
-from .errors import FinslerError, NumericError
+from .errors import FinslerError, NumericError, reals
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -40,10 +40,7 @@ class UsageError(Exception):
 
 
 def _vec(text):
-    try:
-        return np.array([float(p) for p in str(text).split(",")], dtype=float)
-    except ValueError:
-        raise UsageError(f"expected comma-separated floats, got {text!r}")
+    return reals(str(text).split(","), "comma-separated coordinates")
 
 
 def _pair(text):

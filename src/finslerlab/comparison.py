@@ -36,7 +36,7 @@ import numpy as np
 
 from . import jets as jr
 from . import ode
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, real, reals
 
 ALLOWED_CONSTANTS = (-1.0, 0.0, 1.0)
 FAMILY_TOL = 1e-9
@@ -56,29 +56,12 @@ class Case:
     C: float
 
 
-def _real(value, what):
-    """float(value); DomainError when it does not read as a real number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be a real number, got {value!r}") from None
-
-
-def _times(t, what):
-    """``t`` as a float array; DomainError when it does not read as real
-    times."""
-    try:
-        return np.asarray(t, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} needs real times: {exc}") from None
-
-
 def make_case(lam, lam_tilde, a, b):
     """Validated case with the conserved invariant C (snapped near zero)."""
-    lam, lam_tilde = _real(lam, "lam"), _real(lam_tilde, "lam_tilde")
+    lam, lam_tilde = real(lam, "lam"), real(lam_tilde, "lam_tilde")
     if lam not in ALLOWED_CONSTANTS or lam_tilde not in ALLOWED_CONSTANTS:
         raise DomainError("normalized Einstein constants must be -1, 0 or +1")
-    a, b = _real(a, "a"), _real(b, "b")
+    a, b = real(a, "a"), real(b, "b")
     if not (a > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise DomainError("need a > 0 and finite b")
     # C and the turning-point identity need a^2 > 0 and a^4, (a b)^2, b^2
@@ -208,7 +191,7 @@ def f_squared(case, t):
     # a float runs on ``math``; one past exp's range, any other number or
     # a sequence of times reads as an array
     if not (isinstance(t, float) and abs(t) < 700.0 or jr.is_jet(t)):
-        t = _times(t, "f_squared")
+        t = reals(t, "times")
     form, a = _form(case.lam, t, scaled=True), case.a
     if case.lam_tilde == 1.0:
         lin, s = form(a, case.b), form(0.0, 1.0) / a
@@ -243,7 +226,7 @@ def evolution_law(case, t):
 
 def normal_form_defect(case, ts):
     """Max |law * f^2 - 1| across ts: the law must be 1/f^2 identically."""
-    ts = np.asarray(ts, dtype=float)
+    ts = reals(ts, "times")
     return float(np.max(np.abs(evolution_law(case, ts) * f_squared(case, ts) - 1.0)))
 
 
@@ -333,7 +316,7 @@ def candidate_length(case, t_from, t_to):
     infinite end on a side where the length diverges, returns inf; a
     window with t_from > t_to returns the negated length.
     """
-    t0, t1 = _real(t_from, "t_from"), _real(t_to, "t_to")
+    t0, t1 = real(t_from, "t_from"), real(t_to, "t_to")
     if math.isnan(t0) or math.isnan(t1):
         raise DomainError(f"candidate_length needs real ends, got ({t0}, {t1})")
     if t0 > t1:
@@ -491,7 +474,7 @@ def ode_residual(case, ts):
     All times are seeded as one batch; the residual is then taken per
     time on Python floats.
     """
-    ts = np.atleast_1d(_times(ts, "ode_residual"))
+    ts = np.atleast_1d(reals(ts, "times"))
     if not ts.size:
         return 0.0
     f = jr.sqrt(f_squared(case, jr.variables(ts[:, None], 2)[0]))
@@ -529,11 +512,13 @@ def numeric_integrate(case, t_span=None):
     """Integrate the ODE directly with DOP853 at rtol 1e-12 and atol 1e-14,
     one ``ode.integrate`` leg per end of ``t_span``; a leg that stalls
     against the f -> 0 pole ends with status "collapse"."""
-    if t_span is None:
-        t_span = _default_span(case, 8.0)
+    span = reals(_default_span(case, 8.0) if t_span is None else t_span,
+                 "t_span times")
+    if span.shape != (2,):
+        raise DomainError(f"t_span {t_span!r} must hold two real times")
     rhs, u0 = comparison_rhs(case), np.array([case.a, case.b])
     legs = []
-    for target in t_span:
+    for target in span.tolist():
         res = ode.integrate(rhs, 0.0, u0, target, rtol=1e-12, atol=1e-14,
                             speed_limit=np.inf)
         status = res.status
@@ -573,7 +558,7 @@ def arc_param_roundtrip(case, t):
     to invert (b = 1e-200, say). At b = 0, a turning value of f, such a t
     reads the defect |t|.
     """
-    t = _real(t, "t")
+    t = real(t, "t")
     if not math.isfinite(t):
         raise DomainError(f"arc_param_roundtrip needs a finite t, got {t}")
     if t == 0.0:

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one gate through
+which public entries read outside values: :func:`real`, :func:`reals` and
+:func:`count` refuse what is no float, float array or integer count with
+:class:`DomainError`, as metrics refuse a non-finite point or direction; a
+malformed multi-index raises :class:`JetError`. So every public function
+fails with a :class:`FinslerError` subclass."""
+
+import operator
+
+import numpy as np
 
 
 class FinslerError(Exception):
@@ -6,7 +15,7 @@ class FinslerError(Exception):
 
 
 class DomainError(FinslerError):
-    """A point lies outside the metric's domain of definition."""
+    """A point outside the metric's domain, or an argument outside the call's."""
 
 
 class DegenerateDirectionError(FinslerError):
@@ -34,4 +43,31 @@ class FDOracleError(NumericError):
 
 
 class JetError(FinslerError):
-    """Invalid jet-ring operation: zero-base division, negative-base sqrt/log, context mismatch."""
+    """Invalid jet-ring operation, context mismatch or malformed multi-index."""
+
+
+def real(value, what):
+    """``value`` as a float, or DomainError naming it as ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"needs a real {what}, got {value!r}") from None
+
+
+def reals(value, what):
+    """``value`` as a float array of its own shape, or DomainError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"needs real {what}, got {value!r}") from None
+
+
+def count(value, least, what):
+    """``value`` as an int; DomainError unless it is an integer >= ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"needs an integer {what}, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"needs {what} >= {least}, got {value}")
+    return value

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ode
 from .errors import (DegenerateDirectionError, DomainError,
-                     SingularMetricError)
+                     SingularMetricError, reals)
 from .geometry import spray_coefficients
 
 RIM_TOL = 1e-6
@@ -57,7 +57,7 @@ class GeodesicResult:
 
     def sample(self, ts):
         """Dense states at query times; returns (points, velocities)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        ts = np.atleast_1d(reals(ts, "times"))
         n = self.xs.shape[1]
         out = np.empty((ts.size, 2 * n))
         back, fwd = self.legs
@@ -79,10 +79,10 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     """
     x0 = metric.check_point(x0)
     y0 = metric.check_direction(y0)
-    try:
-        t_min, t_max = float(t_span[0]), float(t_span[1])
-    except (IndexError, KeyError, TypeError, ValueError):
-        raise DomainError(f"t_span {t_span!r} must hold two real times") from None
+    span = reals(t_span, "t_span times")
+    if span.shape != (2,):
+        raise DomainError(f"t_span {t_span!r} must hold two real times")
+    t_min, t_max = span.tolist()
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise DomainError(f"t_span {t_span} must be finite")
     if not (t_min <= 0.0 <= t_max):
@@ -108,11 +108,6 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
 # straightness diagnostics for projectively flat charts
 
 
-# temporaries of the backward leg hold about this many floats
-_BLOCK_FLOATS = 1 << 16
-_CHORD_SAMPLES = 200
-
-
 def _point_segment_distances(p, a, b):
     """Distances from points p to segments [a, b], broadcast over leading axes.
 
@@ -130,14 +125,16 @@ def hausdorff_to_chord(points, anchor, direction):
     """Hausdorff distance between a polyline and its straight chord.
 
     The chord is the segment of the line anchor + s*direction spanned by
-    the projections of the polyline's endpoints. The backward leg measures
-    200 chord samples against the polyline, taking segments in blocks.
+    the projections of the polyline's nodes. The distance is the largest
+    from a node to the chord: the polyline is connected, so each chord
+    point is the projection of a polyline point p, and p lies no farther
+    from the line than the farther end of its segment.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise DomainError("hausdorff_to_chord needs at least one point")
-    d = np.asarray(direction, dtype=float)
-    a0 = np.asarray(anchor, dtype=float)
+    pts = reals(points, "points")
+    if pts.ndim != 2 or pts.size == 0:
+        raise DomainError(f"hausdorff_to_chord needs k >= 1 points as a (k, "
+                          f"n) array, got shape {pts.shape}")
+    d, a0 = reals(direction, "direction"), reals(anchor, "anchor")
     if d.shape != pts.shape[-1:] or a0.size not in (1, d.size):
         raise DomainError(f"hausdorff_to_chord: points of shape {pts.shape} "
                           f"against an anchor of shape {a0.shape} and a "
@@ -149,19 +146,5 @@ def hausdorff_to_chord(points, anchor, direction):
                           f"finite length, got {d.tolist()}")
     d = d / norm
     s = (pts - a0) @ d
-    lo, hi = float(np.min(s)), float(np.max(s))
-    p_lo, p_hi = a0 + lo * d, a0 + hi * d
-
-    d_fwd = float(np.max(_point_segment_distances(pts, p_lo, p_hi)))
-
-    chord_samples = p_lo + np.linspace(0.0, 1.0, _CHORD_SAMPLES)[:, None] \
-        * (p_hi - p_lo)
-    # a single point is the zero-length segment from itself to itself
-    seg_a, seg_b = (pts[:-1], pts[1:]) if len(pts) > 1 else (pts, pts)
-    step = max(1, _BLOCK_FLOATS // (_CHORD_SAMPLES * pts.shape[1]))
-    best = np.full(_CHORD_SAMPLES, np.inf)
-    q = chord_samples[:, None, :]
-    for j in range(0, len(seg_a), step):
-        dist = _point_segment_distances(q, seg_a[j:j + step], seg_b[j:j + step])
-        np.minimum(best, dist.min(axis=1), out=best)
-    return max(d_fwd, float(np.max(best)))
+    p_lo, p_hi = a0 + float(np.min(s)) * d, a0 + float(np.max(s)) * d
+    return float(np.max(_point_segment_distances(pts, p_lo, p_hi)))

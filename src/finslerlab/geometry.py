@@ -39,6 +39,7 @@ batch equals the one-state result bit for bit.
 
 import numpy as np
 
+from . import errors
 from . import jets as jr
 from . import sampling
 from .errors import (DegenerateFlagError, DomainError, FinslerError,
@@ -219,13 +220,12 @@ def _flag_values(g, R, y, V):
 
 def flag_curvature(metric, x, y, v):
     """Flag curvature of span(y, v); rejects flags nearly parallel to y."""
-    v = np.asarray(v, dtype=float)
+    v = errors.reals(v, "flag direction coordinates")
     if v.size != metric.n:
         raise DomainError(f"{metric.name}: flag direction has size {v.size}, "
                           f"expected {metric.n}")
-    _, g, R = curvature_data(metric, x, y)
-    K, sin_sq = _flag_values(g, R, np.asarray(y, dtype=float),
-                             v.reshape(1, -1))
+    data = _assemble(metric, *metric.check_state(x, y), 4)
+    K, sin_sq = _flag_values(data["g"], data["R"], data["y"], v.reshape(1, -1))
     if not sin_sq[0] >= MIN_FLAG_ANGLE**2:  # a zero v makes it nan
         raise DegenerateFlagError(
             f"flag direction within {MIN_FLAG_ANGLE} of y (sin^2 = {sin_sq[0]:.3e})"
@@ -243,7 +243,7 @@ def flag_spread(metric, x, y, flags=20):
     """Flag curvatures across ``flags`` transverse directions at one (x, y);
     ``dropped`` counts the candidate directions within MIN_FLAG_ANGLE of
     y."""
-    flags = sampling.check_count(flags, 1, "flags")
+    flags = errors.count(flags, 1, "flags")
     x, y = metric.check_state(x, y)
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"],
@@ -269,7 +269,7 @@ def _einstein_constant(metric, lam):
         lam = metric.einstein_constant
     if lam is None:
         raise DomainError(f"{metric.name}: no Einstein constant given or stored")
-    return lam
+    return errors.real(lam, "Einstein constant")
 
 
 def _residual(metric, data, lam):
@@ -301,8 +301,8 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
     flags, ``flags_dropped`` totals the samples' dropped directions.
     """
     lam = _einstein_constant(metric, lam)
-    count = sampling.check_count(count, 1)
-    flags = sampling.check_count(flags, 0, "flags")
+    count = errors.count(count, 1, "count")
+    flags = errors.count(flags, 0, "flags")
     X, Y = metric.check_state(
         *(np.array(v) for v in zip(*sampling.state_pairs(metric, count, box=box))))
     V = _flag_directions(metric.n, flags) if flags else None

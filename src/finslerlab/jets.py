@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import FDOracleError, JetError
+from .errors import FDOracleError, JetError, reals
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +456,7 @@ def constant(ctx, value):
 
 def _points(values):
     """One point ``(n,)`` (any shape is flattened) or a stack ``(B, n)``."""
-    vals = np.asarray(values, dtype=float)
+    vals = reals(values, "point coordinates")
     return vals if vals.ndim == 2 else vals.ravel()
 
 
@@ -502,12 +502,15 @@ def seed_variables(x, y, order, *, x_degree=None):
 # derivative access
 
 
-def _normalize_idx(ctx, idx):
-    idx = tuple(int(e) for e in np.asarray(idx).ravel())
-    if len(idx) != ctx.n_vars:
-        raise JetError(
-            f"multi-index length {len(idx)} does not match n_vars={ctx.n_vars}"
-        )
+def _normalize_idx(idx, size):
+    """``idx`` as a tuple of ``size`` integers >= 0, or JetError."""
+    try:
+        idx = tuple(int(e) for e in np.asarray(idx).ravel())
+    except (TypeError, ValueError):
+        raise JetError(f"multi-index {idx!r} needs integer entries") from None
+    if len(idx) != size:
+        raise JetError(f"multi-index length {len(idx)} does not match the "
+                       f"{size} variables")
     if any(e < 0 for e in idx):
         raise JetError(f"multi-index entries must be >= 0, got {idx}")
     return idx
@@ -516,7 +519,7 @@ def _normalize_idx(ctx, idx):
 def extract_derivative(jet, idx):
     """Mixed partial d^idx f at the seed point (coefficient times idx!)."""
     ctx = jet.ctx
-    idx = _normalize_idx(ctx, idx)
+    idx = _normalize_idx(idx, ctx.n_vars)
     total = sum(idx)
     if total > ctx.order:
         raise JetError(f"|idx| = {total} exceeds jet order {ctx.order}")
@@ -729,10 +732,8 @@ def fd_derivative(fz, z, idx):
     fail to contract in the max norm (non-smooth point or hopeless
     scaling).
     """
-    z = np.asarray(z, dtype=float).ravel()
-    idx = tuple(int(e) for e in np.asarray(idx).ravel())
-    if len(idx) != z.size:
-        raise JetError(f"multi-index length {len(idx)} does not match len(z)={z.size}")
+    z = reals(z, "point coordinates").ravel()
+    idx = _normalize_idx(idx, z.size)
     k = sum(idx)
     if not 1 <= k <= 4:
         raise JetError(f"fd oracle supports derivative orders 1..4, got {k}")
@@ -763,8 +764,8 @@ def fd_oracle(f, x, y, idx):
     exponent per entry of (x, y).  Documented accuracy target: 1e-6
     relative for well-scaled smooth inputs at derivative order <= 3.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x = reals(x, "point coordinates").ravel()
+    y = reals(y, "direction coordinates").ravel()
     n = x.size
 
     def fz(z):

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DomainError
+from .errors import DegenerateDirectionError, DomainError, count, reals
 
 MAX_DIM = 8
 MIN_DIRECTION_NORM = 1e-12
@@ -46,7 +46,8 @@ class Domain:
     """Containment predicate with a signed inside/outside hint (< 0 inside)."""
 
     def contains(self, x):
-        return self.signed(x) < 0.0
+        # a signed value of -inf comes only from a non-finite point
+        return -math.inf < self.signed(x) < 0.0
 
     def signed(self, x):
         raise NotImplementedError
@@ -64,7 +65,7 @@ class FullSpace(Domain):
         return -1.0
 
     def contains(self, x):
-        return True
+        return all(map(math.isfinite, x.tolist()))
 
     def sample_box(self):
         return -1.5 * np.ones(self.n), 1.5 * np.ones(self.n)
@@ -138,11 +139,11 @@ class FinslerMetric:
     einstein_constant: Optional[float] = None
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DIM:
+        if not 1 <= count(self.n, 0, "dimension") <= MAX_DIM:
             raise DomainError(f"dimension {self.n} outside 1..{MAX_DIM}")
 
     def check_point(self, x):
-        x = np.asarray(x, dtype=float)
+        x = reals(x, "point coordinates")
         if x.size != self.n:
             raise DomainError(f"{self.name}: point has size {x.size}, expected {self.n}")
         if not self.domain.contains(x):
@@ -150,13 +151,16 @@ class FinslerMetric:
         return x
 
     def check_direction(self, y):
-        y = np.asarray(y, dtype=float)
+        y = reals(y, "direction coordinates")
         if y.size != self.n:
             raise DomainError(
                 f"{self.name}: direction has size {y.size}, expected {self.n}"
             )
-        if _norm(y) <= MIN_DIRECTION_NORM:
+        norm = _norm(y)
+        if norm <= MIN_DIRECTION_NORM:
             raise DegenerateDirectionError(f"{self.name}: |y| below {MIN_DIRECTION_NORM}")
+        if not norm < math.inf:  # a nan or inf entry, or an overflow
+            raise DomainError(f"{self.name}: direction {y.tolist()} not finite")
         return y
 
     def __call__(self, x, y):
@@ -171,7 +175,7 @@ class FinslerMetric:
         ``(B, n)`` stacks of points and directions are validated row by
         row, and the first bad row fails the batch.
         """
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x, y = reals(x, "point coordinates"), reals(y, "direction coordinates")
         if x.ndim == 2 and y.ndim == 2 and x.shape[0] == y.shape[0]:
             for xi, yi in zip(x, y):
                 self.check_point(xi)

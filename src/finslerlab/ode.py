@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, real, reals
 
 
 def _e5e3_error(hs, e5, e3, abs_w, w8, rtol, atol):
@@ -229,9 +229,9 @@ class OdeResult:
         """Dense output at query times inside the span; a node returns its
         row of ``us`` exactly. The first call runs the rhs at the
         dense-output stages: DomainError if one is vetoed."""
+        t = np.atleast_1d(reals(ts, "times"))
         if self.Qs is None:
             self.Qs, self._form_Qs = self._form_Qs(), None
-        t = np.atleast_1d(np.asarray(ts, dtype=float))
         k = self._locate(t)
         out = self.us[k]
         inner = k < len(self.hs)  # the last node starts no step
@@ -331,11 +331,11 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     The run, the rhs included, ignores numpy's floating-point warnings, so
     an overflowing stage reads inf and is vetoed, and an underflow reads 0.
     """
-    t = float(t0)
-    t1 = float(t1)
+    t, t1 = real(t0, "t0"), real(t1, "t1")
     if not (math.isfinite(t) and math.isfinite(t1)):
         raise DomainError(f"integration span ({t0}, {t1}) must be finite")
-    u = np.asarray(u0, dtype=float).copy()
+    rtol, atol = real(rtol, "rtol"), real(atol, "atol")
+    u = reals(u0, "u0").copy()
     d, s = u.size, len(_C8)
     ts, us, dts, stages = [t], [u], [], []  # stages: each accepted step's K
     n_acc = n_rej = n_vet = 0

@@ -19,6 +19,7 @@ the base spray:
 
 import numpy as np
 
+from . import errors
 from . import jets as jr
 from . import sampling
 from .errors import DomainError, NotProjectivelyRelatedError
@@ -54,7 +55,7 @@ def rapcsak_residual(base, cand, x, y):
 
 def _stacked_pairs(base, cand, count, box):
     """The joint state pairs of a campaign as (B, n) stacks X, Y."""
-    count = sampling.check_count(count, 1)
+    count = errors.count(count, 1, "count")
     pairs = sampling.joint_state_pairs(base, cand, count, box=box)
     return (np.array(v) for v in zip(*pairs))
 
@@ -194,7 +195,7 @@ def funk_condition_residual(cand, mu, x, y):
     normalized by f^2, so a metric genuinely satisfying the condition at
     constant mu scores ~0 and violators score order one.
     """
-    n = cand.n
+    n, mu = cand.n, errors.real(mu, "mu")
     f_val, T1 = jr.derivative_tensors(
         jr.jet_of(cand.F, *cand.check_state(x, y), 1))
     vec = T1[:n] - 2.0 * mu * f_val * T1[n:]

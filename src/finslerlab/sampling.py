@@ -14,10 +14,10 @@ directions of each (count, n) are drawn once too.
 """
 
 import functools
-import operator
 
 import numpy as np
 
+from . import errors
 from .errors import DomainError, NumericError
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -82,28 +82,14 @@ def _blocks(dim, offset):
         start += _BLOCK
 
 
-def check_count(count, least=0, what="count"):
-    """``count`` as an int; DomainError unless it is an integer >= ``least``."""
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise DomainError(f"needs an integer {what}, got {count!r}") from None
-    if count < least:
-        raise DomainError(f"needs {what} >= {least}, got {count}")
-    return count
-
-
 def _box(box, n=None):
     """(lo, hi) of a sampling box as float vectors of one length, which
     must be ``n`` when given."""
-    corners = [np.asarray(v, dtype=float) for v in box]
-    if len(corners) != 2:
-        raise DomainError(f"a sampling box needs two corners, got "
-                          f"{len(corners)}")
-    lo, hi = corners
-    if lo.ndim != 1 or lo.shape != hi.shape:
+    box = errors.reals(box, "box corners")
+    if box.ndim != 2 or len(box) != 2:
         raise DomainError(f"a sampling box needs two corners of one length, "
-                          f"got shapes {lo.shape} and {hi.shape}")
+                          f"got {box.tolist()}")
+    lo, hi = box
     if n is not None and lo.size != n:
         raise DomainError(f"a sampling box of {lo.size} coordinates for a "
                           f"{n}-dimensional metric")
@@ -112,7 +98,7 @@ def _box(box, n=None):
 
 def points_in_domain(domain, count, box=None):
     """First ``count`` Halton points of the box that land inside ``domain``."""
-    count = check_count(count)
+    count = errors.count(count, 0, "count")
     lo, hi = _box(box if box is not None else domain.sample_box())
     limit = 1000 * count + 1000
     blocks = _blocks(lo.size, HALTON_OFFSET)
@@ -151,8 +137,8 @@ def directions(count, n):
 
     Drawn once per (count, n); each call returns a writable copy.
     """
-    count = check_count(count)
-    n = check_count(n, 1, "n")
+    count = errors.count(count, 0, "count")
+    n = errors.count(n, 1, "n")
     return _directions(count, n).copy()
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import comparison as cmp
 from . import jets as jr
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, count, real, reals
 from .metric import (
     ConvexInterior,
     FinslerMetric,
@@ -103,6 +103,7 @@ def bryant(eps, n=2):
 
     eps in (0, 1]; eps = 1 collapses to the gnomonic sphere chart.
     """
+    eps = real(eps, "bryant parameter")
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"bryant parameter must lie in (0, 1], got {eps}")
     sig = math.sqrt(1.0 - eps * eps)
@@ -127,7 +128,7 @@ def paraboloid_metric(n=2):
 
     Chart: x_n > (x_1)^2 + ... + (x_{n-1})^2.
     """
-    if n < 2:
+    if count(n, 0, "dimension") < 2:
         raise DomainError("paraboloid chart needs dimension >= 2")
 
     def F(x, y):
@@ -142,8 +143,9 @@ def paraboloid_metric(n=2):
 
 def scaled(metric, factor):
     """The metric factor * F; Einstein constant rescales by 1/factor^2."""
-    if factor <= 0.0:
-        raise DomainError("scale factor must be positive")
+    factor = real(factor, "scale factor")
+    if not 0.0 < factor < math.inf:
+        raise DomainError(f"scale factor {factor} is not positive and finite")
     lam = metric.einstein_constant
     lam = None if lam is None else lam / (factor * factor)
 
@@ -181,14 +183,12 @@ def ball_body(n=2):
     def grad(x):
         return [2.0 * v for v in x]
 
-    e = np.ones(n)
-    return ConvexBody("ball-1", n, phi, grad, -e, e)
+    e = np.ones(count(n, 1, "dimension"))
+    return ConvexBody("ball-1", e.size, phi, grad, -e, e)
 
 
 def ellipsoid_body(semi_axes):
-    semi = tuple(float(s) for s in semi_axes)
-    if any(s <= 0 for s in semi):
-        raise DomainError("semi-axes must be positive")
+    semi = _semi_axes(semi_axes)
     w = [1.0 / (s * s) for s in semi]
 
     def phi(x):
@@ -205,10 +205,17 @@ def ellipsoid_body(semi_axes):
                       len(semi), phi, grad, -e, e)
 
 
+def _semi_axes(semi):
+    semi = tuple(reals(semi, "semi-axes").ravel().tolist())
+    if not all(0.0 < s < math.inf for s in semi):
+        raise DomainError(f"semi-axes must be positive and finite, got {semi}")
+    return semi
+
+
 def superellipse_body(p=4, semi=(1.0, 1.0)):
-    if p < 4 or p % 2 != 0:
+    p, semi = count(p, 4, "superellipse exponent"), _semi_axes(semi)
+    if p % 2 != 0:
         raise DomainError("superellipse exponent must be an even integer >= 4")
-    semi = tuple(float(s) for s in semi)
     w = [1.0 / s**p for s in semi]
 
     def phi(x):
@@ -313,8 +320,8 @@ def funk_general(body, x, y, sign=1):
     jetlike = any(jr.is_jet(v) for v in xs + ys)
 
     # (n,), or (B, n) for batched jets
-    x0 = np.array([jr.base_value(v) for v in xs], dtype=float).T
-    y0 = np.array([jr.base_value(v) for v in sy], dtype=float).T
+    x0 = reals([jr.base_value(v) for v in xs], "point coordinates").T
+    y0 = reals([jr.base_value(v) for v in sy], "direction coordinates").T
     if x0.ndim == 1:
         s0 = _chord_scalar_root(body, x0, y0, CHORD_TOL)
     else:
@@ -453,9 +460,8 @@ def _ray(source, x, y, body):
         raise DomainError(f"unknown evolution source {source!r}; "
                           f"choose one of {tuple(EVOLUTION_SOURCES)}")
     src = EVOLUTION_SOURCES[source]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if abs(np.linalg.norm(y) - 1.0) > 1e-9:
+    x, y = reals(x, "point coordinates"), reals(y, "direction coordinates")
+    if not abs(np.linalg.norm(y) - 1.0) <= 1e-9:  # a nan |y| fails too
         raise DomainError("evolution laws assume a Euclidean-unit direction")
     fp, fm = _funk_values(x, y, body) if src.funk else (None, None)
     return src, x, y, fp, fm
@@ -473,8 +479,7 @@ def evolution_coefficients(source, x, y, body=None):
 
 def numeric_evolution_coefficients(Ffn, x, y):
     """(a, b) of t -> Ffn(x + t y, y)^(-1/2) by jet differentiation at t = 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = reals(x, "point coordinates"), reals(y, "direction coordinates")
     f0, grad = jr.derivative_tensors(jr.jet_of(Ffn, x, y, 1))
     df_dt = float(np.dot(grad[: x.size], y))
     a = f0 ** (-0.5)
@@ -547,6 +552,7 @@ def make_metric(name, dim=2, eps=0.9):
     if name not in _CATALOG:
         raise DomainError(f"unknown metric {name!r}; "
                           f"choose one of: {', '.join(METRIC_NAMES)}")
+    dim = count(dim, 1, "dim")
     metric = _CATALOG[name](dim, eps)
     if metric.n != dim:
         raise DomainError(f"{name} is {metric.n}-dimensional; got dim {dim}")

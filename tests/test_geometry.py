@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finslerlab import (comparison as cmp, geodesic as gd, geometry as geo,
-                        jets as jr, ode, zoo)
-from finslerlab.errors import (DegenerateFlagError, DomainError,
+                        jets as jr, ode, projective as pj, sampling, zoo)
+from finslerlab.errors import (DegenerateFlagError, DomainError, JetError,
                                NumericError, SingularMetricError)
 from finslerlab.metric import FinslerMetric, FullSpace, UnitBall, dot
 
@@ -428,6 +428,18 @@ def test_hausdorff_rejects_a_zero_or_non_finite_direction(direction):
 
 
 _CASE = cmp.make_case(-1, -1, 1.0, 0.5)
+# a malformed coordinate or argument: "a" in place of a number
+_X, _Y, _XA, _YA = (0.1, 0.2), (1.0, 0.0), ("a", 0.2), ("a", 0.0)
+_BOX = (["a", 0], [1, 1])
+_ELLIPSE = zoo.ellipsoid_body((2.0, 1.0))
+
+
+def _geodesic():
+    return gd.integrate_geodesic(zoo.klein(), _X, _Y, (-0.5, 0.5))
+
+
+def _rhs(t, u):
+    return -u
 
 
 @pytest.mark.parametrize("call", [
@@ -451,9 +463,109 @@ _CASE = cmp.make_case(-1, -1, 1.0, 0.5)
                  id="roundtrip-string-time"),
     pytest.param(lambda: cmp.ode_residual(_CASE, ["a"]),
                  id="residual-string-time"),
+    # points and directions
+    pytest.param(lambda: zoo.klein()(_X, _YA), id="call-string-direction"),
+    pytest.param(lambda: geo.spray_coefficients(zoo.klein(), _XA, _Y),
+                 id="spray-string-point"),
+    pytest.param(lambda: geo.flag_curvature(zoo.klein(), _X, _Y, ("a", 1)),
+                 id="flag-string-direction"),
+    pytest.param(lambda: pj.projective_factor(zoo.klein(), zoo.klein(), _XA,
+                                              _Y), id="factor-string-point"),
+    pytest.param(lambda: pj.rapcsak_residual(zoo.klein(), zoo.funk_ball(1),
+                                             _X, _YA),
+                 id="rapcsak-string-direction"),
+    pytest.param(lambda: pj.xi_and_tau(zoo.klein(), zoo.klein(), _XA, _Y),
+                 id="xi-tau-string-point"),
+    pytest.param(lambda: pj.curvature_transform_check(
+        zoo.euclidean(), zoo.funk_ball(1), _XA, _Y),
+        id="transform-string-point"),
+    pytest.param(lambda: jr.jet_of(zoo.klein().F, _XA, _Y, 2),
+                 id="jet-of-string-point"),
+    pytest.param(lambda: jr.variables(_XA, 2), id="variables-string-point"),
+    pytest.param(lambda: jr.fd_oracle(zoo.klein().F, _XA, _Y, (1, 0, 0, 0)),
+                 id="fd-oracle-string-point"),
+    pytest.param(lambda: zoo.funk_general(_ELLIPSE, _XA, _Y),
+                 id="funk-general-string-point"),
+    pytest.param(lambda: zoo.evolution_coefficients("klein", _XA, _Y),
+                 id="evolution-string-point"),
+    pytest.param(lambda: zoo.verify_evolution("klein", _XA, _Y),
+                 id="verify-evolution-string-point"),
+    # samples
+    pytest.param(lambda: _geodesic().sample(["a"]),
+                 id="geodesic-sample-string-time"),
+    pytest.param(lambda: _geodesic().legs[1].sample(["a"]),
+                 id="ode-sample-string-time"),
+    # scalars
+    pytest.param(lambda: gd.integrate_geodesic(zoo.klein(), _X, _Y,
+                                               (-0.5, 0.5), rtol="a"),
+                 id="geodesic-string-rtol"),
+    pytest.param(lambda: geo.einstein_residual(zoo.klein(), _X, _Y, lam="a"),
+                 id="einstein-string-lam"),
+    pytest.param(lambda: pj.funk_condition_residual(zoo.klein(), "a", _X, _Y),
+                 id="funk-condition-string-mu"),
+    pytest.param(lambda: ode.integrate(_rhs, "a", [1.0], 1.0),
+                 id="integrate-string-t0"),
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, ["a"], 1.0),
+                 id="integrate-string-u0"),
+    pytest.param(lambda: zoo.bryant("a"), id="bryant-string-eps"),
+    pytest.param(lambda: zoo.scaled(zoo.klein(), "a"),
+                 id="scaled-string-factor"),
+    pytest.param(lambda: zoo.ellipsoid_body(("a", 1)),
+                 id="ellipsoid-string-axis"),
+    pytest.param(lambda: zoo.superellipse_body("a"),
+                 id="superellipse-string-p"),
+    pytest.param(lambda: zoo.make_metric("klein", "a"),
+                 id="make-metric-string-dim"),
+    pytest.param(lambda: zoo.make_metric("bryant", 2, "a"),
+                 id="make-metric-string-eps"),
+    # boxes and spans
+    pytest.param(lambda: sampling.state_pairs(zoo.klein(), 3, box=_BOX),
+                 id="state-pairs-string-box"),
+    pytest.param(lambda: sampling.points_in_domain(UnitBall(2), 3, box=_BOX),
+                 id="points-string-box"),
+    pytest.param(lambda: geo.einstein_campaign(zoo.klein(), 3, box=_BOX),
+                 id="campaign-string-box"),
+    pytest.param(lambda: pj.fit_einstein_constants(
+        zoo.euclidean(), zoo.funk_ball(1), 3, box=_BOX), id="fit-string-box"),
+    pytest.param(lambda: sampling.state_pairs(zoo.klein(), 3, box=1.0),
+                 id="state-pairs-scalar-box"),
+    pytest.param(lambda: cmp.numeric_vs_closed(_CASE, ("a", 1.0)),
+                 id="numeric-vs-closed-string-span"),
+    pytest.param(lambda: cmp.numeric_vs_closed(_CASE, 1.0),
+                 id="numeric-vs-closed-scalar-span"),
+    # arrays
+    pytest.param(lambda: gd.hausdorff_to_chord([["a", 1]], (0, 0), (1, 0)),
+                 id="hausdorff-string-point"),
+    pytest.param(lambda: gd.hausdorff_to_chord(np.zeros(2), (0.0, 0.0),
+                                               (1.0, 0.0)),
+                 id="hausdorff-one-dimensional-points"),
+    # non-finite points and directions, which evaluated to nan
+    pytest.param(lambda: zoo.spherical()((np.nan, 0.0), _Y),
+                 id="spherical-nan-point"),
+    pytest.param(lambda: zoo.klein()(_X, (np.inf, 0.0)),
+                 id="klein-inf-direction"),
+    pytest.param(lambda: zoo.bryant(0.5)(_X, (np.nan, 0.0)),
+                 id="bryant-nan-direction"),
+    pytest.param(lambda: zoo.paraboloid_metric()((0.0, np.inf), (0.0, 1.0)),
+                 id="paraboloid-inf-point"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: jr.extract_derivative(
+        jr.jet_of(zoo.klein().F, _X, _Y, 2), ["a", 0, 0, 0]),
+        id="extract-string-entry"),
+    pytest.param(lambda: jr.fd_oracle(zoo.klein().F, _X, _Y, ["a", 0, 0, 0]),
+                 id="fd-oracle-string-entry"),
+    # the parent's oracle read (2, -1, 0, 0) as d^2/dx1^2 at the order-1 step
+    pytest.param(lambda: jr.fd_oracle(zoo.klein().F, _X, _Y, (2, -1, 0, 0)),
+                 id="fd-oracle-negative-entry"),
+])
+def test_malformed_multi_indices_fail_with_jet_error(call):
+    with pytest.raises(JetError):
         call()
 
 
