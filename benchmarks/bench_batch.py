@@ -27,7 +27,9 @@ repetitions to ``BENCH_batch.json`` under a label:
   xi_and_tau.n<n>                ``projective.xi_and_tau`` euclidean ->
                                  funk-plus on a batch of 25 joint states
                                  (the fit's default), per state, n = 2..4
-  criterion_1, criterion_2       ``acceptance.criterion_k()`` wall time
+  criterion_<k>                  ``acceptance.criterion_k()`` wall time
+                                 and ``worst`` for k = 1, 2 and the
+                                 batched criteria 3, 4, 5 and 9
   tier1                          the tier-1 suite wall time
 
 Batched rows need a tree whose ``_assemble`` takes ``(B, n)`` stacks;
@@ -124,7 +126,7 @@ def main(argv=None):
         rows[f"xi_and_tau.n{n}"] = per_state(
             timed(lambda: pj.xi_and_tau(euc_n, fp_n, X, Y)), FIT_STATES)
 
-    rows.update(_bench.criteria((1, 2)))
+    rows.update(_bench.criteria((1, 2, 3, 4, 5, 9)))
     times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
     _bench.write(OUT, label, rows, tree, width=40)

@@ -20,7 +20,7 @@ from . import jets as jr
 from . import projective as pj
 from . import sampling
 from . import zoo
-from .errors import FDOracleError
+from .errors import DomainError, FDOracleError
 
 GRID_AB = ((0.3, 0.7, 1.0, 2.0, 5.0), (-2.0, -0.5, 0.0, 0.5, 2.0))
 NINE_PAIRS = tuple((l, lt) for l in (-1, 0, 1) for lt in (-1, 0, 1))
@@ -33,6 +33,11 @@ def _record(k, name, worst, tol, details=None, passed=None):
     return {"criterion": k, "name": name, "passed": bool(passed),
             "worst": float(worst), "tol": float(tol),
             "details": details or {}}
+
+
+def _states(metric):
+    """The STATES sampled states of criteria 3, 4 and 5 as (B, n) stacks."""
+    return sampling._stacked(sampling.state_pairs(metric, STATES))
 
 
 def _ellipse():
@@ -92,22 +97,17 @@ def criterion_2():
 def criterion_3():
     """Eikonal-type characterization of Funk metrics, ball and ellipse."""
     tol = 1e-8
-    details = {}
-    worst = 0.0
     cases = [
         ("ball+", zoo.funk_ball(1), 0.5),
         ("ball-", zoo.funk_ball(-1), -0.5),
         ("ellipse+", zoo.funk_body_metric(_ellipse(), 1), 0.5),
         ("ellipse-", zoo.funk_body_metric(_ellipse(), -1), -0.5),
     ]
-    for tag, m, mu in cases:
-        vals = [pj.funk_condition_residual(m, mu, x, y)
-                for x, y in sampling.state_pairs(m, STATES)]
-        details[tag] = max(vals)
-        worst = max(worst, details[tag])
+    details = {tag: float(pj.funk_condition_residual(m, mu, *_states(m)).max())
+               for tag, m, mu in cases}
+    worst = max(details.values())
     kl = zoo.klein()
-    control = min(pj.funk_condition_residual(kl, 0.5, x, y)
-                  for x, y in sampling.state_pairs(kl, STATES))
+    control = float(pj.funk_condition_residual(kl, 0.5, *_states(kl)).min())
     details["klein_control_min"] = control
     passed = worst <= tol and control > 0.01
     return _record(3, "Funk eikonal condition at mu = +-1/2",
@@ -118,46 +118,36 @@ def criterion_4():
     """Closed-form projective factors and their curvature scalars."""
     euc = zoo.euclidean()
     fp, fm, hb = zoo.funk_ball(1), zoo.funk_ball(-1), zoo.hilbert_ball()
-    tol = 1e-7
-    worst = 0.0
-    details = {"P_plus": 0.0, "P_minus": 0.0, "P_hilbert": 0.0,
-               "Xi_plus": 0.0, "Xi_minus": 0.0, "Xi_hilbert": 0.0}
-    for x, y in sampling.state_pairs(fp, STATES):
-        vp, vm = fp(x, y), fm(x, y)
-        fh = 0.5 * (vp + vm)
-        rows = [
-            ("P_plus", pj.projective_factor(euc, fp, x, y)["P"], 0.5 * vp),
-            ("P_minus", pj.projective_factor(euc, fm, x, y)["P"], -0.5 * vm),
-            ("P_hilbert", pj.projective_factor(euc, hb, x, y)["P"],
-             0.5 * (vp - vm)),
-            ("Xi_plus", pj.xi_and_tau(euc, fp, x, y)["Xi"], -0.25 * vp * vp),
-            ("Xi_minus", pj.xi_and_tau(euc, fm, x, y)["Xi"], -0.25 * vm * vm),
-            ("Xi_hilbert", pj.xi_and_tau(euc, hb, x, y)["Xi"], -fh * fh),
-        ]
-        for tag, got, pred in rows:
-            err = abs(got - pred) / max(1.0, abs(pred))
-            details[tag] = max(details[tag], err)
-            worst = max(worst, err)
+    X, Y = _states(fp)
+    vp, vm = fp(X, Y), fm(X, Y)
+    fh = 0.5 * (vp + vm)
+    rows = [
+        ("P_plus", pj.projective_factor(euc, fp, X, Y)["P"], 0.5 * vp),
+        ("P_minus", pj.projective_factor(euc, fm, X, Y)["P"], -0.5 * vm),
+        ("P_hilbert", pj.projective_factor(euc, hb, X, Y)["P"],
+         0.5 * (vp - vm)),
+        ("Xi_plus", pj.xi_and_tau(euc, fp, X, Y)["Xi"], -0.25 * vp * vp),
+        ("Xi_minus", pj.xi_and_tau(euc, fm, X, Y)["Xi"], -0.25 * vm * vm),
+        ("Xi_hilbert", pj.xi_and_tau(euc, hb, X, Y)["Xi"], -fh * fh),
+    ]
+    details = {tag: float(np.max(np.abs(got - pred)
+                                 / np.maximum(1.0, np.abs(pred))))
+               for tag, got, pred in rows}
     return _record(4, "projective factor and transport scalars in closed form",
-                   worst, tol, details)
+                   max(details.values()), 1e-7, details)
 
 
 def criterion_5():
     """Curvature transport identity, matrix and traced forms."""
     euc = zoo.euclidean()
-    tol = 1e-6
     details = {}
-    worst = 0.0
     for cand in (zoo.funk_ball(1), zoo.funk_ball(-1), zoo.klein()):
-        dm = dr = 0.0
-        for x, y in sampling.state_pairs(cand, STATES):
-            chk = pj.curvature_transform_check(euc, cand, x, y)
-            dm = max(dm, chk["defect"])
-            dr = max(dr, chk["ricci_defect"])
-        details[cand.name] = {"matrix": dm, "ricci": dr}
-        worst = max(worst, dm, dr)
+        chk = pj.curvature_transform_check(euc, cand, *_states(cand))
+        details[cand.name] = {"matrix": float(chk["defect"].max()),
+                              "ricci": float(chk["ricci_defect"].max())}
+    worst = max(max(d.values()) for d in details.values())
     return _record(5, "curvature transport under projective change",
-                   worst, tol, details)
+                   worst, 1e-6, details)
 
 
 def criterion_6():
@@ -275,8 +265,7 @@ def criterion_9():
                 worst = np.inf
                 continue
             f2_pred = cmp.f_squared(case, run.ts)
-            f2_actual = np.array([2.0 / funk(xx, vv)
-                                  for xx, vv in zip(run.xs, run.vs)])
+            f2_actual = 2.0 / funk(run.xs, run.vs)
             worst = max(worst, float(np.max(np.abs(f2_actual - f2_pred)
                                             / np.abs(f2_pred))))
     passed = ok_grid and ok_zero and worst <= 1e-7
@@ -358,6 +347,8 @@ def fd_riemann(metric, x, y):
     R = 2 G_x - y^j G_{x^j y} + 2 G^j G_{y^j y} - N N, each derivative one
     :func:`jets.fd_derivative` over the stacked variable (x, y)."""
     n, (x, y) = metric.n, metric.check_state(x, y)
+    if x.ndim != 1:
+        raise DomainError(f"{metric.name}: fd_riemann takes one state")
     z = np.concatenate([x, y])
     G = lambda zz: geo.spray_coefficients(metric, zz[:n], zz[n:])
 

@@ -208,12 +208,14 @@ def f_value(case, t):
 
 
 def radicand(case, s):
+    s = reals(s, "radicand arguments")
     return -case.lam * s**4 + 2.0 * case.C * s * s - case.lam_tilde
 
 
 def evolution_law(case, t):
     """Candidate value along the geodesic in the doubled-angle normal form,
     written independently of ``f_squared``, which it is checked against."""
+    t = reals(t, "times")
     a, b, lt = case.a, case.b, case.lam_tilde
     s1 = a * a + lt / (a * a) + b * b
     s2 = a * a - lt / (a * a) - b * b

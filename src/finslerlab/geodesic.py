@@ -98,7 +98,7 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     ts = np.concatenate([back.ts[::-1], fwd.ts[1:]])
     us = np.concatenate([back.us[::-1], fwd.us[1:]])
     xs, vs = us[:, :n], us[:, n:]
-    speeds = np.array([metric(x, v) for x, v in zip(xs, vs)])
+    speeds = metric(xs, vs)
     drift = float(np.max(np.abs(speeds - speeds[0])))
     return GeodesicResult(ts, xs, vs, fwd.status, back.status, (t_min, t_max),
                           speeds, drift, [back, fwd])

@@ -87,13 +87,22 @@ def _convexity(D2, n):
     return g, eigs, (lo <= 0.0) | (hi > COND_LIMIT * lo)
 
 
+def _first_bad(bad, values):
+    """None where ``bad`` (one state's verdict or a batch's) flags no state;
+    else that state's entry of ``values`` and " at state i" in a batch."""
+    if bad.ndim == 0:  # a numpy reduction costs ~1.5 us per spray stage
+        return (values, "") if bad else None
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return values[i], f" at state {i}"
+
+
 def _metric_block(metric, tensors):
     g, eigs, bad = _convexity(tensors[2], metric.n)
-    if bad if bad.ndim == 0 else bad.any():
-        where = ""
-        if eigs.ndim > 1:
-            i = int(np.argmax(bad))
-            eigs, where = eigs[i], f" at state {i}"
+    hit = _first_bad(bad, eigs)
+    if hit:
+        eigs, where = hit
         raise SingularMetricError(
             f"{metric.name}: fundamental tensor not strongly convex{where} "
             f"(eigenvalues {eigs.tolist()})"
@@ -203,9 +212,10 @@ def curvature_data(metric, x, y):
 
 def _flag_values(g, R, y, V):
     """Flag curvatures K and sin^2 of the angle to y for every direction
-    (row) of ``V`` at one state or a batch, each of shape ``(..., m)``."""
+    (row) of ``V`` at one state or a batch, each of shape ``(..., m)``; a
+    ``(B, m, n)`` V gives each state its own directions."""
     g, R = g[..., None, :, :], R[..., None, :, :]
-    rows, cols = V[:, None, :], V[:, :, None]
+    rows, cols = V[..., None, :], V[..., :, None]
     yg = y[..., None, None, :] @ g
     gyy = (yg @ y[..., None, :, None])[..., 0, 0]
     vg = rows @ g
@@ -219,18 +229,21 @@ def _flag_values(g, R, y, V):
 
 
 def flag_curvature(metric, x, y, v):
-    """Flag curvature of span(y, v); rejects flags nearly parallel to y."""
+    """Flag curvature of span(y, v); rejects flags nearly parallel to y.
+    On a batch, v is one direction for all states or a stack of its own."""
     v = errors.reals(v, "flag direction coordinates")
-    if v.size != metric.n:
-        raise DomainError(f"{metric.name}: flag direction has size {v.size}, "
-                          f"expected {metric.n}")
-    data = _assemble(metric, *metric.check_state(x, y), 4)
-    K, sin_sq = _flag_values(data["g"], data["R"], data["y"], v.reshape(1, -1))
-    if not sin_sq[0] >= MIN_FLAG_ANGLE**2:  # a zero v makes it nan
-        raise DegenerateFlagError(
-            f"flag direction within {MIN_FLAG_ANGLE} of y (sin^2 = {sin_sq[0]:.3e})"
-        )
-    return float(K[0])
+    x, y = metric.check_state(x, y)
+    if v.shape not in ((metric.n,), x.shape):
+        raise DomainError(f"{metric.name}: flag directions of shape "
+                          f"{v.shape} for states of shape {x.shape}")
+    data = _assemble(metric, x, y, 4)
+    K, sin_sq = _flag_values(data["g"], data["R"], data["y"], v[..., None, :])
+    K, sin_sq = K[..., 0], sin_sq[..., 0]
+    hit = _first_bad(~(sin_sq >= MIN_FLAG_ANGLE**2), sin_sq)  # nan for a zero v
+    if hit:
+        raise DegenerateFlagError(f"flag direction within {MIN_FLAG_ANGLE} of "
+                                  f"y{hit[1]} (sin^2 = {hit[0]:.3e})")
+    return K if K.ndim else float(K)
 
 
 def _flag_directions(n, flags):
@@ -245,6 +258,8 @@ def flag_spread(metric, x, y, flags=20):
     y."""
     flags = errors.count(flags, 1, "flags")
     x, y = metric.check_state(x, y)
+    if x.ndim != 1:
+        raise DomainError(f"{metric.name}: flag_spread takes one state")
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"],
                              _flag_directions(metric.n, flags))
@@ -280,7 +295,7 @@ def _residual(metric, data, lam):
 
 
 def einstein_residual(metric, x, y, lam=None):
-    """|Ric - (n-1) lam F^2| / F^2 at one state."""
+    """|Ric - (n-1) lam F^2| / F^2, per state."""
     lam = _einstein_constant(metric, lam)
     x, y = metric.check_state(x, y)
     return _residual(metric, _assemble(metric, x, y, 4), lam)
@@ -304,7 +319,7 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
     count = errors.count(count, 1, "count")
     flags = errors.count(flags, 0, "flags")
     X, Y = metric.check_state(
-        *(np.array(v) for v in zip(*sampling.state_pairs(metric, count, box=box))))
+        *sampling._stacked(sampling.state_pairs(metric, count, box=box)))
     V = _flag_directions(metric.n, flags) if flags else None
     step = max(1, BATCH_BYTES // (8 * (2 * metric.n) ** 4))
     rows, dropped = [], 0

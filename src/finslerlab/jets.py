@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import FDOracleError, JetError, reals
+from .errors import FDOracleError, JetError, count, reals
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,9 @@ def get_context(n_vars, order, *, x_degree=None):
     """The shared context of jets in ``n_vars`` variables to ``order``,
     modulo x-degree above ``x_degree`` when it is given (see
     :meth:`JetContext.x_truncated`)."""
-    return _context(n_vars, order, x_degree)
+    # read before the cache hashes them; JetContext refuses a count below 1
+    return _context(count(n_vars, -math.inf, "jet variable count"),
+                    count(order, -math.inf, "jet order"), x_degree)
 
 
 # ---------------------------------------------------------------------------

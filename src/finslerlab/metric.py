@@ -109,8 +109,9 @@ class ParaboloidInterior(Domain):
     n: int
 
     def signed(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.dot(x[:-1], x[:-1]) - x[-1])
+        # on Python floats an overflow (inf) or inf - inf (nan) does not warn
+        *head, last = np.asarray(x, dtype=float).tolist()
+        return norm_sq(head) - last
 
     def sample_box(self):
         lo = np.full(self.n, -0.55)
@@ -127,9 +128,9 @@ class ParaboloidInterior(Domain):
 class FinslerMetric:
     """A chart-local Finsler metric F(x, y).
 
-    ``F`` must accept sequences of ring scalars (floats or jets) for both
-    arguments and combine them only through ring operations, so jet
-    evaluation yields exact derivatives.
+    ``F`` must accept sequences of ring scalars (floats, jets or arrays of
+    one float per state) for both arguments and combine them only through
+    ring operations, so jet evaluation yields exact derivatives.
     """
 
     n: int
@@ -164,21 +165,19 @@ class FinslerMetric:
         return y
 
     def __call__(self, x, y):
-        """Validated float evaluation."""
-        x = self.check_point(x)
-        y = self.check_direction(y)
-        return float(self.F(x.tolist(), y.tolist()))
+        """Validated float evaluation: F at one state, or one F per row of
+        ``(B, n)`` stacks of points and directions."""
+        x, y = self.check_state(x, y)
+        if x.ndim == 1:
+            return float(self.F(x.tolist(), y.tolist()))
+        return np.asarray(self.F(list(x.T), list(y.T)), dtype=float)
 
     def check_state(self, x, y):
-        """(x, y) validated, as float arrays.
-
-        ``(B, n)`` stacks of points and directions are validated row by
-        row, and the first bad row fails the batch.
-        """
+        """(x, y) validated, as float arrays; ``(B, n)`` stacks of points
+        and directions row by row, where the first bad row fails the batch."""
         x, y = reals(x, "point coordinates"), reals(y, "direction coordinates")
-        if x.ndim == 2 and y.ndim == 2 and x.shape[0] == y.shape[0]:
-            for xi, yi in zip(x, y):
-                self.check_point(xi)
-                self.check_direction(yi)
-            return x, y
-        return self.check_point(x), self.check_direction(y)
+        batch = x.ndim == 2 and y.ndim == 2 and x.shape[0] == y.shape[0]
+        for xi, yi in zip(x, y) if batch else [(x, y)]:
+            self.check_point(xi)
+            self.check_direction(yi)
+        return x, y

@@ -15,6 +15,9 @@ The expanded flatness residual cancels the connection terms and only needs
 the base spray:
 
     res_l = f_{x^k y^l} y^k - f_{x^l} - 2 G^m f_{y^m y^l}
+
+Every function of (x, y) takes one state or ``(B, n)`` stacks, and gives
+one entry per state, equal to the one-state result bit for bit.
 """
 
 import numpy as np
@@ -23,7 +26,8 @@ from . import errors
 from . import jets as jr
 from . import sampling
 from .errors import DomainError, NotProjectivelyRelatedError
-from .geometry import _T, _assemble, _dot, _matvec, _vecmat, riemann_curvature
+from .geometry import (_T, _assemble, _dot, _first_bad, _matvec, _vecmat,
+                       riemann_curvature)
 
 DECISION_TOL = 1e-6
 FACTOR_TOL = 1e-7  # spray deviation that refutes G_cand = G + P y
@@ -34,8 +38,7 @@ def rapcsak_residual(base, cand, x, y):
 
     Returns the raw residual covector and its norm divided by the candidate
     value; zero (to tolerance) exactly when the candidate's geodesics trace
-    the base geodesics. ``(B, n)`` stacks of x and y give one entry per
-    state.
+    the base geodesics.
     """
     n = base.n
     x, y = base.check_state(x, y)
@@ -56,8 +59,8 @@ def rapcsak_residual(base, cand, x, y):
 def _stacked_pairs(base, cand, count, box):
     """The joint state pairs of a campaign as (B, n) stacks X, Y."""
     count = errors.count(count, 1, "count")
-    pairs = sampling.joint_state_pairs(base, cand, count, box=box)
-    return (np.array(v) for v in zip(*pairs))
+    return sampling._stacked(
+        sampling.joint_state_pairs(base, cand, count, box=box))
 
 
 def projective_campaign(base, cand, count=40, box=None):
@@ -86,15 +89,16 @@ def projective_factor(base, cand, x, y):
     cand_data = _assemble(cand, x, y, 2)
     n = base.n
     f_val, T1 = jr.derivative_tensors(jr.jet_of(cand.F, x, y, 1))
-    u = float(T1[:n] @ y) - 2.0 * float(base_data["G"] @ T1[n:])
+    u = _dot(T1[..., :n], y) - 2.0 * _dot(base_data["G"], T1[..., n:])
     P = u / (2.0 * f_val)
     G, Gc = base_data["G"], cand_data["G"]
-    scale = max(1.0, float(np.max(np.abs(G))), float(np.max(np.abs(Gc))))
-    dev = float(np.max(np.abs(Gc - G - P * y))) / scale
-    if dev > FACTOR_TOL:
+    scale = np.maximum(1.0, np.maximum(np.abs(G).max(-1), np.abs(Gc).max(-1)))
+    dev = np.abs(Gc - G - P[..., None] * y).max(-1) / scale
+    hit = _first_bad(dev > FACTOR_TOL, dev)
+    if hit:
         raise NotProjectivelyRelatedError(
-            f"{cand.name} vs {base.name}: spray deviation {dev:.3e} > "
-            f"{FACTOR_TOL:g}"
+            f"{cand.name} vs {base.name}: spray deviation {hit[0]:.3e} > "
+            f"{FACTOR_TOL:g}{hit[1]}"
         )
     return {"P": P, "deviation": dev, "G_base": G, "G_cand": Gc}
 
@@ -106,8 +110,7 @@ def xi_and_tau(base, cand, x, y):
     and its (chart, y) second derivatives follow from the candidate's
     derivative tensors to order 3 and the base spray's G, dG and the
     y-columns of d2G by the product and quotient rules. ``R_base`` is the
-    base curvature of the same assembly. ``(B, n)`` stacks of x and y give
-    one entry per state.
+    base curvature of the same assembly.
     """
     n = base.n
     x, y = base.check_state(x, y)
@@ -168,20 +171,21 @@ def curvature_transform_check(base, cand, x, y):
     n = base.n
     R_cand = riemann_curvature(cand, x, y)
     info = xi_and_tau(base, cand, x, y)
-    R_base, Xi = info["R_base"], info["Xi"]
-    terms = (R_cand, R_base, Xi * np.eye(n),
-             np.outer(np.asarray(y, dtype=float), info["tau"]))
+    R_base, Xi, tau = info["R_base"], info["Xi"], info["tau"]
+    y = np.asarray(y, dtype=float)
+    terms = (R_cand, R_base, Xi[..., None, None] * np.eye(n),
+             y[..., :, None] * tau[..., None, :])
     pred = R_base + terms[2] + terms[3]
-    scale = max(1e-300, *(float(np.max(np.abs(t))) for t in terms))
-    defect = float(np.max(np.abs(R_cand - pred))) / scale
-    ric_cand = float(np.trace(R_cand))
-    ric_pred = float(np.trace(R_base)) + (n - 1) * Xi
-    ric_scale = max(1e-300, *(abs(float(np.trace(t))) for t in terms))
+    scale = np.max([np.abs(t).max(axis=(-2, -1)) for t in terms], axis=0)
+    traces = [np.trace(t, axis1=-2, axis2=-1) for t in terms]
+    ric_scale = np.max(np.abs(traces), axis=0)
     return {
-        "defect": defect,
-        "ricci_defect": abs(ric_cand - ric_pred) / ric_scale,
+        "defect": (np.abs(R_cand - pred).max(axis=(-2, -1))
+                   / np.maximum(1e-300, scale)),
+        "ricci_defect": (abs(traces[0] - (traces[1] + (n - 1) * Xi))
+                         / np.maximum(1e-300, ric_scale)),
         "Xi": Xi,
-        "tau": info["tau"],
+        "tau": tau,
         "P": info["P"],
         "R_cand": R_cand,
         "R_pred": pred,
@@ -198,8 +202,8 @@ def funk_condition_residual(cand, mu, x, y):
     n, mu = cand.n, errors.real(mu, "mu")
     f_val, T1 = jr.derivative_tensors(
         jr.jet_of(cand.F, *cand.check_state(x, y), 1))
-    vec = T1[:n] - 2.0 * mu * f_val * T1[n:]
-    return float(np.linalg.norm(vec)) / f_val**2
+    vec = T1[..., :n] - 2.0 * mu * f_val[..., None] * T1[..., n:]
+    return np.sqrt(_dot(vec, vec)) / f_val**2
 
 
 def fit_einstein_constants(base, cand, count=25, box=None):
@@ -212,11 +216,8 @@ def fit_einstein_constants(base, cand, count=25, box=None):
     """
     X, Y = _stacked_pairs(base, cand, count, box)
     rhs = xi_and_tau(base, cand, X, Y)["Xi"]
-    A = np.empty((count, 2))
-    for i, (x, y) in enumerate(zip(X, Y)):
-        f = base(x, y)
-        ft = cand(x, y)
-        A[i] = (ft * ft, -(f * f))
+    f, ft = base(X, Y), cand(X, Y)
+    A = np.stack([ft * ft, -(f * f)], axis=1)
     if np.linalg.matrix_rank(A) < 2:
         raise DomainError(
             f"{cand.name} vs {base.name}: {count} samples do not determine "

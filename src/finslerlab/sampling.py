@@ -151,6 +151,11 @@ def state_pairs(metric, count, box=None):
     return list(zip(xs, ys))
 
 
+def _stacked(pairs):
+    """State pairs as the (B, n) stacks X, Y that batched entries take."""
+    return tuple(np.array(v) for v in zip(*pairs))
+
+
 class _JointDomain:
     """Intersection of two domains, for sampling metric pairs."""
 

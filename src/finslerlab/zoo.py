@@ -456,7 +456,7 @@ def _funk_values(x, y, body):
 
 def _ray(source, x, y, body):
     """The source's table entry, the validated ray and its Funk values."""
-    if source not in EVOLUTION_SOURCES:
+    if source not in tuple(EVOLUTION_SOURCES):  # a tuple hashes no name
         raise DomainError(f"unknown evolution source {source!r}; "
                           f"choose one of {tuple(EVOLUTION_SOURCES)}")
     src = EVOLUTION_SOURCES[source]
@@ -549,7 +549,7 @@ METRIC_NAMES = tuple(_CATALOG)
 
 def make_metric(name, dim=2, eps=0.9):
     """The catalog metric ``name`` in dimension ``dim``."""
-    if name not in _CATALOG:
+    if name not in METRIC_NAMES:  # a tuple hashes no name
         raise DomainError(f"unknown metric {name!r}; "
                           f"choose one of: {', '.join(METRIC_NAMES)}")
     dim = count(dim, 1, "dim")

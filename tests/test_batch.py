@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finslerlab import _kernels, geometry as geo, jets as jr, projective as pj, zoo
-from finslerlab.errors import DomainError, JetError, SingularMetricError
-from finslerlab.metric import FinslerMetric, FullSpace
+from finslerlab.errors import (DegenerateFlagError, DomainError, JetError,
+                               NotProjectivelyRelatedError,
+                               SingularMetricError)
+from finslerlab.metric import FinslerMetric, FullSpace, dot
 
 FIXED_2D = ("funk-ellipse-plus", "funk-ellipse-minus", "hilbert-ellipse",
             "hilbert-superellipse")
@@ -158,3 +160,56 @@ def test_singular_state_fails_the_batch():
     Y = np.array([[0.6, 0.8], [1.0, 0.0], [0.8, 0.6]])  # row 1 on an axis
     with pytest.raises(SingularMetricError, match="at state 1"):
         geo._assemble(quartic, X, Y, 2)
+
+
+# every (x, y) entry that checks one state at a time, called on
+# (base, cand, x, y); each pair is projectively related and the candidate's
+# domain lies inside the base's
+STATE_ENTRIES = {
+    "F": lambda base, cand, x, y: cand(x, y),
+    "flag_curvature": lambda base, cand, x, y: geo.flag_curvature(
+        cand, x, y, np.roll(y, 1, axis=-1)),  # a flag of its own per state
+    "projective_factor": pj.projective_factor,
+    "curvature_transform_check": pj.curvature_transform_check,
+    "funk_condition_residual": lambda base, cand, x, y:
+        pj.funk_condition_residual(cand, 0.5, x, y),
+}
+
+
+@pytest.mark.parametrize("entry", STATE_ENTRIES)
+@pytest.mark.parametrize("base, cand, n", [
+    ("euclidean", "funk-plus", 2), ("spherical", "klein", 3),
+    ("bryant", "paraboloid", 4), ("spherical", "hilbert-ellipse", 2)])
+@pytest.mark.parametrize("size", ["3", "2n"])
+def test_state_entries_take_a_stack_and_give_single_state_rows(entry, base,
+                                                                cand, n, size):
+    # at B = 2n a (B, 2n) derivative block also reads as two (n, 2n) halves,
+    # so one-state slicing of a batch would pass silently with wrong values
+    base, cand = _metric(base, n), _metric(cand, n)
+    X, Y = _states(cand, 3 if size == "3" else 2 * n, 23)
+    call = STATE_ENTRIES[entry]
+    batch = call(base, cand, X, Y)
+    for i in range(len(X)):
+        one = call(base, cand, X[i], Y[i])
+        if isinstance(one, dict):
+            assert batch.keys() == one.keys()
+            for name, value in one.items():
+                assert np.array_equal(batch[name][i], value), (name, i)
+        else:
+            assert np.array_equal(batch[i], one), i
+
+
+def test_a_failed_check_on_a_batch_names_its_state():
+    X = np.array([[0.0, 0.2], [0.5, 0.1], [0.0, -0.3]])
+    Y = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+    # conformal to the Euclidean metric by exp(x1^4): the sprays agree where
+    # x1 = 0 and differ off y elsewhere
+    bump = FinslerMetric(
+        2, lambda x, y: jr.exp(x[0] ** 4) * jr.sqrt(dot(y, y)), FullSpace(2),
+        name="bump")
+    pj.projective_factor(zoo.euclidean(), bump, X[0], Y[0])
+    with pytest.raises(NotProjectivelyRelatedError, match="at state 1"):
+        pj.projective_factor(zoo.euclidean(), bump, X, Y)
+    V = np.array([[0.0, 1.0], [0.6, 0.8], [1.0, 0.0]])  # row 1 along y
+    with pytest.raises(DegenerateFlagError, match="at state 1"):
+        geo.flag_curvature(zoo.klein(), X, Y, V)

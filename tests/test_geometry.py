@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finslerlab import (comparison as cmp, geodesic as gd, geometry as geo,
-                        jets as jr, ode, projective as pj, sampling, zoo)
+from finslerlab import (acceptance, comparison as cmp, geodesic as gd,
+                        geometry as geo, jets as jr, ode, projective as pj,
+                        sampling, zoo)
 from finslerlab.errors import (DegenerateFlagError, DomainError, JetError,
                                NumericError, SingularMetricError)
 from finslerlab.metric import FinslerMetric, FullSpace, UnitBall, dot
@@ -548,6 +549,30 @@ def _rhs(t, u):
                  id="bryant-nan-direction"),
     pytest.param(lambda: zoo.paraboloid_metric()((0.0, np.inf), (0.0, 1.0)),
                  id="paraboloid-inf-point"),
+    # huge or infinite points, refused without a RuntimeWarning
+    pytest.param(lambda: zoo.paraboloid_metric()((np.inf, np.inf), (0, 1)),
+                 id="paraboloid-inf-inf-point"),
+    pytest.param(lambda: zoo.paraboloid_metric()((1e200, 1e200), (0, 1)),
+                 id="paraboloid-huge-point"),
+    # counts, names and times of the wrong type
+    pytest.param(lambda: jr.get_context("a", 2),
+                 id="context-string-variable-count"),
+    pytest.param(lambda: jr.get_context(2, "a"), id="context-string-order"),
+    pytest.param(lambda: jr.variables(np.array(_X), "a"),
+                 id="variables-string-order"),
+    pytest.param(lambda: zoo.make_metric(["a"]), id="make-metric-list-name"),
+    pytest.param(lambda: zoo.evolution_coefficients(["a"], _X, _Y),
+                 id="evolution-list-source"),
+    pytest.param(lambda: cmp.radicand(_CASE, "a"), id="radicand-string-value"),
+    pytest.param(lambda: cmp.evolution_law(_CASE, "a"),
+                 id="evolution-law-string-time"),
+    # one-state entries given a (B, n) stack
+    pytest.param(lambda: geo.flag_spread(zoo.klein(), np.tile(XG, (3, 1)),
+                                         np.tile(YG, (3, 1))),
+                 id="flag-spread-stack"),
+    pytest.param(lambda: acceptance.fd_riemann(
+        zoo.klein(), np.tile(XG, (3, 1)), np.tile(YG, (3, 1))),
+        id="fd-riemann-stack"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
