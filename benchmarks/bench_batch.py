@@ -22,6 +22,12 @@ repetitions to ``BENCH_batch.json`` under a label:
                                  and 8 flags (the ``curvature`` command's
                                  defaults) on the default sampling box
   einstein_campaign.all          the sum of those over all (metric, n)
+  check_state.<metric>.B<b>      ``FinslerMetric.check_state`` on one
+                                 state (b = 1) and on a (40, 2) stack,
+                                 for klein, funk-ellipse-plus and
+                                 paraboloid at n = 2; the row times
+                                 ``CHECK_CALLS`` calls and
+                                 ``us_per_call`` is one
   projective_campaign, fit_einstein_constants   euclidean -> funk-plus,
                                  n = 2, at their defaults (40, 25 states)
   xi_and_tau.n<n>                ``projective.xi_and_tau`` euclidean ->
@@ -66,6 +72,8 @@ EINSTEIN = [(name, n) for n in (2, 3, 4)
                          "bryant", "paraboloid")]
 EINSTEIN += [(name, 2) for name in ("funk-ellipse-plus", "funk-ellipse-minus",
                                     "hilbert-ellipse")]
+CHECK_METRICS = ("klein", "funk-ellipse-plus", "paraboloid")
+CHECK_CALLS = 200
 
 
 def per_state(samples, states):
@@ -113,6 +121,14 @@ def main(argv=None):
         rows[f"einstein_campaign.{name}.n{n}"] = summarize(times)
         campaign_total.append(times)
     rows["einstein_campaign.all"] = summarize(np.sum(campaign_total, axis=0))
+
+    for name in CHECK_METRICS:
+        m = zoo.make_metric(name, 2)
+        X, Y = (np.array(v) for v in zip(*sampling.state_pairs(m, STATES)))
+        for b in (1, STATES):
+            xs, ys = (X[0], Y[0]) if b == 1 else (X, Y)
+            rows[f"check_state.{name}.B{b}"] = _bench.per_call(
+                lambda: m.check_state(xs, ys), CHECK_CALLS)
 
     euc, fp = zoo.euclidean(2), zoo.funk_ball(1, 2)
     rows["projective_campaign"] = summarize(

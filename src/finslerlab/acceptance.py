@@ -20,7 +20,7 @@ from . import jets as jr
 from . import projective as pj
 from . import sampling
 from . import zoo
-from .errors import DomainError, FDOracleError
+from .errors import FDOracleError, one_state
 
 GRID_AB = ((0.3, 0.7, 1.0, 2.0, 5.0), (-2.0, -0.5, 0.0, 0.5, 2.0))
 NINE_PAIRS = tuple((l, lt) for l in (-1, 0, 1) for lt in (-1, 0, 1))
@@ -346,9 +346,7 @@ def fd_riemann(metric, x, y):
     """Curvature assembled from finite differences of the spray,
     R = 2 G_x - y^j G_{x^j y} + 2 G^j G_{y^j y} - N N, each derivative one
     :func:`jets.fd_derivative` over the stacked variable (x, y)."""
-    n, (x, y) = metric.n, metric.check_state(x, y)
-    if x.ndim != 1:
-        raise DomainError(f"{metric.name}: fd_riemann takes one state")
+    n, (x, y) = metric.n, metric.check_state(*one_state(x, y))
     z = np.concatenate([x, y])
     G = lambda zz: geo.spray_coefficients(metric, zz[:n], zz[n:])
 

@@ -201,8 +201,9 @@ def f_squared(case, t):
 
 
 def f_value(case, t):
+    """sqrt(f^2) on what :func:`f_squared` takes; DomainError if f^2 <= 0."""
     v = f_squared(case, t)
-    if np.any(np.asarray(v) <= 0.0):
+    if np.any(np.asarray(jr.base_value(v)) <= 0.0):
         raise DomainError("t outside the life interval")
     return jr.sqrt(v)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ode
 from .errors import (DegenerateDirectionError, DomainError,
-                     SingularMetricError, reals)
+                     SingularMetricError, one_state, reals, times)
 from .geometry import spray_coefficients
 
 RIM_TOL = 1e-6
@@ -57,7 +57,7 @@ class GeodesicResult:
 
     def sample(self, ts):
         """Dense states at query times; returns (points, velocities)."""
-        ts = np.atleast_1d(reals(ts, "times"))
+        ts = times(ts)
         n = self.xs.shape[1]
         out = np.empty((ts.size, 2 * n))
         back, fwd = self.legs
@@ -77,8 +77,7 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     rims) or "blow_up" (speed explosion or step collapse); otherwise
     "t_limit".
     """
-    x0 = metric.check_point(x0)
-    y0 = metric.check_direction(y0)
+    x0, y0 = metric.check_state(*one_state(x0, y0))
     span = reals(t_span, "t_span times")
     if span.shape != (2,):
         raise DomainError(f"t_span {t_span!r} must hold two real times")

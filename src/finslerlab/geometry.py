@@ -87,20 +87,9 @@ def _convexity(D2, n):
     return g, eigs, (lo <= 0.0) | (hi > COND_LIMIT * lo)
 
 
-def _first_bad(bad, values):
-    """None where ``bad`` (one state's verdict or a batch's) flags no state;
-    else that state's entry of ``values`` and " at state i" in a batch."""
-    if bad.ndim == 0:  # a numpy reduction costs ~1.5 us per spray stage
-        return (values, "") if bad else None
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    return values[i], f" at state {i}"
-
-
 def _metric_block(metric, tensors):
     g, eigs, bad = _convexity(tensors[2], metric.n)
-    hit = _first_bad(bad, eigs)
+    hit = errors.first_bad(bad, eigs)
     if hit:
         eigs, where = hit
         raise SingularMetricError(
@@ -119,10 +108,9 @@ def _assemble(metric, x, y, order):
 
     ``x`` and ``y`` are one state, shape ``(n,)``, or a batch, ``(B, n)``;
     every entry then carries a leading batch axis. The public entries
-    validate (x, y) with ``metric.check_state`` before they get here.
+    read (x, y) into float arrays with ``metric.check_state`` first.
     """
     n = metric.n
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     # no entry below reads a Q partial with more than two x-derivatives,
     # so the jets drop the monomials of x-degree 3 and above (their
     # tensor slots read NaN)
@@ -239,7 +227,7 @@ def flag_curvature(metric, x, y, v):
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"], v[..., None, :])
     K, sin_sq = K[..., 0], sin_sq[..., 0]
-    hit = _first_bad(~(sin_sq >= MIN_FLAG_ANGLE**2), sin_sq)  # nan for a zero v
+    hit = errors.first_bad(~(sin_sq >= MIN_FLAG_ANGLE**2), sin_sq)  # nan for a zero v
     if hit:
         raise DegenerateFlagError(f"flag direction within {MIN_FLAG_ANGLE} of "
                                   f"y{hit[1]} (sin^2 = {hit[0]:.3e})")
@@ -257,9 +245,7 @@ def flag_spread(metric, x, y, flags=20):
     ``dropped`` counts the candidate directions within MIN_FLAG_ANGLE of
     y."""
     flags = errors.count(flags, 1, "flags")
-    x, y = metric.check_state(x, y)
-    if x.ndim != 1:
-        raise DomainError(f"{metric.name}: flag_spread takes one state")
+    x, y = metric.check_state(*errors.one_state(x, y))
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"],
                              _flag_directions(metric.n, flags))
@@ -355,6 +341,7 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
 def check_minkowski(metric, budget=100):
     """Sampled strong-convexity audit of the fundamental tensor; a sample
     that raises a ``FinslerError`` is a failure, recorded by class."""
+    budget = errors.count(budget, 1, "budget")
     pairs = sampling.state_pairs(metric, budget)
     worst_cond = 0.0
     min_eig = np.inf

@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import FDOracleError, JetError, count, reals
+from .errors import FDOracleError, JetError, count, first_bad, one_state, reals, states
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +287,6 @@ def _add_base(out, c):
     return out
 
 
-def _reject(bad, base, what):
-    """Raise JetError when the base value is ``bad``; on a batch, when any
-    state's is, naming the first such state."""
-    if base.ndim == 0:
-        if bad:
-            raise JetError(f"{what}, got {base}")
-    elif bad.any():
-        i = int(np.argmax(bad))
-        raise JetError(f"{what}, got {base[i]} at state {i}")
-
-
 def _series(base, terms):
     """``terms(c)`` (the Taylor coefficients of an outer function about the
     scalar c) for one base value, or per state of a batch as rows of a
@@ -456,12 +445,6 @@ def constant(ctx, value):
     return Jet(ctx, coeffs, 0)
 
 
-def _points(values):
-    """One point ``(n,)`` (any shape is flattened) or a stack ``(B, n)``."""
-    vals = reals(values, "point coordinates")
-    return vals if vals.ndim == 2 else vals.ravel()
-
-
 def variables(values, order, *, x_degree=None):
     """Seed one jet per coordinate of ``values``, each with a unit linear
     coefficient; a ``(B, n)`` stack seeds batched jets. ``x_degree``
@@ -471,7 +454,8 @@ def variables(values, order, *, x_degree=None):
     ``(n, B, n_terms)``; they may share it because no ring operation
     writes into an operand.
     """
-    vals = _points(values)
+    vals = reals(values, "point coordinates")
+    vals = vals if vals.ndim == 2 else vals.ravel()  # any other shape: one point
     ctx = get_context(vals.shape[-1], order, x_degree=x_degree)
     units = ctx._units
     block = (units.copy() if vals.ndim == 1
@@ -485,19 +469,15 @@ def seed_variables(x, y, order, *, x_degree=None):
 
     ``order`` must lie in {1, 2, 3, 4}; the returned list holds the x-jets
     followed by the y-jets, each carrying its own unit first-order
-    coefficient. ``(B, n)`` stacks of points and directions seed one batch.
+    coefficient. (x, y) is one state or a batch by :func:`errors.states`.
     ``x_degree`` drops the monomials of higher degree in x (see
     :meth:`JetContext.x_truncated`).
     """
     if order not in (1, 2, 3, 4):
         raise JetError(f"jet order must be one of 1..4, got {order!r}")
-    x, y = _points(x), _points(y)
-    if x.shape != y.shape:
-        raise JetError(f"x and y must have equal shapes, got {x.shape} and {y.shape}")
-    z = np.concatenate([x, y], axis=-1)
-    if not np.isfinite(z).all():
-        raise JetError("seed point contains non-finite entries")
-    return variables(z, order, x_degree=x_degree)
+    x, y = states(x, y)
+    return variables(np.concatenate([x, y], axis=-1), order,
+                     x_degree=x_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +564,9 @@ def _compose(jet, series):
 
 def _reciprocal(jet):
     c = jet.value
-    _reject(c == 0.0, c, "division by a jet with zero base value")
+    hit = first_bad(c == 0.0, c)
+    if hit:
+        raise JetError(f"division by a jet of zero base, got {hit[0]}{hit[1]}")
     order = jet.ctx.order
     return _compose(jet, _series(
         c, lambda c: [(-1.0) ** k / c ** (k + 1) for k in range(order + 1)]))
@@ -600,7 +582,9 @@ def power(v, p):
     """v**p for real p (positive base required on the jet path)."""
     if isinstance(v, Jet):
         c = v.value
-        _reject(c <= 0.0, c, f"power({p}) of a jet requires a positive base")
+        hit = first_bad(c <= 0.0, c)
+        if hit:
+            raise JetError(f"power({p}) needs a positive base, got {hit[0]}{hit[1]}")
         order = v.ctx.order
 
         def terms(c):
@@ -630,7 +614,9 @@ def exp(v):
 def log(v):
     if isinstance(v, Jet):
         c = v.value
-        _reject(c <= 0.0, c, "log of a jet requires a positive base")
+        hit = first_bad(c <= 0.0, c)
+        if hit:
+            raise JetError(f"log needs a positive base, got {hit[0]}{hit[1]}")
         order = v.ctx.order
 
         def terms(c):
@@ -766,8 +752,7 @@ def fd_oracle(f, x, y, idx):
     exponent per entry of (x, y).  Documented accuracy target: 1e-6
     relative for well-scaled smooth inputs at derivative order <= 3.
     """
-    x = reals(x, "point coordinates").ravel()
-    y = reals(y, "direction coordinates").ravel()
+    x, y = one_state(x, y)
     n = x.size
 
     def fz(z):

@@ -12,7 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DomainError, count, reals
+from .errors import (DegenerateDirectionError, DomainError, count, first_bad,
+                     states)
 
 MAX_DIM = 8
 MIN_DIRECTION_NORM = 1e-12
@@ -143,27 +144,6 @@ class FinslerMetric:
         if not 1 <= count(self.n, 0, "dimension") <= MAX_DIM:
             raise DomainError(f"dimension {self.n} outside 1..{MAX_DIM}")
 
-    def check_point(self, x):
-        x = reals(x, "point coordinates")
-        if x.size != self.n:
-            raise DomainError(f"{self.name}: point has size {x.size}, expected {self.n}")
-        if not self.domain.contains(x):
-            raise DomainError(f"{self.name}: point {x.tolist()} outside domain")
-        return x
-
-    def check_direction(self, y):
-        y = reals(y, "direction coordinates")
-        if y.size != self.n:
-            raise DomainError(
-                f"{self.name}: direction has size {y.size}, expected {self.n}"
-            )
-        norm = _norm(y)
-        if norm <= MIN_DIRECTION_NORM:
-            raise DegenerateDirectionError(f"{self.name}: |y| below {MIN_DIRECTION_NORM}")
-        if not norm < math.inf:  # a nan or inf entry, or an overflow
-            raise DomainError(f"{self.name}: direction {y.tolist()} not finite")
-        return y
-
     def __call__(self, x, y):
         """Validated float evaluation: F at one state, or one F per row of
         ``(B, n)`` stacks of points and directions."""
@@ -173,11 +153,21 @@ class FinslerMetric:
         return np.asarray(self.F(list(x.T), list(y.T)), dtype=float)
 
     def check_state(self, x, y):
-        """(x, y) validated, as float arrays; ``(B, n)`` stacks of points
-        and directions row by row, where the first bad row fails the batch."""
-        x, y = reals(x, "point coordinates"), reals(y, "direction coordinates")
-        batch = x.ndim == 2 and y.ndim == 2 and x.shape[0] == y.shape[0]
-        for xi, yi in zip(x, y) if batch else [(x, y)]:
-            self.check_point(xi)
-            self.check_direction(yi)
+        """(x, y), one state or a batch by :func:`errors.states`, checked
+        once over the stack: DomainError for another dimension, a point
+        outside the domain (``domain.contains`` runs per row) or an
+        overflowing |y|^2, DegenerateDirectionError for |y| too small."""
+        x, y = states(x, y)
+        if x.shape[-1] != self.n:
+            raise DomainError(f"{self.name}: states of shape {x.shape}, n = {self.n}")
+        inside = list(map(self.domain.contains, x if x.ndim == 2 else (x,)))
+        if not all(inside):
+            p, where = first_bad(~np.reshape(inside, x.shape[:-1]), x)
+            raise DomainError(f"{self.name}: point {p.tolist()} outside domain{where}")
+        sq = np.vecdot(y, y)  # inf where |y|^2 overflows, and F would too
+        hit = first_bad((sq <= MIN_DIRECTION_NORM**2) | (sq == math.inf), sq)
+        if hit:
+            error = DomainError if hit[0] == math.inf else DegenerateDirectionError
+            raise error(f"{self.name}: |y|^2 = {hit[0]:g}, not in "
+                        f"({MIN_DIRECTION_NORM**2:g}, inf){hit[1]}")
         return x, y

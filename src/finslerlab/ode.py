@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericError, real, reals
+from .errors import DomainError, NumericError, real, reals, times
 
 
 def _e5e3_error(hs, e5, e3, abs_w, w8, rtol, atol):
@@ -229,7 +229,7 @@ class OdeResult:
         """Dense output at query times inside the span; a node returns its
         row of ``us`` exactly. The first call runs the rhs at the
         dense-output stages: DomainError if one is vetoed."""
-        t = np.atleast_1d(reals(ts, "times"))
+        t = times(ts)
         if self.Qs is None:
             self.Qs, self._form_Qs = self._form_Qs(), None
         k = self._locate(t)
@@ -336,6 +336,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
         raise DomainError(f"integration span ({t0}, {t1}) must be finite")
     rtol, atol = real(rtol, "rtol"), real(atol, "atol")
     u = reals(u0, "u0").copy()
+    if u.ndim != 1 or not u.size:
+        raise DomainError(f"u0 must be a non-empty 1-D vector, got {u.shape}")
     d, s = u.size, len(_C8)
     ts, us, dts, stages = [t], [u], [], []  # stages: each accepted step's K
     n_acc = n_rej = n_vet = 0

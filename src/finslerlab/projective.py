@@ -26,7 +26,7 @@ from . import errors
 from . import jets as jr
 from . import sampling
 from .errors import DomainError, NotProjectivelyRelatedError
-from .geometry import (_T, _assemble, _dot, _first_bad, _matvec, _vecmat,
+from .geometry import (_T, _assemble, _dot, _matvec, _vecmat,
                        riemann_curvature)
 
 DECISION_TOL = 1e-6
@@ -83,8 +83,7 @@ def projective_factor(base, cand, x, y):
     Verifies G_cand = G_base + P y; when the deviation (relative to the
     spray scale) exceeds FACTOR_TOL, raises NotProjectivelyRelatedError.
     """
-    x, y = base.check_state(x, y)
-    cand.check_state(x, y)
+    x, y = cand.check_state(*base.check_state(x, y))
     base_data = _assemble(base, x, y, 2)
     cand_data = _assemble(cand, x, y, 2)
     n = base.n
@@ -94,7 +93,7 @@ def projective_factor(base, cand, x, y):
     G, Gc = base_data["G"], cand_data["G"]
     scale = np.maximum(1.0, np.maximum(np.abs(G).max(-1), np.abs(Gc).max(-1)))
     dev = np.abs(Gc - G - P[..., None] * y).max(-1) / scale
-    hit = _first_bad(dev > FACTOR_TOL, dev)
+    hit = errors.first_bad(dev > FACTOR_TOL, dev)
     if hit:
         raise NotProjectivelyRelatedError(
             f"{cand.name} vs {base.name}: spray deviation {hit[0]:.3e} > "
@@ -113,11 +112,10 @@ def xi_and_tau(base, cand, x, y):
     base curvature of the same assembly.
     """
     n = base.n
-    x, y = base.check_state(x, y)
+    x, y = cand.check_state(*base.check_state(x, y))
     data = _assemble(base, x, y, 4)
     G, dG, N, Gyy = data["G"], data["dG"], data["N"], data["Gyy"]
     # d2u reads T3 with at most two x-derivatives, as _assemble its D4
-    x, y = cand.check_state(x, y)
     f, T1, T2, T3 = jr.derivative_tensors(
         jr.jet_of(cand.F, x, y, 3, x_degree=2))
     fx, fy = T1[..., :n], T1[..., n:]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import comparison as cmp
 from . import jets as jr
-from .errors import DomainError, NumericError, count, real, reals
+from .errors import DomainError, NumericError, count, one_state, real, reals
 from .metric import (
     ConvexInterior,
     FinslerMetric,
@@ -232,14 +232,12 @@ def superellipse_body(p=4, semi=(1.0, 1.0)):
 
 
 def _chord_scalar_root(body, x, y, tol):
-    """Positive root s of phi(x + s*y) = 0 for float inputs, to |phi| <= tol.
+    """Positive root s of phi(x + s*y) = 0 for float arrays, to |phi| <= tol.
 
     psi and its slope run on Python floats, the same IEEE operations as on
     numpy scalars at a fraction of the cost. The slope adds its terms one
     by one: builtin ``sum`` compensates Python floats from Python 3.12.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     xs, ys = x.tolist(), y.tolist()
 
     def psi(s):
@@ -460,7 +458,7 @@ def _ray(source, x, y, body):
         raise DomainError(f"unknown evolution source {source!r}; "
                           f"choose one of {tuple(EVOLUTION_SOURCES)}")
     src = EVOLUTION_SOURCES[source]
-    x, y = reals(x, "point coordinates"), reals(y, "direction coordinates")
+    x, y = one_state(x, y)
     if not abs(np.linalg.norm(y) - 1.0) <= 1e-9:  # a nan |y| fails too
         raise DomainError("evolution laws assume a Euclidean-unit direction")
     fp, fm = _funk_values(x, y, body) if src.funk else (None, None)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finslerlab import _kernels, geometry as geo, jets as jr, projective as pj, zoo
-from finslerlab.errors import (DegenerateFlagError, DomainError, JetError,
-                               NotProjectivelyRelatedError,
+from finslerlab import acceptance, geodesic as gd
+from finslerlab.errors import (DegenerateFlagError, DomainError, FinslerError,
+                               JetError, NotProjectivelyRelatedError,
                                SingularMetricError)
 from finslerlab.metric import FinslerMetric, FullSpace, dot
 
@@ -213,3 +214,65 @@ def test_a_failed_check_on_a_batch_names_its_state():
     V = np.array([[0.0, 1.0], [0.6, 0.8], [1.0, 0.0]])  # row 1 along y
     with pytest.raises(DegenerateFlagError, match="at state 1"):
         geo.flag_curvature(zoo.klein(), X, Y, V)
+
+
+# every public (x, y) entry, called on a point and direction of klein (or
+# on the F of funk-ellipse-plus, which refuses other dimensions) in the plane
+SHAPE_ENTRIES = {
+    "F-klein": lambda x, y: zoo.klein()(x, y),
+    "F-funk-ellipse-plus": lambda x, y: _metric("funk-ellipse-plus", 2)(x, y),
+    "fundamental_tensor": lambda x, y: geo.fundamental_tensor(
+        zoo.klein(), x, y),
+    "spray_coefficients": lambda x, y: geo.spray_coefficients(
+        zoo.klein(), x, y),
+    "riemann_curvature": lambda x, y: geo.riemann_curvature(
+        zoo.klein(), x, y),
+    "curvature_data": lambda x, y: geo.curvature_data(zoo.klein(), x, y),
+    "flag_curvature": lambda x, y: geo.flag_curvature(
+        zoo.klein(), x, y, (0.0, 1.0)),
+    "flag_spread": lambda x, y: geo.flag_spread(zoo.klein(), x, y, 4),
+    "einstein_residual": lambda x, y: geo.einstein_residual(
+        zoo.klein(), x, y),
+    "rapcsak_residual": lambda x, y: pj.rapcsak_residual(
+        zoo.euclidean(), zoo.klein(), x, y),
+    "projective_factor": lambda x, y: pj.projective_factor(
+        zoo.euclidean(), zoo.klein(), x, y),
+    "xi_and_tau": lambda x, y: pj.xi_and_tau(
+        zoo.euclidean(), zoo.klein(), x, y),
+    "curvature_transform_check": lambda x, y: pj.curvature_transform_check(
+        zoo.euclidean(), zoo.klein(), x, y),
+    "funk_condition_residual": lambda x, y: pj.funk_condition_residual(
+        zoo.klein(), 0.5, x, y),
+    "integrate_geodesic": lambda x, y: gd.integrate_geodesic(
+        zoo.klein(), x, y, (-0.1, 0.1)),
+    "fd_riemann": lambda x, y: acceptance.fd_riemann(zoo.klein(), x, y),
+    "jet_of": lambda x, y: jr.jet_of(
+        _metric("funk-ellipse-plus", 2).F, x, y, 2),
+    "fd_oracle": lambda x, y: jr.fd_oracle(
+        _metric("funk-ellipse-plus", 2).F, x, y, (1, 0, 0, 0)),
+    "evolution_coefficients": lambda x, y: zoo.evolution_coefficients(
+        "klein", x, y),
+    "verify_evolution": lambda x, y: zoo.verify_evolution("klein", x, y),
+}
+
+# (x shape, y shape) pairs that are no state of the plane: the shape rule
+# takes (n,) or (B, n) with B >= 1 for both, of one shape
+MALFORMED_SHAPES = {
+    "point-row": ((1, 2), (2,)),
+    "direction-row": ((2,), (1, 2)),
+    "columns": ((2, 1), (2, 1)),
+    "empty-stacks": ((0, 2), (0, 2)),
+    "deep-stacks": ((1, 1, 2), (1, 1, 2)),
+    "long-point": ((3,), (2,)),
+    "long-states": ((3,), (3,)),
+}
+
+
+@pytest.mark.parametrize("shapes", MALFORMED_SHAPES)
+@pytest.mark.parametrize("entry", SHAPE_ENTRIES)
+def test_every_state_entry_refuses_a_shape_that_is_no_state(entry, shapes):
+    x_shape, y_shape = MALFORMED_SHAPES[shapes]
+    x = np.resize([0.1, 0.2], x_shape)
+    y = np.resize([1.0, 0.0], y_shape)
+    with pytest.raises(FinslerError):
+        SHAPE_ENTRIES[entry](x, y)

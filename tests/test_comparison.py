@@ -52,6 +52,15 @@ def test_f_squared_initial_data():
             2.0 * 1.7 * -0.6, rel=1e-13)
 
 
+def test_f_value_takes_a_jet_as_f_squared_does():
+    case = cmp.make_case(-1, -1, 1.0, 0.5)
+    tj = jr.variables([0.3], 2)[0]
+    got = cmp.f_value(case, tj)
+    want = jr.sqrt(cmp.f_squared(case, tj))
+    assert got.value == want.value
+    assert jr.extract_derivative(got, [1]) == jr.extract_derivative(want, [1])
+
+
 def test_ode_residual_on_a_coarse_grid():
     for lam in (-1, 0, 1):
         for lamt in (-1, 0, 1):

@@ -573,6 +573,18 @@ def _rhs(t, u):
     pytest.param(lambda: acceptance.fd_riemann(
         zoo.klein(), np.tile(XG, (3, 1)), np.tile(YG, (3, 1))),
         id="fd-riemann-stack"),
+    # times and ODE vectors of another shape
+    pytest.param(lambda: _geodesic().sample([[0.0, 0.01]]),
+                 id="geodesic-sample-2d-times"),
+    pytest.param(lambda: _geodesic().legs[1].sample([[0.0, 0.01]]),
+                 id="ode-sample-2d-times"),
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, [[1.0]], 1.0),
+                 id="integrate-2d-u0"),
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, [], 1.0),
+                 id="integrate-empty-u0"),
+    # a budget of no samples, which passed vacuously
+    pytest.param(lambda: geo.check_minkowski(zoo.klein(), budget=0),
+                 id="minkowski-zero-budget"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
