@@ -47,8 +47,7 @@ class Domain:
     """Containment predicate with a signed inside/outside hint (< 0 inside)."""
 
     def contains(self, x):
-        # a signed value of -inf comes only from a non-finite point
-        return -math.inf < self.signed(x) < 0.0
+        return self.signed(x) < 0.0
 
     def signed(self, x):
         raise NotImplementedError
@@ -64,9 +63,6 @@ class FullSpace(Domain):
 
     def signed(self, x):
         return -1.0
-
-    def contains(self, x):
-        return all(map(math.isfinite, x.tolist()))
 
     def sample_box(self):
         return -1.5 * np.ones(self.n), 1.5 * np.ones(self.n)
@@ -110,7 +106,7 @@ class ParaboloidInterior(Domain):
     n: int
 
     def signed(self, x):
-        # on Python floats an overflow (inf) or inf - inf (nan) does not warn
+        # on Python floats an overflow (inf) does not warn
         *head, last = np.asarray(x, dtype=float).tolist()
         return norm_sq(head) - last
 
@@ -153,10 +149,11 @@ class FinslerMetric:
         return np.asarray(self.F(list(x.T), list(y.T)), dtype=float)
 
     def check_state(self, x, y):
-        """(x, y), one state or a batch by :func:`errors.states`, checked
-        once over the stack: DomainError for another dimension, a point
-        outside the domain (``domain.contains`` runs per row) or an
-        overflowing |y|^2, DegenerateDirectionError for |y| too small."""
+        """(x, y) by :func:`errors.states`, then checked in turn, each check
+        once over the stack and naming the first state it fails: DomainError
+        for another dimension, then for a point outside the domain (only
+        ``domain.contains`` runs per row), then DomainError for an overflowing
+        |y|^2 or DegenerateDirectionError for |y| too small."""
         x, y = states(x, y)
         if x.shape[-1] != self.n:
             raise DomainError(f"{self.name}: states of shape {x.shape}, n = {self.n}")
@@ -164,7 +161,10 @@ class FinslerMetric:
         if not all(inside):
             p, where = first_bad(~np.reshape(inside, x.shape[:-1]), x)
             raise DomainError(f"{self.name}: point {p.tolist()} outside domain{where}")
-        sq = np.vecdot(y, y)  # inf where |y|^2 overflows, and F would too
+        # |y|^2, inf where it overflows (and F would too): Python floats, the
+        # cheaper for one state, and einsum give that inf without a warning
+        sq = (np.float64(sum(v * v for v in y.tolist())) if y.ndim == 1
+              else np.einsum("...i,...i->...", y, y))
         hit = first_bad((sq <= MIN_DIRECTION_NORM**2) | (sq == math.inf), sq)
         if hit:
             error = DomainError if hit[0] == math.inf else DegenerateDirectionError

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from finslerlab import _kernels, geometry as geo, jets as jr, projective as pj, zoo
 from finslerlab import acceptance, geodesic as gd
-from finslerlab.errors import (DegenerateFlagError, DomainError, FinslerError,
-                               JetError, NotProjectivelyRelatedError,
-                               SingularMetricError)
+from finslerlab.errors import (DegenerateDirectionError, DegenerateFlagError,
+                               DomainError, FinslerError, JetError,
+                               NotProjectivelyRelatedError, SingularMetricError)
 from finslerlab.metric import FinslerMetric, FullSpace, dot
 
 FIXED_2D = ("funk-ellipse-plus", "funk-ellipse-minus", "hilbert-ellipse",
@@ -276,3 +276,15 @@ def test_every_state_entry_refuses_a_shape_that_is_no_state(entry, shapes):
     y = np.resize([1.0, 0.0], y_shape)
     with pytest.raises(FinslerError):
         SHAPE_ENTRIES[entry](x, y)
+
+
+def test_state_checks_run_in_turn_each_over_the_whole_stack():
+    # row 0 has a zero direction and row 2 a point outside the ball: the
+    # domain check runs before the |y| check, over every row
+    X = np.array([[0.1, 0.2], [0.3, 0.1], [2.0, 0.0]])
+    Y = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match="outside domain at state 2"):
+        zoo.klein()(X, Y)
+    with pytest.raises(DegenerateDirectionError, match="at state 0"):
+        zoo.klein()(X[:2], Y[:2])
+

@@ -585,6 +585,13 @@ def _rhs(t, u):
     # a budget of no samples, which passed vacuously
     pytest.param(lambda: geo.check_minkowski(zoo.klein(), budget=0),
                  id="minkowski-zero-budget"),
+    # a direction whose |y|^2 overflows: numpy's overflow RuntimeWarning
+    # escaped first
+    pytest.param(lambda: zoo.klein()(_X, (1e200, 0.0)),
+                 id="overflowing-direction"),
+    pytest.param(lambda: zoo.klein()(np.array([_X, _X]),
+                                     np.array([_Y, (1e200, 0.0)])),
+                 id="overflowing-direction-batch"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
