@@ -208,31 +208,6 @@ def f_value(case, t):
     return jr.sqrt(v)
 
 
-def radicand(case, s):
-    s = reals(s, "radicand arguments")
-    return -case.lam * s**4 + 2.0 * case.C * s * s - case.lam_tilde
-
-
-def evolution_law(case, t):
-    """Candidate value along the geodesic in the doubled-angle normal form,
-    written independently of ``f_squared``, which it is checked against."""
-    t = reals(t, "times")
-    a, b, lt = case.a, case.b, case.lam_tilde
-    s1 = a * a + lt / (a * a) + b * b
-    s2 = a * a - lt / (a * a) - b * b
-    if case.lam == 1.0:
-        return 2.0 / (s2 * np.cos(2.0 * t) + 2.0 * a * b * np.sin(2.0 * t) + s1)
-    if case.lam == 0.0:
-        return 1.0 / ((a + b * t) ** 2 + lt * t * t / (a * a))
-    return 2.0 / (s1 * np.cosh(2.0 * t) + 2.0 * a * b * np.sinh(2.0 * t) + s2)
-
-
-def normal_form_defect(case, ts):
-    """Max |law * f^2 - 1| across ts: the law must be 1/f^2 identically."""
-    ts = reals(ts, "times")
-    return float(np.max(np.abs(evolution_law(case, ts) * f_squared(case, ts) - 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # maximal interval and critical times
 

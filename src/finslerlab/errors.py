@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, and the one gate through
 which public entries read outside values: :func:`real`, :func:`reals`,
-:func:`count`, :func:`times` and :func:`states` refuse what is no float,
-float array, integer count, 1-D array of times or state (x, y) with
-:class:`DomainError`; a malformed multi-index raises :class:`JetError`. So
-every public function fails with a :class:`FinslerError` subclass."""
+:func:`count`, :func:`times`, :func:`points` and :func:`states` refuse
+what is no float, float array, integer count, 1-D array of times, point
+or stack of points, or state (x, y) with :class:`DomainError`; a malformed
+multi-index raises :class:`JetError`. So every public function fails with
+a :class:`FinslerError` subclass."""
 
 import math
 import operator
@@ -82,12 +83,28 @@ def count(value, least, what):
     return value
 
 
+def _stacked(v):
+    """The shape rule of a point and of a state: ``(n,)`` for one, or
+    ``(B, n)`` with B >= 1 for a batch, n >= 1."""
+    return 1 <= v.ndim <= 2 and v.size > 0
+
+
+def points(value, what):
+    """``value`` as a float array by the shape rule of :func:`states`,
+    one point ``(n,)`` or a stack ``(B, n)`` with B >= 1, or DomainError."""
+    v = reals(value, what)
+    if not _stacked(v):
+        raise DomainError(f"{what} must be of shape (n,) or (B, n) with "
+                          f"B >= 1, got {v.shape}")
+    return v
+
+
 def states(x, y):
     """(x, y) as float arrays by the one rule for states: equal shapes,
     ``(n,)`` for one state or ``(B, n)`` with B >= 1 for a batch, finite
     entries. Else DomainError, naming both shapes or the non-finite state."""
     x, y = reals(x, "point coordinates"), reals(y, "direction coordinates")
-    if x.shape != y.shape or not 1 <= x.ndim <= 2 or not x.size:
+    if x.shape != y.shape or not _stacked(x):
         raise DomainError(f"a state is x and y of one shape, (n,) or (B, n) "
                           f"with B >= 1, got {x.shape} and {y.shape}")
     if not all(map(math.isfinite, x.ravel().tolist() + y.ravel().tolist())):

@@ -65,7 +65,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import FDOracleError, JetError, count, first_bad, one_state, reals, states
+from .errors import (FDOracleError, JetError, count, first_bad, one_state,
+                     points, reals, states)
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +448,15 @@ def constant(ctx, value):
 
 def variables(values, order, *, x_degree=None):
     """Seed one jet per coordinate of ``values``, each with a unit linear
-    coefficient; a ``(B, n)`` stack seeds batched jets. ``x_degree``
-    selects the context (see :func:`get_context`).
+    coefficient: one point ``(n,)`` or a ``(B, n)`` stack of batched jets,
+    by :func:`errors.points`; any other shape raises DomainError.
+    ``x_degree`` selects the context (see :func:`get_context`).
 
     The jets are rows of one coefficient block, ``(n, n_terms)`` or
     ``(n, B, n_terms)``; they may share it because no ring operation
     writes into an operand.
     """
-    vals = reals(values, "point coordinates")
-    vals = vals if vals.ndim == 2 else vals.ravel()  # any other shape: one point
+    vals = points(values, "point coordinates")
     ctx = get_context(vals.shape[-1], order, x_degree=x_degree)
     units = ctx._units
     block = (units.copy() if vals.ndim == 1

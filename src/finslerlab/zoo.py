@@ -7,10 +7,12 @@ strongly convex bodies, where F is defined implicitly by the chord equation
 phi(x + y / F) = 0 and evaluated by a Newton solve that also runs in the
 jet ring.
 
-The module also knows the closed-form evolution of each projectively flat
-family along straight rays t -> x + t*y, reduced to the two scalars (a, b)
-with value(t) = 1 / f(t)^2, f(t)^2 = (a + b*t)^2 + lam * t^2 / a^2, which
-is ``comparison.f_squared`` of the flat-base case (0, lam, a, b).
+Along a straight ray t -> x + t*y of each projectively flat Einstein
+source, the metric scaled to Einstein constant lam = +-1 obeys one law,
+value(t) = 1 / f(t)^2 with f(t)^2 = (a + b*t)^2 + lam * t^2 / a^2, which
+is ``comparison.f_squared`` of the flat-base case (0, lam, a, b). The
+scalars (a, b, lam) are read off F's own 1-jet at t = 0 and the Einstein
+constant, so every source and every direction share one rule.
 """
 
 import math
@@ -176,6 +178,12 @@ class ConvexBody:
         return ConvexInterior(self.phi, self.bbox_lo, self.bbox_hi)
 
 
+def _check_body(body):
+    """DomainError unless ``body`` is a :class:`ConvexBody`."""
+    if not isinstance(body, ConvexBody):
+        raise DomainError(f"needs a ConvexBody, got {body!r}")
+
+
 def ball_body(n=2):
     def phi(x):
         return norm_sq(x) - 1.0
@@ -309,6 +317,8 @@ def funk_general(body, x, y, sign=1):
     take it past the jet order. On batched jets the float root is found
     per state and the Newton steps run on the whole batch.
     """
+    if not isinstance(body, ConvexBody):  # every geodesic stage runs this
+        raise DomainError(f"needs a ConvexBody, got {body!r}")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     xs, ys = list(x), list(y)
@@ -340,6 +350,8 @@ def funk_general(body, x, y, sign=1):
 
 
 def funk_body_metric(body, sign=1):
+    _check_body(body)
+
     def F(x, y):
         return funk_general(body, x, y, sign=sign)
 
@@ -349,6 +361,8 @@ def funk_body_metric(body, sign=1):
 
 
 def hilbert_general(body):
+    _check_body(body)
+
     def F(x, y):
         return 0.5 * (funk_general(body, x, y, 1) + funk_general(body, x, y, -1))
 
@@ -357,89 +371,21 @@ def hilbert_general(body):
 
 
 # ---------------------------------------------------------------------------
-# closed-form evolution along straight rays
+# the ray law, read off the metric's jet
 
 
-@dataclass(frozen=True)
-class EvolutionSource:
-    """One source of the ray laws, read by every evolution function."""
-
-    metric: Callable  # (n, body) -> the metric sampled along the ray
-    half: float  # the law describes half * F
-    law: Callable  # (x, y, fp, fm) -> (a, b, lam)
-    window: Callable  # (x, y, fp, fm, a) -> (t_lo, t_hi), the life interval
-    funk: bool = False  # law and window read the Funk values (fp, fm)
-
-
-def _klein_law(x, y, fp, fm):
-    xx, xy = float(np.dot(x, x)), float(np.dot(x, y))
-    d = 1.0 - xx + xy * xy
-    a = math.sqrt(1.0 - xx) / d**0.25
-    b = -xy / (math.sqrt(1.0 - xx) * d**0.25)
-    return a, b, -1.0
-
-
-def _klein_window(x, y, fp, fm, a):
-    xy, xx = float(np.dot(x, y)), float(np.dot(x, x))
-    root = math.sqrt(xy * xy + 1.0 - xx)
-    return -xy - root, -xy + root
-
-
-def _spherical_law(x, y, fp, fm):
-    xx, xy = float(np.dot(x, x)), float(np.dot(x, y))
-    d = 1.0 + xx - xy * xy
-    a = math.sqrt(1.0 + xx) / d**0.25
-    b = xy / (math.sqrt(1.0 + xx) * d**0.25)
-    return a, b, 1.0
-
-
-def _hilbert_law(x, y, fp, fm):
-    a = math.sqrt(2.0) / math.sqrt(fp + fm)
-    b = (fm - fp) / (math.sqrt(2.0) * math.sqrt(fp + fm))
-    return a, b, -1.0
-
-
-def _paraboloid_law(x, y, fp, fm):
-    if np.linalg.norm(y[:-1]) > 1e-12 or abs(y[-1] - 1.0) > 1e-9:
-        raise DomainError("paraboloid law is for the unit vertical direction")
-    h = x[-1] - float(np.dot(x[:-1], x[:-1]))
-    if h <= 0.0:
-        raise DomainError("point below the paraboloid chart")
-    a = math.sqrt(2.0 * h)
-    return a, 1.0 / a, -1.0
-
-
-def _funk_window(x, y, fp, fm, a):
-    return -1.0 / fm, 1.0 / fp
-
-
-def _funk_source(sign):
-    def law(x, y, fp, fm):
-        a = math.sqrt(2.0 / (fp if sign == 1 else fm))
-        return a, -sign / a, -1.0
-
-    return EvolutionSource(
-        lambda n, body: (funk_ball(sign, n) if body is None
-                         else funk_body_metric(body, sign)),
-        0.5, law, _funk_window, funk=True)
-
-
-# value(t) = half * F along x + t y for klein / spherical / hilbert /
-# paraboloid and for the half metric of the irreversible Funk sources, so
-# every source is normalized to have lam in {-1, +1}
+# each source's metric, (n, body) -> FinslerMetric; a body stands in for
+# the unit ball where the source takes one
 EVOLUTION_SOURCES = {
-    "klein": EvolutionSource(lambda n, body: klein(n), 1.0, _klein_law,
-                             _klein_window),
-    "spherical": EvolutionSource(lambda n, body: spherical(n), 1.0,
-                                 _spherical_law, lambda *_: (-3.0, 3.0)),
-    "funk-plus": _funk_source(1),
-    "funk-minus": _funk_source(-1),
-    "hilbert": EvolutionSource(
-        lambda n, body: hilbert_ball(n) if body is None else hilbert_general(body),
-        1.0, _hilbert_law, _funk_window, funk=True),
-    "paraboloid": EvolutionSource(
-        lambda n, body: paraboloid_metric(n), 1.0, _paraboloid_law,
-        lambda x, y, fp, fm, a: (-0.5 * a * a, 3.0)),
+    "klein": lambda n, body: klein(n),
+    "spherical": lambda n, body: spherical(n),
+    "funk-plus": lambda n, body: (funk_ball(1, n) if body is None
+                                  else funk_body_metric(body, 1)),
+    "funk-minus": lambda n, body: (funk_ball(-1, n) if body is None
+                                   else funk_body_metric(body, -1)),
+    "hilbert": lambda n, body: (hilbert_ball(n) if body is None
+                                else hilbert_general(body)),
+    "paraboloid": lambda n, body: paraboloid_metric(n),
 }
 
 
@@ -453,64 +399,66 @@ def _funk_values(x, y, body):
 
 
 def _ray(source, x, y, body):
-    """The source's table entry, the validated ray and its Funk values."""
+    """The source's metric scaled by sqrt|c| to Einstein constant c = +-1,
+    and the validated ray (x, y) in its domain."""
     if source not in tuple(EVOLUTION_SOURCES):  # a tuple hashes no name
         raise DomainError(f"unknown evolution source {source!r}; "
                           f"choose one of {tuple(EVOLUTION_SOURCES)}")
-    src = EVOLUTION_SOURCES[source]
+    if body is not None:
+        _check_body(body)
     x, y = one_state(x, y)
-    if not abs(np.linalg.norm(y) - 1.0) <= 1e-9:  # a nan |y| fails too
+    if not abs(math.hypot(*y.tolist()) - 1.0) <= 1e-9:
         raise DomainError("evolution laws assume a Euclidean-unit direction")
-    fp, fm = _funk_values(x, y, body) if src.funk else (None, None)
-    return src, x, y, fp, fm
+    metric = EVOLUTION_SOURCES[source](x.size, body)
+    x, y = metric.check_state(x, y)
+    return scaled(metric, math.sqrt(abs(metric.einstein_constant))), x, y
+
+
+def _law(metric, x, y):
+    """(a, b, lam) of value(t) = F(x + t y, y): a = value^(-1/2) and
+    b = -value^(-3/2) value' / 2 at t = 0 from F's 1-jet, lam = c."""
+    f0, grad = jr.derivative_tensors(jr.jet_of(metric.F, x, y, 1))
+    value, slope = float(f0), float(np.dot(grad[: x.size], y))
+    return value**-0.5, -0.5 * value**-1.5 * slope, metric.einstein_constant
 
 
 def evolution_coefficients(source, x, y, body=None):
     """Scalars (a, b, lam) of the ray law value(t) = 1/f^2 for the source.
 
-    f(t)^2 = (a + b t)^2 + lam t^2 / a^2, with value(t) as set by the
-    source's entry in :data:`EVOLUTION_SOURCES`.
+    f(t)^2 = (a + b t)^2 + lam t^2 / a^2 along x + t y, y a Euclidean unit
+    vector, with value(t) = s F(x + t y, y), the source's metric scaled to
+    Einstein constant lam = +-1; a, b and lam are read off F's 1-jet.
     """
-    src, x, y, fp, fm = _ray(source, x, y, body)
-    return src.law(x, y, fp, fm)
-
-
-def numeric_evolution_coefficients(Ffn, x, y):
-    """(a, b) of t -> Ffn(x + t y, y)^(-1/2) by jet differentiation at t = 0."""
-    x, y = reals(x, "point coordinates"), reals(y, "direction coordinates")
-    f0, grad = jr.derivative_tensors(jr.jet_of(Ffn, x, y, 1))
-    df_dt = float(np.dot(grad[: x.size], y))
-    a = f0 ** (-0.5)
-    b = -0.5 * f0 ** (-1.5) * df_dt
-    return a, b
+    return _law(*_ray(source, x, y, body))
 
 
 def verify_evolution(source, x, y, body=None):
     """Max relative gap between the sampled metric along x + t y and the law,
     predicted as 1 / f^2 of the flat-base case (0, lam, a, b), at 25 times
-    spanning 0.9 of the law's window."""
-    src, x, y, fp, fm = _ray(source, x, y, body)
-    a, b, lam = src.law(x, y, fp, fm)
+    spanning 0.9 of the law's life interval, cut to |t| <= 3 and, on the
+    unit ball or a convex body, to the ray's chord."""
+    metric, x, y = _ray(source, x, y, body)
+    a, b, lam = _law(metric, x, y)
     case = cmp.make_case(0.0, lam, a, b)
-    t_lo, t_hi = src.window(x, y, fp, fm, a)
-    value = src.metric(x.size, body).F
-    devs = []
+    t_lo, t_hi = cmp.maximal_interval(case)
+    t_lo, t_hi = max(t_lo, -3.0), min(t_hi, 3.0)
+    if isinstance(metric.domain, (UnitBall, ConvexInterior)):
+        # the reverse side of a Funk ray: the law outlives the chart
+        ball = isinstance(metric.domain, UnitBall)
+        fp, fm = _funk_values(x, y, None if ball else body)
+        t_lo, t_hi = max(t_lo, -1.0 / fm), min(t_hi, 1.0 / fp)
     rows = []
     for t in np.linspace(0.9 * t_lo, 0.9 * t_hi, 25):
-        actual = src.half * float(value(list(x + t * y), list(y)))
-        f2 = cmp.f_squared(case, t)
-        if f2 <= 0.0:
-            raise DomainError("ray parameter outside the life interval of the law")
-        pred = 1.0 / f2
-        dev = abs(actual - pred) / max(abs(actual), 1e-300)
-        devs.append(dev)
-        rows.append((float(t), actual, pred, dev))
+        actual = float(metric.F(list(x + t * y), list(y)))
+        pred = 1.0 / cmp.f_squared(case, t)
+        rows.append((float(t), actual, pred,
+                     abs(actual - pred) / max(abs(actual), 1e-300)))
     return {
         "source": source,
         "a": a,
         "b": b,
         "lambda_tilde": lam,
-        "max_rel_dev": max(devs),
+        "max_rel_dev": max(row[3] for row in rows),
         "rows": rows,
     }
 

@@ -563,9 +563,24 @@ def _rhs(t, u):
     pytest.param(lambda: zoo.make_metric(["a"]), id="make-metric-list-name"),
     pytest.param(lambda: zoo.evolution_coefficients(["a"], _X, _Y),
                  id="evolution-list-source"),
-    pytest.param(lambda: cmp.radicand(_CASE, "a"), id="radicand-string-value"),
-    pytest.param(lambda: cmp.evolution_law(_CASE, "a"),
-                 id="evolution-law-string-time"),
+    # points that are neither (n,) nor a (B, n) stack with B >= 1
+    pytest.param(lambda: jr.variables(np.zeros((1, 1, 2)), 2),
+                 id="variables-three-axis-stack"),
+    pytest.param(lambda: jr.variables(np.zeros((0, 2)), 2),
+                 id="variables-empty-stack"),
+    pytest.param(lambda: jr.variables(0.5, 2), id="variables-0d-point"),
+    # a body of another kind, which raised AttributeError
+    pytest.param(lambda: zoo.funk_general(None, _X, _Y),
+                 id="funk-general-none-body"),
+    pytest.param(lambda: zoo.funk_body_metric("ellipse"),
+                 id="funk-body-metric-string-body"),
+    pytest.param(lambda: zoo.hilbert_general(3), id="hilbert-general-int-body"),
+    pytest.param(lambda: zoo.verify_evolution("hilbert", _X, _Y,
+                                              body="ellipse"),
+                 id="verify-evolution-string-body"),
+    # a ray law's point outside its chart, which raised ValueError
+    pytest.param(lambda: zoo.evolution_coefficients("klein", (0.9, 0.9), _Y),
+                 id="evolution-point-outside-the-ball"),
     # one-state entries given a (B, n) stack
     pytest.param(lambda: geo.flag_spread(zoo.klein(), np.tile(XG, (3, 1)),
                                          np.tile(YG, (3, 1))),

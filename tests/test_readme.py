@@ -26,7 +26,7 @@ def _stated(block, pattern):
 
 def test_the_quick_tour_runs_and_states_its_values(capsys):
     # one namespace, block after block, as a reader runs the tour
-    catalog, randers, geodesic, projective, comparison = _tour()
+    catalog, randers, geodesic, projective, comparison, ray = _tour()
     ns = {}
 
     exec(catalog, ns)
@@ -67,3 +67,12 @@ def test_the_quick_tour_runs_and_states_its_values(capsys):
     assert cmp.families(case) == ["asymptote_plus"]
     rec = cmp.classify_completeness(case)
     assert (rec["bi_complete"], rec["base_forward_complete"]) == (False, True)
+
+    exec(ray, ns)
+    assert f"{ns['a']:.6f}" == f"{_stated(ray, r'a =')}"
+    assert f"{ns['b']:.6f}" == f"{_stated(ray, r'b =')}"
+    assert ns["lam"] == _stated(ray, r"lam =")
+    rep = ns["rep"]
+    assert rep["max_rel_dev"] < 1e-14
+    times = [f"{row[0]:.4f}" for row in rep["rows"]]
+    assert (times[0], times[-1]) == ("-0.5009", "2.2009")

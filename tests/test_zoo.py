@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerlab import jets as jr, zoo
+from finslerlab import jets as jr, sampling, zoo
 from finslerlab.errors import DomainError, FinslerError
 from finslerlab.metric import dot
 
@@ -238,14 +238,66 @@ def test_evolution_requires_unit_direction():
         zoo.evolution_coefficients("klein", X, np.array([2.0, 0.0]))
 
 
-def test_numeric_evolution_coefficients_agree():
-    fp = zoo.funk_ball(1)
-    x, y = np.array([0.15, -0.3]), np.array([0.8, 0.6])
-    a, b, lam = zoo.evolution_coefficients("funk-plus", x, y)
-    an, bn = zoo.numeric_evolution_coefficients(
-        lambda xx, yy: 0.5 * fp.F(xx, yy), x, y)
-    assert an == pytest.approx(a, rel=1e-12)
-    assert bn == pytest.approx(b, rel=1e-12)
+def _closed_form(source, x, y, body):
+    """(a, b, lam) of the ray law as each family's own formula writes it."""
+    xx, xy = float(x @ x), float(x @ y)
+    if source in ("klein", "spherical"):
+        k = -1.0 if source == "klein" else 1.0
+        d = 1.0 + k * (xx - xy * xy)
+        a = math.sqrt(1.0 + k * xx) / d**0.25
+        return a, k * xy / (math.sqrt(1.0 + k * xx) * d**0.25), k
+    if source == "paraboloid":
+        # F = sqrt(u^2 + 4 h |yb|^2) / (2 h) with h and u = h' along the
+        # ray, where the root is constant: u' = -2 |yb|^2
+        xb, yb = x[:-1], y[:-1]
+        h, u = x[-1] - float(xb @ xb), y[-1] - 2.0 * float(xb @ yb)
+        a = math.sqrt(2.0 * h / math.sqrt(u * u + 4.0 * h * float(yb @ yb)))
+        return a, a * u / (2.0 * h), -1.0
+    fp, fm = zoo._funk_values(x, y, body)
+    if source == "hilbert":
+        return (math.sqrt(2.0) / math.sqrt(fp + fm),
+                (fm - fp) / (math.sqrt(2.0) * math.sqrt(fp + fm)), -1.0)
+    sign = 1 if source == "funk-plus" else -1
+    a = math.sqrt(2.0 / (fp if sign == 1 else fm))
+    return a, -sign / a, -1.0
+
+
+@pytest.mark.parametrize("source, n, body", [
+    *[(src, n, None) for src in zoo.EVOLUTION_SOURCES for n in (2, 3)],
+    *[(src, 2, zoo.ellipsoid_body((2.0, 1.0)))
+      for src in ("funk-plus", "funk-minus", "hilbert")],
+])
+def test_ray_law_from_the_jet_matches_each_familys_closed_form(source, n,
+                                                               body):
+    metric = zoo.EVOLUTION_SOURCES[source](n, body)
+    for x, y in sampling.state_pairs(metric, 6):
+        a, b, lam = zoo.evolution_coefficients(source, x, y, body=body)
+        want = _closed_form(source, x, y, body)
+        scale = max(abs(want[0]), abs(want[1]))
+        assert abs(a - want[0]) <= 1e-13 * scale, (x, y)
+        assert abs(b - want[1]) <= 1e-13 * scale, (x, y)
+        assert lam == want[2]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("source", sorted(zoo.EVOLUTION_SOURCES))
+def test_every_source_holds_its_law_in_any_direction(source, n):
+    metric = zoo.EVOLUTION_SOURCES[source](n, None)
+    for x, y in sampling.state_pairs(metric, 6):
+        assert abs(y[-1]) < 0.999  # the paraboloid's too, off the vertical
+        assert zoo.verify_evolution(source, x, y)["max_rel_dev"] < 1e-10
+
+
+def test_the_sample_window_keeps_to_the_chord_and_the_law():
+    # funk-plus at (0.5, 0) along +e1: the law lives on t < 1/fp = 0.5 and
+    # for all t < 0, where the chord ends at -1/fm = -1.5
+    rows = zoo.verify_evolution("funk-plus", X, Y)["rows"]
+    assert rows[0][0] == pytest.approx(0.9 * -1.5, rel=1e-15)
+    assert rows[-1][0] == pytest.approx(0.9 * 0.5, rel=1e-15)
+    # the paraboloid's law lives on t > -a^2 / 2 = -h, and |t| <= 3 caps it
+    rows = zoo.verify_evolution("paraboloid", (0.2, 1.0), (0.0, 1.0))["rows"]
+    assert rows[0][0] == pytest.approx(0.9 * -0.96, rel=1e-14)
+    assert rows[-1][0] == 0.9 * 3.0
 
 
 # ---------------------------------------------------------------------------
