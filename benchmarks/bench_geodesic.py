@@ -18,8 +18,9 @@ repetitions to ``BENCH_geodesic.json`` under a label:
                     (lam, lamt, a, b) = (1, 1, 0.7, 0.5)
   geodesic_funk_minus   one ``integrate_geodesic`` of that funk-minus trace
   rim_<metric>      the leg that runs out to the rim, one ``ode.integrate``
-                    as ``integrate_geodesic`` runs it, for each of the four
-                    rim starts of perfbench's seed-7 geodesic pool
+                    as ``integrate_geodesic`` runs it (a forward leg with
+                    the start the backward leg hands on), for each of the
+                    four rim starts of perfbench's seed-7 geodesic pool
                     (funk-ellipse-plus/-minus, funk-plus/-minus at rtol
                     1e-9): its rhs calls, accepted, rejected and vetoed
                     steps, status and end gap to the rim (-domain.signed)
@@ -120,9 +121,18 @@ def rim_legs(tree):
         m = metrics[(spec["metric"], spec["n"])]
         x, y = np.array(spec["x"]), np.array(spec["y"])
         u0 = np.concatenate([x, y / m(x, y)])
-        # the Funk-plus backward and Funk-minus forward legs reach the rim
-        target = spec["span"][1 if "minus" in spec["metric"] else 0]
+        # the Funk-plus backward and Funk-minus forward legs reach the rim;
+        # a forward leg starts from what the backward leg hands on, where
+        # the tree's ode has that hand-off
+        second = "minus" in spec["metric"]
+        target = spec["span"][1 if second else 0]
         rhs, calls = gd.geodesic_rhs(m), [0]
+        start = {}
+        if second:
+            back = ode.integrate(rhs, 0.0, u0, spec["span"][0],
+                                 wl.GEODESIC_RTOL, wl.GEODESIC_ATOL)
+            if getattr(back, "_next_start", None) is not None:
+                start = {"_start": back._next_start}
 
         def counted(t, u):
             calls[0] += 1
@@ -130,7 +140,7 @@ def rim_legs(tree):
 
         def leg(f):
             return ode.integrate(f, 0.0, u0, target, wl.GEODESIC_RTOL,
-                                 wl.GEODESIC_ATOL)
+                                 wl.GEODESIC_ATOL, **start)
 
         res = leg(counted)
         rows[f"rim_{spec['metric']}"] = dict(

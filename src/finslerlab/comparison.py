@@ -36,7 +36,7 @@ import numpy as np
 
 from . import jets as jr
 from . import ode
-from .errors import DomainError, NumericError, real, reals
+from .errors import DomainError, NumericError, real, reals, times
 
 ALLOWED_CONSTANTS = (-1.0, 0.0, 1.0)
 FAMILY_TOL = 1e-9
@@ -450,9 +450,9 @@ def ode_residual(case, ts):
     """Max |f'' + lam f - lamt / f^3| of the closed form, via 1-d jets.
 
     All times are seeded as one batch; the residual is then taken per
-    time on Python floats.
+    time on Python floats. A non-finite time raises DomainError.
     """
-    ts = np.atleast_1d(reals(ts, "times"))
+    ts = times(ts)
     if not ts.size:
         return 0.0
     f = jr.sqrt(f_squared(case, jr.variables(ts[:, None], 2)[0]))
@@ -488,17 +488,19 @@ def comparison_rhs(case):
 
 def numeric_integrate(case, t_span=None):
     """Integrate the ODE directly with DOP853 at rtol 1e-12 and atol 1e-14,
-    one ``ode.integrate`` leg per end of ``t_span``; a leg that stalls
-    against the f -> 0 pole ends with status "collapse"."""
+    one ``ode.integrate`` leg per end of ``t_span``, in its order; a leg
+    that stalls against the f -> 0 pole ends with status "collapse". The
+    second leg shares the first's start (``ode.two_legs``): the slope at
+    (a, b) and the step the first leg's controller proposed after its
+    first accepted step."""
     span = reals(_default_span(case, 8.0) if t_span is None else t_span,
                  "t_span times")
     if span.shape != (2,):
         raise DomainError(f"t_span {t_span!r} must hold two real times")
     rhs, u0 = comparison_rhs(case), np.array([case.a, case.b])
     legs = []
-    for target in span.tolist():
-        res = ode.integrate(rhs, 0.0, u0, target, rtol=1e-12, atol=1e-14,
-                            speed_limit=np.inf)
+    for res in ode.two_legs(rhs, 0.0, u0, span.tolist(), 1e-12, 1e-14,
+                            np.inf):
         status = res.status
         if status != "t_limit" and res.u_end[0] <= 1e-3 * max(1.0, case.a):
             status = "collapse"  # stalled against the f -> 0 pole

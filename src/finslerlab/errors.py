@@ -1,10 +1,10 @@
 """Exception hierarchy shared across the package, and the one gate through
 which public entries read outside values: :func:`real`, :func:`reals`,
 :func:`count`, :func:`times`, :func:`points` and :func:`states` refuse
-what is no float, float array, integer count, 1-D array of times, point
-or stack of points, or state (x, y) with :class:`DomainError`; a malformed
-multi-index raises :class:`JetError`. So every public function fails with
-a :class:`FinslerError` subclass."""
+what is no float, float array, integer count, 1-D array of finite times,
+point or stack of points, or state (x, y) with :class:`DomainError`; a
+malformed multi-index raises :class:`JetError`. So every public function
+fails with a :class:`FinslerError` subclass."""
 
 import math
 import operator
@@ -65,10 +65,13 @@ def reals(value, what):
 
 
 def times(value):
-    """Times, a scalar or a 1-D array, as a 1-D float array, or DomainError."""
+    """Times, a scalar or a 1-D array of finite reals, as a 1-D float array,
+    or DomainError."""
     ts = np.atleast_1d(reals(value, "times"))
     if ts.ndim != 1:
         raise DomainError(f"times must be a scalar or 1-D, got shape {ts.shape}")
+    if not all(map(math.isfinite, ts.tolist())):
+        raise DomainError(f"times must be finite, got {ts.tolist()}")
     return ts
 
 

@@ -70,6 +70,11 @@ class GeodesicResult:
 def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     """Run the geodesic through (x0, y0) over t_span = (t_min <= 0 <= t_max).
 
+    The backward leg runs first; the forward leg shares its start
+    (``ode.two_legs``): it reuses the backward leg's slope at (x0, v0)
+    and starts with the step that leg's controller proposed after its
+    first accepted step, so it runs no starting-step probe.
+
     Each leg stops early with status "boundary" (chart exit, where the
     stage veto ends it: a step's twelfth stage runs the rhs at its new
     state, and a vetoed step just past the last vetoed stage ends the leg
@@ -91,8 +96,8 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     n = metric.n
     rhs = geodesic_rhs(metric)
 
-    back = ode.integrate(rhs, 0.0, u0, t_min, rtol, atol)
-    fwd = ode.integrate(rhs, 0.0, u0, t_max, rtol, atol)
+    back, fwd = ode.two_legs(rhs, 0.0, u0, (t_min, t_max), rtol, atol,
+                             ode.SPEED_LIMIT)
 
     ts = np.concatenate([back.ts[::-1], fwd.ts[1:]])
     us = np.concatenate([back.us[::-1], fwd.us[1:]])

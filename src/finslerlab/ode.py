@@ -21,7 +21,11 @@ Stage i runs the rhs at (t + c_i h, u + h K[:i].T @ a_i). The twelfth
 stage runs it at the step's new state u8, whose weight row is the last
 row of ``_A8``: that state is the twelfth stage's argument, its stage is
 vetoed like the others, and FSAL copies it into row 0. The starting step
-follows the same book, II.4.
+follows the same book, II.4. Two legs from one state share one start
+(``two_legs``): the second reuses the first's slope at that state and,
+for its first step, the step the first leg's controller proposed after
+its first accepted step, so it runs neither the slope nor the probe
+again.
 
 A step keeps the stage sums K[:i].T @ a_i as BLAS calls (``ndarray.dot``
 on views of one K.T): a sum on Python floats would not give their bits,
@@ -224,6 +228,10 @@ class OdeResult:
     hs: np.ndarray
     Qs: Optional[np.ndarray]
     _form_Qs = None  # not a field: set by integrate, run by the first sample
+    # not a field: (slope at the start, proposed step) once the controller
+    # proposed a step after a first accepted step that no veto preceded;
+    # two_legs hands it to the second leg
+    _next_start = None
 
     def sample(self, ts):
         """Dense output at query times inside the span; a node returns its
@@ -308,7 +316,8 @@ def _starting_step(rhs, t, u, f0, direction, span, rtol, atol):
 
 @np.errstate(all="ignore")
 def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
-              guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT):
+              guard: Optional[Callable] = None, speed_limit=SPEED_LIMIT, *,
+              _start=None):
     """Integrate u' = rhs(t, u) from t0 to t1 (either direction) with
     DOP853.
 
@@ -328,6 +337,9 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     ``guard(u)`` (optional) returns False outside the admissible region;
     a crossing inside an accepted step is bisected on the dense output to
     MIN_STEP in t and the run ends with status "boundary".
+    ``_start`` is the ``_next_start`` of a leg from the same (t0, u0) and
+    rhs at the same tolerances, which only :func:`two_legs` passes: its
+    slope stands for rhs(t0, u0) and its step for the starting step.
     The run, the rhs included, ignores numpy's floating-point warnings, so
     an overflowing stage reads inf and is vetoed, and an underflow reads 0.
     """
@@ -342,12 +354,14 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     ts, us, dts, stages = [t], [u], [], []  # stages: each accepted step's K
     n_acc = n_rej = n_vet = 0
     t_bad = None  # the time of the last vetoed stage, while it bounds steps
+    next_start = None
 
     def result(status, t_end, u_end):
         res = OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
                         n_acc, n_rej, n_vet, np.array(dts), None)
         res._form_Qs = partial(_dense_polynomials, rhs, res.ts, res.us, res.hs,
                                np.array(stages).reshape(-1, s, d))
+        res._next_start = next_start
         return res
 
     direction = 1.0 if t1 >= t else -1.0
@@ -359,10 +373,13 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     KT = K.T  # ndarray.dot on it: @ costs more per call on tiny operands
     # stage i reads the rows before it: views of K, built once per call
     stage_rows = [(i, _C8[i], KT[:, :i], _A8[i]) for i in range(1, s)]
-    K[0] = rhs(t, u)  # initial point must be admissible
-    if _finite_entries(K[0]) is None:
-        raise DomainError("non-finite derivative at the initial point")
-    h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
+    if _start is None:
+        K[0] = rhs(t, u)  # initial point must be admissible
+        if _finite_entries(K[0]) is None:
+            raise DomainError("non-finite derivative at the initial point")
+        h = _starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
+    else:
+        K[0], h = _start
     abs_w = [abs(x) for x in u.tolist()]  # |u| on Python floats
     grow_max = 10.0  # 1 right after a rejected step
 
@@ -433,11 +450,33 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
             return result("boundary", lo, u_b)
 
         t, u, abs_w = t_new, u_new, abs_w_new
-        K[0] = K[-1]  # FSAL: rhs at (t_new, u_new) up to the b-row identity
         h *= min(grow_max, max(0.2, 0.9 * err ** -_EXPONENT
                                if err > 0 else 10.0))
         grow_max = 10.0
+        if n_acc == 1 and not n_vet:  # K[0] is still rhs(t0, u0)
+            next_start = K[0].copy(), h
+        K[0] = K[-1]  # FSAL: rhs at (t_new, u_new) up to the b-row identity
 
     if n_acc + n_rej >= MAX_STEPS:
         raise NumericError("step budget exhausted")
     return result("t_limit", t, u)
+
+
+def two_legs(rhs, t0, u0, ends, rtol, atol, speed_limit):
+    """The two :func:`integrate` legs from (t0, u0) to ``ends[0]`` and then
+    to ``ends[1]``, at the same tolerances.
+
+    The second leg starts from what the first learned at the shared state:
+    its first stage is the first leg's rhs(t0, u0), and its first step is
+    the step the first leg's controller proposed after its first accepted
+    step, h min(grow_max, max(0.2, 0.9 err^(-1/8))), taken at that state
+    with the same local error constant. So it runs neither that slope nor
+    the starting-step probe. A first leg that accepted no step, or was
+    vetoed before its first accepted step (a bracket on its own side
+    bounded that step), hands nothing on, and the second leg starts as a
+    lone ``integrate`` does. The first leg always runs as a lone one.
+    """
+    first = integrate(rhs, t0, u0, ends[0], rtol, atol,
+                      speed_limit=speed_limit)
+    return first, integrate(rhs, t0, u0, ends[1], rtol, atol,
+                            speed_limit=speed_limit, _start=first._next_start)

@@ -374,18 +374,30 @@ def hilbert_general(body):
 # the ray law, read off the metric's jet
 
 
+def _bodiless(family):
+    """The (n, body) factory of a source that takes no body: a body raises
+    DomainError rather than being ignored."""
+    def metric(n, body):
+        if body is not None:
+            raise DomainError(f"{family.__name__}() takes no body, "
+                              f"got {body!r}")
+        return family(n)
+
+    return metric
+
+
 # each source's metric, (n, body) -> FinslerMetric; a body stands in for
-# the unit ball where the source takes one
+# the unit ball where the source takes one, and the others refuse it
 EVOLUTION_SOURCES = {
-    "klein": lambda n, body: klein(n),
-    "spherical": lambda n, body: spherical(n),
+    "klein": _bodiless(klein),
+    "spherical": _bodiless(spherical),
     "funk-plus": lambda n, body: (funk_ball(1, n) if body is None
                                   else funk_body_metric(body, 1)),
     "funk-minus": lambda n, body: (funk_ball(-1, n) if body is None
                                    else funk_body_metric(body, -1)),
     "hilbert": lambda n, body: (hilbert_ball(n) if body is None
                                 else hilbert_general(body)),
-    "paraboloid": lambda n, body: paraboloid_metric(n),
+    "paraboloid": _bodiless(paraboloid_metric),
 }
 
 

@@ -1,6 +1,7 @@
 """Comparison ODE f'' + lam f = lamt / f^3: closed forms and taxonomy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_ode_residual_on_a_coarse_grid():
             lo, hi = cmp.maximal_interval(case)
             ts = np.linspace(max(lo, -2.0) * 0.7, min(hi, 2.0) * 0.7, 7)
             assert cmp.ode_residual(case, ts) < 1e-11, (lam, lamt)
+
+
+@pytest.mark.parametrize("ts", [[math.nan], [0.1, math.nan], [math.inf],
+                                [-math.inf, 0.2]])
+def test_ode_residual_refuses_a_non_finite_time(ts):
+    # a NaN read as a perfect residual, and inf leaked a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            cmp.ode_residual(cmp.make_case(-1, -1, 0.7, -0.4), ts)
 
 
 def test_normal_form_matches_direct_evaluation():

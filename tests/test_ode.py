@@ -191,7 +191,10 @@ def test_cli_geodesic_reports_the_rim_gap_of_each_leg(capsys):
 # and takes |u| afresh on every step. After a veto it bounds each step by
 # 0.9 of the time left to the vetoed stage, and once that is below the
 # floor it tries one step of MIN_STEP / 0.9 past it, whose veto ends the
-# leg. A guard crossing is bisected on the step's dense output
+# leg. A guard crossing is bisected on the step's dense output. A leg
+# records as ``proposal`` its slope at the start and the step proposed
+# after its first accepted step, if no veto came before that step; a
+# second leg from the same state (``_oracle_two_legs``) starts from it.
 
 
 def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol):
@@ -213,7 +216,7 @@ def _oracle_starting_step(rhs, t, u, f0, direction, span, rtol, atol):
 
 
 def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, guard=None,
-                       speed_limit=np.inf):
+                       speed_limit=np.inf, start=None):
     c = ode._C8 + ode._C8_DENSE  # stages 0-12, then the dense output's 13-15
     A = ode._A8 + list(ode._A8_DENSE)
     t, t1 = float(t0), float(t1)
@@ -221,21 +224,28 @@ def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, guard=None,
     d = u.size
     ts, us, dts, Qs = [t], [u], [], []
     n_acc = n_rej = n_vet = 0
+    proposal = None
 
     def result(status, t_end, u_end):
-        return ode.OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
-                             n_acc, n_rej, n_vet, np.array(dts),
-                             np.array(Qs).reshape(-1, d, 7))
+        res = ode.OdeResult(np.array(ts), np.array(us), status, t_end, u_end,
+                            n_acc, n_rej, n_vet, np.array(dts),
+                            np.array(Qs).reshape(-1, d, 7))
+        res.proposal = proposal
+        return res
 
     direction = 1.0 if t1 >= t else -1.0
     span = abs(t1 - t)
     if span == 0.0:
         return result("t_limit", t, u)
     K = np.empty((16, d))
-    K[0] = rhs(t, u)
-    if not np.isfinite(K[0]).all():
-        raise DomainError("non-finite derivative at the initial point")
-    h = _oracle_starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
+    if start is None:
+        K[0] = rhs(t, u)
+        if not np.isfinite(K[0]).all():
+            raise DomainError("non-finite derivative at the initial point")
+        h = _oracle_starting_step(rhs, t, u, K[0], direction, span, rtol, atol)
+    else:
+        K[0], h = start
+    f0 = K[0].copy()
     bad = None  # the time of the last vetoed stage
     grow_max = 10.0
     while direction * (t1 - t) > 0 and n_acc + n_rej < ode.MAX_STEPS:
@@ -303,9 +313,19 @@ def _oracle_integrate8(rhs, t0, u0, t1, rtol, atol, guard=None,
         K[0] = K[12]
         h *= min(grow_max, max(0.2, 0.9 * err ** (-1 / 8) if err > 0 else 10.0))
         grow_max = 10.0
+        if n_acc == 1 and n_vet == 0:
+            proposal = f0, h
     if n_acc + n_rej >= ode.MAX_STEPS:
         raise NumericError("step budget exhausted")
     return result("t_limit", t, u)
+
+
+def _oracle_two_legs(rhs, u0, ends, rtol, atol, **kwargs):
+    """The oracle's legs from (0, u0) to each end, the second from the
+    first's ``proposal``."""
+    first = _oracle_integrate8(rhs, 0.0, u0, ends[0], rtol, atol, **kwargs)
+    return first, _oracle_integrate8(rhs, 0.0, u0, ends[1], rtol, atol,
+                                     start=first.proposal, **kwargs)
 
 
 def _oracle_comparison_rhs(case):
@@ -339,11 +359,12 @@ def test_geodesic_legs_match_the_former_loop_bit_for_bit():
         rhs = gd.geodesic_rhs(metric)
         guard = lambda u: metric.domain.contains(u[:2])
         u0 = np.concatenate([XG, YG / metric(XG, YG)])
-        for leg, target in zip(run.legs, span):
+        wants = _oracle_two_legs(rhs, u0, span, 1e-8, 1e-10, guard=guard,
+                                 speed_limit=ode.SPEED_LIMIT)
+        for leg, want in zip(run.legs, wants):
             leg.sample(leg.ts)  # forms Qs
-            want = _oracle_integrate8(rhs, 0.0, u0, target, 1e-8, 1e-10,
-                                      guard=guard, speed_limit=ode.SPEED_LIMIT)
             _assert_bit_identical(leg, want)
+        assert wants[0].proposal is not None
     assert run.legs[0].n_vetoed > 0
 
 
@@ -404,12 +425,90 @@ def test_wide_geodesic_legs_match_the_former_loop_bit_for_bit(n):
     rhs = gd.geodesic_rhs(metric)
     guard = lambda u: metric.domain.contains(u[:n])
     u0 = np.concatenate([x, y / metric(x, y)])
-    for leg, target in zip(run.legs, span):
+    for leg, want in zip(run.legs, _oracle_two_legs(
+            rhs, u0, span, 1e-8, 1e-10, guard=guard,
+            speed_limit=ode.SPEED_LIMIT)):
         assert leg.us.shape[1] == 2 * n and leg.n_accepted > 0
         leg.sample(leg.ts)  # forms Qs
-        _assert_bit_identical(leg, _oracle_integrate8(
-            rhs, 0.0, u0, target, 1e-8, 1e-10, guard=guard,
-            speed_limit=ode.SPEED_LIMIT))
+        _assert_bit_identical(leg, want)
+
+
+def _counted(rhs):
+    """``rhs`` recording the time of each call in ``rhs.times``."""
+    def run(t, u):
+        run.times.append(t)
+        return rhs(t, u)
+
+    run.times = []
+    return run
+
+
+def test_a_run_makes_two_fewer_rhs_calls_than_its_two_solo_legs(monkeypatch):
+    # the forward leg runs neither the slope at the start nor the probe; on
+    # this run it takes the attempts its solo leg takes
+    metric, span = zoo.klein(), (-0.3, 0.3)
+    rhs, *solo = [_counted(gd.geodesic_rhs(metric)) for _ in range(3)]
+    monkeypatch.setattr(gd, "geodesic_rhs", lambda m: rhs)
+    run = gd.integrate_geodesic(metric, XG, YG, span, rtol=1e-8, atol=1e-10)
+    u0 = np.concatenate([XG, YG / metric(XG, YG)])
+    legs = [ode.integrate(f, 0.0, u0, t1, 1e-8, 1e-10)
+            for f, t1 in zip(solo, span)]
+    attempts = lambda leg: (leg.n_accepted, leg.n_rejected, leg.n_vetoed)
+    assert list(map(attempts, run.legs)) == list(map(attempts, legs))
+    assert len(rhs.times) == sum(len(f.times) for f in solo) - 2
+    _assert_bit_identical(run.legs[0], legs[0])
+
+
+def test_the_forward_leg_starts_with_the_backward_legs_proposal():
+    metric = zoo.klein()
+    rhs = _counted(gd.geodesic_rhs(metric))
+    u0 = np.concatenate([XG, YG / metric(XG, YG)])
+    back, fwd = ode.two_legs(rhs, 0.0, u0, (-1.0, 1.0), 1e-8, 1e-10,
+                             ode.SPEED_LIMIT)
+    slope, h = back._next_start
+    assert slope.tobytes() == gd.geodesic_rhs(metric)(0.0, u0).tobytes()
+    # the backward leg took that step itself after its first one
+    assert back.n_rejected == 0 and abs(back.hs[1]) == h
+    assert 0.2 * abs(back.hs[0]) <= h <= 10.0 * abs(back.hs[0])
+    # the forward leg's calls are those at t > 0: its first attempt runs
+    # stages 1-12 at c_i h, the twelfth at the new state t = h
+    ahead = [t for t in rhs.times if t > 0.0]
+    assert ahead[:12] == [c * h for c in ode._C8[1:]]
+    assert rhs.times.count(0.0) == 1  # the slope at the start, run once
+    assert fwd.hs[0] == h
+
+
+@pytest.mark.parametrize("edge", [
+    0.0,  # vetoed until a probe past t = 0 ends it, with no step accepted
+    -0.01,  # vetoed before its first accepted step
+])
+def test_a_vetoed_first_leg_hands_nothing_on(edge):
+    def rhs(t, u):
+        if t < edge:
+            raise DomainError("vetoed")
+        return np.array([np.cos(t), -u[0]])
+
+    u0, span = np.array([0.2, 1.0]), (-1.0, 1.0)
+    first, second = ode.two_legs(rhs, 0.0, u0, span, 1e-9, 1e-11,
+                                 ode.SPEED_LIMIT)
+    assert first._next_start is None
+    assert (first.status, first.n_accepted > 0) == ("boundary", edge < 0.0)
+    _assert_bit_identical(second, ode.integrate(rhs, 0.0, u0, span[1],
+                                                1e-9, 1e-11))
+    # the forward leg first: its hand-off reaches the vetoed side
+    reverse = ode.two_legs(rhs, 0.0, u0, span[::-1], 1e-9, 1e-11,
+                           ode.SPEED_LIMIT)
+    for leg, t1 in zip(reverse, span[::-1]):
+        assert leg.status == ("boundary" if t1 < edge else "t_limit")
+
+
+def test_a_klein_run_over_a_zero_backward_span_runs_a_solo_forward_leg():
+    metric = zoo.klein()
+    run = gd.integrate_geodesic(metric, XG, YG, (0.0, 0.3))
+    u0 = np.concatenate([XG, YG / metric(XG, YG)])
+    _assert_bit_identical(run.legs[1], ode.integrate(
+        gd.geodesic_rhs(metric), 0.0, u0, 0.3, 1e-10, 1e-12))
+    assert run.legs[0].n_accepted == 0
 
 
 def test_the_dop853_record_is_hairers_tableau():
@@ -447,12 +546,14 @@ def test_dop853_comparison_legs_match_a_numpy_loop_bit_for_bit():
     cases.append((cmp.make_case(1, -1, 1.0, 0.0), (-2.0, 2.0)))  # collapse
     for case, span in cases:
         legs = cmp.numeric_integrate(case, span)
-        rhs = _oracle_comparison_rhs(case)
-        for (res, _), target in zip(legs, span or cmp._default_span(case, 8.0)):
+        wants = _oracle_two_legs(_oracle_comparison_rhs(case),
+                                 [case.a, case.b],
+                                 span or cmp._default_span(case, 8.0),
+                                 1e-12, 1e-14)
+        for (res, _), want in zip(legs, wants):
             assert res.Qs is None
             res.sample(res.ts)  # forms Qs
-            _assert_bit_identical(res, _oracle_integrate8(
-                rhs, 0.0, [case.a, case.b], target, 1e-12, 1e-14))
+            _assert_bit_identical(res, want)
     assert [status for _, status in legs] == ["collapse", "collapse"]
 
 

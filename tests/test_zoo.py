@@ -233,6 +233,17 @@ def test_evolution_law_general_body():
     assert rep["max_rel_dev"] < 1e-8
 
 
+@pytest.mark.parametrize("source", ["klein", "spherical", "paraboloid"])
+def test_a_source_of_no_body_refuses_one(source):
+    # the body was ignored: klein on the ellipse read the unit ball's law
+    ell = zoo.ellipsoid_body((2.0, 1.0))
+    for entry in (zoo.evolution_coefficients, zoo.verify_evolution):
+        with pytest.raises(DomainError, match="takes no body"):
+            entry(source, (0.1, 0.2), (1.0, 0.0), body=ell)
+    with pytest.raises(DomainError, match="takes no body"):
+        zoo.EVOLUTION_SOURCES[source](2, ell)
+
+
 def test_evolution_requires_unit_direction():
     with pytest.raises(DomainError):
         zoo.evolution_coefficients("klein", X, np.array([2.0, 0.0]))
