@@ -54,7 +54,8 @@ reads as NaN in :func:`derivative_tensors`, never as a silent 0, and
 
 An independent finite-difference oracle (:func:`fd_oracle`) cross-checks
 any jet derivative with nested central differences plus two-level
-Richardson extrapolation; it never touches the jet code path.
+Richardson extrapolation, evaluating all stencil points of one derivative
+as one stack of float states; it never touches the jet code path.
 """
 
 import copy
@@ -501,6 +502,8 @@ def _normalize_idx(idx, size):
 
 def extract_derivative(jet, idx):
     """Mixed partial d^idx f at the seed point (coefficient times idx!)."""
+    if not isinstance(jet, Jet):
+        raise JetError(f"a derivative needs a Jet, got {type(jet).__name__}")
     ctx = jet.ctx
     idx = _normalize_idx(idx, ctx.n_vars)
     total = sum(idx)
@@ -520,6 +523,8 @@ def derivative_tensors(jet):
     For a batch of B states each entry gains a leading axis: f is ``(B,)``
     and the order-k tensor ``(B,) + (d,) * k``.
     """
+    if not isinstance(jet, Jet):
+        raise JetError(f"a derivative needs a Jet, got {type(jet).__name__}")
     ctx = jet.ctx
     out = [jet.value]
     d = ctx.n_vars
@@ -698,41 +703,44 @@ def where(cond, a, b):
 FD_STEPS = {1: 1e-4, 2: 5e-4, 3: 2e-2, 4: 2.5e-2}
 
 
-def _nested_central(fz, z, coords, h):
-    if not coords:
-        return fz(z)
-    i = coords[0]
-    rest = coords[1:]
-    zp = z.copy()
-    zp[i] += h[i]
-    zm = z.copy()
-    zm[i] -= h[i]
-    return (_nested_central(fz, zp, rest, h) - _nested_central(fz, zm, rest, h)) / (
-        2.0 * h[i]
-    )
-
-
 def fd_derivative(fz, z, idx):
     """Central-difference mixed partial of ``fz`` at ``z`` with extrapolation.
 
-    ``fz`` returns a float or a vector, whose entries are differentiated
-    alike; ``idx`` is an exponent multi-index over the entries of ``z``.
-    Raises :class:`FDOracleError` when successive extrapolation levels
-    fail to contract in the max norm (non-smooth point or hopeless
-    scaling).
+    ``idx`` is an exponent multi-index over the entries of ``z``. The
+    nested central stencils of the three Richardson levels, 3 * 2^k points
+    for a k-th derivative, reach ``fz`` as one ``(P, d)`` stack; ``fz``
+    returns one float or one vector per row, and vector entries are
+    differentiated alike. Raises :class:`JetError` when ``fz`` returns
+    another number of rows, and :class:`FDOracleError` when a stencil value
+    is not finite or successive extrapolation levels fail to contract in
+    the max norm (non-smooth point or hopeless scaling).
     """
     z = reals(z, "point coordinates").ravel()
     idx = _normalize_idx(idx, z.size)
     k = sum(idx)
     if not 1 <= k <= 4:
         raise JetError(f"fd oracle supports derivative orders 1..4, got {k}")
-    coords = tuple(
-        i for i, e in enumerate(idx) for _ in range(e)
-    )
-    h0 = FD_STEPS[k] * np.maximum(1.0, np.abs(z))
+    coords = tuple(i for i, e in enumerate(idx) for _ in range(e))
+    h = FD_STEPS[k] * np.maximum(1.0, np.abs(z)) / 2.0**np.arange(3)[:, None]
 
-    e0, e1, e2 = (_nested_central(fz, z, coords, h0 / 2.0**lev)
-                  for lev in range(3))
+    # each point adds each coordinate's +h, then -h, in turn: (level, point, z)
+    pts = np.repeat(z[None, None], 3, axis=0)
+    for i in coords:
+        pts = np.repeat(pts, 2, axis=1)
+        pts[:, 0::2, i] += h[:, i, None]
+        pts[:, 1::2, i] -= h[:, i, None]
+    stack = pts.reshape(-1, z.size)
+    vals = np.asarray(fz(stack), dtype=float)
+    if vals.shape[:1] != (len(stack),):
+        raise JetError(f"fz returned shape {vals.shape} for a stack of "
+                       f"{len(stack)} stencil points")
+    if not np.isfinite(vals).all():
+        raise FDOracleError(f"non-finite stencil value at z={z}, idx={idx}")
+    vals = vals.T.reshape(vals.T.shape[:-1] + (3, -1))  # (..., level, point)
+    for i in reversed(coords):  # (f+ - f-) / 2h, innermost coordinate first
+        vals = vals.reshape(vals.shape[:-1] + (-1, 2))
+        vals = (vals[..., 0] - vals[..., 1]) / (2.0 * h[:, i, None])
+    e0, e1, e2 = vals[..., 0].T
     r0, r1 = (4.0 * e1 - e0) / 3.0, (4.0 * e2 - e1) / 3.0
     best = (16.0 * r1 - r0) / 15.0
 
@@ -749,17 +757,16 @@ def fd_derivative(fz, z, idx):
 def fd_oracle(f, x, y, idx):
     """Finite-difference estimate of d^idx f(x, y) over the joined (x, y) slots.
 
-    ``f`` is called as f(x_array, y_array) -> float; ``idx`` has one
-    exponent per entry of (x, y).  Documented accuracy target: 1e-6
-    relative for well-scaled smooth inputs at derivative order <= 3.
+    ``f`` is called as a metric's ``F`` is called on a batch: on lists of
+    float columns, one float array per coordinate of x and of y, and
+    returns one float per stencil point; ``idx`` has one exponent per
+    entry of (x, y).  Documented accuracy target: 1e-6 relative for
+    well-scaled smooth inputs at derivative order <= 3.
     """
     x, y = one_state(x, y)
     n = x.size
-
-    def fz(z):
-        return float(f(z[:n], z[n:]))
-
-    return fd_derivative(fz, np.concatenate([x, y]), idx)
+    return float(fd_derivative(lambda Z: f(list(Z.T[:n]), list(Z.T[n:])),
+                               np.concatenate([x, y]), idx))
 
 
 def jet_of(f, x, y, order, *, x_degree=None):

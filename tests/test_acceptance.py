@@ -101,6 +101,16 @@ def test_criterion_10_fails_when_the_oracle_refuses_its_checks(monkeypatch):
     assert set(rec["details"]["fd_skipped"].values()) == {6}
 
 
+def test_criterion_10_fails_on_a_nan_deviation(monkeypatch):
+    from finslerlab import jets
+
+    # max(worst, nan) keeps worst, which would read this as a perfect check
+    monkeypatch.setattr(jets, "fd_oracle", lambda f, x, y, idx: float("nan"))
+    rec = acc.criterion_10(samples=2, fd_curvature_samples=1)
+    assert not rec["passed"]
+    assert rec["worst"] != rec["worst"]
+
+
 def test_run_all_aggregates_every_criterion():
     assert len(acc.ALL_CRITERIA) == 10
     names = [fn.__name__ for fn in acc.ALL_CRITERIA]

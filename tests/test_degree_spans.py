@@ -414,7 +414,8 @@ def test_second_spray_derivative_is_the_y_derivative_of_the_first():
     for nu in range(n):
         idx = np.zeros(2 * n, dtype=int)
         idx[n + nu] = 1
-        fd = jr.fd_derivative(dG, z, idx).reshape(2 * n, n)
+        fd = jr.fd_derivative(lambda Z: np.array([dG(r) for r in Z]), z,
+                              idx).reshape(2 * n, n)
         assert np.max(np.abs(d2G[:, nu, :] - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 

@@ -622,6 +622,11 @@ def test_malformed_public_inputs_fail_with_domain_error(call):
     # the parent's oracle read (2, -1, 0, 0) as d^2/dx1^2 at the order-1 step
     pytest.param(lambda: jr.fd_oracle(zoo.klein().F, _X, _Y, (2, -1, 0, 0)),
                  id="fd-oracle-negative-entry"),
+    # objects that are no jet, which leaked AttributeError
+    pytest.param(lambda: jr.derivative_tensors(1.0),
+                 id="derivative-tensors-of-a-float"),
+    pytest.param(lambda: jr.extract_derivative(2.0, (1, 0)),
+                 id="extract-derivative-of-a-float"),
 ])
 def test_malformed_multi_indices_fail_with_jet_error(call):
     with pytest.raises(JetError):

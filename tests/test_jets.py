@@ -247,26 +247,99 @@ def test_fd_oracle_flags_nonsmooth_point():
         jr.fd_oracle(f, [0.0], [0.0], (0, 2))
 
 
+def test_fd_oracle_refuses_a_non_finite_stencil_value():
+    # the stencil reaches y = 1e-5 - 1e-4, where sqrt(y) is NaN: no estimate
+    with np.errstate(invalid="ignore"), pytest.raises(FDOracleError):
+        jr.fd_oracle(lambda x, y: np.sqrt(y[0]), [0.0], [1e-5], (0, 1))
+
+
 def _sample_vector(z):
     return np.array([_sample_expr(z[:2], z[2:]), z[0] * z[3] ** 3,
                      math.cos(z[1] - z[2])])
+
+
+def _rows(fz):
+    """A one-point ``fz`` as the stack callback ``fd_derivative`` takes."""
+    return lambda Z: np.array([fz(z) for z in Z])
 
 
 @pytest.mark.parametrize("idx", [(1, 0, 0, 0), (0, 0, 1, 1), (2, 0, 0, 0),
                                  (0, 1, 2, 0), (1, 1, 1, 1)])
 def test_fd_derivative_of_a_vector_stacks_the_scalar_calls(idx):
     z = np.array([0.3, -0.4, 0.9, 0.55])
-    got = jr.fd_derivative(_sample_vector, z, idx)
-    want = [jr.fd_derivative(lambda zz, i=i: float(_sample_vector(zz)[i]),
-                             z, idx) for i in range(3)]
+    got = jr.fd_derivative(_rows(_sample_vector), z, idx)
+    want = [jr.fd_derivative(
+        _rows(lambda zz, i=i: float(_sample_vector(zz)[i])), z, idx)
+        for i in range(3)]
     assert got.shape == (3,)
     assert np.array_equal(got, want)
 
 
 def test_fd_derivative_of_a_vector_flags_a_nonsmooth_entry():
-    f = lambda z: np.array([z[0] ** 2, abs(z[1])])
+    f = _rows(lambda z: np.array([z[0] ** 2, abs(z[1])]))
     with pytest.raises(FDOracleError):
         jr.fd_derivative(f, [0.3, 0.0], (0, 2))
+
+
+def test_fd_derivative_refuses_a_non_finite_entry():
+    f = _rows(lambda z: np.array([z[0] ** 2, np.nan]))
+    with pytest.raises(FDOracleError, match="non-finite"):
+        jr.fd_derivative(f, [0.3, 0.1], (1, 0))
+
+
+@pytest.mark.parametrize("fz", [lambda Z: np.sum(Z), lambda Z: Z[0] ** 2],
+                         ids=["one-value", "one-point-callback"])
+def test_fd_derivative_refuses_a_callback_without_one_row_per_point(fz):
+    with pytest.raises(JetError, match="stencil points"):
+        jr.fd_derivative(fz, [0.3, 0.1], (1, 0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fd_derivative_calls_fz_once_on_the_whole_stencil(k):
+    shapes = []
+
+    def fz(Z):
+        shapes.append(Z.shape)
+        return np.sin(Z[:, 0]) * np.cos(Z[:, 1])
+
+    jr.fd_derivative(fz, [0.3, -0.4], (k - k // 2, k // 2))
+    assert shapes == [(3 * 2**k, 2)]
+
+
+def _reference_fd_derivative(fz, z, idx):
+    """The one-point recursion fd_derivative ran before it took stacks: one
+    ``fz`` call per stencil point, each nested central difference reduced
+    as soon as both of its halves are known."""
+    z = np.asarray(z, dtype=float)
+    coords = tuple(i for i, e in enumerate(idx) for _ in range(e))
+    h0 = jr.FD_STEPS[len(coords)] * np.maximum(1.0, np.abs(z))
+
+    def nested(z, coords, h):
+        if not coords:
+            return fz(z)
+        i, rest = coords[0], coords[1:]
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h[i]
+        zm[i] -= h[i]
+        return (nested(zp, rest, h) - nested(zm, rest, h)) / (2.0 * h[i])
+
+    e0, e1, e2 = (nested(z, coords, h0 / 2.0**lev) for lev in range(3))
+    r0, r1 = (4.0 * e1 - e0) / 3.0, (4.0 * e2 - e1) / 3.0
+    return (16.0 * r1 - r0) / 15.0
+
+
+@pytest.mark.parametrize("idx", [(1, 0, 0, 0), (0, 0, 0, 1), (0, 2, 0, 0),
+                                 (1, 0, 1, 0), (2, 0, 1, 0), (0, 1, 1, 1),
+                                 (0, 0, 3, 0), (2, 0, 1, 1), (1, 1, 1, 1),
+                                 (0, 0, 4, 0), (0, 1, 2, 1)])
+@pytest.mark.parametrize("z", [(0.3, -0.4, 0.9, 0.55), (1.7, 0.02, -2.5, 3.0),
+                               (-0.0, 0.0, 1e-3, -0.8)])
+def test_the_stacked_stencil_keeps_the_bits_of_the_recursion(idx, z):
+    scalar = lambda p: _sample_expr(p[:2], p[2:])
+    for fz in (scalar, _sample_vector):
+        got = jr.fd_derivative(_rows(fz), z, idx)
+        assert np.array_equal(got, _reference_fd_derivative(fz, z, idx))
+        assert np.shape(got) == np.shape(fz(np.asarray(z)))
 
 
 # ---------------------------------------------------------------------------
