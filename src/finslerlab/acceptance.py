@@ -6,7 +6,9 @@ Each ``criterion_*`` function returns a record
      "tol": float, "details": {...}}
 
 so the test suite and the ``verify-all`` CLI subcommand share one
-implementation. All sampling is deterministic.
+implementation. ``worst`` is :func:`errors.worst` of the criterion's
+checks, NaN if one is; a record passes only when ``worst <= tol`` and
+the criterion's extra condition holds. All sampling is deterministic.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from . import comparison as cmp
+from . import errors
 from . import geodesic as gd
 from . import geometry as geo
 from . import jets as jr
@@ -27,12 +30,21 @@ NINE_PAIRS = tuple((l, lt) for l in (-1, 0, 1) for lt in (-1, 0, 1))
 STATES = 25  # sampled states per metric in criteria 3, 4 and 5
 
 
-def _record(k, name, worst, tol, details=None, passed=None):
-    if passed is None:
-        passed = bool(worst <= tol)
-    return {"criterion": k, "name": name, "passed": bool(passed),
-            "worst": float(worst), "tol": float(tol),
-            "details": details or {}}
+def _record(k, name, worst, tol, details, passed=True):
+    """Criterion k's record: it passes when ``worst <= tol`` (never at a NaN
+    worst) and ``passed``, the criterion's extra condition, holds."""
+    return {"criterion": k, "name": name,
+            "passed": bool(worst <= tol and passed),
+            "worst": float(worst), "tol": float(tol), "details": details}
+
+
+def _ratios(k, name, devs, note, passed=True, **extra):
+    """Criterion k's record of its largest deviation/tolerance ratio, for
+    ``devs`` {detail key: (deviation, tolerance)}; ``extra`` details follow."""
+    ratio = errors.worst(dev / tol for dev, tol in devs.values())
+    details = {key: dev for key, (dev, _) in devs.items()}
+    return _record(k, name, ratio, 1.0,
+                   {**details, **extra, "note": f"worst is the {note}"}, passed)
 
 
 def _states(metric):
@@ -57,18 +69,14 @@ def criterion_1():
         zoo.spherical(), zoo.hilbert_general(_ellipse()),
         zoo.paraboloid_metric(2),
     ]
-    tol = 1e-5
     details = {}
-    worst = 0.0
     for m in metrics:
         rep = geo.einstein_campaign(m, count=50, flags=20)
         lam = rep["lambda"]
-        res = max(max(abs(r["flag_max"] - lam), abs(r["flag_min"] - lam))
-                  for r in rep["rows"])
-        details[m.name] = res
-        worst = max(worst, res)
+        details[m.name] = errors.worst(abs(r[key] - lam) for r in rep["rows"]
+                                       for key in ("flag_max", "flag_min"))
     return _record(1, "constant flag curvature across the catalog",
-                   worst, tol, details)
+                   errors.worst(details.values()), 1e-5, details)
 
 
 def criterion_2():
@@ -77,26 +85,23 @@ def criterion_2():
                zoo.hilbert_ball(), zoo.spherical(),
                zoo.bryant(0.5), zoo.bryant(1.0)]
     euc = zoo.euclidean()
-    tol = 1e-7
     details = {}
-    worst = 0.0
     for m in metrics:
         rap = pj.projective_campaign(euc, m, count=40)
-        res = rap["max_normalized_residual"]
-        haus = 0.0
+        chord_gaps = []
         for x, y in sampling.state_pairs(m, 4):
             run = gd.integrate_geodesic(m, x, y, (-1.0, 1.0),
                                         rtol=1e-9, atol=1e-11)
-            haus = max(haus, gd.hausdorff_to_chord(run.xs, x, y))
-        details[m.name] = {"flatness": res, "hausdorff": haus}
-        worst = max(worst, res, haus)
+            chord_gaps.append(gd.hausdorff_to_chord(run.xs, x, y))
+        details[m.name] = {"flatness": rap["max_normalized_residual"],
+                           "hausdorff": errors.worst(chord_gaps)}
+    worst = errors.worst(v for d in details.values() for v in d.values())
     return _record(2, "straight-line geodesics on projectively flat charts",
-                   worst, tol, details)
+                   worst, 1e-7, details)
 
 
 def criterion_3():
     """Eikonal-type characterization of Funk metrics, ball and ellipse."""
-    tol = 1e-8
     cases = [
         ("ball+", zoo.funk_ball(1), 0.5),
         ("ball-", zoo.funk_ball(-1), -0.5),
@@ -105,13 +110,12 @@ def criterion_3():
     ]
     details = {tag: float(pj.funk_condition_residual(m, mu, *_states(m)).max())
                for tag, m, mu in cases}
-    worst = max(details.values())
+    worst = errors.worst(details.values())
     kl = zoo.klein()
     control = float(pj.funk_condition_residual(kl, 0.5, *_states(kl)).min())
     details["klein_control_min"] = control
-    passed = worst <= tol and control > 0.01
     return _record(3, "Funk eikonal condition at mu = +-1/2",
-                   worst, tol, details, passed=passed)
+                   worst, 1e-8, details, passed=control > 0.01)
 
 
 def criterion_4():
@@ -134,7 +138,7 @@ def criterion_4():
                                  / np.maximum(1.0, np.abs(pred))))
                for tag, got, pred in rows}
     return _record(4, "projective factor and transport scalars in closed form",
-                   max(details.values()), 1e-7, details)
+                   errors.worst(details.values()), 1e-7, details)
 
 
 def criterion_5():
@@ -145,7 +149,7 @@ def criterion_5():
         chk = pj.curvature_transform_check(euc, cand, *_states(cand))
         details[cand.name] = {"matrix": float(chk["defect"].max()),
                               "ricci": float(chk["ricci_defect"].max())}
-    worst = max(max(d.values()) for d in details.values())
+    worst = errors.worst(v for d in details.values() for v in d.values())
     return _record(5, "curvature transport under projective change",
                    worst, 1e-6, details)
 
@@ -153,27 +157,26 @@ def criterion_5():
 def criterion_6():
     """Closed forms of the comparison ODE: residual, numerics, inversion."""
     a_grid, b_grid = GRID_AB
-    worst_ode = worst_num = worst_arc = 0.0
+    odes, nums, arcs = [], [], []
     for lam, lt in NINE_PAIRS:
         for a in a_grid:
             for b in b_grid:
                 case = cmp.make_case(lam, lt, a, b)
                 t_lo, t_hi = cmp.maximal_interval(case)
                 ts = np.linspace(max(t_lo, -3.0) * 0.8, min(t_hi, 3.0) * 0.8, 9)
-                worst_ode = max(worst_ode, cmp.ode_residual(case, ts))
-                worst_num = max(worst_num, cmp.numeric_vs_closed(case))
+                odes.append(cmp.ode_residual(case, ts))
+                nums.append(cmp.numeric_vs_closed(case))
                 if cmp.is_stationary(case):
                     continue
                 tc = cmp.first_critical_time(case)
                 t = 0.5 * min(tc, t_hi, 2.0)
                 if np.isfinite(t) and t > 1e-12:
-                    worst_arc = max(worst_arc, cmp.arc_param_roundtrip(case, t))
-    ratio = max(worst_ode / 1e-10, worst_num / 1e-8, worst_arc / 1e-7)
-    return _record(6, "comparison ODE closed forms on the 9-pair grid",
-                   ratio, 1.0,
-                   {"ode_residual": worst_ode, "numeric_vs_closed": worst_num,
-                    "arc_roundtrip": worst_arc,
-                    "note": "worst is the largest residual/tolerance ratio"})
+                    arcs.append(cmp.arc_param_roundtrip(case, t))
+    return _ratios(6, "comparison ODE closed forms on the 9-pair grid",
+                   {"ode_residual": (errors.worst(odes), 1e-10),
+                    "numeric_vs_closed": (errors.worst(nums), 1e-8),
+                    "arc_roundtrip": (errors.worst(arcs), 1e-7)},
+                   "largest residual/tolerance ratio")
 
 
 def criterion_7():
@@ -182,29 +185,28 @@ def criterion_7():
     # library and the CLI start without scipy.integrate
     from scipy.integrate import quad
 
-    worst_win = 0.0
+    wins = []
     for a, b in ((0.3, -2.0), (0.7, 0.5), (1.0, 0.0), (2.0, 2.0), (5.0, -0.5)):
         case = cmp.make_case(1, 1, a, b)
         for t0 in (-2.0, -0.3, 0.0, 1.1, 4.0):
             L = cmp.candidate_length(case, t0, t0 + math.pi)
-            worst_win = max(worst_win, abs(L - math.pi))
-    worst_tot = 0.0
+            wins.append(abs(L - math.pi))
+    tots = []
     for a, b in ((0.3, -2.0), (0.7, 0.5), (1.0, 0.0), (2.0, 2.0), (5.0, -0.5)):
         case = cmp.make_case(0, 1, a, b)
         L = cmp.candidate_length(case, -np.inf, np.inf)
-        worst_tot = max(worst_tot, abs(L - math.pi))
+        tots.append(abs(L - math.pi))
     sph = zoo.spherical()
-    worst_line = 0.0
+    lines = []
     for x, y in sampling.state_pairs(sph, 10):
         val, err = quad(lambda t: sph.F(list(x + t * y), list(y)),
                         -np.inf, np.inf, epsabs=1e-11, epsrel=1e-11, limit=400)
-        worst_line = max(worst_line, abs(val - math.pi))
-    ratio = max(worst_win / 1e-9, worst_tot / 1e-9, worst_line / 1e-8)
-    return _record(7, "pi-quantized lengths of closed and line geodesics",
-                   ratio, 1.0,
-                   {"window_pi": worst_win, "total_pi": worst_tot,
-                    "sphere_chart_lines": worst_line,
-                    "note": "worst is the largest deviation/tolerance ratio"})
+        lines.append(abs(val - math.pi))
+    return _ratios(7, "pi-quantized lengths of closed and line geodesics",
+                   {"window_pi": (errors.worst(wins), 1e-9),
+                    "total_pi": (errors.worst(tots), 1e-9),
+                    "sphere_chart_lines": (errors.worst(lines), 1e-8)},
+                   "largest deviation/tolerance ratio")
 
 
 def criterion_8():
@@ -218,22 +220,20 @@ def criterion_8():
         ("hilbert", ell, 1e-8), ("paraboloid", None, 1e-10),
     ]
     details = {}
-    passed = True
-    worst_rel = 0.0
     for source, body, tol in jobs:
         metric = zoo.EVOLUTION_SOURCES[source](2, body)
-        dev = 0.0
+        devs = []
         for x, y in sampling.state_pairs(metric, 6):
             y = y / np.linalg.norm(y)
-            dev = max(dev, zoo.verify_evolution(source, x, y,
-                                                body=body)["max_rel_dev"])
+            devs.append(zoo.verify_evolution(source, x, y,
+                                             body=body)["max_rel_dev"])
         tag = source + ("-ellipse" if body is not None else "")
-        details[tag] = {"dev": dev, "tol": tol}
-        passed = passed and dev <= tol
-        worst_rel = max(worst_rel, dev / tol)
+        details[tag] = {"dev": errors.worst(devs), "tol": tol}
+    jobs_pass = all(d["dev"] <= d["tol"] for d in details.values())
+    ratio = errors.worst(d["dev"] / d["tol"] for d in details.values())
     details["note"] = "worst is the largest deviation/tolerance ratio"
     return _record(8, "ray evolution laws of the projectively flat catalog",
-                   worst_rel, 1.0, details, passed=passed)
+                   ratio, 1.0, details, passed=jobs_pass)
 
 
 def criterion_9():
@@ -253,7 +253,7 @@ def criterion_9():
 
     hb = zoo.hilbert_ball()
     fp, fm = zoo.funk_ball(1), zoo.funk_ball(-1)
-    worst = 0.0
+    devs = []
     for x, y in sampling.state_pairs(hb, 5):
         run = gd.integrate_geodesic(hb, x, y, (-0.8, 1.6))
         for funk, sign in ((fp, 1), (fm, -1)):
@@ -262,18 +262,18 @@ def criterion_9():
             case = cmp.make_case(-1, -1, a0, b0)
             fam = "asymptote_plus" if sign > 0 else "asymptote_minus"
             if fam not in cmp.families(case):
-                worst = np.inf
+                devs.append(np.inf)
                 continue
             f2_pred = cmp.f_squared(case, run.ts)
             f2_actual = 2.0 / funk(run.xs, run.vs)
-            worst = max(worst, float(np.max(np.abs(f2_actual - f2_pred)
-                                            / np.abs(f2_pred))))
-    passed = ok_grid and ok_zero and worst <= 1e-7
+            devs.append(float(np.max(np.abs(f2_actual - f2_pred)
+                                     / np.abs(f2_pred))))
+    worst = errors.worst(devs)
     return _record(9, "completeness taxonomy and the Funk borderline family",
                    worst, 1e-7,
                    {"grid_minus_minus": ok_grid, "grid_zero_zero": ok_zero,
                     "funk_family_dev": worst, "bi_complete_cells": bi},
-                   passed=passed)
+                   passed=ok_grid and ok_zero)
 
 
 def _zoo_for_jets():
@@ -293,17 +293,10 @@ def _moderate_box(metric):
 FD_SKIP_LIMIT = 0.01  # share of a metric's checks the FD oracle may refuse
 
 
-def _worse(a, b):
-    """max(a, b), but NaN when either is (``max`` keeps a deviation that a
-    NaN follows, which would read a failed check as a perfect one)."""
-    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
-
-
 def criterion_10(samples=100, fd_curvature_samples=6):
     """Jet derivatives against the finite-difference oracle; a check the
     oracle refuses is counted per metric in ``fd_skipped``, and the
     criterion fails when a metric's skips pass FD_SKIP_LIMIT of its checks."""
-    worst, few_skips = 0.0, True
     details, skipped = {}, {}
     for m in _zoo_for_jets():
         idxs = jr.get_context(2 * m.n, 3).monomials[1:]  # degrees 1..3
@@ -312,12 +305,11 @@ def criterion_10(samples=100, fd_curvature_samples=6):
         jet = jr.jet_of(m.F, X, Y, 3)
         norms = [np.maximum(1e-9, np.abs(t).reshape(len(X), -1).max(axis=1))
                  for t in jr.derivative_tensors(jet)]
-        dev, skips, checks = 0.0, 0, 0
+        devs, skips = [], 0
         for i, (x, y) in enumerate(pairs):
             for j in range(3):
                 idx = idxs[(3 * i + j) % len(idxs)]
                 jv = jr.extract_derivative(jet, idx)[i]
-                checks += 1
                 try:
                     fv = jr.fd_oracle(m.F, x, y, idx)
                 except FDOracleError:
@@ -325,28 +317,25 @@ def criterion_10(samples=100, fd_curvature_samples=6):
                     continue
                 # deviations are judged against the order-k tensor scale
                 scale = max(abs(jv), abs(fv), 1e-3 * norms[sum(idx)][i], 1e-9)
-                dev = _worse(dev, abs(jv - fv) / scale)
-        details[m.name] = dev
+                devs.append(abs(jv - fv) / scale)
+        # a metric whose every check the oracle refused fails by its skips
+        details[m.name] = errors.worst(devs) if devs else 0.0
         skipped[m.name] = skips
-        few_skips = few_skips and skips <= FD_SKIP_LIMIT * checks
-        worst = _worse(worst, dev)
+    few_skips = all(s <= FD_SKIP_LIMIT * 3 * samples for s in skipped.values())
 
-    worst_R = 0.0
+    devs_R = []
     for m in (zoo.klein(), zoo.funk_ball(1), zoo.spherical(),
               zoo.bryant(0.5), zoo.paraboloid_metric(2)):
         for x, y in sampling.state_pairs(m, fd_curvature_samples):
             R_jet = geo.riemann_curvature(m, x, y)
             R_fd = fd_riemann(m, x, y)
             scale = max(1.0, float(np.max(np.abs(R_jet))))
-            worst_R = _worse(worst_R,
-                             float(np.max(np.abs(R_jet - R_fd))) / scale)
-    ratio = _worse(worst / 1e-6, worst_R / 1e-4)
-    return _record(10, "jet calculus against the finite-difference oracle",
-                   ratio, 1.0,
-                   {"derivative_dev": worst, "curvature_fd_dev": worst_R,
-                    "per_metric": details, "fd_skipped": skipped,
-                    "note": "worst is the largest deviation/tolerance ratio"},
-                   passed=ratio <= 1.0 and few_skips)
+            devs_R.append(float(np.max(np.abs(R_jet - R_fd))) / scale)
+    return _ratios(10, "jet calculus against the finite-difference oracle",
+                   {"derivative_dev": (errors.worst(details.values()), 1e-6),
+                    "curvature_fd_dev": (errors.worst(devs_R), 1e-4)},
+                   "largest deviation/tolerance ratio", passed=few_skips,
+                   per_metric=details, fd_skipped=skipped)
 
 
 def fd_riemann(metric, x, y):

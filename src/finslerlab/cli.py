@@ -143,7 +143,7 @@ def cmd_curvature(args):
         print(f"flags dropped        : {report['flags_dropped']}")
     if args.out:
         _write_json(args.out, "curvature", vars(args), report)
-    if args.tol is not None and report["max_einstein_residual"] > args.tol:
+    if args.tol is not None and not report["max_einstein_residual"] <= args.tol:
         print(f"FAIL residual exceeds tol {args.tol:g}")
         return EXIT_CHECK
     return EXIT_OK

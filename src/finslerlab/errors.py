@@ -4,7 +4,8 @@ which public entries read outside values: :func:`real`, :func:`reals`,
 what is no float, float array, integer count, 1-D array of finite times,
 point or stack of points, or state (x, y) with :class:`DomainError`; a
 malformed multi-index raises :class:`JetError`. So every public function
-fails with a :class:`FinslerError` subclass."""
+fails with a :class:`FinslerError` subclass. :func:`worst` reduces checks
+to their worst value, a NaN check the worst of all."""
 
 import math
 import operator
@@ -132,3 +133,10 @@ def first_bad(bad, values):
         return (values, "") if bad else None
     i = int(np.argmax(bad))
     return (values[i], f" at state {i}") if bad[i] else None
+
+
+def worst(values):
+    """The first NaN among ``values``, else their largest as ``max`` picks it
+    (the same object); ``max`` alone keeps a value that a NaN follows."""
+    values = list(values)
+    return next(filter(math.isnan, values), max(values))

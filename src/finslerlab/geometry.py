@@ -327,13 +327,13 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
         "metric": metric.name,
         "lambda": lam,
         "samples": count,
-        "max_einstein_residual": max(r["einstein_residual"] for r in rows),
+        "max_einstein_residual": errors.worst(r["einstein_residual"] for r in rows),
         "rows": rows,
     }
     if flags:
         report["flag_min"] = min(r["flag_min"] for r in rows)
         report["flag_max"] = max(r["flag_max"] for r in rows)
-        report["max_flag_spread"] = max(r["flag_max"] - r["flag_min"] for r in rows)
+        report["max_flag_spread"] = errors.worst(r["flag_max"] - r["flag_min"] for r in rows)
         report["flags_dropped"] = dropped
     return report
 

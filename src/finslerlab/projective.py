@@ -72,7 +72,7 @@ def projective_campaign(base, cand, count=40, box=None):
         "base": base.name,
         "cand": cand.name,
         "samples": count,
-        "max_normalized_residual": max(rows),
+        "max_normalized_residual": errors.worst(rows),
         "values": rows,
     }
 

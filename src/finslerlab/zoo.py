@@ -23,7 +23,8 @@ import numpy as np
 
 from . import comparison as cmp
 from . import jets as jr
-from .errors import DomainError, NumericError, count, one_state, real, reals
+from .errors import (DomainError, NumericError, count, one_state, real,
+                     reals, worst)
 from .metric import (
     ConvexInterior,
     FinslerMetric,
@@ -470,7 +471,7 @@ def verify_evolution(source, x, y, body=None):
         "a": a,
         "b": b,
         "lambda_tilde": lam,
-        "max_rel_dev": max(row[3] for row in rows),
+        "max_rel_dev": worst(row[3] for row in rows),
         "rows": rows,
     }
 

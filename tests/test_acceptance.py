@@ -5,15 +5,25 @@ with its pinned tolerance and prints a single PASS/FAIL summary line
 (visible under ``pytest -s`` and in the failure report otherwise).
 """
 
+import math
 import os
 import subprocess
 import sys
 from itertools import combinations_with_replacement
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 
 import finslerlab
 from finslerlab import acceptance as acc
+from finslerlab import comparison as cmp
+from finslerlab import geodesic as gd
+from finslerlab import geometry as geo
 from finslerlab import jets as jr
+from finslerlab import projective as pj
+from finslerlab import zoo
 
 
 def _check(fn):
@@ -109,6 +119,61 @@ def test_criterion_10_fails_on_a_nan_deviation(monkeypatch):
     rec = acc.criterion_10(samples=2, fd_curvature_samples=1)
     assert not rec["passed"]
     assert rec["worst"] != rec["worst"]
+
+
+def _nan(out):
+    return out * math.nan
+
+
+def _nan_at(key):
+    return lambda out: {**out, key: out[key] * math.nan}
+
+
+def _nan_flag_max_of_row_1(rep):
+    rep["rows"][1]["flag_max"] = math.nan
+    return rep
+
+
+def _chord(metric, x, y, t_span, **tols):
+    """A stand-in geodesic run: the chord through x along y."""
+    return SimpleNamespace(xs=x + np.linspace(*t_span, 5)[:, None] * y)
+
+
+# per criterion, the call whose 2nd result turns NaN (funk-minus's in
+# criteria 3-5), and stand-ins for the costly calls that stay finite
+NAN_CASES = [
+    pytest.param(1, geo, "einstein_campaign", _nan_flag_max_of_row_1, {},
+                 id="c1-flag-max-of-row-1"),
+    pytest.param(2, gd, "hausdorff_to_chord", _nan,
+                 {"finslerlab.geodesic.integrate_geodesic": _chord},
+                 id="c2-hausdorff"),
+    pytest.param(3, pj, "funk_condition_residual", _nan, {},
+                 id="c3-funk-minus-residual"),
+    pytest.param(4, pj, "xi_and_tau", _nan_at("Xi"), {}, id="c4-funk-minus-xi"),
+    pytest.param(5, pj, "curvature_transform_check", _nan_at("ricci_defect"),
+                 {}, id="c5-funk-minus-ricci-defect"),
+    pytest.param(6, cmp, "numeric_vs_closed", _nan,
+                 {"finslerlab.comparison.numeric_vs_closed": lambda case: 0.0},
+                 id="c6-numeric-vs-closed"),
+    pytest.param(7, cmp, "candidate_length", _nan,
+                 {"scipy.integrate.quad": lambda f, a, b, **kw: (math.pi, 0.0)},
+                 id="c7-candidate-length"),
+    pytest.param(8, zoo, "verify_evolution", _nan_at("max_rel_dev"), {},
+                 id="c8-ray-law"),
+    pytest.param(9, cmp, "f_squared", _nan, {}, id="c9-f-squared"),
+]
+
+
+@pytest.mark.parametrize("k, owner, name, spoil, stubs", NAN_CASES)
+def test_criteria_1_to_9_fail_on_a_nan_check(k, owner, name, spoil, stubs,
+                                             monkeypatch, spoil_call):
+    # max(worst, nan) keeps worst; errors.worst makes the criterion NaN
+    for target, stub in stubs.items():
+        monkeypatch.setattr(target, stub)
+    spoil_call(owner, name, 2, spoil)
+    rec = acc.ALL_CRITERIA[k - 1]()
+    assert not rec["passed"]
+    assert math.isnan(rec["worst"])
 
 
 def test_run_all_aggregates_every_criterion():

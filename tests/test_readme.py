@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import METRIC_NAMES, geometry as geo
+from finslerlab import METRIC_NAMES, cli, geometry as geo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -76,3 +76,12 @@ def test_the_quick_tour_runs_and_states_its_values(capsys):
     assert rep["max_rel_dev"] < 1e-14
     times = [f"{row[0]:.4f}" for row in rep["rows"]]
     assert (times[0], times[-1]) == ("-0.5009", "2.2009")
+
+
+def test_the_verify_all_excerpt_is_live_output(capsys):
+    text = README.read_text(encoding="utf-8")
+    excerpt = re.search(r"\$ finslerlab verify-all\n(.*?)```", text, re.S)
+    shown = [line for line in excerpt.group(1).splitlines()
+             if re.match(r"criterion +(1|10) ", line)]
+    assert cli.main(["verify-all", "--only", "1,10"]) == cli.EXIT_OK
+    assert shown == capsys.readouterr().out.splitlines()[:2]
