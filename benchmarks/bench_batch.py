@@ -28,6 +28,9 @@ repetitions to ``BENCH_batch.json`` under a label:
                                  paraboloid at n = 2; the row times
                                  ``CHECK_CALLS`` calls and
                                  ``us_per_call`` is one
+  check_minkowski.<metric>       ``geometry.check_minkowski`` at its
+                                 default budget of 100 states, for the
+                                 same three metrics at n = 2
   projective_campaign, fit_einstein_constants   euclidean -> funk-plus,
                                  n = 2, at their defaults (40, 25 states)
   xi_and_tau.n<n>                ``projective.xi_and_tau`` euclidean ->
@@ -129,6 +132,8 @@ def main(argv=None):
             xs, ys = (X[0], Y[0]) if b == 1 else (X, Y)
             rows[f"check_state.{name}.B{b}"] = _bench.per_call(
                 lambda: m.check_state(xs, ys), CHECK_CALLS)
+        rows[f"check_minkowski.{name}"] = summarize(
+            timed(lambda: geo.check_minkowski(m)))
 
     euc, fp = zoo.euclidean(2), zoo.funk_ball(1, 2)
     rows["projective_campaign"] = summarize(

@@ -291,16 +291,18 @@ def _moderate_box(metric):
 
 
 FD_SKIP_LIMIT = 0.01  # share of a metric's checks the FD oracle may refuse
+FD_SAMPLES = 100  # sampled states per metric of criterion 10's derivatives
+FD_CURVATURE_SAMPLES = 6  # states per metric of its curvature check
 
 
-def criterion_10(samples=100, fd_curvature_samples=6):
+def criterion_10():
     """Jet derivatives against the finite-difference oracle; a check the
     oracle refuses is counted per metric in ``fd_skipped``, and the
     criterion fails when a metric's skips pass FD_SKIP_LIMIT of its checks."""
     details, skipped = {}, {}
     for m in _zoo_for_jets():
         idxs = jr.get_context(2 * m.n, 3).monomials[1:]  # degrees 1..3
-        pairs = sampling.state_pairs(m, samples, box=_moderate_box(m))
+        pairs = sampling.state_pairs(m, FD_SAMPLES, box=_moderate_box(m))
         X, Y = m.check_state(*sampling._stacked(pairs))
         jet = jr.jet_of(m.F, X, Y, 3)
         norms = [np.maximum(1e-9, np.abs(t).reshape(len(X), -1).max(axis=1))
@@ -321,12 +323,12 @@ def criterion_10(samples=100, fd_curvature_samples=6):
         # a metric whose every check the oracle refused fails by its skips
         details[m.name] = errors.worst(devs) if devs else 0.0
         skipped[m.name] = skips
-    few_skips = all(s <= FD_SKIP_LIMIT * 3 * samples for s in skipped.values())
+    few_skips = all(s <= FD_SKIP_LIMIT * 3 * FD_SAMPLES for s in skipped.values())
 
     devs_R = []
     for m in (zoo.klein(), zoo.funk_ball(1), zoo.spherical(),
               zoo.bryant(0.5), zoo.paraboloid_metric(2)):
-        for x, y in sampling.state_pairs(m, fd_curvature_samples):
+        for x, y in sampling.state_pairs(m, FD_CURVATURE_SAMPLES):
             R_jet = geo.riemann_curvature(m, x, y)
             R_fd = fd_riemann(m, x, y)
             scale = max(1.0, float(np.max(np.abs(R_jet))))

@@ -4,8 +4,9 @@ which public entries read outside values: :func:`real`, :func:`reals`,
 what is no float, float array, integer count, 1-D array of finite times,
 point or stack of points, or state (x, y) with :class:`DomainError`; a
 malformed multi-index raises :class:`JetError`. So every public function
-fails with a :class:`FinslerError` subclass. :func:`worst` reduces checks
-to their worst value, a NaN check the worst of all."""
+fails with a :class:`FinslerError` subclass. A check passes only when its
+value meets its bound (``value <= tol``), so a NaN fails; :func:`worst`
+and :func:`least` reduce checks to their extreme, a NaN before all."""
 
 import math
 import operator
@@ -135,8 +136,18 @@ def first_bad(bad, values):
     return (values[i], f" at state {i}") if bad[i] else None
 
 
-def worst(values):
-    """The first NaN among ``values``, else their largest as ``max`` picks it
-    (the same object); ``max`` alone keeps a value that a NaN follows."""
+def _extreme(pick, values):
+    """The first NaN among ``values``, else ``pick(values)``, the same object
+    (``min`` and ``max`` alone keep a value that a NaN follows)."""
     values = list(values)
-    return next(filter(math.isnan, values), max(values))
+    return next(filter(math.isnan, values), pick(values))
+
+
+def worst(values):
+    """The first NaN among ``values``, else their largest as ``max`` picks it."""
+    return _extreme(max, values)
+
+
+def least(values):
+    """The first NaN among ``values``, else their smallest as ``min`` picks it."""
+    return _extreme(min, values)

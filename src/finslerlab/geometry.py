@@ -78,13 +78,13 @@ def _core(a, *perm):
 
 def _convexity(D2, n):
     """g = D2_yy / 2 symmetrized, for the Hessian ``D2`` of F^2 over (x, y);
-    its ascending eigenvalues; and the verdict, True where g is not strongly
-    convex (least eigenvalue <= 0, or condition above COND_LIMIT)."""
+    its ascending eigenvalues; and the verdict, True unless g passes: least
+    eigenvalue > 0 and condition <= COND_LIMIT, so a NaN g fails."""
     g = 0.5 * D2[..., n:, n:]
     g = 0.5 * (g + _T(g))
     eigs = np.linalg.eigvalsh(g)
     lo, hi = eigs.T[0], eigs.T[-1]
-    return g, eigs, (lo <= 0.0) | (hi > COND_LIMIT * lo)
+    return g, eigs, ~((lo > 0.0) & (hi <= COND_LIMIT * lo))
 
 
 def _metric_block(metric, tensors):
@@ -241,9 +241,9 @@ def _flag_directions(n, flags):
 
 
 def flag_spread(metric, x, y, flags=20):
-    """Flag curvatures across ``flags`` transverse directions at one (x, y);
-    ``dropped`` counts the candidate directions within MIN_FLAG_ANGLE of
-    y."""
+    """Flag curvatures across ``flags`` transverse directions at one (x, y),
+    ranged by :func:`errors.least` and :func:`errors.worst` (NaN if one is);
+    ``dropped`` counts the directions within MIN_FLAG_ANGLE of y."""
     flags = errors.count(flags, 1, "flags")
     x, y = metric.check_state(*errors.one_state(x, y))
     data = _assemble(metric, x, y, 4)
@@ -260,17 +260,22 @@ def _spread(metric, K, sin_sq, flags):
     if not vals:
         raise DegenerateFlagError(
             f"{metric.name}: no flag direction transverse to y (n = {metric.n})")
-    return {"values": vals, "min": min(vals), "max": max(vals),
-            "spread": max(vals) - min(vals),
+    lo, hi = errors.least(vals), errors.worst(vals)
+    return {"values": vals, "min": lo, "max": hi, "spread": hi - lo,
             "dropped": transverse.size - int(np.count_nonzero(transverse))}
 
 
 def _einstein_constant(metric, lam):
+    """``lam``, else the metric's stored constant, as a finite float; else
+    DomainError."""
     if lam is None:
         lam = metric.einstein_constant
     if lam is None:
         raise DomainError(f"{metric.name}: no Einstein constant given or stored")
-    return errors.real(lam, "Einstein constant")
+    lam = errors.real(lam, "Einstein constant")
+    if not np.isfinite(lam):
+        raise DomainError(f"{metric.name}: Einstein constant {lam} not finite")
+    return lam
 
 
 def _residual(metric, data, lam):
@@ -331,21 +336,21 @@ def einstein_campaign(metric, count=50, lam=None, box=None, flags=0):
         "rows": rows,
     }
     if flags:
-        report["flag_min"] = min(r["flag_min"] for r in rows)
-        report["flag_max"] = max(r["flag_max"] for r in rows)
+        report["flag_min"] = errors.least(r["flag_min"] for r in rows)
+        report["flag_max"] = errors.worst(r["flag_max"] for r in rows)
         report["max_flag_spread"] = errors.worst(r["flag_max"] - r["flag_min"] for r in rows)
         report["flags_dropped"] = dropped
     return report
 
 
 def check_minkowski(metric, budget=100):
-    """Sampled strong-convexity audit of the fundamental tensor; a sample
-    that raises a ``FinslerError`` is a failure, recorded by class."""
+    """Sampled strong-convexity audit of the fundamental tensor: a sample
+    passes only when F > 0 and :func:`_convexity` passes g; one that raises
+    a ``FinslerError`` fails, recorded by class. ``worst_cond`` and
+    ``min_eig`` reduce by :func:`errors.worst` and ``least``, NaN first."""
     budget = errors.count(budget, 1, "budget")
     pairs = sampling.state_pairs(metric, budget)
-    worst_cond = 0.0
-    min_eig = np.inf
-    failures = []
+    conds, eig_mins, failures = [0.0], [np.inf], []  # if every sample raises
     for x, y in pairs:
         try:
             f = jr.jet_of(metric.F, *metric.check_state(x, y), 2)
@@ -353,9 +358,9 @@ def check_minkowski(metric, budget=100):
             _, eigs, bad = _convexity(jr.derivative_tensors(f * f)[2],
                                       metric.n)
             cond = np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0]
-            worst_cond = max(worst_cond, cond)
-            min_eig = min(min_eig, eigs[0])
-            if f_val <= 0.0 or bad:
+            conds.append(cond)
+            eig_mins.append(eigs[0])
+            if not f_val > 0.0 or bad:
                 failures.append({"x": x.tolist(), "y": y.tolist(),
                                  "F": f_val, "min_eig": float(eigs[0]),
                                  "cond": float(cond)})
@@ -366,7 +371,7 @@ def check_minkowski(metric, budget=100):
         "metric": metric.name,
         "samples": budget,
         "passed": not failures,
-        "worst_cond": float(worst_cond),
-        "min_eig": float(min_eig),
+        "worst_cond": float(errors.worst(conds)),
+        "min_eig": float(errors.least(eig_mins)),
         "failures": failures,
     }

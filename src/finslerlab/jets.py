@@ -61,6 +61,7 @@ as one stack of float states; it never touches the jet code path.
 import copy
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -100,48 +101,38 @@ class JetContext:
             raise JetError(f"order must be >= 1, got {order}")
         self.n_vars = n_vars
         self.order = order
+        # the graded monomials, by (degree, lexicographic index pattern)
+        monos = [tuple(map(combo.count, range(n_vars))) for d in range(order + 1)
+                 for combo in itertools.combinations_with_replacement(range(n_vars), d)]
+        index = {m: p for p, m in enumerate(monos)}
+        by_degree = [[(p, m) for p, m in enumerate(monos) if sum(m) == d]
+                     for d in range(order + 1)]
+        table = [(i, j, index[tuple(map(operator.add, a, b))])
+                 for da in range(order + 1) for db in range(order + 1 - da)
+                 for i, a in by_degree[da] for j, b in by_degree[db]]
+        self._tables(monos, *np.array(list(zip(*table)), dtype=np.int64))
 
-        monos = []
-        degree_start = []
-        for deg in range(order + 1):
-            degree_start.append(len(monos))
-            for combo in itertools.combinations_with_replacement(range(n_vars), deg):
-                e = [0] * n_vars
-                for i in combo:
-                    e[i] += 1
-                monos.append(tuple(e))
-        degree_start.append(len(monos))
-
+    def _tables(self, monos, mul_i, mul_j, mul_k):
+        """Derive every table from the graded monomial list ``monos`` and
+        the multiplication table (mul_i, mul_j, mul_k) over its positions;
+        the sub-tables and tensor maps start empty."""
         self.monomials = monos
         self.n_terms = len(monos)
-        self.degree_start = degree_start
         self.index = {m: p for p, m in enumerate(monos)}
         self.degrees = np.array([sum(m) for m in monos], dtype=np.int64)
+        self.degree_start = np.searchsorted(self.degrees,
+                                            np.arange(self.order + 2))
         self.factorials = np.array(
             [math.prod(math.factorial(e) for e in m) for m in monos]
         )
-
-        mi, mj, mk = [], [], []
-        for da in range(order + 1):
-            for db in range(order + 1 - da):
-                for i in range(degree_start[da], degree_start[da + 1]):
-                    ma = monos[i]
-                    for j in range(degree_start[db], degree_start[db + 1]):
-                        mb = monos[j]
-                        key = tuple(ea + eb for ea, eb in zip(ma, mb))
-                        mi.append(i)
-                        mj.append(j)
-                        mk.append(self.index[key])
-        self.mul_i = np.array(mi, dtype=np.int64)
-        self.mul_j = np.array(mj, dtype=np.int64)
-        self.mul_k = np.array(mk, dtype=np.int64)
-        self.products = [[None] * (order + 1) for _ in range(order + 1)]
+        self.mul_i, self.mul_j, self.mul_k = mul_i, mul_j, mul_k
+        self.products = [[None] * (self.order + 1) for _ in range(self.order + 1)]
         self.horner = None
-        # row i: the coefficients of the seeded variable z_i at z = 0
-        self._units = np.zeros((n_vars, self.n_terms))
-        self._units[:, 1:n_vars + 1] = np.eye(n_vars)
+        # row i: the coefficients of the seeded variable z_i at z = 0 (an
+        # x-truncated context keeps every degree-1 monomial)
+        self._units = np.zeros((self.n_vars, self.n_terms))
+        self._units[:, 1:self.n_vars + 1] = np.eye(self.n_vars)
         self._units.setflags(write=False)
-
         self._tensor_maps = {}
 
     # -- degree-aware sub-tables -------------------------------------------
@@ -205,19 +196,8 @@ class JetContext:
         # a copy, not a new build: only __init__ builds the full tables
         ctx = copy.copy(self)
         ctx.x_degree = cap
-        ctx.monomials = [self.monomials[p] for p in pos]
-        ctx.n_terms = pos.size
-        ctx.degree_start = np.searchsorted(pos, self.degree_start).tolist()
-        ctx.index = {m: p for p, m in enumerate(ctx.monomials)}
-        ctx.degrees = self.degrees[pos]
-        ctx.factorials = self.factorials[pos]
-        ctx.mul_i, ctx.mul_j, ctx.mul_k = (
-            new[t[rows]] for t in (self.mul_i, self.mul_j, self.mul_k))
-        ctx.products = [[None] * (self.order + 1) for _ in range(self.order + 1)]
-        ctx.horner = None
-        ctx._units = self._units[:, pos]
-        ctx._units.setflags(write=False)
-        ctx._tensor_maps = {}
+        ctx._tables([self.monomials[p] for p in pos], *(
+            new[t[rows]] for t in (self.mul_i, self.mul_j, self.mul_k)))
         return ctx
 
     # -- derivative-tensor scatter ---------------------------------------

@@ -80,8 +80,8 @@ def projective_campaign(base, cand, count=40, box=None):
 def projective_factor(base, cand, x, y):
     """Projective factor P at (x, y), with a spray-level consistency check.
 
-    Verifies G_cand = G_base + P y; when the deviation (relative to the
-    spray scale) exceeds FACTOR_TOL, raises NotProjectivelyRelatedError.
+    Verifies G_cand = G_base + P y, passing only when the deviation (relative
+    to the spray scale) is <= FACTOR_TOL; else NotProjectivelyRelatedError.
     """
     x, y = cand.check_state(*base.check_state(x, y))
     base_data = _assemble(base, x, y, 2)
@@ -93,10 +93,10 @@ def projective_factor(base, cand, x, y):
     G, Gc = base_data["G"], cand_data["G"]
     scale = np.maximum(1.0, np.maximum(np.abs(G).max(-1), np.abs(Gc).max(-1)))
     dev = np.abs(Gc - G - P[..., None] * y).max(-1) / scale
-    hit = errors.first_bad(dev > FACTOR_TOL, dev)
+    hit = errors.first_bad(~(dev <= FACTOR_TOL), dev)
     if hit:
         raise NotProjectivelyRelatedError(
-            f"{cand.name} vs {base.name}: spray deviation {hit[0]:.3e} > "
+            f"{cand.name} vs {base.name}: spray deviation {hit[0]:.3e} not <= "
             f"{FACTOR_TOL:g}{hit[1]}"
         )
     return {"P": P, "deviation": dev, "G_base": G, "G_cand": Gc}

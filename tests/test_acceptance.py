@@ -105,7 +105,9 @@ def test_criterion_10_fails_when_the_oracle_refuses_its_checks(monkeypatch):
         raise FDOracleError("Richardson extrapolation diverges")
 
     monkeypatch.setattr(jets, "fd_oracle", refuse)
-    rec = acc.criterion_10(samples=2, fd_curvature_samples=1)
+    monkeypatch.setattr(acc, "FD_SAMPLES", 2)
+    monkeypatch.setattr(acc, "FD_CURVATURE_SAMPLES", 1)
+    rec = acc.criterion_10()
     assert rec["worst"] <= 1.0  # no check was left to deviate
     assert not rec["passed"]
     assert set(rec["details"]["fd_skipped"].values()) == {6}
@@ -116,7 +118,9 @@ def test_criterion_10_fails_on_a_nan_deviation(monkeypatch):
 
     # max(worst, nan) keeps worst, which would read this as a perfect check
     monkeypatch.setattr(jets, "fd_oracle", lambda f, x, y, idx: float("nan"))
-    rec = acc.criterion_10(samples=2, fd_curvature_samples=1)
+    monkeypatch.setattr(acc, "FD_SAMPLES", 2)
+    monkeypatch.setattr(acc, "FD_CURVATURE_SAMPLES", 1)
+    rec = acc.criterion_10()
     assert not rec["passed"]
     assert rec["worst"] != rec["worst"]
 
@@ -134,6 +138,13 @@ def _nan_flag_max_of_row_1(rep):
     return rep
 
 
+def _nan_in_flag_column_3(out):
+    K, sin_sq = out
+    K = np.array(K)
+    K[..., 3] = math.nan  # a sample's 3rd or 4th flag value, never its first
+    return K, sin_sq
+
+
 def _chord(metric, x, y, t_span, **tols):
     """A stand-in geodesic run: the chord through x along y."""
     return SimpleNamespace(xs=x + np.linspace(*t_span, 5)[:, None] * y)
@@ -144,6 +155,8 @@ def _chord(metric, x, y, t_span, **tols):
 NAN_CASES = [
     pytest.param(1, geo, "einstein_campaign", _nan_flag_max_of_row_1, {},
                  id="c1-flag-max-of-row-1"),
+    pytest.param(1, geo, "_flag_values", _nan_in_flag_column_3, {},
+                 id="c1-later-flag-curvature"),
     pytest.param(2, gd, "hausdorff_to_chord", _nan,
                  {"finslerlab.geodesic.integrate_geodesic": _chord},
                  id="c2-hausdorff"),

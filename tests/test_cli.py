@@ -47,6 +47,14 @@ def test_curvature_unknown_metric_is_usage_error(capsys):
     assert "choose one of" in err
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_curvature_refuses_a_non_finite_constant(lam, capsys):
+    code = run(["curvature", "--metric", "klein", "--samples", "3",
+                "--lambda", lam])
+    assert code == cli.EXIT_USAGE
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_curvature_bad_dimension_reports_the_cause(capsys):
     code = run(["curvature", "--metric", "klein", "--dim", "9"])
     err = capsys.readouterr().err

@@ -597,6 +597,15 @@ def _rhs(t, u):
                  id="integrate-2d-u0"),
     pytest.param(lambda: ode.integrate(_rhs, 0.0, [], 1.0),
                  id="integrate-empty-u0"),
+    # a non-finite Einstein constant, which gave a NaN residual
+    pytest.param(lambda: geo.einstein_residual(zoo.klein(), XG, YG,
+                                               lam=np.nan),
+                 id="einstein-residual-nan-lambda"),
+    pytest.param(lambda: geo.einstein_campaign(zoo.klein(), 3, lam=np.inf),
+                 id="einstein-campaign-inf-lambda"),
+    pytest.param(lambda: geo.einstein_residual(zoo.klein(), XG, YG,
+                                               lam=-np.inf),
+                 id="einstein-residual-minus-inf-lambda"),
     # a budget of no samples, which passed vacuously
     pytest.param(lambda: geo.check_minkowski(zoo.klein(), budget=0),
                  id="minkowski-zero-budget"),

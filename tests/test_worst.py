@@ -1,7 +1,10 @@
-"""One rule for a worst: ``errors.worst`` and the reports that reduce by it.
+"""One rule for a worst: ``errors.worst``, ``errors.least`` and the reports
+and audits that reduce by them.
 
-Each report is checked with a NaN at sample or leg 1, where Python's
-``max`` would keep the value before it and read the check as passed.
+Each report is checked with a NaN at sample or leg 1, or in a later flag
+column, where Python's ``max`` or ``min`` would keep the value before it
+and read the check as passed; each audit with a NaN that a verdict
+``value > tol`` would pass.
 """
 
 import math
@@ -11,15 +14,21 @@ import pytest
 
 from finslerlab import cli, comparison as cmp, errors, geometry as geo
 from finslerlab import jets as jr, projective as pj, zoo
+from finslerlab.errors import NotProjectivelyRelatedError, SingularMetricError
 
 NAN = float("nan")
 
 
-@pytest.mark.parametrize("values", [[NAN, 0.5, 2.0], [0.5, NAN, 2.0],
-                                    [0.5, 2.0, NAN]])
-def test_a_nan_anywhere_is_the_worst(values):
-    assert math.isnan(errors.worst(values))
-    assert math.isnan(errors.worst(iter(values)))
+NAN_LISTS = ([NAN, 0.5, 2.0], [0.5, NAN, 2.0], [0.5, 2.0, NAN])
+
+
+@pytest.mark.parametrize("values, extreme", [
+    pytest.param(values, extreme, id=f"{tag}values{i}")
+    for tag, extreme in (("", errors.worst), ("least-", errors.least))
+    for i, values in enumerate(NAN_LISTS)])
+def test_a_nan_anywhere_is_the_worst(values, extreme):
+    assert math.isnan(extreme(values))
+    assert math.isnan(extreme(iter(values)))
 
 
 def test_the_first_nan_is_returned():
@@ -95,3 +104,56 @@ def test_verify_evolution_reports_a_nan_sample(spoil_call):
                                np.array([0.6, 0.8]))
     assert math.isnan(rep["max_rel_dev"])
     assert math.isnan(rep["rows"][1][3])
+
+
+# ---------------------------------------------------------------------------
+# the geometry and projective audits
+
+
+X, Y = np.array([0.31, -0.22]), np.array([0.62, 0.81])
+
+
+def _nan_in_flag_column_3(out):
+    K, sin_sq = out
+    K = np.array(K)
+    K[..., 3] = NAN  # a sample's 3rd or 4th flag value, never its first
+    return K, sin_sq
+
+
+def test_a_later_nan_flag_curvature_spoils_the_flag_range(spoil_call):
+    spoil_call(geo, "_flag_values", 1, _nan_in_flag_column_3)
+    sp = geo.flag_spread(zoo.klein(), X, Y, flags=6)
+    assert math.isnan(sp["values"][3])
+    assert all(math.isnan(sp[key]) for key in ("min", "max", "spread"))
+
+
+def test_einstein_campaign_reports_a_later_nan_flag_curvature(spoil_call):
+    spoil_call(geo, "_flag_values", 1, _nan_in_flag_column_3)
+    rep = geo.einstein_campaign(zoo.klein(), 5, flags=6)
+    for key in ("flag_min", "flag_max", "max_flag_spread"):
+        assert math.isnan(rep[key])
+
+
+def _nan_hessian(tensors):
+    return (*tensors[:2], tensors[2] * NAN)
+
+
+def test_check_minkowski_fails_a_nan_hessian(spoil_call):
+    spoil_call(jr, "derivative_tensors", 2, _nan_hessian)
+    rep = geo.check_minkowski(zoo.klein(), 5)
+    assert not rep["passed"]
+    assert math.isnan(rep["worst_cond"]) and math.isnan(rep["min_eig"])
+    (failure,) = rep["failures"]
+    assert math.isnan(failure["min_eig"]) and math.isnan(failure["cond"])
+
+
+def test_a_nan_fundamental_tensor_is_singular(spoil_call):
+    spoil_call(jr, "derivative_tensors", 1, _nan_hessian)
+    with pytest.raises(SingularMetricError, match="not strongly convex"):
+        geo.fundamental_tensor(zoo.klein(), X, Y)
+
+
+def test_a_nan_candidate_spray_is_not_projectively_related(spoil_call):
+    spoil_call(pj, "_assemble", 2, lambda data: {**data, "G": data["G"] * NAN})
+    with pytest.raises(NotProjectivelyRelatedError, match="nan"):
+        pj.projective_factor(zoo.euclidean(), zoo.funk_ball(1), X, Y)
