@@ -7,6 +7,11 @@ write also appends the label, the checkout's commit, a SHA-256 of its
 package sources and the rows' medians to the file's ``history`` list, so
 the figures of earlier labels stay, and each names the code it measured
 even where the checkout is no git repository.
+
+Two checkouts measured in two runs compare two spells of the host's speed
+as much as two trees. A script that takes ``--parent`` therefore times
+some of its rows on both checkouts by :func:`alternated`, rep by rep in
+fresh processes, and stores them under both labels.
 """
 
 import argparse
@@ -26,16 +31,24 @@ REPS = 7  # per-call rows
 SUITE_REPS = 3  # criterion, verify-all and tier-1 rows
 
 
-def arguments(doc, argv=None):
+def arguments(doc, argv=None, paired=False):
     """Parse ``--label`` and ``--tree`` and put the tree's ``src`` first
-    on ``sys.path``; returns (label, tree)."""
+    on ``sys.path``; returns (label, tree). With ``paired``, also parse
+    ``--parent``, a checkout to time against by :func:`alternated`, and
+    ``--worker``, the one row a process of :func:`alternated` times, and
+    return (label, tree, parent, worker)."""
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--tree", type=Path, default=REPO)
+    if paired:
+        ap.add_argument("--parent", type=Path)
+        ap.add_argument("--worker")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     sys.path.insert(0, str(tree / "src"))
-    return args.label, tree
+    if not paired:
+        return args.label, tree
+    return args.label, tree, args.parent and args.parent.resolve(), args.worker
 
 
 def summarize(samples):
@@ -59,6 +72,49 @@ def per_call(fn, calls):
     IQR, and its median divided by ``calls`` in microseconds."""
     row = summarize(timed(lambda: [fn() for _ in range(calls)]))
     return dict(row, calls=calls, us_per_call=row["median_s"] / calls * 1e6)
+
+
+def alternated(script, trees, rows, reps=REPS):
+    """Time ``rows`` of ``script`` on the checkouts ``trees`` (label ->
+    path) in turn, rep by rep, each time in a fresh process.
+
+    For each row and rep one process per checkout runs ``script --worker
+    <row>`` against that checkout's ``src``; its last line of output is a
+    JSON object whose ``s`` is the rep's timing. The checkouts' order flips
+    every rep, so the two timings of a pair lie seconds apart and a spell
+    of the host's slower speed (they last up to minutes) falls on both
+    alike. Returns the rows per label: the median and IQR of the reps'
+    ``s``, the list ``reps_s`` itself and the first rep's other fields;
+    the last label's rows add ``paired`` against the first label's.
+    """
+    labels = list(trees)
+    runs = {label: {row: [] for row in rows} for label in labels}
+    for row in rows:
+        for rep in range(reps):
+            for label in labels if rep % 2 == 0 else labels[::-1]:
+                proc = subprocess.run(
+                    [sys.executable, str(script), "--label", label,
+                     "--tree", str(trees[label]), "--worker", row],
+                    capture_output=True, text=True, check=True)
+                runs[label][row].append(json.loads(proc.stdout.splitlines()[-1]))
+    out = {label: {} for label in labels}
+    for label in labels:
+        for row, objs in runs[label].items():
+            s = [o.pop("s") for o in objs]
+            out[label][row] = dict(summarize(s), reps_s=s, **objs[0])
+    for row in rows:
+        out[labels[-1]][row]["paired"] = paired(out[labels[0]][row]["reps_s"],
+                                                out[labels[-1]][row]["reps_s"])
+    return out
+
+
+def paired(parent, change):
+    """The per-rep ratios change / parent of two timing lists taken in
+    alternation: their median, and in how many pairs the change was
+    faster."""
+    ratios = np.asarray(change) / np.asarray(parent)
+    return {"ratio_median": float(np.median(ratios)),
+            "wins": int(np.count_nonzero(ratios < 1.0)), "pairs": len(ratios)}
 
 
 def criteria(ks, reps=SUITE_REPS):
@@ -159,12 +215,14 @@ def source_sha256(tree):
     return digest.hexdigest()
 
 
-def write(out, label, rows, tree=REPO, width=16):
+def write(out, label, rows, tree=REPO, width=16, merge=False):
     """Store ``rows`` and the environment under ``label`` in ``out``, append
     the label, ``tree``'s commit and source hash and the rows' medians to
-    its ``history``, and print one line per row."""
+    its ``history``, and print one line per row. With ``merge`` the rows
+    replace only their namesakes among the label's rows."""
     data = json.loads(out.read_text()) if out.exists() else {}
-    data[label] = {"env": environment(), "rows": rows}
+    kept = data.get(label, {}).get("rows", {}) if merge else {}
+    data[label] = {"env": environment(), "rows": {**kept, **rows}}
     data.setdefault("history", []).append({
         "label": label, "commit": commit(tree),
         "source_sha256": source_sha256(tree),

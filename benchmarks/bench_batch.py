@@ -47,12 +47,15 @@ Python and numpy versions, numpy's BLAS and LAPACK libraries and the
 kernel backend. Run from the repository
 root:
 
-    python benchmarks/bench_batch.py --label change
     python benchmarks/bench_batch.py --label parent --tree ../parent
+    python benchmarks/bench_batch.py --label change --parent ../parent
 
 ``--tree`` names the checkout whose ``src/`` (and, for the tier-1 row,
 ``tests/``) is measured; rows of other labels already in the output file
-are kept.
+are kept. With ``--parent`` the ``einstein_campaign`` rows are timed on
+the parent checkout and this one in turn, rep by rep in fresh processes
+(``_bench.alternated``, through the worker of ``bench_jets.py``, which
+times the same call), and replace their namesakes under ``parent``.
 """
 
 import sys
@@ -75,6 +78,7 @@ EINSTEIN = [(name, n) for n in (2, 3, 4)
                          "bryant", "paraboloid")]
 EINSTEIN += [(name, 2) for name in ("funk-ellipse-plus", "funk-ellipse-minus",
                                     "hilbert-ellipse")]
+CAMPAIGNS = [f"einstein_campaign.{name}.n{n}" for name, n in EINSTEIN]
 CHECK_METRICS = ("klein", "funk-ellipse-plus", "paraboloid")
 CHECK_CALLS = 200
 
@@ -84,8 +88,19 @@ def per_state(samples, states):
             for k, v in summarize(samples).items()}
 
 
+def campaign_totals(parent_rows, rows):
+    """Add the ``einstein_campaign.all`` rows of two ``_bench.alternated``
+    runs: each rep's sum over the campaign rows, with ``paired`` on
+    ``rows``."""
+    totals = [np.sum([out[name]["reps_s"] for name in CAMPAIGNS], axis=0)
+              for out in (parent_rows, rows)]
+    parent_rows["einstein_campaign.all"] = summarize(totals[0])
+    rows["einstein_campaign.all"] = dict(summarize(totals[1]),
+                                         paired=_bench.paired(*totals))
+
+
 def main(argv=None):
-    label, tree = _bench.arguments(__doc__, argv)
+    label, tree, parent, _ = _bench.arguments(__doc__, argv, paired=True)
 
     from finslerlab import _kernels, geometry as geo, jets as jr
     from finslerlab import projective as pj, sampling, zoo
@@ -120,10 +135,17 @@ def main(argv=None):
                 timed(lambda: geo._assemble(m, xs, ys, 4)), b)
         rows[f"state_pairs.{name}.n{n}"] = summarize(
             timed(lambda: sampling.state_pairs(m, STATES)))
-        times = timed(lambda: geo.einstein_campaign(m, STATES, flags=FLAGS))
-        rows[f"einstein_campaign.{name}.n{n}"] = summarize(times)
-        campaign_total.append(times)
-    rows["einstein_campaign.all"] = summarize(np.sum(campaign_total, axis=0))
+        if not parent:
+            times = timed(lambda: geo.einstein_campaign(m, STATES, flags=FLAGS))
+            rows[f"einstein_campaign.{name}.n{n}"] = summarize(times)
+            campaign_total.append(times)
+    if parent:
+        runs = _bench.alternated(Path(__file__).parent / "bench_jets.py",
+                                 {"parent": parent, label: tree}, CAMPAIGNS)
+        rows.update(runs[label])
+        campaign_totals(runs["parent"], rows)
+    else:
+        rows["einstein_campaign.all"] = summarize(np.sum(campaign_total, axis=0))
 
     for name in CHECK_METRICS:
         m = zoo.make_metric(name, 2)
@@ -150,6 +172,9 @@ def main(argv=None):
     rows.update(_bench.criteria((1, 2, 3, 4, 5, 9)))
     times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
+    if parent:
+        _bench.write(OUT, "parent", runs["parent"], parent, width=40,
+                     merge=True)
     _bench.write(OUT, label, rows, tree, width=40)
 
 

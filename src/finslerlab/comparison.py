@@ -36,7 +36,8 @@ import numpy as np
 
 from . import jets as jr
 from . import ode
-from .errors import DomainError, NumericError, real, reals, times, worst
+from .errors import (DomainError, NumericError, kind, real, reals, times,
+                     worst)
 
 ALLOWED_CONSTANTS = (-1.0, 0.0, 1.0)
 FAMILY_TOL = 1e-9
@@ -54,6 +55,12 @@ class Case:
     a: float
     b: float
     C: float
+
+
+def _case(value):
+    """``value`` if it is a :class:`Case`, else DomainError: the one check
+    of a case argument."""
+    return kind(value, Case, "a comparison Case")
 
 
 def make_case(lam, lam_tilde, a, b):
@@ -188,6 +195,7 @@ def _roots(p, q, n):
 
 def f_squared(case, t):
     """Closed-form f^2; accepts floats, numpy arrays, sequences, or jets."""
+    _case(case)
     # a float runs on ``math``; one past exp's range, any other number or
     # a sequence of times reads as an array
     if not (isinstance(t, float) and abs(t) < 700.0 or jr.is_jet(t)):
@@ -217,6 +225,7 @@ def maximal_interval(case):
     the zeros of the linear factors of Q nearest to 0 on either side. For
     lam = 0 and -1 a factor (a > 0 at t = 0) has a zero on a side only
     where its edge is negative."""
+    _case(case)
     t_lo, t_hi = -math.inf, math.inf
     for beta in _factors(case):
         for sg in (1.0, -1.0):
@@ -234,6 +243,7 @@ def maximal_interval(case):
 
 def is_stationary(case):
     """True when f is constant: b = 0 at the equilibrium radius."""
+    _case(case)
     return case.b == 0.0 and \
         abs(case.lam * case.a**4 - case.lam_tilde) < 1e-12 * max(1.0, case.a**4)
 
@@ -294,6 +304,7 @@ def candidate_length(case, t_from, t_to):
     infinite end on a side where the length diverges, returns inf; a
     window with t_from > t_to returns the negated length.
     """
+    _case(case)
     t0, t1 = real(t_from, "t_from"), real(t_to, "t_to")
     if math.isnan(t0) or math.isnan(t1):
         raise DomainError(f"candidate_length needs real ends, got ({t0}, {t1})")
@@ -377,6 +388,7 @@ def _cand_side_complete(case, endpoint, forward):
 
 def families(case):
     """Exceptional borderline families the initial data belongs to."""
+    _case(case)
     a, b = case.a, case.b
     tags = []
     tol = FAMILY_TOL
@@ -452,6 +464,7 @@ def ode_residual(case, ts):
     All times are seeded as one batch; the residual is then taken per
     time on Python floats. A non-finite time raises DomainError.
     """
+    _case(case)
     ts = times(ts)
     if not ts.size:
         return 0.0
@@ -470,6 +483,7 @@ def _default_span(case, reach):
 def comparison_rhs(case):
     """The right-hand side (f, f') -> (f', -lam f + lamt / f^3) for
     ``ode.integrate``, on Python floats; a stage at f <= F_FLOOR is vetoed."""
+    _case(case)
     lam, lamt = case.lam, case.lam_tilde
 
     def rhs(t, u):
@@ -492,6 +506,7 @@ def numeric_integrate(case, t_span=None):
     second leg shares the first's start (``ode.two_legs``): the slope at
     (a, b) and the step the first leg's controller proposed after its
     first accepted step."""
+    _case(case)
     span = reals(_default_span(case, 8.0) if t_span is None else t_span,
                  "t_span times")
     if span.shape != (2,):
@@ -537,6 +552,7 @@ def arc_param_roundtrip(case, t):
     to invert (b = 1e-200, say). At b = 0, a turning value of f, such a t
     reads the defect |t|.
     """
+    _case(case)
     t = real(t, "t")
     if not math.isfinite(t):
         raise DomainError(f"arc_param_roundtrip needs a finite t, got {t}")

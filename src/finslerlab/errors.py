@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the package, and the one gate through
 which public entries read outside values: :func:`real`, :func:`reals`,
-:func:`count`, :func:`times`, :func:`points` and :func:`states` refuse
-what is no float, float array, integer count, 1-D array of finite times,
-point or stack of points, or state (x, y) with :class:`DomainError`; a
-malformed multi-index raises :class:`JetError`. So every public function
-fails with a :class:`FinslerError` subclass. A check passes only when its
-value meets its bound (``value <= tol``), so a NaN fails; :func:`worst`
-and :func:`least` reduce checks to their extreme, a NaN before all."""
+:func:`count`, :func:`times`, :func:`points`, :func:`states` and
+:func:`kind` refuse what is no float, float array, integer count, 1-D
+array of finite times, point or stack of points, state (x, y), or object
+of the expected kind (a metric, a comparison case) with
+:class:`DomainError`; a malformed multi-index raises :class:`JetError`.
+So every public function fails with a :class:`FinslerError` subclass. A
+check passes only when its value meets its bound (``value <= tol``), so a
+NaN fails; :func:`worst` and :func:`least` reduce checks to their
+extreme, a NaN before all."""
 
 import math
 import operator
@@ -86,6 +88,14 @@ def count(value, least, what):
     if value < least:
         raise DomainError(f"needs {what} >= {least}, got {value}")
     return value
+
+
+def kind(value, cls, what):
+    """``value`` if it is a ``cls``, else DomainError naming ``what``: a
+    single isinstance, cheap enough for every stage of a geodesic."""
+    if isinstance(value, cls):
+        return value
+    raise DomainError(f"needs {what}, got {type(value).__name__}")
 
 
 def _stacked(v):

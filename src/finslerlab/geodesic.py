@@ -15,6 +15,7 @@ from . import ode
 from .errors import (DegenerateDirectionError, DomainError,
                      SingularMetricError, one_state, reals, times)
 from .geometry import spray_coefficients
+from .metric import as_metric
 
 RIM_TOL = 1e-6
 
@@ -28,7 +29,7 @@ def geodesic_rhs(metric):
     DegenerateDirectionError or SingularMetricError is vetoed as well.
     Deeper inside the chart both errors still raise.
     """
-    n = metric.n
+    n = as_metric(metric).n
 
     def rhs(t, u):
         x, v = u[:n], u[n:]
@@ -82,7 +83,7 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     rims) or "blow_up" (speed explosion or step collapse); otherwise
     "t_limit".
     """
-    x0, y0 = metric.check_state(*one_state(x0, y0))
+    x0, y0 = as_metric(metric).check_state(*one_state(x0, y0))
     span = reals(t_span, "t_span times")
     if span.shape != (2,):
         raise DomainError(f"t_span {t_span!r} must hold two real times")

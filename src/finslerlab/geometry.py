@@ -44,6 +44,7 @@ from . import jets as jr
 from . import sampling
 from .errors import (DegenerateFlagError, DomainError, FinslerError,
                      SingularMetricError)
+from .metric import as_metric
 
 COND_LIMIT = 1e12
 MIN_FLAG_ANGLE = 1e-6
@@ -174,26 +175,26 @@ def _assemble(metric, x, y, order):
 
 def fundamental_tensor(metric, x, y):
     """g_ij at (x, y); raises SingularMetricError when not strongly convex."""
-    x, y = metric.check_state(x, y)
+    x, y = as_metric(metric).check_state(x, y)
     return _assemble(metric, x, y, 2)["g"]
 
 
 def spray_coefficients(metric, x, y):
     """G^i at (x, y); a point outside the domain raises DomainError before
     any jet is seeded (the geodesic flow's veto)."""
-    x, y = metric.check_state(x, y)
+    x, y = as_metric(metric).check_state(x, y)
     return _assemble(metric, x, y, 2)["G"]
 
 
 def riemann_curvature(metric, x, y):
     """Mixed curvature tensor R^i_k at (x, y)."""
-    x, y = metric.check_state(x, y)
+    x, y = as_metric(metric).check_state(x, y)
     return _assemble(metric, x, y, 4)["R"]
 
 
 def curvature_data(metric, x, y):
     """(F, g, R) at (x, y), sharing one jet evaluation."""
-    x, y = metric.check_state(x, y)
+    x, y = as_metric(metric).check_state(x, y)
     data = _assemble(metric, x, y, 4)
     return data["F"], data["g"], data["R"]
 
@@ -220,7 +221,7 @@ def flag_curvature(metric, x, y, v):
     """Flag curvature of span(y, v); rejects flags nearly parallel to y.
     On a batch, v is one direction for all states or a stack of its own."""
     v = errors.reals(v, "flag direction coordinates")
-    x, y = metric.check_state(x, y)
+    x, y = as_metric(metric).check_state(x, y)
     if v.shape not in ((metric.n,), x.shape):
         raise DomainError(f"{metric.name}: flag directions of shape "
                           f"{v.shape} for states of shape {x.shape}")
@@ -245,7 +246,7 @@ def flag_spread(metric, x, y, flags=20):
     ranged by :func:`errors.least` and :func:`errors.worst` (NaN if one is);
     ``dropped`` counts the directions within MIN_FLAG_ANGLE of y."""
     flags = errors.count(flags, 1, "flags")
-    x, y = metric.check_state(*errors.one_state(x, y))
+    x, y = as_metric(metric).check_state(*errors.one_state(x, y))
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"],
                              _flag_directions(metric.n, flags))
@@ -268,6 +269,7 @@ def _spread(metric, K, sin_sq, flags):
 def _einstein_constant(metric, lam):
     """``lam``, else the metric's stored constant, as a finite float; else
     DomainError."""
+    as_metric(metric)
     if lam is None:
         lam = metric.einstein_constant
     if lam is None:

@@ -38,6 +38,18 @@ sums the same nonzero products in the same order as over the full table:
 the result is the same bit for bit (for finite coefficients, where
 0 * x = 0).
 
+Beside ``hi`` every jet carries ``vs``, its variable span: a two-bit mask
+of the halves of the chart variables its nonzero coefficients can
+involve, bit 0 for the x half and bit 1 for the y half of the seeded
+(x, y) (a context in an odd number of variables reads them all as y). A
+constant has 0, a seeded x_i 1 and a seeded y_i 2; a sum, a difference,
+:func:`where` and a product take the union, and a scalar operation or a
+composition keeps the operand's. Every monomial has the mask of the
+variables it involves, and products and Horner steps run only the entries
+whose factors' monomials lie inside their jets' masks, by the same rule
+and to the same bits: the x-only reciprocal of 1 - |x|^2 in a curvature
+jet composes over 90 entries, not 3887.
+
 A context may also run modulo x-degree: :meth:`JetContext.x_truncated`
 keeps only the monomials whose degree in the x variables (the first half
 of the seeded (x, y)) is at most a cap, and the table entries whose
@@ -84,10 +96,12 @@ class JetContext:
     coefficients to derivatives, and scatter maps used to reshape
     coefficient data into dense symmetric derivative tensors.
 
-    ``products[ha][hb]`` is the sub-table for a product of jets of degree
-    spans ha and hb and ``horner[k]`` the one for Horner step k of
-    :func:`_compose`; both are built on first use (see
-    :meth:`product_table` and :meth:`horner_tables`) and keep table order.
+    ``products[ha][va][hb][vb]`` is the sub-table for a product of jets
+    of degree spans ha, hb and variable spans va, vb, and ``horner[vs][k]``
+    the one for Horner step k of :func:`_compose` on a jet of variable span
+    vs; both are built on first use (see :meth:`product_table` and
+    :meth:`horner_tables`) and keep table order. ``masks`` holds each
+    monomial's variable span.
     ``x_degree`` is the cap of a context from :meth:`x_truncated`, and
     None for the full one.
     """
@@ -125,17 +139,24 @@ class JetContext:
         self.factorials = np.array(
             [math.prod(math.factorial(e) for e in m) for m in monos]
         )
+        # bit 0 for a monomial in the x half, bit 1 in the y half (all of
+        # an odd count of variables)
+        half = 0 if self.n_vars % 2 else self.n_vars // 2
+        self.masks = np.array([any(m[:half]) | any(m[half:]) << 1 for m in monos],
+                              dtype=np.int64)
         self.mul_i, self.mul_j, self.mul_k = mul_i, mul_j, mul_k
-        self.products = [[None] * (self.order + 1) for _ in range(self.order + 1)]
-        self.horner = None
+        self.products = [[[[None] * 4 for _ in range(self.order + 1)]
+                          for _ in range(4)] for _ in range(self.order + 1)]
+        self.horner = [None] * 4
         # row i: the coefficients of the seeded variable z_i at z = 0 (an
         # x-truncated context keeps every degree-1 monomial)
         self._units = np.zeros((self.n_vars, self.n_terms))
         self._units[:, 1:self.n_vars + 1] = np.eye(self.n_vars)
         self._units.setflags(write=False)
+        self._seed_spans = self.masks[1:self.n_vars + 1].tolist()
         self._tensor_maps = {}
 
-    # -- degree-aware sub-tables -------------------------------------------
+    # -- span-aware sub-tables ---------------------------------------------
 
     def _sub_table(self, keep):
         """The table entries where ``keep`` holds, in table order."""
@@ -143,17 +164,25 @@ class JetContext:
             return self.mul_i, self.mul_j, self.mul_k
         return self.mul_i[keep], self.mul_j[keep], self.mul_k[keep]
 
-    def product_table(self, ha, hb):
+    def _inside(self, va, vb):
+        """Per table entry: both factors' monomials lie inside the variable
+        spans va and vb."""
+        return (((self.masks[self.mul_i] & ~va) == 0)
+                & ((self.masks[self.mul_j] & ~vb) == 0))
+
+    def product_table(self, ha, hb, va=3, vb=3):
         """``(mul_i, mul_j, mul_k, hi)`` for a product of jets of degree spans
-        ha and hb: the entries whose factors can both be nonzero, and the
-        product's span."""
+        ha, hb and variable spans va, vb: the entries whose factors can both
+        be nonzero, and the product's degree span."""
         da, db = self.degrees[self.mul_i], self.degrees[self.mul_j]
-        table = self._sub_table((da <= ha) & (db <= hb)) + (min(self.order, ha + hb),)
-        self.products[ha][hb] = table
+        table = (self._sub_table((da <= ha) & (db <= hb) & self._inside(va, vb))
+                 + (min(self.order, ha + hb),))
+        self.products[ha][va][hb][vb] = table
         return table
 
-    def horner_tables(self):
-        """``(mul_i, mul_j, mul_k)`` per Horner step k of :func:`_compose`.
+    def horner_tables(self, vs=3):
+        """``(mul_i, mul_j, mul_k)`` per Horner step k of :func:`_compose`
+        on a jet of variable span ``vs``.
 
         Step k multiplies the accumulator by the nilpotent part, which has
         no degree-0 term, and raises every degree by at least one in each
@@ -161,14 +190,16 @@ class JetContext:
         result. So step k reads the accumulator up to degree order - k - 1,
         the nilpotent part from degree 1, and writes degrees <= order - k.
         :func:`_compose` runs the first, step order - 1, as a scalar product,
-        so it has no table here.
+        so it has no table here. Both factors lie inside ``vs``, and a
+        constant's (``vs`` 0) steps are empty.
         """
         da, db = self.degrees[self.mul_i], self.degrees[self.mul_j]
-        self.horner = [
+        inside = self._inside(vs, vs)
+        self.horner[vs] = [
             self._sub_table((da < self.order - k) & (db >= 1)
-                            & (da + db <= self.order - k))
+                            & (da + db <= self.order - k) & inside)
             for k in range(self.order - 1)]
-        return self.horner
+        return self.horner[vs]
 
     # -- x-degree truncation ------------------------------------------------
 
@@ -286,18 +317,21 @@ _MIXED_CONTEXTS = "jets from different contexts cannot be combined"
 class Jet:
     """Truncated Taylor expansion of a scalar expression.
 
-    ``hi`` bounds the degree of its nonzero coefficients (see the module
-    docstring); every coefficient above it is exactly zero.
+    ``hi`` bounds the degree of its nonzero coefficients and ``vs`` names
+    the halves of the variables they can involve (see the module
+    docstring; 3, both halves, by default): every other coefficient is
+    exactly zero.
     """
 
-    __slots__ = ("ctx", "coeffs", "hi")
+    __slots__ = ("ctx", "coeffs", "hi", "vs")
     # keep numpy from hijacking scalar-op dispatch so float64 * Jet works
     __array_ufunc__ = None
 
-    def __init__(self, ctx, coeffs, hi):
+    def __init__(self, ctx, coeffs, hi, vs=3):
         self.ctx = ctx
         self.coeffs = coeffs
         self.hi = hi
+        self.vs = vs
 
     # -- introspection -----------------------------------------------------
 
@@ -323,7 +357,7 @@ class Jet:
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self):
-        return Jet(self.ctx, -self.coeffs, self.hi)
+        return Jet(self.ctx, -self.coeffs, self.hi, self.vs)
 
     def __pos__(self):
         return self
@@ -333,11 +367,12 @@ class Jet:
             if other.ctx is not self.ctx:
                 raise JetError(_MIXED_CONTEXTS)
             ha, hb = self.hi, other.hi
-            return Jet(self.ctx, self.coeffs + other.coeffs, ha if ha >= hb else hb)
+            return Jet(self.ctx, self.coeffs + other.coeffs, ha if ha >= hb else hb,
+                       self.vs | other.vs)
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.ctx, _add_base(self.coeffs.copy(), c), self.hi)
+        return Jet(self.ctx, _add_base(self.coeffs.copy(), c), self.hi, self.vs)
 
     __radd__ = __add__
 
@@ -346,32 +381,34 @@ class Jet:
             if other.ctx is not self.ctx:
                 raise JetError(_MIXED_CONTEXTS)
             ha, hb = self.hi, other.hi
-            return Jet(self.ctx, self.coeffs - other.coeffs, ha if ha >= hb else hb)
+            return Jet(self.ctx, self.coeffs - other.coeffs, ha if ha >= hb else hb,
+                       self.vs | other.vs)
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.ctx, _add_base(self.coeffs.copy(), -c), self.hi)
+        return Jet(self.ctx, _add_base(self.coeffs.copy(), -c), self.hi, self.vs)
 
     def __rsub__(self, other):
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.ctx, _add_base(-self.coeffs, c), self.hi)
+        return Jet(self.ctx, _add_base(-self.coeffs, c), self.hi, self.vs)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             ctx = self.ctx
             if other.ctx is not ctx:
                 raise JetError(_MIXED_CONTEXTS)
-            mul_i, mul_j, mul_k, hi = (ctx.products[self.hi][other.hi]
-                                       or ctx.product_table(self.hi, other.hi))
+            va, vb = self.vs, other.vs
+            mul_i, mul_j, mul_k, hi = (ctx.products[self.hi][va][other.hi][vb]
+                                       or ctx.product_table(self.hi, other.hi, va, vb))
             out = _kernels.multiply(self.coeffs, other.coeffs, mul_i, mul_j, mul_k,
                                     ctx.n_terms)
-            return Jet(ctx, out, hi)
+            return Jet(ctx, out, hi, va | vb)
         c = _coerce(other)
         if c is None:
             return NotImplemented
-        return Jet(self.ctx, self.coeffs * c, self.hi)
+        return Jet(self.ctx, self.coeffs * c, self.hi, self.vs)
 
     __rmul__ = __mul__
 
@@ -383,7 +420,7 @@ class Jet:
             return NotImplemented
         if np.count_nonzero(c == 0.0):
             raise JetError("jet divided by zero scalar")
-        return Jet(self.ctx, self.coeffs / c, self.hi)
+        return Jet(self.ctx, self.coeffs / c, self.hi, self.vs)
 
     def __rtruediv__(self, other):
         c = _coerce(other)
@@ -424,7 +461,7 @@ def constant(ctx, value):
     shape = value.shape if isinstance(value, np.ndarray) else ()
     coeffs = np.zeros(shape + (ctx.n_terms,))
     coeffs.T[0] = value
-    return Jet(ctx, coeffs, 0)
+    return Jet(ctx, coeffs, 0, 0)
 
 
 def variables(values, order, *, x_degree=None):
@@ -438,12 +475,17 @@ def variables(values, order, *, x_degree=None):
     writes into an operand.
     """
     vals = points(values, "point coordinates")
-    ctx = get_context(vals.shape[-1], order, x_degree=x_degree)
+    return _seeded(vals, get_context(vals.shape[-1], order, x_degree=x_degree))
+
+
+def _seeded(vals, ctx):
+    """The jets of ``ctx``'s variables at the checked point or stack
+    ``vals``, rows of one block, each with its variable's span."""
     units = ctx._units
     block = (units.copy() if vals.ndim == 1
              else np.repeat(units[:, None], vals.shape[0], axis=1))
     block.T[0] = vals
-    return [Jet(ctx, coeffs, 1) for coeffs in block]
+    return [Jet(ctx, coeffs, 1, vs) for coeffs, vs in zip(block, ctx._seed_spans)]
 
 
 def seed_variables(x, y, order, *, x_degree=None):
@@ -458,8 +500,8 @@ def seed_variables(x, y, order, *, x_degree=None):
     if order not in (1, 2, 3, 4):
         raise JetError(f"jet order must be one of 1..4, got {order!r}")
     x, y = states(x, y)
-    return variables(np.concatenate([x, y], axis=-1), order,
-                     x_degree=x_degree)
+    ctx = _context(2 * x.shape[-1], count(order, 1, "jet order"), x_degree)
+    return _seeded(np.concatenate([x, y], axis=-1), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +569,8 @@ def _compose(jet, series):
 
     ``series[k]`` = g^(k)(f0)/k!, a scalar or one per state of a batch.
     Horner evaluation in the nilpotent part f - f0 costs ``order - 1``
-    table multiplications, step k over ``ctx.horner[k]``, after a first
-    step that is a scalar product. At order 1 that product is the result,
+    table multiplications, step k over ``ctx.horner[jet.vs][k]``, after a
+    first step that is a scalar product. At order 1 that product is the result,
     and a zero coefficient may carry the sign of its factors (-0.0).
     """
     ctx = jet.ctx
@@ -540,12 +582,17 @@ def _compose(jet, series):
     top = series[ctx.order]
     acc = nil * (top if nil.ndim == 1 else top[:, None])
     acc.T[0] += series[ctx.order - 1]
-    steps = ctx.horner or ctx.horner_tables()
+    steps = ctx.horner[jet.vs]
+    if steps is None:  # at order 1 an empty list, built once
+        steps = ctx.horner_tables(jet.vs)
     for k in range(ctx.order - 2, -1, -1):
         mul_i, mul_j, mul_k = steps[k]
-        acc = _kernels.multiply(acc, nil, mul_i, mul_j, mul_k, ctx.n_terms)
+        # a constant's steps are empty: its nilpotent part is zero, and the
+        # kernel would return integer zeros on one state
+        acc = (_kernels.multiply(acc, nil, mul_i, mul_j, mul_k, ctx.n_terms)
+               if mul_i.size else np.zeros(acc.shape))
         acc.T[0] += series[k]
-    return Jet(ctx, acc, ctx.order)
+    return Jet(ctx, acc, ctx.order, jet.vs)
 
 
 def _reciprocal(jet):
@@ -669,7 +716,7 @@ def where(cond, a, b):
         raise JetError(_MIXED_CONTEXTS)
     a, b = (v if isinstance(v, Jet) else constant(ctx, v) for v in (a, b))
     return Jet(ctx, np.where(np.asarray(cond)[:, None], a.coeffs, b.coeffs),
-               max(a.hi, b.hi))
+               max(a.hi, b.hi), a.vs | b.vs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DegenerateDirectionError, DomainError, count, first_bad,
-                     states)
+                     kind, states)
 
 MAX_DIM = 8
 MIN_DIRECTION_NORM = 1e-12
@@ -171,3 +171,9 @@ class FinslerMetric:
             raise error(f"{self.name}: |y|^2 = {hit[0]:g}, not in "
                         f"({MIN_DIRECTION_NORM**2:g}, inf){hit[1]}")
         return x, y
+
+
+def as_metric(value):
+    """``value`` if it is a :class:`FinslerMetric`, else DomainError: the
+    one check of a metric argument."""
+    return kind(value, FinslerMetric, "a FinslerMetric")

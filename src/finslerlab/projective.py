@@ -28,6 +28,7 @@ from . import sampling
 from .errors import DomainError, NotProjectivelyRelatedError
 from .geometry import (_T, _assemble, _dot, _matvec, _vecmat,
                        riemann_curvature)
+from .metric import as_metric
 
 DECISION_TOL = 1e-6
 FACTOR_TOL = 1e-7  # spray deviation that refutes G_cand = G + P y
@@ -40,11 +41,11 @@ def rapcsak_residual(base, cand, x, y):
     value; zero (to tolerance) exactly when the candidate's geodesics trace
     the base geodesics.
     """
-    n = base.n
+    n = as_metric(base).n
     x, y = base.check_state(x, y)
     data = _assemble(base, x, y, 2)
     f_val, T1, T2 = jr.derivative_tensors(
-        jr.jet_of(cand.F, *cand.check_state(x, y), 2))
+        jr.jet_of(cand.F, *as_metric(cand).check_state(x, y), 2))
     res = (_vecmat(y, T2[..., :n, n:]) - T1[..., :n]
            - 2.0 * _matvec(T2[..., n:, n:], data["G"]))
     norm = np.sqrt(_dot(res, res))
@@ -83,7 +84,7 @@ def projective_factor(base, cand, x, y):
     Verifies G_cand = G_base + P y, passing only when the deviation (relative
     to the spray scale) is <= FACTOR_TOL; else NotProjectivelyRelatedError.
     """
-    x, y = cand.check_state(*base.check_state(x, y))
+    x, y = as_metric(cand).check_state(*as_metric(base).check_state(x, y))
     base_data = _assemble(base, x, y, 2)
     cand_data = _assemble(cand, x, y, 2)
     n = base.n
@@ -111,8 +112,8 @@ def xi_and_tau(base, cand, x, y):
     y-columns of d2G by the product and quotient rules. ``R_base`` is the
     base curvature of the same assembly.
     """
-    n = base.n
-    x, y = cand.check_state(*base.check_state(x, y))
+    n = as_metric(base).n
+    x, y = as_metric(cand).check_state(*base.check_state(x, y))
     data = _assemble(base, x, y, 4)
     G, dG, N, Gyy = data["G"], data["dG"], data["N"], data["Gyy"]
     # d2u reads T3 with at most two x-derivatives, as _assemble its D4
@@ -166,7 +167,7 @@ def curvature_transform_check(base, cand, x, y):
     relative to the largest term of its identity, so a flat side (R of
     rounding size) does not inflate it.
     """
-    n = base.n
+    n = as_metric(base).n
     R_cand = riemann_curvature(cand, x, y)
     info = xi_and_tau(base, cand, x, y)
     R_base, Xi, tau = info["R_base"], info["Xi"], info["tau"]
@@ -197,7 +198,7 @@ def funk_condition_residual(cand, mu, x, y):
     normalized by f^2, so a metric genuinely satisfying the condition at
     constant mu scores ~0 and violators score order one.
     """
-    n, mu = cand.n, errors.real(mu, "mu")
+    n, mu = as_metric(cand).n, errors.real(mu, "mu")
     f_val, T1 = jr.derivative_tensors(
         jr.jet_of(cand.F, *cand.check_state(x, y), 1))
     vec = T1[..., :n] - 2.0 * mu * f_val[..., None] * T1[..., n:]

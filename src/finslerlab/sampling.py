@@ -19,6 +19,7 @@ import numpy as np
 
 from . import errors
 from .errors import DomainError, NumericError
+from .metric import as_metric
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -144,6 +145,7 @@ def directions(count, n):
 
 def state_pairs(metric, count, box=None):
     """Deterministic (point, unit direction) pairs inside the metric's domain."""
+    as_metric(metric)
     if box is not None:
         box = _box(box, metric.n)
     xs = points_in_domain(metric.domain, count, box=box)
@@ -168,7 +170,7 @@ class _JointDomain:
 
 def joint_state_pairs(metric_a, metric_b, count, box=None):
     """State pairs landing inside both metrics' domains (boxes intersected)."""
-    if metric_a.n != metric_b.n:
+    if as_metric(metric_a).n != as_metric(metric_b).n:
         raise DomainError(f"{metric_a.name} is {metric_a.n}-dimensional and "
                           f"{metric_b.name} {metric_b.n}-dimensional")
     if box is None:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import comparison as cmp
 from . import jets as jr
-from .errors import (DomainError, NumericError, count, one_state, real,
-                     reals, worst)
+from .errors import (DomainError, NumericError, count, kind, one_state,
+                     real, reals, worst)
 from .metric import (
     ConvexInterior,
     FinslerMetric,
@@ -180,9 +180,9 @@ class ConvexBody:
 
 
 def _check_body(body):
-    """DomainError unless ``body`` is a :class:`ConvexBody`."""
-    if not isinstance(body, ConvexBody):
-        raise DomainError(f"needs a ConvexBody, got {body!r}")
+    """DomainError unless ``body`` is a :class:`ConvexBody`: the one check
+    of a body argument."""
+    kind(body, ConvexBody, "a ConvexBody")
 
 
 def ball_body(n=2):
@@ -318,8 +318,7 @@ def funk_general(body, x, y, sign=1):
     take it past the jet order. On batched jets the float root is found
     per state and the Newton steps run on the whole batch.
     """
-    if not isinstance(body, ConvexBody):  # every geodesic stage runs this
-        raise DomainError(f"needs a ConvexBody, got {body!r}")
+    _check_body(body)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     xs, ys = list(x), list(y)

@@ -1,9 +1,10 @@
 """Degree spans: products and Horner steps over sub-tables, bit for bit.
 
 Every jet carries ``hi``, a bound on the degree of its nonzero
-coefficients, and a product runs only the table entries whose factors can
-be nonzero. The reference here is a context whose every product and
-Horner step runs the full table: the results must agree in every bit.
+coefficients, and ``vs``, the halves of the variables (x, y) they can
+involve, and a product runs only the table entries whose factors can be
+nonzero. The reference here is a context whose every product and Horner
+step runs the full table: the results must agree in every bit.
 
 The last section holds jets modulo x-degree above 2 to the same standard:
 every coefficient they keep equals the full context's in every bit.
@@ -21,14 +22,14 @@ from finslerlab.errors import JetError
 class FullTableContext(jr.JetContext):
     """A context whose products and Horner steps all run the full table."""
 
-    def product_table(self, ha, hb):
+    def product_table(self, ha, hb, va=3, vb=3):
         table = (self.mul_i, self.mul_j, self.mul_k, min(self.order, ha + hb))
-        self.products[ha][hb] = table
+        self.products[ha][va][hb][vb] = table
         return table
 
-    def horner_tables(self):
-        self.horner = [(self.mul_i, self.mul_j, self.mul_k)] * (self.order - 1)
-        return self.horner
+    def horner_tables(self, vs=3):
+        self.horner[vs] = [(self.mul_i, self.mul_j, self.mul_k)] * (self.order - 1)
+        return self.horner[vs]
 
 
 def bits(a):
@@ -82,6 +83,18 @@ def test_sub_table_sizes_at_order_four_in_eight_variables():
     assert ctx.product_table(4, 4)[0] is ctx.mul_i
     # steps 0..order - 2: step order - 1 is a scalar product, with no table
     assert sum(len(step[0]) for step in ctx.horner_tables()) == 5262
+
+
+def test_masked_table_sizes_in_the_curvature_context():
+    # x-degree at most 2 in 8 variables: the order-4 jets of n = 4 curvature
+    ctx = jr.get_context(8, 4, x_degree=2)
+    assert ctx.product_table(4, 4)[0] is ctx.mul_i  # 3435 entries
+    assert len(ctx.product_table(4, 4, 3, 1)[0]) == 890  # full times x-only
+    # Horner steps 0..order - 2 of a mixed, an x-only, a y-only and a
+    # constant jet
+    sizes = [sum(len(step[0]) for step in ctx.horner_tables(vs))
+             for vs in (3, 1, 2, 0)]
+    assert sizes == [3887, 90, 585, 0]
 
 
 def _both(order, n, batch, seed):
@@ -172,6 +185,50 @@ def test_spans_of_the_constructors():
     assert (x * y * z * x * y).hi == 4
     assert (x * y + z).hi == 2
     assert jr.sqrt(x).hi == 4 and (1.0 / x).hi == 4
+    # variable spans: an odd count of variables reads them all as y
+    assert (jr.constant(ctx, 2.0).vs, x.vs, (x * y + z).vs) == (0, 2, 2)
+    a, b = jr.seed_variables([[0.1], [0.2]], [[0.5], [0.6]], 4)
+    assert (a.vs, b.vs, (a + 1.0).vs, (2.0 * a).vs, (a - b).vs) == (1, 2, 1, 1, 3)
+    assert ((a * a).vs, (a * b).vs, (a * jr.constant(a.ctx, 2.0)).vs) == (1, 3, 1)
+    cond = np.array([True, False])
+    assert (jr.where(cond, a, 2.0).vs, jr.where(cond, a, b).vs) == (1, 3)
+    assert (jr.sqrt(a).vs, (1.0 / b).vs, jr.sqrt(a + b).vs) == (1, 2, 3)
+
+
+def _outside(ctx, vs):
+    """The coefficient slots of the monomials that involve a half of the
+    variables outside the variable span ``vs`` (x the first half of an even
+    count, y the rest)."""
+    half = 0 if ctx.n_vars % 2 else ctx.n_vars // 2
+    return np.array([any(m[:half]) and not vs & 1 or any(m[half:]) and not vs & 2
+                     for m in ctx.monomials])
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=orders, n=n_vars, batch=batches, seed=st.integers(0, 2**32 - 1))
+def test_coefficients_outside_the_variable_span_are_zero(order, n, batch, seed):
+    zs, refs, rng = _both(order, n, batch, seed)
+    tree_seed = int(rng.integers(2**32))
+    jets = _random_tree(zs, np.random.default_rng(tree_seed), 12)
+    full = _random_tree(refs, np.random.default_rng(tree_seed), 12)
+    for jet, ref in zip(jets, full):
+        assert 0 <= jet.vs <= 3
+        assert not jet.coeffs[..., _outside(jet.ctx, jet.vs)].any()
+        assert same_bits(jet.coeffs, ref.coeffs)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_compose_of_a_constant_jet_equals_the_full_table(order, batch):
+    # a constant's Horner steps are empty tables
+    value = 4.0 if batch is None else np.array([4.0, 0.25, 9.0])
+    c = jr.constant(jr.get_context(4, order), value)
+    ref = jr.Jet(FullTableContext(4, order), c.coeffs.copy(), 0, 0)
+    for name, fn in sorted(FUNCTIONS.items()):
+        out = fn(c)
+        assert out.coeffs.dtype == np.float64, name
+        assert same_bits(out.coeffs, fn(ref).coeffs), name
+    assert same_bits(jr.sqrt(c).coeffs.T[0], np.sqrt(value))
 
 
 # ---------------------------------------------------------------------------

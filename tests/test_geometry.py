@@ -616,6 +616,31 @@ def _rhs(t, u):
     pytest.param(lambda: zoo.klein()(np.array([_X, _X]),
                                      np.array([_Y, (1e200, 0.0)])),
                  id="overflowing-direction-batch"),
+    # objects of the wrong kind, which leaked AttributeError
+    pytest.param(lambda: cmp.f_squared("case", 0.1), id="f-squared-of-a-string"),
+    pytest.param(lambda: cmp.maximal_interval(None),
+                 id="maximal-interval-of-none"),
+    pytest.param(lambda: cmp.classify_completeness(None),
+                 id="classify-completeness-of-none"),
+    pytest.param(lambda: cmp.numeric_vs_closed(None),
+                 id="numeric-vs-closed-of-none"),
+    pytest.param(lambda: cmp.ode_residual(None, [0.1]),
+                 id="ode-residual-of-none"),
+    pytest.param(lambda: geo.spray_coefficients("klein", XG, YG),
+                 id="spray-of-a-string"),
+    pytest.param(lambda: geo.flag_curvature("klein", XG, YG, (0.0, 1.0)),
+                 id="flag-curvature-of-a-string"),
+    pytest.param(lambda: geo.einstein_campaign(None, 5),
+                 id="einstein-campaign-of-none"),
+    pytest.param(lambda: geo.check_minkowski(None), id="minkowski-of-none"),
+    pytest.param(lambda: gd.integrate_geodesic(None, XG, YG, (-0.1, 0.1)),
+                 id="geodesic-of-none"),
+    pytest.param(lambda: pj.projective_campaign(None, zoo.klein(), 5),
+                 id="projective-campaign-of-none"),
+    pytest.param(lambda: sampling.state_pairs(None, 3),
+                 id="state-pairs-of-none"),
+    pytest.param(lambda: sampling.joint_state_pairs(zoo.klein(), "klein", 3),
+                 id="joint-state-pairs-of-a-string"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
