@@ -6,8 +6,11 @@ repetitions to ``BENCH_geodesic.json`` under a label:
 
   spray_<metric>    one-state ``geometry.spray_coefficients`` (an order-2
                     assembly, one per RK stage of a geodesic) for klein
-                    (n = 2), bryant (n = 3) and hilbert-ellipse (n = 2);
-                    the row times 200 calls and ``us_per_call`` is one
+                    (n = 2), spherical (n = 3), bryant (n = 3) and
+                    hilbert-ellipse (n = 2); the row times 200 calls,
+                    ``us_per_call`` is one, and ``py_calls`` and
+                    ``c_calls`` count the Python-level and C-level calls
+                    of one spray as ``sys.setprofile`` sees them
   compose_sqrt_o2/4 ``jets.sqrt`` of a one-state jet in 4 variables at
                     orders 2 and 4, one ``jets._compose``; 2000 calls
   hausdorff_funk_minus  ``geodesic.hausdorff_to_chord`` on the funk-minus
@@ -26,50 +29,105 @@ repetitions to ``BENCH_geodesic.json`` under a label:
                     steps, status and end gap to the rim (-domain.signed)
   criterion_2       ``acceptance.criterion_2()`` wall time
   criterion_6       ``acceptance.criterion_6()`` wall time
+  verify_all        ``finslerlab verify-all`` in a subprocess
   tier1             the tier-1 suite (``python -m pytest -q``) wall time
 
 Each row also carries counts that say what the timed call did (nodes,
 accepted and rejected steps), and the file records the Python and numpy
 versions and the kernel backend. Run from the repository root:
 
-    python benchmarks/bench_geodesic.py --label change
     python benchmarks/bench_geodesic.py --label parent --tree ../parent
+    python benchmarks/bench_geodesic.py --label change --parent ../parent
 
 ``--tree`` names the checkout whose ``src/`` (and, for the tier-1 row,
 ``tests/``) is measured; rows of other labels already in the output file
-are kept.
+are kept. With ``--parent`` the spray rows are timed by
+``_bench.alternated``: each rep runs in a fresh process on the parent
+checkout and on this one in turn, and its value is the median of
+``WORKER_REPS`` loops after a warm-up loop. Those rows replace their
+namesakes under the ``parent`` label, and the change's carry ``paired``.
 """
 
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench  # noqa: E402
 
 OUT = _bench.REPO / "BENCH_geodesic.json"
 
-# one-state spray inputs: (catalog name, n, x, y)
-SPRAYS = (("klein", 2, [0.3, -0.2], [0.6, 0.8]),
-          ("bryant", 3, [0.3, -0.2, 0.1], [0.6, 0.8, -0.2]),
-          ("hilbert-ellipse", 2, [0.3, -0.2], [0.6, 0.8]))
+# one-state spray inputs: catalog name -> (n, x, y)
+SPRAYS = {"klein": (2, [0.3, -0.2], [0.6, 0.8]),
+          "spherical": (3, [0.3, -0.2, 0.1], [0.6, 0.8, -0.2]),
+          "bryant": (3, [0.3, -0.2, 0.1], [0.6, 0.8, -0.2]),
+          "hilbert-ellipse": (2, [0.3, -0.2], [0.6, 0.8])}
+SPRAY_CALLS = 200  # calls per timed loop of a spray row
+WORKER_REPS = 5  # timed loops in one process of an alternated spray row
+
+
+def _spray(name):
+    """The call of row ``spray_<name>``: one ``spray_coefficients``."""
+    from finslerlab import geometry as geo, zoo
+
+    n, x0, y0 = SPRAYS[name]
+    metric = zoo.make_metric(name, n)
+    x0, y0 = np.array(x0), np.array(y0)
+    return lambda: geo.spray_coefficients(metric, x0, y0)
+
+
+def call_counts(call):
+    """Python-level and C-level calls of one warm ``call()``, as
+    ``sys.setprofile`` sees them."""
+    call()
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return {"py_calls": counts["call"] - 1,  # less call() itself
+            "c_calls": counts["c_call"] - 1}  # less sys.setprofile(None)
+
+
+def spray_row(name, reps):
+    """The fields of row ``spray_<name>``: ``reps`` loops of SPRAY_CALLS
+    calls and the call counts of one."""
+    call = _spray(name)
+    loop = lambda: [call() for _ in range(SPRAY_CALLS)]
+    return _bench.timed(loop, reps), dict(calls=SPRAY_CALLS, **call_counts(call))
 
 
 def main(argv=None):
-    label, tree = _bench.arguments(__doc__, argv)
-
-    import numpy as np
+    label, tree, parent, worker = _bench.arguments(__doc__, argv, paired=True)
+    if worker:
+        times, info = spray_row(worker[len("spray_"):], WORKER_REPS)
+        print(json.dumps(dict(info, s=float(np.median(times)))))
+        return
 
     from finslerlab import comparison as cmp
-    from finslerlab import geodesic as gd, geometry as geo, jets as jr
+    from finslerlab import geodesic as gd, jets as jr
     from finslerlab import sampling, zoo
 
     summarize, timed, per_call = _bench.summarize, _bench.timed, _bench.per_call
-    rows = {}
-    for name, n, x0, y0 in SPRAYS:
-        metric = zoo.make_metric(name, n)
-        x0, y0 = np.array(x0), np.array(y0)
-        rows[f"spray_{name}"] = per_call(
-            lambda: geo.spray_coefficients(metric, x0, y0), 200)
+    sprays = [f"spray_{name}" for name in SPRAYS]
+    if parent:
+        runs = _bench.alternated(__file__, {"parent": parent, label: tree}, sprays)
+        rows = runs[label]
+    else:
+        rows = {}
+        for row in sprays:
+            times, info = spray_row(row[len("spray_"):], _bench.REPS)
+            rows[row] = dict(summarize(times), **info)
+    for row in (*rows.values(), *(runs["parent"].values() if parent else ())):
+        row["us_per_call"] = row["median_s"] / row["calls"] * 1e6
     for order in (2, 4):
         z = jr.variables([0.3, 0.5, 0.7, 0.9], order)
         arg = z[0] * z[1] + z[2] + z[3]
@@ -99,16 +157,18 @@ def main(argv=None):
 
     rows.update(rim_legs(tree))
     rows.update(_bench.criteria((2, 6)))
+    times, info = _bench.verify_all(tree)
+    rows["verify_all"] = dict(summarize(times), **info)
     times, info = _bench.tier1(tree)
     rows["tier1"] = dict(summarize(times), **info)
+    if parent:
+        _bench.write(OUT, "parent", runs["parent"], parent, width=22, merge=True)
     _bench.write(OUT, label, rows, tree, width=22)
 
 
 def rim_legs(tree):
     """Rows ``rim_<metric>`` for the rim starts of perfbench's seed-7
     geodesic pool, drawn by the tree's own ``perfbench/workloads.py``."""
-    import numpy as np
-
     sys.path.insert(0, str(tree / "perfbench"))
     import workloads as wl
     from finslerlab import geodesic as gd, ode

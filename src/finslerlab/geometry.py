@@ -35,9 +35,13 @@ Every assembly takes one state, (x, y) of shape (n,), or a batch, (B, n)
 stacks, and then every entry of its result gains a leading axis B. Products
 with a vector are stacked matmuls (see :func:`_vecmat`), so each row of a
 batch equals the one-state result bit for bit.
+
+g's eigenvalues and inverse call np.linalg's LAPACK gufuncs directly, as
+the Python wrappers around them cost three times the call on one small g.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import errors
 from . import jets as jr
@@ -47,6 +51,8 @@ from .errors import (DegenerateFlagError, DomainError, FinslerError,
 from .metric import as_metric
 
 COND_LIMIT = 1e12
+# g's least eigenvalue must be a normal float: below it g^-1 overflows
+MIN_EIG = np.finfo(float).tiny
 MIN_FLAG_ANGLE = 1e-6
 
 
@@ -80,12 +86,13 @@ def _core(a, *perm):
 def _convexity(D2, n):
     """g = D2_yy / 2 symmetrized, for the Hessian ``D2`` of F^2 over (x, y);
     its ascending eigenvalues; and the verdict, True unless g passes: least
-    eigenvalue > 0 and condition <= COND_LIMIT, so a NaN g fails."""
+    eigenvalue >= MIN_EIG and condition <= COND_LIMIT, so a NaN g fails."""
     g = 0.5 * D2[..., n:, n:]
     g = 0.5 * (g + _T(g))
-    eigs = np.linalg.eigvalsh(g)
+    # LAPACK's syevd: a g it cannot take (NaN, inf) reads NaN and fails
+    eigs = _umath_linalg.eigvalsh_lo(g, signature="d->d")
     lo, hi = eigs.T[0], eigs.T[-1]
-    return g, eigs, ~((lo > 0.0) & (hi <= COND_LIMIT * lo))
+    return g, eigs, ~((lo >= MIN_EIG) & (hi <= COND_LIMIT * lo))
 
 
 def _metric_block(metric, tensors):
@@ -97,8 +104,9 @@ def _metric_block(metric, tensors):
             f"{metric.name}: fundamental tensor not strongly convex{where} "
             f"(eigenvalues {eigs.tolist()})"
         )
-    # inv runs LAPACK's gesv against the identity, as solve(g, eye(n)) does
-    ginv = np.linalg.inv(g)
+    # LAPACK's gesv against the identity, as solve(g, eye(n)) runs it, on a
+    # g that passed _convexity
+    ginv = _umath_linalg.inv(g, signature="d->d")
     return g, ginv
 
 

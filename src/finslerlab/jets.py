@@ -260,11 +260,24 @@ class JetContext:
         return self._tensor_maps[k]
 
 
-@lru_cache(maxsize=None)
-def _context(n_vars, order, x_degree):
+@lru_cache(maxsize=None, typed=True)
+def _cached_context(n_vars, order, x_degree):
     if x_degree is None:
         return JetContext(n_vars, order)
-    return _context(n_vars, order, None).x_truncated(x_degree)
+    cap = count(x_degree, 1, "jet x-degree cap")
+    if type(x_degree) is not int:  # np.int64(2) shares the context of 2
+        return _cached_context(n_vars, order, cap)
+    return _cached_context(n_vars, order, None).x_truncated(cap)
+
+
+def _context(n_vars, order, x_degree):
+    """The context cache: ``x_degree``, None for no cap, is read by
+    :func:`errors.count` on a miss only, and an unhashable one as a miss."""
+    try:
+        return _cached_context(n_vars, order, x_degree)
+    except TypeError:  # unhashable: no integer, so count raises DomainError
+        count(x_degree, 1, "jet x-degree cap")
+        raise
 
 
 def get_context(n_vars, order, *, x_degree=None):

@@ -12,8 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DegenerateDirectionError, DomainError, count, first_bad,
-                     kind, states)
+from .errors import (DegenerateDirectionError, DomainError, NumericError,
+                     count, first_bad, kind, states)
 
 MAX_DIM = 8
 MIN_DIRECTION_NORM = 1e-12
@@ -142,11 +142,20 @@ class FinslerMetric:
 
     def __call__(self, x, y):
         """Validated float evaluation: F at one state, or one F per row of
-        ``(B, n)`` stacks of points and directions."""
+        ``(B, n)`` stacks of points and directions. An F that is not finite
+        and positive (a cancellation's square root of a negative, say)
+        raises NumericError naming the first such state, not a warning."""
         x, y = self.check_state(x, y)
-        if x.ndim == 1:
-            return float(self.F(x.tolist(), y.tolist()))
-        return np.asarray(self.F(list(x.T), list(y.T)), dtype=float)
+        with np.errstate(invalid="ignore"):
+            f = (np.float64(self.F(x.tolist(), y.tolist())) if x.ndim == 1
+                 else np.asarray(self.F(list(x.T), list(y.T)), dtype=float))
+        bad = ~((f > 0.0) & (f < math.inf))  # a NaN F too
+        if bad.any():
+            z, where = first_bad(bad, np.concatenate([x, y, f[..., None]], -1))
+            raise NumericError(
+                f"{self.name}: F = {z[-1]} at x = {z[:self.n].tolist()}, "
+                f"y = {z[self.n:-1].tolist()}{where}, not finite and positive")
+        return float(f) if x.ndim == 1 else f
 
     def check_state(self, x, y):
         """(x, y) by :func:`errors.states`, then checked in turn, each check

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab import jets as jr
-from finslerlab.errors import FDOracleError, JetError
+from finslerlab.errors import DomainError, FDOracleError, JetError
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,18 @@ def test_order_validation():
         jr.seed_variables([0.0], [1.0], order=5)
     with pytest.raises(JetError):
         jr.seed_variables([0.0], [1.0], order=0)
+    # an x-degree cap is an integer >= 1, or None for none; a string, a
+    # fraction, a list or 0 is refused, not cached as a context
+    x, y = [0.1, 0.2], [0.6, 0.8]
+    for cap in ("a", 2.5, [2], 0):
+        with pytest.raises(DomainError, match="x-degree cap"):
+            jr.get_context(4, 4, x_degree=cap)
+        with pytest.raises(DomainError, match="x-degree cap"):
+            jr.jet_of(lambda x, y: x[0] * y[0], x, y, 2, x_degree=cap)
+    assert jr.get_context(4, 4, x_degree=None) is jr.get_context(4, 4)
+    assert (jr.get_context(4, 4, x_degree=np.int64(2))
+            is jr.get_context(4, 4, x_degree=2))
+    assert jr.get_context(4, 4, x_degree=2).n_terms == 53
 
 
 def test_extract_rejects_excessive_order():

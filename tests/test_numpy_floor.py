@@ -1,5 +1,10 @@
 """The package runs on the NumPy floor it declares: its sources use no
-NumPy name that the floor lacks."""
+NumPy name that the floor lacks, and every private NumPy name they take
+is one listed here.
+
+These tests have run on NumPy 2.4.6 only, so that the names of PRIVATE
+exist at the 1.24 floor is unverified; a new private dependency is a
+reviewed edit of that set."""
 
 import ast
 import re
@@ -15,6 +20,9 @@ NEWER_THAN_FLOOR = frozenset({
     "astype", "cumulative_sum", "isdtype", "bool", "matrix_transpose",
     "vector_norm", "matrix_norm",
 })
+
+# the spray's direct entries (see the geometry and _kernels docstrings)
+PRIVATE = frozenset({"numpy.linalg._umath_linalg", "np.bincount._implementation"})
 
 
 def _newer_names(source):
@@ -52,3 +60,39 @@ def test_the_package_uses_no_numpy_name_newer_than_its_floor():
             for path in sorted((ROOT / "src" / "finslerlab").glob("*.py"))
             for name in _newer_names(path.read_text(encoding="utf-8"))}
     assert not used, sorted(used)
+
+
+def _private_names(source):
+    """The private names ``source`` takes from numpy: an attribute starting
+    with ``_`` of a numpy name (``np.bincount._implementation``), or an
+    import of one (``from numpy.linalg import _umath_linalg``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = ast.unparse(node.value)
+            if owner.split(".")[0] in ("np", "numpy"):
+                found.add(f"{owner}.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "numpy"):
+            found.update(f"{node.module}.{a.name}" for a in node.names
+                         if a.name.startswith("_") or "._" in f".{node.module}")
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names
+                         if a.name.split(".")[0] == "numpy" and "._" in a.name)
+    return found
+
+
+def test_the_private_scan_sees_attributes_and_imports():
+    assert _private_names("f = np.bincount._implementation\n"
+                          "from numpy.linalg import _umath_linalg, inv\n"
+                          "from numpy._core import umath\n"
+                          "import numpy.linalg._linalg\n"
+                          "v = x._private + np.linalg.inv(a)\n") == {
+        "np.bincount._implementation", "numpy.linalg._umath_linalg",
+        "numpy._core.umath", "numpy.linalg._linalg"}
+
+
+def test_the_package_takes_only_the_listed_private_numpy_names():
+    used = set().union(*(_private_names(path.read_text(encoding="utf-8"))
+                         for path in (ROOT / "src" / "finslerlab").glob("*.py")))
+    assert used == PRIVATE

@@ -153,6 +153,21 @@ def test_a_nan_fundamental_tensor_is_singular(spoil_call):
         geo.fundamental_tensor(zoo.klein(), X, Y)
 
 
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda D2: D2 + math.inf, id="inf"),
+    pytest.param(lambda D2: np.where(np.eye(4, dtype=bool) & (np.arange(4) == 3),
+                                     math.inf, D2), id="inf-in-g"),
+    pytest.param(lambda D2: D2 * 1e-310, id="subnormal"),
+    pytest.param(lambda D2: D2 * 1e-320, id="subnormal-coarse")])
+def test_an_inf_or_subnormal_fundamental_tensor_is_singular(spoil, spoil_call):
+    # LAPACK reads an inf g as NaN eigenvalues; a subnormal one passed
+    # a least eigenvalue > 0, and its g^-1 overflowed into a RuntimeWarning
+    spoil_call(jr, "derivative_tensors", 1,
+               lambda tensors: (*tensors[:2], spoil(tensors[2])))
+    with pytest.raises(SingularMetricError, match="not strongly convex"):
+        geo.fundamental_tensor(zoo.klein(), X, Y)
+
+
 def test_a_nan_candidate_spray_is_not_projectively_related(spoil_call):
     spoil_call(pj, "_assemble", 2, lambda data: {**data, "G": data["G"] * NAN})
     with pytest.raises(NotProjectivelyRelatedError, match="nan"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finslerlab import jets as jr, sampling, zoo
-from finslerlab.errors import DomainError, FinslerError
+from finslerlab.errors import DomainError, FinslerError, NumericError
 from finslerlab.metric import dot
 
 X = np.array([0.5, 0.0])
@@ -23,6 +23,19 @@ def test_frozen_values_on_the_axis():
         np.array([0.2, 1.0]), np.array([0.3, -0.4])
     ) == pytest.approx(math.sqrt(0.52**2 + 4 * 0.96 * 0.09) / (2 * 0.96),
                        abs=1e-15)
+
+
+def test_a_float_f_that_is_not_finite_and_positive_is_a_numeric_error():
+    # 1 + |x|^2 - <x, y>^2 / |y|^2 cancels to a negative at this far point,
+    # so F's square root reads NaN: refused without a RuntimeWarning
+    far, y = (6000000000.3, 7999999999.8), (0.6, 0.8)
+    with pytest.raises(NumericError, match=r"F = nan at x = \[6000000000.3, "
+                       r"7999999999.8\], y = \[0.6, 0.8\], not finite"):
+        zoo.spherical()(far, y)
+    with pytest.raises(NumericError, match="at state 1, not finite"):
+        zoo.spherical()(np.array([X, far, far]), np.array([Y, y, y]))
+    assert zoo.spherical()(np.array([X, X]), np.array([Y, Y])).tolist() == [
+        zoo.spherical()(X, Y)] * 2
 
 
 def test_hilbert_ball_is_the_klein_metric():
