@@ -85,7 +85,8 @@ def alternated(script, trees, rows, reps=REPS):
     of the host's slower speed (they last up to minutes) falls on both
     alike. Returns the rows per label: the median and IQR of the reps'
     ``s``, the list ``reps_s`` itself and the first rep's other fields;
-    the last label's rows add ``paired`` against the first label's.
+    of two or more labels, the last label's rows add ``paired`` against
+    the first label's.
     """
     labels = list(trees)
     runs = {label: {row: [] for row in rows} for label in labels}
@@ -102,6 +103,8 @@ def alternated(script, trees, rows, reps=REPS):
         for row, objs in runs[label].items():
             s = [o.pop("s") for o in objs]
             out[label][row] = dict(summarize(s), reps_s=s, **objs[0])
+    if len(labels) == 1:  # one checkout: nothing to pair against
+        return out
     for row in rows:
         out[labels[-1]][row]["paired"] = paired(out[labels[0]][row]["reps_s"],
                                                 out[labels[-1]][row]["reps_s"])

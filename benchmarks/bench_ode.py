@@ -45,7 +45,12 @@ label:
   import_comparison              a fresh ``python -c "import
                                  finslerlab.comparison"``: wall time and
                                  ``peak_rss_mb``
-  criterion_2, _6, _7, _9        ``acceptance.criterion_k()`` wall time
+  criterion_2, _6, _9            ``acceptance.criterion_k()`` wall time
+  criterion_7                    a fresh process's import of
+                                 ``finslerlab.acceptance`` and one
+                                 ``criterion_7()``, with the criterion's
+                                 ``worst``, its own time ``criterion_s``
+                                 and whether ``scipy`` was loaded
   verify_all                     ``finslerlab verify-all`` in a subprocess
   tier1                          the tier-1 suite wall time
 
@@ -54,11 +59,20 @@ The geodesic rows run at criterion 2's tolerances (rtol 1e-9, atol
 untimed run), the accepted and rejected steps, and, where the tree's
 ``OdeResult`` has it, the vetoed steps. Run from the repository root:
 
-    python benchmarks/bench_ode.py --label change
     python benchmarks/bench_ode.py --label parent --tree ../parent
+    python benchmarks/bench_ode.py --label change --parent ../parent
+
+The ``criterion_7`` and ``verify_all`` rows are timed by
+``_bench.alternated``, PAIRS reps each in fresh processes. With
+``--parent`` the reps alternate between the parent checkout and this one;
+those rows replace their namesakes under the ``parent`` label, and the
+change's carry ``paired``, the median per-rep ratio to the parent and the
+reps it won. The other rows are one run per label.
 """
 
+import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +82,24 @@ import _bench  # noqa: E402
 
 OUT = _bench.REPO / "BENCH_ode.json"
 X0, Y0 = np.array([0.31, -0.22]), np.array([0.62, 0.81])
+FRESH_ROWS = ("criterion_7", "verify_all")  # timed by _bench.alternated
+PAIRS = 10  # reps of each of those rows
+
+
+def fresh_row(name, tree):
+    """One rep of a FRESH_ROWS row in this fresh process: its time ``s``
+    and the row's other fields."""
+    if name == "verify_all":
+        times, info = _bench.verify_all(tree, reps=1)
+        return {"s": times[0], **info}
+    t0 = time.perf_counter()
+    from finslerlab import acceptance
+
+    t1 = time.perf_counter()
+    worst = acceptance.criterion_7()["worst"]
+    t2 = time.perf_counter()
+    return {"s": t2 - t0, "criterion_s": t2 - t1, "worst": worst,
+            "scipy_loaded": "scipy" in sys.modules}
 
 
 def counting_rhs_calls(ode, call):
@@ -103,7 +135,10 @@ def ode_row(ode, call):
 
 
 def main(argv=None):
-    label, tree = _bench.arguments(__doc__, argv)
+    label, tree, parent, worker = _bench.arguments(__doc__, argv, paired=True)
+    if worker:
+        print(json.dumps(fresh_row(worker, tree)))
+        return
 
     from finslerlab import comparison as cmp
     from finslerlab import geodesic as gd, jets as jr, ode, zoo
@@ -163,11 +198,15 @@ def main(argv=None):
     times, info = _bench.fresh_import(tree, "finslerlab.comparison")
     rows["import_comparison"] = dict(_bench.summarize(times), **info)
 
-    rows.update(_bench.criteria((2, 6, 7, 9)))
-    for name, command in (("verify_all", _bench.verify_all),
-                          ("tier1", _bench.tier1)):
-        times, info = command(tree)
-        rows[name] = dict(_bench.summarize(times), **info)
+    rows.update(_bench.criteria((2, 6, 9)))
+    trees = {"parent": parent, label: tree} if parent else {label: tree}
+    runs = _bench.alternated(__file__, trees, FRESH_ROWS, reps=PAIRS)
+    rows.update(runs[label])
+    times, info = _bench.tier1(tree)
+    rows["tier1"] = dict(_bench.summarize(times), **info)
+    if parent:
+        _bench.write(OUT, "parent", runs["parent"], parent, width=34,
+                     merge=True)
     _bench.write(OUT, label, rows, tree, width=34)
 
 

@@ -144,6 +144,8 @@ def hausdorff_to_chord(points, anchor, direction):
         raise DomainError(f"hausdorff_to_chord: points of shape {pts.shape} "
                           f"against an anchor of shape {a0.shape} and a "
                           f"direction of shape {d.shape}")
+    if not (np.isfinite(pts).all() and np.isfinite(a0).all()):
+        raise DomainError("hausdorff_to_chord needs finite points and anchor")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(d)
     if not (math.isfinite(norm) and norm > 0.0):

@@ -525,7 +525,7 @@ def _normalize_idx(idx, size):
     """``idx`` as a tuple of ``size`` integers >= 0, or JetError."""
     try:
         idx = tuple(int(e) for e in np.asarray(idx).ravel())
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise JetError(f"multi-index {idx!r} needs integer entries") from None
     if len(idx) != size:
         raise JetError(f"multi-index length {len(idx)} does not match the "

@@ -91,7 +91,10 @@ class ConvexInterior(Domain):
     bbox_hi: np.ndarray
 
     def signed(self, x):
-        return float(self.phi(np.asarray(x, dtype=float).tolist()))
+        try:
+            return float(self.phi(np.asarray(x, dtype=float).tolist()))
+        except OverflowError:  # a Python-float power past the float range
+            return math.inf
 
     def sample_box(self):
         center = 0.5 * (self.bbox_lo + self.bbox_hi)

@@ -214,17 +214,18 @@ def ellipsoid_body(semi_axes):
                       len(semi), phi, grad, -e, e)
 
 
-def _semi_axes(semi):
+def _semi_axes(semi, p=2):
     semi = tuple(reals(semi, "semi-axes").ravel().tolist())
-    if not all(0.0 < s < math.inf for s in semi):
-        raise DomainError(f"semi-axes must be positive and finite, got {semi}")
+    if not all(s > 0.0 and abs(p * math.log(s)) < 700.0 for s in semi):
+        raise DomainError(f"semi-axes need 0 < s^{p} < inf, got {semi}")
     return semi
 
 
 def superellipse_body(p=4, semi=(1.0, 1.0)):
-    p, semi = count(p, 4, "superellipse exponent"), _semi_axes(semi)
+    p = count(p, 4, "superellipse exponent")
     if p % 2 != 0:
         raise DomainError("superellipse exponent must be an even integer >= 4")
+    semi = _semi_axes(semi, p)
     w = [1.0 / s**p for s in semi]
 
     def phi(x):
@@ -413,7 +414,7 @@ def _funk_values(x, y, body):
 def _ray(source, x, y, body):
     """The source's metric scaled by sqrt|c| to Einstein constant c = +-1,
     and the validated ray (x, y) in its domain."""
-    if source not in tuple(EVOLUTION_SOURCES):  # a tuple hashes no name
+    if kind(source, str, "an evolution source name") not in EVOLUTION_SOURCES:
         raise DomainError(f"unknown evolution source {source!r}; "
                           f"choose one of {tuple(EVOLUTION_SOURCES)}")
     if body is not None:
@@ -507,7 +508,7 @@ METRIC_NAMES = tuple(_CATALOG)
 
 def make_metric(name, dim=2, eps=0.9):
     """The catalog metric ``name`` in dimension ``dim``."""
-    if name not in METRIC_NAMES:  # a tuple hashes no name
+    if kind(name, str, "a metric name") not in _CATALOG:
         raise DomainError(f"unknown metric {name!r}; "
                           f"choose one of: {', '.join(METRIC_NAMES)}")
     dim = count(dim, 1, "dim")

@@ -325,7 +325,7 @@ def test_verify_all_only_refuses_entries_that_name_no_criterion(capsys):
 
 
 def test_the_library_and_the_cli_start_without_scipy_integrate():
-    # quadrature serves criterion 7 alone, which imports it when it runs
+    # the package imports no scipy: scipy serves the tests alone, as an oracle
     code = ("import sys, finslerlab, finslerlab.comparison, finslerlab.geodesic,"
             " finslerlab.projective, finslerlab.cli;"
             " print('scipy.integrate' in sys.modules)")
@@ -335,3 +335,15 @@ def test_the_library_and_the_cli_start_without_scipy_integrate():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_verify_all_runs_criterion_7_with_scipy_blocked():
+    # None in sys.modules makes any import of scipy raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; from finslerlab import cli;"
+            " sys.exit(cli.main(['verify-all', '--only', '7']))")
+    src = str(Path(finslerlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "1/1 criteria passed" in proc.stdout

@@ -641,6 +641,30 @@ def _rhs(t, u):
                  id="state-pairs-of-none"),
     pytest.param(lambda: sampling.joint_state_pairs(zoo.klein(), "klein", 3),
                  id="joint-state-pairs-of-a-string"),
+    # names given as arrays, whose `in` test raised ValueError
+    pytest.param(lambda: zoo.make_metric(np.array(["klein", "x"])),
+                 id="make-metric-array-name"),
+    pytest.param(lambda: zoo.evolution_coefficients(np.zeros((0, 2)), _X, _Y),
+                 id="evolution-empty-array-source"),
+    # Python-float powers past the float range, which raised OverflowError
+    pytest.param(lambda: zoo.superellipse_body(4, (1.0, 1e80)),
+                 id="superellipse-overflowing-semi-axis"),
+    pytest.param(lambda: zoo.superellipse_body(4, (1.0, 1e-100)),
+                 id="superellipse-vanishing-semi-axis"),
+    pytest.param(lambda: zoo.ellipsoid_body((1e-200, 1.0)),
+                 id="ellipsoid-vanishing-semi-axis"),
+    pytest.param(lambda: zoo.make_metric("hilbert-superellipse")(
+        (1e150, 1e150), (1.0, 0.0)), id="superellipse-overflowing-point"),
+    # non-finite chord inputs: a warning at inf, a silent NaN at NaN
+    pytest.param(lambda: gd.hausdorff_to_chord([[0.0, 0.0], [np.inf, 1.0]],
+                                               (0.0, 0.0), (1.0, 0.0)),
+                 id="chord-inf-point"),
+    pytest.param(lambda: gd.hausdorff_to_chord([[0.0, 0.0], [np.nan, 1.0]],
+                                               (0.0, 0.0), (1.0, 0.0)),
+                 id="chord-nan-point"),
+    pytest.param(lambda: gd.hausdorff_to_chord([[0.0, 0.0], [1.0, 1.0]],
+                                               (np.inf, 0.0), (1.0, 0.0)),
+                 id="chord-inf-anchor"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
@@ -656,6 +680,12 @@ def test_malformed_public_inputs_fail_with_domain_error(call):
     # the parent's oracle read (2, -1, 0, 0) as d^2/dx1^2 at the order-1 step
     pytest.param(lambda: jr.fd_oracle(zoo.klein().F, _X, _Y, (2, -1, 0, 0)),
                  id="fd-oracle-negative-entry"),
+    # int(inf) raised OverflowError
+    pytest.param(lambda: jr.extract_derivative(
+        jr.jet_of(zoo.klein().F, _X, _Y, 2), [np.inf]),
+        id="extract-inf-entry"),
+    pytest.param(lambda: jr.fd_oracle(zoo.klein().F, _X, _Y, (np.inf, 0, 0, 0)),
+                 id="fd-oracle-inf-entry"),
     # objects that are no jet, which leaked AttributeError
     pytest.param(lambda: jr.derivative_tensors(1.0),
                  id="derivative-tensors-of-a-float"),

@@ -1,6 +1,7 @@
-"""The package runs on the NumPy floor it declares: its sources use no
-NumPy name that the floor lacks, and every private NumPy name they take
-is one listed here.
+"""The package runs on the floor and the dependencies it declares: its
+sources use no NumPy name that the floor lacks, every private NumPy name
+they take is one listed here, and the third-party modules they import
+are those of pyproject's ``dependencies``, by DISTRIBUTIONS.
 
 These tests have run on NumPy 2.4.6 only, so that the names of PRIVATE
 exist at the 1.24 floor is unverified; a new private dependency is a
@@ -8,6 +9,7 @@ reviewed edit of that set."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +25,10 @@ NEWER_THAN_FLOOR = frozenset({
 
 # the spray's direct entries (see the geometry and _kernels docstrings)
 PRIVATE = frozenset({"numpy.linalg._umath_linalg", "np.bincount._implementation"})
+
+# the distribution of each third-party module the package imports: a new
+# runtime import or a stale dependency is a reviewed edit of this map
+DISTRIBUTIONS = {"numpy": "numpy", "yaml": "PyYAML"}
 
 
 def _newer_names(source):
@@ -96,3 +102,37 @@ def test_the_package_takes_only_the_listed_private_numpy_names():
     used = set().union(*(_private_names(path.read_text(encoding="utf-8"))
                          for path in (ROOT / "src" / "finslerlab").glob("*.py")))
     assert used == PRIVATE
+
+
+def _third_party_modules(source):
+    """The top-level modules outside the standard library that an
+    ``import`` or ``from`` of ``source`` names at any depth; a relative
+    import does not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found - sys.stdlib_module_names
+
+
+def test_the_dependency_scan_sees_nested_imports_and_skips_the_rest():
+    assert _third_party_modules("import math, numpy.linalg\n"
+                                "from . import jets\n"
+                                "from .errors import DomainError\n"
+                                "from yaml import safe_load\n"
+                                "def f():\n"
+                                "    from scipy.integrate import quad\n"
+                                "    import os.path\n") == {
+        "numpy", "yaml", "scipy"}
+
+
+def test_the_package_imports_exactly_the_dependencies_it_declares():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
+    used = set().union(*(_third_party_modules(path.read_text(encoding="utf-8"))
+                         for path in (ROOT / "src" / "finslerlab").glob("*.py")))
+    assert used == set(DISTRIBUTIONS)
+    assert declared == set(DISTRIBUTIONS.values())
