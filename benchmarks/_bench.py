@@ -1,17 +1,27 @@
-"""Timing and environment helpers shared by the ``bench_*.py`` scripts.
+"""The one runner of the ``bench_*.py`` scripts, and the rows they share.
 
-Each script measures one checkout (``--tree``, default this repository)
-and stores its rows under ``--label`` in a ``BENCH_<topic>.json`` file at
-the repository root, keeping the rows of other labels already there. Every
-write also appends the label, the checkout's commit, a SHA-256 of its
-package sources and the rows' medians to the file's ``history`` list, so
-the figures of earlier labels stay, and each names the code it measured
-even where the checkout is no git repository.
+A script is a table of rows, its docstring and one call of :func:`run`.
+The table maps each row name to ``(reps, worker)``. A worker times its row
+in the current process and returns ``{"s": seconds, ...fields}``.
 
-Two checkouts measured in two runs compare two spells of the host's speed
-as much as two trees. A script that takes ``--parent`` therefore times
-some of its rows on both checkouts by :func:`alternated`, rep by rep in
-fresh processes, and stores them under both labels.
+One rule times every row: :func:`alternated` runs each rep of a row in a
+fresh process per checkout and flips the checkouts' order every rep. The
+two timings of a pair lie seconds apart, so a spell of the host's slower
+speed (they last minutes) falls on both alike.
+
+:func:`run` parses ``--label`` (the label the rows are stored under),
+``--tree`` (the checkout measured, default this repository), ``--parent``
+(a checkout to time against, stored under ``parent``) and ``--worker``
+(the one row a fresh process times). It writes each label's rows whole
+into a ``BENCH_<topic>.json`` file at the repository root, keeping the
+other labels there, and appends the label, the checkout's commit, a
+SHA-256 of its package sources and the rows' medians to the file's
+``history``, so each figure names the code it measured.
+
+A row holds the median and IQR of its reps' ``s``, the list ``reps_s``
+and the first rep's other fields. A row with ``calls`` adds
+``us_per_call``. With ``--parent`` the change's rows add ``paired``: the
+median per-rep ratio to the parent and the reps it won.
 """
 
 import argparse
@@ -22,76 +32,68 @@ import platform
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-REPS = 7  # per-call rows
-SUITE_REPS = 3  # criterion, verify-all and tier-1 rows
+REPS = 7  # fresh processes per checkout of a per-call row
+SUITE_REPS = 3  # the same of a criterion, verify-all or tier-1 row
+WORKER_REPS = 3  # timed calls in one worker, after a warm-up call
 
 
-def arguments(doc, argv=None, paired=False):
-    """Parse ``--label`` and ``--tree`` and put the tree's ``src`` first
-    on ``sys.path``; returns (label, tree). With ``paired``, also parse
-    ``--parent``, a checkout to time against by :func:`alternated`, and
-    ``--worker``, the one row a process of :func:`alternated` times, and
-    return (label, tree, parent, worker)."""
+def run(doc, script, out, rows, derive=None, argv=None):
+    """Time the rows of ``rows(tree)`` on the checkouts by
+    :func:`alternated` and write them to ``out``; with ``--worker``, print
+    the one row's worker result as JSON instead. ``derive``, if given, adds
+    the rows and fields that are computed from a label's reps."""
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--tree", type=Path, default=REPO)
-    if paired:
-        ap.add_argument("--parent", type=Path)
-        ap.add_argument("--worker")
+    ap.add_argument("--parent", type=Path)
+    ap.add_argument("--worker")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     sys.path.insert(0, str(tree / "src"))
-    if not paired:
-        return args.label, tree
-    return args.label, tree, args.parent and args.parent.resolve(), args.worker
+    table = rows(tree)
+    if args.worker:
+        print(json.dumps(table[args.worker][1]()))
+        return
+    trees = {args.label: tree}
+    if args.parent:
+        trees = {"parent": args.parent.resolve(), **trees}
+    runs = alternated(script, trees,
+                      {name: reps for name, (reps, _) in table.items()})
+    for label_rows in runs.values():
+        for row in label_rows.values():
+            if "calls" in row:
+                row["us_per_call"] = row["median_s"] / row["calls"] * 1e6
+        if derive:
+            derive(label_rows)
+    if args.parent:
+        parent, change = runs.values()
+        for name, row in change.items():
+            row["paired"] = paired(parent[name]["reps_s"], row["reps_s"])
+    for label, path in trees.items():
+        write(out, label, runs[label], path)
 
 
-def summarize(samples):
-    q1, med, q3 = np.percentile(samples, [25, 50, 75])
-    return {"median_s": float(med), "iqr_s": float(q3 - q1),
-            "reps": len(samples)}
-
-
-def timed(fn, reps=REPS):
-    fn()  # warm-up: jet tables, contexts
-    out = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        out.append(time.perf_counter() - t0)
-    return out
-
-
-def per_call(fn, calls):
-    """Row of ``calls`` back-to-back calls of ``fn``: the loop's median and
-    IQR, and its median divided by ``calls`` in microseconds."""
-    row = summarize(timed(lambda: [fn() for _ in range(calls)]))
-    return dict(row, calls=calls, us_per_call=row["median_s"] / calls * 1e6)
-
-
-def alternated(script, trees, rows, reps=REPS):
-    """Time ``rows`` of ``script`` on the checkouts ``trees`` (label ->
-    path) in turn, rep by rep, each time in a fresh process.
+def alternated(script, trees, reps):
+    """Time each row of ``reps`` (row -> its reps) of ``script`` on the
+    checkouts ``trees`` (label -> path) in turn, rep by rep, each time in a
+    fresh process.
 
     For each row and rep one process per checkout runs ``script --worker
     <row>`` against that checkout's ``src``; its last line of output is a
     JSON object whose ``s`` is the rep's timing. The checkouts' order flips
-    every rep, so the two timings of a pair lie seconds apart and a spell
-    of the host's slower speed (they last up to minutes) falls on both
-    alike. Returns the rows per label: the median and IQR of the reps'
-    ``s``, the list ``reps_s`` itself and the first rep's other fields;
-    of two or more labels, the last label's rows add ``paired`` against
-    the first label's.
+    every rep. Returns the rows per label: the median and IQR of the reps'
+    ``s``, the list ``reps_s`` itself and the first rep's other fields.
     """
     labels = list(trees)
-    runs = {label: {row: [] for row in rows} for label in labels}
-    for row in rows:
-        for rep in range(reps):
+    runs = {label: {row: [] for row in reps} for label in labels}
+    for row, n in reps.items():
+        for rep in range(n):
             for label in labels if rep % 2 == 0 else labels[::-1]:
                 proc = subprocess.run(
                     [sys.executable, str(script), "--label", label,
@@ -103,11 +105,6 @@ def alternated(script, trees, rows, reps=REPS):
         for row, objs in runs[label].items():
             s = [o.pop("s") for o in objs]
             out[label][row] = dict(summarize(s), reps_s=s, **objs[0])
-    if len(labels) == 1:  # one checkout: nothing to pair against
-        return out
-    for row in rows:
-        out[labels[-1]][row]["paired"] = paired(out[labels[0]][row]["reps_s"],
-                                                out[labels[-1]][row]["reps_s"])
     return out
 
 
@@ -120,59 +117,69 @@ def paired(parent, change):
             "wins": int(np.count_nonzero(ratios < 1.0)), "pairs": len(ratios)}
 
 
-def criteria(ks, reps=SUITE_REPS):
-    """Rows ``criterion_<k>``: wall time and ``worst`` of each criterion,
-    timed after a warm-up call that pays its one-time imports."""
+def summarize(samples):
+    q1, med, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median_s": float(med), "iqr_s": float(q3 - q1),
+            "reps": len(samples)}
+
+
+def median_call(call, per=1):
+    """Seconds of one ``call()``: the median of WORKER_REPS timed calls
+    after a warm-up call (jet tables, contexts), divided by ``per`` (the
+    states of a per-state row)."""
+    call()
+    times = []
+    for _ in range(WORKER_REPS):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)) / per
+
+
+def per_call(fn, calls):
+    """Worker fields of a row that times ``calls`` back-to-back calls of
+    ``fn`` as one loop."""
+    return {"s": median_call(lambda: [fn() for _ in range(calls)]),
+            "calls": calls}
+
+
+def criterion(k):
+    """Worker of row ``criterion_<k>``: one ``acceptance.criterion_k()``
+    after a warm-up call that pays its one-time imports, with its
+    ``worst``."""
     from finslerlab import acceptance
 
-    rows = {}
-    for k in ks:
-        fn, worst = getattr(acceptance, f"criterion_{k}"), []
-        times = timed(lambda: worst.append(fn()["worst"]), reps)
-        rows[f"criterion_{k}"] = dict(summarize(times), worst=worst[-1])
+    fn = acceptance.ALL_CRITERIA[k - 1]
+    fn()
+    t0 = time.perf_counter()
+    worst = fn()["worst"]
+    return {"s": time.perf_counter() - t0, "worst": worst}
+
+
+def command(tree, argv):
+    """Worker of a row that runs ``python <argv>`` in ``tree`` against its
+    ``src``: its wall time, the last line of its output and its exit
+    code."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    s = time.perf_counter() - t0
+    tail = proc.stdout.strip().splitlines()[-1:]
+    return {"s": s, "summary": tail[0] if tail else "", "exit": proc.returncode}
+
+
+def suite(tree, ks, commands=("verify_all", "tier1")):
+    """Rows ``criterion_<k>`` for each of ``ks`` and the ``commands`` rows
+    (``verify_all``: ``finslerlab verify-all``, all ten criteria in one
+    process; ``tier1``: the tier-1 suite), SUITE_REPS reps each."""
+    argv = {"verify_all": ["-m", "finslerlab.cli", "verify-all"],
+            "tier1": ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                      "--continue-on-collection-errors"]}
+    rows = {f"criterion_{k}": (SUITE_REPS, partial(criterion, k)) for k in ks}
+    for name in commands:
+        rows[name] = (SUITE_REPS, partial(command, tree, argv[name]))
     return rows
-
-
-def _command(tree, argv, reps):
-    """Wall times of a subprocess run in ``tree`` against its ``src``, and
-    the last line of its output with its exit code."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
-                              capture_output=True, text=True)
-        out.append(time.perf_counter() - t0)
-        tail = proc.stdout.strip().splitlines()[-1:]
-    return out, {"summary": tail[0] if tail else "", "exit": proc.returncode}
-
-
-def fresh_import(tree, module, reps=SUITE_REPS):
-    """Wall times of ``python -c "import <module>"`` in fresh processes
-    against ``tree``'s ``src``, and the median of their peak resident
-    memory in MB, as each process reads it before it exits."""
-    code = (f"import resource, {module}; "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    times, rss_kb = [], []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
-                              capture_output=True, text=True, check=True)
-        times.append(time.perf_counter() - t0)
-        rss_kb.append(int(proc.stdout.split()[-1]))
-    return times, {"peak_rss_mb": float(np.median(rss_kb)) / 1024.0}
-
-
-def tier1(tree, reps=SUITE_REPS):
-    """The tier-1 suite (``python -m pytest -q``) in ``tree``."""
-    return _command(tree, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--continue-on-collection-errors"], reps)
-
-
-def verify_all(tree, reps=SUITE_REPS):
-    """``finslerlab verify-all``, all ten criteria in one process."""
-    return _command(tree, ["-m", "finslerlab.cli", "verify-all"], reps)
 
 
 def _linalg_libraries():
@@ -184,13 +191,10 @@ def _linalg_libraries():
 
 
 def environment():
-    from finslerlab import _kernels
-
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         **_linalg_libraries(),
-        "backend": _kernels.active_backend(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
     }
@@ -218,19 +222,18 @@ def source_sha256(tree):
     return digest.hexdigest()
 
 
-def write(out, label, rows, tree=REPO, width=16, merge=False):
+def write(out, label, rows, tree):
     """Store ``rows`` and the environment under ``label`` in ``out``, append
     the label, ``tree``'s commit and source hash and the rows' medians to
-    its ``history``, and print one line per row. With ``merge`` the rows
-    replace only their namesakes among the label's rows."""
+    its ``history``, and print one line per row."""
     data = json.loads(out.read_text()) if out.exists() else {}
-    kept = data.get(label, {}).get("rows", {}) if merge else {}
-    data[label] = {"env": environment(), "rows": {**kept, **rows}}
+    data[label] = {"env": environment(), "rows": rows}
     data.setdefault("history", []).append({
         "label": label, "commit": commit(tree),
         "source_sha256": source_sha256(tree),
         "median_s": {name: row["median_s"] for name, row in rows.items()}})
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    width = max(map(len, rows))
     for name, row in rows.items():
         print(f"{label:>8} {name:>{width}}: {row['median_s'] * 1e3:10.3f} ms "
               f"(IQR {row['iqr_s'] * 1e3:.3f}, n={row['reps']})")

@@ -1,16 +1,17 @@
 """Batched-jet benchmark: kernel, order-4 assembly, campaigns, criteria, tier-1.
 
 Times, on fixed inputs, the layers that a campaign pushes its states
-through, and writes the median and interquartile range over the
-repetitions to ``BENCH_batch.json`` under a label:
+through, and writes each row's median and interquartile range over its
+reps to ``BENCH_batch.json`` under a label:
 
   kernel.<vars>v_o<order>.B<b>   ``_kernels.multiply`` of two random
                                  jets in <vars> variables at <order>,
                                  per state, for b = 1 (one state, shape
                                  ``(n_terms,)``) and stacks of b states;
-                                 ``chunk_states`` is how many states one
+                                 ``products`` is the table's entries and
+                                 ``chunk_states`` how many states one
                                  kernel call takes
-  assemble_o4.<metric>.n<n>.B<b> ``geometry._assemble`` at order 4, per
+  assemble_o4.<metric>.n<n>.B<b>  ``geometry._assemble`` at order 4, per
                                  state, for b = 1 and the batch that
                                  ``einstein_campaign`` uses for 40 states;
                                  every (metric, n) of the ``campaign``
@@ -20,8 +21,9 @@ repetitions to ``BENCH_batch.json`` under a label:
                                  same (metric, n)
   einstein_campaign.<metric>.n<n>  ``einstein_campaign`` with 40 states
                                  and 8 flags (the ``curvature`` command's
-                                 defaults) on the default sampling box
-  einstein_campaign.all          the sum of those over all (metric, n)
+                                 defaults) on the default sampling box;
+                                 the row ``einstein_campaign.all`` is
+                                 their sum, rep by rep
   check_state.<metric>.B<b>      ``FinslerMetric.check_state`` on one
                                  state (b = 1) and on a (40, 2) stack,
                                  for klein, funk-ellipse-plus and
@@ -31,7 +33,7 @@ repetitions to ``BENCH_batch.json`` under a label:
   check_minkowski.<metric>       ``geometry.check_minkowski`` at its
                                  default budget of 100 states, for the
                                  same three metrics at n = 2
-  projective_campaign, fit_einstein_constants   euclidean -> funk-plus,
+  projective_campaign, fit_einstein_constants  euclidean -> funk-plus,
                                  n = 2, at their defaults (40, 25 states)
   xi_and_tau.n<n>                ``projective.xi_and_tau`` euclidean ->
                                  funk-plus on a batch of 25 joint states
@@ -41,31 +43,24 @@ repetitions to ``BENCH_batch.json`` under a label:
                                  batched criteria 3, 4, 5 and 9
   tier1                          the tier-1 suite wall time
 
-Batched rows need a tree whose ``_assemble`` takes ``(B, n)`` stacks;
-on another tree only the one-state rows are written. The file records the
-Python and numpy versions, numpy's BLAS and LAPACK libraries and the
-kernel backend. Run from the repository
-root:
+Every row is timed by ``_bench.alternated``: each rep runs in a fresh
+process, on the parent checkout and on this one in turn with
+``--parent``; a per-call row's rep is the median of
+``_bench.WORKER_REPS`` calls after a warm-up call. Run from the
+repository root:
 
-    python benchmarks/bench_batch.py --label parent --tree ../parent
     python benchmarks/bench_batch.py --label change --parent ../parent
-
-``--tree`` names the checkout whose ``src/`` (and, for the tier-1 row,
-``tests/``) is measured; rows of other labels already in the output file
-are kept. With ``--parent`` the ``einstein_campaign`` rows are timed on
-the parent checkout and this one in turn, rep by rep in fresh processes
-(``_bench.alternated``, through the worker of ``bench_jets.py``, which
-times the same call), and replace their namesakes under ``parent``.
 """
 
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench  # noqa: E402
-from _bench import summarize, timed  # noqa: E402
+from _bench import REPS, median_call  # noqa: E402
 
 OUT = _bench.REPO / "BENCH_batch.json"
 STATES, FLAGS = 40, 8  # the curvature command's defaults
@@ -83,100 +78,129 @@ CHECK_METRICS = ("klein", "funk-ellipse-plus", "paraboloid")
 CHECK_CALLS = 200
 
 
-def per_state(samples, states):
-    return {k: v / states if k.endswith("_s") else v
-            for k, v in summarize(samples).items()}
+def metric(name, n):
+    from finslerlab import zoo
+
+    return zoo.make_metric(name, n)
 
 
-def campaign_totals(parent_rows, rows):
-    """Add the ``einstein_campaign.all`` rows of two ``_bench.alternated``
-    runs: each rep's sum over the campaign rows, with ``paired`` on
-    ``rows``."""
-    totals = [np.sum([out[name]["reps_s"] for name in CAMPAIGNS], axis=0)
-              for out in (parent_rows, rows)]
-    parent_rows["einstein_campaign.all"] = summarize(totals[0])
-    rows["einstein_campaign.all"] = dict(summarize(totals[1]),
-                                         paired=_bench.paired(*totals))
+def states(name, n):
+    """The metric ``name`` in dimension ``n`` and STATES states of its
+    default sampling box as (STATES, n) stacks."""
+    from finslerlab import sampling
+
+    m = metric(name, n)
+    X, Y = (np.array(v) for v in zip(*sampling.state_pairs(m, STATES)))
+    return m, X, Y
 
 
-def main(argv=None):
-    label, tree, parent, _ = _bench.arguments(__doc__, argv, paired=True)
+def campaign(name, n):
+    """The call of row ``einstein_campaign.<name>.n<n>``."""
+    from finslerlab import geometry as geo
 
-    from finslerlab import _kernels, geometry as geo, jets as jr
+    m = metric(name, n)
+    return lambda: geo.einstein_campaign(m, STATES, flags=FLAGS)
+
+
+def campaign_total(rows):
+    """Add row ``einstein_campaign.all``: each rep's sum over the campaign
+    rows."""
+    reps_s = np.sum([rows[name]["reps_s"] for name in CAMPAIGNS], axis=0)
+    rows["einstein_campaign.all"] = dict(_bench.summarize(reps_s),
+                                         reps_s=reps_s.tolist())
+
+
+def _row(build, *args, per=1):
+    """Worker of a row that times the call ``build(*args)`` returns, per
+    ``per`` states."""
+    return {"s": median_call(build(*args), per)}
+
+
+def _kernel(n_vars, order, b):
+    from finslerlab import _kernels, jets as jr
+
+    ctx = jr.get_context(n_vars, order)
+    tables = (ctx.mul_i, ctx.mul_j, ctx.mul_k, ctx.n_terms)
+    rng = np.random.default_rng([n_vars, order, b])
+    u, v = rng.standard_normal((2, b, ctx.n_terms) if b > 1 else (2, ctx.n_terms))
+    products = int(ctx.mul_i.shape[0])
+    return {"s": median_call(lambda: _kernels.multiply(u, v, *tables), b),
+            "products": products,
+            "chunk_states": max(1, _kernels.CHUNK_PRODUCTS // products)}
+
+
+def _assemble(name, n, b):
+    from finslerlab import geometry as geo
+
+    m, X, Y = states(name, n)
+    xs, ys = (X[0], Y[0]) if b == 1 else (X[:b], Y[:b])
+    return lambda: geo._assemble(m, xs, ys, 4)
+
+
+def _state_pairs(name, n):
+    from finslerlab import sampling
+
+    m = metric(name, n)
+    return lambda: sampling.state_pairs(m, STATES)
+
+
+def _check_state(name, b):
+    m, X, Y = states(name, 2)
+    xs, ys = (X[0], Y[0]) if b == 1 else (X, Y)
+    return _bench.per_call(lambda: m.check_state(xs, ys), CHECK_CALLS)
+
+
+def _check_minkowski(name):
+    from finslerlab import geometry as geo
+
+    m = metric(name, 2)
+    return lambda: geo.check_minkowski(m)
+
+
+def _projective(fn_name, n=2):
+    """``projective.<fn_name>`` euclidean -> funk-plus in dimension ``n``,
+    ``xi_and_tau`` on FIT_STATES joint states."""
     from finslerlab import projective as pj, sampling, zoo
 
-    batched = hasattr(geo, "BATCH_BYTES")
-    rng = np.random.default_rng(0)
-    rows = {}
+    args = (zoo.euclidean(n), zoo.funk_ball(1, n))
+    if fn_name == "xi_and_tau":
+        args += tuple(np.array(v) for v in zip(*sampling.joint_state_pairs(
+            *args, FIT_STATES)))
+    fn = {"projective_campaign": pj.projective_campaign, "xi_and_tau":
+          pj.xi_and_tau, "fit_einstein_constants": pj.fit_einstein_constants}[fn_name]
+    return lambda: fn(*args)
 
+
+def rows(tree):
+    from finslerlab import geometry as geo
+
+    table = {}
     for n_vars, order in KERNEL_TABLES:
-        ctx = jr.get_context(n_vars, order)
-        tables = (ctx.mul_i, ctx.mul_j, ctx.mul_k, ctx.n_terms)
-        for b in KERNEL_BATCHES if batched else (1,):
-            shape = (ctx.n_terms,) if b == 1 else (b, ctx.n_terms)
-            u, v = rng.standard_normal(shape), rng.standard_normal(shape)
-            row = per_state(timed(lambda: _kernels.multiply(u, v, *tables)),
-                            b)
-            row["products"] = int(ctx.mul_i.shape[0])
-            row["chunk_states"] = max(1, _kernels.CHUNK_PRODUCTS
-                                      // ctx.mul_i.shape[0]) if batched else 1
-            rows[f"kernel.{n_vars}v_o{order}.B{b}"] = row
-
-    campaign_total = []
+        for b in KERNEL_BATCHES:
+            table[f"kernel.{n_vars}v_o{order}.B{b}"] = (
+                REPS, partial(_kernel, n_vars, order, b))
     for name, n in EINSTEIN:
-        m = zoo.make_metric(name, n)
-        X, Y = (np.array(v) for v in zip(*sampling.state_pairs(m, STATES)))
-        sizes = [1]
-        if batched:
-            sizes.append(min(STATES, geo.BATCH_BYTES // (8 * (2 * n) ** 4)))
-        for b in sizes:
-            xs, ys = (X[0], Y[0]) if b == 1 else (X[:b], Y[:b])
-            rows[f"assemble_o4.{name}.n{n}.B{b}"] = per_state(
-                timed(lambda: geo._assemble(m, xs, ys, 4)), b)
-        rows[f"state_pairs.{name}.n{n}"] = summarize(
-            timed(lambda: sampling.state_pairs(m, STATES)))
-        if not parent:
-            times = timed(lambda: geo.einstein_campaign(m, STATES, flags=FLAGS))
-            rows[f"einstein_campaign.{name}.n{n}"] = summarize(times)
-            campaign_total.append(times)
-    if parent:
-        runs = _bench.alternated(Path(__file__).parent / "bench_jets.py",
-                                 {"parent": parent, label: tree}, CAMPAIGNS)
-        rows.update(runs[label])
-        campaign_totals(runs["parent"], rows)
-    else:
-        rows["einstein_campaign.all"] = summarize(np.sum(campaign_total, axis=0))
-
+        for b in (1, min(STATES, geo.BATCH_BYTES // (8 * (2 * n) ** 4))):
+            table[f"assemble_o4.{name}.n{n}.B{b}"] = (
+                REPS, partial(_row, _assemble, name, n, b, per=b))
+        table[f"state_pairs.{name}.n{n}"] = (
+            REPS, partial(_row, _state_pairs, name, n))
+        table[f"einstein_campaign.{name}.n{n}"] = (
+            REPS, partial(_row, campaign, name, n))
     for name in CHECK_METRICS:
-        m = zoo.make_metric(name, 2)
-        X, Y = (np.array(v) for v in zip(*sampling.state_pairs(m, STATES)))
         for b in (1, STATES):
-            xs, ys = (X[0], Y[0]) if b == 1 else (X, Y)
-            rows[f"check_state.{name}.B{b}"] = _bench.per_call(
-                lambda: m.check_state(xs, ys), CHECK_CALLS)
-        rows[f"check_minkowski.{name}"] = summarize(
-            timed(lambda: geo.check_minkowski(m)))
-
-    euc, fp = zoo.euclidean(2), zoo.funk_ball(1, 2)
-    rows["projective_campaign"] = summarize(
-        timed(lambda: pj.projective_campaign(euc, fp)))
-    rows["fit_einstein_constants"] = summarize(
-        timed(lambda: pj.fit_einstein_constants(euc, fp)))
+            table[f"check_state.{name}.B{b}"] = (
+                REPS, partial(_check_state, name, b))
+        table[f"check_minkowski.{name}"] = (
+            REPS, partial(_row, _check_minkowski, name))
+    for fn_name in ("projective_campaign", "fit_einstein_constants"):
+        table[fn_name] = (REPS, partial(_row, _projective, fn_name))
     for n in (2, 3, 4):
-        euc_n, fp_n = zoo.euclidean(n), zoo.funk_ball(1, n)
-        X, Y = (np.array(v) for v in zip(*sampling.joint_state_pairs(
-            euc_n, fp_n, FIT_STATES)))
-        rows[f"xi_and_tau.n{n}"] = per_state(
-            timed(lambda: pj.xi_and_tau(euc_n, fp_n, X, Y)), FIT_STATES)
-
-    rows.update(_bench.criteria((1, 2, 3, 4, 5, 9)))
-    times, info = _bench.tier1(tree)
-    rows["tier1"] = dict(summarize(times), **info)
-    if parent:
-        _bench.write(OUT, "parent", runs["parent"], parent, width=40,
-                     merge=True)
-    _bench.write(OUT, label, rows, tree, width=40)
+        table[f"xi_and_tau.n{n}"] = (
+            REPS, partial(_row, _projective, "xi_and_tau", n, per=FIT_STATES))
+    table.update(_bench.suite(tree, (1, 2, 3, 4, 5, 9), ("tier1",)))
+    return table
 
 
 if __name__ == "__main__":
-    main()
+    _bench.run(__doc__, __file__, OUT, rows, campaign_total)

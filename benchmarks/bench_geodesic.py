@@ -11,8 +11,8 @@ repetitions to ``BENCH_geodesic.json`` under a label:
                     ``us_per_call`` is one, and ``py_calls`` and
                     ``c_calls`` count the Python-level and C-level calls
                     of one spray as ``sys.setprofile`` sees them
-  compose_sqrt_o2/4 ``jets.sqrt`` of a one-state jet in 4 variables at
-                    orders 2 and 4, one ``jets._compose``; 2000 calls
+  compose_sqrt_o<order>  ``jets.sqrt`` of a one-state jet in 4 variables
+                    at orders 2 and 4, one ``jets._compose``; 2000 calls
   hausdorff_funk_minus  ``geodesic.hausdorff_to_chord`` on the funk-minus
                     trace of criterion 2's second state pair over t in
                     [-1, 1] (90 nodes at a7e543d; the row records ``nodes``)
@@ -33,29 +33,28 @@ repetitions to ``BENCH_geodesic.json`` under a label:
   tier1             the tier-1 suite (``python -m pytest -q``) wall time
 
 Each row also carries counts that say what the timed call did (nodes,
-accepted and rejected steps), and the file records the Python and numpy
-versions and the kernel backend. Run from the repository root:
+accepted and rejected steps). ``--tree`` names the checkout whose
+``src/`` (and, for the tier-1 row, ``tests/``; for the rim rows,
+``perfbench/workloads.py``) is measured.
 
-    python benchmarks/bench_geodesic.py --label parent --tree ../parent
+Every row is timed by ``_bench.alternated``: each rep runs in a fresh
+process, on the parent checkout and on this one in turn with
+``--parent``; a per-call row's rep is the median of
+``_bench.WORKER_REPS`` calls (of a spray row, loops) after a warm-up
+call. Run from the repository root:
+
     python benchmarks/bench_geodesic.py --label change --parent ../parent
-
-``--tree`` names the checkout whose ``src/`` (and, for the tier-1 row,
-``tests/``) is measured; rows of other labels already in the output file
-are kept. With ``--parent`` the spray rows are timed by
-``_bench.alternated``: each rep runs in a fresh process on the parent
-checkout and on this one in turn, and its value is the median of
-``WORKER_REPS`` loops after a warm-up loop. Those rows replace their
-namesakes under the ``parent`` label, and the change's carry ``paired``.
 """
 
-import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench  # noqa: E402
+from _bench import REPS, median_call  # noqa: E402
 
 OUT = _bench.REPO / "BENCH_geodesic.json"
 
@@ -65,17 +64,6 @@ SPRAYS = {"klein": (2, [0.3, -0.2], [0.6, 0.8]),
           "bryant": (3, [0.3, -0.2, 0.1], [0.6, 0.8, -0.2]),
           "hilbert-ellipse": (2, [0.3, -0.2], [0.6, 0.8])}
 SPRAY_CALLS = 200  # calls per timed loop of a spray row
-WORKER_REPS = 5  # timed loops in one process of an alternated spray row
-
-
-def _spray(name):
-    """The call of row ``spray_<name>``: one ``spray_coefficients``."""
-    from finslerlab import geometry as geo, zoo
-
-    n, x0, y0 = SPRAYS[name]
-    metric = zoo.make_metric(name, n)
-    x0, y0 = np.array(x0), np.array(y0)
-    return lambda: geo.spray_coefficients(metric, x0, y0)
 
 
 def call_counts(call):
@@ -97,120 +85,120 @@ def call_counts(call):
             "c_calls": counts["c_call"] - 1}  # less sys.setprofile(None)
 
 
-def spray_row(name, reps):
-    """The fields of row ``spray_<name>``: ``reps`` loops of SPRAY_CALLS
-    calls and the call counts of one."""
-    call = _spray(name)
-    loop = lambda: [call() for _ in range(SPRAY_CALLS)]
-    return _bench.timed(loop, reps), dict(calls=SPRAY_CALLS, **call_counts(call))
+def _spray(name):
+    """Row ``spray_<name>``: SPRAY_CALLS one-state ``spray_coefficients``
+    calls per loop, and the call counts of one."""
+    from finslerlab import geometry as geo, zoo
+
+    n, x0, y0 = SPRAYS[name]
+    metric = zoo.make_metric(name, n)
+    x0, y0 = np.array(x0), np.array(y0)
+    call = lambda: geo.spray_coefficients(metric, x0, y0)
+    return dict(_bench.per_call(call, SPRAY_CALLS), **call_counts(call))
 
 
-def main(argv=None):
-    label, tree, parent, worker = _bench.arguments(__doc__, argv, paired=True)
-    if worker:
-        times, info = spray_row(worker[len("spray_"):], WORKER_REPS)
-        print(json.dumps(dict(info, s=float(np.median(times)))))
-        return
+def _compose_sqrt(order):
+    from finslerlab import jets as jr
 
-    from finslerlab import comparison as cmp
-    from finslerlab import geodesic as gd, jets as jr
-    from finslerlab import sampling, zoo
+    z = jr.variables([0.3, 0.5, 0.7, 0.9], order)
+    arg = z[0] * z[1] + z[2] + z[3]
+    return _bench.per_call(lambda: jr.sqrt(arg), 2000)
 
-    summarize, timed, per_call = _bench.summarize, _bench.timed, _bench.per_call
-    sprays = [f"spray_{name}" for name in SPRAYS]
-    if parent:
-        runs = _bench.alternated(__file__, {"parent": parent, label: tree}, sprays)
-        rows = runs[label]
-    else:
-        rows = {}
-        for row in sprays:
-            times, info = spray_row(row[len("spray_"):], _bench.REPS)
-            rows[row] = dict(summarize(times), **info)
-    for row in (*rows.values(), *(runs["parent"].values() if parent else ())):
-        row["us_per_call"] = row["median_s"] / row["calls"] * 1e6
-    for order in (2, 4):
-        z = jr.variables([0.3, 0.5, 0.7, 0.9], order)
-        arg = z[0] * z[1] + z[2] + z[3]
-        rows[f"compose_sqrt_o{order}"] = per_call(lambda: jr.sqrt(arg), 2000)
+
+def _funk_minus():
+    """The funk-minus trace of criterion 2's second state pair: the pair
+    and the call of ``integrate_geodesic`` over t in [-1, 1]."""
+    from finslerlab import geodesic as gd, sampling, zoo
 
     m = zoo.funk_ball(-1)
-    x, y = sampling.state_pairs(m, 4)[1]  # criterion 2's second pair
-    integrate = lambda: gd.integrate_geodesic(m, x, y, (-1.0, 1.0),
-                                              rtol=1e-9, atol=1e-11)
+    x, y = sampling.state_pairs(m, 4)[1]
+    return x, y, lambda: gd.integrate_geodesic(m, x, y, (-1.0, 1.0),
+                                               rtol=1e-9, atol=1e-11)
+
+
+def _hausdorff():
+    from finslerlab import geodesic as gd
+
+    x, y, integrate = _funk_minus()
+    xs = integrate().xs
+    return {"s": median_call(lambda: gd.hausdorff_to_chord(xs, x, y)),
+            "nodes": len(xs), "value": gd.hausdorff_to_chord(xs, x, y)}
+
+
+def _geodesic():
+    integrate = _funk_minus()[2]
     run = integrate()
-    rows["hausdorff_funk_minus"] = dict(
-        summarize(timed(lambda: gd.hausdorff_to_chord(run.xs, x, y))),
-        nodes=len(run.xs), value=gd.hausdorff_to_chord(run.xs, x, y))
+    return {"s": median_call(integrate), "nodes": len(run.xs),
+            "steps_accepted": sum(leg.n_accepted for leg in run.legs),
+            "steps_rejected": sum(leg.n_rejected for leg in run.legs)}
+
+
+def _ode_comparison():
+    from finslerlab import comparison as cmp
 
     case = cmp.make_case(1, 1, 0.7, 0.5)
     ode_run = lambda: cmp.numeric_integrate(case, t_span=(0.0, 8.0))[1][0]
     res = ode_run()
-    rows["ode_comparison"] = dict(
-        summarize(timed(ode_run)),
-        steps_accepted=res.n_accepted, steps_rejected=res.n_rejected)
-
-    back, fwd = run.legs
-    rows["geodesic_funk_minus"] = dict(
-        summarize(timed(integrate)), nodes=len(run.xs),
-        steps_accepted=back.n_accepted + fwd.n_accepted,
-        steps_rejected=back.n_rejected + fwd.n_rejected)
-
-    rows.update(rim_legs(tree))
-    rows.update(_bench.criteria((2, 6)))
-    times, info = _bench.verify_all(tree)
-    rows["verify_all"] = dict(summarize(times), **info)
-    times, info = _bench.tier1(tree)
-    rows["tier1"] = dict(summarize(times), **info)
-    if parent:
-        _bench.write(OUT, "parent", runs["parent"], parent, width=22, merge=True)
-    _bench.write(OUT, label, rows, tree, width=22)
+    return {"s": median_call(ode_run), "steps_accepted": res.n_accepted,
+            "steps_rejected": res.n_rejected}
 
 
-def rim_legs(tree):
-    """Rows ``rim_<metric>`` for the rim starts of perfbench's seed-7
-    geodesic pool, drawn by the tree's own ``perfbench/workloads.py``."""
+def rim_starts(tree):
+    """The rim starts of perfbench's seed-7 geodesic pool, drawn by the
+    tree's own ``perfbench/workloads.py``: metric name -> (workloads
+    module, metric, spec)."""
     sys.path.insert(0, str(tree / "perfbench"))
     import workloads as wl
-    from finslerlab import geodesic as gd, ode
 
     metrics = wl.catalog("geodesic")
-    rows = {}
-    for spec in wl.make_pool("geodesic", np.random.default_rng(7), metrics):
-        if spec["start"] != "rim":
-            continue
-        m = metrics[(spec["metric"], spec["n"])]
-        x, y = np.array(spec["x"]), np.array(spec["y"])
-        u0 = np.concatenate([x, y / m(x, y)])
-        # the Funk-plus backward and Funk-minus forward legs reach the rim;
-        # a forward leg starts from what the backward leg hands on, where
-        # the tree's ode has that hand-off
-        second = "minus" in spec["metric"]
-        target = spec["span"][1 if second else 0]
-        rhs, calls = gd.geodesic_rhs(m), [0]
-        start = {}
-        if second:
-            back = ode.integrate(rhs, 0.0, u0, spec["span"][0],
-                                 wl.GEODESIC_RTOL, wl.GEODESIC_ATOL)
-            if getattr(back, "_next_start", None) is not None:
-                start = {"_start": back._next_start}
+    return {spec["metric"]: (wl, metrics[(spec["metric"], spec["n"])], spec)
+            for spec in wl.make_pool("geodesic", np.random.default_rng(7),
+                                     metrics) if spec["start"] == "rim"}
 
-        def counted(t, u):
-            calls[0] += 1
-            return rhs(t, u)
 
-        def leg(f):
-            return ode.integrate(f, 0.0, u0, target, wl.GEODESIC_RTOL,
-                                 wl.GEODESIC_ATOL, **start)
+def _rim(wl, m, spec):
+    """Row ``rim_<metric>``: the leg of that rim start that reaches the rim."""
+    from finslerlab import geodesic as gd, ode
 
-        res = leg(counted)
-        rows[f"rim_{spec['metric']}"] = dict(
-            _bench.summarize(_bench.timed(lambda: leg(rhs))),
-            status=res.status, rhs_calls=calls[0],
-            steps_accepted=res.n_accepted, steps_rejected=res.n_rejected,
-            steps_vetoed=res.n_vetoed,
-            rim_gap=-m.domain.signed(res.u_end[:spec["n"]]))
-    return rows
+    x, y = np.array(spec["x"]), np.array(spec["y"])
+    u0 = np.concatenate([x, y / m(x, y)])
+    # the Funk-plus backward and Funk-minus forward legs reach the rim; a
+    # forward leg starts from what the backward leg hands on
+    second = "minus" in spec["metric"]
+    target = spec["span"][1 if second else 0]
+    rhs, calls = gd.geodesic_rhs(m), [0]
+    start = None
+    if second:
+        start = ode.integrate(rhs, 0.0, u0, spec["span"][0], wl.GEODESIC_RTOL,
+                              wl.GEODESIC_ATOL)._next_start
+
+    def counted(t, u):
+        calls[0] += 1
+        return rhs(t, u)
+
+    def leg(f):
+        return ode.integrate(f, 0.0, u0, target, wl.GEODESIC_RTOL,
+                             wl.GEODESIC_ATOL, _start=start)
+
+    res = leg(counted)
+    return {"s": median_call(lambda: leg(rhs)), "status": res.status,
+            "rhs_calls": calls[0], "steps_accepted": res.n_accepted,
+            "steps_rejected": res.n_rejected, "steps_vetoed": res.n_vetoed,
+            "rim_gap": -m.domain.signed(res.u_end[:spec["n"]])}
+
+
+def rows(tree):
+    table = {f"spray_{name}": (REPS, partial(_spray, name)) for name in SPRAYS}
+    for order in (2, 4):
+        table[f"compose_sqrt_o{order}"] = (REPS, partial(_compose_sqrt, order))
+    table["hausdorff_funk_minus"] = (REPS, _hausdorff)
+    table["ode_comparison"] = (REPS, _ode_comparison)
+    table["geodesic_funk_minus"] = (REPS, _geodesic)
+    for name, start in rim_starts(tree).items():
+        table[f"rim_{name}"] = (REPS, partial(_rim, *start))
+    table.update(_bench.suite(tree, (2, 6)))
+    return table
 
 
 if __name__ == "__main__":
-    main()
+    _bench.run(__doc__, __file__, OUT, rows)

@@ -20,8 +20,9 @@ the median and interquartile range over the repetitions to
   einstein_campaign.<metric>.n<n>  ``einstein_campaign`` with 40 states
                                  and 8 flags on the default sampling box,
                                  over every (metric, n) of the ``campaign``
-                                 workload's Einstein operations
-  einstein_campaign.all          the sum of those, rep by rep
+                                 workload's Einstein operations; the row
+                                 ``einstein_campaign.all`` is their sum,
+                                 rep by rep
   criterion_1, criterion_2, criterion_10
                                  ``acceptance.criterion_k()`` wall time
   verify_all, tier1              ``finslerlab verify-all`` and the tier-1
@@ -31,20 +32,16 @@ Products, compose and assembly rows run at orders 2 and 4 in 4, 6 and 8
 variables, for b = 1 (one state) and stacks of b = 40 states. Each of
 them carries ``products``: the table entries the kernel runs per state
 (counted in an untimed call, so the parent's full tables show as such).
-Run from the repository root:
 
-    python benchmarks/bench_jets.py --label parent --tree ../parent
+Every row is timed by ``_bench.alternated``: each rep runs in a fresh
+process, on the parent checkout and on this one in turn with
+``--parent``; a per-call row's rep is the median of
+``_bench.WORKER_REPS`` calls after a warm-up call. Run from the
+repository root:
+
     python benchmarks/bench_jets.py --label change --parent ../parent
-
-With ``--parent`` the product, compose and Einstein-campaign rows are
-timed by ``_bench.alternated``: each rep of a row runs in a fresh process
-on the parent checkout and on this one in turn, the row's value being the
-median of ``WORKER_REPS`` calls after a warm-up call. Those rows replace
-their namesakes under the ``parent`` label, and the change's carry
-``paired``, the median per-rep ratio to the parent and the reps it won.
 """
 
-import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -53,16 +50,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench  # noqa: E402
-from _bench import summarize, timed  # noqa: E402
-from bench_batch import (CAMPAIGNS, EINSTEIN, FLAGS, STATES,  # noqa: E402
-                         campaign_totals, per_state)
+from bench_batch import EINSTEIN, campaign, campaign_total  # noqa: E402
 
 OUT = _bench.REPO / "BENCH_jets.json"
 ORDERS = (2, 4)
 VARS = (4, 6, 8)
 BATCHES = (1, 40)
 ASSEMBLE_METRICS = ("klein", "funk-plus")
-WORKER_REPS = 3  # timed calls in one process of an alternated row
 
 
 def counting_products(kernels, call):
@@ -113,80 +107,41 @@ def _assemble(order, name, n, b):
     return lambda: geo._assemble(m, xs, ys, order)
 
 
-def _campaign(name, n):
-    from finslerlab import geometry as geo, zoo
+def _row(build, *args, per=1):
+    """Worker of a row: ``s`` per ``per`` states of the call
+    ``build(*args)`` returns, and the table entries ``products`` that one
+    call runs."""
+    from finslerlab import _kernels
 
-    m = zoo.make_metric(name, n)
-    return lambda: geo.einstein_campaign(m, STATES, flags=FLAGS)
+    call = build(*args)
+    return {"s": _bench.median_call(call, per),
+            "products": counting_products(_kernels, call)}
 
 
-def cases():
-    """Row name -> (states per call, builder of the row's call), in row
-    order, for every per-call row."""
-    rows = {}
+def rows(tree):
+    table = {}
     for order in ORDERS:
         for n_vars in VARS:
             for b in BATCHES:
                 tag = f"{n_vars}v_o{order}.B{b}"
-                for kind in ("var_var", "deg2_deg2", "full_full"):
-                    rows[f"product.{kind}.{tag}"] = (
-                        b, partial(_product, kind, order, n_vars, b))
-                rows[f"compose.{tag}"] = (
-                    b, partial(_product, "compose", order, n_vars, b))
+                for kind in ("var_var", "deg2_deg2", "full_full", "compose"):
+                    name = (f"product.{kind}.{tag}" if kind != "compose"
+                            else f"compose.{tag}")
+                    table[name] = (_bench.REPS, partial(
+                        _row, _product, kind, order, n_vars, b, per=b))
     for order in ORDERS:
         for name in ASSEMBLE_METRICS:
             for n in (2, 3, 4):
                 for b in BATCHES:
-                    rows[f"assemble_o{order}.{name}.n{n}.B{b}"] = (
-                        b, partial(_assemble, order, name, n, b))
+                    table[f"assemble_o{order}.{name}.n{n}.B{b}"] = (
+                        _bench.REPS, partial(_row, _assemble, order, name, n,
+                                             b, per=b))
     for name, n in EINSTEIN:
-        rows[f"einstein_campaign.{name}.n{n}"] = (1, partial(_campaign, name, n))
-    return rows
-
-
-def alternates(name):
-    """Whether ``--parent`` times the row ``name`` by ``_bench.alternated``."""
-    return name.startswith(("product.", "compose.", "einstein_campaign."))
-
-
-def main(argv=None):
-    label, tree, parent, worker = _bench.arguments(__doc__, argv, paired=True)
-
-    from finslerlab import _kernels
-
-    if worker:
-        states, build = cases()[worker]
-        call = build()
-        print(json.dumps({"s": float(np.median(timed(call, WORKER_REPS))) / states,
-                          "products": counting_products(_kernels, call)}))
-        return
-    rows, times = {}, {}
-    for name, (states, build) in cases().items():
-        if parent and alternates(name):
-            continue
-        call = build()
-        times[name] = timed(call)
-        rows[name] = dict(per_state(times[name], states),
-                          products=counting_products(_kernels, call))
-    if parent:
-        runs = _bench.alternated(__file__, {"parent": parent, label: tree},
-                                 [name for name in cases() if alternates(name)])
-        rows.update(runs[label])
-        campaign_totals(runs["parent"], rows)
-    else:
-        rows["einstein_campaign.all"] = summarize(
-            np.sum([times[name] for name in CAMPAIGNS], axis=0))
-
-    rows.update(_bench.criteria((1, 2, 10)))
-    times, info = _bench.verify_all(tree)
-    rows["verify_all"] = dict(summarize(times), **info)
-    times, info = _bench.tier1(tree)
-    rows["tier1"] = dict(summarize(times), **info)
-    if parent:
-        _bench.write(OUT, "parent", runs["parent"], parent, width=40,
-                     merge=True)
-    _bench.write(OUT, label, rows, tree, width=40)
+        table[f"einstein_campaign.{name}.n{n}"] = (
+            _bench.REPS, partial(_row, campaign, name, n))
+    table.update(_bench.suite(tree, (1, 2, 10)))
+    return table
 
 
 if __name__ == "__main__":
-    main()
+    _bench.run(__doc__, __file__, OUT, rows, campaign_total)

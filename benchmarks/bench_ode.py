@@ -1,9 +1,8 @@
 """ODE-layer benchmark: geodesic legs, the comparison case, criteria, tier-1.
 
 Times, on fixed inputs, the calls that run ``ode.integrate`` and the
-closed forms of the comparison case, and writes the median and
-interquartile range over the repetitions to ``BENCH_ode.json`` under a
-label:
+closed forms of the comparison case, and writes each row's median and
+interquartile range over its reps to ``BENCH_ode.json`` under a label:
 
   geodesic.klein2_interior       ``integrate_geodesic`` on klein, n = 2,
                                  from (0.31, -0.22) along (0.62, 0.81)
@@ -30,12 +29,13 @@ label:
                                  (a, b) = (0.7, 0.5) for each of the nine
                                  (lam, lamt) pairs; 50 passes, and
                                  ``us_per_case`` is one case
-  classify_completeness.L_T      the same for the one pair (lam, lamt) =
-                                 (L, T); 500 calls
-  maximal_interval,              ``comparison.maximal_interval`` and
-  first_critical_time            ``comparison.first_critical_time`` of the
-                                 nine cases; 500 passes, ``us_per_case``
-  f_squared.float, .array, .jet  ``comparison.f_squared`` of the case
+  classify_completeness.<lam>_<lamt>  the same for the one pair (lam,
+                                 lamt); 500 calls
+  maximal_interval, first_critical_time  ``comparison.maximal_interval``
+                                 and ``comparison.first_critical_time`` of
+                                 the nine cases; 500 passes, ``us_per_case``
+  f_squared.float, f_squared.array, f_squared.jet
+                                 ``comparison.f_squared`` of the case
                                  (-1, 0, 1.0, 1.0) at t = -5.25, on the 9
                                  times of ``ode_residual`` and on their
                                  order-2 jet batch; 2000 calls
@@ -44,8 +44,9 @@ label:
                                  500 calls
   import_comparison              a fresh ``python -c "import
                                  finslerlab.comparison"``: wall time and
-                                 ``peak_rss_mb``
-  criterion_2, _6, _9            ``acceptance.criterion_k()`` wall time
+                                 ``peak_rss_mb`` (of the first rep)
+  criterion_2, criterion_6, criterion_9  ``acceptance.criterion_k()`` wall
+                                 time and ``worst``
   criterion_7                    a fresh process's import of
                                  ``finslerlab.acceptance`` and one
                                  ``criterion_7()``, with the criterion's
@@ -56,50 +57,32 @@ label:
 
 The geodesic rows run at criterion 2's tolerances (rtol 1e-9, atol
 1e-11). Each ODE row carries the right-hand-side calls (counted in an
-untimed run), the accepted and rejected steps, and, where the tree's
-``OdeResult`` has it, the vetoed steps. Run from the repository root:
+untimed run), the accepted, rejected and vetoed steps and the legs'
+statuses.
 
-    python benchmarks/bench_ode.py --label parent --tree ../parent
+Every row is timed by ``_bench.alternated``: each rep runs in a fresh
+process, on the parent checkout and on this one in turn with
+``--parent``; a per-call row's rep is the median of
+``_bench.WORKER_REPS`` calls after a warm-up call, and ``criterion_7``
+and ``verify_all`` take PAIRS reps. Run from the repository root:
+
     python benchmarks/bench_ode.py --label change --parent ../parent
-
-The ``criterion_7`` and ``verify_all`` rows are timed by
-``_bench.alternated``, PAIRS reps each in fresh processes. With
-``--parent`` the reps alternate between the parent checkout and this one;
-those rows replace their namesakes under the ``parent`` label, and the
-change's carry ``paired``, the median per-rep ratio to the parent and the
-reps it won. The other rows are one run per label.
 """
 
 import json
 import sys
-import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _bench  # noqa: E402
+from _bench import REPS  # noqa: E402
 
 OUT = _bench.REPO / "BENCH_ode.json"
 X0, Y0 = np.array([0.31, -0.22]), np.array([0.62, 0.81])
-FRESH_ROWS = ("criterion_7", "verify_all")  # timed by _bench.alternated
-PAIRS = 10  # reps of each of those rows
-
-
-def fresh_row(name, tree):
-    """One rep of a FRESH_ROWS row in this fresh process: its time ``s``
-    and the row's other fields."""
-    if name == "verify_all":
-        times, info = _bench.verify_all(tree, reps=1)
-        return {"s": times[0], **info}
-    t0 = time.perf_counter()
-    from finslerlab import acceptance
-
-    t1 = time.perf_counter()
-    worst = acceptance.criterion_7()["worst"]
-    t2 = time.perf_counter()
-    return {"s": t2 - t0, "criterion_s": t2 - t1, "worst": worst,
-            "scipy_loaded": "scipy" in sys.modules}
+PAIRS = 10  # reps of the criterion_7 and verify_all rows
 
 
 def counting_rhs_calls(ode, call):
@@ -123,25 +106,48 @@ def counting_rhs_calls(ode, call):
         ode.integrate = integrate
 
 
-def ode_row(ode, call):
-    _, calls, legs = counting_rhs_calls(ode, call)
-    vetoed = [getattr(leg, "n_vetoed", None) for leg in legs]
-    return dict(
-        _bench.summarize(_bench.timed(call)), rhs_calls=calls,
-        steps_accepted=sum(leg.n_accepted for leg in legs),
-        steps_rejected=sum(leg.n_rejected for leg in legs),
-        steps_vetoed=None if None in vetoed else sum(vetoed),
-        status=[leg.status for leg in legs])
+def _ode_row(call, value=False):
+    """Worker of an ODE row: ``call`` with its rhs calls, steps and legs'
+    statuses and, with ``value``, its result."""
+    from finslerlab import ode
+
+    result, calls, legs = counting_rhs_calls(ode, call)
+    row = {"s": _bench.median_call(call), "rhs_calls": calls,
+           "steps_accepted": sum(leg.n_accepted for leg in legs),
+           "steps_rejected": sum(leg.n_rejected for leg in legs),
+           "steps_vetoed": sum(leg.n_vetoed for leg in legs),
+           "status": [leg.status for leg in legs]}
+    return dict(row, value=result) if value else row
 
 
-def main(argv=None):
-    label, tree, parent, worker = _bench.arguments(__doc__, argv, paired=True)
-    if worker:
-        print(json.dumps(fresh_row(worker, tree)))
-        return
+def _calls(fn, calls, value=False):
+    """Worker of a row of ``calls`` calls of ``fn``, with its result as
+    ``value`` if asked."""
+    row = _bench.per_call(fn, calls)
+    return dict(row, value=fn()) if value else row
 
+
+def _fresh(tree, code):
+    """Worker of a row that runs ``python -c <code>`` in a fresh process
+    against ``tree``'s ``src``: its wall time ``s`` and the fields of the
+    JSON object it prints last, whose own ``s``, if any, replaces it."""
+    row = _bench.command(tree, ["-c", code])
+    return {"s": row["s"], **json.loads(row["summary"])}
+
+
+def per_case(rows):
+    """Add the fields computed from a label's medians: ``us_per_case`` of
+    the rows over the nine cases and ``us_per_accepted_step``."""
+    for name in ("classify_completeness", "maximal_interval",
+                 "first_critical_time"):
+        rows[name]["us_per_case"] = rows[name]["us_per_call"] / 9
+    row = rows["comparison_step"]
+    row["us_per_accepted_step"] = row["median_s"] / row["steps_accepted"] * 1e6
+
+
+def rows(tree):
     from finslerlab import comparison as cmp
-    from finslerlab import geodesic as gd, jets as jr, ode, zoo
+    from finslerlab import geodesic as gd, jets as jr, zoo
 
     rim_y = -np.array([1.0, 0.05]) / np.hypot(1.0, 0.05)
     geodesics = {
@@ -150,65 +156,61 @@ def main(argv=None):
         "funk_plus_rim": ("funk-plus", np.array([0.75, 0.0]), rim_y,
                           (-0.3, 0.3)),
     }
-    rows = {}
+    table = {}
     for name, (metric, x, y, span) in geodesics.items():
         m = zoo.make_metric(metric, 2)
-        rows[f"geodesic.{name}"] = ode_row(
-            ode, lambda: gd.integrate_geodesic(m, x, y, span, rtol=1e-9,
-                                               atol=1e-11))
+        table[f"geodesic.{name}"] = (REPS, partial(_ode_row, partial(
+            gd.integrate_geodesic, m, x, y, span, rtol=1e-9, atol=1e-11)))
 
     case = cmp.make_case(1, 1, 0.7, 0.5)
-    rows["numeric_vs_closed"] = dict(
-        ode_row(ode, lambda: cmp.numeric_vs_closed(case)),
-        value=cmp.numeric_vs_closed(case))
-    row = ode_row(ode, lambda: cmp.numeric_integrate(case))
-    rows["comparison_step"] = dict(
-        row, us_per_accepted_step=row["median_s"] / row["steps_accepted"] * 1e6)
-
+    table["numeric_vs_closed"] = (REPS, partial(
+        _ode_row, partial(cmp.numeric_vs_closed, case), True))
+    table["comparison_step"] = (REPS, partial(
+        _ode_row, partial(cmp.numeric_integrate, case)))
     tail = cmp.make_case(-1, -1, 2.0, 0.0)
-    rows["candidate_length.tail"] = dict(
-        _bench.per_call(lambda: cmp.candidate_length(tail, 0.0, np.inf), 2000),
-        value=cmp.candidate_length(tail, 0.0, np.inf))
-    window = (0.3, 0.3 + np.pi)
-    rows["candidate_length.pi_window"] = dict(
-        _bench.per_call(lambda: cmp.candidate_length(case, *window), 2000),
-        value=cmp.candidate_length(case, *window))
+    for name, args in (("tail", (tail, 0.0, np.inf)),
+                       ("pi_window", (case, 0.3, 0.3 + np.pi))):
+        table[f"candidate_length.{name}"] = (REPS, partial(
+            _calls, partial(cmp.candidate_length, *args), 2000, True))
     nine = [cmp.make_case(lam, lamt, 0.7, 0.5)
             for lam in (-1, 0, 1) for lamt in (-1, 0, 1)]
-    row = _bench.per_call(
-        lambda: [cmp.classify_completeness(c) for c in nine], 50)
-    rows["classify_completeness"] = dict(
-        row, us_per_case=row["us_per_call"] / len(nine))
+    for name, fn, calls in (
+            ("classify_completeness", cmp.classify_completeness, 50),
+            ("maximal_interval", cmp.maximal_interval, 500),
+            ("first_critical_time", cmp.first_critical_time, 500)):
+        table[name] = (REPS, partial(
+            _calls, lambda fn=fn: [fn(c) for c in nine], calls))
     for c in nine:
-        rows[f"classify_completeness.{c.lam:g}_{c.lam_tilde:g}"] = \
-            _bench.per_call(lambda c=c: cmp.classify_completeness(c), 500)
-    for name in ("maximal_interval", "first_critical_time"):
-        fn = getattr(cmp, name)
-        row = _bench.per_call(lambda: [fn(c) for c in nine], 500)
-        rows[name] = dict(row, us_per_case=row["us_per_call"] / len(nine))
+        table[f"classify_completeness.{c.lam:g}_{c.lam_tilde:g}"] = (
+            REPS, partial(_calls, partial(cmp.classify_completeness, c), 500))
     ts = np.linspace(-2.4, 2.4, 9)
     exp_family = cmp.make_case(-1, 0, 1.0, 1.0)
     for name, t in (("float", -5.25), ("array", ts),
                     ("jet", jr.variables(ts[:, None], 2)[0])):
-        rows[f"f_squared.{name}"] = _bench.per_call(
-            lambda t=t: cmp.f_squared(exp_family, t), 2000)
-    rows["ode_residual"] = dict(
-        _bench.per_call(lambda: cmp.ode_residual(case, ts), 500),
-        value=cmp.ode_residual(case, ts))
-    times, info = _bench.fresh_import(tree, "finslerlab.comparison")
-    rows["import_comparison"] = dict(_bench.summarize(times), **info)
-
-    rows.update(_bench.criteria((2, 6, 9)))
-    trees = {"parent": parent, label: tree} if parent else {label: tree}
-    runs = _bench.alternated(__file__, trees, FRESH_ROWS, reps=PAIRS)
-    rows.update(runs[label])
-    times, info = _bench.tier1(tree)
-    rows["tier1"] = dict(_bench.summarize(times), **info)
-    if parent:
-        _bench.write(OUT, "parent", runs["parent"], parent, width=34,
-                     merge=True)
-    _bench.write(OUT, label, rows, tree, width=34)
+        table[f"f_squared.{name}"] = (REPS, partial(
+            _calls, partial(cmp.f_squared, exp_family, t), 2000))
+    table["ode_residual"] = (REPS, partial(
+        _calls, partial(cmp.ode_residual, case, ts), 500, True))
+    table["import_comparison"] = (_bench.SUITE_REPS, partial(
+        _fresh, tree, "import json, resource, finslerlab.comparison; "
+        "print(json.dumps({'peak_rss_mb': resource.getrusage("
+        "resource.RUSAGE_SELF).ru_maxrss / 1024.0}))"))
+    table.update(_bench.suite(tree, (2, 6, 9)))
+    # a fresh process's import of the acceptance module and one criterion
+    table["criterion_7"] = (PAIRS, partial(_fresh, tree, """\
+import json, sys, time
+import numpy
+t0 = time.perf_counter()
+from finslerlab import acceptance
+t1 = time.perf_counter()
+worst = acceptance.criterion_7()["worst"]
+t2 = time.perf_counter()
+print(json.dumps({"s": t2 - t0, "criterion_s": t2 - t1, "worst": worst,
+                  "scipy_loaded": "scipy" in sys.modules}))
+"""))
+    table["verify_all"] = (PAIRS, table["verify_all"][1])
+    return table
 
 
 if __name__ == "__main__":
-    main()
+    _bench.run(__doc__, __file__, OUT, rows, per_case)

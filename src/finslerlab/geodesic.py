@@ -144,14 +144,18 @@ def hausdorff_to_chord(points, anchor, direction):
         raise DomainError(f"hausdorff_to_chord: points of shape {pts.shape} "
                           f"against an anchor of shape {a0.shape} and a "
                           f"direction of shape {d.shape}")
-    if not (np.isfinite(pts).all() and np.isfinite(a0).all()):
-        raise DomainError("hausdorff_to_chord needs finite points and anchor")
-    with np.errstate(over="ignore"):
+    # a non-finite point or anchor, or a squared offset or chord length past
+    # the float range, turns up as a distance that is not finite
+    with np.errstate(all="ignore"):
         norm = np.linalg.norm(d)
+        u = d / norm
+        s = (pts - a0) @ u
+        p_lo, p_hi = a0 + float(np.min(s)) * u, a0 + float(np.max(s)) * u
+        dist = _point_segment_distances(pts, p_lo, p_hi)
     if not (math.isfinite(norm) and norm > 0.0):
         raise DomainError(f"hausdorff_to_chord needs a nonzero direction of "
                           f"finite length, got {d.tolist()}")
-    d = d / norm
-    s = (pts - a0) @ d
-    p_lo, p_hi = a0 + float(np.min(s)) * d, a0 + float(np.max(s)) * d
-    return float(np.max(_point_segment_distances(pts, p_lo, p_hi)))
+    if not np.isfinite(dist).all():
+        raise DomainError("hausdorff_to_chord needs finite points and anchor "
+                          "whose squared offsets and chord length are finite")
+    return float(np.max(dist))

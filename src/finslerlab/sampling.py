@@ -14,6 +14,7 @@ directions of each (count, n) are drawn once too.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -85,7 +86,8 @@ def _blocks(dim, offset):
 
 def _box(box, n=None):
     """(lo, hi) of a sampling box as float vectors of one length, which
-    must be ``n`` when given."""
+    must be ``n`` when given, with finite corners and a finite width
+    ``hi - lo``."""
     box = errors.reals(box, "box corners")
     if box.ndim != 2 or len(box) != 2:
         raise DomainError(f"a sampling box needs two corners of one length, "
@@ -94,6 +96,11 @@ def _box(box, n=None):
     if n is not None and lo.size != n:
         raise DomainError(f"a sampling box of {lo.size} coordinates for a "
                           f"{n}-dimensional metric")
+    # a width is finite only between finite corners; as Python floats an
+    # overflowing width is inf, without a warning
+    if not all(math.isfinite(h - l) for l, h in zip(lo.tolist(), hi.tolist())):
+        raise DomainError(f"a sampling box needs finite corners and width, "
+                          f"got {box.tolist()}")
     return lo, hi
 
 

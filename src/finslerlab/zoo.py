@@ -460,12 +460,11 @@ def verify_evolution(source, x, y, body=None):
         ball = isinstance(metric.domain, UnitBall)
         fp, fm = _funk_values(x, y, None if ball else body)
         t_lo, t_hi = max(t_lo, -1.0 / fm), min(t_hi, 1.0 / fp)
-    rows = []
-    for t in np.linspace(0.9 * t_lo, 0.9 * t_hi, 25):
-        actual = float(metric.F(list(x + t * y), list(y)))
-        pred = 1.0 / cmp.f_squared(case, t)
-        rows.append((float(t), actual, pred,
-                     abs(actual - pred) / max(abs(actual), 1e-300)))
+    ts = np.linspace(0.9 * t_lo, 0.9 * t_hi, 25)
+    actual = metric(x + ts[:, None] * y, np.tile(y, (len(ts), 1)))
+    pred = 1.0 / cmp.f_squared(case, ts)
+    rows = [(t, f, p, abs(f - p) / max(abs(f), 1e-300))
+            for t, f, p in zip(ts.tolist(), actual.tolist(), pred)]
     return {
         "source": source,
         "a": a,

@@ -665,6 +665,20 @@ def _rhs(t, u):
     pytest.param(lambda: gd.hausdorff_to_chord([[0.0, 0.0], [1.0, 1.0]],
                                                (np.inf, 0.0), (1.0, 0.0)),
                  id="chord-inf-anchor"),
+    # finite chord points whose squared offsets overflow: inf / inf warned
+    pytest.param(lambda: gd.hausdorff_to_chord([[0.0, 0.0], [1e308, 1e308]],
+                                               (0.0, 0.0), (1.0, 0.0)),
+                 id="chord-overflowing-point"),
+    pytest.param(lambda: gd.hausdorff_to_chord([[0.0, 0.0], [1e200, 1e200]],
+                                               (0.0, 0.0), (1.0, 0.0)),
+                 id="chord-overflowing-square"),
+    # boxes whose width is not finite, which warned in the Halton scaling
+    pytest.param(lambda: sampling.state_pairs(
+        zoo.klein(), 3, box=((-1e308, -1e308), (1e308, 1e308))),
+        id="state-pairs-overflowing-box-width"),
+    pytest.param(lambda: sampling.state_pairs(
+        zoo.klein(), 3, box=((-np.inf, -0.5), (0.5, 0.5))),
+        id="state-pairs-inf-box-corner"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
