@@ -43,13 +43,6 @@ def _vec(text):
     return reals(str(text).split(","), "comma-separated coordinates")
 
 
-def _pair(text):
-    v = _vec(text)
-    if v.size != 2:
-        raise UsageError(f"expected two comma-separated floats, got {text!r}")
-    return float(v[0]), float(v[1])
-
-
 def _timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -126,10 +119,8 @@ def _add_chart(sub):
 
 def cmd_curvature(args):
     metric = zoo.make_metric(args.metric, args.dim, args.eps)
-    box = None
-    if args.box is not None:
-        lo, hi = _pair(args.box)
-        box = (np.full(metric.n, lo), np.full(metric.n, hi))
+    box = None if args.box is None else np.repeat(  # (lo, ..), (hi, ..)
+        _vec(args.box)[:, None], metric.n, axis=1)
     report = geo.einstein_campaign(metric, count=args.samples, lam=args.lam,
                                    box=box, flags=args.flags)
     print(f"metric            : {metric.name} (n = {metric.n})")
@@ -178,7 +169,7 @@ def cmd_geodesic(args):
     if args.x0 is None or args.y0 is None:
         raise UsageError("geodesic needs --x0 and --y0")
     x0, y0 = _vec(args.x0), _vec(args.y0)
-    run = gd.integrate_geodesic(metric, x0, y0, _pair(args.tspan),
+    run = gd.integrate_geodesic(metric, x0, y0, _vec(args.tspan),
                                 rtol=args.rtol, atol=args.atol)
     print(f"metric   : {metric.name} (n = {metric.n})")
     print(f"t span   : [{run.t_span[0]:g}, {run.t_span[1]:g}]")
@@ -207,7 +198,7 @@ def cmd_ode(args):
     lo, hi = cmp.maximal_interval(case)
     cls = cmp.classify_completeness(case)
     dev, legs = cmp.numeric_vs_closed_legs(
-        case, t_span=None if args.tspan is None else _pair(args.tspan))
+        case, t_span=None if args.tspan is None else _vec(args.tspan))
     legs = [{"leg": name, "status": status, "t_end": res.t_end,
              "accepted": res.n_accepted, "rejected": res.n_rejected,
              "vetoed": res.n_vetoed}

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import jets as jr
 from . import ode
-from .errors import (DomainError, NumericError, kind, real, reals, times,
-                     worst)
+from .errors import (DomainError, NumericError, finite, kind, real, reals,
+                     span, times, worst)
 
 ALLOWED_CONSTANTS = (-1.0, 0.0, 1.0)
 FAMILY_TOL = 1e-9
@@ -68,16 +68,14 @@ def make_case(lam, lam_tilde, a, b):
     lam, lam_tilde = real(lam, "lam"), real(lam_tilde, "lam_tilde")
     if lam not in ALLOWED_CONSTANTS or lam_tilde not in ALLOWED_CONSTANTS:
         raise DomainError("normalized Einstein constants must be -1, 0 or +1")
-    a, b = real(a, "a"), real(b, "b")
-    if not (a > 0.0 and math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("need a > 0 and finite b")
-    # C and the turning-point identity need a^2 > 0 and a^4, (a b)^2, b^2
-    # and lamt / a^2 finite
+    a, b = finite(a, "a"), finite(b, "b")
+    # C and the turning-point identity need a > 0, a^2 > 0 and a^4, (a b)^2,
+    # b^2 and lamt / a^2 finite
     a2, ab = a * a, a * b
-    if not (a2 > 0.0
+    if not (a > 0.0 and a2 > 0.0
             and math.isfinite(a2 * a2 + ab * ab + b * b + abs(lam_tilde) / a2)):
-        raise DomainError(f"a = {a:g}, b = {b:g} put a^4, (a b)^2, b^2 or "
-                          f"1/a^2 outside the float range")
+        raise DomainError(f"a = {a:g}, b = {b:g}: a <= 0, or a^4, (a b)^2, b^2 "
+                          f"or 1/a^2 outside the float range")
     # snap relative to the terms that enter C, so an absent a^2 or 1/a^2
     # cannot swamp a small b^2
     scale = max(1.0, abs(lam) * a * a + abs(lam_tilde) / (a * a) + b * b)
@@ -194,18 +192,22 @@ def _roots(p, q, n):
 
 
 def f_squared(case, t):
-    """Closed-form f^2; accepts floats, numpy arrays, sequences, or jets."""
+    """Closed-form f^2 of finite times: floats, arrays, sequences or jets. An
+    f^2 past the float range reads inf (NaN at a zero coefficient)."""
     _case(case)
     # a float runs on ``math``; one past exp's range, any other number or
     # a sequence of times reads as an array
     if not (isinstance(t, float) and abs(t) < 700.0 or jr.is_jet(t)):
         t = reals(t, "times")
-    form, a = _form(case.lam, t, scaled=True), case.a
-    if case.lam_tilde == 1.0:
-        lin, s = form(a, case.b), form(0.0, 1.0) / a
-        return lin * lin + s * s
-    lin = [form(a, beta) for beta in _factors(case)]
-    return lin[0] * lin[-1]
+        if not np.isfinite(t).all():
+            raise DomainError(f"f_squared needs finite times, got {t.tolist()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        form, a = _form(case.lam, t, scaled=True), case.a
+        if case.lam_tilde == 1.0:
+            lin, s = form(a, case.b), form(0.0, 1.0) / a
+            return lin * lin + s * s
+        lin = [form(a, beta) for beta in _factors(case)]
+        return lin[0] * lin[-1]
 
 
 def f_value(case, t):
@@ -306,12 +308,10 @@ def candidate_length(case, t_from, t_to):
     """
     _case(case)
     t0, t1 = real(t_from, "t_from"), real(t_to, "t_to")
-    if math.isnan(t0) or math.isnan(t1):
-        raise DomainError(f"candidate_length needs real ends, got ({t0}, {t1})")
     if t0 > t1:
         return -candidate_length(case, t1, t0)
     t_lo, t_hi = maximal_interval(case)
-    if t0 < t_lo or t1 > t_hi:
+    if not t_lo <= t0 <= t1 <= t_hi:  # false at a NaN end too
         raise DomainError(f"window ({t0}, {t1}) leaves the life interval "
                           f"({t_lo}, {t_hi})")
     if t0 == t1:
@@ -507,14 +507,11 @@ def numeric_integrate(case, t_span=None):
     (a, b) and the step the first leg's controller proposed after its
     first accepted step."""
     _case(case)
-    span = reals(_default_span(case, 8.0) if t_span is None else t_span,
-                 "t_span times")
-    if span.shape != (2,):
-        raise DomainError(f"t_span {t_span!r} must hold two real times")
+    ends = span(_default_span(case, 8.0) if t_span is None else t_span,
+                "t_span")
     rhs, u0 = comparison_rhs(case), np.array([case.a, case.b])
     legs = []
-    for res in ode.two_legs(rhs, 0.0, u0, span.tolist(), 1e-12, 1e-14,
-                            np.inf):
+    for res in ode.two_legs(rhs, 0.0, u0, ends, 1e-12, 1e-14, np.inf):
         status = res.status
         if status != "t_limit" and res.u_end[0] <= 1e-3 * max(1.0, case.a):
             status = "collapse"  # stalled against the f -> 0 pole
@@ -539,6 +536,8 @@ def numeric_vs_closed_legs(case, t_span=None):
     devs = []
     for res, _ in legs:
         exact = np.sqrt(f_squared(case, res.ts))
+        if np.isinf(exact).any():
+            raise DomainError(f"f^2 overflows inside t_span {t_span}")
         devs.append(float(np.max(np.abs(res.us[:, 0] - exact))))
     return worst(devs), legs
 
@@ -553,9 +552,7 @@ def arc_param_roundtrip(case, t):
     reads the defect |t|.
     """
     _case(case)
-    t = real(t, "t")
-    if not math.isfinite(t):
-        raise DomainError(f"arc_param_roundtrip needs a finite t, got {t}")
+    t = finite(t, "t")
     if t == 0.0:
         return 0.0
     if is_stationary(case):
@@ -567,6 +564,8 @@ def arc_param_roundtrip(case, t):
     if abs(t) >= min(t_crit, edge):
         raise DomainError("t beyond the first monotone segment")
     fb = float(f_value(case, t))
+    if not math.isfinite(fb):
+        raise DomainError(f"f({t}) = {fb}, past the float range")
     if case.b != 0.0 and fb == float(f_value(case, 0.0)):
         raise DomainError("f(t) rounds to f(0): no measurable motion to invert")
     if case.lam == 0.0 and case.lam_tilde == 0.0:

@@ -1,14 +1,14 @@
 """Exception hierarchy shared across the package, and the one gate through
 which public entries read outside values: :func:`real`, :func:`reals`,
-:func:`count`, :func:`times`, :func:`points`, :func:`states` and
-:func:`kind` refuse what is no float, float array, integer count, 1-D
-array of finite times, point or stack of points, state (x, y), or object
-of the expected kind (a metric, a comparison case) with
-:class:`DomainError`; a malformed multi-index raises :class:`JetError`.
-So every public function fails with a :class:`FinslerError` subclass. A
-check passes only when its value meets its bound (``value <= tol``), so a
-NaN fails; :func:`worst` and :func:`least` reduce checks to their
-extreme, a NaN before all."""
+:func:`finite`, :func:`count`, :func:`times`, :func:`span`,
+:func:`points`, :func:`states` and :func:`kind` refuse what is no float,
+float array, finite float, integer count, 1-D array of finite times, pair
+of finite times, point or stack of points, state (x, y), or object of the
+expected kind (a metric, a comparison case) with :class:`DomainError`; a
+malformed multi-index raises :class:`JetError`. So every public function
+fails with a :class:`FinslerError` subclass. A check passes only when its
+value meets its bound (``value <= tol``), so a NaN fails; :func:`worst`
+and :func:`least` reduce checks to their extreme, a NaN before all."""
 
 import math
 import operator
@@ -56,7 +56,7 @@ def real(value, what):
     """``value`` as a float, or DomainError naming it as ``what``."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"needs a real {what}, got {value!r}") from None
 
 
@@ -64,8 +64,16 @@ def reals(value, what):
     """``value`` as a float array of its own shape, or DomainError."""
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"needs real {what}, got {value!r}") from None
+
+
+def finite(value, what):
+    """``value`` as a finite float, or DomainError naming it as ``what``."""
+    value = real(value, what)
+    if not math.isfinite(value):
+        raise DomainError(f"needs a finite {what}; {value} is not finite")
+    return value
 
 
 def times(value):
@@ -77,6 +85,15 @@ def times(value):
     if not all(map(math.isfinite, ts.tolist())):
         raise DomainError(f"times must be finite, got {ts.tolist()}")
     return ts
+
+
+def span(value, what):
+    """Two finite times by :func:`times`, as a pair of floats, or
+    DomainError naming them as ``what``."""
+    ts = times(value).tolist()
+    if len(ts) != 2:
+        raise DomainError(f"{what} must hold two times, got {ts}")
+    return tuple(ts)
 
 
 def count(value, least, what):

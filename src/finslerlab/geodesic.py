@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ode
 from .errors import (DegenerateDirectionError, DomainError,
-                     SingularMetricError, one_state, reals, times)
+                     SingularMetricError, one_state, reals, span, times)
 from .geometry import spray_coefficients
 from .metric import as_metric
 
@@ -84,12 +84,7 @@ def integrate_geodesic(metric, x0, y0, t_span, rtol=1e-10, atol=1e-12):
     "t_limit".
     """
     x0, y0 = as_metric(metric).check_state(*one_state(x0, y0))
-    span = reals(t_span, "t_span times")
-    if span.shape != (2,):
-        raise DomainError(f"t_span {t_span!r} must hold two real times")
-    t_min, t_max = span.tolist()
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise DomainError(f"t_span {t_span} must be finite")
+    t_min, t_max = span(t_span, "t_span")
     if not (t_min <= 0.0 <= t_max):
         raise DomainError("t_span must contain 0")
     v0 = y0 / metric(x0, y0)

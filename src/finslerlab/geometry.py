@@ -227,12 +227,17 @@ def _flag_values(g, R, y, V):
 
 def flag_curvature(metric, x, y, v):
     """Flag curvature of span(y, v); rejects flags nearly parallel to y.
-    On a batch, v is one direction for all states or a stack of its own."""
+    On a batch, v is one direction for all states or a stack of its own.
+    A v that is not finite, or whose |v|^2 overflows, raises DomainError."""
     v = errors.reals(v, "flag direction coordinates")
     x, y = as_metric(metric).check_state(x, y)
     if v.shape not in ((metric.n,), x.shape):
         raise DomainError(f"{metric.name}: flag directions of shape "
                           f"{v.shape} for states of shape {x.shape}")
+    hit = errors.first_bad(~np.isfinite(np.einsum("...i,...i->...", v, v)), v)
+    if hit:  # einsum reads an overflowing |v|^2 as inf, without a warning
+        raise DomainError(f"{metric.name}: flag direction {hit[0].tolist()} "
+                          f"not finite, or |v|^2 overflows{hit[1]}")
     data = _assemble(metric, x, y, 4)
     K, sin_sq = _flag_values(data["g"], data["R"], data["y"], v[..., None, :])
     K, sin_sq = K[..., 0], sin_sq[..., 0]
@@ -282,10 +287,7 @@ def _einstein_constant(metric, lam):
         lam = metric.einstein_constant
     if lam is None:
         raise DomainError(f"{metric.name}: no Einstein constant given or stored")
-    lam = errors.real(lam, "Einstein constant")
-    if not np.isfinite(lam):
-        raise DomainError(f"{metric.name}: Einstein constant {lam} not finite")
-    return lam
+    return errors.finite(lam, "Einstein constant")
 
 
 def _residual(metric, data, lam):

@@ -4,7 +4,9 @@ A :class:`Jet` stores the Taylor coefficients of a scalar expression in
 ``n_vars`` real variables, truncated at total degree ``order``.  The
 coefficient of the monomial z^alpha sits at a fixed position in a dense
 array ordered by (degree, lexicographic index pattern), and the mixed
-partial d^alpha f equals ``coeff(alpha) * alpha!``.
+partial d^alpha f equals ``coeff(alpha) * alpha!``. :func:`get_context`
+takes orders 1..4 (``MAX_ORDER``) and 1..16 variables (a seeded (x, y) in
+``metric.MAX_DIM`` = 8 dimensions), and refuses others with JetError.
 
 Arithmetic (+, -, *, /, integer and real powers) and the analytic
 functions below (sqrt, exp, log, sin, cos, sinh, cosh) are closed on jets
@@ -81,6 +83,9 @@ import numpy as np
 from . import _kernels
 from .errors import (FDOracleError, JetError, count, first_bad, one_state,
                      points, reals, states)
+from .metric import MAX_DIM
+
+MAX_ORDER = 4  # the highest jet order: curvature needs four derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +108,12 @@ class JetContext:
     :meth:`horner_tables`) and keep table order. ``masks`` holds each
     monomial's variable span.
     ``x_degree`` is the cap of a context from :meth:`x_truncated`, and
-    None for the full one.
+    None for the full one; :func:`get_context` checks both sizes.
     """
 
     x_degree = None
 
     def __init__(self, n_vars, order):
-        if n_vars < 1:
-            raise JetError(f"n_vars must be >= 1, got {n_vars}")
-        if order < 1:
-            raise JetError(f"order must be >= 1, got {order}")
         self.n_vars = n_vars
         self.order = order
         # the graded monomials, by (degree, lexicographic index pattern)
@@ -260,33 +261,26 @@ class JetContext:
         return self._tensor_maps[k]
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _cached_context(n_vars, order, x_degree):
     if x_degree is None:
         return JetContext(n_vars, order)
-    cap = count(x_degree, 1, "jet x-degree cap")
-    if type(x_degree) is not int:  # np.int64(2) shares the context of 2
-        return _cached_context(n_vars, order, cap)
-    return _cached_context(n_vars, order, None).x_truncated(cap)
-
-
-def _context(n_vars, order, x_degree):
-    """The context cache: ``x_degree``, None for no cap, is read by
-    :func:`errors.count` on a miss only, and an unhashable one as a miss."""
-    try:
-        return _cached_context(n_vars, order, x_degree)
-    except TypeError:  # unhashable: no integer, so count raises DomainError
-        count(x_degree, 1, "jet x-degree cap")
-        raise
+    return _cached_context(n_vars, order, None).x_truncated(x_degree)
 
 
 def get_context(n_vars, order, *, x_degree=None):
     """The shared context of jets in ``n_vars`` variables to ``order``,
     modulo x-degree above ``x_degree`` when it is given (see
-    :meth:`JetContext.x_truncated`)."""
-    # read before the cache hashes them; JetContext refuses a count below 1
-    return _context(count(n_vars, -math.inf, "jet variable count"),
-                    count(order, -math.inf, "jet order"), x_degree)
+    :meth:`JetContext.x_truncated`). The one gate of jet sizes: orders
+    1..MAX_ORDER and 1..2 MAX_DIM variables, else JetError; :func:`count`
+    reads each number before the cache hashes it."""
+    n_vars = count(n_vars, -math.inf, "jet variable count")
+    order = count(order, -math.inf, "jet order")
+    if not (1 <= order <= MAX_ORDER and 1 <= n_vars <= 2 * MAX_DIM):
+        raise JetError(f"jets take orders 1..{MAX_ORDER} in 1..{2 * MAX_DIM} "
+                       f"variables, got order {order} in {n_vars}")
+    cap = None if x_degree is None else count(x_degree, 1, "jet x-degree cap")
+    return _cached_context(n_vars, order, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +475,7 @@ def variables(values, order, *, x_degree=None):
     """Seed one jet per coordinate of ``values``, each with a unit linear
     coefficient: one point ``(n,)`` or a ``(B, n)`` stack of batched jets,
     by :func:`errors.points`; any other shape raises DomainError.
-    ``x_degree`` selects the context (see :func:`get_context`).
+    ``order``, n and ``x_degree`` select the context by :func:`get_context`.
 
     The jets are rows of one coefficient block, ``(n, n_terms)`` or
     ``(n, B, n_terms)``; they may share it because no ring operation
@@ -504,16 +498,15 @@ def _seeded(vals, ctx):
 def seed_variables(x, y, order, *, x_degree=None):
     """Seed the 2n coordinate jets for a tangent-space point (x, y).
 
-    ``order`` must lie in {1, 2, 3, 4}; the returned list holds the x-jets
-    followed by the y-jets, each carrying its own unit first-order
-    coefficient. (x, y) is one state or a batch by :func:`errors.states`.
+    ``order`` and the 2n variables are read by :func:`get_context`; the
+    returned list holds the x-jets followed by the y-jets, each carrying
+    its own unit first-order coefficient. (x, y) is one state or a batch
+    by :func:`errors.states`.
     ``x_degree`` drops the monomials of higher degree in x (see
     :meth:`JetContext.x_truncated`).
     """
-    if order not in (1, 2, 3, 4):
-        raise JetError(f"jet order must be one of 1..4, got {order!r}")
     x, y = states(x, y)
-    ctx = _context(2 * x.shape[-1], count(order, 1, "jet order"), x_degree)
+    ctx = get_context(2 * x.shape[-1], order, x_degree=x_degree)
     return _seeded(np.concatenate([x, y], axis=-1), ctx)
 
 
@@ -758,8 +751,8 @@ def fd_derivative(fz, z, idx):
     z = reals(z, "point coordinates").ravel()
     idx = _normalize_idx(idx, z.size)
     k = sum(idx)
-    if not 1 <= k <= 4:
-        raise JetError(f"fd oracle supports derivative orders 1..4, got {k}")
+    if not 1 <= k <= MAX_ORDER:
+        raise JetError(f"fd oracle takes derivative orders 1..{MAX_ORDER}, got {k}")
     coords = tuple(i for i, e in enumerate(idx) for _ in range(e))
     h = FD_STEPS[k] * np.maximum(1.0, np.abs(z)) / 2.0**np.arange(3)[:, None]
 

@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericError, real, reals, times
+from .errors import DomainError, NumericError, finite, real, reals, times
 
 
 def _e5e3_error(hs, e5, e3, abs_w, w8, rtol, atol):
@@ -333,7 +333,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     dropped and one step of MIN_STEP / BRACKET_THETA probes past it; a
     veto there ends the run "boundary". The step after a rejected one may
     shrink but not grow (Hairer, Norsett & Wanner, II.4). A step the
-    controller wants below MIN_STEP ends the run "blow_up".
+    controller wants below MIN_STEP, or an accepted |u'| above
+    ``speed_limit`` (read as a real), ends the run "blow_up".
     ``guard(u)`` (optional) returns False outside the admissible region;
     a crossing inside an accepted step is bisected on the dense output to
     MIN_STEP in t and the run ends with status "boundary".
@@ -343,10 +344,9 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     The run, the rhs included, ignores numpy's floating-point warnings, so
     an overflowing stage reads inf and is vetoed, and an underflow reads 0.
     """
-    t, t1 = real(t0, "t0"), real(t1, "t1")
-    if not (math.isfinite(t) and math.isfinite(t1)):
-        raise DomainError(f"integration span ({t0}, {t1}) must be finite")
+    t, t1 = finite(t0, "t0"), finite(t1, "t1")
     rtol, atol = real(rtol, "rtol"), real(atol, "atol")
+    speed_limit = real(speed_limit, "speed_limit")
     u = reals(u0, "u0").copy()
     if u.ndim != 1 or not u.size:
         raise DomainError(f"u0 must be a non-empty 1-D vector, got {u.shape}")

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import comparison as cmp
 from . import jets as jr
-from .errors import (DomainError, NumericError, count, kind, one_state,
-                     real, reals, worst)
+from .errors import (DomainError, NumericError, count, finite, kind,
+                     one_state, real, reals, worst)
 from .metric import (
     ConvexInterior,
     FinslerMetric,
@@ -146,9 +146,9 @@ def paraboloid_metric(n=2):
 
 def scaled(metric, factor):
     """The metric factor * F; Einstein constant rescales by 1/factor^2."""
-    factor = real(factor, "scale factor")
-    if not 0.0 < factor < math.inf:
-        raise DomainError(f"scale factor {factor} is not positive and finite")
+    factor = finite(factor, "scale factor")
+    if not factor > 0.0:
+        raise DomainError(f"scale factor {factor} is not positive")
     lam = metric.einstein_constant
     lam = None if lam is None else lam / (factor * factor)
 

@@ -92,3 +92,21 @@ def test_a_worker_times_its_row_in_a_fresh_process():
     assert set(out) == {"s", "products"}
     assert out["s"] > 0.0
     assert isinstance(out["products"], int) and out["products"] > 0
+
+
+def test_rim_rows_are_named_without_drawing_perfbench_s_pool():
+    # rows(tree) runs in every worker process; only a rim row's own worker
+    # should import perfbench's workloads and draw its seed-7 pool
+    script = _script("bench_geodesic")
+    saved, path = sys.modules.pop("workloads", None), list(sys.path)
+    try:
+        table = script.rows(BENCHMARKS.parent)
+        assert "workloads" not in sys.modules
+        assert [row for row in table if row.startswith("rim_")] == [
+            f"rim_{name}" for name in script.RIM_METRICS]
+        assert tuple(script.rim_starts(BENCHMARKS.parent)) == script.RIM_METRICS
+    finally:
+        sys.path[:] = path
+        sys.modules.pop("workloads", None)
+        if saved is not None:
+            sys.modules["workloads"] = saved

@@ -443,6 +443,20 @@ def _rhs(t, u):
     return -u
 
 
+def _within(seconds, call):
+    """``call()``, or AssertionError if it has not returned in ``seconds``."""
+    def stalled(signum, frame):
+        raise AssertionError(f"the call did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: gd.integrate_geodesic(zoo.klein(), XG, YG, (0.0,)),
                  id="t-span-of-one-time"),
@@ -679,6 +693,37 @@ def _rhs(t, u):
     pytest.param(lambda: sampling.state_pairs(
         zoo.klein(), 3, box=((-np.inf, -0.5), (0.5, 0.5))),
         id="state-pairs-inf-box-corner"),
+    # integers past the float range, which raised OverflowError
+    pytest.param(lambda: geo.spray_coefficients(zoo.klein(), [0.1, 0.2],
+                                                10**400),
+                 id="spray-overflowing-integer-direction"),
+    pytest.param(lambda: cmp.make_case(1, 1, 10**400, 0.5),
+                 id="case-overflowing-integer-a"),
+    pytest.param(lambda: gd.integrate_geodesic(zoo.klein(), XG, YG,
+                                               (-0.5, 0.5), rtol=10**400),
+                 id="geodesic-overflowing-integer-rtol"),
+    # a speed limit that is no real, which raised TypeError mid-run
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, [1.0], 1.0,
+                                       speed_limit=None),
+                 id="integrate-none-speed-limit"),
+    # flag directions that warned in the matmuls
+    pytest.param(lambda: geo.flag_curvature(zoo.klein(), [0.1, 0.2],
+                                            [0.3, 0.1], [np.inf, 0.0]),
+                 id="flag-inf-direction"),
+    pytest.param(lambda: geo.flag_curvature(zoo.klein(), [0.1, 0.2],
+                                            [0.3, 0.1], [1e308, 1e308]),
+                 id="flag-overflowing-direction"),
+    # closed forms at the edge of the float range, which warned
+    pytest.param(lambda: cmp.f_squared(cmp.make_case(1, 1, 1.0, 0.5), np.inf),
+                 id="f-squared-inf-time"),
+    pytest.param(lambda: cmp.f_value(cmp.make_case(1, 1, 1.0, 0.5), -np.inf),
+                 id="f-value-minus-inf-time"),
+    pytest.param(lambda: cmp.arc_param_roundtrip(
+        cmp.make_case(-1, -1, 1.0, 0.5), 1e308),
+        id="roundtrip-overflowing-f"),
+    pytest.param(lambda: cmp.numeric_vs_closed(
+        cmp.make_case(-1, 0, 1.0, 0.5), (-1e308, 1e308)),
+        id="numeric-vs-closed-overflowing-f-squared"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
@@ -705,6 +750,14 @@ def test_malformed_public_inputs_fail_with_domain_error(call):
                  id="derivative-tensors-of-a-float"),
     pytest.param(lambda: jr.extract_derivative(2.0, (1, 0)),
                  id="extract-derivative-of-a-float"),
+    # jet sizes past the gate: the orders built without end, and the
+    # variable count raised OverflowError
+    pytest.param(lambda: _within(2, lambda: jr.get_context(2, 10**400)),
+                 id="context-huge-order"),
+    pytest.param(lambda: _within(2, lambda: jr.variables([0.1], 10**400)),
+                 id="variables-huge-order"),
+    pytest.param(lambda: jr.get_context(10**400, 2),
+                 id="context-huge-variable-count"),
 ])
 def test_malformed_multi_indices_fail_with_jet_error(call):
     with pytest.raises(JetError):
@@ -721,14 +774,5 @@ def test_flag_directions_are_drawn_once_and_shared_read_only():
 
 @pytest.mark.parametrize("count, n", [(3, 0), (3, -1), (-1, 2)])
 def test_directions_refuses_an_empty_space_or_a_negative_count(count, n):
-    def stalled(signum, frame):
-        raise AssertionError("directions() did not return")
-
-    previous = signal.signal(signal.SIGALRM, stalled)
-    signal.alarm(5)
-    try:
-        with pytest.raises(DomainError):
-            geo.sampling.directions(count, n)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(DomainError):
+        _within(5, lambda: geo.sampling.directions(count, n))

@@ -69,6 +69,34 @@ def test_order_validation():
     assert jr.get_context(4, 4, x_degree=2).n_terms == 53
 
 
+def _half(n):
+    return np.full(n // 2, 0.1)
+
+
+# each public jet entry as a call of (variable count, order)
+_JET_ENTRIES = {
+    "get_context": lambda n, order: jr.get_context(n, order),
+    "variables": lambda n, order: jr.variables(np.full(n, 0.1), order),
+    "seed_variables": lambda n, order: jr.seed_variables(_half(n), _half(n),
+                                                         order),
+    "jet_of": lambda n, order: jr.jet_of(lambda x, y: x[0], _half(n),
+                                         _half(n), order),
+}
+
+
+@pytest.mark.parametrize("entry", list(_JET_ENTRIES))
+def test_jet_entries_share_one_rule_for_orders_and_variable_counts(entry):
+    call = _JET_ENTRIES[entry]
+    call(2 * jr.MAX_DIM, 1)
+    call(2, jr.MAX_ORDER)
+    for n, order in ((2, 0), (2, jr.MAX_ORDER + 1), (2 * jr.MAX_DIM + 2, 1)):
+        with pytest.raises(JetError):
+            call(n, order)
+    for order in ("a", 2.5):
+        with pytest.raises(DomainError):
+            call(2, order)
+
+
 def test_extract_rejects_excessive_order():
     zs = jr.seed_variables([0.0], [1.0], order=2)
     with pytest.raises(JetError):
