@@ -1,8 +1,10 @@
-"""The one runner of the ``bench_*.py`` scripts, and the rows they share.
+"""The one runner of the ``bench_*.py`` scripts, and the workers they share.
 
 A script is a table of rows, its docstring and one call of :func:`run`.
 The table maps each row name to ``(reps, worker)``. A worker times its row
-in the current process and returns ``{"s": seconds, ...fields}``.
+in the current process and returns ``{"s": seconds, ...fields}``. Each row
+name belongs to one script, so one quantity has one committed figure, and
+no script imports another.
 
 One rule times every row: :func:`alternated` runs each rep of a row in a
 fresh process per checkout and flips the checkouts' order every rep. The
@@ -39,7 +41,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 REPS = 7  # fresh processes per checkout of a per-call row
-SUITE_REPS = 3  # the same of a criterion, verify-all or tier-1 row
+SUITE_REPS = 3  # the same of a criterion, a fresh-process or tier-1 row
 WORKER_REPS = 3  # timed calls in one worker, after a warm-up call
 
 
@@ -143,6 +145,29 @@ def per_call(fn, calls):
             "calls": calls}
 
 
+def row(build, *args, per=1):
+    """Worker of a row: ``s`` per ``per`` states of the call
+    ``build(*args)`` returns, and the table entries ``products`` that one
+    call runs through ``_kernels.multiply`` (counted in an untimed call,
+    so a parent's full tables show as such)."""
+    from finslerlab import _kernels
+
+    call = build(*args)
+    s = median_call(call, per)
+    multiply, count = _kernels.multiply, [0]
+
+    def counted(a, b, mul_i, mul_j, mul_k, n_terms):
+        count[0] += mul_i.shape[0]
+        return multiply(a, b, mul_i, mul_j, mul_k, n_terms)
+
+    _kernels.multiply = counted
+    try:
+        call()
+    finally:
+        _kernels.multiply = multiply
+    return {"s": s, "products": count[0]}
+
+
 def criterion(k):
     """Worker of row ``criterion_<k>``: one ``acceptance.criterion_k()``
     after a warm-up call that pays its one-time imports, with its
@@ -156,30 +181,9 @@ def criterion(k):
     return {"s": time.perf_counter() - t0, "worst": worst}
 
 
-def command(tree, argv):
-    """Worker of a row that runs ``python <argv>`` in ``tree`` against its
-    ``src``: its wall time, the last line of its output and its exit
-    code."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
-                          capture_output=True, text=True)
-    s = time.perf_counter() - t0
-    tail = proc.stdout.strip().splitlines()[-1:]
-    return {"s": s, "summary": tail[0] if tail else "", "exit": proc.returncode}
-
-
-def suite(tree, ks, commands=("verify_all", "tier1")):
-    """Rows ``criterion_<k>`` for each of ``ks`` and the ``commands`` rows
-    (``verify_all``: ``finslerlab verify-all``, all ten criteria in one
-    process; ``tier1``: the tier-1 suite), SUITE_REPS reps each."""
-    argv = {"verify_all": ["-m", "finslerlab.cli", "verify-all"],
-            "tier1": ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-                      "--continue-on-collection-errors"]}
-    rows = {f"criterion_{k}": (SUITE_REPS, partial(criterion, k)) for k in ks}
-    for name in commands:
-        rows[name] = (SUITE_REPS, partial(command, tree, argv[name]))
-    return rows
+def suite(ks):
+    """Rows ``criterion_<k>`` for each of ``ks``, SUITE_REPS reps each."""
+    return {f"criterion_{k}": (SUITE_REPS, partial(criterion, k)) for k in ks}
 
 
 def _linalg_libraries():

@@ -1,4 +1,4 @@
-"""Batched-jet benchmark: kernel, order-4 assembly, campaigns, criteria, tier-1.
+"""Batched-jet benchmark: kernel, order-4 assembly, campaigns, batched criteria.
 
 Times, on fixed inputs, the layers that a campaign pushes its states
 through, and writes each row's median and interquartile range over its
@@ -39,9 +39,13 @@ reps to ``BENCH_batch.json`` under a label:
                                  funk-plus on a batch of 25 joint states
                                  (the fit's default), per state, n = 2..4
   criterion_<k>                  ``acceptance.criterion_k()`` wall time
-                                 and ``worst`` for k = 1, 2 and the
-                                 batched criteria 3, 4, 5 and 9
-  tier1                          the tier-1 suite wall time
+                                 and ``worst`` for the campaign criteria
+                                 k = 1, 3, 4 and 5
+
+The assembly, state-pair, campaign, ``check_minkowski``, projective and
+``xi_and_tau`` rows carry ``products``: the table entries the kernel runs
+per state (counted in an untimed call, so the parent's full tables show
+as such).
 
 Every row is timed by ``_bench.alternated``: each rep runs in a fresh
 process, on the parent checkout and on this one in turn with
@@ -110,12 +114,6 @@ def campaign_total(rows):
                                          reps_s=reps_s.tolist())
 
 
-def _row(build, *args, per=1):
-    """Worker of a row that times the call ``build(*args)`` returns, per
-    ``per`` states."""
-    return {"s": median_call(build(*args), per)}
-
-
 def _kernel(n_vars, order, b):
     from finslerlab import _kernels, jets as jr
 
@@ -182,23 +180,23 @@ def rows(tree):
     for name, n in EINSTEIN:
         for b in (1, min(STATES, geo.BATCH_BYTES // (8 * (2 * n) ** 4))):
             table[f"assemble_o4.{name}.n{n}.B{b}"] = (
-                REPS, partial(_row, _assemble, name, n, b, per=b))
+                REPS, partial(_bench.row, _assemble, name, n, b, per=b))
         table[f"state_pairs.{name}.n{n}"] = (
-            REPS, partial(_row, _state_pairs, name, n))
+            REPS, partial(_bench.row, _state_pairs, name, n))
         table[f"einstein_campaign.{name}.n{n}"] = (
-            REPS, partial(_row, campaign, name, n))
+            REPS, partial(_bench.row, campaign, name, n))
     for name in CHECK_METRICS:
         for b in (1, STATES):
             table[f"check_state.{name}.B{b}"] = (
                 REPS, partial(_check_state, name, b))
         table[f"check_minkowski.{name}"] = (
-            REPS, partial(_row, _check_minkowski, name))
+            REPS, partial(_bench.row, _check_minkowski, name))
     for fn_name in ("projective_campaign", "fit_einstein_constants"):
-        table[fn_name] = (REPS, partial(_row, _projective, fn_name))
+        table[fn_name] = (REPS, partial(_bench.row, _projective, fn_name))
     for n in (2, 3, 4):
-        table[f"xi_and_tau.n{n}"] = (
-            REPS, partial(_row, _projective, "xi_and_tau", n, per=FIT_STATES))
-    table.update(_bench.suite(tree, (1, 2, 3, 4, 5, 9), ("tier1",)))
+        table[f"xi_and_tau.n{n}"] = (REPS, partial(
+            _bench.row, _projective, "xi_and_tau", n, per=FIT_STATES))
+    table.update(_bench.suite((1, 3, 4, 5)))
     return table
 
 

@@ -1,8 +1,8 @@
-"""Geodesic-layer benchmark: sprays, chord check, DOP853 stepper, rim legs, criteria 2 and 6, tier-1.
+"""Geodesic-layer benchmark: sprays, chord check, geodesics, rim legs, criterion 2.
 
-Times, on fixed inputs, the layers that a geodesic run and the comparison
-ODE pass through, and writes the median and interquartile range over the
-repetitions to ``BENCH_geodesic.json`` under a label:
+Times, on fixed inputs, the layers that a geodesic run passes through,
+and writes the median and interquartile range over the repetitions to
+``BENCH_geodesic.json`` under a label:
 
   spray_<metric>    one-state ``geometry.spray_coefficients`` (an order-2
                     assembly, one per RK stage of a geodesic) for klein
@@ -16,9 +16,6 @@ repetitions to ``BENCH_geodesic.json`` under a label:
   hausdorff_funk_minus  ``geodesic.hausdorff_to_chord`` on the funk-minus
                     trace of criterion 2's second state pair over t in
                     [-1, 1] (90 nodes at a7e543d; the row records ``nodes``)
-  ode_comparison    ``comparison.numeric_integrate`` over t in [0, 8]: one
-                    ``ode.integrate`` of the 2-d comparison ODE, case
-                    (lam, lamt, a, b) = (1, 1, 0.7, 0.5)
   geodesic_funk_minus   one ``integrate_geodesic`` of that funk-minus trace
   rim_<metric>      the leg that runs out to the rim, one ``ode.integrate``
                     as ``integrate_geodesic`` runs it (a forward leg with
@@ -27,15 +24,12 @@ repetitions to ``BENCH_geodesic.json`` under a label:
                     (funk-ellipse-plus/-minus, funk-plus/-minus at rtol
                     1e-9): its rhs calls, accepted, rejected and vetoed
                     steps, status and end gap to the rim (-domain.signed)
-  criterion_2       ``acceptance.criterion_2()`` wall time
-  criterion_6       ``acceptance.criterion_6()`` wall time
-  verify_all        ``finslerlab verify-all`` in a subprocess
-  tier1             the tier-1 suite (``python -m pytest -q``) wall time
+  criterion_2       ``acceptance.criterion_2()`` wall time and ``worst``
 
 Each row also carries counts that say what the timed call did (nodes,
 accepted and rejected steps). ``--tree`` names the checkout whose
-``src/`` (and, for the tier-1 row, ``tests/``; for the rim rows,
-``perfbench/workloads.py``) is measured.
+``src/`` (and, for the rim rows, ``perfbench/workloads.py``) is
+measured. The comparison ODE's legs are ``bench_ode``'s rows.
 
 Every row is timed by ``_bench.alternated``: each rep runs in a fresh
 process, on the parent checkout and on this one in turn with
@@ -137,16 +131,6 @@ def _geodesic():
             "steps_rejected": sum(leg.n_rejected for leg in run.legs)}
 
 
-def _ode_comparison():
-    from finslerlab import comparison as cmp
-
-    case = cmp.make_case(1, 1, 0.7, 0.5)
-    ode_run = lambda: cmp.numeric_integrate(case, t_span=(0.0, 8.0))[1][0]
-    res = ode_run()
-    return {"s": median_call(ode_run), "steps_accepted": res.n_accepted,
-            "steps_rejected": res.n_rejected}
-
-
 def rim_starts(tree):
     """The rim starts of perfbench's seed-7 geodesic pool, drawn by the
     tree's own ``perfbench/workloads.py``: metric name -> (workloads
@@ -197,11 +181,10 @@ def rows(tree):
     for order in (2, 4):
         table[f"compose_sqrt_o{order}"] = (REPS, partial(_compose_sqrt, order))
     table["hausdorff_funk_minus"] = (REPS, _hausdorff)
-    table["ode_comparison"] = (REPS, _ode_comparison)
     table["geodesic_funk_minus"] = (REPS, _geodesic)
     for name in RIM_METRICS:
         table[f"rim_{name}"] = (REPS, partial(_rim, tree, name))
-    table.update(_bench.suite(tree, (2, 6)))
+    table.update(_bench.suite((2,)))
     return table
 
 

@@ -1,4 +1,4 @@
-"""ODE-layer benchmark: geodesic legs, the comparison case, criteria, tier-1.
+"""ODE-layer benchmark: geodesic legs, the comparison case, criteria, verify-all, tier-1.
 
 Times, on fixed inputs, the calls that run ``ode.integrate`` and the
 closed forms of the comparison case, and writes each row's median and
@@ -45,15 +45,18 @@ interquartile range over its reps to ``BENCH_ode.json`` under a label:
   import_comparison              a fresh ``python -c "import
                                  finslerlab.comparison"``: wall time and
                                  ``peak_rss_mb`` (of the first rep)
-  criterion_2, criterion_6, criterion_9  ``acceptance.criterion_k()`` wall
-                                 time and ``worst``
+  criterion_6, criterion_9       ``acceptance.criterion_k()`` wall time
+                                 and ``worst``
   criterion_7                    a fresh process's import of
                                  ``finslerlab.acceptance`` and one
                                  ``criterion_7()``, with the criterion's
                                  ``worst``, its own time ``criterion_s``
                                  and whether ``scipy`` was loaded
-  verify_all                     ``finslerlab verify-all`` in a subprocess
+  verify_all                     ``finslerlab verify-all`` (all ten
+                                 criteria in one process) in a subprocess
   tier1                          the tier-1 suite wall time
+
+This is the one script that times ``verify_all`` and ``tier1``.
 
 The geodesic rows run at criterion 2's tolerances (rtol 1e-9, atol
 1e-11). Each ODE row carries the right-hand-side calls (counted in an
@@ -70,7 +73,10 @@ and ``verify_all`` take PAIRS reps. Run from the repository root:
 """
 
 import json
+import os
+import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -127,11 +133,24 @@ def _calls(fn, calls, value=False):
     return dict(row, value=fn()) if value else row
 
 
+def command(tree, argv):
+    """Worker of a row that runs ``python <argv>`` in ``tree`` against its
+    ``src``: its wall time, the last line of its output and its exit
+    code."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    s = time.perf_counter() - t0
+    tail = proc.stdout.strip().splitlines()[-1:]
+    return {"s": s, "summary": tail[0] if tail else "", "exit": proc.returncode}
+
+
 def _fresh(tree, code):
     """Worker of a row that runs ``python -c <code>`` in a fresh process
     against ``tree``'s ``src``: its wall time ``s`` and the fields of the
     JSON object it prints last, whose own ``s``, if any, replaces it."""
-    row = _bench.command(tree, ["-c", code])
+    row = command(tree, ["-c", code])
     return {"s": row["s"], **json.loads(row["summary"])}
 
 
@@ -195,7 +214,7 @@ def rows(tree):
         _fresh, tree, "import json, resource, finslerlab.comparison; "
         "print(json.dumps({'peak_rss_mb': resource.getrusage("
         "resource.RUSAGE_SELF).ru_maxrss / 1024.0}))"))
-    table.update(_bench.suite(tree, (2, 6, 9)))
+    table.update(_bench.suite((6, 9)))
     # a fresh process's import of the acceptance module and one criterion
     table["criterion_7"] = (PAIRS, partial(_fresh, tree, """\
 import json, sys, time
@@ -208,7 +227,11 @@ t2 = time.perf_counter()
 print(json.dumps({"s": t2 - t0, "criterion_s": t2 - t1, "worst": worst,
                   "scipy_loaded": "scipy" in sys.modules}))
 """))
-    table["verify_all"] = (PAIRS, table["verify_all"][1])
+    table["verify_all"] = (PAIRS, partial(
+        command, tree, ["-m", "finslerlab.cli", "verify-all"]))
+    table["tier1"] = (_bench.SUITE_REPS, partial(
+        command, tree, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        "--continue-on-collection-errors"]))
     return table
 
 

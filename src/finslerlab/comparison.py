@@ -36,8 +36,8 @@ import numpy as np
 
 from . import jets as jr
 from . import ode
-from .errors import (DomainError, NumericError, finite, kind, real, reals,
-                     span, times, worst)
+from .errors import (DomainError, JetError, NumericError, finite, kind, real,
+                     reals, span, times, worst)
 
 ALLOWED_CONSTANTS = (-1.0, 0.0, 1.0)
 FAMILY_TOL = 1e-9
@@ -462,16 +462,33 @@ def ode_residual(case, ts):
     """Max |f'' + lam f - lamt / f^3| of the closed form, via 1-d jets.
 
     All times are seeded as one batch; the residual is then taken per
-    time on Python floats. A non-finite time raises DomainError.
+    time on Python floats, an f^3 past the float range reading the pole
+    term as 0. A non-finite time, or one at which f^2 or a jet
+    coefficient of it is past the float range, raises DomainError.
     """
     _case(case)
     ts = times(ts)
     if not ts.size:
         return 0.0
-    f = jr.sqrt(f_squared(case, jr.variables(ts[:, None], 2)[0]))
+    try:
+        f2 = f_squared(case, jr.variables(ts[:, None], 2)[0])
+    except JetError:  # exp past its range: so is f^2
+        f2 = None
+    if f2 is None or not np.isfinite(f2.coeffs).all():
+        raise DomainError(f"f^2 overflows at a time of {ts.tolist()}")
+    f = jr.sqrt(f2)
     fpps, fvs = jr.extract_derivative(f, [2]).tolist(), f.value.tolist()
-    return worst(abs(fpp + case.lam * fv - case.lam_tilde / fv**3)
+    return worst(abs(fpp + case.lam * fv - _pole(case.lam_tilde, fv))
                  for fpp, fv in zip(fpps, fvs))
+
+
+def _pole(lamt, f):
+    """lamt / f^3 at the Python float f; an f^3 past the float range reads
+    as inf, so the term as 0."""
+    try:
+        return lamt / f**3
+    except OverflowError:
+        return lamt / math.inf
 
 
 def _default_span(case, reach):
@@ -490,11 +507,7 @@ def comparison_rhs(case):
         f, df = u.tolist()
         if f <= F_FLOOR:
             raise DomainError("f collapsed")
-        try:
-            pole = lamt / f**3
-        except OverflowError:  # a float f**3 past the range reads as inf
-            pole = lamt / math.inf
-        return [df, -lam * f + pole]
+        return [df, -lam * f + _pole(lamt, f)]
 
     return rhs
 

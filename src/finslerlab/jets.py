@@ -310,12 +310,25 @@ def _add_base(out, c):
 def _series(base, terms):
     """``terms(c)`` (the Taylor coefficients of an outer function about the
     scalar c) for one base value, or per state of a batch as rows of a
-    ``(order + 1, B)`` array; each state runs the same scalar arithmetic
-    (libm's pow, exp, ... and not numpy's vector versions, which round
-    differently)."""
+    ``(order + 1, B)`` array; each state runs the same arithmetic on Python
+    floats (libm's pow, exp, ... and not numpy's vector versions, which
+    round differently). A term past the float range at a finite base
+    raises JetError naming that base."""
     if base.ndim == 0:
-        return terms(base)
-    return np.array([terms(c) for c in base.tolist()]).T
+        return _terms(terms, base.tolist())
+    return np.array([_terms(terms, c) for c in base.tolist()]).T
+
+
+def _terms(terms, c):
+    """``terms(c)`` at the Python float c, or JetError when c is finite and
+    a term overflows, divides by an underflowed power or is not finite."""
+    try:
+        series = terms(c)
+        if all(map(math.isfinite, series)) or not math.isfinite(c):
+            return series
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise JetError(f"Taylor terms at base value {c!r} leave the float range")
 
 
 _MIXED_CONTEXTS = "jets from different contexts cannot be combined"

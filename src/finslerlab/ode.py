@@ -334,7 +334,8 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     veto there ends the run "boundary". The step after a rejected one may
     shrink but not grow (Hairer, Norsett & Wanner, II.4). A step the
     controller wants below MIN_STEP, or an accepted |u'| above
-    ``speed_limit`` (read as a real), ends the run "blow_up".
+    ``speed_limit`` (read as a real), ends the run "blow_up". ``rtol``
+    and ``atol`` are finite reals >= 0, not both 0.
     ``guard(u)`` (optional) returns False outside the admissible region;
     a crossing inside an accepted step is bisected on the dense output to
     MIN_STEP in t and the run ends with status "boundary".
@@ -345,7 +346,10 @@ def integrate(rhs, t0, u0, t1, rtol=1e-10, atol=1e-12,
     an overflowing stage reads inf and is vetoed, and an underflow reads 0.
     """
     t, t1 = finite(t0, "t0"), finite(t1, "t1")
-    rtol, atol = real(rtol, "rtol"), real(atol, "atol")
+    rtol, atol = finite(rtol, "rtol"), finite(atol, "atol")
+    if min(rtol, atol) < 0.0 or rtol == atol == 0.0:
+        raise DomainError(f"needs rtol and atol >= 0, not both 0; got "
+                          f"{rtol} and {atol}")
     speed_limit = real(speed_limit, "speed_limit")
     u = reals(u0, "u0").copy()
     if u.ndim != 1 or not u.size:

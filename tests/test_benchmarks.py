@@ -2,7 +2,8 @@
 library as it stands, read only names that its modules have, list in
 their docstrings every row they time, and time a row in a worker process,
 so that renaming a library entry that a row calls fails here and not in
-the next benchmark run.
+the next benchmark run. Each row name belongs to one script, and no
+script imports another.
 
 A docstring lists a row in a line indented by two spaces: its first
 column (up to two spaces or the line's end) holds row names separated by
@@ -82,6 +83,25 @@ def test_every_library_name_a_script_reads_exists(name):
     assert names and missing == []
 
 
+def test_no_row_name_is_timed_by_two_scripts():
+    owners = {}
+    for name in SCRIPTS:
+        for row in _script(name).rows(BENCHMARKS.parent):
+            owners.setdefault(row, []).append(name)
+    assert {row: names for row, names in owners.items() if len(names) > 1} == {}
+    assert owners["verify_all"] == owners["tier1"] == ["bench_ode"]
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_no_script_imports_another(name):
+    tree = ast.parse((BENCHMARKS / f"{name}.py").read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert {m for m in imported if m.split(".")[0].startswith("bench_")} == set()
+
+
 def test_a_worker_times_its_row_in_a_fresh_process():
     row = "product.var_var.4v_o2.B1"
     proc = subprocess.run(
@@ -110,3 +130,16 @@ def test_rim_rows_are_named_without_drawing_perfbench_s_pool():
         sys.modules.pop("workloads", None)
         if saved is not None:
             sys.modules["workloads"] = saved
+
+
+def test_an_assembly_row_s_worker_counts_its_products():
+    # the shared worker counts the kernel's table entries beside the time
+    row = "assemble_o4.klein.n2.B1"
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "bench_batch.py"), "--label",
+         "test", "--worker", row],
+        capture_output=True, text=True, check=True, timeout=60)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert set(out) == {"s", "products"}
+    assert out["s"] > 0.0
+    assert isinstance(out["products"], int) and out["products"] > 0

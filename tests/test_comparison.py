@@ -107,6 +107,23 @@ def test_ode_residual_refuses_a_non_finite_time(ts):
             cmp.ode_residual(cmp.make_case(-1, -1, 0.7, -0.4), ts)
 
 
+def test_ode_residual_is_finite_or_refused_at_late_times():
+    # f^3 overflowed from t = 300 and f^2 from t = 360 (warnings), and
+    # exp's jet terms from t = 710 ("math range error")
+    case = cmp.make_case(-1, -1, 1.0, 0.5)
+    outcomes = []
+    for t in np.arange(0.0, 800.5, 0.5):
+        try:
+            value = cmp.ode_residual(case, [t])
+        except DomainError:
+            outcomes.append("refused")
+        else:
+            assert isinstance(value, float) and math.isfinite(value), t
+            outcomes.append("finite")
+    assert outcomes[600] == "finite"  # t = 300: the pole term reads 0
+    assert outcomes[720] == outcomes[-1] == "refused"  # t = 360 and 800
+
+
 def test_normal_form_matches_direct_evaluation():
     ts = np.linspace(-0.2, 0.2, 9)
     for lam, lamt in ((1, 1), (0, -1), (-1, -1)):

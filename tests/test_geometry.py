@@ -724,6 +724,34 @@ def _within(seconds, call):
     pytest.param(lambda: cmp.numeric_vs_closed(
         cmp.make_case(-1, 0, 1.0, 0.5), (-1e308, 1e308)),
         id="numeric-vs-closed-overflowing-f-squared"),
+    # tolerances that ran: a NaN ended "blow_up" at t0 (a one-node
+    # geodesic), negative or infinite ones stepped, and two zeros ended
+    # "blow_up" after 12 rejected steps
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, [1.0], 1.0, rtol=np.nan),
+                 id="integrate-nan-rtol"),
+    pytest.param(lambda: gd.integrate_geodesic(
+        zoo.klein(), [0.1, 0.2], [0.3, 0.1], (-1, 1), rtol=np.nan),
+        id="geodesic-nan-rtol"),
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, [1.0], 1.0, rtol=-1),
+                 id="integrate-negative-rtol"),
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, [1.0], 1.0, atol=-1),
+                 id="integrate-negative-atol"),
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, [1.0], 1.0, atol=np.inf),
+                 id="integrate-inf-atol"),
+    pytest.param(lambda: ode.integrate(_rhs, 0.0, [1.0], 1.0, rtol=0,
+                                       atol=0),
+                 id="integrate-zero-tolerances"),
+    # an f^2 past the float range at late times: t = 360 and 400 warned in
+    # a multiply, t = 800 raised "math range error"
+    pytest.param(lambda: cmp.ode_residual(cmp.make_case(-1, -1, 1.0, 0.5),
+                                          [360.0]),
+                 id="ode-residual-overflowing-f-squared-jet"),
+    pytest.param(lambda: cmp.ode_residual(cmp.make_case(-1, -1, 1.0, 0.5),
+                                          [400.0]),
+                 id="ode-residual-overflowing-f-squared"),
+    pytest.param(lambda: cmp.ode_residual(cmp.make_case(-1, -1, 1.0, 0.5),
+                                          [800.0]),
+                 id="ode-residual-exp-past-its-range"),
 ])
 def test_malformed_public_inputs_fail_with_domain_error(call):
     with pytest.raises(DomainError):
@@ -758,10 +786,25 @@ def test_malformed_public_inputs_fail_with_domain_error(call):
                  id="variables-huge-order"),
     pytest.param(lambda: jr.get_context(10**400, 2),
                  id="context-huge-variable-count"),
+    # Taylor terms past the float range, which raised OverflowError or
+    # ZeroDivisionError or warned
+    *[pytest.param(lambda f=f, c=c, b=b: f(_jet_at(c, b)), id=f"{name}-{tag}")
+      for name, f, c in (
+          ("exp", jr.exp, 800.0), ("sinh", jr.sinh, 800.0),
+          ("cosh", jr.cosh, 800.0), ("reciprocal", lambda j: 1.0 / j, 1e-80),
+          ("sqrt", jr.sqrt, 1e-300), ("log", jr.log, 1e-320),
+          ("power", lambda j: jr.power(j, 2.5), 1e200))
+      for tag, b in (("one-state", False), ("batch", True))],
 ])
 def test_malformed_multi_indices_fail_with_jet_error(call):
     with pytest.raises(JetError):
         call()
+
+
+def _jet_at(c, batch):
+    """An order-4 jet in one variable at base c: one state, or the second
+    state of a batch whose first sits at 0.5."""
+    return jr.variables([[0.5], [c]] if batch else [c], 4)[0]
 
 
 def test_flag_directions_are_drawn_once_and_shared_read_only():
