@@ -314,8 +314,8 @@ def _series(base, terms):
     floats (libm's pow, exp, ... and not numpy's vector versions, which
     round differently). A term past the float range at a finite base
     raises JetError naming that base."""
-    if base.ndim == 0:
-        return _terms(terms, base.tolist())
+    if base.ndim == 0:  # float() costs a tenth of a numpy scalar's tolist()
+        return _terms(terms, float(base))
     return np.array([_terms(terms, c) for c in base.tolist()]).T
 
 
