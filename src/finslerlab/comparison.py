@@ -463,8 +463,9 @@ def ode_residual(case, ts):
 
     All times are seeded as one batch; the residual is then taken per
     time on Python floats, an f^3 past the float range reading the pole
-    term as 0. A non-finite time, or one at which f^2 or a jet
-    coefficient of it is past the float range, raises DomainError.
+    term as 0. A non-finite time, one at which f^2 or a jet coefficient
+    of it is past the float range, or one outside the life interval
+    (f^2 <= 0) raises DomainError.
     """
     _case(case)
     ts = times(ts)
@@ -476,6 +477,9 @@ def ode_residual(case, ts):
         f2 = None
     if f2 is None or not np.isfinite(f2.coeffs).all():
         raise DomainError(f"f^2 overflows at a time of {ts.tolist()}")
+    if min(f2.value.tolist()) <= 0.0:  # a list's min: a third of numpy's
+        t = float(ts[np.argmax(f2.value <= 0.0)])
+        raise DomainError(f"t = {t!r} outside the life interval")
     f = jr.sqrt(f2)
     fpps, fvs = jr.extract_derivative(f, [2]).tolist(), f.value.tolist()
     return worst(abs(fpp + case.lam * fv - _pole(case.lam_tilde, fv))

@@ -313,10 +313,18 @@ def _series(base, terms):
     ``(order + 1, B)`` array; each state runs the same arithmetic on Python
     floats (libm's pow, exp, ... and not numpy's vector versions, which
     round differently). A term past the float range at a finite base
-    raises JetError naming that base."""
+    raises JetError naming that base: a batch's rows are tested once, and
+    only a batch that fails the test is run again state by state."""
     if base.ndim == 0:  # float() costs a tenth of a numpy scalar's tolist()
         return _terms(terms, float(base))
-    return np.array([_terms(terms, c) for c in base.tolist()]).T
+    cs = base.tolist()
+    try:
+        rows = np.array([terms(c) for c in cs])
+        if np.isfinite(rows).all():
+            return rows.T
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return np.array([_terms(terms, c) for c in cs]).T
 
 
 def _terms(terms, c):

@@ -5,7 +5,12 @@ positive-curvature sphere chart, Bryant's deformation, a hyperbolic metric
 on a paraboloid interior) plus Funk and Hilbert metrics of arbitrary smooth
 strongly convex bodies, where F is defined implicitly by the chord equation
 phi(x + y / F) = 0 and evaluated by a Newton solve that also runs in the
-jet ring.
+jet ring. The catalog's ellipse metrics take neither: Funk and Hilbert
+metrics are natural under affine maps, so on the ellipsoid with semi-axes
+a they are the ball's closed forms read at (x / a, y / a)
+(:func:`ellipsoid_pullback`). The chord root serves the bodies given to
+``funk_body_metric`` and ``hilbert_general``: the superellipse, and the
+ellipses the acceptance criteria check the chord path on.
 
 Along a straight ray t -> x + t*y of each projectively flat Einstein
 source, the metric scaled to Einstein constant lam = +-1 obeys one law,
@@ -32,6 +37,7 @@ from .metric import (
     ParaboloidInterior,
     UnitBall,
     _norm,
+    as_metric,
     dot,
     norm_sq,
 )
@@ -371,6 +377,36 @@ def hilbert_general(body):
                          einstein_constant=-1.0)
 
 
+def ellipsoid_pullback(ball, semi_axes, tag):
+    """The metric ``ball`` (a metric of the unit ball) pulled back to the
+    ellipsoid with these semi-axes: F(x, y) = ball.F(x / a, y / a), on
+    the ellipsoid's own interior, named ``<tag>-<body name>``.
+
+    The Funk and Hilbert metrics of a body E = A(B) are F_B(A^-1 x, A^-1 y)
+    (Papadopoulos and Troyanov, Handbook of Hilbert Geometry, chs. 1-2),
+    so the ball's forward and reverse Funk and Klein metrics give E's
+    Funk and Hilbert metrics in closed form, with their Einstein
+    constants. A state of another length raises DomainError.
+    """
+    ball = as_metric(ball)
+    if not isinstance(ball.domain, UnitBall):
+        raise DomainError(f"{ball.name} is no metric of the unit ball")
+    body = ellipsoid_body(semi_axes)
+    if body.dim != ball.n:
+        raise DomainError(f"{ball.name} is {ball.n}-dimensional; got "
+                          f"{body.dim} semi-axes")
+    name, n, semi = f"{tag}-{body.name}", body.dim, body.bbox_hi.tolist()
+
+    def F(x, y, inner=ball.F):
+        if len(x) != n or len(y) != n:
+            raise DomainError(f"{name}: expected {n} coordinates")
+        return inner([v / a for v, a in zip(x, semi)],
+                     [v / a for v, a in zip(y, semi)])
+
+    return FinslerMetric(n, F, body.interior(), name,
+                         einstein_constant=ball.einstein_constant)
+
+
 # ---------------------------------------------------------------------------
 # the ray law, read off the metric's jet
 
@@ -491,13 +527,14 @@ _CATALOG = {
     "spherical": lambda dim, eps: spherical(dim),
     "bryant": lambda dim, eps: bryant(eps, dim),
     "paraboloid": lambda dim, eps: paraboloid_metric(dim),
-    # fixed 2-dimensional bodies
-    "funk-ellipse-plus": lambda dim, eps: funk_body_metric(
-        ellipsoid_body(_ELLIPSE_AXES), 1),
-    "funk-ellipse-minus": lambda dim, eps: funk_body_metric(
-        ellipsoid_body(_ELLIPSE_AXES), -1),
-    "hilbert-ellipse": lambda dim, eps: hilbert_general(
-        ellipsoid_body(_ELLIPSE_AXES)),
+    # fixed 2-dimensional bodies: the ellipse's in closed form, the
+    # superellipse's by its chord root
+    "funk-ellipse-plus": lambda dim, eps: ellipsoid_pullback(
+        funk_ball(1, 2), _ELLIPSE_AXES, "funk-plus"),
+    "funk-ellipse-minus": lambda dim, eps: ellipsoid_pullback(
+        funk_ball(-1, 2), _ELLIPSE_AXES, "funk-minus"),
+    "hilbert-ellipse": lambda dim, eps: ellipsoid_pullback(
+        klein(2), _ELLIPSE_AXES, "hilbert"),
     "hilbert-superellipse": lambda dim, eps: hilbert_general(
         superellipse_body(4, (1.0, 1.0))),
 }

@@ -107,6 +107,21 @@ def test_ode_residual_refuses_a_non_finite_time(ts):
             cmp.ode_residual(cmp.make_case(-1, -1, 0.7, -0.4), ts)
 
 
+def test_ode_residual_refuses_a_time_outside_the_life_interval():
+    # f^2 = -12.75 at t = 5 on a case whose life interval is (-2/3, 2):
+    # the square root's JetError leaked where f_value raises DomainError
+    case = cmp.make_case(0, -1, 1.0, 0.5)
+    assert cmp.maximal_interval(case) == (-2.0 / 3.0, 2.0)
+    with pytest.raises(DomainError, match="t outside the life interval"):
+        cmp.f_value(case, 5.0)
+    # the first time outside is named; f^2 reads 0 or below at t = 2
+    for ts, bad in (([5.0], 5.0), ([0.1, 5.0, -3.0], 5.0), ([2.0], 2.0)):
+        with pytest.raises(DomainError,
+                           match=f"t = {bad} outside the life interval"):
+            cmp.ode_residual(case, ts)
+    assert cmp.ode_residual(case, [0.1, 1.9]) < 1e-11
+
+
 def test_ode_residual_is_finite_or_refused_at_late_times():
     # f^3 overflowed from t = 300 and f^2 from t = 360 (warnings), and
     # exp's jet terms from t = 710 ("math range error")

@@ -444,3 +444,31 @@ def test_where_picks_per_state():
     assert jr.where(cond, np.ones(3), np.zeros(3)).tolist() == [1.0, 0.0, 1.0]
     with pytest.raises(JetError, match="contexts"):
         jr.where(cond, a, jr.variables(np.ones((3, 2)), 3)[0])
+
+
+def test_a_batch_tests_its_taylor_terms_once(monkeypatch):
+    calls = []
+    terms = jr._terms
+
+    def counted(f, c):
+        calls.append(c)
+        return terms(f, c)
+
+    monkeypatch.setattr(jr, "_terms", counted)
+    ok = jr.variables([[0.5], [1.5], [2.5]], 4)[0]
+    rows = [jr.exp(jr.variables([c], 4)[0]).coeffs for c in (0.5, 1.5, 2.5)]
+    assert np.array_equal(jr.exp(ok).coeffs, np.array(rows))
+    assert calls == [0.5, 1.5, 2.5]  # the one-state jets' own checks
+    # a batch that fails the test reruns state by state and names the
+    # first finite base whose terms leave the float range
+    calls.clear()
+    with pytest.raises(JetError, match="at base value 800.0 leave"):
+        jr.exp(jr.variables([[0.5], [800.0], [900.0]], 4)[0])
+    assert calls == [0.5, 800.0]
+    # a non-finite base passes through: its terms are not finite
+    calls.clear()
+    with np.errstate(invalid="ignore"):
+        out = jr.exp(ok * np.array([1.0, math.inf, 1.0])).coeffs
+    assert calls == [0.5, math.inf, 2.5]
+    assert np.array_equal(out[[0, 2]], np.array(rows)[[0, 2]])
+    assert not np.isfinite(out[1]).all()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerlab import jets as jr, sampling, zoo
+from finslerlab import geometry as geo, jets as jr, sampling, zoo
 from finslerlab.errors import DomainError, FinslerError, NumericError
 from finslerlab.metric import dot
 
@@ -349,6 +349,15 @@ POLISHED = {  # catalog name: (body, Funk signs; two signs make Hilbert)
 }
 
 
+def _chord_metric(name):
+    """The chord path's metric of the body of ``name``: funk_body_metric for
+    one sign, hilbert_general for two (the catalog's ellipse names are
+    pullbacks of the ball's closed forms and take no chord root)."""
+    body, signs = POLISHED[name]
+    return (zoo.funk_body_metric(body, signs[0]) if len(signs) == 1
+            else zoo.hilbert_general(body))
+
+
 def _reference_jet(name, x, y, order, steps):
     body, signs = POLISHED[name]
 
@@ -381,7 +390,7 @@ def _polish_states(body, count=6, seed=5):
 @pytest.mark.parametrize("order", [1, 2])
 def test_two_newton_steps_reach_full_precision_at_orders_one_and_two(name,
                                                                      order):
-    m = zoo.make_metric(name)
+    m = _chord_metric(name)
     states = _polish_states(POLISHED[name][0])
     assert len(states) == 12
     for x, y in states:
@@ -393,8 +402,81 @@ def test_two_newton_steps_reach_full_precision_at_orders_one_and_two(name,
 @pytest.mark.parametrize("name", sorted(POLISHED))
 @pytest.mark.parametrize("order", [3, 4])
 def test_orders_three_and_four_keep_three_newton_steps(name, order):
-    m = zoo.make_metric(name)
+    m = _chord_metric(name)
     for x, y in _polish_states(POLISHED[name][0], count=3):
         got = jr.jet_of(m.F, x, y, order).coeffs
         want = _reference_jet(name, x, y, order, 3).coeffs
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the catalog's ellipse metrics: the ball's closed forms pulled back
+
+PULLBACKS = ("funk-ellipse-plus", "funk-ellipse-minus", "hilbert-ellipse")
+# relative gap max |pullback - chord| / max |chord| per state and entry;
+# the worsts over 200 state_pairs and the 12 _polish_states are F 1.1e-13,
+# g 2.2e-13, G 2.1e-12 and R 9.0e-11, each on a _polish_states state (5e-4
+# from the rim F's condition number is some 2e3); the bounds are 10x them
+PULLBACK_TOL = {"F": 1.1e-12, "g": 2.2e-12, "G": 2.1e-11, "R": 9e-10}
+
+
+@pytest.mark.parametrize("name", PULLBACKS)
+def test_the_ellipse_pullbacks_match_the_chord_path_at_order_four(name):
+    m, chord = zoo.make_metric(name), _chord_metric(name)
+    assert (m.name, m.einstein_constant) == (chord.name,
+                                              chord.einstein_constant)
+    assert isinstance(m.domain, zoo.ConvexInterior)
+    assert m.domain.bbox_hi.tolist() == [2.0, 1.0]
+    states = [(np.array(x), np.array(y))
+              for x, y in sampling.state_pairs(m, 20)]
+    states += _polish_states(_ELLIPSE)
+    for x, y in states:
+        got, want = geo._assemble(m, x, y, 4), geo._assemble(chord, x, y, 4)
+        for key, tol in PULLBACK_TOL.items():
+            gap = np.max(np.abs(got[key] - want[key]))
+            assert gap <= tol * np.max(np.abs(want[key])), (key, x, y)
+
+
+@pytest.mark.parametrize("name", PULLBACKS)
+def test_a_catalog_ellipse_spray_takes_no_chord_root(name, monkeypatch):
+    calls = []
+    root = zoo._chord_scalar_root
+
+    def counted(*args):
+        calls.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(zoo, "_chord_scalar_root", counted)
+    x, y = np.array([0.3, -0.2]), np.array([0.6, 0.8])
+    geo.spray_coefficients(zoo.make_metric(name), x, y)
+    assert not calls
+    geo.spray_coefficients(_chord_metric(name), x, y)
+    assert calls
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", PULLBACKS)
+def test_a_catalog_ellipse_refuses_a_state_of_another_length(name, n):
+    m = zoo.make_metric(name)
+    x, y = [0.1, 0.2, 0.05][:n], [0.6, 0.8, 0.0][:n]
+    for call in (lambda: m.F(x, y), lambda: m(x, y),
+                 lambda: jr.jet_of(m.F, x, y, 2),
+                 lambda: geo.spray_coefficients(m, x, y)):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_the_pullback_takes_a_ball_metric_of_its_dimension():
+    with pytest.raises(DomainError, match="no metric of the unit ball"):
+        zoo.ellipsoid_pullback(zoo.spherical(2), (2.0, 1.0), "spherical")
+    with pytest.raises(DomainError, match="2 semi-axes"):
+        zoo.ellipsoid_pullback(zoo.klein(3), (2.0, 1.0), "hilbert")
+    with pytest.raises(DomainError):
+        zoo.ellipsoid_pullback("klein", (2.0, 1.0), "hilbert")
+    # a 3-axis pullback is the chord path's metric of that ellipsoid
+    m = zoo.ellipsoid_pullback(zoo.funk_ball(1, 3), (2.0, 1.0, 0.5),
+                               "funk-plus")
+    body = zoo.ellipsoid_body((2.0, 1.0, 0.5))
+    x, y = np.array([0.4, -0.3, 0.1]), np.array([0.2, 0.5, -0.8])
+    assert m.name == zoo.funk_body_metric(body).name
+    assert m(x, y) == pytest.approx(zoo.funk_general(body, x, y), rel=1e-13)
