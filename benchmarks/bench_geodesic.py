@@ -6,11 +6,15 @@ and writes the median and interquartile range over the repetitions to
 
   spray_<metric>    one-state ``geometry.spray_coefficients`` (an order-2
                     assembly, one per RK stage of a geodesic) for klein
-                    (n = 2), spherical (n = 3), bryant (n = 3) and
-                    hilbert-ellipse (n = 2); the row times 200 calls,
-                    ``us_per_call`` is one, and ``py_calls`` and
-                    ``c_calls`` count the Python-level and C-level calls
-                    of one spray as ``sys.setprofile`` sees them
+                    (n = 2), spherical (n = 3), bryant (n = 3),
+                    hilbert-ellipse (n = 2) and funk-plus (n = 2, whose F
+                    reads a base value and runs live: the control); the
+                    row times 200 calls, ``us_per_call`` is one,
+                    ``py_calls`` and ``c_calls`` count the Python-level
+                    and C-level calls of one spray as ``sys.setprofile``
+                    sees them, and ``f_calls`` the runs of F's Python
+                    body in one warm loop of 200 (0 where ``jets.jet_of``
+                    replays F's recorded ring program)
   compose_sqrt_o<order>  ``jets.sqrt`` of a one-state jet in 4 variables
                     at orders 2 and 4, one ``jets._compose``; 2000 calls
   hausdorff_funk_minus  ``geodesic.hausdorff_to_chord`` on the funk-minus
@@ -41,6 +45,7 @@ call. Run from the repository root:
 """
 
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -56,7 +61,8 @@ OUT = _bench.REPO / "BENCH_geodesic.json"
 SPRAYS = {"klein": (2, [0.3, -0.2], [0.6, 0.8]),
           "spherical": (3, [0.3, -0.2, 0.1], [0.6, 0.8, -0.2]),
           "bryant": (3, [0.3, -0.2, 0.1], [0.6, 0.8, -0.2]),
-          "hilbert-ellipse": (2, [0.3, -0.2], [0.6, 0.8])}
+          "hilbert-ellipse": (2, [0.3, -0.2], [0.6, 0.8]),
+          "funk-plus": (2, [0.3, -0.2], [0.6, 0.8])}
 SPRAY_CALLS = 200  # calls per timed loop of a spray row
 # the metrics of the rim starts of perfbench's seed-7 geodesic pool, in
 # pool order (tests/test_benchmarks.py holds them to the pool)
@@ -83,6 +89,23 @@ def call_counts(call):
             "c_calls": counts["c_call"] - 1}  # less sys.setprofile(None)
 
 
+def f_calls(metric, spray):
+    """Runs of ``metric.F``'s Python body in a loop of SPRAY_CALLS warm
+    calls of ``spray(m)`` on a copy ``m`` of the metric that counts them."""
+    runs = [0]
+
+    def F(x, y):
+        runs[0] += 1
+        return metric.F(x, y)
+
+    call = spray(replace(metric, F=F))
+    call()
+    runs[0] = 0
+    for _ in range(SPRAY_CALLS):
+        call()
+    return runs[0]
+
+
 def _spray(name):
     """Row ``spray_<name>``: SPRAY_CALLS one-state ``spray_coefficients``
     calls per loop, and the call counts of one."""
@@ -91,8 +114,10 @@ def _spray(name):
     n, x0, y0 = SPRAYS[name]
     metric = zoo.make_metric(name, n)
     x0, y0 = np.array(x0), np.array(y0)
-    call = lambda: geo.spray_coefficients(metric, x0, y0)
-    return dict(_bench.per_call(call, SPRAY_CALLS), **call_counts(call))
+    spray = lambda m: lambda: geo.spray_coefficients(m, x0, y0)
+    call = spray(metric)
+    return dict(_bench.per_call(call, SPRAY_CALLS), **call_counts(call),
+                f_calls=f_calls(metric, spray))
 
 
 def _compose_sqrt(order):

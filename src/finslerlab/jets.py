@@ -66,6 +66,24 @@ more in x, while every further derivative is in y. A dropped partial
 reads as NaN in :func:`derivative_tensors`, never as a silent 0, and
 :func:`extract_derivative` refuses it.
 
+:func:`jet_of` on one state runs F's ring program, not F. The first call
+for a pair (F, context) runs F once over recording jets: each does the
+live operation and writes its step, a kernel product with its sub-table,
+a composition with its Taylor terms and base test, an add or scale with
+its constant, as one line of a straight-line Python function of the
+seeded jets. Later one-state calls of that pair run the function: the
+same numpy calls on the same operands in the same order, so every
+coefficient, ``hi`` and ``vs`` is the same bit for bit, with no jet per
+operation and no span lookup. It reaches ``_kernels.multiply``,
+:func:`_compose` and :func:`_series` through their modules at call time,
+so a patched one sees every call, and it runs each base test (a zero
+reciprocal, a power or log of a non-positive base) where F does, to the
+same JetError. Programs are held per F by a weak reference, so a
+discarded metric frees them. An F that reads a base value outside a ring
+operation (``value``, ``coeffs``, :func:`base_value` or :func:`where` on
+a jet) may branch on it, so it runs live for that context, as every
+batch does.
+
 An independent finite-difference oracle (:func:`fd_oracle`) cross-checks
 any jet derivative with nested central differences plus two-level
 Richardson extrapolation, evaluating all stencil points of one derivative
@@ -76,6 +94,8 @@ import copy
 import itertools
 import math
 import operator
+import sys
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -467,6 +487,16 @@ class Jet:
             return NotImplemented
         return power(self, c)
 
+    def _analytic(self, terms, guard=None, *args):
+        """g(self) for the outer function g whose Taylor terms about a base
+        value c are ``terms(c)``: ``guard(base, *args)`` tests the base
+        values first, when given, then :func:`_series` and :func:`_compose`
+        run on them."""
+        c = self.value
+        if guard is not None:
+            guard(c, *args)
+        return _compose(self, _series(c, terms))
+
     def _int_pow(self, p):
         result = constant(self.ctx, 1.0)
         base = self
@@ -622,14 +652,27 @@ def _compose(jet, series):
     return Jet(ctx, acc, ctx.order, jet.vs)
 
 
-def _reciprocal(jet):
-    c = jet.value
+def _nonzero_base(c):
+    """JetError naming the first zero among the base values ``c``."""
     hit = first_bad(c == 0.0, c)
     if hit:
         raise JetError(f"division by a jet of zero base, got {hit[0]}{hit[1]}")
+
+
+def _positive_base(c, name, *p):
+    """JetError naming the first base value in ``c`` that is not positive,
+    for the function ``name`` (with its exponent ``p`` for power)."""
+    hit = first_bad(c <= 0.0, c)
+    if hit:
+        label = f"{name}({p[0]})" if p else name
+        raise JetError(f"{label} needs a positive base, got {hit[0]}{hit[1]}")
+
+
+def _reciprocal(jet):
     order = jet.ctx.order
-    return _compose(jet, _series(
-        c, lambda c: [(-1.0) ** k / c ** (k + 1) for k in range(order + 1)]))
+    return jet._analytic(
+        lambda c: [(-1.0) ** k / c ** (k + 1) for k in range(order + 1)],
+        _nonzero_base)
 
 
 def sqrt(v):
@@ -641,10 +684,6 @@ def sqrt(v):
 def power(v, p):
     """v**p for real p (positive base required on the jet path)."""
     if isinstance(v, Jet):
-        c = v.value
-        hit = first_bad(c <= 0.0, c)
-        if hit:
-            raise JetError(f"power({p}) needs a positive base, got {hit[0]}{hit[1]}")
         order = v.ctx.order
 
         def terms(c):
@@ -655,7 +694,7 @@ def power(v, p):
                 binom *= (p - k) / (k + 1)
             return series
 
-        return _compose(v, _series(c, terms))
+        return v._analytic(terms, _positive_base, "power", p)
     return np.power(v, p)
 
 
@@ -667,16 +706,12 @@ def exp(v):
             e = math.exp(c)
             return [e / math.factorial(k) for k in range(order + 1)]
 
-        return _compose(v, _series(v.value, terms))
+        return v._analytic(terms)
     return np.exp(v)
 
 
 def log(v):
     if isinstance(v, Jet):
-        c = v.value
-        hit = first_bad(c <= 0.0, c)
-        if hit:
-            raise JetError(f"log needs a positive base, got {hit[0]}{hit[1]}")
         order = v.ctx.order
 
         def terms(c):
@@ -685,14 +720,14 @@ def log(v):
                 series.append((-1.0) ** (k + 1) / (k * c**k))
             return series
 
-        return _compose(v, _series(c, terms))
+        return v._analytic(terms, _positive_base, "log")
     return np.log(v)
 
 
 def _cyclic(v, table):
     order = v.ctx.order
-    return _compose(v, _series(v.value, lambda c: [
-        table[k % 4](c) / math.factorial(k) for k in range(order + 1)]))
+    return v._analytic(lambda c: [
+        table[k % 4](c) / math.factorial(k) for k in range(order + 1)])
 
 
 def sin(v):
@@ -733,6 +768,9 @@ def where(cond, a, b):
     the others. A single bool returns one of the two as it is; a ``(B,)``
     array of bools picks per state, among the rows of batched jets (a float
     operand acts as a constant jet) or among float arrays."""
+    for v in (a, b):
+        if isinstance(v, _Recording):
+            v.tape.live = True  # cond tests a base value
     if np.ndim(cond) == 0:
         return a if cond else b
     jets = [v for v in (a, b) if isinstance(v, Jet)]
@@ -823,6 +861,195 @@ def fd_oracle(f, x, y, idx):
                                np.concatenate([x, y]), idx))
 
 
+# ---------------------------------------------------------------------------
+# one-state ring programs: F recorded once per context, then replayed
+
+
+class _Tape:
+    """The ring program of one F on one context, written while F runs once
+    over :class:`_Recording` jets: lines of Python over slots ``v0, v1,
+    ...`` that name coefficient arrays, and the globals ``k0, k1, ...``
+    that name their tables and constants. A base-value read sets ``live``:
+    the tape stops writing, and F's later steps return plain jets."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.live = False
+        self.lines = []
+        self.slots = 0
+        self.names = {"Jet": Jet, "ctx": ctx, "N": ctx.n_terms,
+                      "_kernels": _kernels, "_jets": sys.modules[__name__]}
+
+    def bind(self, value):
+        """The program's global name for ``value``."""
+        name = f"k{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def write(self, jet, step):
+        """A recording of ``jet``, the result of ``step``: lines over the
+        new slot ``{0}``, or None for a step that the first lines make."""
+        out = _Recording(jet, self, f"v{self.slots}")
+        self.slots += 1
+        if step is not None:
+            self.lines.append(step.format(out.slot))
+        return out
+
+    def slot(self, v):
+        """The slot of the jet ``v``: its own on this tape, a new one that
+        holds a plain one-state jet of this context as the constant it is,
+        or None (the tape goes live) for a recording of another tape or a
+        batch."""
+        if isinstance(v, _Recording):
+            if v.tape is self:
+                return v.slot
+            v.tape.live = True  # its value leaves its own program
+        elif v.ctx is self.ctx and v.coeffs.ndim == 1:
+            return self.write(v, f"{{0}} = {self.bind(v.coeffs.copy())}.copy()").slot
+        self.live = True
+        return None
+
+    def binary(self, op, a, b):
+        """``op(a, b)``, one of add, sub, mul and truediv, as it runs on
+        the plain jets and scalars, and its step: the same numpy call."""
+        plain = [v.jet if isinstance(v, _Recording) else v for v in (a, b)]
+        out = op(*plain)
+        if not self.live:
+            step = self._binary(op, a, b, *plain)
+            if not self.live:
+                return self.write(out, step)
+        return out
+
+    def _binary(self, op, a, b, pa, pb):
+        if isinstance(pa, Jet) and isinstance(pb, Jet):
+            sa, sb = self.slot(a), self.slot(b)
+            if op is operator.mul:
+                names = map(self.bind, self.ctx.products[pa.hi][pa.vs][pb.hi][pb.vs][:3])
+                return f"{{0}} = mul({sa}, {sb}, {', '.join(names)}, N)"
+            return f"{{0}} = {sa} {_SYMBOLS[op]} {sb}"
+        jet_first = isinstance(pa, Jet)
+        s = self.slot(a if jet_first else b)
+        c = _coerce(pb if jet_first else pa)
+        if not isinstance(c, float):  # one scalar per state of a batch
+            self.live = True
+            return None
+        if op is operator.mul or op is operator.truediv:
+            return f"{{0}} = {s} {_SYMBOLS[op]} {self.bind(c)}"
+        # _add_base of the jet's copy, or of its negative for c - jet
+        if op is operator.sub and jet_first:
+            c = -c
+        head = f"-{s}" if op is operator.sub and not jet_first else f"{s}.copy()"
+        return f"{{0}} = {head}\n{{0}}[0] += {self.bind(c)}"
+
+    def analytic(self, a, terms, guard, args):
+        """``a._analytic(terms, guard, *args)`` as it runs live, and its
+        step: the same base test, :func:`_series` and :func:`_compose`."""
+        out = a.jet._analytic(terms, guard, *args)
+        if self.live:
+            return out
+        s = a.slot
+        step = [f"b = {s}[0]"]
+        if guard is not None:
+            call = ", ".join(["b", *map(self.bind, args)])
+            step.append(f"if b {_GUARD_TESTS[guard]}: {self.bind(guard)}({call})")
+        step.append(f"{{0}} = compose(Jet(ctx, {s}, {a.hi}, {a.vs}), "
+                    f"series(b, {self.bind(terms)})).coeffs")
+        return self.write(out, "\n".join(step))
+
+    def program(self, seeds, out):
+        """The replay of this tape, a function of the seeded jets that
+        returns the plain jet of ``out``; None when the tape went live or
+        ``out`` is not one of its recordings."""
+        if self.live or not (isinstance(out, _Recording) and out.tape is self):
+            return None
+        body = ["mul = _kernels.multiply", "compose = _jets._compose",
+                "series = _jets._series",
+                *(f"{z.slot} = zs[{i}].coeffs" for i, z in enumerate(seeds)),
+                *self.lines, f"return Jet(ctx, {out.slot}, {out.hi}, {out.vs})"]
+        code = "def replay(zs):\n" + "".join(
+            f"    {line}\n" for step in body for line in step.splitlines())
+        exec(compile(code, "<ring program>", "exec"), self.names)
+        return self.names["replay"]
+
+
+_SYMBOLS = {operator.add: "+", operator.sub: "-", operator.mul: "*",
+            operator.truediv: "/"}
+_GUARD_TESTS = {_nonzero_base: "== 0.0", _positive_base: "<= 0.0"}
+
+
+class _Recording(Jet):
+    """A one-state jet of F while its :class:`_Tape` records: each ring
+    operation runs on the plain jet it holds, as live, and writes its step
+    to the tape. A read of its coefficients (``coeffs`` or ``value``, and
+    so :func:`base_value` and :func:`where`) sends the tape live."""
+
+    __slots__ = ("jet", "tape", "slot")
+
+    def __init__(self, jet, tape, slot):
+        self.ctx, self.hi, self.vs = jet.ctx, jet.hi, jet.vs
+        self.jet, self.tape, self.slot = jet, tape, slot
+
+    @property
+    def coeffs(self):
+        self.tape.live = True
+        return self.jet.coeffs
+
+    def __neg__(self):
+        out = -self.jet
+        return out if self.tape.live else self.tape.write(out, f"{{0}} = -{self.slot}")
+
+    def __add__(self, other):
+        return self.tape.binary(operator.add, self, other)
+
+    def __radd__(self, other):
+        return self.tape.binary(operator.add, other, self)
+
+    def __sub__(self, other):
+        return self.tape.binary(operator.sub, self, other)
+
+    def __rsub__(self, other):
+        return self.tape.binary(operator.sub, other, self)
+
+    def __mul__(self, other):
+        return self.tape.binary(operator.mul, self, other)
+
+    def __rmul__(self, other):
+        return self.tape.binary(operator.mul, other, self)
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):  # self * _reciprocal(other)
+            return Jet.__truediv__(self, other)
+        return self.tape.binary(operator.truediv, self, other)
+
+    def _analytic(self, terms, guard=None, *args):
+        return self.tape.analytic(self, terms, guard, args)
+
+
+_PROGRAMS = weakref.WeakKeyDictionary()  # F -> {context: replay, or None}
+_UNSEEN = object()
+
+
+def _one_state(f, zs):
+    """F over the one-state jets ``zs``: by its program for their context,
+    recorded on the first call and replayed after, or live for an F whose
+    tape went live (None) or that takes no weak reference."""
+    n, ctx = len(zs) // 2, zs[0].ctx
+    try:
+        program = _PROGRAMS.get(f, {}).get(ctx, _UNSEEN)
+    except TypeError:
+        program = None
+    if program is None:
+        return f(zs[:n], zs[n:])
+    if program is not _UNSEEN:
+        return program(zs)
+    tape = _Tape(ctx)
+    seeds = [tape.write(z, None) for z in zs]
+    out = f(seeds[:n], seeds[n:])
+    _PROGRAMS.setdefault(f, {})[ctx] = tape.program(seeds, out)
+    tape.live = True  # a recording that F keeps writes nothing more
+    return out.jet if isinstance(out, _Recording) else out
+
+
 def jet_of(f, x, y, order, *, x_degree=None):
     """Evaluate a scalar-ring-generic f(x, y) over jets seeded at (x, y).
 
@@ -833,5 +1060,7 @@ def jet_of(f, x, y, order, *, x_degree=None):
     modulo x-degree above it (see :meth:`JetContext.x_truncated`).
     """
     zs = seed_variables(x, y, order, x_degree=x_degree)
+    if zs[0].coeffs.ndim == 1:
+        return _one_state(f, zs)
     n = len(zs) // 2
     return f(zs[:n], zs[n:])

@@ -130,7 +130,13 @@ class FinslerMetric:
 
     ``F`` must accept sequences of ring scalars (floats, jets or arrays of
     one float per state) for both arguments and combine them only through
-    ring operations, so jet evaluation yields exact derivatives.
+    ring operations, so jet evaluation yields exact derivatives. It is a
+    pure ring program of its arguments: it reads nothing that changes
+    between calls and catches no error of a ring operation, since
+    ``jets.jet_of`` records its operations once per jet context and
+    replays them on later one-state calls. An F that reads a jet's base
+    value (``value``, ``coeffs``, ``jets.base_value`` or ``jets.where``) to
+    branch on it is run live on every call instead.
     """
 
     n: int
