@@ -78,8 +78,8 @@ operation and no span lookup. It reaches ``_kernels.multiply``,
 :func:`_compose` and :func:`_series` through their modules at call time,
 so a patched one sees every call, and it runs each base test (a zero
 reciprocal, a power or log of a non-positive base) where F does, to the
-same JetError. Programs are held per F by a weak reference, so a
-discarded metric frees them. An F that reads a base value outside a ring
+same JetError. A context holds its programs per F by a weak reference,
+so a discarded metric frees them. An F that reads a base value outside a ring
 operation (``value``, ``coeffs``, :func:`base_value` or :func:`where` on
 a jet) may branch on it, so it runs live for that context, as every
 batch does.
@@ -129,6 +129,9 @@ class JetContext:
     monomial's variable span.
     ``x_degree`` is the cap of a context from :meth:`x_truncated`, and
     None for the full one; :func:`get_context` checks both sizes.
+    ``programs`` maps each F that :func:`jet_of` has seen on one state of
+    this context, held by a weak reference, to its recorded program, or
+    to None when F runs live.
     """
 
     x_degree = None
@@ -169,6 +172,7 @@ class JetContext:
         self.products = [[[[None] * 4 for _ in range(self.order + 1)]
                           for _ in range(4)] for _ in range(self.order + 1)]
         self.horner = [None] * 4
+        self.programs = weakref.WeakKeyDictionary()
         # row i: the coefficients of the seeded variable z_i at z = 0 (an
         # x-truncated context keeps every degree-1 monomial)
         self._units = np.zeros((self.n_vars, self.n_terms))
@@ -1025,27 +1029,16 @@ class _Recording(Jet):
         return self.tape.analytic(self, terms, guard, args)
 
 
-_PROGRAMS = weakref.WeakKeyDictionary()  # F -> {context: replay, or None}
 _UNSEEN = object()
 
 
-def _one_state(f, zs):
-    """F over the one-state jets ``zs``: by its program for their context,
-    recorded on the first call and replayed after, or live for an F whose
-    tape went live (None) or that takes no weak reference."""
-    n, ctx = len(zs) // 2, zs[0].ctx
-    try:
-        program = _PROGRAMS.get(f, {}).get(ctx, _UNSEEN)
-    except TypeError:
-        program = None
-    if program is None:
-        return f(zs[:n], zs[n:])
-    if program is not _UNSEEN:
-        return program(zs)
-    tape = _Tape(ctx)
+def _record(f, zs):
+    """F over the one-state jets ``zs``, run once over recordings of them;
+    stores its program, or None, in their context's ``programs``."""
+    n, tape = len(zs) // 2, _Tape(zs[0].ctx)
     seeds = [tape.write(z, None) for z in zs]
     out = f(seeds[:n], seeds[n:])
-    _PROGRAMS.setdefault(f, {})[ctx] = tape.program(seeds, out)
+    tape.ctx.programs[f] = tape.program(seeds, out)
     tape.live = True  # a recording that F keeps writes nothing more
     return out.jet if isinstance(out, _Recording) else out
 
@@ -1061,6 +1054,13 @@ def jet_of(f, x, y, order, *, x_degree=None):
     """
     zs = seed_variables(x, y, order, x_degree=x_degree)
     if zs[0].coeffs.ndim == 1:
-        return _one_state(f, zs)
+        try:
+            program = zs[0].ctx.programs.get(f, _UNSEEN)
+        except TypeError:  # an F that takes no weak reference runs live
+            program = None
+        if program is _UNSEEN:
+            return _record(f, zs)
+        if program is not None:
+            return program(zs)
     n = len(zs) // 2
     return f(zs[:n], zs[n:])

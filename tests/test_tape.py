@@ -18,6 +18,8 @@ from finslerlab.metric import FinslerMetric, FullSpace, dot, norm_sq
 
 ORDERS = (1, 2, 3, 4)
 CAPS = (None, 2)
+CONTEXTS = {jr.get_context(2 * n, order, x_degree=cap) for n in (2, 3, 4)
+            for order in ORDERS for cap in CAPS}
 
 
 def _recordable(name, n):
@@ -54,7 +56,8 @@ def _outcome(call):
 
 
 def _programs(f):
-    return jr._PROGRAMS.get(f, {})
+    """F's programs by context: a replay, or None where F runs live."""
+    return {ctx: ctx.programs[f] for ctx in CONTEXTS if f in ctx.programs}
 
 
 def _state(metric, data):
