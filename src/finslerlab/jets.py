@@ -496,7 +496,7 @@ class Jet:
         value c are ``terms(c)``: ``guard(base, *args)`` tests the base
         values first, when given, then :func:`_series` and :func:`_compose`
         run on them."""
-        c = self.value
+        c = self.coeffs.T[0]  # the value property's read, without its call
         if guard is not None:
             guard(c, *args)
         return _compose(self, _series(c, terms))
@@ -772,9 +772,10 @@ def where(cond, a, b):
     the others. A single bool returns one of the two as it is; a ``(B,)``
     array of bools picks per state, among the rows of batched jets (a float
     operand acts as a constant jet) or among float arrays."""
-    for v in (a, b):
-        if isinstance(v, _Recording):
-            v.tape.live = True  # cond tests a base value
+    if isinstance(a, _Recording):  # cond tests a base value
+        a.tape.live = True
+    if isinstance(b, _Recording):
+        b.tape.live = True
     if np.ndim(cond) == 0:
         return a if cond else b
     jets = [v for v in (a, b) if isinstance(v, Jet)]
