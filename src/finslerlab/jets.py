@@ -131,7 +131,9 @@ class JetContext:
     None for the full one; :func:`get_context` checks both sizes.
     ``programs`` maps each F that :func:`jet_of` has seen on one state of
     this context, held by a weak reference, to its recorded program, or
-    to None when F runs live.
+    to None when F runs live; ``codes`` holds the compiled programs by
+    their source, which the Fs that make the same steps share (each
+    binds its own tables and constants).
     """
 
     x_degree = None
@@ -173,6 +175,7 @@ class JetContext:
                           for _ in range(4)] for _ in range(self.order + 1)]
         self.horner = [None] * 4
         self.programs = weakref.WeakKeyDictionary()
+        self.codes = {}
         # row i: the coefficients of the seeded variable z_i at z = 0 (an
         # x-truncated context keeps every degree-1 monomial)
         self._units = np.zeros((self.n_vars, self.n_terms))
@@ -971,9 +974,12 @@ class _Tape:
                 "series = _jets._series",
                 *(f"{z.slot} = zs[{i}].coeffs" for i, z in enumerate(seeds)),
                 *self.lines, f"return Jet(ctx, {out.slot}, {out.hi}, {out.vs})"]
-        code = "def replay(zs):\n" + "".join(
+        source = "def replay(zs):\n" + "".join(
             f"    {line}\n" for step in body for line in step.splitlines())
-        exec(compile(code, "<ring program>", "exec"), self.names)
+        code = self.ctx.codes.get(source)
+        if code is None:  # compiling costs twice the recording
+            code = self.ctx.codes[source] = compile(source, "<ring program>", "exec")
+        exec(code, self.names)
         return self.names["replay"]
 
 
