@@ -494,14 +494,14 @@ class Jet:
             return NotImplemented
         return power(self, c)
 
-    def _analytic(self, terms, guard=None, *args):
+    def _analytic(self, terms, guard=None, name=None, p=None):
         """g(self) for the outer function g whose Taylor terms about a base
-        value c are ``terms(c)``: ``guard(base, *args)`` tests the base
+        value c are ``terms(c)``: ``guard(base, name, p)`` tests the base
         values first, when given, then :func:`_series` and :func:`_compose`
         run on them."""
         c = self.coeffs.T[0]  # the value property's read, without its call
         if guard is not None:
-            guard(c, *args)
+            guard(c, name, p)
         return _compose(self, _series(c, terms))
 
     def _int_pow(self, p):
@@ -659,19 +659,21 @@ def _compose(jet, series):
     return Jet(ctx, acc, ctx.order, jet.vs)
 
 
-def _nonzero_base(c):
-    """JetError naming the first zero among the base values ``c``."""
+def _nonzero_base(c, name=None, p=None):
+    """JetError naming the first zero among the base values ``c`` (a
+    guard of :meth:`Jet._analytic`, which passes every guard a name and
+    an exponent)."""
     hit = first_bad(c == 0.0, c)
     if hit:
         raise JetError(f"division by a jet of zero base, got {hit[0]}{hit[1]}")
 
 
-def _positive_base(c, name, *p):
+def _positive_base(c, name, p=None):
     """JetError naming the first base value in ``c`` that is not positive,
     for the function ``name`` (with its exponent ``p`` for power)."""
     hit = first_bad(c <= 0.0, c)
     if hit:
-        label = f"{name}({p[0]})" if p else name
+        label = name if p is None else f"{name}({p})"
         raise JetError(f"{label} needs a positive base, got {hit[0]}{hit[1]}")
 
 
@@ -949,16 +951,16 @@ class _Tape:
         head = f"-{s}" if op is operator.sub and not jet_first else f"{s}.copy()"
         return f"{{0}} = {head}\n{{0}}[0] += {self.bind(c)}"
 
-    def analytic(self, a, terms, guard, args):
-        """``a._analytic(terms, guard, *args)`` as it runs live, and its
+    def analytic(self, a, terms, guard, name, p):
+        """``a._analytic(terms, guard, name, p)`` as it runs live, and its
         step: the same base test, :func:`_series` and :func:`_compose`."""
-        out = a.jet._analytic(terms, guard, *args)
+        out = a.jet._analytic(terms, guard, name, p)
         if self.live:
             return out
         s = a.slot
         step = [f"b = {s}[0]"]
         if guard is not None:
-            call = ", ".join(["b", *map(self.bind, args)])
+            call = ", ".join(["b", *map(self.bind, (name, p))])
             step.append(f"if b {_GUARD_TESTS[guard]}: {self.bind(guard)}({call})")
         step.append(f"{{0}} = compose(Jet(ctx, {s}, {a.hi}, {a.vs}), "
                     f"series(b, {self.bind(terms)})).coeffs")
@@ -1032,8 +1034,8 @@ class _Recording(Jet):
             return Jet.__truediv__(self, other)
         return self.tape.binary(operator.truediv, self, other)
 
-    def _analytic(self, terms, guard=None, *args):
-        return self.tape.analytic(self, terms, guard, args)
+    def _analytic(self, terms, guard=None, name=None, p=None):
+        return self.tape.analytic(self, terms, guard, name, p)
 
 
 _UNSEEN = object()
