@@ -74,7 +74,7 @@ def _state(metric, data):
 
 
 @pytest.mark.parametrize("key", RECORDABLE, ids=[f"{k}-{n}" for k, n in RECORDABLE])
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_a_replayed_jet_equals_f_over_live_jets_bit_for_bit(key, data):
     m = METRICS[key]
