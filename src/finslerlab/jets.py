@@ -25,7 +25,9 @@ equals the jet of that state alone bit for bit.  A float array of shape
 ``(B,)`` acts as one ring scalar per state.  Base values are read and
 written as ``coeffs.T[0]``: a scalar for one state and a view of the B
 base values for a batch (on one state it costs a tenth of
-``coeffs[..., 0] += c``). A branch on base values goes through
+``coeffs[..., 0] += c``); :func:`_compose`, which writes them order + 1
+times, indexes them by ``[0]`` on one state and ``[..., 0]`` on a batch,
+cheaper still. A branch on base values goes through
 :func:`where`, which picks per state, so each row of a batch takes the
 branch its state takes alone.
 
@@ -639,13 +641,16 @@ def _compose(jet, series):
     """
     ctx = jet.ctx
     nil = jet.coeffs.copy()
-    nil.T[0] = 0.0
+    one = nil.ndim == 1
+    # the base slot of each state, an index cheaper than .T[0] here
+    at = (0,) if one else (Ellipsis, 0)
+    nil[at] = 0.0
     # step order - 1 multiplies the constant series[order] by the degree-1
     # part, one table entry per slot: a scalar product gives the same
     # products (and leaves higher degrees that no later step reads)
     top = series[ctx.order]
-    acc = nil * (top if nil.ndim == 1 else top[:, None])
-    acc.T[0] += series[ctx.order - 1]
+    acc = nil * (top if one else top[:, None])
+    acc[at] += series[ctx.order - 1]
     steps = ctx.horner[jet.vs]
     if steps is None:  # at order 1 an empty list, built once
         steps = ctx.horner_tables(jet.vs)
@@ -655,7 +660,7 @@ def _compose(jet, series):
         # kernel would return integer zeros on one state
         acc = (_kernels.multiply(acc, nil, mul_i, mul_j, mul_k, ctx.n_terms)
                if mul_i.size else np.zeros(acc.shape))
-        acc.T[0] += series[k]
+        acc[at] += series[k]
     return Jet(ctx, acc, ctx.order, jet.vs)
 
 
@@ -934,8 +939,9 @@ class _Tape:
         if isinstance(pa, Jet) and isinstance(pb, Jet):
             sa, sb = self.slot(a), self.slot(b)
             if op is operator.mul:
-                names = map(self.bind, self.ctx.products[pa.hi][pa.vs][pb.hi][pb.vs][:3])
-                return f"{{0}} = mul({sa}, {sb}, {', '.join(names)}, N)"
+                table = self.ctx.products[pa.hi][pa.vs][pb.hi][pb.vs][:3]
+                return (f"{{0}} = mul({sa}, {sb}, "
+                        f"{', '.join(map(self.bind, table))}, N)")
             return f"{{0}} = {sa} {_SYMBOLS[op]} {sb}"
         jet_first = isinstance(pa, Jet)
         s = self.slot(a if jet_first else b)
@@ -1059,7 +1065,9 @@ def jet_of(f, x, y, order, *, x_degree=None):
     chart variables comes from here, and :func:`derivative_tensors` of the
     result gives its value and derivative tensors. ``(B, n)`` stacks of
     x and y evaluate f once over batched jets. ``x_degree`` computes f
-    modulo x-degree above it (see :meth:`JetContext.x_truncated`).
+    modulo x-degree above it (see :meth:`JetContext.x_truncated`). On one
+    state it runs f's ring program, recorded on f's first call in the
+    context (see the module docstring), unless f reads a base value.
     """
     zs = seed_variables(x, y, order, x_degree=x_degree)
     if zs[0].coeffs.ndim == 1:
