@@ -81,10 +81,10 @@ operation and no span lookup. It reaches ``_kernels.multiply``,
 so a patched one sees every call, and it runs each base test (a zero
 reciprocal, a power or log of a non-positive base) where F does, to the
 same JetError. A context holds its programs per F by a weak reference,
-so a discarded metric frees them. An F that reads a base value outside a ring
-operation (``value``, ``coeffs``, :func:`base_value` or :func:`where` on
-a jet) may branch on it, so it runs live for that context, as every
-batch does.
+so a discarded metric frees them. An F that reads a base value outside a
+ring operation (``value``, ``coeffs``, :func:`base_value` or
+:func:`where` on a jet) may branch on it, so it runs live for that
+context, as every batch does.
 
 An independent finite-difference oracle (:func:`fd_oracle`) cross-checks
 any jet derivative with nested central differences plus two-level
